@@ -53,12 +53,15 @@ const MAX_DEPTH: usize = 64;
 impl Json {
     /// Parses one complete JSON value; trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
-        let mut parser = Parser { bytes, pos: 0 };
+        let mut parser = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
         parser.skip_ws();
         let value = parser.value(0)?;
         parser.skip_ws();
-        if parser.pos != bytes.len() {
+        if parser.pos != text.len() {
             return Err(parser.error("trailing characters"));
         }
         Ok(value)
@@ -195,6 +198,7 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -345,16 +349,19 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.error("raw control character")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // on char boundaries is safe to find).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).map_err(|_| self.error("bad utf-8"))?;
-                    let c = text
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.error("truncated utf-8"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte. Those are ASCII and never occur inside a
+                    // multi-byte UTF-8 sequence, so both ends of the run are
+                    // char boundaries of the (already valid) input.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = self
+                        .text
+                        .get(start..self.pos)
+                        .ok_or_else(|| self.error("bad utf-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -443,6 +450,38 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    #[test]
+    fn escapes_next_to_multi_byte_characters() {
+        let frame = "\"π\\n€\\u00e9😀\\\"ü\\\\\"";
+        assert_eq!(
+            Json::parse(frame).expect("parse").as_str(),
+            Some("π\n€é😀\"ü\\")
+        );
+        let value = Json::str("€\"π\\\n😀\u{1}é");
+        assert_eq!(Json::parse(&value.to_string()).expect("reparse"), value);
+        // A raw control byte right after a multi-byte character is still
+        // rejected.
+        assert!(Json::parse("\"é\u{1}\"").is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 256 KiB of mixed-width text in one string member (a Verilog
+        // source can be this long): the scan must not revisit the frame.
+        let text = "ab€π😀 ".repeat(256 * 1024 / 12 + 1);
+        assert!(text.len() >= 256 * 1024);
+        let frame = Json::obj(vec![("source", Json::str(text.clone()))]).to_string();
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&frame).expect("parse");
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.get("source").and_then(Json::as_str), Some(&*text));
+        assert!(
+            elapsed < std::time::Duration::from_millis(100),
+            "a {} byte string took {elapsed:?}",
+            text.len()
+        );
     }
 
     #[test]

@@ -9,11 +9,11 @@ use crate::proto::{
     DurabilityStats, ErrorCode,
 };
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{SyncSender, TrySendError};
+use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use wlac_atpg::{
@@ -28,8 +28,8 @@ use wlac_persist::{
     truncate_to_valid, DurabilityMode, JournalSink, Snapshot,
 };
 use wlac_service::{
-    BatchId, DesignHash, DurabilityHook, FaultReportHook, JobResult, KnowledgeBase, ServiceConfig,
-    VerificationService,
+    BatchId, DesignHash, DurabilityHook, FaultReportHook, Job, JobResult, KnowledgeBase,
+    ServiceConfig, VerificationService,
 };
 use wlac_telemetry::{
     FlightRecorder, MetricsRegistry, RecorderHandle, RecorderKind, RecorderLayer, SpanId, Tracer,
@@ -99,11 +99,13 @@ pub struct ServerConfig {
     /// this long (clients may ask for less via `timeout_ms`), then gets a
     /// structured `timeout` error while the batch keeps running.
     pub wait_timeout: Duration,
-    /// Bounded send queue of a `subscribe` stream, in frames. A subscriber
-    /// that stops reading fills it and is shed (its socket is closed and
-    /// `server_subscribe_dropped_total` counts the event) instead of
-    /// back-pressuring the producer; workers never block on subscribers
-    /// either way, because progress is pulled from lock-free cells.
+    /// Bounded send queue of a `subscribe` stream, in frames. A full queue
+    /// makes the stream's producer wait for its writer, so a burst reaches a
+    /// reader that keeps up in full. A subscriber that stops reading is shed
+    /// once a write stalls past [`ServerConfig::write_timeout`] (its socket
+    /// is closed and `server_subscribe_dropped_total` counts the event).
+    /// Workers never block on subscribers, because progress is pulled from
+    /// lock-free cells.
     pub subscribe_queue: usize,
     /// Default tick of a `subscribe` stream's periodic `progress` events
     /// (clients may override per request via `interval_ms`).
@@ -977,24 +979,26 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
         if line.trim().is_empty() {
             continue;
         }
+        let started = Instant::now();
+        let frame = Json::parse(&line);
         // `subscribe` escapes the request/reply shape: it pushes a stream of
         // frames until the batch completes or the subscriber is shed, so it
         // is handled here, outside `dispatch`, with the socket in hand. The
         // in-flight gate is deliberately not held across the stream — a
         // subscriber idling on a long batch must not stall shutdown; the
         // stream notices the drain flag and ends instead.
-        if wants_subscribe(&line) {
-            let started = Instant::now();
-            match subscribe_connection(state, &line, &stream) {
+        let subscribe = frame
+            .as_ref()
+            .ok()
+            .filter(|frame| frame.get("op").and_then(Json::as_str) == Some("subscribe"));
+        if let Some(frame) = subscribe {
+            let request = SubscribeRequest {
+                connection,
+                conn,
+                started,
+            };
+            match subscribe_connection(state, frame, &stream, request) {
                 SubscribeOutcome::Reject(reply) => {
-                    record_request(
-                        state,
-                        connection,
-                        conn,
-                        "subscribe",
-                        &reply,
-                        started.elapsed(),
-                    );
                     let sent = writer
                         .write_all(format!("{reply}\n").as_bytes())
                         .and_then(|()| writer.flush());
@@ -1002,25 +1006,16 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
                         break;
                     }
                 }
-                SubscribeOutcome::Streamed { summary, close } => {
-                    record_request(
-                        state,
-                        connection,
-                        conn,
-                        "subscribe",
-                        &summary,
-                        started.elapsed(),
-                    );
-                    if close {
-                        break;
-                    }
-                }
+                SubscribeOutcome::Streamed { close: true } => break,
+                SubscribeOutcome::Streamed { close: false } => {}
             }
             continue;
         }
         state.active.enter();
-        let started = Instant::now();
-        let (reply, op) = dispatch(state, &line);
+        let (reply, op) = match frame {
+            Ok(frame) => dispatch(state, &frame),
+            Err(e) => (error_reply(ErrorCode::BadJson, e.to_string()), "invalid"),
+        };
         let elapsed = started.elapsed();
         record_request(state, connection, conn, op, &reply, elapsed);
         let sent = writer
@@ -1034,30 +1029,37 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
     state.tracer.span_end(connection, "connection");
 }
 
-/// `true` when the frame is a `subscribe` request (cheap pre-parse; a frame
-/// that fails to parse here is not a subscribe and gets its structured
-/// `bad_json` from the normal dispatch path).
-fn wants_subscribe(line: &str) -> bool {
-    Json::parse(line)
-        .ok()
-        .and_then(|frame| {
-            frame
-                .get("op")
-                .and_then(Json::as_str)
-                .map(|op| op == "subscribe")
-        })
-        .unwrap_or(false)
-}
-
-/// How a `subscribe` request ended, for the connection loop.
+/// How a `subscribe` request ended, for the connection loop. Either way the
+/// request is already booked.
 enum SubscribeOutcome {
     /// The request never became a stream: answer `reply` like any other op
     /// and keep serving the connection.
     Reject(Json),
-    /// The stream ran and wrote its own frames; `summary` exists only for
-    /// request accounting. `close` means the socket is no longer usable
-    /// (slow-consumer shed, write failure, or server shutdown).
-    Streamed { summary: Json, close: bool },
+    /// The stream ran and wrote its own frames. `close` means the socket is
+    /// no longer usable (stalled reader shed, write failure, or server
+    /// shutdown).
+    Streamed { close: bool },
+}
+
+/// Who asked for a stream and when, for its request accounting.
+#[derive(Clone, Copy)]
+struct SubscribeRequest {
+    connection: SpanId,
+    conn: u64,
+    started: Instant,
+}
+
+impl SubscribeRequest {
+    fn book(&self, state: &ServerState, summary: &Json) {
+        record_request(
+            state,
+            self.connection,
+            self.conn,
+            "subscribe",
+            summary,
+            self.started.elapsed(),
+        );
+    }
 }
 
 /// Bounds of a subscriber's requested progress-tick interval.
@@ -1066,17 +1068,22 @@ const SUBSCRIBE_MAX_INTERVAL: Duration = Duration::from_secs(60);
 
 /// Validates a `subscribe` request and, when it names a live batch, streams
 /// it (see [`stream_subscription`]).
-fn subscribe_connection(state: &ServerState, line: &str, stream: &TcpStream) -> SubscribeOutcome {
-    let frame = match Json::parse(line) {
-        Ok(frame) => frame,
-        Err(e) => return SubscribeOutcome::Reject(error_reply(ErrorCode::BadJson, e.to_string())),
+fn subscribe_connection(
+    state: &ServerState,
+    frame: &Json,
+    stream: &TcpStream,
+    request: SubscribeRequest,
+) -> SubscribeOutcome {
+    let reject = |reply: Json| {
+        request.book(state, &reply);
+        SubscribeOutcome::Reject(reply)
     };
-    let batch = match batch_from(&frame) {
+    let batch = match batch_from(frame) {
         Ok(batch) => batch,
-        Err(reply) => return SubscribeOutcome::Reject(reply),
+        Err(reply) => return reject(reply),
     };
     if state.service.poll(batch).is_none() {
-        return SubscribeOutcome::Reject(error_reply(
+        return reject(error_reply(
             ErrorCode::UnknownBatch,
             format!("no batch {}", batch.raw()),
         ));
@@ -1087,62 +1094,52 @@ fn subscribe_connection(state: &ServerState, line: &str, stream: &TcpStream) -> 
         .map(Duration::from_millis)
         .unwrap_or(state.subscribe_interval)
         .clamp(SUBSCRIBE_MIN_INTERVAL, SUBSCRIBE_MAX_INTERVAL);
-    stream_subscription(state, batch, interval, stream)
+    stream_subscription(state, batch, interval, stream, request)
 }
 
 /// The producer side of one `subscribe` stream: pushes frames into the
 /// bounded queue a dedicated writer thread drains to the socket. The
 /// producer pulls all of its data from the service's lock-free progress
-/// cells and the batch table — it never blocks a worker — and a full queue
-/// (a subscriber that stopped reading) sheds the subscriber by closing its
-/// socket, in the same spirit as the connection-cap `overloaded` shed.
+/// cells and the batch table, so it never blocks a worker. A full queue
+/// only makes the producer wait for the writer: a burst (a large batch
+/// completing at once) is delivered in full to a reader that keeps up. A
+/// reader that stopped reading stalls the writer until its socket write
+/// times out; the writer then sheds it (see [`stream_subscription`]).
 struct SubscribePush<'a> {
     state: &'a ServerState,
-    stream: &'a TcpStream,
-    tx: SyncSender<String>,
-    pushes: u64,
-    shed: bool,
-    dead: bool,
+    /// `None` once the writer thread has gone away.
+    tx: Option<SyncSender<String>>,
+    request: SubscribeRequest,
+    booked: bool,
 }
 
 impl SubscribePush<'_> {
-    /// `false` once the stream is over (shed or the writer went away).
+    /// `false` once the stream is over (the writer went away).
     fn push(&mut self, frame: &Json) -> bool {
-        if self.shed || self.dead {
+        let Some(tx) = &self.tx else {
+            return false;
+        };
+        if tx.send(format!("{frame}\n")).is_err() {
+            // The writer thread exited: the peer is gone, or it stopped
+            // reading and was shed.
+            self.tx = None;
             return false;
         }
-        match self.tx.try_send(format!("{frame}\n")) {
-            Ok(()) => {
-                self.pushes += 1;
-                self.state
-                    .metrics
-                    .counter("server_subscribe_pushes_total")
-                    .inc();
-                true
-            }
-            Err(TrySendError::Full(_)) => {
-                // The peer stopped reading, so no structured reply can reach
-                // it — count the shed, close both directions and let the
-                // client observe EOF mid-stream.
-                self.state
-                    .metrics
-                    .counter("server_subscribe_dropped_total")
-                    .inc();
-                self.shed = true;
-                self.stream.shutdown(Shutdown::Both).ok();
-                false
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                // The writer thread exited on a write error: the peer is
-                // gone (or its socket stalled past the write timeout).
-                self.dead = true;
-                false
-            }
-        }
+        self.state
+            .metrics
+            .counter("server_subscribe_pushes_total")
+            .inc();
+        true
     }
 
-    fn live(&self) -> bool {
-        !self.shed && !self.dead
+    /// Books the request once. A completed stream books before it queues
+    /// `batch_done`, so a client that has read `batch_done` already sees
+    /// the request counted.
+    fn book(&mut self, summary: &Json) {
+        if !self.booked {
+            self.booked = true;
+            self.request.book(self.state, summary);
+        }
     }
 }
 
@@ -1154,65 +1151,81 @@ impl SubscribePush<'_> {
 /// one `batch_done` frame. A batch that already completed replays its final
 /// progress and verdicts immediately, so late subscribers (`wlac-client
 /// watch` after the fact) still get the full story.
+///
+/// A subscriber is shed when a socket write stalls past the connection's
+/// write timeout: the peer stopped reading, so no structured reply can
+/// reach it. The shed is counted, both directions are closed, and the
+/// client observes EOF mid-stream — the same spirit as the connection-cap
+/// `overloaded` shed.
 fn stream_subscription(
     state: &ServerState,
     batch: BatchId,
     interval: Duration,
     stream: &TcpStream,
+    request: SubscribeRequest,
 ) -> SubscribeOutcome {
     let (tx, rx) = std::sync::mpsc::sync_channel::<String>(state.subscribe_queue);
+    let mut push = SubscribePush {
+        state,
+        tx: Some(tx),
+        request,
+        booked: false,
+    };
     let writer_stream = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => {
-            return SubscribeOutcome::Streamed {
-                summary: error_reply(ErrorCode::Internal, "socket clone failed"),
-                close: true,
-            }
+            push.book(&error_reply(ErrorCode::Internal, "socket clone failed"));
+            return SubscribeOutcome::Streamed { close: true };
         }
     };
+    // `true` when the peer stopped reading. Returning drops `rx`, which
+    // ends the producer's stream.
+    let stall = state.write_timeout;
     let writer = std::thread::spawn(move || {
         let mut writer = writer_stream;
         while let Ok(frame) = rx.recv() {
-            if writer
-                .write_all(frame.as_bytes())
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
-                return; // dropping `rx` tells the producer the peer is gone
+            let mut rest = frame.as_bytes();
+            while !rest.is_empty() {
+                // A send blocks only while the peer's buffers are full, so
+                // one that waited out the write timeout means the peer
+                // stopped reading — whether it failed or, having got a few
+                // bytes out first, returned them.
+                let started = Instant::now();
+                let written = writer.write(rest);
+                let stalled = stall.is_some_and(|limit| started.elapsed() >= limit);
+                match written {
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) => {
+                        return stalled
+                            || matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+                    }
+                    Ok(0) => return false, // the peer is gone
+                    Ok(_) if stalled => return true,
+                    Ok(n) => rest = &rest[n..],
+                }
             }
         }
+        false
     });
-    let mut push = SubscribePush {
-        state,
-        stream,
-        tx,
-        pushes: 0,
-        shed: false,
-        dead: false,
-    };
     let shutdown = stream_events(state, batch, interval, &mut push);
-    let SubscribePush {
-        pushes,
-        shed,
-        dead,
-        tx,
-        ..
-    } = push;
-    // `tx` must drop *before* the join: a `..` rest pattern keeps unmatched
-    // fields alive to end of scope, and the writer only exits once every
-    // sender is gone (it drains what was queued first).
-    drop(tx);
-    writer.join().ok();
-    let summary = if shed {
-        error_reply(ErrorCode::Overloaded, "subscriber stopped reading; shed")
+    // Disconnect before the join: the writer drains what was queued, then
+    // exits once the sender is gone.
+    let dead = push.tx.take().is_none();
+    let shed = writer.join().unwrap_or(false);
+    if shed {
+        state
+            .metrics
+            .counter("server_subscribe_dropped_total")
+            .inc();
+        stream.shutdown(Shutdown::Both).ok();
+        push.book(&error_reply(
+            ErrorCode::Overloaded,
+            "subscriber stopped reading; shed",
+        ));
     } else {
-        ok_reply(vec![
-            ("batch", Json::num(batch.raw())),
-            ("pushed", Json::num(pushes)),
-        ])
-    };
+        push.book(&ok_reply(vec![("batch", Json::num(batch.raw()))]));
+    }
     SubscribeOutcome::Streamed {
-        summary,
         close: shed || dead || shutdown,
     }
 }
@@ -1286,6 +1299,7 @@ fn stream_events(
                 ("batch", Json::num(batch.raw())),
                 ("total", Json::num(total as u64)),
             ]);
+            push.book(&ok_reply(vec![("batch", Json::num(batch.raw()))]));
             push.push(&done);
             return false;
         }
@@ -1328,7 +1342,7 @@ fn stream_events(
                 }
             }
         }
-        if !push.live() {
+        if push.tx.is_none() {
             return false;
         }
         // Sleep until a job completes or the next tick is due.
@@ -1396,11 +1410,7 @@ fn record_request(
     }
 }
 
-fn dispatch(state: &ServerState, line: &str) -> (Json, &'static str) {
-    let frame = match Json::parse(line) {
-        Ok(frame) => frame,
-        Err(e) => return (error_reply(ErrorCode::BadJson, e.to_string()), "invalid"),
-    };
+fn dispatch(state: &ServerState, frame: &Json) -> (Json, &'static str) {
     let Some(op) = frame.get("op").and_then(Json::as_str) else {
         return (
             error_reply(ErrorCode::BadRequest, "missing string member `op`"),
@@ -1417,12 +1427,12 @@ fn dispatch(state: &ServerState, line: &str) -> (Json, &'static str) {
     }
     let reply = match op {
         "ping" => ok_reply(Vec::new()),
-        "register_design" => op_register_design(state, &frame),
-        "submit_batch" => op_submit_batch(state, &frame),
-        "poll" => op_poll(state, &frame),
-        "results" => op_results(state, &frame),
-        "wait" => op_wait(state, &frame),
-        "progress" => op_progress(state, &frame),
+        "register_design" => op_register_design(state, frame),
+        "submit_batch" => op_submit_batch(state, frame),
+        "poll" => op_poll(state, frame),
+        "results" => op_results(state, frame),
+        "wait" => op_wait(state, frame),
+        "progress" => op_progress(state, frame),
         // Unreachable from the connection loop (subscribe is intercepted
         // before dispatch, socket in hand); kept so a unit caller gets a
         // diagnosis rather than `unknown_op`.
@@ -1431,12 +1441,12 @@ fn dispatch(state: &ServerState, line: &str) -> (Json, &'static str) {
             "subscribe streams on its connection and cannot be dispatched",
         ),
         "stats" => op_stats(state),
-        "export_knowledge" => op_export_knowledge(state, &frame),
-        "import_knowledge" => op_import_knowledge(state, &frame),
+        "export_knowledge" => op_export_knowledge(state, frame),
+        "import_knowledge" => op_import_knowledge(state, frame),
         "metrics" => op_metrics(state),
         "health" => op_health(state),
-        "events" => op_events(state, &frame),
-        "trace_check" => op_trace_check(state, &frame),
+        "events" => op_events(state, frame),
+        "trace_check" => op_trace_check(state, frame),
         "shutdown" => op_shutdown(state),
         _ => error_reply(ErrorCode::UnknownOp, format!("unknown op `{op}`")),
     };
@@ -1713,7 +1723,14 @@ fn resolve_monitor(netlist: &Netlist, name: &str) -> Result<NetId, String> {
     Ok(net)
 }
 
-fn parse_job(state: &ServerState, job: &Json, index: usize) -> Result<Verification, Json> {
+/// Resolves one wire job against the registered designs. The job names its
+/// design by hash and its nets by name; the result names the same things by
+/// hash and id, next to the design's netlist, and copies nothing from it.
+fn parse_job<'a>(
+    designs: &'a HashMap<DesignHash, Netlist>,
+    job: &Json,
+    index: usize,
+) -> Result<(Job, &'a Netlist), Json> {
     let bad = |message: String| Err(error_reply(ErrorCode::BadProperty, message));
     let Some(design_text) = job.get("design").and_then(Json::as_str) else {
         return Err(error_reply(
@@ -1727,17 +1744,11 @@ fn parse_job(state: &ServerState, job: &Json, index: usize) -> Result<Verificati
             format!("job #{index}: `{design_text}` is not a design hash"),
         ));
     };
-    let netlist = {
-        let designs = state.designs.lock_recover();
-        match designs.get(&design) {
-            Some(netlist) => netlist.clone(),
-            None => {
-                return Err(error_reply(
-                    ErrorCode::UnknownDesign,
-                    format!("job #{index}: design {design_text} is not registered"),
-                ))
-            }
-        }
+    let Some(netlist) = designs.get(&design) else {
+        return Err(error_reply(
+            ErrorCode::UnknownDesign,
+            format!("job #{index}: design {design_text} is not registered"),
+        ));
     };
     let Some(property) = job.get("property") else {
         return Err(error_reply(
@@ -1760,7 +1771,7 @@ fn parse_job(state: &ServerState, job: &Json, index: usize) -> Result<Verificati
             format!("job #{index}: property is missing string member `monitor`"),
         ));
     };
-    let monitor = match resolve_monitor(&netlist, monitor_name) {
+    let monitor = match resolve_monitor(netlist, monitor_name) {
         Ok(net) => net,
         Err(message) => return bad(format!("job #{index}: {message}")),
     };
@@ -1778,37 +1789,42 @@ fn parse_job(state: &ServerState, job: &Json, index: usize) -> Result<Verificati
             let Some(env_name) = item.as_str() else {
                 return bad(format!("job #{index}: environment entries must be strings"));
             };
-            match resolve_monitor(&netlist, env_name) {
+            match resolve_monitor(netlist, env_name) {
                 Ok(net) => environment.push(net),
                 Err(message) => return bad(format!("job #{index}: {message}")),
             }
         }
     }
-    let property = Property {
-        name,
-        kind,
-        monitor,
-    };
-    Ok(Verification {
-        netlist,
-        property,
+    let job = Job {
+        design,
+        property: Property {
+            name,
+            kind,
+            monitor,
+        },
         environment,
-    })
+    };
+    Ok((job, netlist))
 }
 
 fn op_submit_batch(state: &ServerState, frame: &Json) -> Json {
     let Some(jobs) = frame.get("jobs").and_then(Json::as_arr) else {
         return error_reply(ErrorCode::BadRequest, "missing array member `jobs`");
     };
-    let mut verifications = Vec::with_capacity(jobs.len());
-    for (index, job) in jobs.iter().enumerate() {
-        match parse_job(state, job, index) {
-            Ok(verification) => verifications.push(verification),
-            Err(reply) => return reply,
+    let parsed: Result<Vec<Job>, Json> = {
+        let designs = state.designs.lock_recover();
+        jobs.iter()
+            .enumerate()
+            .map(|(index, job)| parse_job(&designs, job, index).map(|(job, _)| job))
+            .collect()
+    };
+    match parsed {
+        Ok(jobs) => {
+            let batch = state.service.submit(jobs);
+            ok_reply(vec![("batch", Json::num(batch.raw()))])
         }
+        Err(reply) => reply,
     }
-    let batch = state.service.submit_batch(verifications);
-    ok_reply(vec![("batch", Json::num(batch.raw()))])
 }
 
 fn batch_from(frame: &Json) -> Result<BatchId, Json> {
@@ -2058,9 +2074,16 @@ fn trace_event_to_wire(event: &wlac_telemetry::TraceEvent) -> Json {
 /// engine): the point is a reproducible profile of *this* check, not the
 /// fastest answer.
 fn op_trace_check(state: &ServerState, frame: &Json) -> Json {
-    let verification = match parse_job(state, frame, 0) {
-        Ok(verification) => verification,
-        Err(reply) => return reply,
+    let verification = {
+        let designs = state.designs.lock_recover();
+        match parse_job(&designs, frame, 0) {
+            Ok((job, netlist)) => Verification {
+                netlist: netlist.clone(),
+                property: job.property,
+                environment: job.environment,
+            },
+            Err(reply) => return reply,
+        }
     };
     let tracer = Arc::new(Tracer::new(8192));
     let options = state

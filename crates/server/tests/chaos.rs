@@ -988,6 +988,10 @@ fn a_non_reading_subscriber_is_shed_without_stalling_the_server() {
     config.service.faults = FaultPlan::seeded(7).fire_nth(FaultSite::EngineHang, 1);
     config.subscribe_queue = 4;
     config.subscribe_interval = Duration::from_millis(1);
+    // A subscriber is shed once a write to it stalls for the write timeout,
+    // after the socket buffers have filled (~20 s of 1 ms ticks on Linux
+    // loopback); the 30 s default would leave little of the deadline below.
+    config.write_timeout = Some(Duration::from_secs(1));
     config.wait_timeout = Duration::from_millis(300);
     config.drain_timeout = Duration::from_millis(300);
     let (addr, handle, _) = start(config);

@@ -241,6 +241,10 @@ fn protocol_round_trip_and_errors() {
          \"property\":{{\"monitor\":\"q\"}}}}]}}"
     );
     assert_eq!(client.call_err(&wide_job), "bad_property");
+    // A job naming a design nobody registered.
+    let unknown_job = "{\"op\":\"submit_batch\",\"jobs\":[{\"design\":\"d0000000000000000\",\
+         \"property\":{\"monitor\":\"ok\"}}]}";
+    assert_eq!(client.call_err(unknown_job), "unknown_design");
 
     let batch = client.submit_both(&design);
     // poll until done, then fetch results both ways.
@@ -839,6 +843,61 @@ fn subscribe_streams_progress_before_every_verdict() {
         "unknown_batch"
     );
     sub.call(Json::obj(vec![("op", Json::str("ping"))]));
+
+    client.shutdown();
+    handle.join().expect("server thread");
+}
+
+#[test]
+fn a_late_subscriber_receives_a_large_cache_hit_batch_in_full() {
+    // A send queue far smaller than the replay, so the burst outruns the
+    // writer on any host: the stream must wait for its reader, not shed it.
+    let mut config = quick_config();
+    config.subscribe_queue = 8;
+    let (addr, handle, _) = start(config);
+    let mut client = Client::connect(addr);
+    let design = client.register_counter();
+    let cold = client.submit_both(&design);
+    client.wait(cold);
+
+    // 300 cache hits complete within milliseconds of each other, and a late
+    // subscriber gets their replay as one burst of 600 frames.
+    let job = |monitor: &str| {
+        Json::obj(vec![
+            ("design", Json::str(design.clone())),
+            ("property", Json::obj(vec![("monitor", Json::str(monitor))])),
+        ])
+    };
+    let jobs = (0..150).flat_map(|_| [job("ok"), job("bad")]).collect();
+    let reply = client.call(Json::obj(vec![
+        ("op", Json::str("submit_batch")),
+        ("jobs", Json::Arr(jobs)),
+    ]));
+    let batch = reply.get("batch").and_then(Json::as_u64).expect("batch id");
+    let results = client.wait(batch);
+    assert!(results.iter().all(cached), "every job is a cache hit");
+
+    let mut sub = Client::connect(addr);
+    for run in 0..20 {
+        sub.send(&format!("{{\"op\":\"subscribe\",\"batch\":{batch}}}"));
+        let ack = sub.read_event();
+        assert_eq!(ack.get("event").and_then(Json::as_str), Some("subscribed"));
+        let events = drain_stream(&mut sub, 300);
+        // The acknowledgement, a progress and a verdict frame per job, and
+        // batch_done.
+        assert_eq!(events.len() + 2, 602, "run {run}");
+    }
+    let reply = client.call(Json::obj(vec![("op", Json::str("metrics"))]));
+    let text = reply
+        .get("prometheus")
+        .and_then(Json::as_str)
+        .expect("prometheus text");
+    let dropped = sample(&parse_prometheus(text), "server_subscribe_dropped_total");
+    assert_eq!(
+        dropped.unwrap_or(0.0),
+        0.0,
+        "no reader that keeps up is shed"
+    );
 
     client.shutdown();
     handle.join().expect("server thread");

@@ -9,8 +9,8 @@
 //! presented with any other design.
 
 use std::fmt;
-use wlac_atpg::Verification;
-use wlac_netlist::{GateKind, Netlist};
+use wlac_atpg::Property;
+use wlac_netlist::{GateKind, NetId, Netlist};
 use wlac_portfolio::PortfolioConfig;
 
 /// 64-bit FNV-1a, the workspace-standard offline hash.
@@ -151,15 +151,15 @@ pub fn design_hash(netlist: &Netlist) -> DesignHash {
 /// Hash of the property-specific part of a verification job: the monitor
 /// net, the temporal kind and the environment constraints (the design itself
 /// is keyed separately by [`design_hash`]).
-pub fn property_hash(verification: &Verification) -> PropertyHash {
+pub fn property_hash(property: &Property, environment: &[NetId]) -> PropertyHash {
     let mut h = Fnv::new();
-    h.byte(match verification.property.kind {
+    h.byte(match property.kind {
         wlac_atpg::PropertyKind::Always => 0,
         wlac_atpg::PropertyKind::Eventually => 1,
     });
-    h.usize(verification.property.monitor.index());
-    h.usize(verification.environment.len());
-    for env in &verification.environment {
+    h.usize(property.monitor.index());
+    h.usize(environment.len());
+    for env in environment {
         h.usize(env.index());
     }
     PropertyHash(h.finish())
@@ -196,7 +196,6 @@ pub fn config_fingerprint(config: &PortfolioConfig) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wlac_atpg::Property;
     use wlac_bv::Bv;
 
     fn counter(wrap: u64) -> Netlist {
@@ -243,14 +242,38 @@ mod tests {
         let three = nl.constant(&Bv::from_u64(4, 3));
         let m1 = nl.eq(q, three);
         let m2 = nl.ne(q, three);
-        let v1 = Verification::new(nl.clone(), Property::always(&nl, "a", m1));
-        let v2 = Verification::new(nl.clone(), Property::always(&nl, "b", m2));
-        let v3 = Verification::new(nl.clone(), Property::eventually(&nl, "c", m1));
-        let v4 = Verification::new(nl.clone(), Property::always(&nl, "d", m1)).with_environment(m2);
-        assert_ne!(property_hash(&v1), property_hash(&v2));
-        assert_ne!(property_hash(&v1), property_hash(&v3));
-        assert_ne!(property_hash(&v1), property_hash(&v4));
-        assert_eq!(property_hash(&v1), property_hash(&v1.clone()));
+        let always = property_hash(&Property::always(&nl, "a", m1), &[]);
+        assert_ne!(always, property_hash(&Property::always(&nl, "b", m2), &[]));
+        assert_ne!(
+            always,
+            property_hash(&Property::eventually(&nl, "c", m1), &[])
+        );
+        assert_ne!(
+            always,
+            property_hash(&Property::always(&nl, "d", m1), &[m2])
+        );
+        // The name is a label, not part of the key.
+        assert_eq!(always, property_hash(&Property::always(&nl, "e", m1), &[]));
+    }
+
+    #[test]
+    fn property_hash_is_pinned() {
+        // Cache keys live in snapshots and journals: these values were
+        // produced when `property_hash` still took a whole `Verification`,
+        // and records written then must still resolve.
+        let mut nl = counter(5);
+        let q = nl.outputs()[0].1;
+        let three = nl.constant(&Bv::from_u64(4, 3));
+        let m1 = nl.eq(q, three);
+        let m2 = nl.ne(q, three);
+        assert_eq!(
+            property_hash(&Property::always(&nl, "a", m1), &[m2]),
+            PropertyHash(0x815f_4c3a_1227_191d)
+        );
+        assert_eq!(
+            property_hash(&Property::eventually(&nl, "b", m2), &[]),
+            PropertyHash(0x252e_8656_f2a0_cfa6)
+        );
     }
 
     #[test]

@@ -17,9 +17,13 @@
 //!   predictor;
 //! * a **verdict cache** keyed by (design hash, property hash, config) that
 //!   answers repeat queries without spawning a single engine;
-//! * a **work-queue front door** — [`VerificationService::submit_batch`],
+//! * a **work-queue front door** — [`VerificationService::submit`] (jobs
+//!   that reference a registered design by hash),
+//!   [`VerificationService::submit_batch`] (jobs that carry their netlist),
 //!   [`VerificationService::poll`], [`VerificationService::results`] — with
-//!   a worker pool sharding jobs across CPUs.
+//!   a worker pool sharding jobs across CPUs. A queued job holds no
+//!   netlist: a cache hit never reads one, and a raced job copies its
+//!   design out of the registry once, on the worker.
 //!
 //! Learning is strictly effort-shaping, never verdict-shaping: clauses are
 //! only exported when their derivation stayed inside the design's transition
@@ -88,7 +92,7 @@ pub use knowledge::{
     ClauseBank, KnowledgeBase, KnowledgeError, KnowledgeStats, DEFAULT_CLAUSE_CAP,
 };
 pub use session::{
-    BatchId, BatchProgress, BatchStatus, JobProgress, JobResult, ServiceConfig, ServiceStats,
+    BatchId, BatchProgress, BatchStatus, Job, JobProgress, JobResult, ServiceConfig, ServiceStats,
     VerdictRecord, VerificationService, DEFAULT_CACHE_CAPACITY, DEFAULT_RETAINED_BATCHES,
 };
 
@@ -192,6 +196,67 @@ mod tests {
         let stats = service.knowledge_stats(design).expect("stats");
         assert_eq!(stats.races_absorbed, 1);
         assert_eq!(stats.clauses_rejected, 0);
+    }
+
+    /// The by-reference job for a self-contained verification.
+    fn by_reference(service: &VerificationService, verification: &Verification) -> Job {
+        Job {
+            design: service.register_design(&verification.netlist),
+            property: verification.property.clone(),
+            environment: verification.environment.clone(),
+        }
+    }
+
+    #[test]
+    fn a_job_by_reference_hits_the_entry_its_verification_filled() {
+        for verification in [counter(12, 5, "holds"), counter(5, 12, "fails")] {
+            let service = VerificationService::new(quick_config());
+            let cold = service.wait(service.submit_batch(vec![verification.clone()]));
+            let job = by_reference(&service, &verification);
+            let warm = service.wait(service.submit(vec![job]));
+            assert!(!cold[0].from_cache);
+            assert!(warm[0].from_cache);
+            assert_eq!(warm[0].engines_spawned, 0);
+            assert_eq!(warm[0].verdict, cold[0].verdict);
+            assert_eq!(warm[0].winner, cold[0].winner);
+            assert_eq!(warm[0].design, cold[0].design);
+            assert_eq!(service.stats().cached_verdicts, 1);
+        }
+    }
+
+    #[test]
+    fn a_verification_hits_the_entry_its_job_by_reference_filled() {
+        for verification in [counter(12, 5, "holds"), counter(5, 12, "fails")] {
+            let service = VerificationService::new(quick_config());
+            let job = by_reference(&service, &verification);
+            let cold = service.wait(service.submit(vec![job]));
+            let warm = service.wait(service.submit_batch(vec![verification]));
+            assert!(!cold[0].from_cache);
+            assert!(warm[0].from_cache);
+            assert_eq!(warm[0].engines_spawned, 0);
+            assert_eq!(warm[0].verdict, cold[0].verdict);
+            assert_eq!(warm[0].winner, cold[0].winner);
+            assert_eq!(service.stats().cached_verdicts, 1);
+        }
+    }
+
+    #[test]
+    fn a_job_naming_an_unregistered_design_completes_unknown() {
+        let service = VerificationService::new(quick_config());
+        let verification = counter(12, 5, "p");
+        let job = Job {
+            design: design_hash(&verification.netlist),
+            property: verification.property,
+            environment: verification.environment,
+        };
+        let results = service.wait(service.submit(vec![job]));
+        assert!(
+            matches!(&results[0].verdict, Verdict::Unknown { reason } if reason.contains("not registered")),
+            "{:?}",
+            results[0].verdict
+        );
+        assert_eq!(results[0].engines_spawned, 0);
+        assert_eq!(service.stats().cached_verdicts, 0);
     }
 
     #[test]

@@ -2,17 +2,21 @@
 //! pool and verdict cache.
 //!
 //! A [`VerificationService`] is the front door for batch traffic. Callers
-//! [`VerificationService::submit_batch`] jobs, [`VerificationService::poll`]
-//! for progress and fetch [`VerificationService::results`]; a pool of worker
-//! threads drains the queue. Per job the worker
+//! [`VerificationService::submit`] jobs that name a registered design by
+//! hash (or hand whole netlists to [`VerificationService::submit_batch`]),
+//! [`VerificationService::poll`] for progress and fetch
+//! [`VerificationService::results`]; a pool of worker threads drains the
+//! queue. A queued job holds no netlist. Per job the worker
 //!
 //! 1. answers from the **verdict cache** when the exact (design hash,
-//!    property hash, config) triple was decided before — no engine spawns at
-//!    all;
-//! 2. otherwise builds a [`WarmStart`] from the design's [`KnowledgeBase`]
-//!    (replayed CDCL clauses, ESTG conflict cubes, datapath infeasibility
-//!    facts) and asks the scheduling predictor which engines to spawn
-//!    (falling back to full racing while the design has no history);
+//!    property hash, config) triple was decided before — no engine spawns
+//!    and no netlist is touched;
+//! 2. otherwise copies the registered netlist into the race's
+//!    [`Verification`], builds a [`WarmStart`] from the design's
+//!    [`KnowledgeBase`] (replayed CDCL clauses, ESTG conflict cubes,
+//!    datapath infeasibility facts) and asks the scheduling predictor which
+//!    engines to spawn (falling back to full racing while the design has no
+//!    history);
 //! 3. races the portfolio, absorbs the harvest back into the knowledge base
 //!    and caches the verdict.
 
@@ -25,14 +29,29 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use wlac_atpg::Verification;
+use wlac_atpg::{Property, Verification};
 use wlac_faultinject::{CondvarExt, FaultPlan, FaultSite, LockExt};
-use wlac_netlist::Netlist;
+use wlac_netlist::{NetId, Netlist};
 use wlac_portfolio::{
     predict_engines, Engine, EngineStats, NetlistFeatures, Portfolio, PortfolioConfig,
     PortfolioReport, RaceProgress, Verdict, WarmStart,
 };
 use wlac_telemetry::{MetricsRegistry, ProgressProbe, RecorderHandle, RecorderKind, RecorderLayer};
+
+/// One job by reference: a property of a design already registered with the
+/// service. Submitting it copies no netlist; a job naming a design that was
+/// never registered completes with an `Unknown` verdict.
+#[derive(Debug, Clone)]
+pub struct Job {
+    /// The registered design, as returned by
+    /// [`VerificationService::register_design`].
+    pub design: DesignHash,
+    /// The property; its monitor is a net of the registered netlist.
+    pub property: Property,
+    /// Environment constraint monitors (single-bit nets of the registered
+    /// netlist required to be 1 in every frame).
+    pub environment: Vec<NetId>,
+}
 
 /// Handle to a submitted batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -401,7 +420,8 @@ struct QueuedJob {
     batch: u64,
     index: usize,
     design: DesignHash,
-    verification: Arc<Verification>,
+    property: Property,
+    environment: Vec<NetId>,
     key: CacheKey,
 }
 
@@ -628,10 +648,27 @@ impl VerificationService {
         hash
     }
 
-    /// Submits a batch of verification jobs; returns immediately with a
-    /// handle for [`VerificationService::poll`] /
-    /// [`VerificationService::results`] / [`VerificationService::wait`].
+    /// Submits a batch of self-contained verification jobs: registers each
+    /// netlist, then submits the jobs by reference (see
+    /// [`VerificationService::submit`]). Returns immediately.
     pub fn submit_batch(&self, jobs: Vec<Verification>) -> BatchId {
+        let jobs = jobs
+            .into_iter()
+            .map(|verification| Job {
+                design: self.register_design(&verification.netlist),
+                property: verification.property,
+                environment: verification.environment,
+            })
+            .collect();
+        self.submit(jobs)
+    }
+
+    /// Submits a batch of jobs against registered designs; returns
+    /// immediately with a handle for [`VerificationService::poll`] /
+    /// [`VerificationService::results`] / [`VerificationService::wait`].
+    /// A cache hit never reads the design; a raced job copies its netlist
+    /// once, on the worker.
+    pub fn submit(&self, jobs: Vec<Job>) -> BatchId {
         let batch = self.shared.next_batch.fetch_add(1, Ordering::Relaxed);
         let config_hash = config_fingerprint(&self.shared.config.portfolio);
         {
@@ -652,19 +689,19 @@ impl VerificationService {
             return BatchId(batch);
         }
         let mut queued = Vec::with_capacity(jobs.len());
-        for (index, verification) in jobs.into_iter().enumerate() {
-            let design = self.register_design(&verification.netlist);
+        for (index, job) in jobs.into_iter().enumerate() {
             let key = CacheKey {
-                design,
-                property: property_hash(&verification),
+                design: job.design,
+                property: property_hash(&job.property, &job.environment),
                 config: config_hash,
             };
             queued.push(QueuedJob {
                 job_id: self.shared.next_job.fetch_add(1, Ordering::Relaxed),
                 batch,
                 index,
-                design,
-                verification: Arc::new(verification),
+                design: job.design,
+                property: job.property,
+                environment: job.environment,
                 key,
             });
         }
@@ -1177,12 +1214,12 @@ fn quarantine_job(shared: &Shared, job: &QueuedJob, wall: Duration, payload: &dy
         batch: job.batch,
         index: job.index,
         design: job.design,
-        property: &job.verification.property.name,
+        property: &job.property.name,
         detail,
         wall,
     });
     let result = JobResult {
-        property: job.verification.property.name.clone(),
+        property: job.property.name.clone(),
         design: job.design,
         verdict: Verdict::Unknown {
             reason: "job panicked; quarantined".into(),
@@ -1257,7 +1294,7 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
             0,
         );
         let result = JobResult {
-            property: job.verification.property.name.clone(),
+            property: job.property.name.clone(),
             design: job.design,
             verdict: hit.verdict,
             winner: hit.winner,
@@ -1278,18 +1315,17 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
     }
     shared.cache_misses.fetch_add(1, Ordering::Relaxed);
 
-    // A design submit_batch registered can only be missing if state was
-    // lost to a fault; complete the job with an error verdict rather than
-    // panicking the worker over it.
+    // A job naming a design that was never registered cannot race;
+    // complete it with an error verdict rather than panicking the worker.
     let Some(entry) = ({
         let registry = shared.registry.lock_recover();
         registry.get(&job.design).cloned()
     }) else {
         let result = JobResult {
-            property: job.verification.property.name.clone(),
+            property: job.property.name.clone(),
             design: job.design,
             verdict: Verdict::Unknown {
-                reason: "design no longer registered".into(),
+                reason: "design not registered".into(),
             },
             winner: None,
             from_cache: false,
@@ -1332,7 +1368,7 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
         job_id: job.job_id,
         batch: job.batch,
         index: job.index,
-        property: job.verification.property.name.clone(),
+        property: job.property.name.clone(),
         design: job.design,
         started: start,
         progress: RaceProgress::new(),
@@ -1356,13 +1392,20 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
         // The per-job handle stamps this job's id into every portfolio- and
         // core-layer event of the race.
         let recorder = shared.config.recorder.with_job(job.job_id);
-        portfolio.race_warm_probed(&job.verification, &warm, &recorder, &running.progress)
+        // The race's own copy of the design: the one netlist copy a raced
+        // job makes, dropped when the race ends.
+        let verification = Verification {
+            netlist: entry.netlist.clone(),
+            property: job.property.clone(),
+            environment: job.environment.clone(),
+        };
+        portfolio.race_warm_probed(&verification, &warm, &recorder, &running.progress)
     }));
     let (report, harvest) = match raced {
         Ok(outcome) => outcome,
         Err(_) => {
             let result = JobResult {
-                property: job.verification.property.name.clone(),
+                property: job.property.name.clone(),
                 design: job.design,
                 verdict: Verdict::Unknown {
                     reason: "engine panicked".into(),
@@ -1399,7 +1442,7 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
             batch: job.batch,
             index: job.index,
             design: job.design,
-            property: &job.verification.property.name,
+            property: &job.property.name,
             detail: match budget {
                 Some(budget) => format!("job exceeded its {budget:?} wall-clock budget"),
                 None => "job timed out".to_string(),

@@ -11,25 +11,31 @@
 //!
 //! Design constraints, in order:
 //!
-//! * **Never blocks, never allocates.** [`FlightRecorder::record`] is a
-//!   ticket claim (`fetch_add`) plus six relaxed/release stores; there is no
-//!   mutex anywhere on the write path, so it is safe to call from a panicking
-//!   worker, inside the search inner loop, or on the journal fsync path.
+//! * **Never allocates, never takes a mutex.** [`FlightRecorder::record`]
+//!   is a ticket claim (`fetch_add`), a slot claim (`compare_exchange`) and
+//!   six stores, so it is safe to call from a panicking worker, inside the
+//!   search inner loop, or on the journal fsync path. A writer only ever
+//!   waits when the ring lapped it: another writer holds the same slot, and
+//!   the wait lasts that writer's five field stores.
 //! * **Overwrite-oldest.** The ring never refuses an event; the write cursor
-//!   wraps and [`FlightRecorder::overwrites`] counts what was lost.
-//! * **Torn reads are detected, not prevented.** Writers stamp each slot
-//!   with a per-slot sequence word (0 while mid-write, the unique ticket + 1
-//!   when complete) in seqlock fashion; [`FlightRecorder::snapshot`]
-//!   re-reads the stamp after decoding and drops any slot that changed under
-//!   it. Under `#![forbid(unsafe_code)]` this is the whole concurrency
-//!   story: no `UnsafeCell`, just atomics and a validation pass.
+//!   wraps and [`FlightRecorder::overwrites`] counts what was lost. When two
+//!   writers race for one slot, the newer ticket wins it, whichever order
+//!   they arrive in.
+//! * **Torn reads are detected, not prevented.** Each slot carries a
+//!   sequence word in seqlock fashion: 0 when empty, [`BUSY`] while its one
+//!   writer is mid-write, the unique ticket + 1 when complete. Writers
+//!   exclude each other through that word, so a published slot's fields are
+//!   never mixed from two writers; [`FlightRecorder::snapshot`] re-reads the
+//!   stamp after decoding and drops any slot that changed under it. Under
+//!   `#![forbid(unsafe_code)]` this is the whole concurrency story: no
+//!   `UnsafeCell`, just atomics and a validation pass.
 //!
 //! Call sites hold a [`RecorderHandle`] — the same shape as `TraceSink` and
 //! `DurabilityHook`: an `Option<Arc<FlightRecorder>>` that is inert and
 //! nearly free when disabled (one branch per call), plus a job id the owner
 //! stamps once so every event a worker emits on behalf of a job carries it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -183,9 +189,12 @@ pub struct FlightEvent {
     pub payload: [u64; 2],
 }
 
-/// One ring slot: a per-slot seqlock. `stamp` is 0 while a writer is mid-
-/// flight and `ticket + 1` once the slot is complete; readers re-check it
-/// after decoding and discard the slot on any change.
+/// The stamp of a slot whose writer is mid-write.
+const BUSY: u64 = u64::MAX;
+
+/// One ring slot: a per-slot seqlock. `stamp` is 0 while empty, [`BUSY`]
+/// while a writer holds it and `ticket + 1` once the slot is complete;
+/// readers re-check it after decoding and discard the slot on any change.
 struct Slot {
     stamp: AtomicU64,
     meta: AtomicU64,
@@ -247,15 +256,44 @@ impl FlightRecorder {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Records one event. Lock-free and alloc-free: a ticket claim plus six
-    /// atomic stores. Safe from any thread, including one that is panicking.
+    /// Records one event. Alloc-free and mutex-free: a ticket claim, a slot
+    /// claim and six atomic stores. Safe from any thread, including one that
+    /// is panicking.
     pub fn record(&self, layer: RecorderLayer, kind: RecorderKind, job: u64, p0: u64, p1: u64) {
         let ticket = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        // Mark the slot torn while its fields are mixed generations; readers
-        // skip stamp == 0. Release so the marker is visible before the field
-        // stores can be observed out of order.
-        slot.stamp.store(0, Ordering::Release);
+        // Claim the slot. A writer the ring lapped still holds it only for
+        // its remaining field stores, so wait those out; a newer ticket that
+        // already published here has overwritten this event.
+        let mut spins = 0u32;
+        loop {
+            let stamp = slot.stamp.load(Ordering::Relaxed);
+            if stamp == BUSY {
+                if spins < 64 {
+                    spins += 1;
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+                continue;
+            }
+            if stamp > ticket {
+                return;
+            }
+            // Acquire pairs with the previous occupant's publishing store:
+            // its field stores happen before this writer's.
+            if slot
+                .stamp
+                .compare_exchange_weak(stamp, BUSY, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok()
+            {
+                break;
+            }
+        }
+        // Readers skip a BUSY slot. This fence pairs with the reader's
+        // acquire fence: a reader that sees any field store below also sees
+        // BUSY (or a later stamp) on its re-check.
+        fence(Ordering::Release);
         slot.meta
             .store((layer as u64) | ((kind as u64) << 8), Ordering::Relaxed);
         slot.job.store(job, Ordering::Relaxed);
@@ -286,7 +324,7 @@ impl FlightRecorder {
         let mut events: Vec<FlightEvent> = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
             let before = slot.stamp.load(Ordering::Acquire);
-            if before == 0 {
+            if before == 0 || before == BUSY {
                 continue; // never written, or a writer is mid-flight
             }
             let meta = slot.meta.load(Ordering::Relaxed);
@@ -296,7 +334,9 @@ impl FlightRecorder {
                 slot.payload0.load(Ordering::Relaxed),
                 slot.payload1.load(Ordering::Relaxed),
             ];
-            if slot.stamp.load(Ordering::Acquire) != before {
+            // Orders the field loads before the re-check.
+            fence(Ordering::Acquire);
+            if slot.stamp.load(Ordering::Relaxed) != before {
                 continue; // torn under us; the writer's version wins
             }
             let (Some(layer), Some(kind)) = (
