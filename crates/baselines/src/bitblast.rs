@@ -621,9 +621,10 @@ fn lift_learned(
     }
 }
 
-/// Like [`bounded_model_check`], but polls `cancel` between unrolling depths
-/// and inside the SAT search, so a portfolio supervisor can stop a losing BMC
-/// run promptly. A cancelled run reports [`BmcOutcome::Unknown`].
+/// Like [`bounded_model_check`], but polls `cancel` between the steps of each
+/// unrolling depth (unroll, encode, solve) and inside the SAT search, so a
+/// portfolio supervisor can stop a losing BMC run promptly. A cancelled run
+/// reports [`BmcOutcome::Unknown`].
 pub fn bounded_model_check_cancellable(
     verification: &Verification,
     max_frames: usize,
@@ -655,98 +656,79 @@ fn bmc_impl(
     let mut clauses = 0usize;
     let mut sat = crate::sat::SatStats::default();
     let mut harvest: Vec<FrameClause> = Vec::new();
-    let report = |outcome, peak, variables, clauses, trace, sat| BmcReport {
-        outcome,
-        elapsed: start.elapsed(),
-        peak_memory_bytes: peak,
-        variables,
-        clauses,
-        trace,
-        sat,
+    let (outcome, trace) = 'bounds: {
+        for frames in 1..=max_frames {
+            if cancel.is_cancelled() {
+                break 'bounds (BmcOutcome::Unknown, None);
+            }
+            let unrolling = Unrolling::new(&verification.netlist, frames);
+            // Unrolling, encoding and solving a deep bound each take long
+            // enough that a cancelled run polls between them, not only once
+            // per bound.
+            if cancel.is_cancelled() {
+                break 'bounds (BmcOutcome::Unknown, None);
+            }
+            let Ok(mut blaster) = BitBlaster::encode(unrolling.circuit()) else {
+                break 'bounds (BmcOutcome::Unknown, None);
+            };
+            inject_seeds(
+                &mut blaster,
+                &unrolling,
+                &verification.netlist,
+                frames,
+                seeds,
+            );
+            for init in unrolling.initial_states() {
+                if let Some(value) = &init.init {
+                    blaster.constrain_value(init.net, value);
+                }
+            }
+            for env in &verification.environment {
+                for frame in 0..frames {
+                    let net = unrolling.net(frame, *env);
+                    blaster.constrain_value(net, &Bv::from_u64(1, 1));
+                }
+            }
+            let target = match verification.property.kind {
+                PropertyKind::Always => 0u64,
+                PropertyKind::Eventually => 1u64,
+            };
+            let monitor = unrolling.net(frames - 1, verification.property.monitor);
+            blaster.constrain_value(monitor, &Bv::from_u64(1, target));
+            peak = peak.max(blaster.cnf.memory_bytes());
+            variables += blaster.cnf.num_vars();
+            clauses += blaster.cnf.num_clauses();
+            if cancel.is_cancelled() {
+                break 'bounds (BmcOutcome::Unknown, None);
+            }
+            let max_export = if learn { MAX_LIFT_LEN } else { 0 };
+            let outcome = blaster
+                .cnf
+                .solve_learning(decision_budget, cancel, max_export);
+            sat.absorb(&outcome.stats);
+            if learn {
+                lift_learned(&blaster, &unrolling, frames, &outcome.learned, &mut harvest);
+            }
+            if let Some(model) = outcome.model {
+                let trace = model_to_trace(verification, &unrolling, &blaster, &model);
+                break 'bounds (BmcOutcome::Found { depth: frames }, Some(trace));
+            }
+            if !outcome.complete {
+                break 'bounds (BmcOutcome::Unknown, None);
+            }
+        }
+        (BmcOutcome::HoldsUpToBound, None)
     };
-    for frames in 1..=max_frames {
-        if cancel.is_cancelled() {
-            return (
-                report(BmcOutcome::Unknown, peak, variables, clauses, None, sat),
-                harvest,
-            );
-        }
-        let unrolling = Unrolling::new(&verification.netlist, frames);
-        let encoded = BitBlaster::encode(unrolling.circuit());
-        let mut blaster = match encoded {
-            Ok(b) => b,
-            Err(_) => {
-                return (
-                    report(BmcOutcome::Unknown, peak, variables, clauses, None, sat),
-                    harvest,
-                )
-            }
-        };
-        inject_seeds(
-            &mut blaster,
-            &unrolling,
-            &verification.netlist,
-            frames,
-            seeds,
-        );
-        for init in unrolling.initial_states() {
-            if let Some(value) = &init.init {
-                blaster.constrain_value(init.net, value);
-            }
-        }
-        for env in &verification.environment {
-            for frame in 0..frames {
-                let net = unrolling.net(frame, *env);
-                blaster.constrain_value(net, &Bv::from_u64(1, 1));
-            }
-        }
-        let target = match verification.property.kind {
-            PropertyKind::Always => 0u64,
-            PropertyKind::Eventually => 1u64,
-        };
-        let monitor = unrolling.net(frames - 1, verification.property.monitor);
-        blaster.constrain_value(monitor, &Bv::from_u64(1, target));
-        peak = peak.max(blaster.cnf.memory_bytes());
-        variables += blaster.cnf.num_vars();
-        clauses += blaster.cnf.num_clauses();
-        let max_export = if learn { MAX_LIFT_LEN } else { 0 };
-        let outcome = blaster
-            .cnf
-            .solve_learning(decision_budget, cancel, max_export);
-        sat.absorb(&outcome.stats);
-        if learn {
-            lift_learned(&blaster, &unrolling, frames, &outcome.learned, &mut harvest);
-        }
-        if let Some(model) = outcome.model {
-            let trace = model_to_trace(verification, &unrolling, &blaster, &model);
-            return (
-                report(
-                    BmcOutcome::Found { depth: frames },
-                    peak,
-                    variables,
-                    clauses,
-                    Some(trace),
-                    sat,
-                ),
-                harvest,
-            );
-        }
-        if !outcome.complete {
-            return (
-                report(BmcOutcome::Unknown, peak, variables, clauses, None, sat),
-                harvest,
-            );
-        }
-    }
     (
-        report(
-            BmcOutcome::HoldsUpToBound,
-            peak,
+        BmcReport {
+            outcome,
+            elapsed: start.elapsed(),
+            peak_memory_bytes: peak,
             variables,
             clauses,
-            None,
+            trace,
             sat,
-        ),
+        },
         harvest,
     )
 }

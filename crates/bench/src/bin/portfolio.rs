@@ -30,8 +30,9 @@ fn main() {
     let sequential_reports = sequential.check_batch(&jobs);
     let sequential_time = start.elapsed();
 
-    // 2. Racing: all three engines per property, first definitive answer
-    //    wins, losers cancelled — still one property at a time.
+    // 2. Racing: the hedged race per property (ATPG leads, the other two
+    //    engines join after its head start), first definitive answer wins,
+    //    losers cancelled — still one property at a time.
     let racing = Portfolio::new(PortfolioConfig {
         workers: 1,
         ..config()

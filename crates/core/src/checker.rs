@@ -152,6 +152,15 @@ impl AssertionChecker {
         let start = Instant::now();
         let deadline = start + self.options.time_limit;
         let mut stats = CheckStats::default();
+        // Check entry, recorded before any cancel check: bound 0 of
+        // `max_frames`, nothing unrolled yet. So even a check cancelled
+        // before its first bound leaves a core event for its job.
+        self.options.recorder.record(
+            wlac_telemetry::RecorderLayer::Core,
+            wlac_telemetry::RecorderKind::Bound,
+            0,
+            self.options.max_frames as u64,
+        );
         let result = match verification.property.kind {
             PropertyKind::Always => {
                 self.check_always(verification, estg, facts, deadline, &mut stats)
@@ -604,5 +613,28 @@ mod tests {
             checker.check(&without_env).result,
             CheckResult::CounterExample { .. }
         ));
+    }
+
+    #[test]
+    fn a_check_cancelled_before_its_first_bound_still_records_a_core_event() {
+        use wlac_telemetry::{FlightRecorder, RecorderHandle, RecorderKind, RecorderLayer};
+        let recorder = std::sync::Arc::new(FlightRecorder::new(64));
+        let (nl, ok) = bounded_counter(9, 5);
+        let property = Property::always(&nl, "cancelled", ok);
+        let cancel = crate::CancelToken::new();
+        cancel.cancel();
+        let options = CheckerOptions::default()
+            .with_cancel(cancel)
+            .with_recorder(RecorderHandle::to(recorder.clone()).with_job(42));
+        let report = AssertionChecker::new(options.clone()).check(&Verification::new(nl, property));
+        assert!(matches!(report.result, CheckResult::Unknown { .. }));
+        let events = recorder.snapshot();
+        let core: Vec<_> = events
+            .iter()
+            .filter(|e| e.layer == RecorderLayer::Core && e.job == 42)
+            .collect();
+        assert_eq!(core.len(), 1, "{events:?}");
+        assert_eq!(core[0].kind, RecorderKind::Bound);
+        assert_eq!(core[0].payload, [0, options.max_frames as u64]);
     }
 }

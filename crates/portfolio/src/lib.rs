@@ -6,7 +6,9 @@
 //! ([`wlac_atpg::AssertionChecker`]), SAT bounded model checking
 //! ([`wlac_baselines::bounded_model_check`]) and random simulation on each
 //! property, takes the first definitive answer, and cooperatively cancels the
-//! losers through [`wlac_atpg::CancelToken`].
+//! losers through [`wlac_atpg::CancelToken`]. The race is hedged: the lead
+//! engine gets a 5 ms head start, and the others join only if it has not
+//! decided by then (see [`Portfolio::race`]).
 //!
 //! Beyond single-property racing, [`Portfolio::check_batch`] shards a whole
 //! suite of properties across a worker-thread pool, and every trace-backed
@@ -68,6 +70,19 @@ use std::time::{Duration, Instant};
 use wlac_atpg::{CancelToken, Verification};
 use wlac_telemetry::{MetricsRegistry, RecorderHandle, RecorderKind, RecorderLayer};
 
+/// How long a race's lead engine runs alone before the other engines join.
+///
+/// The lead (ATPG, or the predictor's top pick) decides most small designs
+/// in well under a millisecond, and on a machine with few cores two more
+/// engines started at once take the CPU it needs: in a design stream the
+/// first answer came three times later than ATPG alone takes, and most
+/// engine time was thrown away. A sweep of 1–10 ms on such a stream gave a
+/// flat throughput optimum from 3 to 10 ms; 5 ms sits in its middle. The
+/// cost is bounded: a race the other engines would have won ends at most
+/// this much later, and SAT-BMC's fastest paper-suite win takes about 60 ms.
+/// One value serves every caller, so it is a constant and not a knob.
+pub(crate) const HEAD_START: Duration = Duration::from_millis(5);
+
 /// What happened at one point of an engine race, for the
 /// [`PortfolioReport::timeline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,7 +124,8 @@ pub struct PortfolioReport {
     pub winner: Option<Engine>,
     /// Wall-clock time from dispatch to the last engine finishing.
     pub wall_clock: Duration,
-    /// Every engine's run, in finish order, with per-engine attribution.
+    /// Every started engine's run, in finish order, with per-engine
+    /// attribution. A hedged race the lead decided alone has one.
     pub runs: Vec<EngineRun>,
     /// Human-readable descriptions of cross-engine contradictions. Empty
     /// when all definitive verdicts agree.
@@ -213,8 +229,16 @@ impl Portfolio {
         &self.config
     }
 
-    /// Races every configured engine on one property; the first definitive
+    /// Races the configured engines on one property; the first definitive
     /// verdict wins and the losing engines are cancelled cooperatively.
+    ///
+    /// The race is hedged. Only the lead engine (the first of the list)
+    /// starts at dispatch. The others start when it has not decided within
+    /// a 5 ms head start, or as soon as it answers without deciding, and
+    /// the lead keeps running alongside them. A race the lead decides alone
+    /// reports a single run and issues no cancel; a race that is decided,
+    /// or whose job budget has expired, starts no further engine. The
+    /// [`PortfolioReport::timeline`] shows each engine's real spawn time.
     pub fn race(&self, verification: &Verification) -> PortfolioReport {
         self.run_portfolio(verification, true, None, &self.recorder, None)
             .0
@@ -229,9 +253,10 @@ impl Portfolio {
 
     /// Like [`Portfolio::race`], but warm-started from a knowledge base:
     /// `warm` seeds the engines (replayed CDCL clauses into BMC, conflict
-    /// cubes and datapath facts into ATPG) and may narrow the engine list to
-    /// the scheduling predictor's choice. The returned [`Harvest`] carries
-    /// everything this race learned, for merging back into the base.
+    /// cubes and datapath facts into ATPG) and may replace the engine list
+    /// with the scheduling predictor's choice, whose first engine leads the
+    /// hedged race. The returned [`Harvest`] carries everything this race
+    /// learned, for merging back into the base.
     ///
     /// Seeds must come from runs on a structurally identical netlist — the
     /// knowledge-base owner enforces that by keying on a design hash.
@@ -347,10 +372,9 @@ impl Portfolio {
                 .unwrap_or(0),
         );
         thread::scope(|scope| {
-            for &engine in engines {
-                let tx = tx.clone();
-                let token = token.clone();
-                let config = &self.config;
+            let launch = |engine: Engine,
+                          tx: &mpsc::Sender<(EngineRun, EngineHarvest)>,
+                          timeline: &mut Vec<RaceEvent>| {
                 timeline.push(RaceEvent {
                     at: start.elapsed(),
                     engine: Some(engine),
@@ -362,6 +386,9 @@ impl Portfolio {
                     engine_code(engine),
                     0,
                 );
+                let tx = tx.clone();
+                let token = token.clone();
+                let config = &self.config;
                 let progress_handle = progress
                     .map(|p| p.handle(engine))
                     .unwrap_or_else(wlac_telemetry::ProgressHandle::disabled);
@@ -380,11 +407,11 @@ impl Portfolio {
                     // propagates that panic anyway.
                     let _ = tx.send(run);
                 });
-            }
-            drop(tx);
-            // Collect results in finish order; the first definitive one wins
-            // and (in racing mode) cancels everyone still searching.
-            while let Ok((run, engine_harvest)) = rx.recv() {
+            };
+            // Collects one answer: the first definitive one wins and (in
+            // racing mode) cancels everyone still searching.
+            let mut absorb = |(run, engine_harvest): (EngineRun, EngineHarvest),
+                              timeline: &mut Vec<RaceEvent>| {
                 let at = start.elapsed();
                 let definitive = run.verdict.is_definitive();
                 if let Some(progress) = progress {
@@ -411,18 +438,26 @@ impl Portfolio {
                 if winner.is_none() && definitive {
                     winner = Some(runs.len());
                     if cancel_losers {
+                        // Cancelling also keeps held engines from starting;
+                        // the cancel event marks a race with losers running.
                         token.cancel();
-                        timeline.push(RaceEvent {
-                            at: start.elapsed(),
-                            engine: None,
-                            kind: RaceEventKind::CancelIssued,
-                        });
-                        recorder.record(
-                            RecorderLayer::Portfolio,
-                            RecorderKind::Cancel,
-                            engine_code(run.engine),
-                            0,
-                        );
+                        let started = timeline
+                            .iter()
+                            .filter(|e| e.kind == RaceEventKind::Spawned)
+                            .count();
+                        if started > runs.len() + 1 {
+                            timeline.push(RaceEvent {
+                                at: start.elapsed(),
+                                engine: None,
+                                kind: RaceEventKind::CancelIssued,
+                            });
+                            recorder.record(
+                                RecorderLayer::Portfolio,
+                                RecorderKind::Cancel,
+                                engine_code(run.engine),
+                                0,
+                            );
+                        }
                     }
                 }
                 harvest.clauses.extend(engine_harvest.clauses);
@@ -431,6 +466,33 @@ impl Portfolio {
                 }
                 harvest.ran.push(run.engine);
                 runs.push(run);
+            };
+            // Racing mode hedges: the lead engine starts alone and the others
+            // join only if it has not decided within HEAD_START (or answers
+            // undecided sooner). Cross-validation mode starts everyone.
+            let (lead, held) = if cancel_losers {
+                engines.split_at(engines.len().min(1))
+            } else {
+                (engines, &[][..])
+            };
+            for &engine in lead {
+                launch(engine, &tx, &mut timeline);
+            }
+            if !held.is_empty() {
+                if let Ok(answer) = rx.recv_timeout(HEAD_START) {
+                    absorb(answer, &mut timeline);
+                }
+                // A decided race has cancelled the token, and an expired
+                // budget has too: either way nobody new starts.
+                if !token.is_cancelled() {
+                    for &engine in held {
+                        launch(engine, &tx, &mut timeline);
+                    }
+                }
+            }
+            drop(tx);
+            while let Ok(answer) = rx.recv() {
+                absorb(answer, &mut timeline);
             }
         });
         let disagreements = cross_validate(&runs);
@@ -599,16 +661,150 @@ mod tests {
         Verification::new(nl, property)
     }
 
+    /// A configuration whose lead engine (ATPG) hangs until the race is
+    /// cancelled, so every race escalates to the full portfolio.
+    fn hung_lead() -> PortfolioConfig {
+        use wlac_atpg::{FaultPlan, FaultSite};
+        let mut config = PortfolioConfig::default();
+        config.checker.faults = FaultPlan::new().fire_from(FaultSite::EngineHang, 1);
+        config
+    }
+
+    /// Races until `premise` holds, at most 20 times. A loaded host can
+    /// delay a quick lead past its head start; that race escalates, which is
+    /// correct but says nothing about the contract under test.
+    fn race_until(
+        portfolio: &Portfolio,
+        verification: &Verification,
+        premise: impl Fn(&PortfolioReport) -> bool,
+    ) -> PortfolioReport {
+        let mut timelines = Vec::new();
+        for _ in 0..20 {
+            let report = portfolio.race(verification);
+            if premise(&report) {
+                return report;
+            }
+            timelines.push(report.timeline);
+        }
+        panic!("the premise never held in 20 races: {timelines:?}");
+    }
+
+    fn spawns(report: &PortfolioReport) -> Vec<RaceEvent> {
+        report
+            .timeline
+            .iter()
+            .filter(|e| e.kind == RaceEventKind::Spawned)
+            .copied()
+            .collect()
+    }
+
     #[test]
     fn race_produces_a_winner_and_attribution() {
-        let report = Portfolio::with_defaults().race(&counter(12, 5, "holds"));
+        // The lead decides alone.
+        let report = race_until(&Portfolio::with_defaults(), &counter(12, 5, "holds"), |r| {
+            r.runs.len() == 1
+        });
         assert!(report.verdict.is_pass(), "{:?}", report.verdict);
-        assert!(report.winner.is_some());
+        assert_eq!(report.winner, Some(Engine::Atpg));
         assert!(report.agreed(), "{:?}", report.disagreements);
-        assert_eq!(report.runs.len(), 3);
         assert_eq!(report.property, "holds");
         let text = report.to_string();
         assert!(text.contains("won by"), "{text}");
+
+        // An escalated race runs and attributes the whole portfolio.
+        let report = Portfolio::new(hung_lead()).race(&counter(12, 5, "holds"));
+        assert!(report.verdict.is_pass(), "{:?}", report.verdict);
+        assert_eq!(report.winner, Some(Engine::SatBmc));
+        assert!(report.agreed(), "{:?}", report.disagreements);
+        assert_eq!(report.runs.len(), 3);
+        let text = report.to_string();
+        assert!(text.contains("won by sat-bmc"), "{text}");
+    }
+
+    #[test]
+    fn a_lead_that_decides_within_the_head_start_runs_alone() {
+        let report = race_until(&Portfolio::with_defaults(), &counter(5, 12, "alone"), |r| {
+            r.runs.len() == 1
+        });
+        assert!(
+            matches!(report.verdict, Verdict::Violated { .. }),
+            "{:?}",
+            report.verdict
+        );
+        assert_eq!(report.winner, Some(Engine::Atpg));
+        assert!(!report.runs[0].cancelled);
+        // Nobody else started, so there was nobody to cancel.
+        assert_eq!(
+            report.timeline.iter().map(|e| e.kind).collect::<Vec<_>>(),
+            [
+                RaceEventKind::Spawned,
+                RaceEventKind::Answered { definitive: true }
+            ],
+            "{:?}",
+            report.timeline
+        );
+    }
+
+    #[test]
+    fn a_hung_lead_is_joined_after_the_head_start_and_cancelled() {
+        let report = Portfolio::new(hung_lead()).race(&counter(5, 12, "hung"));
+        assert!(
+            matches!(report.verdict, Verdict::Violated { .. }),
+            "{:?}",
+            report.verdict
+        );
+        let winner = report.winner.expect("a joining engine decides");
+        assert_ne!(winner, Engine::Atpg);
+        let lead = report.run_of(Engine::Atpg).expect("the lead ran");
+        assert!(lead.cancelled, "{:?}", lead.verdict);
+        let spawns = spawns(&report);
+        assert_eq!(spawns.len(), 3, "{:?}", report.timeline);
+        assert_eq!(spawns[0].engine, Some(Engine::Atpg));
+        for joined in &spawns[1..] {
+            assert!(joined.at >= HEAD_START, "{:?}", report.timeline);
+        }
+    }
+
+    #[test]
+    fn an_undecided_lead_escalates_without_waiting_out_the_head_start() {
+        // `eventually (a | b)` needs one ATPG decision; a decision limit of
+        // 0 makes the lead give up at once with an `unknown`.
+        let mut nl = Netlist::new("either");
+        let a = nl.input("a", 1);
+        let b = nl.input("b", 1);
+        let either = nl.or2(a, b);
+        nl.mark_output("either", either);
+        let property = Property::eventually(&nl, "either", either);
+        let mut config = PortfolioConfig::default();
+        config.checker.decision_limit = 0;
+        let report = race_until(
+            &Portfolio::new(config),
+            &Verification::new(nl, property),
+            |r| spawns(r)[1..].iter().all(|e| e.at < HEAD_START),
+        );
+        assert_eq!(spawns(&report).len(), 3, "{:?}", report.timeline);
+        assert!(
+            matches!(report.verdict, Verdict::WitnessFound { .. }),
+            "{:?}",
+            report.verdict
+        );
+        assert_ne!(report.winner, Some(Engine::Atpg));
+        let lead = report.run_of(Engine::Atpg).expect("the lead ran");
+        assert!(!lead.verdict.is_definitive(), "{:?}", lead.verdict);
+        // The lead's undecided answer, not the head start, brought the others
+        // in: they start right after it, before the head start is out.
+        let kinds: Vec<_> = report.timeline.iter().take(4).map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                RaceEventKind::Spawned,
+                RaceEventKind::Answered { definitive: false },
+                RaceEventKind::Spawned,
+                RaceEventKind::Spawned,
+            ],
+            "{:?}",
+            report.timeline
+        );
     }
 
     #[test]
@@ -625,7 +821,16 @@ mod tests {
     fn check_all_runs_every_engine_to_completion() {
         let portfolio = Portfolio::new(PortfolioConfig::default().with_cross_validation());
         let report = portfolio.check_all(&counter(12, 5, "holds"));
-        // Racing cancels losers; check_all must not.
+        // Racing hedges and cancels losers; check_all starts every engine at
+        // dispatch, before collecting any answer, and cancels none.
+        assert_eq!(report.runs.len(), 3);
+        assert!(
+            report.timeline[..3]
+                .iter()
+                .all(|e| e.kind == RaceEventKind::Spawned),
+            "{:?}",
+            report.timeline
+        );
         assert!(report.runs.iter().all(|r| !r.cancelled));
         // ATPG and BMC both reach a definitive pass verdict.
         for engine in [Engine::Atpg, Engine::SatBmc] {
@@ -687,13 +892,13 @@ mod tests {
 
     #[test]
     fn race_timeline_orders_spawns_before_answers() {
-        let report = Portfolio::with_defaults().race(&counter(12, 5, "timed"));
-        let spawns = report
-            .timeline
-            .iter()
-            .filter(|e| e.kind == RaceEventKind::Spawned)
-            .count();
-        assert_eq!(spawns, 3, "{:?}", report.timeline);
+        // A hung lead escalates, so the timeline holds the full race.
+        let report = Portfolio::new(hung_lead()).race(&counter(12, 5, "timed"));
+        let spawns = spawns(&report);
+        assert_eq!(spawns.len(), 3, "{:?}", report.timeline);
+        // The held engines carry their real spawn time.
+        assert_eq!(spawns[0].engine, Some(Engine::Atpg));
+        assert!(spawns[1..].iter().all(|e| e.at >= HEAD_START));
         let answers = report
             .timeline
             .iter()
@@ -718,10 +923,38 @@ mod tests {
         }
     }
 
+    fn engine_histogram_count(registry: &MetricsRegistry, engine: Engine) -> u64 {
+        registry
+            .histogram(&format!(
+                "portfolio_engine_{}_wall_ns",
+                metric_suffix(engine)
+            ))
+            .count()
+    }
+
     #[test]
     fn metrics_registry_sees_races_and_wins() {
+        // Only started engines feed the per-engine histograms: the lead's
+        // counts every race, the others' count the races they joined (none,
+        // unless a loaded host held the lead past its head start).
         let registry = Arc::new(MetricsRegistry::new());
         let portfolio = Portfolio::with_defaults().with_metrics(registry.clone());
+        let reports = [
+            portfolio.race(&counter(12, 5, "l0")),
+            portfolio.race(&counter(5, 12, "l1")),
+        ];
+        assert_eq!(engine_histogram_count(&registry, Engine::Atpg), 2);
+        for engine in Engine::ALL {
+            let joined = reports.iter().filter(|r| r.run_of(engine).is_some());
+            assert_eq!(
+                engine_histogram_count(&registry, engine),
+                joined.count() as u64
+            );
+        }
+
+        // Escalated races run everyone.
+        let registry = Arc::new(MetricsRegistry::new());
+        let portfolio = Portfolio::new(hung_lead()).with_metrics(registry.clone());
         let won = portfolio.race(&counter(12, 5, "m0"));
         let winner = won.winner.expect("definitive race");
         portfolio.race(&counter(5, 12, "m1"));
@@ -731,17 +964,15 @@ mod tests {
             .get();
         assert!(wins >= 1, "winner {winner} should be counted");
         assert_eq!(registry.histogram("portfolio_race_wall_ns").count(), 2);
-        // Each race runs all three engines; every run's wall clock lands in
-        // its per-engine histogram.
+        // Each escalated race runs all three engines; every run's wall clock
+        // lands in its per-engine histogram.
         let per_engine: u64 = Engine::ALL
             .iter()
-            .map(|&e| {
-                registry
-                    .histogram(&format!("portfolio_engine_{}_wall_ns", metric_suffix(e)))
-                    .count()
-            })
+            .map(|&e| engine_histogram_count(&registry, e))
             .sum();
         assert_eq!(per_engine, 6);
+        // At least the hung lead is cancelled in each.
+        assert!(registry.counter("portfolio_cancelled_runs_total").get() >= 2);
     }
 
     #[test]

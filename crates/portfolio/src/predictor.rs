@@ -1,16 +1,23 @@
-//! Engine-selection predictor: which strategies to spawn for a design.
+//! Engine-selection predictor: which strategies a race may start for a
+//! design, and which of them leads.
 //!
-//! The static portfolio races every engine on every property, which burns a
-//! thread (and memory for a full CNF unrolling) even on jobs one engine
-//! always wins. The predictor scores each engine from cheap netlist
-//! statistics — gate counts, datapath fraction, sequential depth — and, once
-//! a design has racing history, from per-engine win rates. Scheduling is a
-//! pure performance decision: any non-empty engine subset containing at
-//! least one complete engine yields sound verdicts, so the predictor can
-//! never change an answer, only how many threads chase it.
+//! A racing portfolio is hedged (see [`crate::Portfolio::race`]): the first
+//! engine of the list starts alone, and the rest join only if it has not
+//! decided within its head start (`HEAD_START`, 5 ms). The predictor's list
+//! therefore says two things: its order picks the lead, and its length caps
+//! how many engines an escalated race starts. It scores each engine from
+//! cheap netlist statistics — gate counts, datapath fraction, sequential
+//! depth — and, once a design has racing history, from per-engine win
+//! rates.
+//! Scheduling is a pure performance decision: any non-empty engine subset
+//! containing at least one complete engine yields sound verdicts, so the
+//! predictor can never change an answer, only how many threads chase it.
 //!
-//! With **no history** the predictor always returns the full engine list
-//! (racing is the exploration that builds the history in the first place).
+//! With **no history** the predictor always returns the full engine list in
+//! the default order, ATPG leading (racing is the exploration that builds
+//! the history in the first place). The history records the engines a race
+//! actually started, so a race the lead decided alone counts a run for the
+//! lead only.
 
 use crate::engines::Engine;
 use wlac_netlist::{GateKind, Netlist};
@@ -187,9 +194,9 @@ const EXPLORE_EVERY: u64 = 16;
 /// * **No (or thin) history** → the full portfolio, in the default order:
 ///   exploration is what builds the history.
 /// * **Established history** → every engine with a meaningful win share,
-///   ranked by feature-adjusted score; at least one *complete* engine (ATPG
-///   or SAT BMC) is always kept so bounded holds stay provable, and the list
-///   is never empty.
+///   ranked by feature-adjusted score, so the top-scored engine leads the
+///   hedged race; at least one *complete* engine (ATPG or SAT BMC) is always
+///   kept so bounded holds stay provable, and the list is never empty.
 pub fn predict_engines(features: &NetlistFeatures, history: Option<&EngineHistory>) -> Vec<Engine> {
     let Some(history) = history.filter(|h| h.total_wins() >= MIN_HISTORY) else {
         return ENGINES.to_vec();

@@ -473,15 +473,43 @@ mod tests {
 
     #[test]
     fn prediction_can_be_disabled() {
+        // A hung lead escalates the race: without the predictor the whole
+        // portfolio joins.
         let mut config = quick_config();
         config.predict = false;
         config.portfolio = PortfolioConfig::default();
+        config.portfolio.checker.faults =
+            wlac_atpg::FaultPlan::new().fire_from(wlac_atpg::FaultSite::EngineHang, 1);
         let service = VerificationService::new(config);
         let batch = service.submit_batch(vec![counter(12, 5, "p")]);
         let results = service.wait(batch);
+        assert!(results[0].verdict.is_pass(), "{:?}", results[0].verdict);
         assert_eq!(
             results[0].engines_spawned, 3,
             "full portfolio without predictor"
         );
+    }
+
+    #[test]
+    fn engines_spawned_counts_the_engines_a_race_started() {
+        // ATPG decides this counter well within its head start, so its race
+        // starts it alone. A loaded host can hold the lead past the head
+        // start, which escalates the race, so a fresh service retries.
+        let mut config = quick_config();
+        config.predict = false;
+        config.portfolio = PortfolioConfig::default();
+        let mut spawned = Vec::new();
+        for _ in 0..20 {
+            let service = VerificationService::new(config.clone());
+            let batch = service.submit_batch(vec![counter(12, 5, "p")]);
+            let result = service.wait(batch).remove(0);
+            assert!(result.verdict.is_pass(), "{:?}", result.verdict);
+            if result.engines_spawned == 1 {
+                assert_eq!(result.winner, Some(wlac_portfolio::Engine::Atpg));
+                return;
+            }
+            spawned.push(result.engines_spawned);
+        }
+        panic!("the lead never ran alone: engines_spawned {spawned:?}");
     }
 }

@@ -150,8 +150,9 @@ pub struct JobResult {
     pub winner: Option<Engine>,
     /// `true` when the verdict came straight from the cache.
     pub from_cache: bool,
-    /// Engines actually spawned (0 for cache hits; fewer than the full
-    /// portfolio once the predictor has history).
+    /// Engines the race actually started: 0 for cache hits, 1 when the
+    /// hedged race's lead decided within its head start, and at most the
+    /// predictor's list otherwise.
     pub engines_spawned: usize,
     /// Wall-clock time from dequeue to result.
     pub wall: Duration,
@@ -1352,12 +1353,9 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
             engines,
         }
     };
-    let engines_spawned = warm
-        .engines
-        .as_ref()
-        .map(|e| e.len())
-        .unwrap_or(full_portfolio);
-    if engines_spawned < full_portfolio {
+    // The engines the race may start; its report lists those it did start.
+    let planned = warm.engines.as_ref().map_or(full_portfolio, Vec::len);
+    if planned < full_portfolio {
         shared.predicted_races.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -1412,7 +1410,8 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
                 },
                 winner: None,
                 from_cache: false,
-                engines_spawned,
+                // A panicked race leaves no report of what it started.
+                engines_spawned: planned,
                 wall: start.elapsed(),
             };
             record_job_metrics(shared, &result, None);
@@ -1517,7 +1516,7 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
         verdict: report.verdict.clone(),
         winner: report.winner,
         from_cache: false,
-        engines_spawned,
+        engines_spawned: report.runs.len(),
         wall: start.elapsed(),
     };
     record_job_metrics(shared, &result, Some(&report));

@@ -1,8 +1,8 @@
 //! Portfolio integration tests: cross-engine agreement on the paper suite,
-//! first-definitive-answer racing and prompt cooperative cancellation.
+//! hedged first-definitive-answer racing and prompt cooperative cancellation.
 
 use std::time::Duration;
-use wlac::atpg::{CheckerOptions, Property, Verification};
+use wlac::atpg::{CheckerOptions, FaultPlan, FaultSite, Property, Verification};
 use wlac::bv::Bv;
 use wlac::circuits::{paper_suite, Expectation, Scale};
 use wlac::netlist::Netlist;
@@ -92,28 +92,88 @@ fn batch_checks_paper_suite_with_zero_disagreements() {
     }
 }
 
-/// Racing returns the first definitive verdict and cooperatively cancels the
-/// losing engines instead of waiting for them.
+/// Racing (hedged, the default mode of `check_batch`) meets every paper-suite
+/// expectation at `Scale::Small` with zero engine disagreements — the racing
+/// twin of `batch_checks_paper_suite_with_zero_disagreements`.
 #[test]
-fn race_cancels_losers_promptly() {
-    // A corner-case witness: a 32-bit input must equal a magic constant.
-    // The word-level engines find it immediately; random simulation has a
-    // 2^-32 chance per cycle and would churn through 200k runs for minutes
-    // without cooperative cancellation.
+fn race_checks_paper_suite_with_zero_disagreements() {
+    let suite = paper_suite(Scale::Small);
+    let jobs: Vec<Verification> = suite.iter().map(|c| c.verification.clone()).collect();
+    let reports = Portfolio::new(suite_config()).check_batch(&jobs);
+    assert_eq!(reports.len(), 14);
+    for (case, report) in suite.iter().zip(&reports) {
+        assert_eq!(report.property, case.property);
+        assert!(
+            report.agreed(),
+            "{}: engines disagree: {:?}",
+            case.property,
+            report.disagreements
+        );
+        let winner = report.winner.expect("a definitive winner");
+        assert_eq!(
+            report.run_of(winner).map(|r| &r.verdict),
+            Some(&report.verdict)
+        );
+        match case.expectation {
+            Expectation::Pass => assert!(
+                report.verdict.is_pass(),
+                "{} expected to pass, got {:?}",
+                case.property,
+                report.verdict
+            ),
+            Expectation::Witness => assert!(
+                matches!(report.verdict, Verdict::WitnessFound { .. }),
+                "{} expected a witness, got {:?}",
+                case.property,
+                report.verdict
+            ),
+        }
+    }
+}
+
+/// A 32-bit input that must equal a magic constant: the word-level engines
+/// find the witness immediately, while random simulation has a 2^-32 chance
+/// per cycle.
+fn corner_case() -> Verification {
     let mut nl = Netlist::new("corner");
     let wide = nl.input("wide", 32);
     let magic = nl.constant(&Bv::from_u64(32, 0xDEAD_BEEF));
     let hit = nl.eq(wide, magic);
     nl.mark_output("hit", hit);
     let property = Property::eventually(&nl, "corner", hit);
-    let verification = Verification::new(nl, property);
+    Verification::new(nl, property)
+}
 
+/// Racing returns the first definitive verdict and cooperatively cancels the
+/// losing engines instead of waiting for them.
+#[test]
+fn race_cancels_losers_promptly() {
+    // With 200k random runs, random simulation would churn for minutes
+    // without cooperative cancellation.
     let mut config = suite_config();
     config.checker.max_frames = 2;
     config.random_runs = 200_000;
     config.random_cycles = 50;
-    let report = Portfolio::new(config).race(&verification);
 
+    // ATPG decides within its head start: nobody else starts, so there is
+    // nothing to cancel. A loaded host can hold the lead past the head
+    // start, which escalates the race, so the race is retried.
+    let portfolio = Portfolio::new(config.clone());
+    let alone = (0..20)
+        .map(|_| portfolio.race(&corner_case()))
+        .find(|report| report.runs.len() == 1)
+        .expect("the lead ran alone in one of 20 races");
+    assert!(
+        matches!(alone.verdict, Verdict::WitnessFound { .. }),
+        "got {:?}",
+        alone.verdict
+    );
+    assert_eq!(alone.winner, Some(Engine::Atpg));
+
+    // A hung lead lets the other engines join; SAT-BMC wins and the
+    // random-simulation campaign is cancelled.
+    config.checker.faults = FaultPlan::new().fire_from(FaultSite::EngineHang, 1);
+    let report = Portfolio::new(config).race(&corner_case());
     assert!(
         matches!(report.verdict, Verdict::WitnessFound { .. }),
         "got {:?}",
