@@ -42,8 +42,8 @@
 //! the append therefore never loses acknowledged work — the kernel page
 //! cache survives the process) but batches the expensive `fsync` across
 //! records: `fsync_batch = n` syncs every n-th append. Power-loss-critical
-//! deployments run `strict` (batch 1); the default trades a bounded
-//! power-loss window for an order of magnitude on the hot path.
+//! deployments run batch 1 (an fsync per append); the default trades a
+//! bounded power-loss window for an order of magnitude on the hot path.
 
 use crate::format::{fnv64, PersistError, Reader, Writer, FORMAT_VERSION};
 use crate::snapshot::{read_netlist, read_verdict, sync_parent_dir, write_netlist, write_verdict};
@@ -68,55 +68,6 @@ pub const JOURNAL_MAGIC: &[u8; 8] = b"WLACJRNL";
 /// Canonical journal file name for a design: `d<hash>.wlacjournal`.
 pub fn journal_file_name(design: DesignHash) -> String {
     format!("{design}.wlacjournal")
-}
-
-/// How the server persists earned state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DurabilityMode {
-    /// PR 5 behaviour: a full snapshot autosave after every answered batch;
-    /// no journal. Coarse but simple — everything since the last autosave is
-    /// lost on a crash.
-    Snapshot,
-    /// Write-ahead journal with group-commit fsync batching; snapshots
-    /// become the compaction artifact. Acknowledged results survive process
-    /// death; a power loss can cost at most one fsync batch.
-    #[default]
-    Journal,
-    /// Journal with an fsync per record: acknowledged results survive power
-    /// loss too, at the cost of one fsync on every job's hot path.
-    Strict,
-}
-
-impl DurabilityMode {
-    /// Stable lower-case name (flags, stats, log lines).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DurabilityMode::Snapshot => "snapshot",
-            DurabilityMode::Journal => "journal",
-            DurabilityMode::Strict => "strict",
-        }
-    }
-
-    /// Parses a `--durability` flag value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "snapshot" => Some(DurabilityMode::Snapshot),
-            "journal" => Some(DurabilityMode::Journal),
-            "strict" => Some(DurabilityMode::Strict),
-            _ => None,
-        }
-    }
-
-    /// `true` when this mode writes a journal at all.
-    pub fn journals(self) -> bool {
-        !matches!(self, DurabilityMode::Snapshot)
-    }
-}
-
-impl std::fmt::Display for DurabilityMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
 }
 
 /// One journal record: everything one completed raced job contributed.
@@ -651,12 +602,10 @@ fn header_span(bytes: &[u8]) -> u64 {
 }
 
 /// Removes a design's journal once a successful snapshot made it redundant:
-/// the no-open-writer arm of [`JournalSink::reset`], also used directly by
-/// snapshot-mode servers (whose sink is disabled but whose data directory
-/// may still carry journals from an earlier journal-mode run — replayed at
-/// every boot and never shrinking otherwise). Returns `false` when an
-/// existing file could not be durably removed.
-pub fn remove_stale_journal(dir: &Path, design: DesignHash) -> bool {
+/// the no-open-writer arm of [`JournalSink::reset`] (a journal only replayed
+/// at boot would otherwise be replayed at every boot, never shrinking).
+/// Returns `false` when an existing file could not be durably removed.
+fn remove_stale_journal(dir: &Path, design: DesignHash) -> bool {
     let path = dir.join(journal_file_name(design));
     match fs::remove_file(&path) {
         Ok(()) => sync_parent_dir(&path).is_ok(),
@@ -713,7 +662,7 @@ pub struct JournalSink {
 
 impl JournalSink {
     /// A sink journaling into `dir`, fsyncing every `fsync_batch`-th append
-    /// per design (clamped to at least 1; 1 is strict mode).
+    /// per design (clamped to at least 1; 1 fsyncs every append).
     pub fn new(dir: &Path, fsync_batch: u64, faults: FaultPlan) -> Self {
         JournalSink {
             dir: dir.to_path_buf(),
@@ -753,16 +702,23 @@ impl JournalSink {
     }
 
     /// Forces every open journal's batched records to disk (graceful
-    /// shutdown). Failures are counted, not propagated.
-    pub fn flush_all(&self) {
+    /// shutdown) and returns how many journals had records to sync.
+    /// Failures are counted, not propagated.
+    pub fn flush_all(&self) -> usize {
         let mut writers = self.writers.lock_recover();
+        let mut synced = 0;
         for entry in writers.values_mut() {
             if let SinkSlot::Open(writer) = &mut entry.slot {
-                if writer.flush().is_err() {
-                    self.count_failure();
+                if writer.appends_since_sync == 0 {
+                    continue;
+                }
+                match writer.flush() {
+                    Ok(()) => synced += 1,
+                    Err(_) => self.count_failure(),
                 }
             }
         }
+        synced
     }
 
     /// The design's current append progress, for [`JournalSink::reset`]:

@@ -73,9 +73,8 @@ mod snapshot;
 
 pub use format::{PersistError, FORMAT_VERSION, MAGIC};
 pub use journal::{
-    journal_file_name, read_journal, recover_journal, remove_stale_journal, truncate_to_valid,
-    AppendReceipt, DurabilityMode, JournalRecord, JournalReplay, JournalSink, JournalWriter,
-    JOURNAL_MAGIC,
+    journal_file_name, read_journal, recover_journal, truncate_to_valid, AppendReceipt,
+    JournalRecord, JournalReplay, JournalSink, JournalWriter, JOURNAL_MAGIC,
 };
 pub use snapshot::{
     backup_file_name, clean_stale_temp_files, decode_snapshot, encode_snapshot, load_snapshot,

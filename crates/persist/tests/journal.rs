@@ -12,8 +12,8 @@ use wlac_bv::Bv;
 use wlac_faultinject::{FaultPlan, FaultSite};
 use wlac_netlist::{NetId, Netlist};
 use wlac_persist::{
-    journal_file_name, read_journal, recover_journal, truncate_to_valid, DurabilityMode,
-    JournalRecord, JournalSink, JournalWriter, PersistError,
+    journal_file_name, read_journal, recover_journal, truncate_to_valid, JournalRecord,
+    JournalSink, JournalWriter, PersistError,
 };
 use wlac_portfolio::{Engine, Verdict};
 use wlac_rng::Rng64;
@@ -445,19 +445,18 @@ fn sink_reset_with_no_writer_deletes_a_boot_leftover_journal() {
 }
 
 #[test]
-fn durability_mode_parses_its_own_names() {
-    for mode in [
-        DurabilityMode::Snapshot,
-        DurabilityMode::Journal,
-        DurabilityMode::Strict,
-    ] {
-        assert_eq!(DurabilityMode::parse(mode.as_str()), Some(mode));
+fn flush_all_syncs_each_journal_with_unsynced_records_once() {
+    let dir = TempDir::new();
+    let netlist = sample_netlist();
+    let sink = JournalSink::new(&dir.0, 32, FaultPlan::disabled());
+    assert_eq!(sink.flush_all(), 0, "no journal open yet");
+    for seq in 0..3 {
+        emit_via_sink(&sink, &netlist, seq);
     }
-    assert_eq!(DurabilityMode::parse("paranoid"), None);
-    assert_eq!(DurabilityMode::default(), DurabilityMode::Journal);
-    assert!(!DurabilityMode::Snapshot.journals());
-    assert!(DurabilityMode::Journal.journals());
-    assert!(DurabilityMode::Strict.journals());
+    // Three appends sit below the group-commit batch of 32: one journal
+    // holds unsynced records, and once synced it holds none.
+    assert_eq!(sink.flush_all(), 1);
+    assert_eq!(sink.flush_all(), 0);
 }
 
 /// Satellite: a deterministic seeded fuzz sweep. Random journals are

@@ -53,10 +53,7 @@ mod verdict;
 mod warm;
 
 pub use config::PortfolioConfig;
-pub use engines::{
-    run_engine, run_engine_observed, run_engine_probed, run_engine_seeded, Engine, EngineHarvest,
-    EngineRun, EngineStats,
-};
+pub use engines::{run_engine, run_engine_probed, Engine, EngineHarvest, EngineRun, EngineStats};
 pub use predictor::{predict_engines, EngineHistory, NetlistFeatures};
 pub use progress::RaceProgress;
 pub use verdict::Verdict;
@@ -187,7 +184,6 @@ impl fmt::Display for PortfolioReport {
 pub struct Portfolio {
     config: PortfolioConfig,
     metrics: Option<Arc<MetricsRegistry>>,
-    recorder: RecorderHandle,
 }
 
 impl Portfolio {
@@ -196,7 +192,6 @@ impl Portfolio {
         Portfolio {
             config,
             metrics: None,
-            recorder: RecorderHandle::disabled(),
         }
     }
 
@@ -207,15 +202,6 @@ impl Portfolio {
     /// [`PortfolioConfig`].
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(registry);
-        self
-    }
-
-    /// Emits race lifecycle events (start, spawns, answers, cancel, end)
-    /// into the always-on flight recorder. Like metrics, purely
-    /// observational; [`Portfolio::race_warm_recorded`] overrides this base
-    /// handle per job so events carry the owning job's id.
-    pub fn with_recorder(mut self, recorder: RecorderHandle) -> Self {
-        self.recorder = recorder;
         self
     }
 
@@ -240,14 +226,14 @@ impl Portfolio {
     /// or whose job budget has expired, starts no further engine. The
     /// [`PortfolioReport::timeline`] shows each engine's real spawn time.
     pub fn race(&self, verification: &Verification) -> PortfolioReport {
-        self.run_portfolio(verification, true, None, &self.recorder, None)
+        self.run_portfolio(verification, true, None, &RecorderHandle::disabled(), None)
             .0
     }
 
     /// Runs every configured engine to completion (no cancellation) and
     /// cross-validates all verdicts against each other.
     pub fn check_all(&self, verification: &Verification) -> PortfolioReport {
-        self.run_portfolio(verification, false, None, &self.recorder, None)
+        self.run_portfolio(verification, false, None, &RecorderHandle::disabled(), None)
             .0
     }
 
@@ -265,29 +251,26 @@ impl Portfolio {
         verification: &Verification,
         warm: &WarmStart,
     ) -> (PortfolioReport, Harvest) {
-        self.run_portfolio(verification, true, Some(warm), &self.recorder, None)
+        self.run_portfolio(
+            verification,
+            true,
+            Some(warm),
+            &RecorderHandle::disabled(),
+            None,
+        )
     }
 
-    /// Like [`Portfolio::race_warm`], but every flight-recorder event this
-    /// race (and the core searches under it) emits is stamped through
-    /// `recorder` — the per-job handle the verification service derives, so
-    /// a remote `events` tail can be filtered down to one job.
-    pub fn race_warm_recorded(
-        &self,
-        verification: &Verification,
-        warm: &WarmStart,
-        recorder: &RecorderHandle,
-    ) -> (PortfolioReport, Harvest) {
-        self.run_portfolio(verification, true, Some(warm), recorder, None)
-    }
-
-    /// Like [`Portfolio::race_warm_recorded`], but the race also publishes
-    /// live progress into `progress`: the ATPG engine streams bound advances
-    /// and effort counters from inside its search, and the supervisor stores
-    /// every engine's final statistics the moment it answers. Observers
-    /// snapshot `progress` concurrently (the service's progress accessors
-    /// feed the server's `progress`/`subscribe` ops from it); publication is
-    /// lock-free, alloc-free and never influences scheduling or verdicts.
+    /// Like [`Portfolio::race_warm`], but observed. Every flight-recorder
+    /// event this race (and the core searches under it) emits is stamped
+    /// through `recorder` — the per-job handle the verification service
+    /// derives, so a remote `events` tail can be filtered down to one job.
+    /// The race also publishes live progress into `progress`: the ATPG
+    /// engine streams bound advances and effort counters from inside its
+    /// search, and the supervisor stores every engine's final statistics the
+    /// moment it answers. Observers snapshot `progress` concurrently (the
+    /// service's progress accessors feed the server's `progress`/`subscribe`
+    /// ops from it); publication is lock-free, alloc-free and never
+    /// influences scheduling or verdicts.
     pub fn race_warm_probed(
         &self,
         verification: &Verification,

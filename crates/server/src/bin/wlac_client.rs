@@ -418,7 +418,8 @@ fn cmd_check(conn: &mut Connection, path: &str, rest: &[String]) -> Result<i32, 
     if !done {
         return Err(format!("event stream for batch {batch} ended early"));
     }
-    // Retire the finished batch; this is also what lands its autosave.
+    // Fetch the finished batch's results in job order. The stream already
+    // retired the batch and ran its compaction check at `batch_done`.
     let results = conn
         .call(&Json::obj(vec![
             ("op", Json::str("results")),

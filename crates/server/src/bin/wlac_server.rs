@@ -6,11 +6,14 @@
 //!             [--max-connections N] [--read-timeout-secs N]
 //!             [--wait-timeout-secs N] [--job-budget-secs N]
 //!             [--drain-timeout-secs N]
-//!             [--durability snapshot|journal|strict]
 //!             [--journal-fsync-batch N] [--journal-compact-bytes N]
 //!             [--postmortem-dir DIR] [--max-queue-depth N]
 //!             [--fault SITE:N] [--fault-from SITE:N]
 //! ```
+//!
+//! With `--data-dir`, every raced result is appended to its design's
+//! write-ahead journal before it is acknowledged; `--journal-fsync-batch 1`
+//! fsyncs every append, so acknowledged results survive a power loss too.
 //!
 //! `--fault SITE:N` arms the fault-injection plan to fire `SITE` exactly on
 //! its Nth hit; `--fault-from SITE:N` fires on every hit from the Nth on.
@@ -27,7 +30,6 @@
 use std::path::PathBuf;
 use std::time::Duration;
 use wlac_faultinject::FaultSite;
-use wlac_persist::DurabilityMode;
 use wlac_server::{Server, ServerConfig};
 
 fn usage() -> ! {
@@ -36,7 +38,6 @@ fn usage() -> ! {
          [--max-frames N] [--time-limit-secs N] [--cache-capacity N] \
          [--max-connections N] [--read-timeout-secs N] [--wait-timeout-secs N] \
          [--job-budget-secs N] [--drain-timeout-secs N] \
-         [--durability snapshot|journal|strict] \
          [--journal-fsync-batch N] [--journal-compact-bytes N] \
          [--postmortem-dir DIR] [--max-queue-depth N] \
          [--fault SITE:N] [--fault-from SITE:N]"
@@ -91,9 +92,6 @@ fn main() {
             "--drain-timeout-secs" => {
                 config.drain_timeout =
                     Duration::from_secs(value().parse().unwrap_or_else(|_| usage()));
-            }
-            "--durability" => {
-                config.durability = DurabilityMode::parse(&value()).unwrap_or_else(|| usage());
             }
             "--journal-fsync-batch" => {
                 config.journal_fsync_batch = value().parse().unwrap_or_else(|_| usage());

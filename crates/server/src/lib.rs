@@ -7,11 +7,12 @@
 //! * **Wire protocol** — a thread-per-connection TCP listener speaking
 //!   line-delimited JSON (hand-rolled [`Json`]; the workspace builds offline,
 //!   so no serde/tokio). Requests: `register_design` (Verilog-subset source,
-//!   compiled by `wlac-frontend`), `submit_batch`, `poll`, `results`,
-//!   `wait`, `stats`, `export_knowledge`, `import_knowledge`, `metrics`,
-//!   `health`, `events`, `trace_check`, `ping`, `shutdown`. Malformed frames
-//!   get structured `{"ok":false,"error":{…}}` replies on the same
-//!   connection instead of a dropped socket.
+//!   compiled by `wlac-frontend`), `submit_batch`, `results`, `wait`,
+//!   `progress`, `subscribe`, `stats`, `export_knowledge`,
+//!   `import_knowledge`, `metrics`, `health`, `events`, `trace_check`,
+//!   `ping`, `shutdown`. Malformed frames get structured
+//!   `{"ok":false,"error":{…}}` replies on the same connection instead of a
+//!   dropped socket.
 //! * **Observability** — one [`wlac_telemetry::MetricsRegistry`] is shared
 //!   by the whole stack (service gauges and counters, portfolio race
 //!   attribution, aggregated core search effort, per-op request counters and
@@ -25,17 +26,17 @@
 //!   [`PostmortemWriter`] bundle, and `health` answers
 //!   liveness/readiness from worker quorum, queue depth, durability state
 //!   and rolling error-rate / p99 objectives.
-//! * **Persistence** — by default every definitive result is appended to a
-//!   per-design write-ahead journal ([`wlac_persist::JournalSink`], with
-//!   group-commit fsync) *before* the client sees the acknowledgement, and
-//!   journals are compacted into [`wlac_persist::Snapshot`]s in the
-//!   background and on the graceful-shutdown drain; on boot the server
-//!   reloads every snapshot through the service's validating import and
-//!   replays the journal suffix (torn tails quarantined, never a boot
-//!   failure), so a restarted server answers repeat queries from the
-//!   persisted verdict cache with zero engine spawns. The
-//!   [`ServerConfig::durability`] mode widens or narrows the contract
-//!   (`snapshot` / `journal` / `strict`).
+//! * **Persistence** — with a data directory, every definitive result is
+//!   appended to a per-design write-ahead journal
+//!   ([`wlac_persist::JournalSink`], with group-commit fsync;
+//!   [`ServerConfig::journal_fsync_batch`] 1 syncs every append) *before*
+//!   the client sees the acknowledgement, and journals are compacted into
+//!   [`wlac_persist::Snapshot`]s in the background and on the
+//!   graceful-shutdown drain; on boot the server reloads every snapshot
+//!   through the service's validating import and replays the journal suffix
+//!   (torn tails quarantined, never a boot failure), so a restarted server
+//!   answers repeat queries from the persisted verdict cache with zero
+//!   engine spawns.
 //! * **Tooling** — the `wlac-server` binary runs the daemon, `wlac-client`
 //!   drives it from scripts and CI (`register` / `check` / `stats` /
 //!   `export` / `import` / `shutdown`).

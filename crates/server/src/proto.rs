@@ -40,7 +40,7 @@ pub enum ErrorCode {
     /// `retry_after_ms` hint. Back off and reconnect.
     Overloaded,
     /// A bounded wait (or a job budget) expired before the batch finished;
-    /// the work is still running — poll again.
+    /// the work is still running — wait again.
     Timeout,
     /// An internal failure (e.g. persistence i/o).
     Internal,
@@ -244,8 +244,8 @@ pub fn job_progress_to_wire(progress: &JobProgress) -> Json {
 /// the service counters.
 #[derive(Debug, Clone, Copy)]
 pub struct DurabilityStats {
-    /// The configured durability mode's wire spelling
-    /// (`snapshot`/`journal`/`strict`).
+    /// What an acknowledged result promises, as spelled on the wire:
+    /// `journal` with a data directory, `none` without one.
     pub mode: &'static str,
     /// Snapshots successfully loaded at boot.
     pub loaded_snapshots: usize,

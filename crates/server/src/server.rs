@@ -8,12 +8,12 @@ use crate::proto::{
     job_progress_to_wire, job_result_to_wire, ok_reply, probe_to_wire, stats_to_wire,
     DurabilityStats, ErrorCode,
 };
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use wlac_atpg::{
@@ -24,26 +24,25 @@ use wlac_faultinject::{CondvarExt, FaultPlan, LockExt};
 use wlac_netlist::{NetId, Netlist};
 use wlac_persist::{
     clean_stale_temp_files, decode_snapshot, encode_snapshot, load_snapshot_with_fallback,
-    read_journal, remove_stale_journal, save_snapshot_faulted, snapshot_file_name,
-    truncate_to_valid, DurabilityMode, JournalSink, Snapshot,
+    read_journal, save_snapshot_faulted, snapshot_file_name, truncate_to_valid, JournalSink,
+    Snapshot,
 };
 use wlac_service::{
     BatchId, DesignHash, DurabilityHook, FaultReportHook, Job, JobResult, KnowledgeBase,
     ServiceConfig, VerificationService,
 };
 use wlac_telemetry::{
-    FlightRecorder, MetricsRegistry, RecorderHandle, RecorderKind, RecorderLayer, SpanId, Tracer,
+    FlightRecorder, MetricsRegistry, RecorderHandle, RecorderKind, RecorderLayer, Tracer,
 };
 
 /// Every op the dispatcher accepts, plus the two catch-all buckets
 /// (`unknown` for an unrecognised `op`, `invalid` for frames with no usable
 /// `op` at all) — the enumeration behind the per-op request counters and
 /// latency histograms.
-const KNOWN_OPS: [&str; 18] = [
+const KNOWN_OPS: [&str; 17] = [
     "ping",
     "register_design",
     "submit_batch",
-    "poll",
     "results",
     "wait",
     "progress",
@@ -74,8 +73,10 @@ fn canonical_op(op: &str) -> &'static str {
 pub struct ServerConfig {
     /// Bind address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
-    /// Snapshot directory. `None` disables persistence: the server still
-    /// serves traffic but restarts cold.
+    /// Snapshot and journal directory. With one, every raced result is
+    /// appended to its design's write-ahead journal before it is
+    /// acknowledged, and snapshots compact the journals. `None` disables
+    /// persistence: the server still serves traffic but restarts cold.
     pub data_dir: Option<PathBuf>,
     /// The verification-service configuration behind the front end.
     pub service: ServiceConfig,
@@ -99,14 +100,6 @@ pub struct ServerConfig {
     /// this long (clients may ask for less via `timeout_ms`), then gets a
     /// structured `timeout` error while the batch keeps running.
     pub wait_timeout: Duration,
-    /// Bounded send queue of a `subscribe` stream, in frames. A full queue
-    /// makes the stream's producer wait for its writer, so a burst reaches a
-    /// reader that keeps up in full. A subscriber that stops reading is shed
-    /// once a write stalls past [`ServerConfig::write_timeout`] (its socket
-    /// is closed and `server_subscribe_dropped_total` counts the event).
-    /// Workers never block on subscribers, because progress is pulled from
-    /// lock-free cells.
-    pub subscribe_queue: usize,
     /// Default tick of a `subscribe` stream's periodic `progress` events
     /// (clients may override per request via `interval_ms`).
     pub subscribe_interval: Duration,
@@ -117,15 +110,9 @@ pub struct ServerConfig {
     /// write-ahead journal). The service's plan is configured separately in
     /// [`ServiceConfig`].
     pub faults: FaultPlan,
-    /// What an acknowledged result promises about a crash:
-    /// [`DurabilityMode::Snapshot`] autosaves a whole snapshot per completed
-    /// batch (the pre-journal behaviour), [`DurabilityMode::Journal`]
-    /// appends every raced result to a per-design write-ahead journal as it
-    /// lands (snapshots become the compaction artifact), and
-    /// [`DurabilityMode::Strict`] additionally fsyncs every append.
-    pub durability: DurabilityMode,
-    /// Group-commit batch of the journal: fsync after every Nth append.
-    /// Ignored in [`DurabilityMode::Strict`], which forces 1.
+    /// Group-commit batch of the journal: fsync after every Nth append. A
+    /// process kill loses nothing either way; 1 also makes every
+    /// acknowledged result survive a power loss, at one fsync per job.
     pub journal_fsync_batch: u64,
     /// Compaction threshold: once a design's journal grows past this many
     /// bytes, the next completed batch snapshots the design and truncates
@@ -171,11 +158,9 @@ impl ServerConfig {
             max_connections: 256,
             retry_after: Duration::from_millis(200),
             wait_timeout: Duration::from_secs(60),
-            subscribe_queue: 256,
             subscribe_interval: Duration::from_millis(250),
             drain_timeout: Duration::from_secs(30),
             faults: FaultPlan::disabled(),
-            durability: DurabilityMode::default(),
             journal_fsync_batch: 32,
             journal_compact_bytes: 1 << 20,
             postmortem_dir: None,
@@ -306,10 +291,9 @@ impl SloWindow {
 }
 
 struct ServerState {
+    /// The verification service, whose design registry is also the server's:
+    /// a design the service holds is a registered design on the wire.
     service: VerificationService,
-    /// Canonical netlist per design, for monitor-name resolution and
-    /// snapshot assembly (the service's own registry is private to it).
-    designs: Mutex<HashMap<DesignHash, Netlist>>,
     data_dir: Option<PathBuf>,
     shutting_down: AtomicBool,
     loaded_snapshots: AtomicUsize,
@@ -320,12 +304,11 @@ struct ServerState {
     boot_replayed_records: AtomicU64,
     /// Journal bytes quarantined at boot (torn tails and unreadable files).
     journal_quarantined_bytes: AtomicU64,
-    /// The write-ahead journal sink, when [`ServerConfig::durability`]
-    /// journals and a data directory is configured. The service holds the
-    /// same sink behind its [`DurabilityHook`]; the server side drives
-    /// compaction and shutdown truncation.
+    /// The write-ahead journal sink, present exactly when a data directory
+    /// is configured. The service holds the same sink behind its
+    /// [`DurabilityHook`]; the server side drives compaction and shutdown
+    /// truncation.
     journal: Option<Arc<JournalSink>>,
-    durability: DurabilityMode,
     journal_compact_bytes: u64,
     /// The bound address, kept so `shutdown` can wake the blocking accept
     /// loop with a loopback connection.
@@ -341,7 +324,6 @@ struct ServerState {
     max_connections: usize,
     retry_after: Duration,
     wait_timeout: Duration,
-    subscribe_queue: usize,
     subscribe_interval: Duration,
     drain_timeout: Duration,
     faults: FaultPlan,
@@ -349,8 +331,6 @@ struct ServerState {
     /// write into it, the server adds per-op counters and latency
     /// histograms, and the `metrics` op exposes the whole thing.
     metrics: Arc<MetricsRegistry>,
-    /// Server-level tracer: one span per connection, one event per request.
-    tracer: Tracer,
     /// Checker options for on-demand `trace_check` runs (the same options
     /// the service's portfolio gives its ATPG engine).
     checker_options: CheckerOptions,
@@ -435,25 +415,17 @@ impl Server {
         let checker_options = config.service.portfolio.checker.clone();
         // Arm the write-ahead journal before the service exists, so every
         // raced result the service ever completes passes through the sink.
-        let journal = match &config.data_dir {
-            Some(dir) if config.durability.journals() => {
-                let batch = match config.durability {
-                    DurabilityMode::Strict => 1,
-                    _ => config.journal_fsync_batch.max(1),
-                };
-                let sink = Arc::new(
-                    JournalSink::new(dir, batch, config.faults.clone())
-                        .with_metrics(Arc::clone(&metrics))
-                        .with_recorder(RecorderHandle::to(Arc::clone(&recorder))),
-                );
-                config.service.durability = DurabilityHook::new(Arc::clone(&sink) as _);
-                Some(sink)
-            }
-            _ => None,
-        };
+        let journal = config.data_dir.as_ref().map(|dir| {
+            let sink = Arc::new(
+                JournalSink::new(dir, config.journal_fsync_batch, config.faults.clone())
+                    .with_metrics(Arc::clone(&metrics))
+                    .with_recorder(RecorderHandle::to(Arc::clone(&recorder))),
+            );
+            config.service.durability = DurabilityHook::new(Arc::clone(&sink) as _);
+            sink
+        });
         let state = Arc::new(ServerState {
             service: VerificationService::with_metrics(config.service, Arc::clone(&metrics)),
-            designs: Mutex::new(HashMap::new()),
             data_dir: config.data_dir,
             shutting_down: AtomicBool::new(false),
             loaded_snapshots: AtomicUsize::new(0),
@@ -461,7 +433,6 @@ impl Server {
             boot_replayed_records: AtomicU64::new(0),
             journal_quarantined_bytes: AtomicU64::new(0),
             journal,
-            durability: config.durability,
             journal_compact_bytes: config.journal_compact_bytes,
             addr,
             connections: AtomicUsize::new(0),
@@ -471,12 +442,10 @@ impl Server {
             max_connections: config.max_connections.max(1),
             retry_after: config.retry_after,
             wait_timeout: config.wait_timeout,
-            subscribe_queue: config.subscribe_queue.max(1),
             subscribe_interval: config.subscribe_interval.max(Duration::from_millis(1)),
             drain_timeout: config.drain_timeout,
             faults: config.faults,
             metrics,
-            tracer: Tracer::new(16_384),
             checker_options,
             slow_request_threshold: config.slow_request_threshold,
             recorder,
@@ -654,10 +623,6 @@ fn load_all_snapshots(state: &ServerState) {
             );
             continue;
         }
-        state
-            .designs
-            .lock_recover()
-            .insert(design, snapshot.netlist);
         state.loaded_snapshots.fetch_add(1, Ordering::Relaxed);
     }
     replay_journals(state);
@@ -688,12 +653,10 @@ fn dump_postmortem(state: &ServerState, fault: &str, detail: &str, extra: Vec<(&
 }
 
 /// Replays every per-design write-ahead journal in the data directory on
-/// top of whatever the snapshots restored. Journals are replayed in every
-/// durability mode — the records were acknowledged to clients, and a mode
-/// change must not forfeit them. A torn tail (or a wholly unreadable file)
-/// costs exactly the bytes past the longest valid prefix, never the boot:
-/// those bytes are counted as quarantined and everything before them is
-/// restored.
+/// top of whatever the snapshots restored. A torn tail (or a wholly
+/// unreadable file) costs exactly the bytes past the longest valid prefix,
+/// never the boot: those bytes are counted as quarantined and everything
+/// before them is restored.
 fn replay_journals(state: &ServerState) {
     let Some(dir) = &state.data_dir else {
         return;
@@ -795,11 +758,6 @@ fn replay_journals(state: &ServerState) {
             );
             continue;
         }
-        state
-            .designs
-            .lock_recover()
-            .entry(design)
-            .or_insert(replay.netlist);
         let replayed = replay.records.len() as u64;
         state
             .boot_replayed_records
@@ -825,9 +783,9 @@ fn note_quarantined_bytes(state: &ServerState, bytes: u64) {
 }
 
 fn assemble_snapshot(state: &ServerState, design: DesignHash) -> Option<Snapshot> {
-    let netlist = state.designs.lock_recover().get(&design)?.clone();
+    let netlist = state.service.design(design)?;
     Some(Snapshot {
-        netlist,
+        netlist: Netlist::clone(&netlist),
         knowledge: state.service.export_knowledge(design)?,
         verdicts: state.service.export_verdicts(design)?,
     })
@@ -854,14 +812,6 @@ fn save_design(state: &ServerState, design: DesignHash) -> bool {
                 design.0,
                 0,
             );
-            // Snapshot mode replays boot-leftover journals (from an earlier
-            // journal-mode run) but appends nothing: this snapshot now holds
-            // everything they carried, so drop them instead of replaying
-            // them forever. Journal mode hands the same decision to
-            // `compact_design`, which must first rule out racing appends.
-            if state.journal.is_none() {
-                remove_stale_journal(dir, design);
-            }
             true
         }
         Err(e) => {
@@ -912,16 +862,43 @@ fn compact_design(state: &ServerState, design: DesignHash) {
     }
 }
 
+/// Runs the journal-compaction check for the designs a fetched batch raced
+/// on: a design whose journal has grown past the threshold is compacted.
+/// Every raced result is already on disk (the service appended it before
+/// publishing), so a batch needs no snapshot of its own; a design whose
+/// jobs were all answered from the verdict cache learned nothing and is
+/// skipped, which keeps the warm path free of redundant writes.
+fn compact_due_designs(state: &ServerState, results: &[JobResult]) {
+    let Some(sink) = &state.journal else {
+        return;
+    };
+    let mut raced: Vec<DesignHash> = results
+        .iter()
+        .filter(|r| !r.from_cache)
+        .map(|r| r.design)
+        .collect();
+    raced.sort_unstable_by_key(|d| d.0);
+    raced.dedup();
+    for design in raced {
+        if sink.journal_bytes(design) >= state.journal_compact_bytes {
+            compact_design(state, design);
+        }
+    }
+}
+
+/// The shutdown sweep: a full compaction, so every design ends the session
+/// as a snapshot plus an empty journal, then an fsync of whatever records a
+/// failed or deferred compaction left in a journal. Returns the number of
+/// registered designs.
 fn save_all_designs(state: &ServerState) -> usize {
-    let designs: Vec<DesignHash> = state.designs.lock_recover().keys().copied().collect();
+    let designs = state.service.designs();
     for design in &designs {
-        match &state.journal {
-            // Journal mode: shutdown is a full compaction — every design
-            // ends the session as a snapshot plus an empty journal.
-            Some(_) => compact_design(state, *design),
-            None => {
-                save_design(state, *design);
-            }
+        compact_design(state, *design);
+    }
+    if let Some(sink) = &state.journal {
+        let synced = sink.flush_all();
+        if synced > 0 {
+            eprintln!("wlac-server: synced {synced} journal(s) that compaction left behind");
         }
     }
     designs.len()
@@ -966,7 +943,6 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
     stream.set_write_timeout(state.write_timeout).ok();
     state.metrics.counter("server_connections_total").inc();
     let conn = state.next_conn.fetch_add(1, Ordering::Relaxed);
-    let connection = state.tracer.span_start("connection", SpanId::ROOT);
     let reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
@@ -992,11 +968,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
             .ok()
             .filter(|frame| frame.get("op").and_then(Json::as_str) == Some("subscribe"));
         if let Some(frame) = subscribe {
-            let request = SubscribeRequest {
-                connection,
-                conn,
-                started,
-            };
+            let request = SubscribeRequest { conn, started };
             match subscribe_connection(state, frame, &stream, request) {
                 SubscribeOutcome::Reject(reply) => {
                     let sent = writer
@@ -1017,7 +989,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
             Err(e) => (error_reply(ErrorCode::BadJson, e.to_string()), "invalid"),
         };
         let elapsed = started.elapsed();
-        record_request(state, connection, conn, op, &reply, elapsed);
+        record_request(state, conn, op, &reply, elapsed);
         let sent = writer
             .write_all(format!("{reply}\n").as_bytes())
             .and_then(|()| writer.flush());
@@ -1026,7 +998,6 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
             break;
         }
     }
-    state.tracer.span_end(connection, "connection");
 }
 
 /// How a `subscribe` request ended, for the connection loop. Either way the
@@ -1044,7 +1015,6 @@ enum SubscribeOutcome {
 /// Who asked for a stream and when, for its request accounting.
 #[derive(Clone, Copy)]
 struct SubscribeRequest {
-    connection: SpanId,
     conn: u64,
     started: Instant,
 }
@@ -1053,7 +1023,6 @@ impl SubscribeRequest {
     fn book(&self, state: &ServerState, summary: &Json) {
         record_request(
             state,
-            self.connection,
             self.conn,
             "subscribe",
             summary,
@@ -1082,7 +1051,7 @@ fn subscribe_connection(
         Ok(batch) => batch,
         Err(reply) => return reject(reply),
     };
-    if state.service.poll(batch).is_none() {
+    if state.service.batch_progress(batch).is_none() {
         return reject(error_reply(
             ErrorCode::UnknownBatch,
             format!("no batch {}", batch.raw()),
@@ -1097,32 +1066,67 @@ fn subscribe_connection(
     stream_subscription(state, batch, interval, stream, request)
 }
 
-/// The producer side of one `subscribe` stream: pushes frames into the
-/// bounded queue a dedicated writer thread drains to the socket. The
-/// producer pulls all of its data from the service's lock-free progress
-/// cells and the batch table, so it never blocks a worker. A full queue
-/// only makes the producer wait for the writer: a burst (a large batch
-/// completing at once) is delivered in full to a reader that keeps up. A
-/// reader that stopped reading stalls the writer until its socket write
-/// times out; the writer then sheds it (see [`stream_subscription`]).
+/// Why a subscription stopped writing.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum StreamClosed {
+    /// The peer went away (EOF or a failed write).
+    Gone,
+    /// The peer stopped reading: a write stalled for the write timeout.
+    Stalled,
+}
+
+/// One `subscribe` stream's writer: frames go straight to the socket on the
+/// connection thread. Everything a frame carries is pulled from the
+/// service's lock-free progress cells and the batch table, and no lock is
+/// held while a frame is written, so a slow reader never blocks a worker.
+/// A reader that stopped reading stalls a write until it times out; the
+/// stream then sheds it (see [`stream_subscription`]).
 struct SubscribePush<'a> {
     state: &'a ServerState,
-    /// `None` once the writer thread has gone away.
-    tx: Option<SyncSender<String>>,
+    socket: &'a TcpStream,
     request: SubscribeRequest,
     booked: bool,
+    /// Set once a write failed; nothing more is written after that.
+    closed: Option<StreamClosed>,
 }
 
 impl SubscribePush<'_> {
-    /// `false` once the stream is over (the writer went away).
+    /// Writes one frame; `false` once the stream is over (the peer went away
+    /// or stopped reading).
     fn push(&mut self, frame: &Json) -> bool {
-        let Some(tx) = &self.tx else {
+        if self.closed.is_some() {
             return false;
-        };
-        if tx.send(format!("{frame}\n")).is_err() {
-            // The writer thread exited: the peer is gone, or it stopped
-            // reading and was shed.
-            self.tx = None;
+        }
+        let line = format!("{frame}\n");
+        let mut rest = line.as_bytes();
+        let mut socket = self.socket;
+        while !rest.is_empty() {
+            // A send blocks only while the peer's buffers are full, so one
+            // that waited out the write timeout means the peer stopped
+            // reading — whether it failed or, having got a few bytes out
+            // first, returned them.
+            let started = Instant::now();
+            let written = socket.write(rest);
+            let stalled = self
+                .state
+                .write_timeout
+                .is_some_and(|limit| started.elapsed() >= limit);
+            let closed = match written {
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e)
+                    if stalled
+                        || matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+                {
+                    StreamClosed::Stalled
+                }
+                Err(_) | Ok(0) => StreamClosed::Gone,
+                Ok(_) if stalled => StreamClosed::Stalled,
+                Ok(n) => {
+                    rest = &rest[n..];
+                    continue;
+                }
+            };
+            self.closed = Some(closed);
             return false;
         }
         self.state
@@ -1132,7 +1136,7 @@ impl SubscribePush<'_> {
         true
     }
 
-    /// Books the request once. A completed stream books before it queues
+    /// Books the request once. A completed stream books before it writes
     /// `batch_done`, so a client that has read `batch_done` already sees
     /// the request counted.
     fn book(&mut self, summary: &Json) {
@@ -1164,55 +1168,15 @@ fn stream_subscription(
     stream: &TcpStream,
     request: SubscribeRequest,
 ) -> SubscribeOutcome {
-    let (tx, rx) = std::sync::mpsc::sync_channel::<String>(state.subscribe_queue);
     let mut push = SubscribePush {
         state,
-        tx: Some(tx),
+        socket: stream,
         request,
         booked: false,
+        closed: None,
     };
-    let writer_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            push.book(&error_reply(ErrorCode::Internal, "socket clone failed"));
-            return SubscribeOutcome::Streamed { close: true };
-        }
-    };
-    // `true` when the peer stopped reading. Returning drops `rx`, which
-    // ends the producer's stream.
-    let stall = state.write_timeout;
-    let writer = std::thread::spawn(move || {
-        let mut writer = writer_stream;
-        while let Ok(frame) = rx.recv() {
-            let mut rest = frame.as_bytes();
-            while !rest.is_empty() {
-                // A send blocks only while the peer's buffers are full, so
-                // one that waited out the write timeout means the peer
-                // stopped reading — whether it failed or, having got a few
-                // bytes out first, returned them.
-                let started = Instant::now();
-                let written = writer.write(rest);
-                let stalled = stall.is_some_and(|limit| started.elapsed() >= limit);
-                match written {
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(e) => {
-                        return stalled
-                            || matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
-                    }
-                    Ok(0) => return false, // the peer is gone
-                    Ok(_) if stalled => return true,
-                    Ok(n) => rest = &rest[n..],
-                }
-            }
-        }
-        false
-    });
     let shutdown = stream_events(state, batch, interval, &mut push);
-    // Disconnect before the join: the writer drains what was queued, then
-    // exits once the sender is gone.
-    let dead = push.tx.take().is_none();
-    let shed = writer.join().unwrap_or(false);
-    if shed {
+    if push.closed == Some(StreamClosed::Stalled) {
         state
             .metrics
             .counter("server_subscribe_dropped_total")
@@ -1226,7 +1190,7 @@ fn stream_subscription(
         push.book(&ok_reply(vec![("batch", Json::num(batch.raw()))]));
     }
     SubscribeOutcome::Streamed {
-        close: shed || dead || shutdown,
+        close: push.closed.is_some() || shutdown,
     }
 }
 
@@ -1238,8 +1202,8 @@ fn stream_events(
     interval: Duration,
     push: &mut SubscribePush<'_>,
 ) -> bool {
-    let total = match state.service.poll(batch) {
-        Some(status) => status.total,
+    let total = match state.service.batch_progress(batch) {
+        Some(progress) => progress.total,
         None => return false,
     };
     let acknowledgement = ok_reply(vec![
@@ -1255,8 +1219,9 @@ fn stream_events(
     loop {
         // Deliver every newly completed slot: final progress, then verdict.
         let Some(slots) = state.service.batch_slots(batch) else {
-            // Another client retired the batch (`results`/`wait`) while we
-            // streamed; nothing more can be observed.
+            // The batch was retired and evicted (by `results`, `wait` or
+            // another stream) while we streamed; nothing more can be
+            // observed.
             return false;
         };
         for (index, slot) in slots.iter().enumerate() {
@@ -1294,6 +1259,14 @@ fn stream_events(
         }
         let completed = delivered.iter().filter(|d| **d).count();
         if completed == total {
+            // Every verdict is out, so the stream has fetched the batch as
+            // `results` would and takes the same post-batch step: the batch
+            // is retired (bounded by `retained_batches`, still replayable
+            // while retained) and its designs' journals are checked for
+            // compaction.
+            if let Some(results) = state.service.results(batch) {
+                compact_due_designs(state, &results);
+            }
             let done = ok_reply(vec![
                 ("event", Json::str("batch_done")),
                 ("batch", Json::num(batch.raw())),
@@ -1342,9 +1315,6 @@ fn stream_events(
                 }
             }
         }
-        if push.tx.is_none() {
-            return false;
-        }
         // Sleep until a job completes or the next tick is due.
         if state
             .service
@@ -1357,13 +1327,12 @@ fn stream_events(
 }
 
 /// Books one finished request: per-op counter and latency histogram, a
-/// per-code error counter when the reply is a failure, a request event in
-/// the connection span, a Server-layer flight-recorder event, a rolling SLO
-/// sample, and the slow-request log line (carrying the connection id, so a
-/// slow request is attributable to its client).
+/// per-code error counter when the reply is a failure, a Server-layer
+/// flight-recorder event, a rolling SLO sample, and the slow-request log
+/// line (carrying the connection id, so a slow request is attributable to
+/// its client).
 fn record_request(
     state: &ServerState,
-    connection: SpanId,
     conn: u64,
     op: &'static str,
     reply: &Json,
@@ -1388,7 +1357,6 @@ fn record_request(
             .counter(&format!("server_errors_{code}_total"))
             .inc();
     }
-    state.tracer.event(op, connection, nanos);
     // The recorder event stamps the connection id as its job and the op (as
     // its KNOWN_OPS index) plus the wall clock as payload: `events` can tail
     // the request loop without parsing the slow-request log.
@@ -1429,7 +1397,6 @@ fn dispatch(state: &ServerState, frame: &Json) -> (Json, &'static str) {
         "ping" => ok_reply(Vec::new()),
         "register_design" => op_register_design(state, frame),
         "submit_batch" => op_submit_batch(state, frame),
-        "poll" => op_poll(state, frame),
         "results" => op_results(state, frame),
         "wait" => op_wait(state, frame),
         "progress" => op_progress(state, frame),
@@ -1451,6 +1418,16 @@ fn dispatch(state: &ServerState, frame: &Json) -> (Json, &'static str) {
         _ => error_reply(ErrorCode::UnknownOp, format!("unknown op `{op}`")),
     };
     (reply, canonical_op(op))
+}
+
+/// The wire spelling of what an acknowledged result promises: `journal`
+/// with a data directory, `none` without one.
+fn durability_mode(state: &ServerState) -> &'static str {
+    if state.journal.is_some() {
+        "journal"
+    } else {
+        "none"
+    }
 }
 
 fn op_stats(state: &ServerState) -> Json {
@@ -1491,7 +1468,7 @@ fn op_stats(state: &ServerState) -> Json {
             .collect(),
     );
     let durability = DurabilityStats {
-        mode: state.durability.as_str(),
+        mode: durability_mode(state),
         loaded_snapshots: state.loaded_snapshots.load(Ordering::Relaxed),
         snapshots_rejected_at_boot: state.snapshots_rejected_at_boot.load(Ordering::Relaxed),
         boot_replayed_records: state.boot_replayed_records.load(Ordering::Relaxed),
@@ -1509,18 +1486,14 @@ fn op_stats(state: &ServerState) -> Json {
 
 /// Pushes the derived observability gauges into the registry so both
 /// exposition paths (`metrics`, `stats`) and every post-mortem bundle see
-/// them: uptime, the tracer's dropped-record count and the flight
-/// recorder's overwrite/recorded counts. Gauges rather than counters
-/// because they mirror external state instead of accumulating here.
+/// them: uptime and the flight recorder's overwrite/recorded counts.
+/// Gauges rather than counters because they mirror external state instead
+/// of accumulating here.
 fn refresh_derived_gauges(state: &ServerState) {
     state
         .metrics
         .gauge("server_uptime_seconds")
         .set(state.started.elapsed().as_secs_f64());
-    state
-        .metrics
-        .gauge("server_trace_dropped_records")
-        .set(state.tracer.dropped() as f64);
     state
         .metrics
         .gauge("server_recorder_overwrites")
@@ -1589,7 +1562,7 @@ fn op_health(state: &ServerState) -> Json {
         ("ok", Json::Bool(queue_ok)),
     ]);
     let durability = Json::obj(vec![
-        ("mode", Json::str(state.durability.as_str())),
+        ("mode", Json::str(durability_mode(state))),
         (
             "last_autosave_failure_s",
             match last_failure_age {
@@ -1691,15 +1664,9 @@ fn op_register_design(state: &ServerState, frame: &Json) -> Json {
             .map(|(name, _)| Json::str(name.clone()))
             .collect(),
     );
-    let name = netlist.name().to_string();
-    state
-        .designs
-        .lock_recover()
-        .entry(design)
-        .or_insert(netlist);
     ok_reply(vec![
         ("design", Json::str(design_to_wire(design))),
-        ("module", Json::str(name)),
+        ("module", Json::str(netlist.name())),
         ("outputs", outputs),
     ])
 }
@@ -1723,11 +1690,16 @@ fn resolve_monitor(netlist: &Netlist, name: &str) -> Result<NetId, String> {
     Ok(net)
 }
 
+/// The registered designs one request has looked up so far: a batch takes
+/// one registry lookup per distinct design, not one per job.
+type DesignLookups = HashMap<DesignHash, Arc<Netlist>>;
+
 /// Resolves one wire job against the registered designs. The job names its
 /// design by hash and its nets by name; the result names the same things by
 /// hash and id, next to the design's netlist, and copies nothing from it.
 fn parse_job<'a>(
-    designs: &'a HashMap<DesignHash, Netlist>,
+    state: &ServerState,
+    designs: &'a mut DesignLookups,
     job: &Json,
     index: usize,
 ) -> Result<(Job, &'a Netlist), Json> {
@@ -1744,11 +1716,17 @@ fn parse_job<'a>(
             format!("job #{index}: `{design_text}` is not a design hash"),
         ));
     };
-    let Some(netlist) = designs.get(&design) else {
-        return Err(error_reply(
-            ErrorCode::UnknownDesign,
-            format!("job #{index}: design {design_text} is not registered"),
-        ));
+    let netlist: &Netlist = match designs.entry(design) {
+        Entry::Occupied(entry) => entry.into_mut(),
+        Entry::Vacant(entry) => match state.service.design(design) {
+            Some(netlist) => entry.insert(netlist),
+            None => {
+                return Err(error_reply(
+                    ErrorCode::UnknownDesign,
+                    format!("job #{index}: design {design_text} is not registered"),
+                ))
+            }
+        },
     };
     let Some(property) = job.get("property") else {
         return Err(error_reply(
@@ -1811,13 +1789,12 @@ fn op_submit_batch(state: &ServerState, frame: &Json) -> Json {
     let Some(jobs) = frame.get("jobs").and_then(Json::as_arr) else {
         return error_reply(ErrorCode::BadRequest, "missing array member `jobs`");
     };
-    let parsed: Result<Vec<Job>, Json> = {
-        let designs = state.designs.lock_recover();
-        jobs.iter()
-            .enumerate()
-            .map(|(index, job)| parse_job(&designs, job, index).map(|(job, _)| job))
-            .collect()
-    };
+    let mut designs = DesignLookups::new();
+    let parsed: Result<Vec<Job>, Json> = jobs
+        .iter()
+        .enumerate()
+        .map(|(index, job)| parse_job(state, &mut designs, job, index).map(|(job, _)| job))
+        .collect();
     match parsed {
         Ok(jobs) => {
             let batch = state.service.submit(jobs);
@@ -1835,50 +1812,8 @@ fn batch_from(frame: &Json) -> Result<BatchId, Json> {
         .ok_or_else(|| error_reply(ErrorCode::BadRequest, "missing integer member `batch`"))
 }
 
-fn op_poll(state: &ServerState, frame: &Json) -> Json {
-    let batch = match batch_from(frame) {
-        Ok(batch) => batch,
-        Err(reply) => return reply,
-    };
-    match state.service.poll(batch) {
-        Some(status) => ok_reply(vec![
-            ("total", Json::num(status.total as u64)),
-            ("completed", Json::num(status.completed as u64)),
-            ("done", Json::Bool(status.done())),
-        ]),
-        None => error_reply(ErrorCode::UnknownBatch, format!("no batch {}", batch.raw())),
-    }
-}
-
 fn results_reply(state: &ServerState, results: Vec<JobResult>) -> Json {
-    // A design whose jobs were all answered from the verdict cache learned
-    // nothing — skipping it keeps the warm path free of redundant writes.
-    let mut saved: Vec<DesignHash> = results
-        .iter()
-        .filter(|r| !r.from_cache)
-        .map(|r| r.design)
-        .collect();
-    saved.sort_unstable_by_key(|d| d.0);
-    saved.dedup();
-    for design in saved {
-        match &state.journal {
-            // Journal mode: every raced result is already on disk (the
-            // service appended it before publishing), so the reply needs no
-            // snapshot. Snapshots are the *compaction* artifact: written
-            // only once the journal has grown past the threshold, after
-            // which the journal truncates back to its header.
-            Some(sink) => {
-                if sink.journal_bytes(design) >= state.journal_compact_bytes {
-                    compact_design(state, design);
-                }
-            }
-            // Snapshot mode: autosave every design this batch actually
-            // raced on, so even a kill -9 after the reply keeps the warmth.
-            None => {
-                save_design(state, design);
-            }
-        }
-    }
+    compact_due_designs(state, &results);
     ok_reply(vec![(
         "results",
         Json::Arr(results.iter().map(job_result_to_wire).collect()),
@@ -1892,8 +1827,8 @@ fn op_results(state: &ServerState, frame: &Json) -> Json {
     };
     match state.service.results(batch) {
         Some(results) => results_reply(state, results),
-        None => match state.service.poll(batch) {
-            Some(_) => error_reply(ErrorCode::NotDone, "batch is still running; poll or wait"),
+        None => match state.service.batch_progress(batch) {
+            Some(_) => error_reply(ErrorCode::NotDone, "batch is still running; wait"),
             None => error_reply(ErrorCode::UnknownBatch, format!("no batch {}", batch.raw())),
         },
     }
@@ -1904,12 +1839,12 @@ fn op_wait(state: &ServerState, frame: &Json) -> Json {
         Ok(batch) => batch,
         Err(reply) => return reply,
     };
-    if state.service.poll(batch).is_none() {
+    if state.service.batch_progress(batch).is_none() {
         return error_reply(ErrorCode::UnknownBatch, format!("no batch {}", batch.raw()));
     }
     // Bounded on the server side no matter what the client asks for: an
     // unbounded wait would pin a connection thread to a wedged batch forever.
-    // Clients may ask for less via `timeout_ms` and poll again on `timeout`.
+    // Clients may ask for less via `timeout_ms` and wait again on `timeout`.
     let timeout = frame
         .get("timeout_ms")
         .and_then(Json::as_u64)
@@ -1920,7 +1855,7 @@ fn op_wait(state: &ServerState, frame: &Json) -> Json {
         None => error_reply(
             ErrorCode::Timeout,
             format!(
-                "batch {} not done after {} ms; poll or wait again",
+                "batch {} not done after {} ms; wait again",
                 batch.raw(),
                 timeout.as_millis()
             ),
@@ -1979,7 +1914,7 @@ fn design_from(state: &ServerState, frame: &Json) -> Result<DesignHash, Json> {
             format!("`{text}` is not a design hash"),
         ));
     };
-    if !state.designs.lock_recover().contains_key(&design) {
+    if state.service.design(design).is_none() {
         return Err(error_reply(
             ErrorCode::UnknownDesign,
             format!("design {text} is not registered"),
@@ -2044,11 +1979,6 @@ fn op_import_knowledge(state: &ServerState, frame: &Json) -> Json {
         Ok(count) => count,
         Err(e) => return error_reply(ErrorCode::BadSnapshot, e.to_string()),
     };
-    state
-        .designs
-        .lock_recover()
-        .entry(design)
-        .or_insert(snapshot.netlist);
     ok_reply(vec![
         ("design", Json::str(design_to_wire(design))),
         ("verdicts", Json::num(verdicts as u64)),
@@ -2074,16 +2004,13 @@ fn trace_event_to_wire(event: &wlac_telemetry::TraceEvent) -> Json {
 /// engine): the point is a reproducible profile of *this* check, not the
 /// fastest answer.
 fn op_trace_check(state: &ServerState, frame: &Json) -> Json {
-    let verification = {
-        let designs = state.designs.lock_recover();
-        match parse_job(&designs, frame, 0) {
-            Ok((job, netlist)) => Verification {
-                netlist: netlist.clone(),
-                property: job.property,
-                environment: job.environment,
-            },
-            Err(reply) => return reply,
-        }
+    let verification = match parse_job(state, &mut DesignLookups::new(), frame, 0) {
+        Ok((job, netlist)) => Verification {
+            netlist: netlist.clone(),
+            property: job.property,
+            environment: job.environment,
+        },
+        Err(reply) => return reply,
     };
     let tracer = Arc::new(Tracer::new(8192));
     let options = state

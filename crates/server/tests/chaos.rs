@@ -15,7 +15,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use wlac_faultinject::{FaultPlan, FaultSite};
-use wlac_persist::DurabilityMode;
 use wlac_portfolio::Engine;
 use wlac_server::{Json, Server, ServerConfig};
 
@@ -394,9 +393,9 @@ fn autosave_write_failure_degrades_durability_not_service() {
     let dir = TempDir::new();
     let mut config = deterministic_config();
     config.data_dir = Some(dir.0.clone());
-    // Snapshot mode: this test is about the per-batch autosave path, which
-    // journal mode deliberately replaces with threshold-driven compaction.
-    config.durability = DurabilityMode::Snapshot;
+    // Any journal record crosses the compaction threshold, so every raced
+    // batch ends in a snapshot save: the autosave path this test faults.
+    config.journal_compact_bytes = 1;
     // Every snapshot write fails before touching the file system.
     config.faults = FaultPlan::seeded(7).fire_from(FaultSite::SnapshotWrite, 1);
     let (addr, handle, _) = start(config);
@@ -755,9 +754,10 @@ fn autosave_failure_and_rejected_snapshot_write_postmortems() {
     let dir = TempDir::new();
 
     // Session 1: every snapshot write fails — the autosave fault path dumps.
+    // A compaction threshold of one byte makes every raced batch save.
     let mut config = deterministic_config();
     config.data_dir = Some(dir.0.clone());
-    config.durability = DurabilityMode::Snapshot;
+    config.journal_compact_bytes = 1;
     config.faults = FaultPlan::seeded(7).fire_from(FaultSite::SnapshotWrite, 1);
     let (addr, handle, _) = start(config);
     let mut client = Client::connect(addr);
@@ -820,10 +820,9 @@ fn autosave_failure_and_rejected_snapshot_write_postmortems() {
 fn a_torn_journal_tail_writes_a_postmortem_at_boot() {
     let dir = TempDir::new();
 
-    // Session 1: journal mode, real records on disk.
+    // Session 1: real records on disk.
     let mut config = deterministic_config();
     config.data_dir = Some(dir.0.clone());
-    config.durability = DurabilityMode::Journal;
     let (addr, handle, _) = start(config);
     let mut client = Client::connect(addr);
     let design = client.register_counter();
@@ -846,7 +845,6 @@ fn a_torn_journal_tail_writes_a_postmortem_at_boot() {
     // Session 2: boot quarantines the torn tail and dumps a bundle.
     let mut config = deterministic_config();
     config.data_dir = Some(dir.0.clone());
-    config.durability = DurabilityMode::Journal;
     let (addr, handle, _) = start(config);
     let bundles = postmortem_bundles(&dir.0);
     let torn = bundles_for(&bundles, "journal_tail_quarantined");
@@ -986,7 +984,6 @@ fn a_non_reading_subscriber_is_shed_without_stalling_the_server() {
     // its subscription streaming), the other completes normally.
     config.service.workers = 2;
     config.service.faults = FaultPlan::seeded(7).fire_nth(FaultSite::EngineHang, 1);
-    config.subscribe_queue = 4;
     config.subscribe_interval = Duration::from_millis(1);
     // A subscriber is shed once a write to it stalls for the write timeout,
     // after the socket buffers have filled (~20 s of 1 ms ticks on Linux
@@ -1000,7 +997,7 @@ fn a_non_reading_subscriber_is_shed_without_stalling_the_server() {
     let batch = client.submit(&design, &[("always", "ok"), ("always", "bad")]);
 
     // The subscriber asks for 1ms ticks and then never reads a byte: its
-    // socket and the bounded send queue fill until the server sheds it.
+    // socket buffers fill until the server sheds it.
     let mut subscriber = Client::connect(addr);
     subscriber
         .writer
@@ -1024,7 +1021,7 @@ fn a_non_reading_subscriber_is_shed_without_stalling_the_server() {
         std::thread::sleep(Duration::from_millis(50));
     }
     let reply = client.call(Json::obj(vec![
-        ("op", Json::str("poll")),
+        ("op", Json::str("progress")),
         ("batch", Json::num(batch)),
     ]));
     assert_eq!(

@@ -2,7 +2,7 @@
 //!
 //! Three layers of increasingly real process death:
 //!
-//! 1. **Truncation/bit-flip matrix** — a journal-mode server races a series
+//! 1. **Truncation/bit-flip matrix** — a journaling server races a series
 //!    of single-job batches while the test records, at every acknowledgement,
 //!    the verdict bytes and the journal's on-disk length. The journal is then
 //!    copied into fresh data directories and mutated — truncated at every
@@ -29,7 +29,6 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use wlac_faultinject::{FaultPlan, FaultSite};
-use wlac_persist::DurabilityMode;
 use wlac_portfolio::Engine;
 use wlac_rng::Rng64;
 use wlac_server::{Json, Server, ServerConfig};
@@ -166,7 +165,7 @@ impl Client {
     }
 }
 
-/// Deterministic single-engine, single-worker journal-mode config.
+/// Deterministic single-engine, single-worker journaling config.
 fn journal_config(data_dir: &TempDir) -> ServerConfig {
     let mut config = ServerConfig {
         addr: "127.0.0.1:0".into(),
@@ -283,7 +282,7 @@ fn header_boundary(journal: &[u8]) -> u64 {
     panic!("journal has no valid header");
 }
 
-/// Boots a fresh journal-mode server from `journal_bytes` planted as the
+/// Boots a fresh journaling server from `journal_bytes` planted as the
 /// only file in a fresh data directory, then checks every job: the first
 /// `expected_recovered` jobs must be answered from recovered state with zero
 /// engine spawns and byte-identical verdicts; the rest must re-race and
@@ -585,20 +584,17 @@ fn crash_matrix_kill_during_compaction_keeps_the_journal() {
     handle.join().expect("server thread");
 }
 
-/// A `--durability snapshot` server still replays a boot-leftover journal (a
-/// mode change must not forfeit acknowledged state) — and once a snapshot
-/// holds that state, the journal is removed instead of being replayed at
-/// every boot forever.
+/// A server that only replays a journal (every query it answers is a cache
+/// hit, so it never appends) removes that journal once the shutdown
+/// snapshot holds its state, instead of replaying it at every boot forever.
 #[test]
-fn snapshot_mode_absorbs_and_removes_leftover_journals() {
+fn a_replayed_journal_is_removed_once_a_snapshot_supersedes_it() {
     let recording = record_reference_run();
     let dir = TempDir::new();
     let journal_path = dir.0.join(&recording.file_name);
     fs::write(&journal_path, &recording.journal).expect("plant journal");
 
-    let mut config = journal_config(&dir);
-    config.durability = DurabilityMode::Snapshot;
-    let server = Server::bind(config).expect("bind");
+    let server = Server::bind(journal_config(&dir)).expect("bind");
     assert_eq!(server.loaded_snapshots(), 0);
     assert_eq!(server.boot_replayed_records(), JOBS.len() as u64);
     let addr = server.local_addr().expect("addr");
@@ -620,9 +616,7 @@ fn snapshot_mode_absorbs_and_removes_leftover_journals() {
     );
 
     // Next boot: warm purely from the snapshot, nothing left to replay.
-    let mut config = journal_config(&dir);
-    config.durability = DurabilityMode::Snapshot;
-    let server = Server::bind(config).expect("bind");
+    let server = Server::bind(journal_config(&dir)).expect("bind");
     assert_eq!(server.loaded_snapshots(), 1);
     assert_eq!(server.boot_replayed_records(), 0);
     let addr = server.local_addr().expect("addr");

@@ -220,7 +220,7 @@ fn protocol_round_trip_and_errors() {
         "compile_error"
     );
     assert_eq!(
-        client.call_err("{\"op\":\"poll\",\"batch\":123456}"),
+        client.call_err("{\"op\":\"progress\",\"batch\":123456}"),
         "unknown_batch"
     );
     assert_eq!(client.call_err("{\"op\":\"results\"}"), "bad_request");
@@ -247,10 +247,10 @@ fn protocol_round_trip_and_errors() {
     assert_eq!(client.call_err(unknown_job), "unknown_design");
 
     let batch = client.submit_both(&design);
-    // poll until done, then fetch results both ways.
+    // Follow the batch's progress until done, then fetch the results.
     loop {
         let reply = client.call(Json::obj(vec![
-            ("op", Json::str("poll")),
+            ("op", Json::str("progress")),
             ("batch", Json::num(batch)),
         ]));
         if reply.get("done").and_then(Json::as_bool) == Some(true) {
@@ -628,7 +628,6 @@ fn health_build_and_uptime_surface_on_a_live_server() {
     assert!(sample(&samples, "server_uptime_seconds").expect("uptime gauge") >= 0.0);
     assert!(sample(&samples, "server_recorder_recorded").expect("recorder gauge") > 0.0);
     assert_eq!(sample(&samples, "server_recorder_overwrites"), Some(0.0));
-    assert_eq!(sample(&samples, "server_trace_dropped_records"), Some(0.0));
 
     client.shutdown();
     handle.join().expect("server thread");
@@ -751,7 +750,7 @@ fn subscribe_streams_progress_before_every_verdict() {
     let design = client.register_counter();
     let batch = client.submit_both(&design);
 
-    // A second connection rides the event stream; nobody ever polls.
+    // A second connection rides the event stream.
     let mut sub = Client::connect(addr);
     sub.send(&format!(
         "{{\"op\":\"subscribe\",\"batch\":{batch},\"interval_ms\":5}}"
@@ -822,13 +821,17 @@ fn subscribe_streams_progress_before_every_verdict() {
         "completed batches replay deterministically"
     );
 
-    // The results are still there (subscribe never retires a batch), and
-    // the whole exchange used zero `poll` calls.
+    // The results are still there: a batch streamed to `batch_done` is
+    // retired like a fetched one, but kept while it is within
+    // `retained_batches`. `poll` is not an op.
     let results = client.wait(batch);
     assert_eq!(results.len(), 2);
+    assert_eq!(
+        client.call_err(&format!("{{\"op\":\"poll\",\"batch\":{batch}}}")),
+        "unknown_op"
+    );
     let reply = client.call(Json::obj(vec![("op", Json::str("stats"))]));
     let ops = reply.get("ops").expect("ops object");
-    assert_eq!(ops.get("poll").and_then(Json::as_u64), Some(0));
     assert_eq!(ops.get("subscribe").and_then(Json::as_u64), Some(2));
 
     // Even a retired (retrieved) batch replays while it is retained; only a
@@ -850,11 +853,9 @@ fn subscribe_streams_progress_before_every_verdict() {
 
 #[test]
 fn a_late_subscriber_receives_a_large_cache_hit_batch_in_full() {
-    // A send queue far smaller than the replay, so the burst outruns the
-    // writer on any host: the stream must wait for its reader, not shed it.
-    let mut config = quick_config();
-    config.subscribe_queue = 8;
-    let (addr, handle, _) = start(config);
+    // The replay is written as fast as the reader takes it: the stream must
+    // wait for a reader that keeps up, not shed it.
+    let (addr, handle, _) = start(quick_config());
     let mut client = Client::connect(addr);
     let design = client.register_counter();
     let cold = client.submit_both(&design);
@@ -901,6 +902,117 @@ fn a_late_subscriber_receives_a_large_cache_hit_batch_in_full() {
 
     client.shutdown();
     handle.join().expect("server thread");
+}
+
+/// Subscribes to `batch` and drains its stream to `batch_done`.
+fn stream_to_done(sub: &mut Client, batch: u64, total: usize) -> Vec<Json> {
+    sub.send(&format!("{{\"op\":\"subscribe\",\"batch\":{batch}}}"));
+    let ack = sub.read_event();
+    assert_eq!(ack.get("event").and_then(Json::as_str), Some("subscribed"));
+    drain_stream(sub, total)
+}
+
+#[test]
+fn a_batch_streamed_to_batch_done_is_retired_like_a_fetched_one() {
+    let mut config = quick_config();
+    config.service.retained_batches = 1;
+    let (addr, handle, _) = start(config);
+    let mut client = Client::connect(addr);
+    let design = client.register_counter();
+    let mut sub = Client::connect(addr);
+
+    // Two batches followed only over `subscribe`; nobody calls `results`
+    // or `wait`.
+    let first = client.submit_both(&design);
+    stream_to_done(&mut sub, first, 2);
+    let second = client.submit_both(&design);
+    stream_to_done(&mut sub, second, 2);
+
+    // Streaming the second batch to its end retired it, which pushed the
+    // first past the one-batch retention bound.
+    assert_eq!(
+        client.call_err(&format!("{{\"op\":\"progress\",\"batch\":{first}}}")),
+        "unknown_batch"
+    );
+    let reply = client.call(Json::obj(vec![
+        ("op", Json::str("progress")),
+        ("batch", Json::num(second)),
+    ]));
+    assert_eq!(reply.get("done").and_then(Json::as_bool), Some(true));
+    // A retained batch still replays for a late subscriber.
+    assert_eq!(stream_to_done(&mut sub, second, 2).len(), 4);
+
+    client.shutdown();
+    handle.join().expect("server thread");
+}
+
+#[test]
+fn a_streamed_batch_runs_the_compaction_check_before_batch_done() {
+    let dir = TempDir::new();
+    let mut config = quick_config();
+    config.data_dir = Some(dir.0.clone());
+    // Any journal record crosses the threshold, so the batch's design is
+    // due for compaction as soon as its batch ends.
+    config.journal_compact_bytes = 1;
+    let (addr, handle, _) = start(config);
+    let mut client = Client::connect(addr);
+    let design = client.register_counter();
+    let batch = client.submit_both(&design);
+    let mut sub = Client::connect(addr);
+    stream_to_done(&mut sub, batch, 2);
+
+    // The raced batch was compacted before `batch_done` was written,
+    // without any `results` or `wait` call.
+    let reply = client.call(Json::obj(vec![("op", Json::str("metrics"))]));
+    let text = reply
+        .get("prometheus")
+        .and_then(Json::as_str)
+        .expect("prometheus text");
+    let samples = parse_prometheus(text);
+    assert!(
+        sample(&samples, "server_journal_compactions_total").unwrap_or(0.0) >= 1.0,
+        "no compaction after the stream ended"
+    );
+    for op in ["results", "wait"] {
+        let name = format!("server_requests_{op}_total");
+        assert_eq!(sample(&samples, &name).unwrap_or(0.0), 0.0, "{name}");
+    }
+
+    client.shutdown();
+    handle.join().expect("server thread");
+}
+
+#[test]
+fn durability_reports_journal_only_with_a_data_directory() {
+    // (`stats.durability`, `health.checks.durability.mode`) of a fresh server.
+    let reported = |config: ServerConfig| {
+        let (addr, handle, _) = start(config);
+        let mut client = Client::connect(addr);
+        let stats = client.call(Json::obj(vec![("op", Json::str("stats"))]));
+        let health = client.call(Json::obj(vec![("op", Json::str("health"))]));
+        client.shutdown();
+        handle.join().expect("server thread");
+        (
+            stats
+                .get("stats")
+                .and_then(|s| s.get("durability"))
+                .and_then(Json::as_str)
+                .expect("stats.durability")
+                .to_string(),
+            health
+                .get("checks")
+                .and_then(|c| c.get("durability"))
+                .and_then(|d| d.get("mode"))
+                .and_then(Json::as_str)
+                .expect("health durability mode")
+                .to_string(),
+        )
+    };
+    assert_eq!(reported(quick_config()), ("none".into(), "none".into()));
+    let dir = TempDir::new();
+    let mut config = quick_config();
+    config.data_dir = Some(dir.0.clone());
+    assert_eq!(reported(config), ("journal".into(), "journal".into()));
 }
 
 #[test]

@@ -20,8 +20,9 @@
 //! * a **work-queue front door** — [`VerificationService::submit`] (jobs
 //!   that reference a registered design by hash),
 //!   [`VerificationService::submit_batch`] (jobs that carry their netlist),
-//!   [`VerificationService::poll`], [`VerificationService::results`] — with
-//!   a worker pool sharding jobs across CPUs. A queued job holds no
+//!   [`VerificationService::batch_progress`],
+//!   [`VerificationService::results`] — with a worker pool sharding jobs
+//!   across CPUs. A queued job holds no
 //!   netlist: a cache hit never reads one, and a raced job copies its
 //!   design out of the registry once, on the worker.
 //!
@@ -92,7 +93,7 @@ pub use knowledge::{
     ClauseBank, KnowledgeBase, KnowledgeError, KnowledgeStats, DEFAULT_CLAUSE_CAP,
 };
 pub use session::{
-    BatchId, BatchProgress, BatchStatus, Job, JobProgress, JobResult, ServiceConfig, ServiceStats,
+    BatchId, BatchProgress, Job, JobProgress, JobResult, ServiceConfig, ServiceStats,
     VerdictRecord, VerificationService, DEFAULT_CACHE_CAPACITY, DEFAULT_RETAINED_BATCHES,
 };
 
@@ -144,9 +145,9 @@ mod tests {
         assert!(results[0].verdict.is_pass());
         assert!(matches!(results[1].verdict, Verdict::Violated { .. }));
         assert!(results[2].verdict.is_pass());
-        let status = service.poll(batch).expect("known batch");
-        assert!(status.done());
-        assert_eq!(status.total, 3);
+        let progress = service.batch_progress(batch).expect("known batch");
+        assert!(progress.done());
+        assert_eq!(progress.total, 3);
     }
 
     #[test]
@@ -181,6 +182,21 @@ mod tests {
         let b = service.register_design(&counter(12, 5, "y").netlist);
         assert_eq!(a, b);
         assert_eq!(service.stats().designs, 1);
+    }
+
+    #[test]
+    fn a_registered_design_is_looked_up_by_its_hash() {
+        let service = VerificationService::new(quick_config());
+        let netlist = counter(12, 5, "x").netlist;
+        let design = service.register_design(&netlist);
+        let stored = service.design(design).expect("registered design");
+        assert_eq!(design_hash(&stored), design);
+        assert_eq!(service.designs(), vec![design]);
+        // Two lookups share the registry's netlist rather than copying it.
+        let again = service.design(design).expect("registered design");
+        assert!(std::sync::Arc::ptr_eq(&stored, &again));
+        let other = design_hash(&counter(12, 6, "y").netlist);
+        assert!(service.design(other).is_none());
     }
 
     #[test]
@@ -260,14 +276,14 @@ mod tests {
     }
 
     #[test]
-    fn poll_reports_progress_and_unknown_batches() {
+    fn batch_progress_reports_empty_and_unknown_batches() {
         let service = VerificationService::new(quick_config());
         let batch = service.submit_batch(Vec::new());
-        let status = service.poll(batch).expect("known batch");
-        assert!(status.done());
-        assert_eq!(status.total, 0);
+        let progress = service.batch_progress(batch).expect("known batch");
+        assert!(progress.done());
+        assert_eq!(progress.total, 0);
         assert!(service.results(batch).expect("empty batch done").is_empty());
-        let bogus = service.poll(BatchId::from_raw(9999));
+        let bogus = service.batch_progress(BatchId::from_raw(9999));
         assert!(bogus.is_none());
     }
 
@@ -315,12 +331,18 @@ mod tests {
         let service = VerificationService::new(config);
         let first = service.submit_batch(vec![counter(12, 5, "a")]);
         let _ = service.wait(first);
-        assert!(service.poll(first).is_some(), "within the retention bound");
+        assert!(
+            service.batch_progress(first).is_some(),
+            "within the retention bound"
+        );
         let second = service.submit_batch(vec![counter(12, 5, "b")]);
         let _ = service.wait(second);
         // Retrieving the second batch pushed the first past the bound.
-        assert!(service.poll(first).is_none(), "oldest retrieved evicted");
-        assert!(service.poll(second).is_some());
+        assert!(
+            service.batch_progress(first).is_none(),
+            "oldest retrieved evicted"
+        );
+        assert!(service.batch_progress(second).is_some());
         // An unretrieved batch is never evicted, no matter how many
         // retrievals happen after it.
         let third = service.submit_batch(vec![counter(12, 5, "c")]);
@@ -328,7 +350,10 @@ mod tests {
             let again = service.submit_batch(vec![counter(12, 5, "b")]);
             let _ = service.wait(again);
         }
-        assert!(service.poll(third).is_some(), "unretrieved batch survives");
+        assert!(
+            service.batch_progress(third).is_some(),
+            "unretrieved batch survives"
+        );
         let _ = service.wait(third);
     }
 

@@ -4,7 +4,7 @@
 //! A [`VerificationService`] is the front door for batch traffic. Callers
 //! [`VerificationService::submit`] jobs that name a registered design by
 //! hash (or hand whole netlists to [`VerificationService::submit_batch`]),
-//! [`VerificationService::poll`] for progress and fetch
+//! follow them with [`VerificationService::batch_progress`] and fetch
 //! [`VerificationService::results`]; a pool of worker threads drains the
 //! queue. A queued job holds no netlist. Per job the worker
 //!
@@ -77,22 +77,6 @@ impl std::fmt::Display for BatchId {
     }
 }
 
-/// Progress of one batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchStatus {
-    /// Jobs in the batch.
-    pub total: usize,
-    /// Jobs finished (from cache or by racing).
-    pub completed: usize,
-}
-
-impl BatchStatus {
-    /// `true` when every job has a result.
-    pub fn done(&self) -> bool {
-        self.completed == self.total
-    }
-}
-
 /// A live snapshot of one in-flight job: identity plus the aggregated
 /// progress probe of its engine race, read lock-free from the race's
 /// [`RaceProgress`] cells.
@@ -161,8 +145,8 @@ pub struct JobResult {
 /// Default bound of the verdict cache (entries across all designs).
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
-/// Default number of already-retrieved batches kept for late `poll` /
-/// `results` calls.
+/// Default number of already-retrieved batches kept for late `results` /
+/// `progress` calls.
 pub const DEFAULT_RETAINED_BATCHES: usize = 1024;
 
 /// Service configuration.
@@ -179,9 +163,9 @@ pub struct ServiceConfig {
     /// Verdict-cache bound; the least-recently-used entry is evicted when a
     /// new verdict would exceed it. Zero disables caching entirely.
     pub cache_capacity: usize,
-    /// How many already-retrieved batches to keep for late `poll`/`results`
-    /// calls before the oldest are evicted. Unretrieved batches are never
-    /// evicted.
+    /// How many already-retrieved batches to keep for late
+    /// `results`/`progress` calls before the oldest are evicted. Unretrieved
+    /// batches are never evicted.
     pub retained_batches: usize,
     /// Hard wall-clock budget per job. Applied to the portfolio's
     /// `job_budget` unless that is already set; a job exceeding it completes
@@ -285,9 +269,11 @@ impl ServiceStats {
 }
 
 /// One registered design: the canonical netlist, its predictor features and
-/// its learning store.
+/// its learning store. The netlist is shared with every reader that looks
+/// the design up ([`VerificationService::design`]), so the registry holds
+/// the only copy.
 struct DesignEntry {
-    netlist: Netlist,
+    netlist: Arc<Netlist>,
     features: NetlistFeatures,
     knowledge: Mutex<KnowledgeBase>,
 }
@@ -443,7 +429,7 @@ struct BatchState {
 }
 
 /// Batch bookkeeping: the live states plus a retirement queue bounding how
-/// many already-retrieved batches stay around for late `poll`/`results`
+/// many already-retrieved batches stay around for late `results`/`progress`
 /// calls. Without the bound a long-lived server leaks one `BatchState`
 /// (including full counter-example traces) per submission, forever.
 struct BatchTable {
@@ -641,12 +627,35 @@ impl VerificationService {
         let mut registry = self.shared.registry.lock_recover();
         registry.entry(hash).or_insert_with(|| {
             Arc::new(DesignEntry {
-                netlist: netlist.clone(),
+                netlist: Arc::new(netlist.clone()),
                 features: NetlistFeatures::of(netlist),
                 knowledge: Mutex::new(KnowledgeBase::new(hash)),
             })
         });
         hash
+    }
+
+    /// The canonical netlist of a registered design; `None` for a design
+    /// never registered. The netlist is the registry's own, shared, not a
+    /// copy.
+    pub fn design(&self, design: DesignHash) -> Option<Arc<Netlist>> {
+        let registry = self.shared.registry.lock_recover();
+        registry
+            .get(&design)
+            .map(|entry| Arc::clone(&entry.netlist))
+    }
+
+    /// Every registered design, in hash order.
+    pub fn designs(&self) -> Vec<DesignHash> {
+        let mut designs: Vec<DesignHash> = self
+            .shared
+            .registry
+            .lock_recover()
+            .keys()
+            .copied()
+            .collect();
+        designs.sort_unstable_by_key(|design| design.0);
+        designs
     }
 
     /// Submits a batch of self-contained verification jobs: registers each
@@ -665,8 +674,8 @@ impl VerificationService {
     }
 
     /// Submits a batch of jobs against registered designs; returns
-    /// immediately with a handle for [`VerificationService::poll`] /
-    /// [`VerificationService::results`] / [`VerificationService::wait`].
+    /// immediately with a handle for [`VerificationService::batch_progress`]
+    /// / [`VerificationService::results`] / [`VerificationService::wait`].
     /// A cache hit never reads the design; a raced job copies its netlist
     /// once, on the worker.
     pub fn submit(&self, jobs: Vec<Job>) -> BatchId {
@@ -720,15 +729,6 @@ impl VerificationService {
         }
         self.shared.queue_cv.notify_all();
         BatchId(batch)
-    }
-
-    /// Progress of a batch; `None` for an unknown (or retired) handle.
-    pub fn poll(&self, batch: BatchId) -> Option<BatchStatus> {
-        let batches = self.shared.batches.lock_recover();
-        batches.states.get(&batch.0).map(|state| BatchStatus {
-            total: state.results.len(),
-            completed: state.completed,
-        })
     }
 
     /// Jobs queued but not yet picked up by a worker.
@@ -838,7 +838,7 @@ impl VerificationService {
     ///
     /// Retrieving results marks the batch *retrieved*; the service keeps at
     /// most [`ServiceConfig::retained_batches`] retrieved batches around for
-    /// late `poll`/`results` calls, evicting the oldest beyond that — a
+    /// late `results`/`progress` calls, evicting the oldest beyond that — a
     /// long-lived server would otherwise leak every batch (traces included)
     /// it ever answered.
     pub fn results(&self, batch: BatchId) -> Option<Vec<JobResult>> {
@@ -1061,33 +1061,12 @@ impl VerificationService {
     }
 
     /// Blocks until the job queue is empty and every dequeued job has
-    /// completed — the graceful-shutdown drain: no submission is abandoned
-    /// half-raced, and everything learned has been absorbed.
-    ///
-    /// New submissions during the drain extend it.
-    pub fn drain(&self) {
-        let mut batches = self.shared.batches.lock_recover();
-        loop {
-            let queued = {
-                let queue = self.shared.queue.lock_recover();
-                queue.len()
-            };
-            let pending: usize = batches
-                .states
-                .values()
-                .map(|state| state.results.len() - state.completed)
-                .sum();
-            if queued == 0 && pending == 0 {
-                return;
-            }
-            batches = self.shared.batch_cv.wait_recover(batches);
-        }
-    }
-
-    /// Like [`VerificationService::drain`], but gives up after `timeout`.
-    /// Returns `true` when the service fully drained, `false` when work was
-    /// still outstanding at the deadline — the bounded-shutdown path: a hung
-    /// job must not hold the process hostage forever.
+    /// completed, or until `timeout` passes — the graceful-shutdown drain:
+    /// no submission is abandoned half-raced, and everything learned has
+    /// been absorbed. New submissions during the drain extend it. Returns
+    /// `true` when the service fully drained, `false` when work was still
+    /// outstanding at the deadline, so a hung job cannot hold the process
+    /// hostage forever.
     pub fn drain_timeout(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut batches = self.shared.batches.lock_recover();
@@ -1101,20 +1080,14 @@ impl VerificationService {
             if queued == 0 && pending == 0 {
                 return true;
             }
-            let (guard, timed_out) = self
+            if Instant::now() >= deadline {
+                return false;
+            }
+            batches = self
                 .shared
                 .batch_cv
-                .wait_deadline_recover(batches, deadline);
-            batches = guard;
-            if timed_out {
-                let queued = self.shared.queue.lock_recover().len();
-                let pending: usize = batches
-                    .states
-                    .values()
-                    .map(|state| state.results.len() - state.completed)
-                    .sum();
-                return queued == 0 && pending == 0;
-            }
+                .wait_deadline_recover(batches, deadline)
+                .0;
         }
     }
 }
@@ -1393,7 +1366,7 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
         // The race's own copy of the design: the one netlist copy a raced
         // job makes, dropped when the race ends.
         let verification = Verification {
-            netlist: entry.netlist.clone(),
+            netlist: Netlist::clone(&entry.netlist),
             property: job.property.clone(),
             environment: job.environment.clone(),
         };

@@ -37,7 +37,7 @@ fn main() {
     // Cold run: every job races the (predictor-scheduled) portfolio.
     let start = Instant::now();
     let batch = service.submit_batch(jobs.clone());
-    while !service.poll(batch).expect("known batch").done() {
+    while !service.batch_progress(batch).expect("known batch").done() {
         std::thread::sleep(Duration::from_millis(5));
     }
     let cold = service.results(batch).expect("finished batch");

@@ -21,13 +21,14 @@
 //! * [`service`] — persistent verification sessions: a design registry, a
 //!   per-design cross-property learning store (replayed CDCL clauses, ESTG
 //!   conflict cubes, datapath infeasibility facts, engine win/loss history)
-//!   and a `submit_batch`/`poll`/`results` work-queue front door with a
-//!   bounded (LRU) verdict cache,
+//!   and a `submit_batch`/`batch_progress`/`results` work-queue front door
+//!   with a bounded (LRU) verdict cache,
 //! * [`persist`] — versioned, checksummed on-disk snapshots of a design's
-//!   knowledge base and verdict cache, written atomically,
-//! * [`server`] — the TCP front end: line-delimited JSON protocol,
-//!   per-design autosave and restart-warm boot, plus the `wlac-server` and
-//!   `wlac-client` binaries.
+//!   knowledge base and verdict cache, written atomically, and the
+//!   per-design write-ahead journal they compact,
+//! * [`server`] — the TCP front end: line-delimited JSON protocol, a
+//!   journal per design with snapshot compaction and restart-warm boot,
+//!   plus the `wlac-server` and `wlac-client` binaries.
 //!
 //! # Quickstart
 //!
