@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! cargo run -p wlac-bench --release --bin perf_json               # print metrics JSON
-//! cargo run -p wlac-bench --release --bin perf_json -- --check BENCH_3.json
+//! cargo run -p wlac-bench --release --bin perf_json -- --check BENCH_16.json
 //! cargo run -p wlac-bench --release --bin perf_json -- --industry01-paper
 //! ```
 //!
@@ -16,10 +16,11 @@
 //! *asserts* that a server rebooted from its snapshots answers the repeat
 //! batch from the persisted verdict cache with identical verdicts), and
 //! prints one flat JSON object of metrics. With `--check <baseline>` it
-//! additionally loads the committed baseline (the `"after"` object of
-//! `BENCH_5.json`), compares every regression-tracked metric and exits
-//! non-zero when a live metric is more than 3x worse than the baseline —
-//! this is the CI bench smoke gate.
+//! additionally loads the committed baseline (the `"after"` object of a
+//! `BENCH_*.json` file) and exits non-zero when a latency, wall-clock or
+//! allocation metric is more than 3x worse than the baseline, or when a
+//! deterministic search counter (gate evaluations, refinements, arithmetic
+//! calls) differs from it at all — this is the CI bench smoke gate.
 //!
 //! The binary installs a counting global allocator so `allocs_per_gate_eval`
 //! measures real heap traffic of the implication hot path.
@@ -66,12 +67,25 @@ fn alloc_calls() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
 }
 
-/// One named measurement. `tracked` metrics participate in the CI regression
-/// gate (larger = worse); untracked ones are informational.
+/// How `--check` compares a metric with the baseline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Gate {
+    /// Informational only.
+    Untracked,
+    /// Fails when the live value is more than 3x the baseline's (larger =
+    /// worse), above a per-kind noise floor.
+    Ratio,
+    /// A deterministic search-effort counter: fails unless the live value
+    /// equals the baseline's, so a change that alters the search is caught
+    /// even when it makes no wall-clock difference.
+    Exact,
+}
+
+/// One named measurement and the way the CI regression gate checks it.
 struct Metric {
     name: &'static str,
     value: f64,
-    tracked: bool,
+    gate: Gate,
 }
 
 #[allow(clippy::needless_range_loop)]
@@ -120,36 +134,36 @@ fn measure_small_suite() -> Vec<Metric> {
         Metric {
             name: "atpg_small_wall_s",
             value: wall,
-            tracked: true,
+            gate: Gate::Ratio,
         },
         Metric {
             name: "atpg_gate_evals",
             value: evals,
-            tracked: false,
+            gate: Gate::Exact,
         },
         Metric {
             name: "atpg_refinements",
             value: refinements as f64,
-            tracked: false,
+            gate: Gate::Exact,
         },
         Metric {
             name: "implication_ns_per_gate_eval",
             value: wall * 1e9 / evals,
-            tracked: true,
+            gate: Gate::Ratio,
         },
         Metric {
             name: "allocs_per_gate_eval",
             value: allocs / evals,
-            tracked: true,
+            gate: Gate::Ratio,
         },
     ];
     // The Small suite is control-bound (historically zero arithmetic calls);
-    // informational only — the dedicated datapath workload below carries the
-    // per-call regression gate.
+    // the count is gated exactly like the other search counters, and the
+    // dedicated datapath workload below carries the per-call latency gate.
     metrics.push(Metric {
         name: "atpg_arith_calls",
         value: arith_calls as f64,
-        tracked: false,
+        gate: Gate::Exact,
     });
     // Unjustified-gate maintenance cost per decision round. A full rescan
     // per decision would put this near the expanded gate count (hundreds to
@@ -158,7 +172,7 @@ fn measure_small_suite() -> Vec<Metric> {
     metrics.push(Metric {
         name: "justify_rechecks_per_decision",
         value: justify_rechecks as f64 / decisions.max(1) as f64,
-        tracked: true,
+        gate: Gate::Ratio,
     });
     metrics
 }
@@ -204,23 +218,23 @@ fn measure_probed_small_suite(unprobed_ns_per_gate_eval: f64) -> Vec<Metric> {
         Metric {
             name: "probed_implication_ns_per_gate_eval",
             value: ns_per_eval,
-            tracked: true,
+            gate: Gate::Ratio,
         },
         Metric {
             name: "probed_allocs_per_gate_eval",
             value: allocs / evals,
-            tracked: true,
+            gate: Gate::Ratio,
         },
         // Probed / unprobed hot-path latency; ~1.0 when publication is free.
         Metric {
             name: "probe_overhead_ratio",
             value: ns_per_eval / unprobed_ns_per_gate_eval.max(1e-9),
-            tracked: false,
+            gate: Gate::Untracked,
         },
         Metric {
             name: "probe_publications",
             value: probe.probes as f64,
-            tracked: false,
+            gate: Gate::Untracked,
         },
     ]
 }
@@ -286,24 +300,24 @@ fn measure_datapath() -> Vec<Metric> {
         Metric {
             name: "datapath_ns_per_arith_call",
             value: incremental.ns_per_arith_call().unwrap_or(f64::NAN),
-            tracked: true,
+            gate: Gate::Ratio,
         },
         Metric {
             name: "datapath_arith_calls",
             value: incremental.arithmetic_calls as f64,
-            tracked: false,
+            gate: Gate::Exact,
         },
         Metric {
             name: "datapath_island_cache_hit_rate",
             value: incremental.island_cache_hit_rate().unwrap_or(0.0),
-            tracked: false,
+            gate: Gate::Untracked,
         },
         // The from-scratch oracle path on the same workload: the ratio to
         // `datapath_ns_per_arith_call` is the incremental-resolution speedup.
         Metric {
             name: "datapath_scratch_ns_per_arith_call",
             value: scratch.ns_per_arith_call().unwrap_or(f64::NAN),
-            tracked: false,
+            gate: Gate::Untracked,
         },
     ]
 }
@@ -319,7 +333,7 @@ fn measure_cdcl() -> Vec<Metric> {
     vec![Metric {
         name: "cdcl_php87_wall_s",
         value: wall,
-        tracked: true,
+        gate: Gate::Ratio,
     }]
 }
 
@@ -333,7 +347,7 @@ fn measure_portfolio() -> Vec<Metric> {
     vec![Metric {
         name: "portfolio_small_wall_s",
         value: wall,
-        tracked: true,
+        gate: Gate::Ratio,
     }]
 }
 
@@ -373,27 +387,27 @@ fn measure_service() -> Vec<Metric> {
         Metric {
             name: "service_cold_wall_s",
             value: cold_wall,
-            tracked: true,
+            gate: Gate::Ratio,
         },
         Metric {
             name: "service_warm_wall_s",
             value: warm_wall,
-            tracked: true,
+            gate: Gate::Ratio,
         },
         Metric {
             name: "service_warm_speedup",
             value: cold_wall / warm_wall.max(1e-9),
-            tracked: false,
+            gate: Gate::Untracked,
         },
         Metric {
             name: "service_cache_hit_rate",
             value: stats.cache_hit_rate(),
-            tracked: false,
+            gate: Gate::Untracked,
         },
         Metric {
             name: "service_clauses_banked",
             value: stats.clauses_banked as f64,
-            tracked: false,
+            gate: Gate::Untracked,
         },
     ]
 }
@@ -570,23 +584,23 @@ fn measure_server_restart() -> Vec<Metric> {
         Metric {
             name: "server_cold_wall_s",
             value: cold_wall,
-            tracked: true,
+            gate: Gate::Ratio,
         },
         Metric {
             name: "server_restart_warm_wall_s",
             value: warm_wall,
-            tracked: true,
+            gate: Gate::Ratio,
         },
         Metric {
             name: "server_restart_speedup",
             value: cold_wall / warm_wall.max(1e-9),
-            tracked: false,
+            gate: Gate::Untracked,
         },
         // > 0 is asserted above; recorded so the committed baseline shows it.
         Metric {
             name: "server_restart_cache_hits",
             value: cache_hits,
-            tracked: false,
+            gate: Gate::Untracked,
         },
     ]
 }
@@ -608,7 +622,7 @@ fn measure_industry01_paper() -> Vec<Metric> {
     vec![Metric {
         name: "portfolio_industry01_paper_wall_s",
         value: wall,
-        tracked: false,
+        gate: Gate::Untracked,
     }]
 }
 
@@ -697,7 +711,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
         let baseline = parse_baseline(&text);
         let mut failures = Vec::new();
-        for m in metrics.iter().filter(|m| m.tracked) {
+        for m in metrics.iter().filter(|m| m.gate != Gate::Untracked) {
             // A tracked metric that degenerated to NaN/inf (e.g. a workload
             // that stopped exercising its hot path, making the denominator
             // zero) must fail the gate, not silently pass every comparison.
@@ -705,7 +719,17 @@ fn main() {
                 failures.push(format!("{}: live value {} is not finite", m.name, m.value));
                 continue;
             }
-            let Some((_, base)) = baseline.iter().find(|(k, _)| k == m.name) else {
+            let base = baseline.iter().find(|(k, _)| k == m.name).map(|(_, v)| *v);
+            if m.gate == Gate::Exact {
+                if base != Some(m.value) {
+                    failures.push(format!(
+                        "{}: live {} != baseline {:?} (the search changed)",
+                        m.name, m.value, base
+                    ));
+                }
+                continue;
+            }
+            let Some(base) = base else {
                 continue;
             };
             // Noise floors keep the gate robust on slow shared CI runners:

@@ -6,9 +6,84 @@
 //! carry/borrow chain, multiplication propagates what can be deduced from the
 //! known low-order bits, and the comparison helpers evaluate relational
 //! operators over cube ranges.
+//!
+//! Everything is mask arithmetic on the cubes' known/value planes, one `u64`
+//! word at a time. A three-valued ripple chain splits into two Boolean
+//! chains — "the carry is known 1" and "the carry may be 1" — and each of
+//! those is the carry vector of one machine addition, so a whole word of
+//! carries costs two adds instead of 64 full-adder steps.
 
-use crate::tv::{full_add, full_sub};
-use crate::{Bv, Bv3, Tv};
+use crate::{last_word_mask, Bv, Bv3, Tv, WORD_BITS};
+use std::cmp::Ordering;
+
+/// Carries of the word addition `x + y + carry_in`: bit `i` of the first
+/// result is the carry *into* bit `i`, the second is the carry out of bit 63.
+fn carries(x: u64, y: u64, carry_in: bool) -> (u64, bool) {
+    let (sum, o1) = x.overflowing_add(y);
+    let (sum, o2) = sum.overflowing_add(u64::from(carry_in));
+    (sum ^ x ^ y, o1 | o2)
+}
+
+/// Runs the two Boolean chains of a three-valued ripple ("known 1", "may be
+/// 1") over the words of a `width`-bit operation and returns the final
+/// carry. `step(i, one, maybe)` gets word `i` and the two chains' carries
+/// into it, writes the word's result, and returns for each chain its carry
+/// vector (bit `b` = carry into bit `b`) and its carry out of bit 63. The
+/// carry out of a partial last word is bit `width % 64` of its vector.
+fn ripple(
+    width: usize,
+    words: usize,
+    carry_one: bool,
+    carry_maybe: bool,
+    mut step: impl FnMut(usize, bool, bool) -> ((u64, bool), (u64, bool)),
+) -> Tv {
+    let (mut one, mut maybe) = (carry_one, carry_maybe);
+    for i in 0..words {
+        let ((one_vec, one_out), (maybe_vec, maybe_out)) = step(i, one, maybe);
+        let rem = width % WORD_BITS;
+        if i + 1 == words && rem != 0 {
+            one = (one_vec >> rem) & 1 == 1;
+            maybe = (maybe_vec >> rem) & 1 == 1;
+        } else {
+            one = one_out;
+            maybe = maybe_out;
+        }
+    }
+    if one {
+        Tv::One
+    } else if !maybe {
+        Tv::Zero
+    } else {
+        Tv::X
+    }
+}
+
+/// Mask of the valid bits of word `i` of a `words`-word, `width`-bit cube.
+fn word_mask(width: usize, words: usize, i: usize) -> u64 {
+    if i + 1 == words {
+        last_word_mask(width)
+    } else {
+        u64::MAX
+    }
+}
+
+/// Word `i` of the cube's largest member (every `x` bit set to 1).
+fn max_word(c: &Bv3, i: usize) -> u64 {
+    let (known, value) = c.word(i);
+    value | (!known & word_mask(c.width(), c.word_count(), i))
+}
+
+/// Compares two same-width numbers given word by word, most significant
+/// word first.
+fn cmp_words(words: usize, a: impl Fn(usize) -> u64, b: impl Fn(usize) -> u64) -> Ordering {
+    for i in (0..words).rev() {
+        match a(i).cmp(&b(i)) {
+            Ordering::Equal => continue,
+            ord => return ord,
+        }
+    }
+    Ordering::Equal
+}
 
 /// Three-valued addition: returns `(sum, carry_out)`.
 ///
@@ -47,9 +122,8 @@ pub fn add3_with_carry(a: &Bv3, b: &Bv3, carry_in: Tv) -> (Bv3, Tv) {
     (out, carry)
 }
 
-/// Three-valued addition written into a caller-provided scratch cube;
-/// returns the carry-out. The in-place form of [`add3_with_carry`] used by
-/// the implication hot path to avoid constructing fresh cubes.
+/// Three-valued addition written into a caller-provided cube; returns the
+/// carry-out. The in-place form of [`add3_with_carry`].
 ///
 /// # Panics
 ///
@@ -57,13 +131,27 @@ pub fn add3_with_carry(a: &Bv3, b: &Bv3, carry_in: Tv) -> (Bv3, Tv) {
 pub fn add3_into(a: &Bv3, b: &Bv3, carry_in: Tv, out: &mut Bv3) -> Tv {
     assert_eq!(a.width(), b.width(), "width mismatch");
     assert_eq!(a.width(), out.width(), "width mismatch");
-    let mut carry = carry_in;
-    for i in 0..a.width() {
-        let (s, c) = full_add(a.bit(i), b.bit(i), carry);
-        out.set_bit(i, s);
-        carry = c;
-    }
-    carry
+    // A full adder's carry is known 1 when two inputs are known 1: the carry
+    // chain of the minimum members (x = 0). It is known 0 when two inputs
+    // are known 0, i.e. when the chain of the maximum members (x = 1) has no
+    // carry.
+    let (width, words) = (a.width(), a.word_count());
+    ripple(
+        width,
+        words,
+        carry_in == Tv::One,
+        carry_in != Tv::Zero,
+        |i, one_in, maybe_in| {
+            let (ak, av) = a.word(i);
+            let (bk, bv) = b.word(i);
+            let mask = word_mask(width, words, i);
+            let one = carries(av, bv, one_in);
+            let maybe = carries(av | (!ak & mask), bv | (!bk & mask), maybe_in);
+            let known = ak & bk & (one.0 | !maybe.0);
+            out.set_word(i, known, av ^ bv ^ one.0);
+            (one, maybe)
+        },
+    )
 }
 
 /// Three-valued subtraction `a - b`: returns `(difference, borrow_out)`.
@@ -103,13 +191,24 @@ pub fn sub3(a: &Bv3, b: &Bv3) -> (Bv3, Tv) {
 pub fn sub3_into(a: &Bv3, b: &Bv3, out: &mut Bv3) -> Tv {
     assert_eq!(a.width(), b.width(), "width mismatch");
     assert_eq!(a.width(), out.width(), "width mismatch");
-    let mut borrow = Tv::Zero;
-    for i in 0..a.width() {
-        let (d, bo) = full_sub(a.bit(i), b.bit(i), borrow);
-        out.set_bit(i, d);
-        borrow = bo;
-    }
-    borrow
+    // The ripple borrow is `(!a & b) | (!(a ^ b) & borrow_in)` in Kleene
+    // logic. It is known 0 exactly when two of {a = 1, b = 0, borrow = 0}
+    // hold: a majority chain, i.e. the carries of `a1 + b0 + 1`. It is known
+    // 1 when a = 0 and b = 1 (generate), or when a and b are known equal and
+    // the borrow in is known 1 (propagate) — weaker than the exact borrow,
+    // and reproduced as the carries of `(g | p) + g`.
+    let (width, words) = (a.width(), a.word_count());
+    ripple(width, words, false, false, |i, one_in, maybe_in| {
+        let (ak, av) = a.word(i);
+        let (bk, bv) = b.word(i);
+        let generate = ak & !av & bv;
+        let propagate = ak & bk & !(av ^ bv);
+        let one = carries(generate | propagate, generate, one_in);
+        let zero = carries(av, bk & !bv, !maybe_in);
+        let known = ak & bk & (one.0 | zero.0);
+        out.set_word(i, known, av ^ bv ^ one.0);
+        (one, (!zero.0, !zero.1))
+    })
 }
 
 /// Three-valued negation (two's complement).
@@ -145,58 +244,78 @@ pub fn mul3(a: &Bv3, b: &Bv3) -> Bv3 {
     let mut out = Bv3::all_x(width);
     // Low bits determined by known low bits of both operands.
     let low = known_prefix(a).min(known_prefix(b));
-    if low > 0 {
-        let prod = a.min_value().mul(&b.min_value());
-        for i in 0..low {
-            out.set_bit(i, Tv::from_bool(prod.bit(i)));
-        }
-    }
     // Known trailing zeros accumulate: a = a'·2^k, b = b'·2^m ⇒ ab ≡ 0 (mod 2^{k+m}).
-    let tz = known_trailing_zeros(a) + known_trailing_zeros(b);
-    for i in 0..tz.min(width) {
-        out.set_bit(i, Tv::Zero);
+    let zeros = (known_trailing_zeros(a) + known_trailing_zeros(b)).min(width);
+    let prod = if low > 0 {
+        a.min_value().mul(&b.min_value())
+    } else {
+        zero
+    };
+    for (i, word) in prod.words().iter().enumerate() {
+        let base = i * WORD_BITS;
+        let low_bits = low_mask(low.saturating_sub(base));
+        let zero_bits = low_mask(zeros.saturating_sub(base));
+        out.set_word(i, low_bits | zero_bits, word & low_bits & !zero_bits);
     }
     out
 }
 
+/// The `n.min(64)` lowest bits of a word.
+fn low_mask(n: usize) -> u64 {
+    if n >= WORD_BITS {
+        u64::MAX
+    } else {
+        (1u64 << n) - 1
+    }
+}
+
+/// Length of the run of low bits, starting at the LSB, whose plane bit is
+/// set in `plane(word)`.
+fn trailing_run(c: &Bv3, plane: impl Fn(u64, u64) -> u64) -> usize {
+    let mut run = 0;
+    for i in 0..c.word_count() {
+        let (known, value) = c.word(i);
+        let ones = plane(known, value).trailing_ones() as usize;
+        run += ones;
+        if ones < WORD_BITS {
+            break;
+        }
+    }
+    run.min(c.width())
+}
+
 /// Number of consecutive known bits starting at the LSB.
 fn known_prefix(a: &Bv3) -> usize {
-    (0..a.width()).take_while(|i| a.bit(*i).is_known()).count()
+    trailing_run(a, |known, _| known)
 }
 
 /// Number of consecutive known-zero bits starting at the LSB.
 fn known_trailing_zeros(a: &Bv3) -> usize {
-    (0..a.width()).take_while(|i| a.bit(*i) == Tv::Zero).count()
+    trailing_run(a, |known, value| known & !value)
 }
 
 /// Three-valued logical shift left by a concrete amount.
 pub fn shl3(a: &Bv3, amount: usize) -> Bv3 {
     let width = a.width();
-    let mut out = Bv3::all_x(width);
-    for i in 0..width {
-        let t = if i < amount {
-            Tv::Zero
-        } else {
-            a.bit(i - amount)
-        };
-        out.set_bit(i, t);
+    if amount >= width {
+        return Bv3::from_u64(width, 0);
     }
-    out
+    if amount == 0 {
+        return a.clone();
+    }
+    a.slice(0, width - amount).concat(&Bv3::from_u64(amount, 0))
 }
 
 /// Three-valued logical shift right by a concrete amount.
 pub fn shr3(a: &Bv3, amount: usize) -> Bv3 {
     let width = a.width();
-    let mut out = Bv3::all_x(width);
-    for i in 0..width {
-        let t = if i + amount < width {
-            a.bit(i + amount)
-        } else {
-            Tv::Zero
-        };
-        out.set_bit(i, t);
+    if amount >= width {
+        return Bv3::from_u64(width, 0);
     }
-    out
+    if amount == 0 {
+        return a.clone();
+    }
+    Bv3::from_u64(amount, 0).concat(&a.slice(amount, width - amount))
 }
 
 /// Maximum number of candidate shift amounts enumerated when the amount is a
@@ -244,12 +363,21 @@ pub fn shift3_var(a: &Bv3, amount: &Bv3, left: bool) -> Bv3 {
 /// Panics if widths differ.
 pub fn eq3(a: &Bv3, b: &Bv3) -> Tv {
     assert_eq!(a.width(), b.width(), "width mismatch");
-    if a.intersect(b).is_none() {
-        return Tv::Zero;
+    let words = a.word_count();
+    let mut same_value = true;
+    for i in 0..words {
+        let (ak, av) = a.word(i);
+        let (bk, bv) = b.word(i);
+        if (av ^ bv) & ak & bk != 0 {
+            return Tv::Zero;
+        }
+        let full = word_mask(a.width(), words, i);
+        same_value &= ak == full && bk == full && av == bv;
     }
-    match (a.to_bv(), b.to_bv()) {
-        (Some(x), Some(y)) if x == y => Tv::One,
-        _ => Tv::X,
+    if same_value {
+        Tv::One
+    } else {
+        Tv::X
     }
 }
 
@@ -265,9 +393,10 @@ pub fn ne3(a: &Bv3, b: &Bv3) -> Tv {
 /// Panics if widths differ.
 pub fn lt3(a: &Bv3, b: &Bv3) -> Tv {
     assert_eq!(a.width(), b.width(), "width mismatch");
-    if a.max_value() < b.min_value() {
+    let words = a.word_count();
+    if cmp_words(words, |i| max_word(a, i), |i| b.word(i).1) == Ordering::Less {
         Tv::One
-    } else if a.min_value() >= b.max_value() {
+    } else if cmp_words(words, |i| a.word(i).1, |i| max_word(b, i)) != Ordering::Less {
         Tv::Zero
     } else {
         Tv::X
@@ -277,9 +406,10 @@ pub fn lt3(a: &Bv3, b: &Bv3) -> Tv {
 /// Three-valued unsigned `a <= b` using interval reasoning.
 pub fn le3(a: &Bv3, b: &Bv3) -> Tv {
     assert_eq!(a.width(), b.width(), "width mismatch");
-    if a.max_value() <= b.min_value() {
+    let words = a.word_count();
+    if cmp_words(words, |i| max_word(a, i), |i| b.word(i).1) != Ordering::Greater {
         Tv::One
-    } else if a.min_value() > b.max_value() {
+    } else if cmp_words(words, |i| a.word(i).1, |i| max_word(b, i)) == Ordering::Greater {
         Tv::Zero
     } else {
         Tv::X

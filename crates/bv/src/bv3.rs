@@ -2,8 +2,8 @@
 
 use crate::bv::split_literal;
 use crate::error::ParseBvError;
-use crate::small::SmallWords;
-use crate::{last_word_mask, words_for, Bv, Tv, WORD_BITS};
+use crate::small::INLINE_WORDS;
+use crate::{words_for, Bv, Tv, WORD_BITS};
 use std::fmt;
 use std::str::FromStr;
 
@@ -18,7 +18,8 @@ use std::str::FromStr;
 /// and `value` (bit value, only meaningful where `known` is set), with the
 /// invariant `value & !known == 0`. Both planes are stored inline for widths
 /// up to 128 bits, so constructing or cloning narrow cubes never touches the
-/// heap — the property the word-level implication hot path depends on.
+/// heap — the property the word-level implication hot path depends on — and
+/// word 0 of a cube of 64 bits or fewer is a plain field read.
 ///
 /// # Examples
 ///
@@ -36,13 +37,16 @@ use std::str::FromStr;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Bv3 {
     width: usize,
-    /// Bit is known (not x).
-    known: SmallWords,
-    /// Bit value; only meaningful where `known` is set.
-    value: SmallWords,
+    /// Known plane of a cube of up to 128 bits; words past the width are 0.
+    known: [u64; INLINE_WORDS],
+    /// Value plane of a cube of up to 128 bits; words past the width are 0.
+    value: [u64; INLINE_WORDS],
+    /// Both planes of a wider cube, known words then value words (the
+    /// inline planes then stay 0).
+    wide: Option<Box<[u64]>>,
 }
 
 impl Bv3 {
@@ -56,19 +60,18 @@ impl Bv3 {
         let n = words_for(width);
         Bv3 {
             width,
-            known: SmallWords::zeroed(n),
-            value: SmallWords::zeroed(n),
+            known: [0; INLINE_WORDS],
+            value: [0; INLINE_WORDS],
+            wide: (n > INLINE_WORDS).then(|| vec![0; 2 * n].into_boxed_slice()),
         }
     }
 
     /// Creates a fully-known cube from a concrete value.
     pub fn from_bv(value: &Bv) -> Self {
         let mut out = Bv3::all_x(value.width());
-        for (i, w) in value.words().iter().enumerate() {
-            out.value[i] = *w;
-            out.known[i] = u64::MAX;
+        for (i, word) in value.words().iter().enumerate() {
+            out.set_word(i, u64::MAX, *word);
         }
-        out.normalize();
         out
     }
 
@@ -80,17 +83,24 @@ impl Bv3 {
     /// Creates a single-bit cube from a [`Tv`].
     pub fn from_tv(t: Tv) -> Self {
         let mut out = Bv3::all_x(1);
-        out.set_bit(0, t);
+        out.known[0] = u64::from(t != Tv::X);
+        out.value[0] = u64::from(t == Tv::One);
         out
     }
 
-    fn normalize(&mut self) {
-        let n = self.known.len();
-        let mask = last_word_mask(self.width);
-        self.known[n - 1] &= mask;
-        self.value[n - 1] &= mask;
-        for i in 0..n {
-            self.value[i] &= self.known[i];
+    /// The known plane, one word per 64 bits.
+    fn known_plane(&self) -> &[u64] {
+        match &self.wide {
+            None => &self.known[..words_for(self.width)],
+            Some(planes) => &planes[..planes.len() / 2],
+        }
+    }
+
+    /// The value plane, one word per 64 bits.
+    fn value_plane(&self) -> &[u64] {
+        match &self.wide {
+            None => &self.value[..words_for(self.width)],
+            Some(planes) => &planes[planes.len() / 2..],
         }
     }
 
@@ -106,11 +116,11 @@ impl Bv3 {
     /// Panics if `i >= width`.
     pub fn bit(&self, i: usize) -> Tv {
         assert!(i < self.width, "bit index {i} out of range");
-        let w = i / WORD_BITS;
+        let (known, value) = self.word(i / WORD_BITS);
         let b = i % WORD_BITS;
-        if (self.known[w] >> b) & 1 == 0 {
+        if (known >> b) & 1 == 0 {
             Tv::X
-        } else if (self.value[w] >> b) & 1 == 1 {
+        } else if (value >> b) & 1 == 1 {
             Tv::One
         } else {
             Tv::Zero
@@ -126,19 +136,11 @@ impl Bv3 {
         assert!(i < self.width, "bit index {i} out of range");
         let w = i / WORD_BITS;
         let mask = 1u64 << (i % WORD_BITS);
+        let (known, value) = self.word(w);
         match t {
-            Tv::X => {
-                self.known[w] &= !mask;
-                self.value[w] &= !mask;
-            }
-            Tv::Zero => {
-                self.known[w] |= mask;
-                self.value[w] &= !mask;
-            }
-            Tv::One => {
-                self.known[w] |= mask;
-                self.value[w] |= mask;
-            }
+            Tv::X => self.set_word(w, known & !mask, value),
+            Tv::Zero => self.set_word(w, known | mask, value & !mask),
+            Tv::One => self.set_word(w, known | mask, value | mask),
         }
     }
 
@@ -161,7 +163,7 @@ impl Bv3 {
 
     /// `true` when every bit is unknown.
     pub fn is_all_x(&self) -> bool {
-        self.known.iter().all(|w| *w == 0)
+        self.known_plane().iter().all(|w| *w == 0)
     }
 
     /// Number of unknown bits.
@@ -171,13 +173,16 @@ impl Bv3 {
 
     /// Number of known bits.
     pub fn count_known(&self) -> usize {
-        self.known.iter().map(|w| w.count_ones() as usize).sum()
+        self.known_plane()
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// Converts to a concrete value if fully known.
     pub fn to_bv(&self) -> Option<Bv> {
         if self.is_fully_known() {
-            Some(Bv::from_words(self.width, &self.value))
+            Some(Bv::from_words(self.width, self.value_plane()))
         } else {
             None
         }
@@ -195,7 +200,7 @@ impl Bv3 {
 
     /// Smallest concrete value in the cube (all `x` bits set to 0).
     pub fn min_value(&self) -> Bv {
-        Bv::from_words(self.width, &self.value)
+        Bv::from_words(self.width, self.value_plane())
     }
 
     /// Largest concrete value in the cube (all `x` bits set to 1).
@@ -204,7 +209,7 @@ impl Bv3 {
         for (dst, (v, k)) in out
             .words_mut()
             .iter_mut()
-            .zip(self.value.iter().zip(self.known.iter()))
+            .zip(self.value_plane().iter().zip(self.known_plane()))
         {
             *dst = v | !k;
         }
@@ -219,10 +224,10 @@ impl Bv3 {
     /// Panics if widths differ.
     pub fn matches(&self, v: &Bv) -> bool {
         assert_eq!(self.width, v.width(), "width mismatch");
-        self.known
+        self.known_plane()
             .iter()
-            .zip(self.value.iter())
-            .zip(v.words().iter())
+            .zip(self.value_plane())
+            .zip(v.words())
             .all(|((k, val), w)| w & k == *val)
     }
 
@@ -234,16 +239,11 @@ impl Bv3 {
     /// Panics if widths differ.
     pub fn covers(&self, other: &Bv3) -> bool {
         assert_eq!(self.width, other.width, "width mismatch");
-        for i in 0..self.known.len() {
+        (0..self.word_count()).all(|i| {
+            let ((k, v), (ok, ov)) = (self.word(i), other.word(i));
             // every bit known in self must be known in other with same value
-            if self.known[i] & !other.known[i] != 0 {
-                return false;
-            }
-            if (self.value[i] ^ other.value[i]) & self.known[i] != 0 {
-                return false;
-            }
-        }
-        true
+            k & !ok == 0 && (v ^ ov) & k == 0
+        })
     }
 
     /// Cube intersection: the set of values in both cubes.
@@ -254,18 +254,8 @@ impl Bv3 {
     ///
     /// Panics if widths differ.
     pub fn intersect(&self, other: &Bv3) -> Option<Bv3> {
-        assert_eq!(self.width, other.width, "width mismatch");
         let mut out = self.clone();
-        for i in 0..self.known.len() {
-            let both = self.known[i] & other.known[i];
-            if (self.value[i] ^ other.value[i]) & both != 0 {
-                return None;
-            }
-            out.known[i] = self.known[i] | other.known[i];
-            out.value[i] = self.value[i] | other.value[i];
-        }
-        out.normalize();
-        Some(out)
+        out.intersect_assign(other).then_some(out)
     }
 
     /// Cube union (smallest cube containing both): a bit stays known only if
@@ -275,14 +265,8 @@ impl Bv3 {
     ///
     /// Panics if widths differ.
     pub fn union(&self, other: &Bv3) -> Bv3 {
-        assert_eq!(self.width, other.width, "width mismatch");
-        let mut out = Bv3::all_x(self.width);
-        for i in 0..self.known.len() {
-            let agree = self.known[i] & other.known[i] & !(self.value[i] ^ other.value[i]);
-            out.known[i] = agree;
-            out.value[i] = self.value[i] & agree;
-        }
-        out.normalize();
+        let mut out = self.clone();
+        out.union_assign(other);
         out
     }
 
@@ -293,22 +277,7 @@ impl Bv3 {
     /// newly known, `Ok(false)` if nothing changed, and `Err(Conflict)` if a
     /// known bit disagrees.
     pub fn refine(&mut self, other: &Bv3) -> Result<bool, CubeConflict> {
-        assert_eq!(self.width, other.width, "width mismatch");
-        let mut changed = false;
-        for i in 0..self.known.len() {
-            let both = self.known[i] & other.known[i];
-            if (self.value[i] ^ other.value[i]) & both != 0 {
-                return Err(CubeConflict);
-            }
-            let new_known = self.known[i] | other.known[i];
-            if new_known != self.known[i] {
-                changed = true;
-            }
-            self.value[i] |= other.value[i];
-            self.known[i] = new_known;
-        }
-        self.normalize();
-        Ok(changed)
+        self.refine_recording(other, |_, _, _| {})
     }
 
     /// Like [`Bv3::refine`], but reports each changed word through
@@ -318,31 +287,41 @@ impl Bv3 {
     /// the previous cube.
     ///
     /// Runs in two passes so that on a conflict `self` is left unchanged and
-    /// nothing is reported.
+    /// nothing is reported. Cubes of 64 bits or fewer take a single-word path
+    /// with no loop at all.
     pub fn refine_recording(
         &mut self,
         other: &Bv3,
         mut on_change: impl FnMut(usize, u64, u64),
     ) -> Result<bool, CubeConflict> {
         assert_eq!(self.width, other.width, "width mismatch");
-        for i in 0..self.known.len() {
-            let both = self.known[i] & other.known[i];
-            if (self.value[i] ^ other.value[i]) & both != 0 {
+        if self.width <= WORD_BITS {
+            let (known, value) = (self.known[0], self.value[0]);
+            let (other_known, other_value) = (other.known[0], other.value[0]);
+            if (value ^ other_value) & known & other_known != 0 {
                 return Err(CubeConflict);
             }
+            let new_known = known | other_known;
+            if new_known == known {
+                return Ok(false);
+            }
+            on_change(0, known, value);
+            self.known[0] = new_known;
+            self.value[0] = (value | other_value) & new_known;
+            return Ok(true);
         }
-        let mask = last_word_mask(self.width);
-        let last = self.known.len() - 1;
+        if !self.intersects(other) {
+            return Err(CubeConflict);
+        }
         let mut changed = false;
-        for i in 0..self.known.len() {
-            let word_mask = if i == last { mask } else { u64::MAX };
-            let new_known = (self.known[i] | other.known[i]) & word_mask;
-            if new_known == self.known[i] {
+        for i in 0..self.word_count() {
+            let ((known, value), (other_known, other_value)) = (self.word(i), other.word(i));
+            let new_known = known | other_known;
+            if new_known == known {
                 continue;
             }
-            on_change(i, self.known[i], self.value[i]);
-            self.value[i] = (self.value[i] | other.value[i]) & new_known;
-            self.known[i] = new_known;
+            on_change(i, known, value);
+            self.set_word(i, new_known, value | other_value);
             changed = true;
         }
         Ok(changed)
@@ -350,25 +329,90 @@ impl Bv3 {
 
     /// Number of `u64` words per plane.
     pub fn word_count(&self) -> usize {
-        self.known.len()
+        words_for(self.width)
     }
 
-    /// Restores one word of both planes to previously observed values, as
-    /// reported by [`Bv3::refine_recording`]. Low-level trail support: the
-    /// caller must pass plane words that were valid for this cube (the
-    /// `value & !known == 0` invariant is re-imposed defensively).
+    /// Word `i` of both planes as `(known, value)`: bit `b` of the pair
+    /// describes bit `64 * i + b` of the cube. Bits past the width read as
+    /// unknown. The plane-level view the word-parallel implication rules
+    /// compute on.
     ///
     /// # Panics
     ///
-    /// Panics if `word` is out of range.
-    pub fn restore_word(&mut self, word: usize, known: u64, value: u64) {
-        self.known[word] = known;
-        self.value[word] = value & known;
+    /// Panics if `i` is out of range.
+    #[inline]
+    pub fn word(&self, i: usize) -> (u64, u64) {
+        debug_assert!(i < self.word_count(), "word index {i} out of range");
+        match &self.wide {
+            None => (self.known[i], self.value[i]),
+            Some(planes) => (planes[i], planes[planes.len() / 2 + i]),
+        }
+    }
+
+    /// Overwrites word `i` of both planes, e.g. to restore a word reported
+    /// by [`Bv3::refine_recording`] or to store a word computed by mask
+    /// arithmetic. The invariants are re-imposed: value bits outside
+    /// `known` and known bits past the width are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[inline]
+    pub fn set_word(&mut self, i: usize, known: u64, value: u64) {
+        let known = known & self.word_mask(i);
+        match &mut self.wide {
+            None => {
+                self.known[i] = known;
+                self.value[i] = value & known;
+            }
+            Some(planes) => {
+                let n = planes.len() / 2;
+                planes[i] = known;
+                planes[n + i] = value & known;
+            }
+        }
+    }
+
+    /// Replaces every word pair with `f(known, value, other_known,
+    /// other_value) -> (known, value)`, value masked by known. `f` must map
+    /// bits unknown in both cubes to unknown: inline cubes run it over both
+    /// inline words, the unused ones included, without per-word masking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if widths differ.
+    #[inline]
+    fn combine(&mut self, other: &Bv3, f: impl Fn(u64, u64, u64, u64) -> (u64, u64)) {
+        assert_eq!(self.width, other.width, "width mismatch");
+        if self.wide.is_none() {
+            for i in 0..INLINE_WORDS {
+                let (k, v) = f(self.known[i], self.value[i], other.known[i], other.value[i]);
+                self.known[i] = k;
+                self.value[i] = v & k;
+            }
+        } else {
+            for i in 0..self.word_count() {
+                let ((k, v), (ok, ov)) = (self.word(i), other.word(i));
+                let (k, v) = f(k, v, ok, ov);
+                self.set_word(i, k, v);
+            }
+        }
+    }
+
+    /// Mask of the valid bits of word `i`.
+    #[inline]
+    fn word_mask(&self, i: usize) -> u64 {
+        let base = i * WORD_BITS;
+        assert!(base < self.width, "word index {i} out of range");
+        match self.width - base {
+            bits if bits >= WORD_BITS => u64::MAX,
+            bits => (1u64 << bits) - 1,
+        }
     }
 
     /// `true` when both planes are stored inline (width ≤ 128 bits).
     pub fn is_inline(&self) -> bool {
-        self.known.is_inline() && self.value.is_inline()
+        self.wide.is_none()
     }
 
     /// In-place cube union: keeps a bit known only when both operands agree
@@ -378,98 +422,125 @@ impl Bv3 {
     ///
     /// Panics if widths differ.
     pub fn union_assign(&mut self, other: &Bv3) {
-        assert_eq!(self.width, other.width, "width mismatch");
-        for i in 0..self.known.len() {
-            let agree = self.known[i] & other.known[i] & !(self.value[i] ^ other.value[i]);
-            self.known[i] = agree;
-            self.value[i] &= agree;
-        }
+        self.combine(other, |k, v, ok, ov| (k & ok & !(v ^ ov), v));
     }
 
     /// In-place cube intersection (meet): merges `other`'s known bits into
-    /// `self`. Returns `false` (leaving `self` in a partially-merged but
-    /// still-invariant state) when the cubes are disjoint. The in-place form
-    /// of [`Bv3::intersect`] for scratch buffers.
+    /// `self`. Returns `false` (leaving `self` unchanged) when the cubes are
+    /// disjoint. The in-place form of [`Bv3::intersect`] for scratch
+    /// buffers.
     ///
     /// # Panics
     ///
     /// Panics if widths differ.
     pub fn intersect_assign(&mut self, other: &Bv3) -> bool {
-        assert_eq!(self.width, other.width, "width mismatch");
-        for i in 0..self.known.len() {
-            let both = self.known[i] & other.known[i];
-            if (self.value[i] ^ other.value[i]) & both != 0 {
-                return false;
-            }
-            self.known[i] |= other.known[i];
-            self.value[i] |= other.value[i];
+        if !self.intersects(other) {
+            return false;
         }
-        self.normalize();
+        self.combine(other, |k, v, ok, ov| (k | ok, v | ov));
         true
+    }
+
+    /// `true` when the cubes share at least one concrete value, i.e. no bit
+    /// is known in both with different values. The allocation-free test
+    /// behind [`Bv3::intersect`]`.is_some()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if widths differ.
+    pub fn intersects(&self, other: &Bv3) -> bool {
+        assert_eq!(self.width, other.width, "width mismatch");
+        if self.wide.is_none() {
+            let clash =
+                |i: usize| (self.value[i] ^ other.value[i]) & self.known[i] & other.known[i];
+            return clash(0) | clash(1) == 0;
+        }
+        (0..self.word_count()).all(|i| {
+            let ((k, v), (ok, ov)) = (self.word(i), other.word(i));
+            (v ^ ov) & k & ok == 0
+        })
     }
 
     /// Bitwise three-valued AND.
     pub fn and3(&self, other: &Bv3) -> Bv3 {
-        assert_eq!(self.width, other.width, "width mismatch");
-        let mut out = Bv3::all_x(self.width);
-        for i in 0..self.known.len() {
-            let known_one = self.value[i] & other.value[i];
-            let known_zero = (self.known[i] & !self.value[i]) | (other.known[i] & !other.value[i]);
-            out.known[i] = known_one | known_zero;
-            out.value[i] = known_one;
-        }
-        out.normalize();
+        let mut out = self.clone();
+        out.and3_assign(other);
         out
+    }
+
+    /// In-place [`Bv3::and3`]: a bit is known-1 when both are 1 and known-0
+    /// when either is 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if widths differ.
+    pub fn and3_assign(&mut self, other: &Bv3) {
+        self.combine(other, |k, v, ok, ov| {
+            ((v & ov) | (k & !v) | (ok & !ov), v & ov)
+        });
     }
 
     /// Bitwise three-valued OR.
     pub fn or3(&self, other: &Bv3) -> Bv3 {
-        assert_eq!(self.width, other.width, "width mismatch");
-        let mut out = Bv3::all_x(self.width);
-        for i in 0..self.known.len() {
-            let known_one = self.value[i] | other.value[i];
-            let known_zero = (self.known[i] & !self.value[i]) & (other.known[i] & !other.value[i]);
-            out.known[i] = known_one | known_zero;
-            out.value[i] = known_one;
-        }
-        out.normalize();
+        let mut out = self.clone();
+        out.or3_assign(other);
         out
+    }
+
+    /// In-place [`Bv3::or3`]: a bit is known-1 when either is 1 and known-0
+    /// when both are 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if widths differ.
+    pub fn or3_assign(&mut self, other: &Bv3) {
+        self.combine(other, |k, v, ok, ov| {
+            ((v | ov) | (k & !v & ok & !ov), v | ov)
+        });
     }
 
     /// Bitwise three-valued XOR.
     pub fn xor3(&self, other: &Bv3) -> Bv3 {
-        assert_eq!(self.width, other.width, "width mismatch");
-        let mut out = Bv3::all_x(self.width);
-        for i in 0..self.known.len() {
-            let known = self.known[i] & other.known[i];
-            out.known[i] = known;
-            out.value[i] = (self.value[i] ^ other.value[i]) & known;
-        }
-        out.normalize();
+        let mut out = self.clone();
+        out.xor3_assign(other);
         out
+    }
+
+    /// In-place [`Bv3::xor3`]: a bit is known when it is known in both.
+    ///
+    /// # Panics
+    ///
+    /// Panics if widths differ.
+    pub fn xor3_assign(&mut self, other: &Bv3) {
+        self.combine(other, |k, v, ok, ov| (k & ok, v ^ ov));
     }
 
     /// Bitwise three-valued NOT.
     pub fn not3(&self) -> Bv3 {
-        let mut out = Bv3::all_x(self.width);
-        for i in 0..self.known.len() {
-            out.known[i] = self.known[i];
-            out.value[i] = !self.value[i] & self.known[i];
+        let mut out = self.clone();
+        for i in 0..out.word_count() {
+            let (k, v) = out.word(i);
+            out.set_word(i, k, !v);
         }
-        out.normalize();
         out
     }
 
     /// Zero-extends or truncates to a new width. New high bits are known-0.
     pub fn resize(&self, width: usize) -> Bv3 {
         let mut out = Bv3::all_x(width);
-        for i in 0..width {
-            let t = if i < self.width {
-                self.bit(i)
+        let (known, value) = (self.known_plane(), self.value_plane());
+        for i in 0..out.word_count() {
+            // Bits at or above the source width become known zeros.
+            let base = i * WORD_BITS;
+            let pad = if base >= self.width {
+                u64::MAX
+            } else if self.width - base >= WORD_BITS {
+                0
             } else {
-                Tv::Zero
+                !((1u64 << (self.width - base)) - 1)
             };
-            out.set_bit(i, t);
+            let k = known.get(i).copied().unwrap_or(0) | pad;
+            out.set_word(i, k, value.get(i).copied().unwrap_or(0));
         }
         out
     }
@@ -482,8 +553,10 @@ impl Bv3 {
     pub fn slice(&self, lo: usize, width: usize) -> Bv3 {
         assert!(lo + width <= self.width, "slice out of range");
         let mut out = Bv3::all_x(width);
-        for i in 0..width {
-            out.set_bit(i, self.bit(lo + i));
+        let (known, value) = (self.known_plane(), self.value_plane());
+        for i in 0..out.word_count() {
+            let from = lo + i * WORD_BITS;
+            out.set_word(i, bits_from(known, from), bits_from(value, from));
         }
         out
     }
@@ -491,13 +564,26 @@ impl Bv3 {
     /// Concatenates `self` (high part) with `low` (low part).
     pub fn concat(&self, low: &Bv3) -> Bv3 {
         let mut out = Bv3::all_x(self.width + low.width);
-        for i in 0..low.width {
-            out.set_bit(i, low.bit(i));
-        }
-        for i in 0..self.width {
-            out.set_bit(low.width + i, self.bit(i));
-        }
+        out.overlay(0, low);
+        out.overlay(low.width, self);
         out
+    }
+
+    /// Writes the known bits of `src` over bits `[lo, lo + src.width())` of
+    /// `self`, replacing whatever those bits held; `x` bits of `src` leave
+    /// `self` unchanged, and bits past `self`'s width are dropped. The
+    /// word-parallel form of setting each known bit of `src` in turn, used
+    /// by the slice and shift backward implications.
+    pub fn overlay(&mut self, lo: usize, src: &Bv3) {
+        let (src_known, src_value) = (src.known_plane(), src.value_plane());
+        let first = lo / WORD_BITS;
+        let last = ((lo + src.width - 1) / WORD_BITS).min(self.word_count() - 1);
+        for i in first..=last {
+            let known = bits_shifted_in(src_known, lo, i);
+            let value = bits_shifted_in(src_value, lo, i);
+            let (k, v) = self.word(i);
+            self.set_word(i, k | known, (v & !known) | value);
+        }
     }
 
     /// Number of concrete values represented by the cube, saturating at
@@ -512,6 +598,31 @@ impl Bv3 {
     }
 }
 
+/// Bits `[lo, lo + 64)` of the little-endian word array `words`, with bits
+/// past its end reading as zero.
+fn bits_from(words: &[u64], lo: usize) -> u64 {
+    let (w, b) = (lo / WORD_BITS, lo % WORD_BITS);
+    let low = words.get(w).copied().unwrap_or(0) >> b;
+    if b == 0 {
+        low
+    } else {
+        low | words.get(w + 1).copied().unwrap_or(0) << (WORD_BITS - b)
+    }
+}
+
+/// Word `i` of `words` shifted left by `shift` bits (the words placed at bit
+/// offset `shift`).
+fn bits_shifted_in(words: &[u64], shift: usize, i: usize) -> u64 {
+    let base = i * WORD_BITS;
+    if base >= shift {
+        bits_from(words, base - shift)
+    } else if shift - base < WORD_BITS {
+        words[0] << (shift - base)
+    } else {
+        0
+    }
+}
+
 /// Conflict produced when merging incompatible cubes with [`Bv3::refine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CubeConflict;
@@ -523,6 +634,17 @@ impl fmt::Display for CubeConflict {
 }
 
 impl std::error::Error for CubeConflict {}
+
+impl fmt::Debug for Bv3 {
+    /// Shows the width and both planes, one word per 64 bits.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Bv3")
+            .field("width", &self.width)
+            .field("known", &self.known_plane())
+            .field("value", &self.value_plane())
+            .finish()
+    }
+}
 
 impl fmt::Display for Bv3 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -10,9 +10,11 @@
 //!   significant ones, because only the most significant `x` bit splits the
 //!   cube's range into two *disjoint* sub-ranges.
 //!
-//! [`refine_to_range`] implements exactly that MSB-first procedure.
+//! [`refine_to_range`] implements exactly that MSB-first procedure. It visits
+//! only the cube's `x` bits, and for cubes of 64 bits or fewer
+//! ([`refine_to_range_u64`]) keeps the interval ends in plain `u64`s.
 
-use crate::{Bv, Bv3, Tv};
+use crate::{last_word_mask, Bv, Bv3, WORD_BITS};
 use std::error::Error;
 use std::fmt;
 
@@ -103,38 +105,120 @@ pub fn refine_to_range(cube: &Bv3, lo: &Bv, hi: &Bv) -> Result<Bv3, EmptyRangeEr
 pub fn refine_to_range_in_place(cube: &mut Bv3, lo: &Bv, hi: &Bv) -> Result<(), EmptyRangeError> {
     assert_eq!(cube.width(), lo.width(), "width mismatch");
     assert_eq!(cube.width(), hi.width(), "width mismatch");
+    if cube.width() <= WORD_BITS {
+        return refine_to_range_u64(cube, lo.words()[0], hi.words()[0]);
+    }
     if lo > hi {
         return Err(EmptyRangeError);
     }
+    let mut min = cube.min_value();
+    let mut max = cube.max_value();
     // Overall feasibility check first.
-    if !intervals_overlap(&cube.min_value(), &cube.max_value(), lo, hi) {
+    if !(min <= *hi && *lo <= max) {
         return Err(EmptyRangeError);
     }
-    for i in (0..cube.width()).rev() {
-        if cube.bit(i) != Tv::X {
-            continue;
-        }
-        cube.set_bit(i, Tv::Zero);
-        let zero_ok = intervals_overlap(&cube.min_value(), &cube.max_value(), lo, hi);
-        cube.set_bit(i, Tv::One);
-        let one_ok = intervals_overlap(&cube.min_value(), &cube.max_value(), lo, hi);
-        match (zero_ok, one_ok) {
-            (true, true) => {
-                // Rule 2: stop at the first ambiguous bit.
-                cube.set_bit(i, Tv::X);
-                break;
+    // From here on `[min, max]` always overlaps `[lo, hi]`, so the zero
+    // branch of an `x` bit only has to keep `lo <= max` and the one branch
+    // only `min <= hi`.
+    for i in (0..cube.word_count()).rev() {
+        let (known, value) = cube.word(i);
+        let mask = if i + 1 == cube.word_count() {
+            last_word_mask(cube.width())
+        } else {
+            u64::MAX
+        };
+        let (mut new_known, mut new_value) = (known, value);
+        let mut xs = !known & mask;
+        let mut outcome = None;
+        while xs != 0 {
+            let bit = 1u64 << (WORD_BITS - 1 - xs.leading_zeros() as usize);
+            xs ^= bit;
+            max.words_mut()[i] ^= bit;
+            let zero_ok = *lo <= max;
+            max.words_mut()[i] ^= bit;
+            min.words_mut()[i] ^= bit;
+            let one_ok = min <= *hi;
+            min.words_mut()[i] ^= bit;
+            new_known |= bit;
+            match (zero_ok, one_ok) {
+                (true, true) => {
+                    // Rule 2: stop at the first ambiguous bit.
+                    new_known ^= bit;
+                    outcome = Some(Ok(()));
+                    break;
+                }
+                (true, false) => max.words_mut()[i] ^= bit,
+                (false, true) => {
+                    new_value |= bit;
+                    min.words_mut()[i] ^= bit;
+                }
+                (false, false) => {
+                    // Leave the bit at 1, as the bit-by-bit procedure does.
+                    new_value |= bit;
+                    outcome = Some(Err(EmptyRangeError));
+                    break;
+                }
             }
-            (true, false) => cube.set_bit(i, Tv::Zero),
-            (false, true) => {} // already set to One
-            (false, false) => return Err(EmptyRangeError),
+        }
+        cube.set_word(i, new_known, new_value);
+        if let Some(outcome) = outcome {
+            return outcome;
         }
     }
     Ok(())
 }
 
-/// `true` when `[a_lo, a_hi]` and `[b_lo, b_hi]` intersect.
-fn intervals_overlap(a_lo: &Bv, a_hi: &Bv, b_lo: &Bv, b_hi: &Bv) -> bool {
-    a_lo <= b_hi && b_lo <= a_hi
+/// [`refine_to_range_in_place`] for cubes of at most 64 bits, with the
+/// interval `[lo, hi]` given as plain integers: the comparator implication's
+/// single-word path.
+///
+/// # Errors
+///
+/// Returns [`EmptyRangeError`] when no value of the cube can lie in
+/// `[lo, hi]`.
+///
+/// # Panics
+///
+/// Panics if the cube is wider than 64 bits.
+pub fn refine_to_range_u64(cube: &mut Bv3, lo: u64, hi: u64) -> Result<(), EmptyRangeError> {
+    assert!(
+        cube.width() <= WORD_BITS,
+        "refine_to_range_u64 needs a single-word cube"
+    );
+    if lo > hi {
+        return Err(EmptyRangeError);
+    }
+    let (mut known, mut value) = cube.word(0);
+    let mut xs = !known & last_word_mask(cube.width());
+    let (mut min, mut max) = (value, value | xs);
+    if min > hi || lo > max {
+        return Err(EmptyRangeError);
+    }
+    let mut result = Ok(());
+    while xs != 0 {
+        let bit = 1u64 << (WORD_BITS - 1 - xs.leading_zeros() as usize);
+        xs ^= bit;
+        match (lo <= (max ^ bit), (min | bit) <= hi) {
+            (true, true) => break,
+            (true, false) => {
+                known |= bit;
+                max ^= bit;
+            }
+            (false, true) => {
+                known |= bit;
+                value |= bit;
+                min |= bit;
+            }
+            (false, false) => {
+                known |= bit;
+                value |= bit;
+                result = Err(EmptyRangeError);
+                break;
+            }
+        }
+    }
+    cube.set_word(0, known, value);
+    result
 }
 
 /// Saturating decrement: `v - 1`, or zero if `v` is zero.
@@ -158,6 +242,7 @@ pub fn saturating_inc(v: &Bv) -> Bv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Tv;
 
     fn cube(s: &str) -> Bv3 {
         s.parse().unwrap()

@@ -1,11 +1,11 @@
-//! Inline small-vector word storage backing [`crate::Bv`] and [`crate::Bv3`].
+//! Inline small-vector word storage backing [`crate::Bv`].
 //!
-//! Word-level implication touches millions of cubes; almost all of them are
-//! control nets or narrow buses. Storing the `u64` planes in a `Vec` means a
-//! heap allocation per cube construction — on the hot path that dominates the
-//! profile. `SmallWords` keeps up to [`INLINE_WORDS`] words inline (covering
-//! every net up to 128 bits) and spills to a `Vec<u64>` only for the rare
-//! wider buses (the industrial designs carry 152-bit buses).
+//! Almost every value is a control net or a narrow bus. Storing the `u64`
+//! words in a `Vec` would mean a heap allocation per value; `SmallWords`
+//! keeps up to [`INLINE_WORDS`] words inline (covering every net up to 128
+//! bits) and spills to a `Vec<u64>` only for the rare wider buses (the
+//! industrial designs carry 152-bit buses). [`crate::Bv3`] uses the same
+//! inline capacity for its two planes, as fixed arrays.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};

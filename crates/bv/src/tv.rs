@@ -149,8 +149,10 @@ impl From<bool> for Tv {
 ///
 /// The sum is known only when all three inputs are known. The carry is known
 /// as soon as two inputs are known-one (carry = 1) or two are known-zero
-/// (carry = 0).
-pub(crate) fn full_add(a: Tv, b: Tv, cin: Tv) -> (Tv, Tv) {
+/// (carry = 0). The per-bit specification that [`crate::arith`]'s
+/// word-parallel carry chains implement.
+#[cfg(test)]
+fn full_add(a: Tv, b: Tv, cin: Tv) -> (Tv, Tv) {
     let bits = [a, b, cin];
     let ones = bits.iter().filter(|t| **t == Tv::One).count();
     let zeros = bits.iter().filter(|t| **t == Tv::Zero).count();
@@ -170,8 +172,10 @@ pub(crate) fn full_add(a: Tv, b: Tv, cin: Tv) -> (Tv, Tv) {
 }
 
 /// Full-subtractor over three-valued bits for `a - b`: returns
-/// `(difference, borrow_out)`.
-pub(crate) fn full_sub(a: Tv, b: Tv, bin: Tv) -> (Tv, Tv) {
+/// `(difference, borrow_out)`. The per-bit specification of
+/// [`crate::arith::sub3`]'s borrow chain.
+#[cfg(test)]
+fn full_sub(a: Tv, b: Tv, bin: Tv) -> (Tv, Tv) {
     let diff = a ^ b ^ bin;
     // borrow_out = (!a & b) | (!(a ^ b) & bin)
     let borrow = (!a & b) | (!(a ^ b) & bin);

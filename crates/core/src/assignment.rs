@@ -126,11 +126,7 @@ impl Assignment {
         assert!(mark <= self.trail.len(), "mark beyond trail");
         while self.trail.len() > mark {
             let entry = self.trail.pop().expect("non-empty trail");
-            self.values[entry.net.index()].restore_word(
-                entry.word as usize,
-                entry.known,
-                entry.value,
-            );
+            self.values[entry.net.index()].set_word(entry.word as usize, entry.known, entry.value);
             if self.track_dirty {
                 self.dirty.push(entry.net);
             }

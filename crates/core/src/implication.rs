@@ -1,17 +1,30 @@
 //! Word-level logic implication (Section 3.1 of the paper).
 //!
 //! Every gate kind has forward and backward implication rules expressed over
-//! three-valued cubes:
+//! three-valued cubes, and every rule is mask arithmetic on the cubes'
+//! known/value planes, one 64-bit word at a time:
 //!
-//! * **Boolean gates** use bit-parallel 3-valued logic,
-//! * **arithmetic units** use 3-valued ripple addition/subtraction
-//!   (the Fig. 3 adder rule: the missing operand is `output − operand`),
+//! * **Boolean gates**: forward is bit-parallel Kleene logic. Backward, an
+//!   AND output bit at 1 forces every input to 1, and an output bit at 0
+//!   forces the one input that is still undecided there to 0 when every
+//!   other input is 1 (OR is the dual). "Exactly one undecided input" comes
+//!   from a ones/twos accumulator over the inputs' undecided masks; XOR uses
+//!   the same accumulator over the unknown masks plus a parity word,
+//! * **arithmetic units** use 3-valued ripple addition/subtraction, two
+//!   carry chains of machine additions per word (the Fig. 3 adder rule: the
+//!   missing operand is `output − operand`),
 //! * **comparators** translate cubes to `[min, max]` ranges, tighten the
 //!   ranges from the output value, and map back to cubes MSB-first
-//!   (the Fig. 4 rule),
-//! * **multiplexors** use cube union / null-intersection reasoning,
+//!   (the Fig. 4 rule); nets of 64 bits or fewer keep the ranges in `u64`s,
+//! * **multiplexors** and equality use cube union (plane agreement) and
+//!   intersection (plane meet) with null-intersection reasoning,
+//! * **slices, concatenations and zero-extensions** shift planes,
 //! * frame-connection buffers (the unrolled form of registers) propagate in
 //!   both directions.
+//!
+//! The rules read the assignment's cubes in place and build only the cubes
+//! they propose. The bit-at-a-time rules they replaced live on as the test
+//! oracle in `implication/bitserial.rs`.
 //!
 //! The [`Propagator`] runs these rules to a fixed point over a levelized
 //! event queue (gates bucketed by topological depth, so forward implications
@@ -19,14 +32,19 @@
 //! once per wave); any contradiction surfaces as a [`Conflict`].
 //!
 //! The whole loop is allocation-free at steady state for nets up to 128 bits:
-//! cubes are stored inline ([`wlac_bv::Bv3`]), proposals go through reusable
-//! scratch buffers, and the assignment trail records word deltas.
+//! cubes are stored inline ([`wlac_bv::Bv3`]), proposals go through a
+//! reusable scratch buffer, and the assignment trail records word deltas.
 
 use crate::assignment::{Assignment, Conflict};
 use wlac_bv::arith::{add3, eq3, ge3, gt3, le3, lt3, mul3, ne3, shift3_var, sub3};
-use wlac_bv::range::{refine_to_range_in_place, saturating_dec, saturating_inc};
+use wlac_bv::range::{
+    refine_to_range_in_place, refine_to_range_u64, saturating_dec, saturating_inc, EmptyRangeError,
+};
 use wlac_bv::{Bv, Bv3, Tv};
 use wlac_netlist::{Gate, GateId, GateKind, NetId, Netlist};
+
+#[cfg(test)]
+mod bitserial;
 
 /// Counters describing the implication effort (reported in [`crate::CheckStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -55,229 +73,117 @@ impl ImplicationStats {
 
 /// Forward 3-valued evaluation of a gate from its current input cubes.
 pub(crate) fn forward_eval(netlist: &Netlist, gate: &Gate, asg: &Assignment) -> Bv3 {
-    let input = |i: usize| asg.value(gate.inputs[i]).clone();
-    let out_width = netlist.net_width(gate.output);
+    let input = |i: usize| asg.value(gate.inputs[i]);
     match &gate.kind {
         GateKind::Const(v) => Bv3::from_bv(v),
-        GateKind::Buf | GateKind::Dff { .. } => input(0),
+        GateKind::Buf | GateKind::Dff { .. } => input(0).clone(),
         GateKind::Not => input(0).not3(),
-        GateKind::And => gate
-            .inputs
-            .iter()
-            .skip(1)
-            .fold(input(0), |acc, n| acc.and3(asg.value(*n))),
-        GateKind::Or => gate
-            .inputs
-            .iter()
-            .skip(1)
-            .fold(input(0), |acc, n| acc.or3(asg.value(*n))),
-        GateKind::Xor => gate
-            .inputs
-            .iter()
-            .skip(1)
-            .fold(input(0), |acc, n| acc.xor3(asg.value(*n))),
+        GateKind::And | GateKind::Or | GateKind::Xor => {
+            let mut acc = input(0).clone();
+            for net in gate.inputs.iter().skip(1) {
+                let v = asg.value(*net);
+                match gate.kind {
+                    GateKind::And => acc.and3_assign(v),
+                    GateKind::Or => acc.or3_assign(v),
+                    _ => acc.xor3_assign(v),
+                }
+            }
+            acc
+        }
         GateKind::ReduceAnd => {
-            let v = input(0);
-            let any_zero = (0..v.width()).any(|i| v.bit(i) == Tv::Zero);
-            let all_one = (0..v.width()).all(|i| v.bit(i) == Tv::One);
-            Bv3::from_tv(if any_zero {
+            let counts = BitCounts::of(input(0));
+            Bv3::from_tv(if counts.zeros > 0 {
                 Tv::Zero
-            } else if all_one {
+            } else if counts.ones == counts.width {
                 Tv::One
             } else {
                 Tv::X
             })
         }
         GateKind::ReduceOr => {
-            let v = input(0);
-            let any_one = (0..v.width()).any(|i| v.bit(i) == Tv::One);
-            let all_zero = (0..v.width()).all(|i| v.bit(i) == Tv::Zero);
-            Bv3::from_tv(if any_one {
+            let counts = BitCounts::of(input(0));
+            Bv3::from_tv(if counts.ones > 0 {
                 Tv::One
-            } else if all_zero {
+            } else if counts.zeros == counts.width {
                 Tv::Zero
             } else {
                 Tv::X
             })
         }
         GateKind::ReduceXor => {
-            let v = input(0);
-            if v.is_fully_known() {
-                let ones = (0..v.width()).filter(|i| v.bit(*i) == Tv::One).count();
-                Bv3::from_tv(Tv::from_bool(ones % 2 == 1))
+            let counts = BitCounts::of(input(0));
+            Bv3::from_tv(if counts.unknown() == 0 {
+                Tv::from_bool(counts.ones % 2 == 1)
             } else {
-                Bv3::from_tv(Tv::X)
-            }
+                Tv::X
+            })
         }
-        GateKind::Add => add3(&input(0), &input(1)).0,
-        GateKind::Sub => sub3(&input(0), &input(1)).0,
-        GateKind::Mul => mul3(&input(0), &input(1)),
-        GateKind::Shl => shift3_var(&input(0), &input(1), true),
-        GateKind::Shr => shift3_var(&input(0), &input(1), false),
-        GateKind::Eq => Bv3::from_tv(eq3(&input(0), &input(1))),
-        GateKind::Ne => Bv3::from_tv(ne3(&input(0), &input(1))),
-        GateKind::Lt => Bv3::from_tv(lt3(&input(0), &input(1))),
-        GateKind::Le => Bv3::from_tv(le3(&input(0), &input(1))),
-        GateKind::Gt => Bv3::from_tv(gt3(&input(0), &input(1))),
-        GateKind::Ge => Bv3::from_tv(ge3(&input(0), &input(1))),
-        GateKind::Mux => {
-            let sel = input(0).to_tv();
-            match sel {
-                Tv::One => input(1),
-                Tv::Zero => input(2),
-                Tv::X => {
-                    let mut union = input(1);
-                    union.union_assign(asg.value(gate.inputs[2]));
-                    union
-                }
+        GateKind::Add => add3(input(0), input(1)).0,
+        GateKind::Sub => sub3(input(0), input(1)).0,
+        GateKind::Mul => mul3(input(0), input(1)),
+        GateKind::Shl => shift3_var(input(0), input(1), true),
+        GateKind::Shr => shift3_var(input(0), input(1), false),
+        GateKind::Eq => Bv3::from_tv(eq3(input(0), input(1))),
+        GateKind::Ne => Bv3::from_tv(ne3(input(0), input(1))),
+        GateKind::Lt => Bv3::from_tv(lt3(input(0), input(1))),
+        GateKind::Le => Bv3::from_tv(le3(input(0), input(1))),
+        GateKind::Gt => Bv3::from_tv(gt3(input(0), input(1))),
+        GateKind::Ge => Bv3::from_tv(ge3(input(0), input(1))),
+        GateKind::Mux => match input(0).to_tv() {
+            Tv::One => input(1).clone(),
+            Tv::Zero => input(2).clone(),
+            Tv::X => {
+                let mut union = input(1).clone();
+                union.union_assign(input(2));
+                union
             }
-        }
-        GateKind::Concat => input(0).concat(&input(1)),
-        GateKind::Slice { lo } => input(0).slice(*lo, out_width),
-        GateKind::ZeroExt => input(0).resize(out_width),
+        },
+        GateKind::Concat => input(0).concat(input(1)),
+        GateKind::Slice { lo } => input(0).slice(*lo, netlist.net_width(gate.output)),
+        GateKind::ZeroExt => input(0).resize(netlist.net_width(gate.output)),
     }
 }
 
 /// Proposed refinements (net, cube) produced by one gate implication step.
-type Proposals = Vec<(NetId, Bv3)>;
+pub(crate) type Proposals = Vec<(NetId, Bv3)>;
 
-/// Reusable buffers threaded through gate implication so that steady-state
-/// propagation performs no heap allocation: `proposals` collects the
-/// refinements of one gate evaluation, `cubes` holds per-input working copies
-/// for the variadic Boolean gates. Both keep their capacity across gates.
-#[derive(Debug, Default)]
-pub(crate) struct Scratch {
-    proposals: Proposals,
-    cubes: Vec<Bv3>,
+/// Approximate heap bytes held by a proposal buffer: the spine plus the cube
+/// payloads currently parked in it.
+fn proposals_memory_bytes(proposals: &Proposals) -> usize {
+    let cube_heap = |c: &Bv3| 2 * c.width().div_ceil(64).max(2) * 8;
+    proposals.capacity() * std::mem::size_of::<(NetId, Bv3)>()
+        + proposals.iter().map(|(_, c)| cube_heap(c)).sum::<usize>()
 }
 
-impl Scratch {
-    /// Approximate heap bytes held by the scratch buffers (the spines plus
-    /// the cube payloads currently parked in them).
-    pub(crate) fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let cube_heap = |c: &Bv3| 2 * c.width().div_ceil(64).max(2) * 8;
-        self.proposals.capacity() * size_of::<(NetId, Bv3)>()
-            + self
-                .proposals
-                .iter()
-                .map(|(_, c)| cube_heap(c))
-                .sum::<usize>()
-            + self.cubes.capacity() * size_of::<Bv3>()
-            + self.cubes.iter().map(cube_heap).sum::<usize>()
-    }
-}
-
-/// Computes forward and backward implications for one gate into
-/// `scratch.proposals` (cleared first).
+/// Computes forward and backward implications for one gate into `out`
+/// (cleared first), forward first.
 ///
 /// The proposals are merged into the assignment by the caller; a proposal
 /// never *weakens* a value (merging is monotone), and conflicting proposals
 /// are detected by [`Assignment::refine`].
-pub(crate) fn imply_gate(netlist: &Netlist, gate: &Gate, asg: &Assignment, scratch: &mut Scratch) {
-    scratch.proposals.clear();
-    // Forward.
-    scratch
-        .proposals
-        .push((gate.output, forward_eval(netlist, gate, asg)));
-    // Backward.
-    let Scratch { proposals, cubes } = scratch;
-    backward(netlist, gate, asg, proposals, cubes);
+pub(crate) fn imply_gate(netlist: &Netlist, gate: &Gate, asg: &Assignment, out: &mut Proposals) {
+    out.clear();
+    out.push((gate.output, forward_eval(netlist, gate, asg)));
+    backward(netlist, gate, asg, out);
 }
 
-fn backward(
-    netlist: &Netlist,
-    gate: &Gate,
-    asg: &Assignment,
-    out: &mut Proposals,
-    cubes: &mut Vec<Bv3>,
-) {
-    let y = asg.value(gate.output).clone();
-    let input = |i: usize| asg.value(gate.inputs[i]).clone();
+fn backward(netlist: &Netlist, gate: &Gate, asg: &Assignment, out: &mut Proposals) {
+    let y = asg.value(gate.output);
+    let input = |i: usize| asg.value(gate.inputs[i]);
     match &gate.kind {
         GateKind::Const(_) => {}
-        GateKind::Buf | GateKind::Dff { .. } => out.push((gate.inputs[0], y)),
+        GateKind::Buf | GateKind::Dff { .. } => out.push((gate.inputs[0], y.clone())),
         GateKind::Not => out.push((gate.inputs[0], y.not3())),
-        GateKind::And | GateKind::Or => {
-            let is_and = gate.kind == GateKind::And;
-            let width = y.width();
-            // Working copies double as both the "current value" snapshot and
-            // the refined proposal: every mutation below touches only the bit
-            // position currently being decided, which is read before it is
-            // written, so no stale reads can occur.
-            cubes.clear();
-            cubes.extend(gate.inputs.iter().map(|n| asg.value(*n).clone()));
-            let controlling = if is_and { Tv::Zero } else { Tv::One };
-            let passive = !controlling;
-            for bit in 0..width {
-                match y.bit(bit) {
-                    t if t == passive => {
-                        // AND output 1 / OR output 0: every input takes the passive value.
-                        for p in cubes.iter_mut() {
-                            p.set_bit(bit, passive);
-                        }
-                    }
-                    t if t == controlling => {
-                        // Exactly one undetermined input left while all others
-                        // are passive: it must take the controlling value.
-                        let mut undecided = 0usize;
-                        let mut last = 0usize;
-                        for (i, v) in cubes.iter().enumerate() {
-                            if v.bit(bit) != passive {
-                                undecided += 1;
-                                last = i;
-                            }
-                        }
-                        if undecided == 1 && cubes[last].bit(bit) == Tv::X {
-                            cubes[last].set_bit(bit, controlling);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            for (net, cube) in gate.inputs.iter().zip(cubes.drain(..)) {
-                out.push((*net, cube));
-            }
-        }
-        GateKind::Xor => {
-            let width = y.width();
-            cubes.clear();
-            cubes.extend(gate.inputs.iter().map(|n| asg.value(*n).clone()));
-            for bit in 0..width {
-                if !y.bit(bit).is_known() {
-                    continue;
-                }
-                let mut unknown = 0usize;
-                let mut last = 0usize;
-                for (i, v) in cubes.iter().enumerate() {
-                    if !v.bit(bit).is_known() {
-                        unknown += 1;
-                        last = i;
-                    }
-                }
-                if unknown == 1 {
-                    let mut parity = y.bit(bit);
-                    for (i, v) in cubes.iter().enumerate() {
-                        if i != last {
-                            parity = parity ^ v.bit(bit);
-                        }
-                    }
-                    cubes[last].set_bit(bit, parity);
-                }
-            }
-            for (net, cube) in gate.inputs.iter().zip(cubes.drain(..)) {
-                out.push((*net, cube));
-            }
-        }
+        GateKind::And | GateKind::Or => backward_and_or(gate, y, asg, out),
+        GateKind::Xor => backward_xor(gate, y, asg, out),
         GateKind::ReduceAnd => {
             let v = input(0);
             match y.to_tv() {
                 Tv::One => out.push((gate.inputs[0], Bv3::from_bv(&Bv::ones(v.width())))),
                 Tv::Zero => {
-                    let (unknown, first_unknown) = count_bits(&v, Tv::X);
-                    let (ones, _) = count_bits(&v, Tv::One);
-                    if unknown == 1 && ones == v.width() - 1 {
-                        out.push((gate.inputs[0], v.with_bit(first_unknown, Tv::Zero)));
+                    let counts = BitCounts::of(v);
+                    if counts.unknown() == 1 && counts.ones == v.width() - 1 {
+                        out.push((gate.inputs[0], with_x_bits(v, Tv::Zero)));
                     }
                 }
                 Tv::X => {}
@@ -288,10 +194,9 @@ fn backward(
             match y.to_tv() {
                 Tv::Zero => out.push((gate.inputs[0], Bv3::from_bv(&Bv::zero(v.width())))),
                 Tv::One => {
-                    let (unknown, first_unknown) = count_bits(&v, Tv::X);
-                    let (zeros, _) = count_bits(&v, Tv::Zero);
-                    if unknown == 1 && zeros == v.width() - 1 {
-                        out.push((gate.inputs[0], v.with_bit(first_unknown, Tv::One)));
+                    let counts = BitCounts::of(v);
+                    if counts.unknown() == 1 && counts.zeros == v.width() - 1 {
+                        out.push((gate.inputs[0], with_x_bits(v, Tv::One)));
                     }
                 }
                 Tv::X => {}
@@ -300,47 +205,36 @@ fn backward(
         GateKind::ReduceXor => {
             let v = input(0);
             if let Some(target) = y.to_tv().to_bool() {
-                let (unknown, first_unknown) = count_bits(&v, Tv::X);
-                if unknown == 1 {
-                    let (ones, _) = count_bits(&v, Tv::One);
-                    let needed = target != (ones % 2 == 1);
-                    out.push((
-                        gate.inputs[0],
-                        v.with_bit(first_unknown, Tv::from_bool(needed)),
-                    ));
+                let counts = BitCounts::of(v);
+                if counts.unknown() == 1 {
+                    let needed = target != (counts.ones % 2 == 1);
+                    out.push((gate.inputs[0], with_x_bits(v, Tv::from_bool(needed))));
                 }
             }
         }
         GateKind::Add => {
             // The Fig. 3 rule: each operand is output minus the other operand.
-            out.push((gate.inputs[0], sub3(&y, &input(1)).0));
-            out.push((gate.inputs[1], sub3(&y, &input(0)).0));
+            out.push((gate.inputs[0], sub3(y, input(1)).0));
+            out.push((gate.inputs[1], sub3(y, input(0)).0));
         }
         GateKind::Sub => {
             // y = a - b  ⇒  a = y + b,  b = a - y.
-            out.push((gate.inputs[0], add3(&y, &input(1)).0));
-            out.push((gate.inputs[1], sub3(&input(0), &y).0));
+            out.push((gate.inputs[0], add3(y, input(1)).0));
+            out.push((gate.inputs[1], sub3(input(0), y).0));
         }
-        GateKind::Mul => {
-            backward_mul(&y, &input(0), &input(1), gate, out);
-        }
+        GateKind::Mul => backward_mul(y, input(0), input(1), gate, out),
         GateKind::Shl | GateKind::Shr => {
-            let left = gate.kind == GateKind::Shl;
             if let Some(amount) = input(1).to_bv().and_then(|v| v.to_u64()) {
-                let amount = (amount as usize).min(y.width());
-                let a = input(0);
-                let mut refined = a.clone();
-                for i in 0..y.width() {
-                    // For a left shift, output bit i+amount equals input bit i.
-                    let (out_bit, in_bit) = if left {
-                        (i.checked_add(amount), i)
+                let width = y.width();
+                let amount = (amount as usize).min(width);
+                let mut refined = input(0).clone();
+                if amount < width {
+                    // Output bit i + amount of a left shift is input bit i;
+                    // input bit i + amount of a right shift is output bit i.
+                    if gate.kind == GateKind::Shl {
+                        refined.overlay(0, &y.slice(amount, width - amount));
                     } else {
-                        (i.checked_sub(amount), i)
-                    };
-                    if let Some(ob) = out_bit {
-                        if ob < y.width() && y.bit(ob).is_known() {
-                            refined.set_bit(in_bit, y.bit(ob));
-                        }
+                        refined.overlay(amount, &y.slice(0, width - amount));
                     }
                 }
                 out.push((gate.inputs[0], refined));
@@ -353,14 +247,14 @@ fn backward(
                 _ => None,
             };
             if equal_required == Some(true) {
-                let mut meet = input(0);
-                if meet.intersect_assign(asg.value(gate.inputs[1])) {
+                let mut meet = input(0).clone();
+                if meet.intersect_assign(input(1)) {
                     out.push((gate.inputs[0], meet.clone()));
                     out.push((gate.inputs[1], meet));
                 } else {
                     // Equality required but impossible: force a conflict by
                     // proposing the (empty) intersection through both sides.
-                    out.push((gate.inputs[0], input(1)));
+                    out.push((gate.inputs[0], input(1).clone()));
                 }
             }
         }
@@ -378,63 +272,40 @@ fn backward(
                     (GateKind::Ge, false) => (0, 1, true),
                     _ => unreachable!(),
                 };
-                let a = asg.value(gate.inputs[a_idx]).clone();
-                let b = asg.value(gate.inputs[b_idx]).clone();
-                let (min_a, max_a) = (a.min_value(), a.max_value());
-                let (min_b, max_b) = (b.min_value(), b.max_value());
-                // a <(=) b: a <= max_b (- 1 if strict), b >= min_a (+ 1 if strict).
-                let a_hi = if strict {
-                    saturating_dec(&max_b)
+                let (a, b) = (input(a_idx), input(b_idx));
+                let (refined_a, refined_b) = if a.width() <= 64 {
+                    tighten_u64(a, b, strict)
                 } else {
-                    max_b.clone()
+                    tighten_wide(a, b, strict)
                 };
-                let b_lo = if strict {
-                    saturating_inc(&min_a)
-                } else {
-                    min_a.clone()
-                };
-                let a_hi = if a_hi < max_a { a_hi } else { max_a };
-                let b_lo = if b_lo > min_b { b_lo } else { min_b };
-                let mut refined_a = a.clone();
-                match refine_to_range_in_place(&mut refined_a, &min_a, &a_hi) {
-                    Ok(()) => out.push((gate.inputs[a_idx], refined_a)),
-                    Err(_) => {
-                        // No member of `a` satisfies the relation: force a conflict.
-                        out.push((gate.output, Bv3::from_tv(Tv::from_bool(!truth))));
-                    }
-                }
-                let mut refined_b = b.clone();
-                match refine_to_range_in_place(&mut refined_b, &b_lo, &max_b) {
-                    Ok(()) => out.push((gate.inputs[b_idx], refined_b)),
-                    Err(_) => {
-                        out.push((gate.output, Bv3::from_tv(Tv::from_bool(!truth))));
+                for (idx, refined) in [(a_idx, refined_a), (b_idx, refined_b)] {
+                    match refined {
+                        Ok(cube) => out.push((gate.inputs[idx], cube)),
+                        // No member satisfies the relation: force a conflict.
+                        Err(_) => out.push((gate.output, Bv3::from_tv(Tv::from_bool(!truth)))),
                     }
                 }
             }
         }
         GateKind::Mux => {
-            let sel = input(0);
-            let t = input(1);
-            let e = input(2);
-            match sel.to_tv() {
+            let (t, e) = (input(1), input(2));
+            match input(0).to_tv() {
                 Tv::One => {
-                    let mut meet = t;
-                    if meet.intersect_assign(&y) {
+                    let mut meet = t.clone();
+                    if meet.intersect_assign(y) {
                         out.push((gate.inputs[1], meet));
                     }
                 }
                 Tv::Zero => {
-                    let mut meet = e;
-                    if meet.intersect_assign(&y) {
+                    let mut meet = e.clone();
+                    if meet.intersect_assign(y) {
                         out.push((gate.inputs[2], meet));
                     }
                 }
                 Tv::X => {
                     // Null intersection with the output rules a data input out
                     // and implies the select value (the paper's mux rule).
-                    let t_possible = t.intersect(&y).is_some();
-                    let e_possible = e.intersect(&y).is_some();
-                    match (t_possible, e_possible) {
+                    match (t.intersects(y), e.intersects(y)) {
                         (true, false) => out.push((gate.inputs[0], Bv3::from_tv(Tv::One))),
                         (false, true) => out.push((gate.inputs[0], Bv3::from_tv(Tv::Zero))),
                         (false, false) => {
@@ -454,13 +325,8 @@ fn backward(
             out.push((gate.inputs[1], y.slice(0, lo_w)));
         }
         GateKind::Slice { lo } => {
-            let in_w = netlist.net_width(gate.inputs[0]);
-            let mut refined = input(0);
-            for i in 0..y.width() {
-                if y.bit(i).is_known() && lo + i < in_w {
-                    refined.set_bit(lo + i, y.bit(i));
-                }
-            }
+            let mut refined = input(0).clone();
+            refined.overlay(*lo, y);
             out.push((gate.inputs[0], refined));
         }
         GateKind::ZeroExt => {
@@ -468,6 +334,132 @@ fn backward(
             out.push((gate.inputs[0], y.slice(0, in_w)));
         }
     }
+}
+
+/// AND/OR backward implication. Per output bit: the passive value (AND 1,
+/// OR 0) is forced onto every input, and the controlling value is forced
+/// onto the one input that is still `x` when every other input is passive.
+/// Every input gets a proposal, in input order.
+fn backward_and_or(gate: &Gate, y: &Bv3, asg: &Assignment, out: &mut Proposals) {
+    let is_and = gate.kind == GateKind::And;
+    let first = out.len();
+    out.extend(gate.inputs.iter().map(|n| (*n, asg.value(*n).clone())));
+    for w in 0..y.word_count() {
+        let (yk, yv) = y.word(w);
+        if yk == 0 {
+            continue;
+        }
+        let (passive, controlling) = if is_and {
+            (yk & yv, yk & !yv)
+        } else {
+            (yk & !yv, yk & yv)
+        };
+        // Bits where at least one / at least two inputs are not passive.
+        let (mut ones, mut twos) = (0u64, 0u64);
+        for (_, cube) in &out[first..] {
+            let (k, v) = cube.word(w);
+            let undecided = if is_and { !(k & v) } else { !(k & !v) };
+            twos |= ones & undecided;
+            ones |= undecided;
+        }
+        let lone = controlling & ones & !twos;
+        for (_, cube) in &mut out[first..] {
+            let (k, v) = cube.word(w);
+            // The lone undecided input takes the controlling value if it is x.
+            let forced = lone & !k;
+            let value = if is_and {
+                v | passive
+            } else {
+                (v & !passive) | forced
+            };
+            cube.set_word(w, k | passive | forced, value);
+        }
+    }
+}
+
+/// XOR backward implication: where the output bit is known and exactly one
+/// input bit is `x`, that bit is the parity of the output and the other
+/// inputs. Every input gets a proposal, in input order.
+fn backward_xor(gate: &Gate, y: &Bv3, asg: &Assignment, out: &mut Proposals) {
+    let first = out.len();
+    out.extend(gate.inputs.iter().map(|n| (*n, asg.value(*n).clone())));
+    for w in 0..y.word_count() {
+        let (yk, yv) = y.word(w);
+        if yk == 0 {
+            continue;
+        }
+        // Unknown bits seen at least once / twice, and the parity of the
+        // output with every input (x bits hold value 0).
+        let (mut ones, mut twos, mut parity) = (0u64, 0u64, yv);
+        for (_, cube) in &out[first..] {
+            let (k, v) = cube.word(w);
+            twos |= ones & !k;
+            ones |= !k;
+            parity ^= v;
+        }
+        let lone = yk & ones & !twos;
+        for (_, cube) in &mut out[first..] {
+            let (k, v) = cube.word(w);
+            let forced = lone & !k;
+            cube.set_word(w, k | forced, v | (forced & parity));
+        }
+    }
+}
+
+/// The refined `a` and `b` of a comparator backward implication, or the
+/// error of an operand with no member that satisfies the relation.
+type Tightened = (Result<Bv3, EmptyRangeError>, Result<Bv3, EmptyRangeError>);
+
+/// Fig. 4 range tightening of `a (<|<=) b` for nets of at most 64 bits: both
+/// ranges as `u64`s, then each operand refined MSB-first into its bound.
+fn tighten_u64(a: &Bv3, b: &Bv3, strict: bool) -> Tightened {
+    let full = u64::MAX >> (64 - a.width());
+    let ((ka, va), (kb, vb)) = (a.word(0), b.word(0));
+    let (min_a, max_a) = (va, va | (!ka & full));
+    let (min_b, max_b) = (vb, vb | (!kb & full));
+    // a <(=) b: a <= max_b (- 1 if strict), b >= min_a (+ 1 if strict).
+    let a_hi = if strict {
+        max_b.saturating_sub(1)
+    } else {
+        max_b
+    }
+    .min(max_a);
+    let b_lo = if strict && min_a != full {
+        min_a + 1
+    } else {
+        min_a
+    }
+    .max(min_b);
+    let mut refined_a = a.clone();
+    let mut refined_b = b.clone();
+    (
+        refine_to_range_u64(&mut refined_a, min_a, a_hi).map(|()| refined_a),
+        refine_to_range_u64(&mut refined_b, b_lo, max_b).map(|()| refined_b),
+    )
+}
+
+/// [`tighten_u64`] for nets wider than 64 bits, on [`Bv`] range ends.
+fn tighten_wide(a: &Bv3, b: &Bv3, strict: bool) -> Tightened {
+    let (min_a, max_a) = (a.min_value(), a.max_value());
+    let (min_b, max_b) = (b.min_value(), b.max_value());
+    let a_hi = if strict {
+        saturating_dec(&max_b)
+    } else {
+        max_b.clone()
+    };
+    let b_lo = if strict {
+        saturating_inc(&min_a)
+    } else {
+        min_a.clone()
+    };
+    let a_hi = a_hi.min(max_a);
+    let b_lo = b_lo.max(min_b);
+    let mut refined_a = a.clone();
+    let mut refined_b = b.clone();
+    (
+        refine_to_range_in_place(&mut refined_a, &min_a, &a_hi).map(|()| refined_a),
+        refine_to_range_in_place(&mut refined_b, &b_lo, &max_b).map(|()| refined_b),
+    )
 }
 
 /// Backward implication across a multiplier: possible only when enough is known.
@@ -501,19 +493,44 @@ fn backward_mul(y: &Bv3, a: &Bv3, b: &Bv3, gate: &Gate, out: &mut Proposals) {
     }
 }
 
-/// Counts bits of `cube` equal to `t`, also returning the index of the last
-/// such bit (0 when there is none). Used by the reduction-gate backward rules
-/// without building index vectors.
-fn count_bits(cube: &Bv3, t: Tv) -> (usize, usize) {
-    let mut count = 0;
-    let mut last = 0;
-    for i in 0..cube.width() {
-        if cube.bit(i) == t {
-            count += 1;
-            last = i;
+/// Known-1 and known-0 bit counts of a cube, from plane popcounts.
+struct BitCounts {
+    width: usize,
+    ones: usize,
+    zeros: usize,
+}
+
+impl BitCounts {
+    fn of(cube: &Bv3) -> BitCounts {
+        let (mut ones, mut zeros) = (0, 0);
+        for i in 0..cube.word_count() {
+            let (known, value) = cube.word(i);
+            ones += value.count_ones() as usize;
+            zeros += (known & !value).count_ones() as usize;
+        }
+        BitCounts {
+            width: cube.width(),
+            ones,
+            zeros,
         }
     }
-    (count, last)
+
+    fn unknown(&self) -> usize {
+        self.width - self.ones - self.zeros
+    }
+}
+
+/// A copy of `cube` with every `x` bit set to `t`. The reduction rules call
+/// it on cubes with exactly one `x` bit.
+fn with_x_bits(cube: &Bv3, t: Tv) -> Bv3 {
+    let mut out = cube.clone();
+    for i in 0..cube.word_count() {
+        let (known, value) = cube.word(i);
+        let fill = if t == Tv::One { !known } else { 0 };
+        // `set_word` drops the known bits past the width.
+        out.set_word(i, u64::MAX, value | fill);
+    }
+    out
 }
 
 /// Event-driven fixed-point implication over a netlist.
@@ -537,7 +554,8 @@ pub(crate) struct Propagator {
     active_min: usize,
     /// Total number of queued gates.
     pending: usize,
-    scratch: Scratch,
+    /// Proposal buffer reused by every gate evaluation.
+    proposals: Proposals,
 }
 
 impl Propagator {
@@ -567,7 +585,7 @@ impl Propagator {
             queued: vec![false; netlist.gate_count()],
             active_min: max_depth + 1,
             pending: 0,
-            scratch: Scratch::default(),
+            proposals: Proposals::new(),
         }
     }
 
@@ -627,7 +645,7 @@ impl Propagator {
         buckets
             + self.depth.capacity() * size_of::<u32>()
             + self.queued.capacity() * size_of::<bool>()
-            + self.scratch.memory_bytes()
+            + proposals_memory_bytes(&self.proposals)
     }
 
     /// Enqueues the driver and readers of a net whose value changed.
@@ -653,9 +671,9 @@ impl Propagator {
         asg: &mut Assignment,
         stats: &mut ImplicationStats,
     ) -> Result<(), Conflict> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = self.run_inner(netlist, asg, stats, &mut scratch);
-        self.scratch = scratch;
+        let mut proposals = std::mem::take(&mut self.proposals);
+        let result = self.run_inner(netlist, asg, stats, &mut proposals);
+        self.proposals = proposals;
         result
     }
 
@@ -664,13 +682,13 @@ impl Propagator {
         netlist: &Netlist,
         asg: &mut Assignment,
         stats: &mut ImplicationStats,
-        scratch: &mut Scratch,
+        proposals: &mut Proposals,
     ) -> Result<(), Conflict> {
         while let Some(gate_id) = self.pop() {
             let gate = netlist.gate(gate_id);
             stats.gate_evaluations += 1;
-            imply_gate(netlist, gate, asg, scratch);
-            for (net, cube) in &scratch.proposals {
+            imply_gate(netlist, gate, asg, proposals);
+            for (net, cube) in proposals.iter() {
                 match asg.refine(*net, cube) {
                     Ok(true) => {
                         stats.refinements += 1;

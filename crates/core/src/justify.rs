@@ -13,14 +13,14 @@ use wlac_netlist::{GateId, GateKind, NetId, Netlist};
 
 /// Whether one gate's output carries required (known) bits that are not yet
 /// implied by its current input values.
-fn gate_is_unjustified(netlist: &Netlist, id: GateId, asg: &Assignment) -> bool {
+pub(crate) fn gate_is_unjustified(netlist: &Netlist, id: GateId, asg: &Assignment) -> bool {
     let gate = netlist.gate(id);
     let required = asg.value(gate.output);
     if required.is_all_x() {
         return false;
     }
     let forward = forward_eval(netlist, gate, asg);
-    (0..required.width()).any(|i| required.bit(i).is_known() && !forward.bit(i).is_known())
+    (0..required.word_count()).any(|i| required.word(i).0 & !forward.word(i).0 != 0)
 }
 
 /// A gate is *unjustified* when its output carries required (known) bits that

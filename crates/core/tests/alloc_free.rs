@@ -73,8 +73,10 @@ fn min_alloc_delta(attempts: usize, mut work: impl FnMut()) -> u64 {
 }
 
 /// A mixed control/datapath circuit using only ≤128-bit nets: adders,
-/// subtractor, mux, comparators, wide Boolean gates, slices, concat, zext
-/// and reductions — every implication rule the hot loop exercises.
+/// subtractor, mux, comparators, equality, wide Boolean gates, a 3-input
+/// AND, inverter and buffer, slices, concat, zext and reductions — every
+/// implication rule the hot loop exercises, with the 32-bit block on the
+/// single-word path.
 fn build_circuit() -> (Netlist, Vec<(NetId, Bv3)>) {
     let mut nl = Netlist::new("hot_path");
     let a = nl.input("a", 64);
@@ -95,7 +97,22 @@ fn build_circuit() -> (Netlist, Vec<(NetId, Bv3)>) {
     let high = nl.slice(wx, 64, 64);
     let mixed = nl.xor2(low, high);
     let any = nl.reduce_or(mixed);
-    let ok = nl.and2(below, any);
+
+    // Narrow block: d must equal the zero-extended low half of c, and the
+    // inverted, buffered {d[31:16], c[15:0]} must then differ from c.
+    let c = nl.input("c", 32);
+    let d = nl.input("d", 32);
+    let flag = nl.input("flag", 1);
+    let c_low = nl.slice(c, 0, 16);
+    let ext = nl.zext(c_low, 32);
+    let same = nl.eq(ext, d);
+    let d_high = nl.slice(d, 16, 16);
+    let cat = nl.concat(d_high, c_low);
+    let inverted = nl.not(cat);
+    let buffered = nl.buf(inverted);
+    let differ = nl.ne(buffered, c);
+    let guard = nl.and_many(&[differ, flag, any]);
+    let ok = nl.and_many(&[below, guard, same]);
     nl.mark_output("ok", ok);
 
     // Seeds chosen to drive forward and backward implication without ever
@@ -110,11 +127,16 @@ fn build_circuit() -> (Netlist, Vec<(NetId, Bv3)>) {
     for i in 20..36 {
         a_seed.set_bit(i, Tv::from_bool(i % 2 == 0));
     }
+    let mut c_seed = Bv3::all_x(32);
+    for i in 0..16 {
+        c_seed.set_bit(i, Tv::from_bool(i % 3 == 1));
+    }
     let seeds = vec![
         (ok, Bv3::from_tv(Tv::One)),
         (sel, Bv3::from_tv(Tv::One)),
         (a, a_seed),
         (wa, wa_seed),
+        (c, c_seed),
     ];
     (nl, seeds)
 }
