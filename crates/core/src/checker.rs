@@ -542,6 +542,69 @@ mod tests {
     }
 
     #[test]
+    fn saturating_counter_bound_is_proved_at_the_first_frame() {
+        // The server tests' counter: q saturates at 10, and ok = q < 11 is
+        // 1-inductive. The induction step is a comparator over a free
+        // register, which only datapath bit decisions settle.
+        let mut nl = Netlist::new("saturating_counter");
+        let (q, ff) = nl.dff_deferred(8, Some(Bv::zero(8)));
+        let ten = nl.constant(&Bv::from_u64(8, 10));
+        let at_ten = nl.eq(q, ten);
+        let one = nl.constant(&Bv::from_u64(8, 1));
+        let plus = nl.add(q, one);
+        let next = nl.mux(at_ten, ten, plus);
+        nl.connect_dff_data(ff, next);
+        let eleven = nl.constant(&Bv::from_u64(8, 11));
+        let ok = nl.lt(q, eleven);
+        nl.mark_output("ok", ok);
+        let property = Property::always(&nl, "ok", ok);
+        let report = AssertionChecker::with_defaults().check(&Verification::new(nl, property));
+        assert_eq!(report.result, CheckResult::Proved);
+        assert_eq!(report.stats.frames_explored, 1);
+        assert!(report.stats.datapath_splits > 0, "{}", report.stats);
+    }
+
+    #[test]
+    fn search_limits_count_from_each_search() {
+        // ok = !(xnor(a, b) & xor(a, b)) holds, but implication alone cannot
+        // see it: every bound's search decides an input, conflicts and
+        // backtracks. The check's total backtracks pass a limit that no
+        // single search reaches, and the limit is per search, so the check
+        // still reaches its bounded verdict.
+        let mut nl = Netlist::new("xnor_and_xor");
+        let a = nl.input("a", 1);
+        let b = nl.input("b", 1);
+        let both = nl.and2(a, b);
+        let (na, nb) = (nl.not(a), nl.not(b));
+        let neither = nl.and2(na, nb);
+        let same = nl.or2(both, neither);
+        let differ = nl.xor2(a, b);
+        let contradiction = nl.and2(same, differ);
+        let ok = nl.not(contradiction);
+        let property = Property::always(&nl, "ok", ok);
+        let verification = Verification::new(nl, property);
+        let options = |max_frames, backtrack_limit| CheckerOptions {
+            max_frames,
+            backtrack_limit,
+            use_induction: false,
+            ..CheckerOptions::default()
+        };
+        // Checks are deterministic, so bound k's search took the difference
+        // of the totals of the k- and (k-1)-frame checks.
+        let totals: Vec<u64> = (0..=6)
+            .map(|frames| {
+                let checker = AssertionChecker::new(options(frames, usize::MAX));
+                checker.check(&verification).stats.backtracks
+            })
+            .collect();
+        let per_search = totals.windows(2).map(|w| w[1] - w[0]).max().unwrap();
+        assert!(totals[6] > per_search, "totals {totals:?}");
+        let report = AssertionChecker::new(options(6, per_search as usize)).check(&verification);
+        assert_eq!(report.result, CheckResult::HoldsUpToBound { frames: 6 });
+        assert_eq!(report.stats.backtracks, totals[6]);
+    }
+
+    #[test]
     fn witness_generation() {
         // Find an execution in which the counter reaches 3.
         let (mut nl, _) = bounded_counter(9, 12);

@@ -182,9 +182,12 @@ impl fmt::Debug for TraceSink {
 pub struct CheckerOptions {
     /// Maximum number of time-frames explored for bounded checks.
     pub max_frames: usize,
-    /// Maximum number of backtracks before a check is aborted.
+    /// Maximum number of backtracks one search (one bound, or the induction
+    /// step) may take before it gives up; each search counts from its own
+    /// start.
     pub backtrack_limit: usize,
-    /// Maximum number of decisions before a check is aborted.
+    /// Maximum number of decisions one search may take before it gives up;
+    /// each search counts from its own start.
     pub decision_limit: usize,
     /// Maximum number of candidate decision points kept per justification
     /// round (the paper selects a fanout-based subset when the cut is large).
@@ -201,7 +204,8 @@ pub struct CheckerOptions {
     /// transition graph and use them to order decisions.
     pub use_estg: bool,
     /// Use the modular arithmetic constraint solver for residual datapath
-    /// constraints; when disabled the checker falls back to sampling.
+    /// constraints; when disabled the leaf only samples completions. A leaf
+    /// that is neither solved nor refuted is split on a datapath bit.
     pub use_arithmetic_solver: bool,
     /// Reuse cached island topology and pre-reduced solver templates across
     /// the decision search. When disabled every datapath resolution rebuilds
@@ -209,9 +213,6 @@ pub struct CheckerOptions {
     /// transcription and solving code, which makes this the differential
     /// oracle for the incremental path.
     pub incremental_datapath: bool,
-    /// Number of closed-form solution samples instantiated per datapath
-    /// feasibility check.
-    pub solution_samples: usize,
     /// Candidate enumeration budget for nonlinear (multiplier) constraints.
     pub nonlinear_enumeration_limit: usize,
     /// Cooperative cancellation token polled by the search loop. Ignored by
@@ -269,7 +270,6 @@ impl PartialEq for CheckerOptions {
             use_estg,
             use_arithmetic_solver,
             incremental_datapath,
-            solution_samples,
             nonlinear_enumeration_limit,
             cancel: _,
             trace: _,
@@ -288,7 +288,6 @@ impl PartialEq for CheckerOptions {
             && *use_estg == other.use_estg
             && *use_arithmetic_solver == other.use_arithmetic_solver
             && *incremental_datapath == other.incremental_datapath
-            && *solution_samples == other.solution_samples
             && *nonlinear_enumeration_limit == other.nonlinear_enumeration_limit
     }
 }
@@ -309,7 +308,6 @@ impl CheckerOptions {
             use_estg: true,
             use_arithmetic_solver: true,
             incremental_datapath: true,
-            solution_samples: 16,
             nonlinear_enumeration_limit: 256,
             cancel: CancelToken::new(),
             trace: false,

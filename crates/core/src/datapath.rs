@@ -61,8 +61,10 @@ pub(crate) enum DatapathOutcome {
     /// Some extracted constraint subset is unsatisfiable in the modular ring;
     /// the current control solution must be abandoned (sound for proving).
     Infeasible,
-    /// Neither a solution nor a refutation could be established within the
-    /// configured budget.
+    /// Neither a solution nor a refutation was found: the islands are
+    /// feasible (or the enumeration budget ran out) but no sampled
+    /// completion satisfies every requirement. The search then splits a
+    /// datapath bit and resolves again below it.
     Inconclusive,
 }
 

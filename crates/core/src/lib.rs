@@ -14,7 +14,8 @@
 //! 3. word-level implication and a branch-and-bound justification restricted
 //!    to control signals solve the Boolean part of the constraints,
 //! 4. residual datapath constraints go to the modular arithmetic solver
-//!    ([`wlac_modsolve`]),
+//!    ([`wlac_modsolve`]); a residue it can neither solve nor refute is
+//!    split one datapath bit at a time, most significant bit first,
 //! 5. a satisfying assignment is turned into a concrete [`Trace`] and
 //!    validated by simulation; exhaustion of the search space proves the
 //!    assertion (up to the bound, or outright via 1-step induction).

@@ -1,10 +1,19 @@
 //! The branch-and-bound justification search (Fig. 2 of the paper).
 //!
 //! The search interleaves word-level implication, unjustified-gate detection,
-//! decision-point selection on *control* signals only, bias-ordered decision
+//! decision-point selection on *control* signals, bias-ordered decision
 //! making, chronological backtracking over the word-level value trail, and —
 //! once the control constraints are satisfied — the modular arithmetic
 //! datapath resolution of [`crate::datapath`].
+//!
+//! A datapath leaf the modular solver and the sampled completions leave
+//! undecided (a comparator over a free register, say) is split rather than
+//! given up: the search decides the most significant unknown bit of the
+//! first unjustified gate's first input that still has one, 0 first, so the
+//! comparator range rule and equality prune from the top. These *datapath
+//! bit decisions* go on the ordinary decision stack and are undone by the
+//! same trail and backtracking. Every unjustified gate has an unknown input
+//! bit, so the search always ends satisfiable, unsatisfiable or at a limit.
 //!
 //! All search state lives in a reusable [`SearchContext`]: the assignment and
 //! its delta trail, the levelized propagator, the dense justification
@@ -35,8 +44,10 @@ pub enum SearchOutcome {
     Sat(Vec<Bv>),
     /// No assignment satisfies the requirements.
     Unsat,
-    /// The search was aborted (limit reached) or ended with unresolved
-    /// datapath obligations; no conclusion may be drawn.
+    /// The search was aborted (cancelled, or a time, backtrack or decision
+    /// limit reached); no conclusion may be drawn. `unresolved datapath
+    /// constraints` remains only as a defensive fallback for a leaf with
+    /// nothing left to split.
     Inconclusive(&'static str),
 }
 
@@ -81,6 +92,9 @@ impl PhaseClock {
 #[derive(Debug)]
 struct Decision {
     net: NetId,
+    /// The bit of `net` the decision sets: 0 for a control signal, the most
+    /// significant unknown bit for a datapath bit decision.
+    bit: usize,
     /// Value to try if the current branch fails (None once both tried).
     alternative: Option<bool>,
     /// Value currently assigned.
@@ -308,6 +322,11 @@ impl SearchContext {
         }
 
         let mut inconclusive: Option<&'static str> = None;
+        // Limits count this search's own effort: the stats accumulate across
+        // every search of a check, and a spent induction attempt must not
+        // starve the bounded search that follows it.
+        let backtracks_at_entry = stats.backtracks;
+        let decisions_at_entry = stats.decisions;
 
         // Throttle for live-progress publication: one seqlock write every
         // PROBE_INTERVAL loop iterations keeps the probed hot path within
@@ -334,10 +353,10 @@ impl SearchContext {
             if Instant::now() > deadline {
                 return SearchOutcome::Inconclusive("time limit exceeded");
             }
-            if stats.backtracks > options.backtrack_limit as u64 {
+            if stats.backtracks - backtracks_at_entry > options.backtrack_limit as u64 {
                 return SearchOutcome::Inconclusive("backtrack limit exceeded");
             }
-            if stats.decisions > options.decision_limit as u64 {
+            if stats.decisions - decisions_at_entry > options.decision_limit as u64 {
                 return SearchOutcome::Inconclusive("decision limit exceeded");
             }
             if options.progress.is_enabled() {
@@ -364,7 +383,7 @@ impl SearchContext {
             }
             clock.tick(&mut stats.phases.justification);
 
-            if fully_justified || self.justify.candidates.is_empty() {
+            let (net, bit, value) = if fully_justified || self.justify.candidates.is_empty() {
                 // Control constraints satisfied (or only datapath obligations
                 // remain): hand over to the arithmetic constraint solver.
                 stats.peak_memory_bytes = stats
@@ -387,7 +406,7 @@ impl SearchContext {
                     DatapathOutcome::Consistent(_) => clock.tick(&mut stats.phases.sat_leaf),
                     _ => clock.tick(&mut stats.phases.datapath),
                 }
-                match outcome {
+                let split = match outcome {
                     DatapathOutcome::Consistent(values) => {
                         if options.trace {
                             options.trace_sink.event("sat_leaf", span, stats.decisions);
@@ -401,29 +420,43 @@ impl SearchContext {
                                 .trace_sink
                                 .event("datapath_infeasible", span, stats.decisions);
                         }
+                        None
                     }
                     DatapathOutcome::Inconclusive => {
-                        inconclusive.get_or_insert("unresolved datapath constraints");
+                        let split = self.datapath_split(netlist);
+                        if split.is_none() {
+                            inconclusive.get_or_insert("unresolved datapath constraints");
+                        }
+                        split
+                    }
+                };
+                match split {
+                    Some((net, bit)) => {
+                        stats.datapath_splits += 1;
+                        (net, bit, false)
+                    }
+                    None => {
+                        let exhausted = !self.backtrack(netlist, estg, stats);
+                        clock.tick(&mut stats.phases.backtrack);
+                        if options.trace {
+                            options
+                                .trace_sink
+                                .event("backtrack", span, self.stack.len() as u64);
+                        }
+                        if exhausted {
+                            return match inconclusive {
+                                Some(reason) => SearchOutcome::Inconclusive(reason),
+                                None => SearchOutcome::Unsat,
+                            };
+                        }
+                        continue;
                     }
                 }
-                let exhausted = !self.backtrack(netlist, estg, stats);
-                clock.tick(&mut stats.phases.backtrack);
-                if options.trace {
-                    options
-                        .trace_sink
-                        .event("backtrack", span, self.stack.len() as u64);
-                }
-                if exhausted {
-                    return match inconclusive {
-                        Some(reason) => SearchOutcome::Inconclusive(reason),
-                        None => SearchOutcome::Unsat,
-                    };
-                }
-                continue;
-            }
-
-            // Pick the decision with the strongest bias (Definition 2).
-            let (net, value) = self.pick_decision(netlist, options, goal, estg);
+            } else {
+                // Pick the decision with the strongest bias (Definition 2).
+                let (net, value) = self.pick_decision(netlist, options, goal, estg);
+                (net, 0, value)
+            };
             stats.decisions += 1;
             clock.tick(&mut stats.phases.decision);
             if options.trace {
@@ -432,10 +465,11 @@ impl SearchContext {
                     .event("decision", span, net.index() as u64);
             }
             let mark = self.asg.mark();
-            if self.assign(netlist, net, value, stats) {
+            if self.assign(netlist, net, bit, value, stats) {
                 clock.tick(&mut stats.phases.implication);
                 self.stack.push(Decision {
                     net,
+                    bit,
                     alternative: Some(!value),
                     current: value,
                     mark,
@@ -443,7 +477,7 @@ impl SearchContext {
             } else {
                 clock.tick(&mut stats.phases.implication);
                 // Immediate conflict: try the opposite value at this level.
-                estg.record_conflict(net, value);
+                record_conflict(estg, netlist, net, value);
                 self.asg.backtrack_to(mark);
                 stats.conflicts += 1;
                 stats.backtracks += 1;
@@ -452,17 +486,18 @@ impl SearchContext {
                         .trace_sink
                         .event("conflict", span, net.index() as u64);
                 }
-                if self.assign(netlist, net, !value, stats) {
+                if self.assign(netlist, net, bit, !value, stats) {
                     clock.tick(&mut stats.phases.implication);
                     self.stack.push(Decision {
                         net,
+                        bit,
                         alternative: None,
                         current: !value,
                         mark,
                     });
                 } else {
                     clock.tick(&mut stats.phases.implication);
-                    estg.record_conflict(net, !value);
+                    record_conflict(estg, netlist, net, !value);
                     self.asg.backtrack_to(mark);
                     stats.conflicts += 1;
                     let exhausted = !self.backtrack(netlist, estg, stats);
@@ -483,19 +518,23 @@ impl SearchContext {
         }
     }
 
-    /// Assigns a single-bit decision and runs implication; returns `false` on
-    /// conflict (the assignment is *not* rolled back by this function).
+    /// Sets bit `bit` of `net` to `value` and runs implication; returns
+    /// `false` on conflict (the assignment is *not* rolled back by this
+    /// function).
     ///
-    /// The propagator is part of the context so its buckets and scratch
-    /// buffers stay warm across decisions.
+    /// The one-bit cube is inline for nets up to 128 bits, and the
+    /// propagator is part of the context so its buckets and scratch buffers
+    /// stay warm across decisions.
     fn assign(
         &mut self,
         netlist: &Netlist,
         net: NetId,
+        bit: usize,
         value: bool,
         stats: &mut CheckStats,
     ) -> bool {
-        let cube = Bv3::from_tv(Tv::from_bool(value));
+        let mut cube = Bv3::all_x(netlist.net_width(net));
+        cube.set_bit(bit, Tv::from_bool(value));
         match self.asg.refine(net, &cube) {
             Ok(_) => self.propagator.enqueue_net(netlist, net),
             Err(_) => return false,
@@ -512,24 +551,34 @@ impl SearchContext {
             let Some(mut top) = self.stack.pop() else {
                 return false;
             };
-            estg.record_conflict(top.net, top.current);
+            record_conflict(estg, netlist, top.net, top.current);
             self.asg.backtrack_to(top.mark);
             stats.backtracks += 1;
             if let Some(alt) = top.alternative.take() {
-                if self.assign(netlist, top.net, alt, stats) {
+                if self.assign(netlist, top.net, top.bit, alt, stats) {
                     self.stack.push(Decision {
-                        net: top.net,
                         alternative: None,
                         current: alt,
-                        mark: top.mark,
+                        ..top
                     });
                     return true;
                 }
-                estg.record_conflict(top.net, alt);
+                record_conflict(estg, netlist, top.net, alt);
                 self.asg.backtrack_to(top.mark);
                 stats.conflicts += 1;
             }
         }
+    }
+
+    /// The datapath bit decision for a leaf the datapath solver could not
+    /// decide: the most significant unknown bit of the first input of the
+    /// first unjustified gate that still has one. `None` only when no gate
+    /// is unjustified.
+    fn datapath_split(&self, netlist: &Netlist) -> Option<(NetId, usize)> {
+        let gate = netlist.gate(*self.justify.unjustified.first()?);
+        gate.inputs
+            .iter()
+            .find_map(|net| msb_unknown(self.asg.value(*net)).map(|bit| (*net, bit)))
     }
 
     /// Picks the next decision (net, value) among the candidates of the
@@ -583,6 +632,24 @@ impl SearchContext {
             + self.datapath.memory_bytes()
             + self.propagator.memory_bytes()
     }
+}
+
+/// Books a refuted decision in the ESTG. Only decisions on single-bit nets
+/// are recorded: an entry `(net, value)` means the whole net took `value`,
+/// which one bit of a wider word does not.
+fn record_conflict(estg: &mut Estg, netlist: &Netlist, net: NetId, value: bool) {
+    if netlist.net_width(net) == 1 {
+        estg.record_conflict(net, value);
+    }
+}
+
+/// Index of the most significant unknown bit of `cube`, if any.
+fn msb_unknown(cube: &Bv3) -> Option<usize> {
+    (0..cube.word_count()).rev().find_map(|w| {
+        let valid_bits = (cube.width() - 64 * w).min(64);
+        let unknown = !cube.word(w).0 & (u64::MAX >> (64 - valid_bits));
+        (unknown != 0).then(|| 64 * w + 63 - unknown.leading_zeros() as usize)
+    })
 }
 
 #[cfg(test)]
@@ -708,6 +775,79 @@ mod tests {
             run(&nl, vec![(out, cube("4'b0111"))], SearchGoal::Prove),
             SearchOutcome::Unsat
         );
+    }
+
+    /// The induction step of the invariant `s < 4` on a 3-bit sequencer
+    /// that counts up and wraps to 0 after `last`: `s < 4` at frame 0 and
+    /// `s' >= 4` at frame 1, with `s' = (s == last) ? 0 : s + 1`. Returns the
+    /// circuit, `s`, `s'` and the requirements.
+    fn sequencer_step(last: u64) -> (Netlist, NetId, NetId, Vec<(NetId, Bv3)>) {
+        let mut nl = Netlist::new("sequencer_step");
+        let s = nl.input("s", 3);
+        let last = nl.constant(&Bv::from_u64(3, last));
+        let at_last = nl.eq(s, last);
+        let one = nl.constant(&Bv::from_u64(3, 1));
+        let plus = nl.add(s, one);
+        let zero = nl.constant(&Bv::zero(3));
+        let next = nl.mux(at_last, zero, plus);
+        let four = nl.constant(&Bv::from_u64(3, 4));
+        let holds = nl.lt(s, four);
+        let escapes = nl.ge(next, four);
+        let requirements = vec![(holds, cube("1'b1")), (escapes, cube("1'b1"))];
+        (nl, s, next, requirements)
+    }
+
+    #[test]
+    fn inductive_state_invariant_is_refuted_by_datapath_bit_decisions() {
+        // No control signal is left to decide once s = 0xx and s' = 1xx are
+        // implied, and the adder island's solution contradicts s' = 1xx: the
+        // leaf must split bits of s rather than give up.
+        let (nl, _, _, requirements) = sequencer_step(3);
+        let mut ctx = SearchContext::new(&nl);
+        let mut stats = CheckStats::default();
+        let outcome = ctx.search(
+            &nl,
+            &CheckerOptions::default(),
+            SearchGoal::Prove,
+            &requirements,
+            &mut Estg::new(),
+            Instant::now() + Duration::from_secs(30),
+            &mut stats,
+        );
+        assert_eq!(outcome, SearchOutcome::Unsat);
+        assert!(stats.datapath_splits > 0, "{stats}");
+        assert!(stats.datapath_splits <= stats.decisions);
+    }
+
+    #[test]
+    fn broken_state_invariant_yields_a_model_through_datapath_bit_decisions() {
+        // Wrapping after 4 instead of 3 lets s = 3 step to s' = 4.
+        let (nl, s, next, requirements) = sequencer_step(4);
+        match run(&nl, requirements.clone(), SearchGoal::Prove) {
+            SearchOutcome::Sat(values) => {
+                for (net, cube) in &requirements {
+                    assert!(cube.matches(&values[net.index()]), "{net}");
+                }
+                let s = values[s.index()].to_u64().unwrap();
+                let next = values[next.index()].to_u64().unwrap();
+                assert_eq!(next, if s == 4 { 0 } else { (s + 1) % 8 });
+                assert!(s < 4 && next >= 4, "s = {s}, s' = {next}");
+            }
+            other => panic!("expected SAT, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn most_significant_unknown_bit() {
+        assert_eq!(msb_unknown(&cube("4'b10x1")), Some(1));
+        assert_eq!(msb_unknown(&cube("4'bx000")), Some(3));
+        assert_eq!(msb_unknown(&cube("4'b1010")), None);
+        let mut wide = Bv3::from_bv(&Bv::zero(130));
+        wide.set_bit(3, Tv::X);
+        assert_eq!(msb_unknown(&wide), Some(3));
+        wide.set_bit(129, Tv::X);
+        assert_eq!(msb_unknown(&wide), Some(129));
+        assert_eq!(msb_unknown(&Bv3::all_x(64)), Some(63));
     }
 
     #[test]

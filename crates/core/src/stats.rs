@@ -79,6 +79,10 @@ impl PhaseNanos {
 pub struct CheckStats {
     /// Number of branch-and-bound decisions.
     pub decisions: u64,
+    /// The subset of [`Self::decisions`] that were datapath bit decisions:
+    /// one bit of a word decided at a leaf the datapath solver could not
+    /// settle.
+    pub datapath_splits: u64,
     /// Number of conflicts: decision assignments refuted by implication plus
     /// datapath resolutions proved infeasible. Every conflict triggers
     /// backtracking, but one backtrack run can unwind several levels, so the
@@ -145,6 +149,7 @@ impl CheckStats {
     /// search) into an aggregate.
     pub fn absorb(&mut self, other: &CheckStats) {
         self.decisions += other.decisions;
+        self.datapath_splits += other.datapath_splits;
         self.conflicts += other.conflicts;
         self.backtracks += other.backtracks;
         self.implication.absorb(&other.implication);
@@ -165,10 +170,11 @@ impl fmt::Display for CheckStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "cpu {:.2}s, mem {:.2}MB, {} decisions, {} conflicts, {} backtracks, {} implications, {} arith calls, {} fact hits, {} justify rechecks, {} frames",
+            "cpu {:.2}s, mem {:.2}MB, {} decisions ({} datapath splits), {} conflicts, {} backtracks, {} implications, {} arith calls, {} fact hits, {} justify rechecks, {} frames",
             self.cpu_seconds(),
             self.peak_memory_mb(),
             self.decisions,
+            self.datapath_splits,
             self.conflicts,
             self.backtracks,
             self.implication.gate_evaluations,
@@ -188,6 +194,7 @@ mod tests {
     fn units_and_absorb() {
         let mut a = CheckStats {
             decisions: 10,
+            datapath_splits: 4,
             backtracks: 2,
             peak_memory_bytes: 2 * 1024 * 1024,
             elapsed: Duration::from_millis(500),
@@ -196,6 +203,7 @@ mod tests {
         };
         let b = CheckStats {
             decisions: 5,
+            datapath_splits: 1,
             backtracks: 1,
             peak_memory_bytes: 1024 * 1024,
             elapsed: Duration::from_millis(250),
@@ -204,6 +212,7 @@ mod tests {
         };
         a.absorb(&b);
         assert_eq!(a.decisions, 15);
+        assert_eq!(a.datapath_splits, 5);
         assert_eq!(a.backtracks, 3);
         assert_eq!(a.frames_explored, 7);
         assert_eq!(a.ns_per_arith_call(), None);
@@ -211,7 +220,7 @@ mod tests {
         assert!((a.peak_memory_mb() - 2.0).abs() < 1e-9);
         assert!((a.cpu_seconds() - 0.75).abs() < 1e-9);
         let text = a.to_string();
-        assert!(text.contains("decisions"));
+        assert!(text.contains("15 decisions (5 datapath splits)"), "{text}");
         assert!(text.contains("MB"));
     }
 

@@ -2045,6 +2045,7 @@ fn op_trace_check(state: &ServerState, frame: &Json) -> Json {
     let stats = &report.stats;
     let stats_wire = Json::obj(vec![
         ("decisions", Json::num(stats.decisions)),
+        ("datapath_splits", Json::num(stats.datapath_splits)),
         ("backtracks", Json::num(stats.backtracks)),
         (
             "gate_evaluations",

@@ -338,7 +338,7 @@ fn a_lost_worker_is_respawned_and_the_pool_keeps_serving() {
     let batch = client.submit(&design, &[("always", "ok")]);
     let results = client.wait(batch);
     assert_eq!(results.len(), 1);
-    assert_eq!(label_of(&results[0]), "holds(bound)");
+    assert_eq!(label_of(&results[0]), "proved");
 
     // The sole worker died after that job; without a respawn this second
     // batch would hang forever.
@@ -403,7 +403,7 @@ fn autosave_write_failure_degrades_durability_not_service() {
     let design = client.register_counter();
     let batch = client.submit(&design, &[("always", "ok")]);
     let results = client.wait(batch);
-    assert_eq!(label_of(&results[0]), "holds(bound)");
+    assert_eq!(label_of(&results[0]), "proved");
 
     // The autosave failed (counted) but the server keeps answering, and the
     // data directory holds no snapshot at all.
@@ -422,7 +422,7 @@ fn autosave_write_failure_degrades_durability_not_service() {
     assert_eq!(snapshots, 0, "failed writes must not publish snapshots");
     let batch = client.submit(&design, &[("always", "ok")]);
     let results = client.wait(batch);
-    assert_eq!(label_of(&results[0]), "holds(bound)");
+    assert_eq!(label_of(&results[0]), "proved");
     client.shutdown();
     handle.join().expect("server thread");
 }

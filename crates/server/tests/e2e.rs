@@ -260,7 +260,7 @@ fn protocol_round_trip_and_errors() {
     }
     let results = client.wait(batch);
     assert_eq!(results.len(), 2);
-    assert_eq!(label_of(&results[0]), "holds(bound)");
+    assert_eq!(label_of(&results[0]), "proved");
     assert_eq!(label_of(&results[1]), "violated");
     assert!(results[1]
         .get("verdict")
@@ -796,10 +796,7 @@ fn subscribe_streams_progress_before_every_verdict() {
         })
         .collect();
     streamed.sort();
-    assert_eq!(
-        streamed,
-        [(0, "holds(bound)".into()), (1, "violated".into())]
-    );
+    assert_eq!(streamed, [(0, "proved".into()), (1, "violated".into())]);
 
     // The stream ends cleanly and the connection stays a normal
     // request/reply connection.

@@ -438,6 +438,9 @@ mod tests {
         // (Decisions can legitimately be zero — implication alone decides
         // these tiny counters — but implication always evaluates gates.)
         assert!(registry.counter("core_gate_evaluations_total").get() > 0);
+        // p's induction step (q < 12 at frame 0, q' >= 12 at frame 1) is a
+        // comparator over a free register: the datapath leaf splits bits.
+        assert!(registry.counter("core_datapath_splits_total").get() > 0);
         // The portfolio layer shares the same registry.
         assert_eq!(registry.counter("portfolio_races_total").get(), 2);
     }

@@ -1230,6 +1230,9 @@ fn record_job_metrics(shared: &Shared, result: &JobResult, report: Option<&Portf
         if let EngineStats::Atpg(stats) = &run.stats {
             metrics.counter("core_decisions_total").add(stats.decisions);
             metrics
+                .counter("core_datapath_splits_total")
+                .add(stats.datapath_splits);
+            metrics
                 .counter("core_backtracks_total")
                 .add(stats.backtracks);
             metrics
