@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::time::{Duration, Instant};
-use wlac_atpg::{CancelToken, PropertyKind, Trace, Verification};
+use wlac_atpg::{CancelToken, PropertyKind, Trace, Verdict, Verification};
 use wlac_bv::Bv;
 use wlac_netlist::{GateKind, NetId, Netlist, Unrolling};
 
@@ -386,26 +386,15 @@ impl BitBlaster {
     }
 }
 
-/// Outcome of a bounded model check.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BmcOutcome {
-    /// No counter-example (or witness) exists within the bound.
-    HoldsUpToBound,
-    /// A satisfying assignment was found at the reported depth.
-    Found {
-        /// Unrolling depth at which the SAT solver found a model.
-        depth: usize,
-    },
-    /// The SAT budget was exhausted or a gate was unsupported.
-    Unknown,
-}
-
 /// Resource report of a BMC run, comparable to the ATPG checker's
 /// [`wlac_atpg::CheckStats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BmcReport {
-    /// Outcome.
-    pub outcome: BmcOutcome,
+    /// The conclusion: a replayable trace over the original sequential
+    /// design (the SAT model's initial state and per-frame primary inputs)
+    /// at the first depth with a model, an exhausted bound, or `Unknown`
+    /// (`cancelled`, or a SAT budget exhausted or a gate unsupported).
+    pub verdict: Verdict,
     /// Wall-clock time.
     pub elapsed: Duration,
     /// Peak CNF memory in bytes.
@@ -414,11 +403,6 @@ pub struct BmcReport {
     pub variables: usize,
     /// Total CNF clauses across all bounds.
     pub clauses: usize,
-    /// Concrete trace over the original sequential design when the outcome is
-    /// [`BmcOutcome::Found`]: the SAT model's initial state and per-frame
-    /// primary inputs, replayable with [`Trace::replay_monitor`] for
-    /// cross-engine validation.
-    pub trace: Option<Trace>,
     /// CDCL effort counters accumulated across all unrolling depths.
     pub sat: crate::sat::SatStats,
 }
@@ -624,7 +608,7 @@ fn lift_learned(
 /// Like [`bounded_model_check`], but polls `cancel` between the steps of each
 /// unrolling depth (unroll, encode, solve) and inside the SAT search, so a
 /// portfolio supervisor can stop a losing BMC run promptly. A cancelled run
-/// reports [`BmcOutcome::Unknown`].
+/// reports [`Verdict::Unknown`] with reason `cancelled`.
 pub fn bounded_model_check_cancellable(
     verification: &Verification,
     max_frames: usize,
@@ -656,20 +640,28 @@ fn bmc_impl(
     let mut clauses = 0usize;
     let mut sat = crate::sat::SatStats::default();
     let mut harvest: Vec<FrameClause> = Vec::new();
-    let (outcome, trace) = 'bounds: {
+    let kind = verification.property.kind;
+    let unknown = || Verdict::Unknown {
+        reason: if cancel.is_cancelled() {
+            "cancelled".into()
+        } else {
+            "SAT budget exhausted or unsupported gate".into()
+        },
+    };
+    let verdict = 'bounds: {
         for frames in 1..=max_frames {
             if cancel.is_cancelled() {
-                break 'bounds (BmcOutcome::Unknown, None);
+                break 'bounds unknown();
             }
             let unrolling = Unrolling::new(&verification.netlist, frames);
             // Unrolling, encoding and solving a deep bound each take long
             // enough that a cancelled run polls between them, not only once
             // per bound.
             if cancel.is_cancelled() {
-                break 'bounds (BmcOutcome::Unknown, None);
+                break 'bounds unknown();
             }
             let Ok(mut blaster) = BitBlaster::encode(unrolling.circuit()) else {
-                break 'bounds (BmcOutcome::Unknown, None);
+                break 'bounds unknown();
             };
             inject_seeds(
                 &mut blaster,
@@ -689,7 +681,7 @@ fn bmc_impl(
                     blaster.constrain_value(net, &Bv::from_u64(1, 1));
                 }
             }
-            let target = match verification.property.kind {
+            let target = match kind {
                 PropertyKind::Always => 0u64,
                 PropertyKind::Eventually => 1u64,
             };
@@ -699,7 +691,7 @@ fn bmc_impl(
             variables += blaster.cnf.num_vars();
             clauses += blaster.cnf.num_clauses();
             if cancel.is_cancelled() {
-                break 'bounds (BmcOutcome::Unknown, None);
+                break 'bounds unknown();
             }
             let max_export = if learn { MAX_LIFT_LEN } else { 0 };
             let outcome = blaster
@@ -711,22 +703,21 @@ fn bmc_impl(
             }
             if let Some(model) = outcome.model {
                 let trace = model_to_trace(verification, &unrolling, &blaster, &model);
-                break 'bounds (BmcOutcome::Found { depth: frames }, Some(trace));
+                break 'bounds Verdict::with_trace(kind, trace);
             }
             if !outcome.complete {
-                break 'bounds (BmcOutcome::Unknown, None);
+                break 'bounds unknown();
             }
         }
-        (BmcOutcome::HoldsUpToBound, None)
+        Verdict::exhausted(kind, max_frames)
     };
     (
         BmcReport {
-            outcome,
+            verdict,
             elapsed: start.elapsed(),
             peak_memory_bytes: peak,
             variables,
             clauses,
-            trace,
             sat,
         },
         harvest,
@@ -747,7 +738,13 @@ mod tests {
         let y = nl.or2(a, na);
         let property = Property::always(&nl, "taut", y);
         let report = bounded_model_check(&Verification::new(nl, property), 3, 100_000);
-        assert_eq!(report.outcome, BmcOutcome::HoldsUpToBound);
+        assert_eq!(
+            report.verdict,
+            Verdict::Holds {
+                proved: false,
+                frames: 3
+            }
+        );
         assert!(report.clauses > 0);
     }
 
@@ -764,7 +761,10 @@ mod tests {
         let ok = nl.ne(q, two);
         let property = Property::always(&nl, "never2", ok);
         let report = bounded_model_check(&Verification::new(nl, property), 6, 1_000_000);
-        assert_eq!(report.outcome, BmcOutcome::Found { depth: 3 });
+        let Verdict::Violated { trace } = &report.verdict else {
+            panic!("expected a violation, got {:?}", report.verdict);
+        };
+        assert_eq!(trace.len(), 3);
     }
 
     #[test]
@@ -819,7 +819,10 @@ mod tests {
         let cold = bounded_model_check_cancellable(&verification, 8, 1_000_000, &cancel);
         let (warm_report, harvest) =
             bounded_model_check_learning(&verification, 8, 1_000_000, &cancel, &[]);
-        assert_eq!(cold.outcome, warm_report.outcome);
+        // Traces may differ (SAT models are not unique); label and depth may
+        // not.
+        let shape = |v: &Verdict| (v.label(), v.bound());
+        assert_eq!(shape(&cold.verdict), shape(&warm_report.verdict));
         // Everything harvested is structurally well-formed for this design.
         for clause in &harvest {
             assert!(clause.is_well_formed(&verification.netlist), "{clause:?}");
@@ -829,12 +832,11 @@ mod tests {
         // clauses are implied, so the per-depth SAT answers cannot move).
         let (seeded, _) =
             bounded_model_check_learning(&verification, 8, 1_000_000, &cancel, &harvest);
-        assert_eq!(seeded.outcome, warm_report.outcome);
-        match (&warm_report.trace, &seeded.trace) {
-            (Some(a), Some(b)) => assert_eq!(a.len(), b.len(), "violation depth must match"),
-            (None, None) => {}
-            other => panic!("trace presence diverged: {other:?}"),
-        }
+        assert_eq!(
+            shape(&seeded.verdict),
+            shape(&warm_report.verdict),
+            "violation depth must match"
+        );
     }
 
     #[test]
@@ -876,10 +878,64 @@ mod tests {
         let (report, _) =
             bounded_model_check_learning(&verification, 3, 100_000, &CancelToken::new(), &poison);
         assert_eq!(
-            report.outcome,
-            BmcOutcome::HoldsUpToBound,
+            report.verdict,
+            Verdict::Holds {
+                proved: false,
+                frames: 3
+            },
             "poisoned seeds must be skipped, not trusted"
         );
+    }
+
+    /// A 3-bit counter from 0 and the objective "q reaches 2": the witness
+    /// needs three cycles (values 0, 1, 2).
+    fn reaches_two(wrap_at_one: bool) -> Verification {
+        let mut nl = Netlist::new("cnt");
+        let (q, ff) = nl.dff_deferred(3, Some(Bv::zero(3)));
+        let one = nl.constant(&Bv::from_u64(3, 1));
+        let plus = nl.add(q, one);
+        let next = if wrap_at_one {
+            // q alternates 0, 1, 0, 1, ... and never reaches 2.
+            let at_one = nl.eq(q, one);
+            let zero = nl.constant(&Bv::zero(3));
+            nl.mux(at_one, zero, plus)
+        } else {
+            plus
+        };
+        nl.connect_dff_data(ff, next);
+        let two = nl.constant(&Bv::from_u64(3, 2));
+        let hit = nl.eq(q, two);
+        let property = Property::eventually(&nl, "reaches_2", hit);
+        Verification::new(nl, property)
+    }
+
+    #[test]
+    fn reachable_objective_gives_a_witness_at_its_depth() {
+        let report = bounded_model_check(&reaches_two(false), 6, 1_000_000);
+        let Verdict::WitnessFound { trace } = &report.verdict else {
+            panic!("expected a witness, got {:?}", report.verdict);
+        };
+        assert_eq!(trace.len(), 3);
+    }
+
+    #[test]
+    fn unreachable_objective_has_no_witness_within_the_bound() {
+        let report = bounded_model_check(&reaches_two(true), 5, 1_000_000);
+        assert_eq!(report.verdict, Verdict::WitnessAbsent { frames: 5 });
+    }
+
+    #[test]
+    fn a_run_cancelled_before_it_starts_is_unknown() {
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let report = bounded_model_check_cancellable(&reaches_two(false), 6, 1_000_000, &cancel);
+        assert_eq!(
+            report.verdict,
+            Verdict::Unknown {
+                reason: "cancelled".into()
+            }
+        );
+        assert_eq!(report.clauses, 0, "no bound was encoded");
     }
 
     #[test]

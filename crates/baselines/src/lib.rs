@@ -12,9 +12,10 @@
 //! * [`random_simulation`] — the random test-bench straw man from the
 //!   paper's introduction.
 //!
-//! These are used by the `wlac-bench` harness to regenerate the paper's
-//! qualitative comparisons (memory efficiency, scalability, false-negative
-//! avoidance).
+//! The BMC and simulation engines report a [`wlac_atpg::Verdict`], like the
+//! ATPG checker, so the reports are directly comparable. These are used by
+//! the `wlac-bench` harness to regenerate the paper's qualitative
+//! comparisons (memory efficiency, scalability, false-negative avoidance).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +27,7 @@ mod sat;
 
 pub use bitblast::{
     bounded_model_check, bounded_model_check_cancellable, bounded_model_check_learning, BitBlaster,
-    BmcOutcome, BmcReport, FrameClause, FrameLit, UnsupportedGateError,
+    BmcReport, FrameClause, FrameLit, UnsupportedGateError,
 };
 pub use integral::{IntegralLinearSystem, IntegralOutcome};
 pub use random_sim::{random_simulation, random_simulation_cancellable, RandomSimReport};

@@ -7,7 +7,7 @@
 //! (for `Always` properties) or satisfied (for `Eventually` witnesses).
 
 use std::time::{Duration, Instant};
-use wlac_atpg::{CancelToken, PropertyKind, Trace, Verification};
+use wlac_atpg::{CancelToken, PropertyKind, Trace, Verdict, Verification};
 use wlac_bv::Bv;
 use wlac_netlist::NetId;
 use wlac_rng::Rng64;
@@ -16,20 +16,18 @@ use wlac_sim::Simulator;
 /// Result of a random-simulation campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RandomSimReport {
-    /// `true` when the target event (violation or witness) was observed.
-    pub target_hit: bool,
-    /// Cycle of the first hit, if any.
-    pub first_hit_cycle: Option<usize>,
+    /// The hitting input sequence, truncated at the hit cycle, as a
+    /// counter-example or witness (replayable with
+    /// [`Trace::replay_monitor`]). Without a hit the verdict is `Unknown`:
+    /// `cancelled`, or a reason naming the runs and cycles simulated —
+    /// simulation never proves.
+    pub verdict: Verdict,
     /// Number of runs simulated.
     pub runs: usize,
     /// Cycles simulated per run.
     pub cycles_per_run: usize,
     /// Wall-clock time.
     pub elapsed: Duration,
-    /// The hitting input sequence, truncated at the hit cycle, when the
-    /// target was observed. Replayable with [`Trace::replay_monitor`] for
-    /// cross-engine validation.
-    pub trace: Option<Trace>,
 }
 
 /// Simulates `runs` random input sequences of `cycles` cycles each.
@@ -60,7 +58,6 @@ pub fn random_simulation_cancellable(
     let start = Instant::now();
     let netlist = &verification.netlist;
     let mut rng = Rng64::seed_from_u64(seed);
-    let mut first_hit_cycle = None;
     let mut trace = None;
     let words_per_cycle: usize = netlist
         .inputs()
@@ -111,7 +108,6 @@ pub fn random_simulation_cancellable(
                 };
                 frames.push(inputs);
                 if hit {
-                    first_hit_cycle = Some(cycle);
                     // The replayed simulation starts from the reset state
                     // this run started from, so an empty initial state
                     // reproduces the run exactly.
@@ -127,13 +123,21 @@ pub fn random_simulation_cancellable(
             }
         }
     }
+    let verdict = match trace {
+        Some(trace) => Verdict::with_trace(verification.property.kind, trace),
+        None => Verdict::Unknown {
+            reason: if cancel.is_cancelled() {
+                "cancelled".into()
+            } else {
+                format!("no hit in {runs} runs x {cycles} cycles")
+            },
+        },
+    };
     RandomSimReport {
-        target_hit: trace.is_some(),
-        first_hit_cycle,
+        verdict,
         runs,
         cycles_per_run: cycles,
         elapsed: start.elapsed(),
-        trace,
     }
 }
 
@@ -157,10 +161,11 @@ mod tests {
         let easy_property = Property::eventually(&nl, "easy", easy);
         let easy_verification = Verification::new(nl.clone(), easy_property);
         let report = random_simulation(&easy_verification, 4, 8, 7);
-        assert!(report.target_hit);
         assert_eq!(report.runs, 4);
         // The recorded trace replays to a real hit.
-        let trace = report.trace.expect("hit comes with a trace");
+        let Verdict::WitnessFound { trace } = report.verdict else {
+            panic!("expected a witness, got {:?}", report.verdict);
+        };
         let replay = trace
             .replay_monitor(
                 &easy_verification.netlist,
@@ -171,12 +176,13 @@ mod tests {
 
         let corner_property = Property::eventually(&nl, "corner", corner);
         let report = random_simulation(&Verification::new(nl, corner_property), 4, 8, 7);
-        assert!(
-            !report.target_hit,
+        assert_eq!(
+            report.verdict,
+            Verdict::Unknown {
+                reason: "no hit in 4 runs x 8 cycles".into()
+            },
             "2^-16 chance per cycle should not hit in 32 cycles"
         );
-        assert!(report.first_hit_cycle.is_none());
-        assert!(report.trace.is_none());
     }
 
     #[test]
@@ -200,8 +206,10 @@ mod tests {
         let verification = Verification::new(nl, property).with_environment(env);
 
         let report = random_simulation(&verification, 400, 64, 2);
-        assert_eq!(report.first_hit_cycle, Some(5));
-        let trace = report.trace.expect("hit comes with a trace");
+        let Verdict::WitnessFound { trace } = report.verdict else {
+            panic!("expected a witness, got {:?}", report.verdict);
+        };
+        // The first hit is at cycle 5: the trace is six cycles long.
         let frames: Vec<(u64, u64)> = trace
             .inputs
             .iter()
@@ -234,6 +242,12 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         let report = random_simulation_cancellable(&verification, 1000, 1000, 3, &cancel);
-        assert!(!report.target_hit, "cancelled before the first run");
+        assert_eq!(
+            report.verdict,
+            Verdict::Unknown {
+                reason: "cancelled".into()
+            },
+            "cancelled before the first run"
+        );
     }
 }

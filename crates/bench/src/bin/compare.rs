@@ -4,14 +4,14 @@
 //!
 //! Usage: `cargo run -p wlac-bench --release --bin compare`
 
-use wlac_baselines::{bounded_model_check, random_simulation, BmcOutcome};
+use wlac_baselines::{bounded_model_check, random_simulation};
 use wlac_bench::run_case;
 use wlac_circuits::{paper_suite, Scale};
 
 fn main() {
     println!("== ATPG + modular arithmetic vs bit-level SAT BMC vs random simulation ==");
     println!(
-        "{:<13} {:>4} | {:>10} {:>9} | {:>10} {:>9} {:>9} | {:>10}",
+        "{:<13} {:>4} | {:>10} {:>9} | {:>10} {:>9} {:>12} | {:>10}",
         "ckt_name", "prop", "atpg cpu", "atpg MB", "bmc cpu", "bmc MB", "bmc out", "random"
     );
     let suite = paper_suite(Scale::Small);
@@ -20,22 +20,17 @@ fn main() {
     for case in suite {
         let report = run_case(&case);
         let bmc = bounded_model_check(&case.verification, 6, 2_000_000);
-        let bmc_out = match bmc.outcome {
-            BmcOutcome::HoldsUpToBound => "holds",
-            BmcOutcome::Found { .. } => "found",
-            BmcOutcome::Unknown => "unknown",
-        };
         let random = random_simulation(&case.verification, 16, 16, 1);
         println!(
-            "{:<13} {:>4} | {:>9.2}s {:>8.2} | {:>9.2}s {:>8.2} {:>9} | {}",
+            "{:<13} {:>4} | {:>9.2}s {:>8.2} | {:>9.2}s {:>8.2} {:>12} | {}",
             case.circuit,
             case.property,
             report.stats.cpu_seconds(),
             report.stats.peak_memory_mb(),
             bmc.elapsed.as_secs_f64(),
             bmc.peak_memory_bytes as f64 / (1024.0 * 1024.0),
-            bmc_out,
-            if random.target_hit { "hit" } else { "miss" },
+            bmc.verdict.label(),
+            random.verdict.label(),
         );
     }
     println!();

@@ -5,6 +5,7 @@
 //! (defaults to the small scale so a full run finishes in seconds; the paper
 //! scale regenerates Table 1-sized designs).
 
+use wlac_atpg::Verdict;
 use wlac_bench::{run_case, table2_header, table2_row};
 use wlac_circuits::{paper_suite, Scale};
 
@@ -22,8 +23,8 @@ fn main() {
     for case in paper_suite(scale) {
         let report = run_case(&case);
         let ok = match case.expectation {
-            wlac_circuits::Expectation::Pass => report.result.is_pass(),
-            wlac_circuits::Expectation::Witness => report.result.has_trace(),
+            wlac_circuits::Expectation::Pass => matches!(report.result, Verdict::Holds { .. }),
+            wlac_circuits::Expectation::Witness => report.result.trace().is_some(),
         };
         if !ok {
             mismatches += 1;

@@ -37,19 +37,11 @@ pub fn run_case(case: &BenchmarkCase) -> CheckReport {
 
 /// Formats one Table 2 row: measured vs paper numbers.
 pub fn table2_row(case: &BenchmarkCase, report: &CheckReport) -> String {
-    let outcome = match &report.result {
-        wlac_atpg::CheckResult::Proved => "proved",
-        wlac_atpg::CheckResult::HoldsUpToBound { .. } => "holds(bound)",
-        wlac_atpg::CheckResult::CounterExample { .. } => "counterexample",
-        wlac_atpg::CheckResult::WitnessFound { .. } => "witness",
-        wlac_atpg::CheckResult::WitnessNotFound { .. } => "no witness",
-        wlac_atpg::CheckResult::Unknown { .. } => "unknown",
-    };
     format!(
         "{:<13} {:>4} {:<14} {:>9.2} {:>9.2} {:>11.2} {:>11.2}",
         case.circuit,
         case.property,
-        outcome,
+        report.result.label(),
         report.stats.cpu_seconds(),
         report.stats.peak_memory_mb(),
         case.paper_cpu_seconds,
@@ -75,7 +67,7 @@ mod tests {
         let suite = paper_suite(Scale::Small);
         let case = &suite[13]; // p14, the smallest
         let report = run_case(case);
-        assert!(report.result.is_pass());
+        assert_eq!(report.result.label(), "proved");
         let row = table2_row(case, &report);
         assert!(row.contains("p14"));
         assert!(table2_header().contains("paper cpu"));

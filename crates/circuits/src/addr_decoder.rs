@@ -133,7 +133,7 @@ impl AddrDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wlac_atpg::{AssertionChecker, CheckResult, CheckerOptions};
+    use wlac_atpg::{AssertionChecker, CheckerOptions, Verdict};
 
     #[test]
     fn statistics_match_paper_shape() {
@@ -162,7 +162,7 @@ mod tests {
         };
         let report = AssertionChecker::new(options).check(&decoder.p1_cell_writable());
         assert!(
-            matches!(report.result, CheckResult::WitnessFound { .. }),
+            matches!(report.result, Verdict::WitnessFound { .. }),
             "got {:?}",
             report.result
         );

@@ -188,7 +188,7 @@ impl Default for AlarmClock {
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use wlac_atpg::{AssertionChecker, CheckResult, CheckerOptions};
+    use wlac_atpg::{AssertionChecker, CheckerOptions, Verdict};
     use wlac_sim::simulate;
 
     #[test]
@@ -268,7 +268,7 @@ mod tests {
         };
         let report = AssertionChecker::new(options).check(&clock.p8_hour_reaches_two());
         match report.result {
-            CheckResult::WitnessFound { trace } => assert!(trace.len() >= 2),
+            Verdict::WitnessFound { trace } => assert!(trace.len() >= 2),
             other => panic!("expected witness, got {other:?}"),
         }
     }

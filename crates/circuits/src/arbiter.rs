@@ -125,7 +125,7 @@ impl Arbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wlac_atpg::{AssertionChecker, CheckResult, CheckerOptions};
+    use wlac_atpg::{AssertionChecker, CheckerOptions, Verdict};
 
     #[test]
     fn statistics_match_paper_shape() {
@@ -152,7 +152,7 @@ mod tests {
         };
         let report = AssertionChecker::new(options).check(&arbiter.p6_lowest_priority_served());
         match report.result {
-            CheckResult::WitnessFound { trace } => {
+            Verdict::WitnessFound { trace } => {
                 // The grant register needs one cycle to latch the request.
                 assert!(trace.len() >= 2);
             }

@@ -124,7 +124,7 @@ impl TokenRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wlac_atpg::{AssertionChecker, CheckResult, CheckerOptions};
+    use wlac_atpg::{AssertionChecker, CheckerOptions, Verdict};
 
     #[test]
     fn statistics_match_paper_shape() {
@@ -155,7 +155,7 @@ mod tests {
         };
         let report = AssertionChecker::new(options).check(&ring.p4_client_eventually_granted());
         match report.result {
-            CheckResult::WitnessFound { trace } => {
+            Verdict::WitnessFound { trace } => {
                 // The token starts at client 0 and needs clients-1 steps to
                 // reach the last client.
                 assert_eq!(trace.len(), TokenRingConfig::small().clients);

@@ -16,70 +16,19 @@ use crate::property::{PropertyKind, Verification};
 use crate::search::{SearchContext, SearchGoal, SearchOutcome};
 use crate::stats::CheckStats;
 use crate::trace::Trace;
+use crate::verdict::Verdict;
 use std::time::Instant;
 use wlac_bv::{Bv, Bv3, Tv};
 use wlac_netlist::{NetId, Unrolling};
-
-/// Outcome of checking one property.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckResult {
-    /// The assertion holds in every reachable state (proved by induction on
-    /// top of the bounded search).
-    Proved,
-    /// No counter-example exists within the explored bound.
-    HoldsUpToBound {
-        /// Number of time-frames exhaustively explored.
-        frames: usize,
-    },
-    /// The assertion fails; a validated counter-example is attached.
-    CounterExample {
-        /// Concrete failing execution.
-        trace: Trace,
-    },
-    /// A witness satisfying the `Eventually` objective was found.
-    WitnessFound {
-        /// Concrete satisfying execution.
-        trace: Trace,
-    },
-    /// No witness exists within the explored bound.
-    WitnessNotFound {
-        /// Number of time-frames exhaustively explored.
-        frames: usize,
-    },
-    /// The check was aborted before reaching a conclusion.
-    Unknown {
-        /// Human-readable reason (time limit, backtrack limit, unresolved
-        /// datapath constraints, failed validation).
-        reason: String,
-    },
-}
-
-impl CheckResult {
-    /// `true` when the result certifies the assertion (proved or holds up to
-    /// the bound) — the "assertion passes" outcomes of the paper's Table 2.
-    pub fn is_pass(&self) -> bool {
-        matches!(
-            self,
-            CheckResult::Proved | CheckResult::HoldsUpToBound { .. }
-        )
-    }
-
-    /// `true` when a concrete trace (counter-example or witness) was produced.
-    pub fn has_trace(&self) -> bool {
-        matches!(
-            self,
-            CheckResult::CounterExample { .. } | CheckResult::WitnessFound { .. }
-        )
-    }
-}
 
 /// Result plus effort statistics for one property check.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckReport {
     /// Property name (e.g. `p7`).
     pub property: String,
-    /// Outcome of the check.
-    pub result: CheckResult,
+    /// Outcome of the check. Traces are validated by replay; a full proof is
+    /// `Holds { proved: true, frames: 1 }`, the frame its induction closed at.
+    pub result: Verdict,
     /// Search statistics (CPU time, memory estimate, decisions, ...).
     pub stats: CheckStats,
 }
@@ -161,14 +110,7 @@ impl AssertionChecker {
             0,
             self.options.max_frames as u64,
         );
-        let result = match verification.property.kind {
-            PropertyKind::Always => {
-                self.check_always(verification, estg, facts, deadline, &mut stats)
-            }
-            PropertyKind::Eventually => {
-                self.check_eventually(verification, estg, facts, deadline, &mut stats)
-            }
-        };
+        let result = self.check_bounds(verification, estg, facts, deadline, &mut stats);
         stats.elapsed = start.elapsed();
         if self.options.trace {
             // The search loop attributed its own time; everything else this
@@ -185,20 +127,30 @@ impl AssertionChecker {
         }
     }
 
-    fn check_always(
+    /// Deepens the bound one frame at a time until a validated trace, a
+    /// search that gives up, or `max_frames`. An `Always` assertion is
+    /// inverted into counter-example generation and, once its first frame
+    /// holds, tries to close the proof with a one-step induction; an
+    /// `Eventually` objective asks for a witness.
+    fn check_bounds(
         &self,
         verification: &Verification,
         estg: &mut Estg,
         mut facts: Option<&mut DatapathFacts>,
         deadline: Instant,
         stats: &mut CheckStats,
-    ) -> CheckResult {
+    ) -> Verdict {
+        let kind = verification.property.kind;
+        let (goal, violation, found) = match kind {
+            PropertyKind::Always => (SearchGoal::Prove, true, "counter-example"),
+            PropertyKind::Eventually => (SearchGoal::Witness, false, "witness"),
+        };
         // One unrolling grows monotonically across bounds: deepening by one
         // frame appends to the expanded circuit instead of rebuilding it.
         let mut unrolling = Unrolling::new(&verification.netlist, 1);
         for frames in 1..=self.options.max_frames {
             if self.options.cancel.is_cancelled() {
-                return CheckResult::Unknown {
+                return Verdict::Unknown {
                     reason: "cancelled".into(),
                 };
             }
@@ -220,9 +172,9 @@ impl AssertionChecker {
                 verification,
                 &unrolling,
                 frames,
-                true,
+                violation,
                 false,
-                SearchGoal::Prove,
+                goal,
                 estg,
                 facts.as_deref_mut(),
                 deadline,
@@ -234,20 +186,20 @@ impl AssertionChecker {
                     return match trace
                         .replay_monitor(&verification.netlist, verification.property.monitor)
                     {
-                        Ok(monitor) if monitor.last() == Some(&false) => {
-                            CheckResult::CounterExample { trace }
+                        Ok(monitor) if monitor.last() == Some(&!violation) => {
+                            Verdict::with_trace(kind, trace)
                         }
-                        Ok(_) => CheckResult::Unknown {
-                            reason: "counter-example failed replay validation".into(),
+                        Ok(_) => Verdict::Unknown {
+                            reason: format!("{found} failed replay validation"),
                         },
-                        Err(e) => CheckResult::Unknown {
-                            reason: format!("counter-example replay error: {e}"),
+                        Err(e) => Verdict::Unknown {
+                            reason: format!("{found} replay error: {e}"),
                         },
                     };
                 }
                 SearchOutcome::Unsat => {}
                 SearchOutcome::Inconclusive(reason) => {
-                    return CheckResult::Unknown {
+                    return Verdict::Unknown {
                         reason: reason.into(),
                     };
                 }
@@ -255,7 +207,7 @@ impl AssertionChecker {
             // After establishing the base case, try to close the proof with a
             // one-step induction: no state satisfying the monitor may have a
             // successor violating it.
-            if frames == 1 && self.options.use_induction {
+            if violation && frames == 1 && self.options.use_induction {
                 unrolling.extend_to(&verification.netlist, 2);
                 let outcome = self.solve_bound(
                     verification,
@@ -270,84 +222,14 @@ impl AssertionChecker {
                     stats,
                 );
                 if outcome == SearchOutcome::Unsat {
-                    return CheckResult::Proved;
-                }
-            }
-        }
-        CheckResult::HoldsUpToBound {
-            frames: self.options.max_frames,
-        }
-    }
-
-    fn check_eventually(
-        &self,
-        verification: &Verification,
-        estg: &mut Estg,
-        mut facts: Option<&mut DatapathFacts>,
-        deadline: Instant,
-        stats: &mut CheckStats,
-    ) -> CheckResult {
-        let mut unrolling = Unrolling::new(&verification.netlist, 1);
-        for frames in 1..=self.options.max_frames {
-            if self.options.cancel.is_cancelled() {
-                return CheckResult::Unknown {
-                    reason: "cancelled".into(),
-                };
-            }
-            stats.frames_explored = frames;
-            unrolling.extend_to(&verification.netlist, frames);
-            if self.options.trace {
-                self.options
-                    .trace_sink
-                    .event("bound", wlac_telemetry::SpanId::ROOT, frames as u64);
-            }
-            self.options.recorder.record(
-                wlac_telemetry::RecorderLayer::Core,
-                wlac_telemetry::RecorderKind::Bound,
-                frames as u64,
-                self.options.max_frames as u64,
-            );
-            self.options.progress.advance_bound(frames as u64);
-            let outcome = self.solve_bound(
-                verification,
-                &unrolling,
-                frames,
-                false,
-                false,
-                SearchGoal::Witness,
-                estg,
-                facts.as_deref_mut(),
-                deadline,
-                stats,
-            );
-            match outcome {
-                SearchOutcome::Sat(values) => {
-                    let trace = self.extract_trace(verification, &unrolling, &values);
-                    return match trace
-                        .replay_monitor(&verification.netlist, verification.property.monitor)
-                    {
-                        Ok(monitor) if monitor.last() == Some(&true) => {
-                            CheckResult::WitnessFound { trace }
-                        }
-                        Ok(_) => CheckResult::Unknown {
-                            reason: "witness failed replay validation".into(),
-                        },
-                        Err(e) => CheckResult::Unknown {
-                            reason: format!("witness replay error: {e}"),
-                        },
-                    };
-                }
-                SearchOutcome::Unsat => {}
-                SearchOutcome::Inconclusive(reason) => {
-                    return CheckResult::Unknown {
-                        reason: reason.into(),
+                    return Verdict::Holds {
+                        proved: true,
+                        frames,
                     };
                 }
             }
         }
-        CheckResult::WitnessNotFound {
-            frames: self.options.max_frames,
-        }
+        Verdict::exhausted(kind, self.options.max_frames)
     }
 
     /// Seeds the requirements over `frames` time-frames of the (already
@@ -511,7 +393,7 @@ mod tests {
         };
         let report = AssertionChecker::new(options).check(&verification);
         match report.result {
-            CheckResult::CounterExample { trace } => {
+            Verdict::Violated { trace } => {
                 assert!(
                     trace.len() >= 5,
                     "needs at least 5 cycles, got {}",
@@ -538,7 +420,13 @@ mod tests {
         let property = Property::always(&nl, "stays_zero", ok);
         let verification = Verification::new(nl, property);
         let report = AssertionChecker::with_defaults().check(&verification);
-        assert_eq!(report.result, CheckResult::Proved);
+        assert_eq!(
+            report.result,
+            Verdict::Holds {
+                proved: true,
+                frames: 1
+            }
+        );
     }
 
     #[test]
@@ -559,7 +447,13 @@ mod tests {
         nl.mark_output("ok", ok);
         let property = Property::always(&nl, "ok", ok);
         let report = AssertionChecker::with_defaults().check(&Verification::new(nl, property));
-        assert_eq!(report.result, CheckResult::Proved);
+        assert_eq!(
+            report.result,
+            Verdict::Holds {
+                proved: true,
+                frames: 1
+            }
+        );
         assert_eq!(report.stats.frames_explored, 1);
         assert!(report.stats.datapath_splits > 0, "{}", report.stats);
     }
@@ -600,7 +494,13 @@ mod tests {
         let per_search = totals.windows(2).map(|w| w[1] - w[0]).max().unwrap();
         assert!(totals[6] > per_search, "totals {totals:?}");
         let report = AssertionChecker::new(options(6, per_search as usize)).check(&verification);
-        assert_eq!(report.result, CheckResult::HoldsUpToBound { frames: 6 });
+        assert_eq!(
+            report.result,
+            Verdict::Holds {
+                proved: false,
+                frames: 6
+            }
+        );
         assert_eq!(report.stats.backtracks, totals[6]);
     }
 
@@ -622,7 +522,7 @@ mod tests {
         };
         let report = AssertionChecker::new(options).check(&verification);
         match report.result {
-            CheckResult::WitnessFound { trace } => assert_eq!(trace.len(), 4),
+            Verdict::WitnessFound { trace } => assert_eq!(trace.len(), 4),
             other => panic!("expected witness, got {other:?}"),
         }
     }
@@ -643,7 +543,7 @@ mod tests {
             ..CheckerOptions::default()
         };
         let report = AssertionChecker::new(options).check(&verification);
-        assert_eq!(report.result, CheckResult::WitnessNotFound { frames: 10 });
+        assert_eq!(report.result, Verdict::WitnessAbsent { frames: 10 });
     }
 
     #[test]
@@ -674,7 +574,7 @@ mod tests {
         let without_env = Verification::new(nl, property);
         assert!(matches!(
             checker.check(&without_env).result,
-            CheckResult::CounterExample { .. }
+            Verdict::Violated { .. }
         ));
     }
 
@@ -690,7 +590,7 @@ mod tests {
             .with_cancel(cancel)
             .with_recorder(RecorderHandle::to(recorder.clone()).with_job(42));
         let report = AssertionChecker::new(options.clone()).check(&Verification::new(nl, property));
-        assert!(matches!(report.result, CheckResult::Unknown { .. }));
+        assert!(matches!(report.result, Verdict::Unknown { .. }));
         let events = recorder.snapshot();
         let core: Vec<_> = events
             .iter()

@@ -189,9 +189,6 @@ pub struct CheckerOptions {
     /// Maximum number of decisions one search may take before it gives up;
     /// each search counts from its own start.
     pub decision_limit: usize,
-    /// Maximum number of candidate decision points kept per justification
-    /// round (the paper selects a fanout-based subset when the cut is large).
-    pub candidate_limit: usize,
     /// Wall-clock limit for a single property check.
     pub time_limit: Duration,
     /// Attempt a 1-step induction proof before the bounded search
@@ -213,8 +210,6 @@ pub struct CheckerOptions {
     /// transcription and solving code, which makes this the differential
     /// oracle for the incremental path.
     pub incremental_datapath: bool,
-    /// Candidate enumeration budget for nonlinear (multiplier) constraints.
-    pub nonlinear_enumeration_limit: usize,
     /// Cooperative cancellation token polled by the search loop. Ignored by
     /// equality comparisons: two configurations with different tokens are
     /// still "the same configuration".
@@ -263,14 +258,12 @@ impl PartialEq for CheckerOptions {
             max_frames,
             backtrack_limit,
             decision_limit,
-            candidate_limit,
             time_limit,
             use_induction,
             use_bias_ordering,
             use_estg,
             use_arithmetic_solver,
             incremental_datapath,
-            nonlinear_enumeration_limit,
             cancel: _,
             trace: _,
             trace_sink: _,
@@ -281,14 +274,12 @@ impl PartialEq for CheckerOptions {
         *max_frames == other.max_frames
             && *backtrack_limit == other.backtrack_limit
             && *decision_limit == other.decision_limit
-            && *candidate_limit == other.candidate_limit
             && *time_limit == other.time_limit
             && *use_induction == other.use_induction
             && *use_bias_ordering == other.use_bias_ordering
             && *use_estg == other.use_estg
             && *use_arithmetic_solver == other.use_arithmetic_solver
             && *incremental_datapath == other.incremental_datapath
-            && *nonlinear_enumeration_limit == other.nonlinear_enumeration_limit
     }
 }
 
@@ -301,14 +292,12 @@ impl CheckerOptions {
             max_frames: 12,
             backtrack_limit: 200_000,
             decision_limit: 1_000_000,
-            candidate_limit: 64,
             time_limit: Duration::from_secs(120),
             use_induction: true,
             use_bias_ordering: true,
             use_estg: true,
             use_arithmetic_solver: true,
             incremental_datapath: true,
-            nonlinear_enumeration_limit: 256,
             cancel: CancelToken::new(),
             trace: false,
             trace_sink: TraceSink::disabled(),

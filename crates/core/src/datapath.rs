@@ -52,6 +52,9 @@ use wlac_sim::eval_gate;
 /// Sentinel for "not part of any island" in the dense gate/net maps.
 const NONE: u32 = u32::MAX;
 
+/// Candidate enumeration budget for nonlinear (multiplier) constraints.
+const NONLINEAR_ENUMERATION_LIMIT: usize = 256;
+
 /// Result of trying to discharge the residual datapath constraints.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum DatapathOutcome {
@@ -97,16 +100,15 @@ enum IslandOutcome {
 /// The key captures *everything* the island solve depends on: the identity of
 /// the island within the expanded circuit (`net_count` pins down the
 /// expansion depth of the deterministic frame-major unrolling, `island` the
-/// flood-fill component within it), the nonlinear enumeration budget, and the
-/// exact value rows pushed for the solve — per island net, how many low bits
-/// are known and what they are (`known_low == width` ⇔ fully fixed). Two
-/// solves with equal keys are the same pure computation, so replaying the
-/// verdict is sound.
+/// flood-fill component within it) and the exact value rows pushed for the
+/// solve — per island net, how many low bits are known and what they are
+/// (`known_low == width` ⇔ fully fixed). The nonlinear enumeration budget is
+/// a constant. Two solves with equal keys are the same pure computation, so
+/// replaying the verdict is sound.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct IslandFact {
     net_count: u32,
     island: u32,
-    enum_limit: u32,
     values: Box<[(u8, u64)]>,
 }
 
@@ -332,7 +334,6 @@ impl DatapathContext {
             let fact_key = facts.as_deref().map(|_| IslandFact {
                 net_count: netlist.net_count() as u32,
                 island: island_id as u32,
-                enum_limit: options.nonlinear_enumeration_limit as u32,
                 values: island_value_key(&self.islands[island_id], &self.net_var, asg),
             });
             if let (Some(store), Some(key)) = (facts.as_deref(), fact_key.as_ref()) {
@@ -698,7 +699,7 @@ fn solve_island(
         match solve_products_checkpointed(
             &mut island.system,
             &island.products,
-            options.nonlinear_enumeration_limit,
+            NONLINEAR_ENUMERATION_LIMIT,
             &mut poll,
         ) {
             MixedOutcome::Solution(values) => IslandOutcome::Assignment(values),

@@ -20,10 +20,14 @@
 //!    validated by simulation; exhaustion of the search space proves the
 //!    assertion (up to the bound, or outright via 1-step induction).
 //!
+//! The answer is a [`Verdict`], the vocabulary every engine of the workspace
+//! reports in (the SAT BMC and random-simulation baselines and the portfolio
+//! that races them build the same type).
+//!
 //! # Examples
 //!
 //! ```
-//! use wlac_atpg::{AssertionChecker, CheckResult, Property, Verification};
+//! use wlac_atpg::{AssertionChecker, Property, Verdict, Verification};
 //! use wlac_bv::Bv;
 //! use wlac_netlist::Netlist;
 //!
@@ -42,7 +46,7 @@
 //!
 //! let property = Property::always(&nl, "never_12", ok);
 //! let report = AssertionChecker::with_defaults().check(&Verification::new(nl, property));
-//! assert!(report.result.is_pass());
+//! assert!(matches!(report.result, Verdict::Holds { .. }));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -59,11 +63,12 @@ mod knowledge;
 mod search;
 mod stats;
 mod trace;
+mod verdict;
 
 pub mod property;
 
 pub use assignment::Conflict;
-pub use checker::{AssertionChecker, CheckReport, CheckResult};
+pub use checker::{AssertionChecker, CheckReport};
 pub use config::{CancelToken, CheckerOptions, TraceSink};
 pub use datapath::DatapathFacts;
 pub use estg::Estg;
@@ -73,4 +78,5 @@ pub use property::{Property, PropertyKind, Verification};
 pub use search::{SearchContext, SearchGoal, SearchOutcome};
 pub use stats::{CheckStats, PhaseNanos};
 pub use trace::Trace;
+pub use verdict::Verdict;
 pub use wlac_faultinject::{FaultPlan, FaultSite};

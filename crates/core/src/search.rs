@@ -36,6 +36,10 @@ use wlac_bv::{Bv, Bv3, Tv};
 use wlac_netlist::{NetId, Netlist};
 use wlac_telemetry::{RecorderKind, RecorderLayer, SpanId};
 
+/// Maximum number of candidate decision points kept per justification round
+/// (the paper selects a fanout-based subset when the cut is large).
+const CANDIDATE_LIMIT: usize = 64;
+
 /// Outcome of one justification run over an unrolled circuit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SearchOutcome {
@@ -379,7 +383,7 @@ impl SearchContext {
                 self.justify.candidates.clear();
             } else {
                 self.justify
-                    .compute_decision_cut(netlist, &self.asg, options.candidate_limit);
+                    .compute_decision_cut(netlist, &self.asg, CANDIDATE_LIMIT);
             }
             clock.tick(&mut stats.phases.justification);
 

@@ -1,12 +1,13 @@
 //! The engine-independent verdict vocabulary.
 //!
-//! Every strategy in the portfolio — word-level ATPG, bit-level SAT BMC,
-//! random simulation — reports its conclusion as a [`Verdict`], so results
-//! can be raced, compared and cross-validated without knowing which engine
-//! produced them.
+//! Every engine — the word-level ATPG checker, bit-level SAT BMC, random
+//! simulation — reports its conclusion as a [`Verdict`], built where the
+//! engine decides, so results can be raced, compared, cached and
+//! cross-validated without knowing which engine produced them.
 
+use crate::property::PropertyKind;
+use crate::trace::Trace;
 use std::time::Duration;
-use wlac_atpg::Trace;
 
 /// The conclusion of one engine about one property.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,13 +41,11 @@ pub enum Verdict {
         /// Human-readable reason.
         reason: String,
     },
-    /// The job exceeded its wall-clock budget ([`job_budget`]) before any
-    /// engine answered: a structured, non-definitive outcome that frees the
-    /// worker instead of occupying it forever. Like [`Verdict::Unknown`] it
-    /// is never cached or persisted — a future run with more budget could
-    /// still decide the property.
-    ///
-    /// [`job_budget`]: crate::PortfolioConfig::job_budget
+    /// The job exceeded its wall-clock budget (the portfolio's
+    /// `job_budget`) before any engine answered: a structured,
+    /// non-definitive outcome that frees the worker instead of occupying it
+    /// forever. Like [`Verdict::Unknown`] it is never cached or persisted — a
+    /// future run with more budget could still decide the property.
     Timeout {
         /// The budget that was exhausted.
         budget: Duration,
@@ -54,6 +53,28 @@ pub enum Verdict {
 }
 
 impl Verdict {
+    /// The verdict a validated trace gives a property of `kind`: a
+    /// counter-example for `Always`, a witness for `Eventually`.
+    pub fn with_trace(kind: PropertyKind, trace: Trace) -> Verdict {
+        match kind {
+            PropertyKind::Always => Verdict::Violated { trace },
+            PropertyKind::Eventually => Verdict::WitnessFound { trace },
+        }
+    }
+
+    /// The verdict of a search that exhausted `frames` time-frames without
+    /// finding a trace: a bounded hold for `Always`, an absent witness for
+    /// `Eventually`.
+    pub fn exhausted(kind: PropertyKind, frames: usize) -> Verdict {
+        match kind {
+            PropertyKind::Always => Verdict::Holds {
+                proved: false,
+                frames,
+            },
+            PropertyKind::Eventually => Verdict::WitnessAbsent { frames },
+        }
+    }
+
     /// `true` when the verdict settles the property (anything but
     /// [`Verdict::Unknown`] / [`Verdict::Timeout`]). The first definitive
     /// verdict wins a race.
@@ -92,11 +113,22 @@ impl Verdict {
         }
     }
 
+    /// The frame depth the verdict vouches for: the covered frames of a
+    /// bounded or proved hold and of an absent witness, the trace length of a
+    /// trace-backed answer, 0 when the verdict says nothing about depth.
+    pub fn bound(&self) -> u64 {
+        match self {
+            Verdict::Holds { frames, .. } | Verdict::WitnessAbsent { frames } => *frames as u64,
+            Verdict::Violated { trace } | Verdict::WitnessFound { trace } => trace.len() as u64,
+            Verdict::Unknown { .. } | Verdict::Timeout { .. } => 0,
+        }
+    }
+
     /// Informativeness rank used to combine verdicts in cross-validation
     /// mode: a validated concrete trace beats a full proof (it can reach
     /// beyond the bounded engines' horizon, as a deep random-simulation hit
     /// does), a proof beats a bounded hold, anything beats `Unknown`.
-    pub(crate) fn rank(&self) -> u8 {
+    pub fn rank(&self) -> u8 {
         match self {
             Verdict::Violated { .. } | Verdict::WitnessFound { .. } => 3,
             Verdict::Holds { proved: true, .. } => 2,
@@ -105,7 +137,8 @@ impl Verdict {
         }
     }
 
-    /// Compact label used in reports (`holds`, `proved`, `violated`, ...).
+    /// The verdict's one name, in reports and on the wire (`proved`,
+    /// `holds(bound)`, `violated`, ...).
     pub fn label(&self) -> &'static str {
         match self {
             Verdict::Holds { proved: true, .. } => "proved",
@@ -191,6 +224,25 @@ mod tests {
         let violated = Verdict::Violated { trace: trace(3) };
         assert!(!timeout.conflicts_with(&violated));
         assert!(!violated.conflicts_with(&timeout));
+    }
+
+    #[test]
+    fn kind_keyed_constructors_and_bound() {
+        let violated = Verdict::with_trace(PropertyKind::Always, trace(3));
+        assert_eq!(violated, Verdict::Violated { trace: trace(3) });
+        assert_eq!(
+            Verdict::with_trace(PropertyKind::Eventually, trace(2)).label(),
+            "witness"
+        );
+        let holds = Verdict::exhausted(PropertyKind::Always, 6);
+        assert_eq!(holds.label(), "holds(bound)");
+        let absent = Verdict::exhausted(PropertyKind::Eventually, 6);
+        assert_eq!(absent, Verdict::WitnessAbsent { frames: 6 });
+        assert_eq!((violated.bound(), holds.bound(), absent.bound()), (3, 6, 6));
+        let unknown = Verdict::Unknown {
+            reason: "limit".into(),
+        };
+        assert_eq!(unknown.bound(), 0);
     }
 
     #[test]

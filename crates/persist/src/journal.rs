@@ -41,9 +41,11 @@
 //! [`JournalWriter`] writes every record synchronously (a `kill -9` after
 //! the append therefore never loses acknowledged work — the kernel page
 //! cache survives the process) but batches the expensive `fsync` across
-//! records: `fsync_batch = n` syncs every n-th append. Power-loss-critical
-//! deployments run batch 1 (an fsync per append); the default trades a
-//! bounded power-loss window for an order of magnitude on the hot path.
+//! records: `fsync_batch = n` syncs every n-th append to that writer's
+//! file. A [`JournalSink`] keeps one writer per design, so a power loss can
+//! cost up to n−1 acknowledged records *per design*. Power-loss-critical
+//! deployments run batch 1 (an fsync per append); the default trades that
+//! window for an order of magnitude on the hot path.
 
 use crate::format::{fnv64, PersistError, Reader, Writer, FORMAT_VERSION};
 use crate::snapshot::{read_netlist, read_verdict, sync_parent_dir, write_netlist, write_verdict};

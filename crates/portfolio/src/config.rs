@@ -5,6 +5,9 @@ use std::num::NonZeroUsize;
 use std::time::Duration;
 use wlac_atpg::CheckerOptions;
 
+/// Seed of the random-simulation engine, so its reports are reproducible.
+pub const RANDOM_SEED: u64 = 0xDAC2000;
+
 /// Configuration of a [`crate::Portfolio`].
 #[derive(Debug, Clone)]
 pub struct PortfolioConfig {
@@ -19,8 +22,6 @@ pub struct PortfolioConfig {
     pub random_runs: usize,
     /// Cycles per random-simulation run.
     pub random_cycles: usize,
-    /// Seed of the random-simulation engine (reports are reproducible).
-    pub random_seed: u64,
     /// Worker threads used by [`crate::Portfolio::check_batch`].
     pub workers: usize,
     /// When `true`, batch checks run every engine to completion and
@@ -49,7 +50,6 @@ impl PortfolioConfig {
             bmc_decision_budget: 500_000,
             random_runs: 16,
             random_cycles: 64,
-            random_seed: 0xDAC2000,
             workers: std::thread::available_parallelism()
                 .map(NonZeroUsize::get)
                 .unwrap_or(4),

@@ -1,23 +1,22 @@
-//! Engine adapters: run one strategy on one property and normalise its
-//! result into the shared [`Verdict`] vocabulary.
+//! Engine adapters: run one strategy on one property. Each engine reports
+//! in the shared [`Verdict`] vocabulary itself; an adapter wires in the
+//! race's cancellation, warm start and observers.
 //!
 //! Every trace-producing verdict is re-simulated with [`wlac_sim`] (via
 //! [`wlac_atpg::Trace::replay_monitor`]) before it is trusted: an engine bug
 //! can at worst demote a result to `Unknown`, never smuggle in a bogus
 //! counter-example.
 
-use crate::config::PortfolioConfig;
-use crate::verdict::Verdict;
+use crate::config::{PortfolioConfig, RANDOM_SEED};
 use crate::warm::WarmStart;
 use std::fmt;
 use std::time::{Duration, Instant};
 use wlac_atpg::{
-    AssertionChecker, CancelToken, CheckResult, CheckStats, PropertyKind, SearchKnowledge, Trace,
-    Verification,
+    AssertionChecker, CancelToken, CheckStats, SearchKnowledge, Trace, Verdict, Verification,
 };
 use wlac_baselines::{
     bounded_model_check_cancellable, bounded_model_check_learning, random_simulation_cancellable,
-    BmcOutcome, FrameClause,
+    FrameClause,
 };
 use wlac_telemetry::{ProgressHandle, RecorderHandle};
 
@@ -93,7 +92,7 @@ pub enum EngineStats {
 pub struct EngineRun {
     /// Which strategy ran.
     pub engine: Engine,
-    /// Its normalised, re-simulation-validated conclusion.
+    /// Its re-simulation-validated conclusion.
     pub verdict: Verdict,
     /// Wall-clock time the engine spent.
     pub elapsed: Duration,
@@ -197,24 +196,7 @@ fn run_atpg(
         }
         None => AssertionChecker::new(options).check(verification),
     };
-    let verdict = match report.result {
-        CheckResult::Proved => Verdict::Holds {
-            proved: true,
-            frames: report.stats.frames_explored.max(1),
-        },
-        CheckResult::HoldsUpToBound { frames } => Verdict::Holds {
-            proved: false,
-            frames,
-        },
-        CheckResult::CounterExample { trace } => Verdict::Violated { trace },
-        CheckResult::WitnessFound { trace } => Verdict::WitnessFound { trace },
-        CheckResult::WitnessNotFound { frames } => Verdict::WitnessAbsent { frames },
-        CheckResult::Unknown { reason } => Verdict::Unknown { reason },
-    };
-    // A proof covers every frame, not just the explored ones; keep the
-    // explored count for reporting but treat the bound as unlimited when
-    // comparing. (`conflicts_with` already special-cases `proved`.)
-    (verdict, EngineStats::Atpg(report.stats), harvest)
+    (report.result, EngineStats::Atpg(report.stats), harvest)
 }
 
 fn run_bmc(
@@ -244,32 +226,8 @@ fn run_bmc(
             cancel,
         ),
     };
-    let kind = verification.property.kind;
-    let verdict = match (report.outcome, report.trace) {
-        (BmcOutcome::Found { .. }, Some(trace)) => match kind {
-            PropertyKind::Always => Verdict::Violated { trace },
-            PropertyKind::Eventually => Verdict::WitnessFound { trace },
-        },
-        (BmcOutcome::Found { depth }, None) => Verdict::Unknown {
-            reason: format!("BMC model at depth {depth} carried no trace"),
-        },
-        (BmcOutcome::HoldsUpToBound, _) => match kind {
-            PropertyKind::Always => Verdict::Holds {
-                proved: false,
-                frames: max_frames,
-            },
-            PropertyKind::Eventually => Verdict::WitnessAbsent { frames: max_frames },
-        },
-        (BmcOutcome::Unknown, _) => Verdict::Unknown {
-            reason: if cancel.is_cancelled() {
-                "cancelled".into()
-            } else {
-                "SAT budget exhausted or unsupported gate".into()
-            },
-        },
-    };
     (
-        verdict,
+        report.verdict,
         EngineStats::Bmc {
             variables: report.variables,
             clauses: report.clauses,
@@ -289,27 +247,11 @@ fn run_random(
         verification,
         config.random_runs,
         config.random_cycles,
-        config.random_seed,
+        RANDOM_SEED,
         cancel,
     );
-    let verdict = match (report.target_hit, report.trace) {
-        (true, Some(trace)) => match verification.property.kind {
-            PropertyKind::Always => Verdict::Violated { trace },
-            PropertyKind::Eventually => Verdict::WitnessFound { trace },
-        },
-        _ => Verdict::Unknown {
-            reason: if cancel.is_cancelled() {
-                "cancelled".into()
-            } else {
-                format!(
-                    "no hit in {} runs x {} cycles",
-                    report.runs, report.cycles_per_run
-                )
-            },
-        },
-    };
     (
-        verdict,
+        report.verdict,
         EngineStats::RandomSim {
             runs: report.runs,
             cycles_per_run: report.cycles_per_run,

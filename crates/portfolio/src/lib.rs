@@ -16,6 +16,9 @@
 //! disagreements between engines are detected and flagged rather than
 //! silently resolved.
 //!
+//! Every engine reports a [`Verdict`], the vocabulary `wlac-atpg` defines and
+//! this crate re-exports.
+//!
 //! # Examples
 //!
 //! ```
@@ -49,15 +52,14 @@ mod config;
 mod engines;
 mod predictor;
 mod progress;
-mod verdict;
 mod warm;
 
-pub use config::PortfolioConfig;
+pub use config::{PortfolioConfig, RANDOM_SEED};
 pub use engines::{run_engine, run_engine_probed, Engine, EngineHarvest, EngineRun, EngineStats};
 pub use predictor::{predict_engines, EngineHistory, NetlistFeatures};
 pub use progress::RaceProgress;
-pub use verdict::Verdict;
 pub use warm::{Harvest, WarmStart};
+pub use wlac_atpg::Verdict;
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};

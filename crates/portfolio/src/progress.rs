@@ -10,7 +10,6 @@
 //! locks or allocations and without perturbing the race.
 
 use crate::engines::{Engine, EngineRun, EngineStats};
-use crate::verdict::Verdict;
 use std::sync::Arc;
 use wlac_telemetry::{ProgressCell, ProgressHandle, ProgressProbe};
 
@@ -76,10 +75,10 @@ impl RaceProgress {
     /// falling back to whatever the live stream last reported.
     pub(crate) fn record_final(&self, run: &EngineRun) {
         let cell = &self.cells[run.engine.code() as usize];
-        let bound = match &run.verdict {
-            Verdict::Holds { frames, .. } | Verdict::WitnessAbsent { frames } => *frames as u64,
-            Verdict::Violated { trace } | Verdict::WitnessFound { trace } => trace.len() as u64,
-            Verdict::Unknown { .. } | Verdict::Timeout { .. } => cell.snapshot().bound,
+        let bound = if run.verdict.is_definitive() {
+            run.verdict.bound()
+        } else {
+            cell.snapshot().bound
         };
         let probe = match &run.stats {
             EngineStats::Atpg(stats) => ProgressProbe {
@@ -124,7 +123,7 @@ impl RaceProgress {
 mod tests {
     use super::*;
     use std::time::Duration;
-    use wlac_atpg::CheckStats;
+    use wlac_atpg::{CheckStats, Verdict};
 
     #[test]
     fn empty_race_has_no_leader_and_a_zero_aggregate() {

@@ -18,9 +18,9 @@
 //!   attribution, aggregated core search effort, per-op request counters and
 //!   latency histograms). The `metrics` op exposes it as Prometheus text and
 //!   flat JSON; `trace_check` runs one property with search tracing on and
-//!   returns the phase-attributed time breakdown plus span events; requests
-//!   slower than [`ServerConfig::slow_request_threshold`] get a structured
-//!   stderr line. An always-on [`wlac_telemetry::FlightRecorder`] captures
+//!   returns its verdict (encoded by [`proto::verdict_to_wire`], like every
+//!   job result's) with the phase-attributed time breakdown and span events;
+//!   requests slower than one second get a structured stderr line. An always-on [`wlac_telemetry::FlightRecorder`] captures
 //!   compact structured events from every layer (`events` tails it
 //!   remotely), every contained fault writes a bounded
 //!   [`PostmortemWriter`] bundle, and `health` answers
@@ -28,11 +28,11 @@
 //!   and rolling error-rate / p99 objectives.
 //! * **Persistence** — with a data directory, every definitive result is
 //!   appended to a per-design write-ahead journal
-//!   ([`wlac_persist::JournalSink`], with group-commit fsync;
-//!   [`ServerConfig::journal_fsync_batch`] 1 syncs every append) *before*
-//!   the client sees the acknowledgement, and journals are compacted into
-//!   [`wlac_persist::Snapshot`]s in the background and on the
-//!   graceful-shutdown drain; on boot the server reloads every snapshot
+//!   ([`wlac_persist::JournalSink`], with group-commit fsync counted per
+//!   design; [`ServerConfig::journal_fsync_batch`] 1 syncs every append)
+//!   *before* the client sees the acknowledgement, and journals are
+//!   compacted into [`wlac_persist::Snapshot`]s in the background and on
+//!   the graceful-shutdown drain; on boot the server reloads every snapshot
 //!   through the service's validating import and replays the journal suffix
 //!   (torn tails quarantined, never a boot failure), so a restarted server
 //!   answers repeat queries from the persisted verdict cache with zero

@@ -10,6 +10,7 @@
 
 use crate::json::Json;
 use std::time::Duration;
+use wlac_atpg::Verdict;
 use wlac_service::{DesignHash, JobProgress, JobResult, ServiceStats};
 use wlac_telemetry::ProgressProbe;
 
@@ -165,33 +166,39 @@ fn duration_ms(d: Duration) -> Json {
     Json::Num(d.as_secs_f64() * 1e3)
 }
 
-/// Encodes one job result for the wire.
-pub fn job_result_to_wire(result: &JobResult) -> Json {
-    let verdict = &result.verdict;
+/// Encodes a verdict for the wire: its label plus the fields of its variant
+/// (`proved` and `frames` of a hold, `frames` of an absent witness,
+/// `trace_cycles` of a trace, `reason` of an unknown, `budget_ms` of a
+/// timeout).
+pub fn verdict_to_wire(verdict: &Verdict) -> Json {
     let mut v = vec![("label", Json::str(verdict.label()))];
     match verdict {
-        wlac_portfolio::Verdict::Holds { proved, frames } => {
+        Verdict::Holds { proved, frames } => {
             v.push(("proved", Json::Bool(*proved)));
             v.push(("frames", Json::num(*frames as u64)));
         }
-        wlac_portfolio::Verdict::WitnessAbsent { frames } => {
+        Verdict::WitnessAbsent { frames } => {
             v.push(("frames", Json::num(*frames as u64)));
         }
-        wlac_portfolio::Verdict::Violated { trace }
-        | wlac_portfolio::Verdict::WitnessFound { trace } => {
+        Verdict::Violated { trace } | Verdict::WitnessFound { trace } => {
             v.push(("trace_cycles", Json::num(trace.len() as u64)));
         }
-        wlac_portfolio::Verdict::Unknown { reason } => {
+        Verdict::Unknown { reason } => {
             v.push(("reason", Json::str(reason.clone())));
         }
-        wlac_portfolio::Verdict::Timeout { budget } => {
+        Verdict::Timeout { budget } => {
             v.push(("budget_ms", Json::num(budget.as_millis() as u64)));
         }
     }
+    Json::obj(v)
+}
+
+/// Encodes one job result for the wire.
+pub fn job_result_to_wire(result: &JobResult) -> Json {
     Json::obj(vec![
         ("property", Json::str(result.property.clone())),
         ("design", Json::str(design_to_wire(result.design))),
-        ("verdict", Json::obj(v)),
+        ("verdict", verdict_to_wire(&result.verdict)),
         (
             "winner",
             result

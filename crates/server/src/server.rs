@@ -6,7 +6,7 @@ use crate::postmortem::{event_to_json, PostmortemWriter, DEFAULT_MAX_BYTES, DEFA
 use crate::proto::{
     design_from_wire, design_to_wire, error_reply, error_reply_with_retry, hex_decode, hex_encode,
     job_progress_to_wire, job_result_to_wire, ok_reply, probe_to_wire, stats_to_wire,
-    DurabilityStats, ErrorCode,
+    verdict_to_wire, DurabilityStats, ErrorCode,
 };
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -17,8 +17,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use wlac_atpg::{
-    AssertionChecker, CheckReport, CheckResult, CheckerOptions, Property, PropertyKind, TraceSink,
-    Verification,
+    AssertionChecker, CheckReport, CheckerOptions, Property, PropertyKind, TraceSink, Verification,
 };
 use wlac_faultinject::{CondvarExt, FaultPlan, LockExt};
 use wlac_netlist::{NetId, Netlist};
@@ -68,6 +67,25 @@ fn canonical_op(op: &str) -> &'static str {
         .unwrap_or("unknown")
 }
 
+/// Requests slower than this get a structured line on stderr (op, wall
+/// clock, outcome): the slow-request log.
+const SLOW_REQUEST_THRESHOLD: Duration = Duration::from_secs(1);
+
+/// The back-off hint connections shed at the connection cap carry.
+const RETRY_AFTER: Duration = Duration::from_millis(200);
+
+/// Service-level objective: `health` reports degraded when the rolling error
+/// rate over [`SLO_WINDOW`] exceeds this fraction.
+const SLO_ERROR_RATE: f64 = 0.25;
+
+/// Service-level objective: `health` reports degraded when the rolling p99
+/// request latency over [`SLO_WINDOW`] exceeds this.
+const SLO_P99: Duration = Duration::from_secs(5);
+
+/// The sliding window behind the `health` op's rolling error-rate and
+/// p99-latency objectives (and the autosave-failure recency check).
+const SLO_WINDOW: Duration = Duration::from_secs(60);
+
 /// How the server comes up.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -80,9 +98,6 @@ pub struct ServerConfig {
     pub data_dir: Option<PathBuf>,
     /// The verification-service configuration behind the front end.
     pub service: ServiceConfig,
-    /// Requests slower than this get a structured line on stderr (op, wall
-    /// clock, outcome) — the slow-request log.
-    pub slow_request_threshold: Duration,
     /// Per-connection socket read timeout: a client that goes silent this
     /// long has its connection closed (its submitted work keeps running).
     /// `None` waits forever.
@@ -94,8 +109,6 @@ pub struct ServerConfig {
     /// `overloaded` reply carrying a `retry_after_ms` hint, instead of
     /// letting unbounded accepts exhaust threads.
     pub max_connections: usize,
-    /// The back-off hint shed connections carry.
-    pub retry_after: Duration,
     /// Upper bound of a server-side `wait`: a `wait` request blocks at most
     /// this long (clients may ask for less via `timeout_ms`), then gets a
     /// structured `timeout` error while the batch keeps running.
@@ -110,8 +123,10 @@ pub struct ServerConfig {
     /// write-ahead journal). The service's plan is configured separately in
     /// [`ServiceConfig`].
     pub faults: FaultPlan,
-    /// Group-commit batch of the journal: fsync after every Nth append. A
-    /// process kill loses nothing either way; 1 also makes every
+    /// Group-commit batch of the journal: each design's journal is fsynced
+    /// after every Nth append *to that design* (the count is per journal
+    /// writer). A process kill loses nothing either way; a power loss can
+    /// cost up to N−1 acknowledged records per design. 1 makes every
     /// acknowledged result survive a power loss, at one fsync per job.
     pub journal_fsync_batch: u64,
     /// Compaction threshold: once a design's journal grows past this many
@@ -122,41 +137,28 @@ pub struct ServerConfig {
     /// `<data_dir>/postmortem`; with no data directory either, dumps are
     /// disabled.
     pub postmortem_dir: Option<PathBuf>,
-    /// Post-mortem bundle caps: at most this many bundles are kept
-    /// (oldest-first eviction).
+    /// Post-mortem bundle cap: at most this many bundles are kept
+    /// (oldest-first eviction). Their total size is capped too, at
+    /// [`crate::postmortem::DEFAULT_MAX_BYTES`].
     pub postmortem_max_dumps: usize,
-    /// Post-mortem bundle caps: at most this many total bytes of bundles
-    /// are kept (oldest-first eviction).
-    pub postmortem_max_bytes: u64,
     /// Readiness capacity: `health` reports not-ready while the queue holds
     /// more than this many jobs (submissions are still accepted — this is
     /// the signal a load balancer drains on, not an admission gate).
     pub max_queue_depth: usize,
-    /// Service-level objective: `health` reports degraded when the rolling
-    /// error rate over [`ServerConfig::slo_window`] exceeds this fraction.
-    pub slo_error_rate: f64,
-    /// Service-level objective: `health` reports degraded when the rolling
-    /// p99 request latency over [`ServerConfig::slo_window`] exceeds this.
-    pub slo_p99: Duration,
-    /// The sliding window behind the `health` op's rolling error-rate and
-    /// p99-latency objectives (and the autosave-failure recency check).
-    pub slo_window: Duration,
 }
 
 impl ServerConfig {
-    /// Defaults: loopback on port 7117, no persistence, default service, 1 s
-    /// slow-request threshold, 120 s read / 30 s write socket timeouts, 256
-    /// connections, 60 s wait bound, 30 s shutdown drain.
+    /// Defaults: loopback on port 7117, no persistence, default service,
+    /// 120 s read / 30 s write socket timeouts, 256 connections, 60 s wait
+    /// bound, 30 s shutdown drain.
     pub fn new() -> Self {
         ServerConfig {
             addr: "127.0.0.1:7117".to_string(),
             data_dir: None,
             service: ServiceConfig::default(),
-            slow_request_threshold: Duration::from_secs(1),
             read_timeout: Some(Duration::from_secs(120)),
             write_timeout: Some(Duration::from_secs(30)),
             max_connections: 256,
-            retry_after: Duration::from_millis(200),
             wait_timeout: Duration::from_secs(60),
             subscribe_interval: Duration::from_millis(250),
             drain_timeout: Duration::from_secs(30),
@@ -165,11 +167,7 @@ impl ServerConfig {
             journal_compact_bytes: 1 << 20,
             postmortem_dir: None,
             postmortem_max_dumps: DEFAULT_MAX_DUMPS,
-            postmortem_max_bytes: DEFAULT_MAX_BYTES,
             max_queue_depth: 1024,
-            slo_error_rate: 0.25,
-            slo_p99: Duration::from_secs(5),
-            slo_window: Duration::from_secs(60),
         }
     }
 }
@@ -237,25 +235,18 @@ struct SloSample {
 /// request pushes a sample, reads prune anything older than the window and
 /// fold error rate and p99 latency over what remains. Bounded by pruning on
 /// every push, so an idle-then-bursty server never accumulates unboundedly.
+#[derive(Default)]
 struct SloWindow {
     samples: Mutex<VecDeque<SloSample>>,
-    window: Duration,
 }
 
 impl SloWindow {
-    fn new(window: Duration) -> Self {
-        SloWindow {
-            samples: Mutex::new(VecDeque::new()),
-            window,
-        }
-    }
-
     fn push(&self, wall_nanos: u64, error: bool) {
         let now = Instant::now();
         let mut samples = self.samples.lock_recover();
         while samples
             .front()
-            .is_some_and(|s| now.duration_since(s.at) > self.window)
+            .is_some_and(|s| now.duration_since(s.at) > SLO_WINDOW)
         {
             samples.pop_front();
         }
@@ -272,7 +263,7 @@ impl SloWindow {
         let samples = self.samples.lock_recover();
         let live: Vec<&SloSample> = samples
             .iter()
-            .filter(|s| now.duration_since(s.at) <= self.window)
+            .filter(|s| now.duration_since(s.at) <= SLO_WINDOW)
             .collect();
         if live.is_empty() {
             return (0, 0.0, Duration::ZERO);
@@ -322,7 +313,6 @@ struct ServerState {
     read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
     max_connections: usize,
-    retry_after: Duration,
     wait_timeout: Duration,
     subscribe_interval: Duration,
     drain_timeout: Duration,
@@ -334,8 +324,6 @@ struct ServerState {
     /// Checker options for on-demand `trace_check` runs (the same options
     /// the service's portfolio gives its ATPG engine).
     checker_options: CheckerOptions,
-    /// Threshold of the slow-request log.
-    slow_request_threshold: Duration,
     /// The always-on flight recorder every layer of the stack writes into;
     /// the `events` op tails it, post-mortem bundles snapshot it.
     recorder: Arc<FlightRecorder>,
@@ -351,9 +339,6 @@ struct ServerState {
     /// Readiness capacity for the `health` op (see
     /// [`ServerConfig::max_queue_depth`]).
     max_queue_depth: usize,
-    /// SLO objectives for the `health` op.
-    slo_error_rate: f64,
-    slo_p99: Duration,
     /// Worker-pool size the service was configured with, the quorum the
     /// `health` op compares `workers_alive` against.
     configured_workers: usize,
@@ -403,7 +388,7 @@ impl Server {
             Arc::new(PostmortemWriter::new(
                 dir,
                 config.postmortem_max_dumps,
-                config.postmortem_max_bytes,
+                DEFAULT_MAX_BYTES,
                 Arc::clone(&recorder),
                 Arc::clone(&metrics),
             ))
@@ -440,22 +425,18 @@ impl Server {
             read_timeout: config.read_timeout,
             write_timeout: config.write_timeout,
             max_connections: config.max_connections.max(1),
-            retry_after: config.retry_after,
             wait_timeout: config.wait_timeout,
             subscribe_interval: config.subscribe_interval.max(Duration::from_millis(1)),
             drain_timeout: config.drain_timeout,
             faults: config.faults,
             metrics,
             checker_options,
-            slow_request_threshold: config.slow_request_threshold,
             recorder,
             postmortem,
             started: Instant::now(),
             next_conn: AtomicU64::new(1),
-            slo: SloWindow::new(config.slo_window),
+            slo: SloWindow::default(),
             max_queue_depth: config.max_queue_depth,
-            slo_error_rate: config.slo_error_rate,
-            slo_p99: config.slo_p99,
             configured_workers,
             last_autosave_failure: Mutex::new(None),
         });
@@ -932,7 +913,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
         let reply = error_reply_with_retry(
             ErrorCode::Overloaded,
             format!("connection cap ({}) reached", state.max_connections),
-            state.retry_after,
+            RETRY_AFTER,
         );
         writer.write_all(format!("{reply}\n").as_bytes()).ok();
         writer.flush().ok();
@@ -1369,7 +1350,7 @@ fn record_request(
         nanos,
     );
     state.slo.push(nanos, error_code.is_some());
-    if elapsed >= state.slow_request_threshold {
+    if elapsed >= SLOW_REQUEST_THRESHOLD {
         eprintln!(
             "wlac-server: slow request conn={conn} op={op} wall_ms={:.1} outcome={}",
             elapsed.as_secs_f64() * 1e3,
@@ -1535,9 +1516,9 @@ fn op_health(state: &ServerState) -> Json {
         .last_autosave_failure
         .lock_recover()
         .map(|at| at.elapsed());
-    let durability_ok = last_failure_age.is_none_or(|age| age > state.slo.window);
+    let durability_ok = last_failure_age.is_none_or(|age| age > SLO_WINDOW);
     let (requests, error_rate, p99) = state.slo.fold();
-    let slo_ok = error_rate <= state.slo_error_rate && p99 <= state.slo_p99;
+    let slo_ok = error_rate <= SLO_ERROR_RATE && p99 <= SLO_P99;
     let draining = state.shutting_down.load(Ordering::Acquire);
     // Liveness is answering at all; readiness is having the capacity to take
     // more work (worker quorum + queue headroom, and not draining); degraded
@@ -1573,15 +1554,12 @@ fn op_health(state: &ServerState) -> Json {
         ("ok", Json::Bool(durability_ok)),
     ]);
     let slo = Json::obj(vec![
-        ("window_s", Json::Num(state.slo.window.as_secs_f64())),
+        ("window_s", Json::Num(SLO_WINDOW.as_secs_f64())),
         ("requests", Json::num(requests as u64)),
         ("error_rate", Json::Num(error_rate)),
-        ("error_rate_objective", Json::Num(state.slo_error_rate)),
+        ("error_rate_objective", Json::Num(SLO_ERROR_RATE)),
         ("p99_ms", Json::Num(p99.as_secs_f64() * 1e3)),
-        (
-            "p99_objective_ms",
-            Json::Num(state.slo_p99.as_secs_f64() * 1e3),
-        ),
+        ("p99_objective_ms", Json::Num(SLO_P99.as_secs_f64() * 1e3)),
         ("ok", Json::Bool(slo_ok)),
     ]);
     ok_reply(vec![
@@ -2019,18 +1997,6 @@ fn op_trace_check(state: &ServerState, frame: &Json) -> Json {
         .with_trace(TraceSink::to(Arc::clone(&tracer)));
     let report: CheckReport = AssertionChecker::new(options).check(&verification);
 
-    let mut verdict = vec![("label", Json::str(check_result_label(&report.result)))];
-    match &report.result {
-        CheckResult::HoldsUpToBound { frames } | CheckResult::WitnessNotFound { frames } => {
-            verdict.push(("frames", Json::num(*frames as u64)));
-        }
-        CheckResult::CounterExample { trace } | CheckResult::WitnessFound { trace } => {
-            verdict.push(("trace_cycles", Json::num(trace.len() as u64)));
-        }
-        CheckResult::Unknown { reason } => verdict.push(("reason", Json::str(reason.clone()))),
-        CheckResult::Proved => {}
-    }
-
     let phases = &report.stats.phases;
     let phases_wire = Json::obj(vec![
         ("implication_ns", Json::num(phases.implication)),
@@ -2066,7 +2032,7 @@ fn op_trace_check(state: &ServerState, frame: &Json) -> Json {
     let events = tracer.events();
     ok_reply(vec![
         ("property", Json::str(report.property)),
-        ("verdict", Json::obj(verdict)),
+        ("verdict", verdict_to_wire(&report.result)),
         (
             "elapsed_ms",
             Json::Num(report.stats.elapsed.as_secs_f64() * 1e3),
@@ -2079,19 +2045,6 @@ fn op_trace_check(state: &ServerState, frame: &Json) -> Json {
         ),
         ("events_dropped", Json::num(tracer.dropped())),
     ])
-}
-
-/// Wire label of a core check result (the core vocabulary, not the
-/// portfolio's — `trace_check` runs the ATPG engine alone).
-fn check_result_label(result: &CheckResult) -> &'static str {
-    match result {
-        CheckResult::Proved => "proved",
-        CheckResult::HoldsUpToBound { .. } => "holds(bound)",
-        CheckResult::CounterExample { .. } => "violated",
-        CheckResult::WitnessFound { .. } => "witness",
-        CheckResult::WitnessNotFound { .. } => "no witness",
-        CheckResult::Unknown { .. } => "unknown",
-    }
 }
 
 fn op_shutdown(state: &ServerState) -> Json {

@@ -1063,24 +1063,32 @@ fn trace_check_profiles_one_property() {
     let (addr, handle, _) = start(quick_config());
     let mut client = Client::connect(addr);
     let design = client.register_counter();
+    let trace_check = |monitor: &str| {
+        Json::obj(vec![
+            ("op", Json::str("trace_check")),
+            ("design", Json::str(design.clone())),
+            (
+                "property",
+                Json::obj(vec![
+                    ("kind", Json::str("always")),
+                    ("monitor", Json::str(monitor)),
+                ]),
+            ),
+        ])
+    };
 
-    let reply = client.call(Json::obj(vec![
-        ("op", Json::str("trace_check")),
-        ("design", Json::str(design.clone())),
-        (
-            "property",
-            Json::obj(vec![
-                ("kind", Json::str("always")),
-                ("monitor", Json::str("bad")),
-            ]),
-        ),
-    ]));
-    let label = reply
-        .get("verdict")
-        .and_then(|v| v.get("label"))
-        .and_then(Json::as_str)
-        .expect("verdict label");
-    assert_eq!(label, "violated");
+    let reply = client.call(trace_check("bad"));
+    assert_eq!(label_of(&reply), "violated");
+    // The verdict object is the job-result encoding: the same jobs raced
+    // through the service answer with identical objects (the counter has no
+    // inputs, so every engine's counter-example has the same length).
+    let batch = client.submit_both(&design);
+    let results = client.wait(batch);
+    assert_eq!(label_of(&results[0]), "proved");
+    for (monitor, result) in ["ok", "bad"].into_iter().zip(&results) {
+        let traced = client.call(trace_check(monitor));
+        assert_eq!(traced.get("verdict"), result.get("verdict"), "{monitor}");
+    }
     let elapsed_ms = reply
         .get("elapsed_ms")
         .and_then(Json::as_f64)

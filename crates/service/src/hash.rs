@@ -11,7 +11,7 @@
 use std::fmt;
 use wlac_atpg::Property;
 use wlac_netlist::{GateKind, NetId, Netlist};
-use wlac_portfolio::PortfolioConfig;
+use wlac_portfolio::{PortfolioConfig, RANDOM_SEED};
 
 /// 64-bit FNV-1a, the workspace-standard offline hash.
 #[derive(Debug, Clone, Copy)]
@@ -180,7 +180,7 @@ pub fn config_fingerprint(config: &PortfolioConfig) -> u64 {
     h.u64(config.bmc_decision_budget);
     h.usize(config.random_runs);
     h.usize(config.random_cycles);
-    h.u64(config.random_seed);
+    h.u64(RANDOM_SEED);
     // The job budget bounds what a race can conclude (like the per-engine
     // time limit above): a verdict earned under one budget must not answer
     // a query made under another.
@@ -273,6 +273,17 @@ mod tests {
         assert_eq!(
             property_hash(&Property::eventually(&nl, "b", m2), &[]),
             PropertyHash(0x252e_8656_f2a0_cfa6)
+        );
+    }
+
+    #[test]
+    fn config_fingerprint_is_pinned() {
+        // Cache keys live in snapshots and journals: this value was produced
+        // while the random-simulation seed was still a configuration field,
+        // and records written then must still resolve.
+        assert_eq!(
+            config_fingerprint(&PortfolioConfig::default()),
+            0x8e61_f791_851d_5e0a
         );
     }
 

@@ -1282,7 +1282,7 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
         // No engine ran; synthesize the closing probe from the cached
         // verdict's frame depth so subscribers still see depth-before-verdict.
         let probe = ProgressProbe {
-            bound: verdict_bound(&result.verdict),
+            bound: result.verdict.bound(),
             probes: 1,
             ..ProgressProbe::default()
         };
@@ -1513,17 +1513,6 @@ fn job_progress(running: &RunningJob) -> JobProgress {
     }
 }
 
-/// The frame depth a verdict vouches for: explored frames for bounded
-/// passes, the trace length for trace-backed answers, 0 when the verdict
-/// says nothing about depth.
-fn verdict_bound(verdict: &Verdict) -> u64 {
-    match verdict {
-        Verdict::Holds { frames, .. } | Verdict::WitnessAbsent { frames } => *frames as u64,
-        Verdict::Violated { trace } | Verdict::WitnessFound { trace } => trace.len() as u64,
-        Verdict::Unknown { .. } | Verdict::Timeout { .. } => 0,
-    }
-}
-
 /// Records a job's result and final progress probe, deregisters it from the
 /// running set and wakes waiters. Tolerant by design: a batch evicted under
 /// fault, or a slot an earlier (panicked-then-quarantined) attempt already
@@ -1535,7 +1524,7 @@ fn complete_job(shared: &Shared, job: &QueuedJob, result: JobResult, mut probe: 
     // verdict vouches for even when no engine published live (cache hits,
     // instant answers).
     if probe.bound == 0 {
-        probe.bound = verdict_bound(&result.verdict);
+        probe.bound = result.verdict.bound();
     }
     if let Some(metrics) = &shared.metrics {
         metrics

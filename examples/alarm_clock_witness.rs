@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release --example alarm_clock_witness`.
 
-use wlac::atpg::{AssertionChecker, CheckResult, CheckerOptions};
+use wlac::atpg::{AssertionChecker, CheckerOptions, Verdict};
 use wlac::circuits::AlarmClock;
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
     let witness = checker.check(&clock.p8_hour_reaches_two());
     println!("[{}] witness generation:", witness.property);
     match witness.result {
-        CheckResult::WitnessFound { trace } => {
+        Verdict::WitnessFound { trace } => {
             println!("    hour display reaches 2 after {} cycle(s)", trace.len());
             print!("{trace}");
             // Independently replay the witness with the concrete simulator.

@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example bus_contention`.
 
 use wlac::atpg::{AssertionChecker, CheckerOptions};
-use wlac::baselines::{bounded_model_check, BmcOutcome};
+use wlac::baselines::bounded_model_check;
 use wlac::circuits::{industry_02, industry_03, industry_04};
 
 fn main() {
@@ -35,13 +35,9 @@ fn main() {
         println!("  word-level ATPG: {:?}", report.result);
         println!("  effort: {}", report.stats);
         let bmc = bounded_model_check(&verification, 3, 1_000_000);
-        let outcome = match bmc.outcome {
-            BmcOutcome::HoldsUpToBound => "holds up to bound".to_string(),
-            BmcOutcome::Found { depth } => format!("violation at depth {depth}"),
-            BmcOutcome::Unknown => "unknown (budget exhausted)".to_string(),
-        };
         println!(
-            "  bit-level SAT BMC: {outcome}, {:.2}s, CNF {:.2} MB ({} vars, {} clauses)",
+            "  bit-level SAT BMC: {}, {:.2}s, CNF {:.2} MB ({} vars, {} clauses)",
+            bmc.verdict.label(),
             bmc.elapsed.as_secs_f64(),
             bmc.peak_memory_bytes as f64 / (1024.0 * 1024.0),
             bmc.variables,

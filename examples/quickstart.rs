@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use wlac::atpg::{AssertionChecker, CheckResult, Property, Verification};
+use wlac::atpg::{AssertionChecker, Property, Verdict, Verification};
 use wlac::bv::Bv;
 use wlac::netlist::Netlist;
 
@@ -38,7 +38,7 @@ fn main() {
     let fails = checker.check(&counter_with_limit(9, 5));
     println!("[{}] counter-example expected:", fails.property);
     match fails.result {
-        CheckResult::CounterExample { trace } => {
+        Verdict::Violated { trace } => {
             println!("    violation after {} cycle(s)", trace.len());
             print!("{trace}");
         }

@@ -13,7 +13,8 @@
 //! * [`modsolve`] — modular (mod 2ⁿ) arithmetic constraint solving,
 //! * [`sim`] — concrete simulation,
 //! * [`atpg`] — the assertion checker itself (word-level implication,
-//!   justification, ESTG, datapath resolution),
+//!   justification, ESTG, datapath resolution) and the [`atpg::Verdict`]
+//!   every engine answers with,
 //! * [`circuits`] — the paper's benchmark designs and properties p1–p14,
 //! * [`baselines`] — SAT BMC, integral solving and random simulation,
 //! * [`portfolio`] — concurrent multi-strategy racing and batch checking
@@ -33,7 +34,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use wlac::atpg::{AssertionChecker, Property, Verification};
+//! use wlac::atpg::{AssertionChecker, Property, Verdict, Verification};
 //! use wlac::bv::Bv;
 //! use wlac::netlist::Netlist;
 //!
@@ -51,7 +52,7 @@
 //!
 //! let property = Property::always(&nl, "no_overflow", ok);
 //! let report = AssertionChecker::with_defaults().check(&Verification::new(nl, property));
-//! assert!(report.result.is_pass());
+//! assert!(matches!(report.result, Verdict::Holds { .. }));
 //! ```
 
 #![forbid(unsafe_code)]

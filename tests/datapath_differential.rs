@@ -95,7 +95,7 @@ fn adder_chain_incremental_matches_scratch_and_solves_islands() {
         inc_report.stats
     );
     assert!(
-        inc_report.result.has_trace(),
+        inc_report.result.trace().is_some(),
         "2·(a+b+c) ≡ 0x1234 (mod 2^16) is satisfiable, got {:?}",
         inc_report.result
     );

@@ -3,8 +3,8 @@
 //! and the Verilog front-end path.
 
 use std::time::Duration;
-use wlac::atpg::{AssertionChecker, CheckResult, CheckerOptions, Property, Verification};
-use wlac::baselines::{bounded_model_check, BmcOutcome};
+use wlac::atpg::{AssertionChecker, CheckerOptions, Property, Verdict, Verification};
+use wlac::baselines::bounded_model_check;
 use wlac::bv::Bv;
 use wlac::circuits::{paper_suite, Expectation, Scale};
 use wlac::frontend::compile;
@@ -19,53 +19,65 @@ fn quick_options() -> CheckerOptions {
 }
 
 /// Every property of the paper's Table 2 produces the expected outcome at the
-/// small scale.
+/// small scale, with the exact label: `proved` and `holds(bound)` both pass,
+/// but only one of them is the answer.
 #[test]
 fn paper_suite_outcomes_match_expectations() {
+    let expected_labels = [
+        "witness",
+        "proved",
+        "holds(bound)",
+        "witness",
+        "proved",
+        "witness",
+        "proved",
+        "witness",
+        "proved",
+        "proved",
+        "proved",
+        "proved",
+        "proved",
+        "proved",
+    ];
     let checker = AssertionChecker::new(quick_options());
-    for case in paper_suite(Scale::Small) {
+    let suite = paper_suite(Scale::Small);
+    assert_eq!(suite.len(), expected_labels.len());
+    for (case, label) in suite.into_iter().zip(expected_labels) {
         let report = checker.check(&case.verification);
         match case.expectation {
             Expectation::Pass => assert!(
-                report.result.is_pass(),
+                matches!(report.result, Verdict::Holds { .. }),
                 "{} expected to pass, got {:?}",
                 case.property,
                 report.result
             ),
             Expectation::Witness => assert!(
-                report.result.has_trace(),
+                report.result.trace().is_some(),
                 "{} expected a witness, got {:?}",
                 case.property,
                 report.result
             ),
         }
+        assert_eq!(report.result.label(), label, "{}", case.property);
         // Memory accounting is always populated.
         assert!(report.stats.peak_memory_bytes > 0, "{}", case.property);
     }
 }
 
-/// The ATPG checker and the SAT BMC baseline agree on pass/fail for designs
-/// the bit-blaster supports.
+/// The ATPG checker and the SAT BMC baseline never contradict each other on
+/// designs the bit-blaster supports, with bounded semantics respected: a
+/// trace only contradicts a bounded answer that covers its length.
 #[test]
 fn atpg_and_sat_bmc_agree() {
     let checker = AssertionChecker::new(quick_options());
     for case in paper_suite(Scale::Small) {
-        let report = checker.check(&case.verification);
-        let bmc = bounded_model_check(&case.verification, 4, 500_000);
-        match (&report.result, &bmc.outcome) {
-            // BMC finding a trace means the ATPG must not claim a pass, and
-            // vice versa: a pass and a found trace are contradictory.
-            (result, BmcOutcome::Found { .. }) if result.is_pass() => {
-                panic!("{}: ATPG passed but BMC found a trace", case.property)
-            }
-            (CheckResult::CounterExample { .. }, BmcOutcome::HoldsUpToBound) => {
-                panic!(
-                    "{}: ATPG found a counter-example but BMC did not",
-                    case.property
-                )
-            }
-            _ => {}
-        }
+        let atpg = checker.check(&case.verification).result;
+        let bmc = bounded_model_check(&case.verification, 4, 500_000).verdict;
+        assert!(
+            !atpg.conflicts_with(&bmc),
+            "{}: ATPG {atpg:?} contradicts BMC {bmc:?}",
+            case.property
+        );
     }
 }
 
@@ -84,7 +96,7 @@ fn counterexample_traces_replay() {
     let verification = Verification::new(nl, property);
     let report = AssertionChecker::new(quick_options()).check(&verification);
     match report.result {
-        CheckResult::CounterExample { trace } => {
+        Verdict::Violated { trace } => {
             let values = trace
                 .replay_monitor(&verification.netlist, verification.property.monitor)
                 .expect("replay");
@@ -117,7 +129,7 @@ fn verilog_to_checker_flow() {
     let property = Property::always(&design, "avoids_10", ok);
     let report = AssertionChecker::new(quick_options()).check(&Verification::new(design, property));
     assert!(
-        matches!(report.result, CheckResult::CounterExample { .. }),
+        matches!(report.result, Verdict::Violated { .. }),
         "got {:?}",
         report.result
     );

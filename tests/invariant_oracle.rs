@@ -13,7 +13,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
-use wlac::atpg::{AssertionChecker, CheckResult, CheckerOptions, Property, Verification};
+use wlac::atpg::{AssertionChecker, CheckerOptions, Property, Verdict, Verification};
 use wlac::bv::Bv;
 use wlac::netlist::{GateKind, NetId, Netlist};
 use wlac::sim::Simulator;
@@ -243,18 +243,24 @@ fn atpg_verdicts_match_an_explicit_state_oracle() {
             let report = checker.check(&Verification::new(netlist.clone(), property));
             let context = format!("{name} of\n{source}got {:?}", report.result);
             match (&report.result, truth.violation_depth) {
-                (CheckResult::CounterExample { trace }, Some(depth)) => {
+                (Verdict::Violated { trace }, Some(depth)) => {
                     assert_eq!(trace.len(), depth + 1, "{context}");
                     assert_eq!(trace.initial_state, truth.reset, "{context}");
                     let replay = trace.replay_monitor(&netlist, monitor).expect("replays");
                     assert_eq!(replay.last(), Some(&false), "{context}");
                     assert!(depth < MAX_FRAMES, "{context}");
                 }
-                (CheckResult::Proved, None) => {
+                (Verdict::Holds { proved: true, .. }, None) => {
                     assert!(truth.inductive, "{context}");
                     proved += 1;
                 }
-                (CheckResult::HoldsUpToBound { frames }, violation) => {
+                (
+                    Verdict::Holds {
+                        proved: false,
+                        frames,
+                    },
+                    violation,
+                ) => {
                     assert_eq!(*frames, MAX_FRAMES, "{context}");
                     assert!(violation.is_none_or(|d| d >= MAX_FRAMES), "{context}");
                     assert!(!truth.inductive || violation.is_some(), "{context}");

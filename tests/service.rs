@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 use wlac::atpg::CancelToken;
-use wlac::atpg::{AssertionChecker, CheckResult, CheckerOptions, SearchKnowledge};
+use wlac::atpg::{AssertionChecker, CheckerOptions, SearchKnowledge, Verdict};
 use wlac::baselines::{
     bounded_model_check_cancellable, bounded_model_check_learning, FrameClause, FrameLit,
 };
@@ -26,35 +26,17 @@ fn suite_options() -> CheckerOptions {
     }
 }
 
-/// Two check results "agree" when they reach the same verdict class at the
-/// same depth. Traces may differ bit-for-bit between runs (seeding legally
-/// reorders decisions), but a counter-example/witness must exist at the same
-/// first bound — so trace *lengths* must match — and each trace is validated
-/// by replay separately.
-fn assert_agrees(property: &str, cold: &CheckResult, warm: &CheckResult) {
+/// Two verdicts "agree" when they have the same label at the same depth.
+/// Traces may differ bit-for-bit between runs (seeding legally reorders
+/// decisions), but a counter-example/witness must exist at the same first
+/// bound — so trace *lengths* must match — and each trace is validated by
+/// replay separately.
+fn assert_agrees(property: &str, cold: &Verdict, warm: &Verdict) {
     assert_eq!(
-        std::mem::discriminant(cold),
-        std::mem::discriminant(warm),
+        (cold.label(), cold.bound()),
+        (warm.label(), warm.bound()),
         "{property}: cold {cold:?} vs warm {warm:?}"
     );
-    match (cold, warm) {
-        (CheckResult::CounterExample { trace: a }, CheckResult::CounterExample { trace: b })
-        | (CheckResult::WitnessFound { trace: a }, CheckResult::WitnessFound { trace: b }) => {
-            assert_eq!(
-                a.len(),
-                b.len(),
-                "{property}: trace depth diverged between cold and warm"
-            );
-        }
-        (CheckResult::HoldsUpToBound { frames: a }, CheckResult::HoldsUpToBound { frames: b })
-        | (
-            CheckResult::WitnessNotFound { frames: a },
-            CheckResult::WitnessNotFound { frames: b },
-        ) => {
-            assert_eq!(a, b, "{property}: bound diverged");
-        }
-        _ => {}
-    }
 }
 
 /// ATPG differential: for every suite property, a knowledge-seeded re-check
@@ -72,16 +54,14 @@ fn warm_atpg_verdicts_match_cold_across_the_suite() {
         let warm = checker.check_learned(&case.verification, &mut knowledge);
         assert_agrees(&case.property, &cold.result, &warm.result);
         // Any warm trace must replay to the claimed behaviour on its own.
-        if let CheckResult::CounterExample { trace } | CheckResult::WitnessFound { trace } =
-            &warm.result
-        {
+        if let Some(trace) = warm.result.trace() {
             let replay = trace
                 .replay_monitor(
                     &case.verification.netlist,
                     case.verification.property.monitor,
                 )
                 .expect("warm trace must replay");
-            let expected = matches!(warm.result, CheckResult::WitnessFound { .. });
+            let expected = matches!(warm.result, Verdict::WitnessFound { .. });
             assert_eq!(
                 replay.last(),
                 Some(&expected),
@@ -111,21 +91,7 @@ fn warm_bmc_outcomes_match_cold_across_the_suite() {
         }
         let (warm, _) =
             bounded_model_check_learning(&case.verification, 6, 2_000_000, &cancel, &harvest);
-        assert_eq!(
-            cold.outcome, warm.outcome,
-            "{}: seeding changed the BMC outcome",
-            case.property
-        );
-        match (&cold.trace, &warm.trace) {
-            (Some(a), Some(b)) => assert_eq!(
-                a.len(),
-                b.len(),
-                "{}: violation depth diverged",
-                case.property
-            ),
-            (None, None) => {}
-            other => panic!("{}: trace presence diverged: {other:?}", case.property),
-        }
+        assert_agrees(&case.property, &cold.verdict, &warm.verdict);
     }
 }
 
