@@ -307,14 +307,6 @@ impl CheckerOptions {
         }
     }
 
-    /// Configuration used when generating a witness (the bias value is taken
-    /// first instead of its complement, as Section 3.2 prescribes for
-    /// likely-to-exist objectives).
-    pub fn for_witness(mut self) -> Self {
-        self.use_induction = false;
-        self
-    }
-
     /// Replaces the cancellation token, wiring this configuration into an
     /// externally controlled race or batch run.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
@@ -370,12 +362,6 @@ mod tests {
         assert!(opts.incremental_datapath);
         assert!(opts.max_frames >= 8);
         assert_eq!(opts, CheckerOptions::new());
-    }
-
-    #[test]
-    fn witness_configuration_disables_induction() {
-        let opts = CheckerOptions::new().for_witness();
-        assert!(!opts.use_induction);
     }
 
     #[test]

@@ -48,20 +48,21 @@
 //! window for an order of magnitude on the hot path.
 
 use crate::format::{fnv64, PersistError, Reader, Writer, FORMAT_VERSION};
-use crate::snapshot::{read_netlist, read_verdict, sync_parent_dir, write_netlist, write_verdict};
+use crate::snapshot::{
+    read_clauses, read_engine, read_estg, read_netlist, read_verdict_record, sync_parent_dir,
+    write_clauses, write_estg, write_netlist, write_verdict_record,
+};
 use std::collections::HashMap;
 use std::fs;
 use std::io::{Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use wlac_baselines::{FrameClause, FrameLit};
+use wlac_baselines::FrameClause;
 use wlac_faultinject::{FaultPlan, FaultSite, LockExt};
 use wlac_netlist::{NetId, Netlist};
 use wlac_portfolio::Engine;
-use wlac_service::{
-    design_hash, DesignHash, DurabilityRecord, DurabilitySink, PropertyHash, VerdictRecord,
-};
+use wlac_service::{design_hash, DesignHash, DurabilityRecord, DurabilitySink, VerdictRecord};
 use wlac_telemetry::{MetricsRegistry, RecorderHandle, RecorderKind, RecorderLayer};
 
 /// First eight bytes of every journal file.
@@ -113,29 +114,11 @@ fn encode_record(record: &JournalRecord) -> Result<Vec<u8>, PersistError> {
         None => w.bool(false),
         Some(v) => {
             w.bool(true);
-            w.u64(v.property.0);
-            w.u64(v.config);
-            w.u8(v.winner.map(Engine::code).unwrap_or(u8::MAX));
-            write_verdict(&mut w, &v.verdict)?;
+            write_verdict_record(&mut w, v)?;
         }
     }
-    w.usize(record.clauses.len());
-    for clause in &record.clauses {
-        w.u32(clause.depth);
-        w.usize(clause.lits.len());
-        for lit in &clause.lits {
-            w.u32(lit.frame);
-            w.usize(lit.net.index());
-            w.u32(lit.bit);
-            w.bool(lit.negated);
-        }
-    }
-    w.usize(record.estg_delta.len());
-    for (net, value, count) in &record.estg_delta {
-        w.usize(net.index());
-        w.bool(*value);
-        w.u64(*count);
-    }
+    write_clauses(&mut w, &record.clauses);
+    write_estg(&mut w, &record.estg_delta);
     w.usize(record.ran.len());
     for engine in &record.ran {
         w.u8(Engine::code(*engine));
@@ -144,53 +127,15 @@ fn encode_record(record: &JournalRecord) -> Result<Vec<u8>, PersistError> {
     Ok(w.into_bytes())
 }
 
-fn read_engine(code: u8) -> Result<Option<Engine>, PersistError> {
-    if code == u8::MAX {
-        return Ok(None);
-    }
-    Engine::from_code(code)
-        .map(Some)
-        .ok_or(PersistError::Malformed("unknown engine code"))
-}
-
 fn decode_record(payload: &[u8]) -> Result<JournalRecord, PersistError> {
     let mut r = Reader::new(payload);
     let verdict = if r.bool()? {
-        let property = PropertyHash(r.u64()?);
-        let config = r.u64()?;
-        let winner = read_engine(r.u8()?)?;
-        Some(VerdictRecord {
-            property,
-            config,
-            verdict: read_verdict(&mut r)?,
-            winner,
-        })
+        Some(read_verdict_record(&mut r)?)
     } else {
         None
     };
-    let clause_count = r.len(12)?;
-    let mut clauses = Vec::with_capacity(clause_count);
-    for _ in 0..clause_count {
-        let depth = r.u32()?;
-        let lit_count = r.len(17)?;
-        let mut lits = Vec::with_capacity(lit_count);
-        for _ in 0..lit_count {
-            lits.push(FrameLit {
-                frame: r.u32()?,
-                net: NetId::from_index(r.scalar()?),
-                bit: r.u32()?,
-                negated: r.bool()?,
-            });
-        }
-        clauses.push(FrameClause { depth, lits });
-    }
-    let estg_count = r.len(10)?;
-    let mut estg_delta = Vec::with_capacity(estg_count);
-    for _ in 0..estg_count {
-        let net = NetId::from_index(r.scalar()?);
-        let value = r.bool()?;
-        estg_delta.push((net, value, r.u64()?));
-    }
+    let clauses = read_clauses(&mut r)?;
+    let estg_delta = read_estg(&mut r)?;
     let ran_count = r.len(1)?;
     let mut ran = Vec::with_capacity(ran_count);
     for _ in 0..ran_count {
@@ -648,7 +593,7 @@ struct SinkEntry {
 
 /// The [`DurabilitySink`] implementation: one [`JournalWriter`] per design,
 /// opened lazily on the design's first completed race, with shared fault
-/// injection and optional telemetry.
+/// injection and telemetry.
 ///
 /// Failures never propagate into job processing: an append that fails is
 /// counted (`persist_journal_append_failures_total`) and logged, and the
@@ -657,20 +602,22 @@ pub struct JournalSink {
     dir: PathBuf,
     fsync_batch: u64,
     faults: FaultPlan,
-    metrics: Option<Arc<MetricsRegistry>>,
+    metrics: Arc<MetricsRegistry>,
     recorder: RecorderHandle,
     writers: Mutex<HashMap<DesignHash, SinkEntry>>,
 }
 
 impl JournalSink {
     /// A sink journaling into `dir`, fsyncing every `fsync_batch`-th append
-    /// per design (clamped to at least 1; 1 fsyncs every append).
+    /// per design (clamped to at least 1; 1 fsyncs every append). It counts
+    /// into a private registry until [`JournalSink::with_metrics`] shares
+    /// one.
     pub fn new(dir: &Path, fsync_batch: u64, faults: FaultPlan) -> Self {
         JournalSink {
             dir: dir.to_path_buf(),
             fsync_batch: fsync_batch.max(1),
             faults,
-            metrics: None,
+            metrics: Arc::default(),
             recorder: RecorderHandle::disabled(),
             writers: Mutex::new(HashMap::new()),
         }
@@ -679,7 +626,7 @@ impl JournalSink {
     /// Publishes append/byte counters and the fsync-latency histogram into
     /// `registry`.
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(registry);
+        self.metrics = registry;
         self
     }
 
@@ -769,11 +716,9 @@ impl JournalSink {
     }
 
     fn count_failure(&self) {
-        if let Some(metrics) = &self.metrics {
-            metrics
-                .counter("persist_journal_append_failures_total")
-                .inc();
-        }
+        self.metrics
+            .counter("persist_journal_append_failures_total")
+            .inc();
     }
 }
 
@@ -798,11 +743,9 @@ impl DurabilitySink for JournalSink {
             ) {
                 Ok((writer, quarantined)) => {
                     if quarantined > 0 {
-                        if let Some(metrics) = &self.metrics {
-                            metrics
-                                .counter("persist_journal_quarantined_bytes_total")
-                                .add(quarantined);
-                        }
+                        self.metrics
+                            .counter("persist_journal_quarantined_bytes_total")
+                            .add(quarantined);
                         self.recorder.record(
                             RecorderLayer::Persist,
                             RecorderKind::Fault,
@@ -831,16 +774,15 @@ impl DurabilitySink for JournalSink {
             SinkSlot::Broken => self.count_failure(),
             SinkSlot::Open(writer) => match writer.append(&journal_record) {
                 Ok(receipt) => {
-                    if let Some(metrics) = &self.metrics {
-                        metrics.counter("persist_journal_appends_total").inc();
+                    let metrics = &self.metrics;
+                    metrics.counter("persist_journal_appends_total").inc();
+                    metrics
+                        .counter("persist_journal_bytes_written_total")
+                        .add(receipt.bytes);
+                    if let Some(fsync) = receipt.fsync {
                         metrics
-                            .counter("persist_journal_bytes_written_total")
-                            .add(receipt.bytes);
-                        if let Some(fsync) = receipt.fsync {
-                            metrics
-                                .histogram("persist_journal_fsync_ns")
-                                .record(fsync.as_nanos() as u64);
-                        }
+                            .histogram("persist_journal_fsync_ns")
+                            .record(fsync.as_nanos() as u64);
                     }
                     self.recorder.record(
                         RecorderLayer::Persist,

@@ -234,10 +234,10 @@ pub(crate) fn read_netlist(r: &mut Reader<'_>) -> Result<Netlist, PersistError> 
     Ok(netlist)
 }
 
-fn write_knowledge(w: &mut Writer, knowledge: &KnowledgeBase) {
-    let seeds = knowledge.clauses.to_seeds();
-    w.usize(seeds.len());
-    for clause in &seeds {
+/// Frame clauses in the layout snapshots and journal records share.
+pub(crate) fn write_clauses(w: &mut Writer, clauses: &[FrameClause]) {
+    w.usize(clauses.len());
+    for clause in clauses {
         w.u32(clause.depth);
         w.usize(clause.lits.len());
         for lit in &clause.lits {
@@ -247,23 +247,11 @@ fn write_knowledge(w: &mut Writer, knowledge: &KnowledgeBase) {
             w.bool(lit.negated);
         }
     }
-    let mut entries: Vec<((NetId, bool), u64)> = knowledge.search.estg.entries().collect();
-    entries.sort_unstable(); // deterministic bytes for identical stores
-    w.usize(entries.len());
-    for ((net, value), count) in entries {
-        w.usize(net.index());
-        w.bool(value);
-        w.u64(count);
-    }
-    let (wins, runs) = knowledge.history.counts();
-    for v in wins.iter().chain(runs.iter()) {
-        w.u64(*v);
-    }
 }
 
-fn read_knowledge(r: &mut Reader<'_>, design: DesignHash) -> Result<KnowledgeBase, PersistError> {
-    let mut knowledge = KnowledgeBase::new(design);
+pub(crate) fn read_clauses(r: &mut Reader<'_>) -> Result<Vec<FrameClause>, PersistError> {
     let clause_count = r.len(12)?;
+    let mut clauses = Vec::with_capacity(clause_count);
     for _ in 0..clause_count {
         let depth = r.u32()?;
         let lit_count = r.len(17)?;
@@ -276,13 +264,55 @@ fn read_knowledge(r: &mut Reader<'_>, design: DesignHash) -> Result<KnowledgeBas
                 negated: r.bool()?,
             });
         }
-        knowledge.clauses.insert(&FrameClause { depth, lits });
+        clauses.push(FrameClause { depth, lits });
     }
+    Ok(clauses)
+}
+
+/// ESTG conflict counts `(net, value, count)` in the layout snapshots and
+/// journal records share.
+pub(crate) fn write_estg(w: &mut Writer, entries: &[(NetId, bool, u64)]) {
+    w.usize(entries.len());
+    for &(net, value, count) in entries {
+        w.usize(net.index());
+        w.bool(value);
+        w.u64(count);
+    }
+}
+
+pub(crate) fn read_estg(r: &mut Reader<'_>) -> Result<Vec<(NetId, bool, u64)>, PersistError> {
     let estg_count = r.len(10)?;
+    let mut entries = Vec::with_capacity(estg_count);
     for _ in 0..estg_count {
         let net = NetId::from_index(r.scalar()?);
         let value = r.bool()?;
-        let count = r.u64()?;
+        entries.push((net, value, r.u64()?));
+    }
+    Ok(entries)
+}
+
+fn write_knowledge(w: &mut Writer, knowledge: &KnowledgeBase) {
+    write_clauses(w, &knowledge.clauses.to_seeds());
+    let mut entries: Vec<(NetId, bool, u64)> = knowledge
+        .search
+        .estg
+        .entries()
+        .map(|((net, value), count)| (net, value, count))
+        .collect();
+    entries.sort_unstable(); // deterministic bytes for identical stores
+    write_estg(w, &entries);
+    let (wins, runs) = knowledge.history.counts();
+    for v in wins.iter().chain(runs.iter()) {
+        w.u64(*v);
+    }
+}
+
+fn read_knowledge(r: &mut Reader<'_>, design: DesignHash) -> Result<KnowledgeBase, PersistError> {
+    let mut knowledge = KnowledgeBase::new(design);
+    for clause in read_clauses(r)? {
+        knowledge.clauses.insert(&clause);
+    }
+    for (net, value, count) in read_estg(r)? {
         knowledge.search.estg.record_conflicts(net, value, count);
     }
     let mut wins = [0u64; 3];
@@ -332,7 +362,7 @@ fn read_trace(r: &mut Reader<'_>) -> Result<Trace, PersistError> {
     })
 }
 
-pub(crate) fn write_verdict(w: &mut Writer, verdict: &Verdict) -> Result<(), PersistError> {
+fn write_verdict(w: &mut Writer, verdict: &Verdict) -> Result<(), PersistError> {
     match verdict {
         Verdict::Holds { proved, frames } => {
             w.u8(0);
@@ -360,7 +390,7 @@ pub(crate) fn write_verdict(w: &mut Writer, verdict: &Verdict) -> Result<(), Per
     Ok(())
 }
 
-pub(crate) fn read_verdict(r: &mut Reader<'_>) -> Result<Verdict, PersistError> {
+fn read_verdict(r: &mut Reader<'_>) -> Result<Verdict, PersistError> {
     Ok(match r.u8()? {
         0 => Verdict::Holds {
             proved: r.bool()?,
@@ -379,6 +409,39 @@ pub(crate) fn read_verdict(r: &mut Reader<'_>) -> Result<Verdict, PersistError> 
     })
 }
 
+/// A cached verdict in the layout snapshots and journal records share.
+pub(crate) fn write_verdict_record(
+    w: &mut Writer,
+    record: &VerdictRecord,
+) -> Result<(), PersistError> {
+    w.u64(record.property.0);
+    w.u64(record.config);
+    w.u8(record.winner.map(Engine::code).unwrap_or(u8::MAX));
+    write_verdict(w, &record.verdict)
+}
+
+pub(crate) fn read_verdict_record(r: &mut Reader<'_>) -> Result<VerdictRecord, PersistError> {
+    let property = PropertyHash(r.u64()?);
+    let config = r.u64()?;
+    let winner = read_engine(r.u8()?)?;
+    Ok(VerdictRecord {
+        property,
+        config,
+        verdict: read_verdict(r)?,
+        winner,
+    })
+}
+
+/// An optional engine from its one-byte code (`u8::MAX` for none).
+pub(crate) fn read_engine(code: u8) -> Result<Option<Engine>, PersistError> {
+    if code == u8::MAX {
+        return Ok(None);
+    }
+    Engine::from_code(code)
+        .map(Some)
+        .ok_or(PersistError::Malformed("unknown engine code"))
+}
+
 fn encode(snapshot: &Snapshot) -> Result<Vec<u8>, PersistError> {
     let mut w = Writer::new();
     w.u64(snapshot.knowledge.design().0);
@@ -386,10 +449,7 @@ fn encode(snapshot: &Snapshot) -> Result<Vec<u8>, PersistError> {
     write_knowledge(&mut w, &snapshot.knowledge);
     w.usize(snapshot.verdicts.len());
     for record in &snapshot.verdicts {
-        w.u64(record.property.0);
-        w.u64(record.config);
-        w.u8(record.winner.map(Engine::code).unwrap_or(u8::MAX));
-        write_verdict(&mut w, &record.verdict)?;
+        write_verdict_record(&mut w, record)?;
     }
     Ok(w.into_bytes())
 }
@@ -407,20 +467,7 @@ fn decode(payload: &[u8]) -> Result<Snapshot, PersistError> {
     let verdict_count = r.len(17)?;
     let mut verdicts = Vec::with_capacity(verdict_count);
     for _ in 0..verdict_count {
-        let property = PropertyHash(r.u64()?);
-        let config = r.u64()?;
-        let winner = match r.u8()? {
-            u8::MAX => None,
-            code => Some(
-                Engine::from_code(code).ok_or(PersistError::Malformed("unknown engine code"))?,
-            ),
-        };
-        verdicts.push(VerdictRecord {
-            property,
-            config,
-            verdict: read_verdict(&mut r)?,
-            winner,
-        });
+        verdicts.push(read_verdict_record(&mut r)?);
     }
     if !r.is_done() {
         return Err(PersistError::Malformed("trailing bytes after snapshot"));

@@ -185,15 +185,16 @@ impl fmt::Display for PortfolioReport {
 #[derive(Debug, Clone, Default)]
 pub struct Portfolio {
     config: PortfolioConfig,
-    metrics: Option<Arc<MetricsRegistry>>,
+    metrics: Arc<MetricsRegistry>,
 }
 
 impl Portfolio {
-    /// Creates a portfolio with the given configuration.
+    /// Creates a portfolio with the given configuration, recording its race
+    /// telemetry into a private registry.
     pub fn new(config: PortfolioConfig) -> Self {
         Portfolio {
             config,
-            metrics: None,
+            metrics: Arc::default(),
         }
     }
 
@@ -203,7 +204,7 @@ impl Portfolio {
     /// is why the registry lives on the portfolio, not on
     /// [`PortfolioConfig`].
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(registry);
+        self.metrics = registry;
         self
     }
 
@@ -524,9 +525,7 @@ impl Portfolio {
             disagreements,
             timeline,
         };
-        if let Some(registry) = &self.metrics {
-            record_race_metrics(registry, &report, win_margin);
-        }
+        record_race_metrics(&self.metrics, &report, win_margin);
         recorder.record(
             RecorderLayer::Portfolio,
             RecorderKind::End,

@@ -18,8 +18,10 @@
 //! `--fault SITE:N` arms the fault-injection plan to fire `SITE` exactly on
 //! its Nth hit; `--fault-from SITE:N` fires on every hit from the Nth on.
 //! Sites: `engine_hang`, `worker_panic`, `worker_loss`, `snapshot_write`,
-//! `snapshot_torn`, `journal_append`, `journal_torn`, `crash_point`. Chaos
-//! drills and the CI post-mortem smoke only; harmless when unused.
+//! `snapshot_torn`, `journal_append`, `journal_torn`, `crash_point`. There
+//! is one plan for the whole process; each site is crossed in one layer
+//! only. Chaos drills and the CI post-mortem smoke only; harmless when
+//! unused.
 //!
 //! Prints `listening on <addr>` once ready (scripts parse this line — with
 //! `--addr 127.0.0.1:0` it carries the ephemeral port), then serves until a
@@ -85,7 +87,7 @@ fn main() {
                     Duration::from_secs(value().parse().unwrap_or_else(|_| usage()));
             }
             "--job-budget-secs" => {
-                config.service.job_budget = Some(Duration::from_secs(
+                config.service.portfolio.job_budget = Some(Duration::from_secs(
                     value().parse().unwrap_or_else(|_| usage()),
                 ));
             }
@@ -105,18 +107,15 @@ fn main() {
             "--max-queue-depth" => {
                 config.max_queue_depth = value().parse().unwrap_or_else(|_| usage());
             }
-            // Both plans get the arming: each site only fires where it is
-            // actually checked (service worker loop, engines, or the
-            // server's persistence I/O), so the union plan is safe and the
-            // operator never has to know which layer owns a site.
+            // One plan: each site is crossed in one layer only (service
+            // worker loop, engines, or the server's persistence I/O), so
+            // the operator never has to know which layer owns a site.
             "--fault" => {
                 let (site, n) = parse_fault_spec(&value()).unwrap_or_else(|| usage());
-                config.faults = config.faults.fire_nth(site, n);
                 config.service.faults = config.service.faults.fire_nth(site, n);
             }
             "--fault-from" => {
                 let (site, n) = parse_fault_spec(&value()).unwrap_or_else(|| usage());
-                config.faults = config.faults.fire_from(site, n);
                 config.service.faults = config.service.faults.fire_from(site, n);
             }
             // Undocumented crash-test hook: hard-abort the process in the
@@ -125,7 +124,7 @@ fn main() {
             // harmless) in production.
             "--crash-after-appends" => {
                 let n: u64 = value().parse().unwrap_or_else(|_| usage());
-                config.faults = config.faults.fire_nth(FaultSite::CrashPoint, n);
+                config.service.faults = config.service.faults.fire_nth(FaultSite::CrashPoint, n);
             }
             _ => usage(),
         }

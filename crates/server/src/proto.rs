@@ -12,7 +12,7 @@ use crate::json::Json;
 use std::time::Duration;
 use wlac_atpg::Verdict;
 use wlac_service::{DesignHash, JobProgress, JobResult, ServiceStats};
-use wlac_telemetry::ProgressProbe;
+use wlac_telemetry::{MetricsRegistry, ProgressProbe};
 
 /// Machine-readable error codes of the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -247,26 +247,11 @@ pub fn job_progress_to_wire(progress: &JobProgress) -> Json {
     ])
 }
 
-/// Server-level durability counters surfaced in the `stats` reply alongside
-/// the service counters.
-#[derive(Debug, Clone, Copy)]
-pub struct DurabilityStats {
-    /// What an acknowledged result promises, as spelled on the wire:
-    /// `journal` with a data directory, `none` without one.
-    pub mode: &'static str,
-    /// Snapshots successfully loaded at boot.
-    pub loaded_snapshots: usize,
-    /// Snapshot files rejected at boot (corrupt, torn, foreign).
-    pub snapshots_rejected_at_boot: usize,
-    /// Journal records replayed into service state at boot.
-    pub boot_replayed_records: u64,
-    /// Journal bytes quarantined at boot (torn tails, unreadable files).
-    pub journal_quarantined_bytes: u64,
-}
-
-/// Encodes the service counters for the wire.
-pub fn stats_to_wire(stats: &ServiceStats, durability: &DurabilityStats) -> Json {
-    let loaded_snapshots = durability.loaded_snapshots;
+/// Encodes the `stats` reply: the service counters, the durability mode
+/// (`journal` with a data directory, `none` without one) and the server's
+/// boot counters, read from the same registry the `metrics` op renders.
+pub fn stats_to_wire(stats: &ServiceStats, durability: &str, metrics: &MetricsRegistry) -> Json {
+    let count = |name: &str| Json::num(metrics.counter(name).get());
     Json::obj(vec![
         ("designs", Json::num(stats.designs as u64)),
         ("cache_hits", Json::num(stats.cache_hits)),
@@ -283,19 +268,19 @@ pub fn stats_to_wire(stats: &ServiceStats, durability: &DurabilityStats) -> Json
         ("workers_alive", Json::num(stats.workers_alive as u64)),
         ("queue_depth", Json::num(stats.queue_depth as u64)),
         ("running_jobs", Json::num(stats.running_jobs as u64)),
-        ("loaded_snapshots", Json::num(loaded_snapshots as u64)),
-        ("durability", Json::str(durability.mode)),
+        ("loaded_snapshots", count("server_snapshots_loaded_total")),
+        ("durability", Json::str(durability)),
         (
             "snapshots_rejected_at_boot",
-            Json::num(durability.snapshots_rejected_at_boot as u64),
+            count("server_snapshots_rejected_at_boot_total"),
         ),
         (
             "boot_replayed_records",
-            Json::num(durability.boot_replayed_records),
+            count("server_boot_replayed_records_total"),
         ),
         (
             "journal_quarantined_bytes",
-            Json::num(durability.journal_quarantined_bytes),
+            count("server_journal_quarantined_bytes_total"),
         ),
     ])
 }

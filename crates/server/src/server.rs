@@ -6,7 +6,7 @@ use crate::postmortem::{event_to_json, PostmortemWriter, DEFAULT_MAX_BYTES, DEFA
 use crate::proto::{
     design_from_wire, design_to_wire, error_reply, error_reply_with_retry, hex_decode, hex_encode,
     job_progress_to_wire, job_result_to_wire, ok_reply, probe_to_wire, stats_to_wire,
-    verdict_to_wire, DurabilityStats, ErrorCode,
+    verdict_to_wire, ErrorCode,
 };
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -119,10 +119,6 @@ pub struct ServerConfig {
     /// How long shutdown waits for in-flight requests and queued jobs
     /// before abandoning them and saving what finished.
     pub drain_timeout: Duration,
-    /// Fault-injection plan for the server's own I/O (autosave and the
-    /// write-ahead journal). The service's plan is configured separately in
-    /// [`ServiceConfig`].
-    pub faults: FaultPlan,
     /// Group-commit batch of the journal: each design's journal is fsynced
     /// after every Nth append *to that design* (the count is per journal
     /// writer). A process kill loses nothing either way; a power loss can
@@ -162,7 +158,6 @@ impl ServerConfig {
             wait_timeout: Duration::from_secs(60),
             subscribe_interval: Duration::from_millis(250),
             drain_timeout: Duration::from_secs(30),
-            faults: FaultPlan::disabled(),
             journal_fsync_batch: 32,
             journal_compact_bytes: 1 << 20,
             postmortem_dir: None,
@@ -287,14 +282,6 @@ struct ServerState {
     service: VerificationService,
     data_dir: Option<PathBuf>,
     shutting_down: AtomicBool,
-    loaded_snapshots: AtomicUsize,
-    /// Snapshot files present at boot that failed validation and were
-    /// skipped (the server booted cold for those designs).
-    snapshots_rejected_at_boot: AtomicUsize,
-    /// Journal records replayed into service state at boot.
-    boot_replayed_records: AtomicU64,
-    /// Journal bytes quarantined at boot (torn tails and unreadable files).
-    journal_quarantined_bytes: AtomicU64,
     /// The write-ahead journal sink, present exactly when a data directory
     /// is configured. The service holds the same sink behind its
     /// [`DurabilityHook`]; the server side drives compaction and shutdown
@@ -316,10 +303,13 @@ struct ServerState {
     wait_timeout: Duration,
     subscribe_interval: Duration,
     drain_timeout: Duration,
+    /// The service's fault plan, shared with the journal sink; the server
+    /// crosses its snapshot-write sites.
     faults: FaultPlan,
-    /// The shared metrics registry: the service and every portfolio it races
-    /// write into it, the server adds per-op counters and latency
-    /// histograms, and the `metrics` op exposes the whole thing.
+    /// The shared metrics registry and the server's only count store: the
+    /// service, every portfolio it races and the journal sink write into
+    /// it, the server adds per-op and boot counters and latency histograms,
+    /// and both the `metrics` and `stats` ops read it.
     metrics: Arc<MetricsRegistry>,
     /// Checker options for on-demand `trace_check` runs (the same options
     /// the service's portfolio gives its ATPG engine).
@@ -398,11 +388,12 @@ impl Server {
         }
         let configured_workers = config.service.workers.max(1);
         let checker_options = config.service.portfolio.checker.clone();
+        let faults = config.service.faults.clone();
         // Arm the write-ahead journal before the service exists, so every
         // raced result the service ever completes passes through the sink.
         let journal = config.data_dir.as_ref().map(|dir| {
             let sink = Arc::new(
-                JournalSink::new(dir, config.journal_fsync_batch, config.faults.clone())
+                JournalSink::new(dir, config.journal_fsync_batch, faults.clone())
                     .with_metrics(Arc::clone(&metrics))
                     .with_recorder(RecorderHandle::to(Arc::clone(&recorder))),
             );
@@ -413,10 +404,6 @@ impl Server {
             service: VerificationService::with_metrics(config.service, Arc::clone(&metrics)),
             data_dir: config.data_dir,
             shutting_down: AtomicBool::new(false),
-            loaded_snapshots: AtomicUsize::new(0),
-            snapshots_rejected_at_boot: AtomicUsize::new(0),
-            boot_replayed_records: AtomicU64::new(0),
-            journal_quarantined_bytes: AtomicU64::new(0),
             journal,
             journal_compact_bytes: config.journal_compact_bytes,
             addr,
@@ -428,7 +415,7 @@ impl Server {
             wait_timeout: config.wait_timeout,
             subscribe_interval: config.subscribe_interval.max(Duration::from_millis(1)),
             drain_timeout: config.drain_timeout,
-            faults: config.faults,
+            faults,
             metrics,
             checker_options,
             recorder,
@@ -453,26 +440,32 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Number of snapshots successfully loaded at boot.
+    /// Number of snapshots successfully loaded at boot
+    /// (`server_snapshots_loaded_total`).
     pub fn loaded_snapshots(&self) -> usize {
-        self.state.loaded_snapshots.load(Ordering::Relaxed)
+        self.count("server_snapshots_loaded_total") as usize
     }
 
-    /// Number of snapshot files rejected at boot (corrupt, torn, foreign).
+    /// Number of snapshot files rejected at boot (corrupt, torn, foreign;
+    /// `server_snapshots_rejected_at_boot_total`).
     pub fn snapshots_rejected_at_boot(&self) -> usize {
-        self.state
-            .snapshots_rejected_at_boot
-            .load(Ordering::Relaxed)
+        self.count("server_snapshots_rejected_at_boot_total") as usize
     }
 
-    /// Number of journal records replayed into service state at boot.
+    /// Number of journal records replayed into service state at boot
+    /// (`server_boot_replayed_records_total`).
     pub fn boot_replayed_records(&self) -> u64 {
-        self.state.boot_replayed_records.load(Ordering::Relaxed)
+        self.count("server_boot_replayed_records_total")
     }
 
-    /// Journal bytes quarantined at boot (torn tails, unreadable files).
+    /// Journal bytes quarantined at boot (torn tails, unreadable files;
+    /// `server_journal_quarantined_bytes_total`).
     pub fn journal_quarantined_bytes(&self) -> u64 {
-        self.state.journal_quarantined_bytes.load(Ordering::Relaxed)
+        self.count("server_journal_quarantined_bytes_total")
+    }
+
+    fn count(&self, name: &str) -> u64 {
+        self.state.metrics.counter(name).get()
     }
 
     /// Serves connections until a `shutdown` request completes. Each
@@ -568,43 +561,22 @@ fn load_all_snapshots(state: &ServerState) {
                 continue;
             }
         };
-        let design = state.service.register_design(&snapshot.netlist);
-        if design != snapshot.knowledge.design() {
-            // decode_snapshot re-derives the hash, so this means the service
-            // and the snapshot disagree about identity — do not trust it.
-            eprintln!(
-                "wlac-server: skipping snapshot {}: design hash mismatch",
-                path.display()
-            );
-            note_rejected_snapshot(
-                state,
-                &format!("snapshot {}: design hash mismatch", path.display()),
-            );
-            continue;
+        match state
+            .service
+            .restore(&snapshot.netlist, &snapshot.knowledge, &snapshot.verdicts)
+        {
+            Ok(_) => state.metrics.counter("server_snapshots_loaded_total").inc(),
+            Err(e) => {
+                eprintln!(
+                    "wlac-server: snapshot {} failed validation: {e}",
+                    path.display()
+                );
+                note_rejected_snapshot(
+                    state,
+                    &format!("snapshot {}: validation: {e}", path.display()),
+                );
+            }
         }
-        if let Err(e) = state.service.import_knowledge(design, &snapshot.knowledge) {
-            eprintln!(
-                "wlac-server: snapshot {} failed knowledge validation: {e}",
-                path.display()
-            );
-            note_rejected_snapshot(
-                state,
-                &format!("snapshot {}: knowledge validation: {e}", path.display()),
-            );
-            continue;
-        }
-        if let Err(e) = state.service.import_verdicts(design, &snapshot.verdicts) {
-            eprintln!(
-                "wlac-server: snapshot {} failed verdict validation: {e}",
-                path.display()
-            );
-            note_rejected_snapshot(
-                state,
-                &format!("snapshot {}: verdict validation: {e}", path.display()),
-            );
-            continue;
-        }
-        state.loaded_snapshots.fetch_add(1, Ordering::Relaxed);
     }
     replay_journals(state);
 }
@@ -615,9 +587,6 @@ fn load_all_snapshots(state: &ServerState) {
 /// instead of silent, and a post-mortem bundle captures the boot-time
 /// evidence.
 fn note_rejected_snapshot(state: &ServerState, detail: &str) {
-    state
-        .snapshots_rejected_at_boot
-        .fetch_add(1, Ordering::Relaxed);
     state
         .metrics
         .counter("server_snapshots_rejected_at_boot_total")
@@ -705,9 +674,7 @@ fn replay_journals(state: &ServerState) {
         // accepted when the netlist reproduces the recorded hash — so a
         // design that never reached its first snapshot still comes back
         // warm, under the same identity it was acknowledged as.
-        let design = state.service.register_design(&replay.netlist);
-        debug_assert_eq!(design, replay.design, "parse_header checked this");
-        let mut knowledge = KnowledgeBase::new(design);
+        let mut knowledge = KnowledgeBase::new(replay.design);
         let mut verdicts = Vec::with_capacity(replay.records.len());
         for record in &replay.records {
             for clause in &record.clauses {
@@ -721,32 +688,24 @@ fn replay_journals(state: &ServerState) {
                 verdicts.push(verdict.clone());
             }
         }
-        // The import path re-validates every clause and verdict exactly as
+        // The restore path re-validates every clause and verdict exactly as
         // it does for snapshots and merges on top of the restored state;
         // journaled deltas over an already-compacted snapshot are additive,
         // so replaying both never double-counts a verdict or clause.
-        if let Err(e) = state.service.import_knowledge(design, &knowledge) {
+        if let Err(e) = state
+            .service
+            .restore(&replay.netlist, &knowledge, &verdicts)
+        {
             eprintln!(
-                "wlac-server: journal {} failed knowledge validation: {e}",
+                "wlac-server: journal {} failed validation: {e}",
                 path.display()
             );
             continue;
         }
-        if let Err(e) = state.service.import_verdicts(design, &verdicts) {
-            eprintln!(
-                "wlac-server: journal {} failed verdict validation: {e}",
-                path.display()
-            );
-            continue;
-        }
-        let replayed = replay.records.len() as u64;
-        state
-            .boot_replayed_records
-            .fetch_add(replayed, Ordering::Relaxed);
         state
             .metrics
             .counter("server_boot_replayed_records_total")
-            .add(replayed);
+            .add(replay.records.len() as u64);
     }
 }
 
@@ -754,9 +713,6 @@ fn note_quarantined_bytes(state: &ServerState, bytes: u64) {
     if bytes == 0 {
         return;
     }
-    state
-        .journal_quarantined_bytes
-        .fetch_add(bytes, Ordering::Relaxed);
     state
         .metrics
         .counter("server_journal_quarantined_bytes_total")
@@ -1448,16 +1404,16 @@ fn op_stats(state: &ServerState) -> Json {
             })
             .collect(),
     );
-    let durability = DurabilityStats {
-        mode: durability_mode(state),
-        loaded_snapshots: state.loaded_snapshots.load(Ordering::Relaxed),
-        snapshots_rejected_at_boot: state.snapshots_rejected_at_boot.load(Ordering::Relaxed),
-        boot_replayed_records: state.boot_replayed_records.load(Ordering::Relaxed),
-        journal_quarantined_bytes: state.journal_quarantined_bytes.load(Ordering::Relaxed),
-    };
     refresh_derived_gauges(state);
     ok_reply(vec![
-        ("stats", stats_to_wire(&state.service.stats(), &durability)),
+        (
+            "stats",
+            stats_to_wire(
+                &state.service.stats(),
+                durability_mode(state),
+                &state.metrics,
+            ),
+        ),
         ("ops", ops),
         ("errors", errors),
         ("version", Json::str(env!("CARGO_PKG_VERSION"))),
@@ -1509,9 +1465,8 @@ fn op_metrics(state: &ServerState) -> Json {
 
 fn op_health(state: &ServerState) -> Json {
     let stats = state.service.stats();
-    let queue_depth = state.metrics.gauge("service_queue_depth").get().max(0.0) as u64;
     let workers_ok = stats.workers_alive >= state.configured_workers;
-    let queue_ok = queue_depth <= state.max_queue_depth as u64;
+    let queue_ok = stats.queue_depth <= state.max_queue_depth;
     let last_failure_age = state
         .last_autosave_failure
         .lock_recover()
@@ -1538,7 +1493,7 @@ fn op_health(state: &ServerState) -> Json {
         ("ok", Json::Bool(workers_ok)),
     ]);
     let queue = Json::obj(vec![
-        ("depth", Json::num(queue_depth)),
+        ("depth", Json::num(stats.queue_depth as u64)),
         ("capacity", Json::num(state.max_queue_depth as u64)),
         ("ok", Json::Bool(queue_ok)),
     ]);
@@ -1946,17 +1901,14 @@ fn op_import_knowledge(state: &ServerState, frame: &Json) -> Json {
             }
         }
     }
-    let design = state.service.register_design(&snapshot.netlist);
-    if design != snapshot.knowledge.design() {
-        return error_reply(ErrorCode::BadSnapshot, "design hash mismatch");
-    }
-    if let Err(e) = state.service.import_knowledge(design, &snapshot.knowledge) {
-        return error_reply(ErrorCode::BadSnapshot, e.to_string());
-    }
-    let verdicts = match state.service.import_verdicts(design, &snapshot.verdicts) {
-        Ok(count) => count,
-        Err(e) => return error_reply(ErrorCode::BadSnapshot, e.to_string()),
-    };
+    let (design, verdicts) =
+        match state
+            .service
+            .restore(&snapshot.netlist, &snapshot.knowledge, &snapshot.verdicts)
+        {
+            Ok(restored) => restored,
+            Err(e) => return error_reply(ErrorCode::BadSnapshot, e.to_string()),
+        };
     ok_reply(vec![
         ("design", Json::str(design_to_wire(design))),
         ("verdicts", Json::num(verdicts as u64)),

@@ -235,7 +235,7 @@ const THREE_JOBS: [(&str, &str); 3] = [("always", "ok"), ("always", "bad"), ("ev
 fn deadline_turns_a_hung_engine_into_a_timeout_and_frees_the_worker() {
     let budget = Duration::from_millis(400);
     let mut config = deterministic_config();
-    config.service.job_budget = Some(budget);
+    config.service.portfolio.job_budget = Some(budget);
     // Every engine run hangs until its cancel token releases it — only the
     // job-budget deadline can produce an answer.
     config.service.faults = FaultPlan::seeded(7).fire_from(FaultSite::EngineHang, 1);
@@ -397,7 +397,7 @@ fn autosave_write_failure_degrades_durability_not_service() {
     // batch ends in a snapshot save: the autosave path this test faults.
     config.journal_compact_bytes = 1;
     // Every snapshot write fails before touching the file system.
-    config.faults = FaultPlan::seeded(7).fire_from(FaultSite::SnapshotWrite, 1);
+    config.service.faults = FaultPlan::seeded(7).fire_from(FaultSite::SnapshotWrite, 1);
     let (addr, handle, _) = start(config);
     let mut client = Client::connect(addr);
     let design = client.register_counter();
@@ -453,7 +453,7 @@ fn kill_during_autosave_leaves_a_recoverable_store() {
     // only temp-file debris added.
     let mut config = deterministic_config();
     config.data_dir = Some(dir.0.clone());
-    config.faults = FaultPlan::seeded(7).fire_from(FaultSite::SnapshotTorn, 1);
+    config.service.faults = FaultPlan::seeded(7).fire_from(FaultSite::SnapshotTorn, 1);
     let (addr, handle, loaded) = start(config);
     assert_eq!(loaded, 1, "session 2 boots warm from session 1");
     let mut client = Client::connect(addr);
@@ -718,7 +718,7 @@ fn a_timed_out_job_writes_a_postmortem_naming_the_budget() {
     let budget = Duration::from_millis(300);
     let mut config = deterministic_config();
     config.data_dir = Some(dir.0.clone());
-    config.service.job_budget = Some(budget);
+    config.service.portfolio.job_budget = Some(budget);
     config.service.faults = FaultPlan::seeded(7).fire_from(FaultSite::EngineHang, 1);
     let (addr, handle, _) = start(config);
     let mut client = Client::connect(addr);
@@ -758,7 +758,7 @@ fn autosave_failure_and_rejected_snapshot_write_postmortems() {
     let mut config = deterministic_config();
     config.data_dir = Some(dir.0.clone());
     config.journal_compact_bytes = 1;
-    config.faults = FaultPlan::seeded(7).fire_from(FaultSite::SnapshotWrite, 1);
+    config.service.faults = FaultPlan::seeded(7).fire_from(FaultSite::SnapshotWrite, 1);
     let (addr, handle, _) = start(config);
     let mut client = Client::connect(addr);
     let design = client.register_counter();

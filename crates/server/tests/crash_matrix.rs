@@ -543,7 +543,7 @@ fn crash_matrix_kill_during_compaction_keeps_the_journal() {
     let mut config = journal_config(&dir);
     // Compact after every answered batch, and tear every snapshot write.
     config.journal_compact_bytes = 1;
-    config.faults = FaultPlan::seeded(7).fire_from(FaultSite::SnapshotTorn, 1);
+    config.service.faults = FaultPlan::seeded(7).fire_from(FaultSite::SnapshotTorn, 1);
     let server = Server::bind(config).expect("bind");
     let addr = server.local_addr().expect("addr");
     let handle = std::thread::spawn(move || server.run());

@@ -446,6 +446,130 @@ mod tests {
     }
 
     #[test]
+    fn stats_counts_are_the_registry_counters() {
+        use wlac_faultinject::{FaultPlan, FaultSite};
+        let registry = std::sync::Arc::new(wlac_telemetry::MetricsRegistry::new());
+        let mut config = quick_config();
+        config.workers = 1;
+        config.faults = FaultPlan::new().fire_nth(FaultSite::WorkerPanic, 1);
+        let service = VerificationService::with_metrics(config, registry.clone());
+        // One job three times: its worker panics before the cache lookup
+        // (quarantined), then it races, then it hits the cache.
+        let results: Vec<JobResult> = (0..3)
+            .map(|_| service.wait(service.submit_batch(vec![counter(12, 5, "p")]))[0].clone())
+            .collect();
+        assert!(matches!(results[0].verdict, Verdict::Unknown { .. }));
+        assert!(!results[1].from_cache && results[1].verdict.is_definitive());
+        assert!(results[2].from_cache);
+
+        let stats = service.stats();
+        let count = |name: &str| registry.counter(name).get();
+        for (field, value, counter) in [
+            ("cache_hits", stats.cache_hits, "service_cache_hits_total"),
+            (
+                "cache_misses",
+                stats.cache_misses,
+                "service_cache_misses_total",
+            ),
+            (
+                "predicted_races",
+                stats.predicted_races,
+                "service_predicted_races_total",
+            ),
+            (
+                "cache_evictions",
+                stats.cache_evictions,
+                "service_cache_evictions_total",
+            ),
+            (
+                "quarantined_jobs",
+                stats.quarantined_jobs,
+                "service_jobs_quarantined_total",
+            ),
+            (
+                "timed_out_jobs",
+                stats.timed_out_jobs,
+                "service_jobs_timed_out_total",
+            ),
+            (
+                "workers_respawned",
+                stats.workers_respawned,
+                "service_workers_respawned_total",
+            ),
+        ] {
+            assert_eq!(value, count(counter), "{field} vs {counter}");
+        }
+        // The quarantined job never reached the cache: neither hit nor miss.
+        assert_eq!(
+            (
+                stats.cache_hits,
+                stats.cache_misses,
+                stats.quarantined_jobs,
+                count("service_jobs_completed_total"),
+            ),
+            (1, 1, 1, 3)
+        );
+    }
+
+    /// The persisted store of one race on `verification`'s design: its
+    /// knowledge, with three more ESTG conflicts so that an import shows in
+    /// `stats`, and its verdicts.
+    fn exported_store(verification: &Verification) -> (KnowledgeBase, Vec<VerdictRecord>) {
+        let design = design_hash(&verification.netlist);
+        let service = VerificationService::new(quick_config());
+        let _ = service.wait(service.submit_batch(vec![verification.clone()]));
+        let mut knowledge = service.export_knowledge(design).expect("registered");
+        knowledge
+            .search
+            .estg
+            .record_conflicts(wlac_netlist::NetId::from_index(0), true, 3);
+        let verdicts = service.export_verdicts(design).expect("registered");
+        (knowledge, verdicts)
+    }
+
+    #[test]
+    fn restore_returns_the_design_and_its_verdict_count() {
+        let verification = counter(12, 5, "p");
+        let design = design_hash(&verification.netlist);
+        let (knowledge, verdicts) = exported_store(&verification);
+        let restarted = VerificationService::new(quick_config());
+        assert_eq!(
+            restarted.restore(&verification.netlist, &knowledge, &verdicts),
+            Ok((design, 1))
+        );
+        assert!(restarted.stats().estg_conflicts >= 3);
+        let warm = restarted.wait(restarted.submit_batch(vec![verification]));
+        assert!(warm[0].from_cache);
+    }
+
+    #[test]
+    fn restore_rejects_a_foreign_or_malformed_store_and_imports_nothing() {
+        let verification = counter(12, 5, "p");
+        let design = design_hash(&verification.netlist);
+        let (knowledge, verdicts) = exported_store(&verification);
+        let service = VerificationService::new(quick_config());
+
+        // A store bound to another design.
+        let foreign = KnowledgeBase::new(design_hash(&counter(12, 6, "q").netlist));
+        assert!(matches!(
+            service.restore(&verification.netlist, &foreign, &verdicts),
+            Err(KnowledgeError::DesignMismatch { .. })
+        ));
+
+        // A malformed (non-definitive) verdict rejects the whole store.
+        let mut malformed = verdicts.clone();
+        malformed[0].verdict = Verdict::Unknown {
+            reason: "never cacheable".into(),
+        };
+        assert_eq!(
+            service.restore(&verification.netlist, &knowledge, &malformed),
+            Err(KnowledgeError::MalformedVerdict { index: 0 })
+        );
+        assert_eq!(service.stats().estg_conflicts, 0);
+        assert_eq!(service.export_verdicts(design).map(|v| v.len()), Some(0));
+    }
+
+    #[test]
     fn progress_surface_streams_completions_and_final_probes() {
         let service = VerificationService::new(quick_config());
         let batch = service.submit_batch(vec![counter(12, 5, "p0"), counter(5, 12, "p1")]);

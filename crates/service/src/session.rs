@@ -36,7 +36,9 @@ use wlac_portfolio::{
     predict_engines, Engine, EngineStats, NetlistFeatures, Portfolio, PortfolioConfig,
     PortfolioReport, RaceProgress, Verdict, WarmStart,
 };
-use wlac_telemetry::{MetricsRegistry, ProgressProbe, RecorderHandle, RecorderKind, RecorderLayer};
+use wlac_telemetry::{
+    Counter, MetricsRegistry, ProgressProbe, RecorderHandle, RecorderKind, RecorderLayer,
+};
 
 /// One job by reference: a property of a design already registered with the
 /// service. Submitting it copies no netlist; a job naming a design that was
@@ -167,13 +169,9 @@ pub struct ServiceConfig {
     /// `results`/`progress` calls before the oldest are evicted. Unretrieved
     /// batches are never evicted.
     pub retained_batches: usize,
-    /// Hard wall-clock budget per job. Applied to the portfolio's
-    /// `job_budget` unless that is already set; a job exceeding it completes
-    /// as [`Verdict::Timeout`] and frees its worker. `None` (the default)
-    /// leaves jobs unbounded.
-    pub job_budget: Option<Duration>,
-    /// Fault-injection plan threaded through workers, engines and autosaves.
-    /// The disabled default is free; chaos tests arm it.
+    /// Fault-injection plan threaded through workers and engines; a server
+    /// crosses its journal and snapshot-write sites on the same plan. The
+    /// disabled default is free; chaos tests arm it.
     pub faults: FaultPlan,
     /// Durability hook: every completed raced job is offered to the attached
     /// [`DurabilitySink`](crate::DurabilitySink) *before* its result is
@@ -202,7 +200,6 @@ impl ServiceConfig {
             predict: true,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             retained_batches: DEFAULT_RETAINED_BATCHES,
-            job_budget: None,
             faults: FaultPlan::disabled(),
             durability: DurabilityHook::disabled(),
             recorder: RecorderHandle::disabled(),
@@ -217,7 +214,9 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Aggregate service counters.
+/// Aggregate service counters. The event counts are read from the
+/// service's metrics registry, so they equal the `service_*_total` counters
+/// the `metrics` exposition shows; the rest are point-in-time sizes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Registered designs.
@@ -305,24 +304,28 @@ pub struct VerdictRecord {
     pub winner: Option<Engine>,
 }
 
-/// Structural validation of a verdict offered from outside (a persisted
-/// snapshot): any attached trace must name existing nets with values of the
-/// exact net width, and only definitive verdicts are cacheable. An `Unknown`
-/// must never shadow a future run that could decide the job, and a trace
-/// over foreign nets would panic (or silently lie) on replay.
-pub(crate) fn verdict_is_well_formed(verdict: &Verdict, netlist: &Netlist) -> bool {
-    if !verdict.is_definitive() {
-        return false;
+/// Structural validation of verdicts offered from outside (a persisted
+/// snapshot or journal): any attached trace must name existing nets with
+/// values of the exact net width, and only definitive verdicts are
+/// cacheable. An `Unknown` must never shadow a future run that could decide
+/// the job, and a trace over foreign nets would panic (or silently lie) on
+/// replay.
+fn check_verdicts(records: &[VerdictRecord], netlist: &Netlist) -> Result<(), KnowledgeError> {
+    let well_formed = |verdict: &Verdict| {
+        let ok = |pairs: &[(NetId, wlac_bv::Bv)]| {
+            pairs.iter().all(|(net, value)| {
+                net.index() < netlist.net_count() && value.width() == netlist.net_width(*net)
+            })
+        };
+        verdict.is_definitive()
+            && verdict.trace().is_none_or(|trace| {
+                ok(&trace.initial_state) && trace.inputs.iter().all(|cycle| ok(cycle))
+            })
+    };
+    match records.iter().position(|r| !well_formed(&r.verdict)) {
+        Some(index) => Err(KnowledgeError::MalformedVerdict { index }),
+        None => Ok(()),
     }
-    let Some(trace) = verdict.trace() else {
-        return true;
-    };
-    let ok = |pairs: &[(wlac_netlist::NetId, wlac_bv::Bv)]| {
-        pairs.iter().all(|(net, value)| {
-            net.index() < netlist.net_count() && value.width() == netlist.net_width(*net)
-        })
-    };
-    ok(&trace.initial_state) && trace.inputs.iter().all(|cycle| ok(cycle))
 }
 
 /// Bounded verdict cache with least-recently-used eviction.
@@ -336,16 +339,17 @@ struct VerdictCache {
     entries: HashMap<CacheKey, (CachedVerdict, u64)>,
     capacity: usize,
     clock: u64,
-    evictions: u64,
+    /// `service_cache_evictions_total`.
+    evictions: Arc<Counter>,
 }
 
 impl VerdictCache {
-    fn new(capacity: usize) -> Self {
+    fn new(capacity: usize, evictions: Arc<Counter>) -> Self {
         VerdictCache {
             entries: HashMap::new(),
             capacity,
             clock: 0,
-            evictions: 0,
+            evictions,
         }
     }
 
@@ -371,7 +375,7 @@ impl VerdictCache {
                 .map(|(k, _)| *k)
             {
                 self.entries.remove(&oldest);
-                self.evictions += 1;
+                self.evictions.inc();
             }
         }
         self.entries.insert(key, (cached, self.clock));
@@ -485,6 +489,8 @@ struct RunningJob {
 
 struct Shared {
     config: ServiceConfig,
+    /// The portfolio every race runs, recording into `metrics`.
+    portfolio: Portfolio,
     registry: Mutex<HashMap<DesignHash, Arc<DesignEntry>>>,
     cache: Mutex<VerdictCache>,
     queue: Mutex<VecDeque<QueuedJob>>,
@@ -497,17 +503,13 @@ struct Shared {
     /// Job ids start at 1 so 0 can mean "not job-scoped" in recorder events.
     next_job: AtomicU64,
     shutdown: AtomicBool,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    predicted_races: AtomicU64,
-    quarantined: AtomicU64,
-    timeouts: AtomicU64,
-    respawned: AtomicU64,
     /// Handles of every worker ever spawned (respawns append). Kept in the
     /// shared state so the respawn sentinel can register replacements; the
     /// service's `Drop` pops and joins them without holding the lock.
     worker_handles: Mutex<Vec<JoinHandle<()>>>,
-    metrics: Option<Arc<MetricsRegistry>>,
+    /// Where every service count lives; [`VerificationService::stats`]
+    /// reads it back.
+    metrics: Arc<MetricsRegistry>,
 }
 
 /// Re-arms the worker pool when a worker thread dies: constructed on the
@@ -522,14 +524,15 @@ struct RespawnSentinel {
 impl Drop for RespawnSentinel {
     fn drop(&mut self) {
         if std::thread::panicking() && !self.shared.shutdown.load(Ordering::Acquire) {
-            self.shared.respawned.fetch_add(1, Ordering::Relaxed);
-            if let Some(metrics) = &self.shared.metrics {
-                metrics.counter("service_workers_respawned_total").inc();
-            }
+            let respawned = self
+                .shared
+                .metrics
+                .counter("service_workers_respawned_total");
+            respawned.inc();
             self.shared.config.recorder.record(
                 RecorderLayer::Service,
                 RecorderKind::Respawn,
-                self.shared.respawned.load(Ordering::Relaxed),
+                respawned.get(),
                 0,
             );
             spawn_worker(&self.shared);
@@ -560,35 +563,34 @@ pub struct VerificationService {
 }
 
 impl VerificationService {
-    /// Starts a session with the given configuration.
+    /// Starts a session with the given configuration, counting into a
+    /// private metrics registry.
     pub fn new(config: ServiceConfig) -> Self {
-        VerificationService::start(config, None)
+        VerificationService::with_metrics(config, Arc::default())
     }
 
     /// Starts a session that publishes its telemetry — queue depth and
     /// worker-utilisation gauges, cache and job counters, per-job wall-clock
     /// histograms, the raced portfolios' attribution and the aggregated core
-    /// search counters — into `registry`. Metrics are write-only for the
-    /// service: they never influence scheduling, caching or verdicts.
-    pub fn with_metrics(config: ServiceConfig, registry: Arc<MetricsRegistry>) -> Self {
-        VerificationService::start(config, Some(registry))
-    }
-
-    fn start(mut config: ServiceConfig, metrics: Option<Arc<MetricsRegistry>>) -> Self {
-        // Normalise once: the service-level budget and fault plan are
-        // threaded into the portfolio configuration every race (and the
-        // cache fingerprint) will see, so cache keys and effective behaviour
-        // always agree.
-        if config.portfolio.job_budget.is_none() {
-            config.portfolio.job_budget = config.job_budget;
-        }
+    /// search counters — into `registry`. The service keeps no second
+    /// copy: [`VerificationService::stats`] reads its counts back from the
+    /// registry. Metrics never influence scheduling, caching or verdicts.
+    pub fn with_metrics(mut config: ServiceConfig, registry: Arc<MetricsRegistry>) -> Self {
+        // Normalise once: the service-level fault plan is threaded into the
+        // portfolio configuration every race will see.
         if config.faults.is_armed() && !config.portfolio.checker.faults.is_armed() {
             config.portfolio.checker.faults = config.faults.clone();
         }
         let workers = config.workers.max(1);
-        let cache = VerdictCache::new(config.cache_capacity);
+        let cache = VerdictCache::new(
+            config.cache_capacity,
+            registry.counter("service_cache_evictions_total"),
+        );
+        let portfolio =
+            Portfolio::new(config.portfolio.clone()).with_metrics(Arc::clone(&registry));
         let shared = Arc::new(Shared {
             config,
+            portfolio,
             registry: Mutex::new(HashMap::new()),
             cache: Mutex::new(cache),
             queue: Mutex::new(VecDeque::new()),
@@ -599,14 +601,8 @@ impl VerificationService {
             next_batch: AtomicU64::new(0),
             next_job: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            predicted_races: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            respawned: AtomicU64::new(0),
             worker_handles: Mutex::new(Vec::new()),
-            metrics,
+            metrics: registry,
         });
         for _ in 0..workers {
             spawn_worker(&shared);
@@ -715,25 +711,19 @@ impl VerificationService {
                 key,
             });
         }
-        if let Some(metrics) = &self.shared.metrics {
-            metrics
-                .counter("service_jobs_submitted_total")
-                .add(queued.len() as u64);
-            metrics
-                .gauge("service_queue_depth")
-                .add(queued.len() as f64);
-        }
+        let metrics = &self.shared.metrics;
+        metrics
+            .counter("service_jobs_submitted_total")
+            .add(queued.len() as u64);
+        metrics
+            .gauge("service_queue_depth")
+            .add(queued.len() as f64);
         {
             let mut queue = self.shared.queue.lock_recover();
             queue.extend(queued);
         }
         self.shared.queue_cv.notify_all();
         BatchId(batch)
-    }
-
-    /// Jobs queued but not yet picked up by a worker.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.lock_recover().len()
     }
 
     /// Live snapshots of every in-flight job (dequeued, racing engines, not
@@ -915,12 +905,11 @@ impl VerificationService {
         }
     }
 
-    /// A snapshot of the session counters.
+    /// A snapshot of the session counters: the event counts from the
+    /// metrics registry, the sizes from the live structures.
     pub fn stats(&self) -> ServiceStats {
-        let (cache_evictions, cached_verdicts) = {
-            let cache = self.shared.cache.lock_recover();
-            (cache.evictions, cache.len())
-        };
+        let count = |name: &str| self.shared.metrics.counter(name).get();
+        let cached_verdicts = self.shared.cache.lock_recover().len();
         let workers_alive = {
             let handles = self.shared.worker_handles.lock_recover();
             handles.iter().filter(|h| !h.is_finished()).count()
@@ -930,14 +919,14 @@ impl VerificationService {
         let registry = self.shared.registry.lock_recover();
         let mut stats = ServiceStats {
             designs: registry.len(),
-            cache_hits: self.shared.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.shared.cache_misses.load(Ordering::Relaxed),
-            predicted_races: self.shared.predicted_races.load(Ordering::Relaxed),
-            cache_evictions,
+            cache_hits: count("service_cache_hits_total"),
+            cache_misses: count("service_cache_misses_total"),
+            predicted_races: count("service_predicted_races_total"),
+            cache_evictions: count("service_cache_evictions_total"),
             cached_verdicts,
-            quarantined_jobs: self.shared.quarantined.load(Ordering::Relaxed),
-            timed_out_jobs: self.shared.timeouts.load(Ordering::Relaxed),
-            workers_respawned: self.shared.respawned.load(Ordering::Relaxed),
+            quarantined_jobs: count("service_jobs_quarantined_total"),
+            timed_out_jobs: count("service_jobs_timed_out_total"),
+            workers_respawned: count("service_workers_respawned_total"),
             workers_alive,
             queue_depth,
             running_jobs,
@@ -1028,21 +1017,43 @@ impl VerificationService {
         design: DesignHash,
         records: &[VerdictRecord],
     ) -> Result<usize, KnowledgeError> {
-        let entry = {
-            let registry = self.shared.registry.lock_recover();
-            registry
-                .get(&design)
-                .cloned()
-                .ok_or(KnowledgeError::DesignMismatch {
-                    found: design,
-                    expected: design,
-                })?
-        };
-        for (index, record) in records.iter().enumerate() {
-            if !verdict_is_well_formed(&record.verdict, &entry.netlist) {
-                return Err(KnowledgeError::MalformedVerdict { index });
-            }
-        }
+        let netlist = self.design(design).ok_or(KnowledgeError::DesignMismatch {
+            found: design,
+            expected: design,
+        })?;
+        check_verdicts(records, &netlist)?;
+        self.cache_verdicts(design, records);
+        Ok(records.len())
+    }
+
+    /// Restores one design's persisted state (a snapshot, or the records
+    /// replayed from a journal): registers `netlist`, then imports
+    /// `knowledge` and `verdicts` with the validation of
+    /// [`VerificationService::import_knowledge`] and
+    /// [`VerificationService::import_verdicts`]. Returns the design and the
+    /// number of verdicts now cached.
+    ///
+    /// # Errors
+    ///
+    /// [`KnowledgeError::DesignMismatch`] when `knowledge` is bound to
+    /// another design, or the first validation failure. The verdicts are
+    /// checked before anything is imported, so a rejected store imports
+    /// nothing (the design stays registered).
+    pub fn restore(
+        &self,
+        netlist: &Netlist,
+        knowledge: &KnowledgeBase,
+        verdicts: &[VerdictRecord],
+    ) -> Result<(DesignHash, usize), KnowledgeError> {
+        let design = self.register_design(netlist);
+        check_verdicts(verdicts, netlist)?;
+        self.import_knowledge(design, knowledge)?;
+        self.cache_verdicts(design, verdicts);
+        Ok((design, verdicts.len()))
+    }
+
+    /// Inserts already-validated verdicts into the LRU cache.
+    fn cache_verdicts(&self, design: DesignHash, records: &[VerdictRecord]) {
         let mut cache = self.shared.cache.lock_recover();
         for record in records {
             cache.insert(
@@ -1057,7 +1068,6 @@ impl VerificationService {
                 },
             );
         }
-        Ok(records.len())
     }
 
     /// Blocks until the job queue is empty and every dequeued job has
@@ -1126,10 +1136,8 @@ fn worker_loop(shared: &Arc<Shared>) {
                 queue = shared.queue_cv.wait_recover(queue);
             }
         };
-        if let Some(metrics) = &shared.metrics {
-            metrics.gauge("service_queue_depth").sub(1.0);
-            metrics.gauge("service_workers_busy").add(1.0);
-        }
+        shared.metrics.gauge("service_queue_depth").sub(1.0);
+        shared.metrics.gauge("service_workers_busy").add(1.0);
         shared.config.recorder.with_job(job.job_id).record(
             RecorderLayer::Service,
             RecorderKind::Dequeue,
@@ -1147,9 +1155,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         if let Err(payload) = fenced {
             quarantine_job(shared, &job, start.elapsed(), payload.as_ref());
         }
-        if let Some(metrics) = &shared.metrics {
-            metrics.gauge("service_workers_busy").sub(1.0);
-        }
+        shared.metrics.gauge("service_workers_busy").sub(1.0);
         // Injected worker loss: a panic *outside* the fence kills this
         // thread after the job is fully recorded; the respawn sentinel
         // replaces it.
@@ -1158,14 +1164,13 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 /// Completes a job whose processing panicked: an error verdict (never
-/// cached, never persisted), a counter, a metric, a flight-recorder event
-/// and a fault report — and nothing else. The batch completes; the pool
-/// survives.
+/// cached, never persisted), a counter, a flight-recorder event and a fault
+/// report — and nothing else. The batch completes; the pool survives.
 fn quarantine_job(shared: &Shared, job: &QueuedJob, wall: Duration, payload: &dyn std::any::Any) {
-    shared.quarantined.fetch_add(1, Ordering::Relaxed);
-    if let Some(metrics) = &shared.metrics {
-        metrics.counter("service_jobs_quarantined_total").inc();
-    }
+    shared
+        .metrics
+        .counter("service_jobs_quarantined_total")
+        .inc();
     shared.config.recorder.with_job(job.job_id).record(
         RecorderLayer::Service,
         RecorderKind::Fault,
@@ -1207,19 +1212,12 @@ fn quarantine_job(shared: &Shared, job: &QueuedJob, wall: Duration, payload: &dy
     complete_job(shared, job, result, ProgressProbe::default());
 }
 
-/// Publishes one finished job into the registry: completion/cache counters,
+/// Publishes one finished job into the registry: the completion counter,
 /// the job's wall clock, and — for raced jobs — the core search counters
 /// aggregated from every ATPG run of the portfolio.
 fn record_job_metrics(shared: &Shared, result: &JobResult, report: Option<&PortfolioReport>) {
-    let Some(metrics) = &shared.metrics else {
-        return;
-    };
+    let metrics = &shared.metrics;
     metrics.counter("service_jobs_completed_total").inc();
-    if result.from_cache {
-        metrics.counter("service_cache_hits_total").inc();
-    } else {
-        metrics.counter("service_cache_misses_total").inc();
-    }
     metrics
         .histogram("service_job_wall_ns")
         .record(result.wall.as_nanos() as u64);
@@ -1263,7 +1261,7 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
         cache.get(&job.key)
     };
     if let Some(hit) = cached {
-        shared.cache_hits.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.counter("service_cache_hits_total").inc();
         shared.config.recorder.with_job(job.job_id).record(
             RecorderLayer::Service,
             RecorderKind::CacheHit,
@@ -1290,7 +1288,7 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
         complete_job(shared, job, result, probe);
         return;
     }
-    shared.cache_misses.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.counter("service_cache_misses_total").inc();
 
     // A job naming a design that was never registered cannot race;
     // complete it with an error verdict rather than panicking the worker.
@@ -1332,7 +1330,10 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
     // The engines the race may start; its report lists those it did start.
     let planned = warm.engines.as_ref().map_or(full_portfolio, Vec::len);
     if planned < full_portfolio {
-        shared.predicted_races.fetch_add(1, Ordering::Relaxed);
+        shared
+            .metrics
+            .counter("service_predicted_races_total")
+            .inc();
     }
 
     // Register the race's live-progress cells before any engine spawns:
@@ -1359,10 +1360,6 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
     // the batch incomplete, hanging every `wait` on it. No service lock is
     // held across the race, so unwinding cannot poison shared state.
     let raced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut portfolio = Portfolio::new(shared.config.portfolio.clone());
-        if let Some(metrics) = &shared.metrics {
-            portfolio = portfolio.with_metrics(Arc::clone(metrics));
-        }
         // The per-job handle stamps this job's id into every portfolio- and
         // core-layer event of the race.
         let recorder = shared.config.recorder.with_job(job.job_id);
@@ -1373,7 +1370,9 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
             property: job.property.clone(),
             environment: job.environment.clone(),
         };
-        portfolio.race_warm_probed(&verification, &warm, &recorder, &running.progress)
+        shared
+            .portfolio
+            .race_warm_probed(&verification, &warm, &recorder, &running.progress)
     }));
     let (report, harvest) = match raced {
         Ok(outcome) => outcome,
@@ -1395,22 +1394,14 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
             return;
         }
     };
-    if matches!(report.verdict, Verdict::Timeout { .. }) {
-        shared.timeouts.fetch_add(1, Ordering::Relaxed);
-        if let Some(metrics) = &shared.metrics {
-            metrics.counter("service_jobs_timed_out_total").inc();
-        }
+    if let Verdict::Timeout { budget } = report.verdict {
+        shared.metrics.counter("service_jobs_timed_out_total").inc();
         shared.config.recorder.with_job(job.job_id).record(
             RecorderLayer::Service,
             RecorderKind::Fault,
             job.batch,
             start.elapsed().as_nanos() as u64,
         );
-        let budget = shared
-            .config
-            .portfolio
-            .job_budget
-            .or(shared.config.job_budget);
         shared.config.fault_report.emit(&FaultReport {
             fault: "job_timeout",
             job: job.job_id,
@@ -1418,10 +1409,7 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
             index: job.index,
             design: job.design,
             property: &job.property.name,
-            detail: match budget {
-                Some(budget) => format!("job exceeded its {budget:?} wall-clock budget"),
-                None => "job timed out".to_string(),
-            },
+            detail: format!("job exceeded its {budget:?} wall-clock budget"),
             wall: start.elapsed(),
         });
     }
@@ -1526,11 +1514,10 @@ fn complete_job(shared: &Shared, job: &QueuedJob, result: JobResult, mut probe: 
     if probe.bound == 0 {
         probe.bound = result.verdict.bound();
     }
-    if let Some(metrics) = &shared.metrics {
-        metrics
-            .counter("core_progress_probes_total")
-            .add(probe.probes);
-    }
+    shared
+        .metrics
+        .counter("core_progress_probes_total")
+        .add(probe.probes);
     let mut batches = shared.batches.lock_recover();
     if let Some(state) = batches.states.get_mut(&job.batch) {
         if state.results[job.index].is_none() {

@@ -6,10 +6,13 @@
 //!
 //! * [`MetricsRegistry`] — a name-keyed registry of atomic [`Counter`]s,
 //!   [`Gauge`]s and log-bucketed latency [`Histogram`]s. Handles are
-//!   registered once (allocating) and recorded through forever after with
-//!   plain relaxed atomics: the hot path takes no locks and performs no heap
-//!   allocation, so the zero-alloc steady-state guarantee of the core search
-//!   (`crates/core/tests/alloc_free.rs`) survives instrumentation. The
+//!   registered once (allocating); recording through a held handle is a
+//!   plain relaxed atomic that takes no lock and performs no heap
+//!   allocation, so the zero-alloc steady-state guarantee of the core
+//!   search (`crates/core/tests/alloc_free.rs`) survives instrumentation.
+//!   Looking a metric up by name is not free: it takes the registry mutex
+//!   and scans the registered names, and the service, portfolio, journal
+//!   sink and server still do that at every per-job site. The
 //!   registry renders itself as Prometheus-style text and as a flat JSON
 //!   object; `perf_json` and the server's `metrics` op share that code, so
 //!   BENCH numbers and live telemetry cannot diverge in format.

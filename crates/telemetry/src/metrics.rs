@@ -1,9 +1,10 @@
 //! Atomic metric primitives and the name-keyed registry.
 //!
 //! Recording is the hot path: [`Counter::add`], [`Gauge::set`] and
-//! [`Histogram::record`] are relaxed-atomic operations with no locks and no
-//! heap traffic. Registration and rendering take a `Mutex` and may allocate —
-//! they run at setup and scrape time, never inside a search loop.
+//! [`Histogram::record`] on a held handle are relaxed-atomic operations with
+//! no locks and no heap traffic. Registration, by-name lookup and rendering
+//! take a `Mutex` (lookup scans the registered names) and registration and
+//! rendering allocate — none of them runs inside a search loop.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
