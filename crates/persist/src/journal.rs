@@ -339,13 +339,17 @@ pub struct AppendReceipt {
 /// appends after the last valid record. All writes go straight to the file
 /// descriptor — after `append` returns, a process kill cannot lose the
 /// record (the page cache survives); only power loss can, bounded by the
-/// fsync batch.
+/// fsync batch. A new journal's header and directory entry become durable
+/// with the writer's first sync, before any record it holds does.
 pub struct JournalWriter {
     file: fs::File,
     path: PathBuf,
     len: u64,
     header_len: u64,
     appends_since_sync: u64,
+    /// The file was created (or rewritten from its header) by this writer
+    /// and its header and directory entry have not been fsynced yet.
+    header_unsynced: bool,
     fsync_batch: u64,
     faults: FaultPlan,
     /// A torn append leaves unreconcilable bytes at the tail; the writer
@@ -358,6 +362,12 @@ impl JournalWriter {
     /// Opens (recovering, see the type docs) or creates the journal for
     /// `design` at `path`. The second return is the number of tail bytes
     /// quarantined during recovery — zero for a clean or fresh journal.
+    ///
+    /// A fresh header is written but not fsynced: no record exists yet, so
+    /// nothing depends on it until the writer's first sync (the batch
+    /// boundary in [`JournalWriter::append`], [`JournalWriter::flush`] or
+    /// [`JournalWriter::reset`]), which fsyncs the file and then its
+    /// directory.
     ///
     /// A file that exists but has an unusable header (not a journal, torn
     /// before the first append completed) is quarantined wholesale and
@@ -412,8 +422,6 @@ impl JournalWriter {
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
             file.write_all(&header)?;
-            file.sync_all()?;
-            sync_parent_dir(path)?;
             (header.len() as u64, header.len() as u64)
         } else {
             file.set_len(valid_len)?;
@@ -430,6 +438,7 @@ impl JournalWriter {
                 len,
                 header_len,
                 appends_since_sync: 0,
+                header_unsynced: valid_len == 0,
                 fsync_batch,
                 faults,
                 wedged: false,
@@ -482,8 +491,7 @@ impl JournalWriter {
         self.appends_since_sync += 1;
         let fsync = if self.appends_since_sync >= self.fsync_batch {
             let start = Instant::now();
-            self.file.sync_all()?;
-            self.appends_since_sync = 0;
+            self.sync()?;
             Some(start.elapsed())
         } else {
             None
@@ -500,10 +508,21 @@ impl JournalWriter {
     ///
     /// [`PersistError::Io`] when the sync fails.
     pub fn flush(&mut self) -> Result<(), PersistError> {
-        if self.appends_since_sync > 0 {
-            self.file.sync_all()?;
-            self.appends_since_sync = 0;
+        if self.appends_since_sync > 0 || self.header_unsynced {
+            self.sync()?;
         }
+        Ok(())
+    }
+
+    /// Fsyncs the file, then, for a journal this writer created, its
+    /// directory entry.
+    fn sync(&mut self) -> Result<(), PersistError> {
+        self.file.sync_all()?;
+        if self.header_unsynced {
+            sync_parent_dir(&self.path)?;
+            self.header_unsynced = false;
+        }
+        self.appends_since_sync = 0;
         Ok(())
     }
 
@@ -517,9 +536,8 @@ impl JournalWriter {
     pub fn reset(&mut self) -> Result<(), PersistError> {
         self.file.set_len(self.header_len)?;
         self.file.seek(SeekFrom::Start(self.header_len))?;
-        self.file.sync_all()?;
+        self.sync()?;
         self.len = self.header_len;
-        self.appends_since_sync = 0;
         self.wedged = false;
         Ok(())
     }

@@ -172,6 +172,50 @@ fn reopen_appends_after_the_existing_records() {
 }
 
 #[test]
+fn a_fresh_writer_flushed_without_appends_is_a_header_only_journal() {
+    // Opening defers the header's fsync to the first sync; a flush with no
+    // record still makes the header durable.
+    let dir = TempDir::new();
+    let netlist = sample_netlist();
+    let design = design_hash(&netlist);
+    let path = dir.path(&journal_file_name(design));
+    let (mut writer, quarantined) =
+        JournalWriter::open(&path, design, &netlist, 32, FaultPlan::disabled()).expect("open");
+    assert_eq!(quarantined, 0);
+    assert!(writer.is_empty());
+    writer.flush().expect("flush");
+    drop(writer);
+    let replay = read_journal(&path).expect("recover");
+    assert_eq!(replay.design, design);
+    assert_eq!(design_hash(&replay.netlist), design);
+    assert!(replay.records.is_empty());
+    assert_eq!(replay.quarantined_bytes, 0);
+    assert_eq!(
+        replay.valid_bytes,
+        fs::metadata(&path).expect("metadata").len()
+    );
+}
+
+#[test]
+fn an_fsync_batch_of_one_syncs_the_first_append() {
+    let dir = TempDir::new();
+    let netlist = sample_netlist();
+    let design = design_hash(&netlist);
+    let path = dir.path(&journal_file_name(design));
+    let (mut writer, _) =
+        JournalWriter::open(&path, design, &netlist, 1, FaultPlan::disabled()).expect("open");
+    let receipt = writer.append(&sample_record(0)).expect("append");
+    assert!(receipt.fsync.is_some(), "the first append is synced");
+    drop(writer);
+    let (_, quarantined) =
+        JournalWriter::open(&path, design, &netlist, 1, FaultPlan::disabled()).expect("reopen");
+    assert_eq!(quarantined, 0);
+    let replay = read_journal(&path).expect("recover");
+    assert_eq!(replay.records.len(), 1);
+    assert_same_record(&replay.records[0], &sample_record(0), "first record");
+}
+
+#[test]
 fn truncation_recovers_the_longest_valid_prefix_at_every_length() {
     let dir = TempDir::new();
     let (path, _, boundaries) = build_journal(&dir, 4);

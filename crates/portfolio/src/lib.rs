@@ -79,6 +79,9 @@ use wlac_telemetry::{MetricsRegistry, RecorderHandle, RecorderKind, RecorderLaye
 /// flat throughput optimum from 3 to 10 ms; 5 ms sits in its middle. The
 /// cost is bounded: a race the other engines would have won ends at most
 /// this much later, and SAT-BMC's fastest paper-suite win takes about 60 ms.
+/// The lead spends its head start on the calling thread; a lead still
+/// searching at its end restarts on its own thread beside the others, so
+/// an escalating race repeats at most this much lead work.
 /// One value serves every caller, so it is a constant and not a knob.
 pub(crate) const HEAD_START: Duration = Duration::from_millis(5);
 
@@ -86,7 +89,9 @@ pub(crate) const HEAD_START: Duration = Duration::from_millis(5);
 /// [`PortfolioReport::timeline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RaceEventKind {
-    /// An engine thread was dispatched.
+    /// An engine started: a racing lead on the calling thread, any other
+    /// engine on its own thread. A lead restarted after its head start
+    /// keeps the one `Spawned` of its first pass.
     Spawned,
     /// An engine delivered its verdict to the supervisor.
     Answered {
@@ -222,12 +227,15 @@ impl Portfolio {
     /// verdict wins and the losing engines are cancelled cooperatively.
     ///
     /// The race is hedged. Only the lead engine (the first of the list)
-    /// starts at dispatch. The others start when it has not decided within
-    /// a 5 ms head start, or as soon as it answers without deciding, and
-    /// the lead keeps running alongside them. A race the lead decides alone
-    /// reports a single run and issues no cancel; a race that is decided,
-    /// or whose job budget has expired, starts no further engine. The
-    /// [`PortfolioReport::timeline`] shows each engine's real spawn time.
+    /// starts at dispatch, on the calling thread, for a 5 ms head start. A
+    /// lead that decides in that time is the whole race: it reports a single
+    /// run, starts no thread and issues no cancel. The others start when the
+    /// lead has not decided within its head start, or as soon as it answers
+    /// without deciding. A lead the head start stopped restarts on its own
+    /// thread beside them, from the same warm start; its one run covers
+    /// both passes. A race that is decided, or whose job budget has
+    /// expired, starts no further engine. The [`PortfolioReport::timeline`]
+    /// shows when each engine started.
     pub fn race(&self, verification: &Verification) -> PortfolioReport {
         self.run_portfolio(verification, true, None, &RecorderHandle::disabled(), None)
             .0
@@ -341,7 +349,6 @@ impl Portfolio {
         let engines: &[Engine] = warm
             .and_then(|w| w.engines.as_deref())
             .unwrap_or(&self.config.engines);
-        let (tx, rx) = mpsc::channel::<(EngineRun, EngineHarvest)>();
         let mut runs: Vec<EngineRun> = Vec::with_capacity(engines.len());
         let mut harvest = Harvest::default();
         let mut winner: Option<usize> = None;
@@ -357,130 +364,161 @@ impl Portfolio {
                 .map(|b| b.as_millis() as u64)
                 .unwrap_or(0),
         );
-        thread::scope(|scope| {
-            let launch = |engine: Engine,
-                          tx: &mpsc::Sender<(EngineRun, EngineHarvest)>,
+        let run = |engine: Engine, token: &CancelToken| {
+            let progress_handle = progress
+                .map(|p| p.handle(engine))
+                .unwrap_or_else(wlac_telemetry::ProgressHandle::disabled);
+            engines::run_engine_probed(
+                engine,
+                verification,
+                &self.config,
+                token,
+                warm,
+                recorder,
+                &progress_handle,
+            )
+        };
+        let spawned = |engine: Engine, timeline: &mut Vec<RaceEvent>| {
+            timeline.push(RaceEvent {
+                at: start.elapsed(),
+                engine: Some(engine),
+                kind: RaceEventKind::Spawned,
+            });
+            recorder.record(
+                RecorderLayer::Portfolio,
+                RecorderKind::Spawn,
+                engine_code(engine),
+                0,
+            );
+        };
+        // Collects one answer: the first definitive one wins and (in racing
+        // mode) cancels everyone still searching.
+        let mut absorb = |(run, engine_harvest): (EngineRun, EngineHarvest),
                           timeline: &mut Vec<RaceEvent>| {
-                timeline.push(RaceEvent {
-                    at: start.elapsed(),
-                    engine: Some(engine),
-                    kind: RaceEventKind::Spawned,
-                });
-                recorder.record(
-                    RecorderLayer::Portfolio,
-                    RecorderKind::Spawn,
-                    engine_code(engine),
-                    0,
-                );
-                let tx = tx.clone();
-                let token = token.clone();
-                let config = &self.config;
-                let progress_handle = progress
-                    .map(|p| p.handle(engine))
-                    .unwrap_or_else(wlac_telemetry::ProgressHandle::disabled);
-                scope.spawn(move || {
-                    let run = engines::run_engine_probed(
-                        engine,
-                        verification,
-                        config,
-                        &token,
-                        warm,
-                        recorder,
-                        &progress_handle,
-                    );
-                    // The receiver outlives the scope; a send only fails if
-                    // the supervisor panicked, in which case the scope
-                    // propagates that panic anyway.
-                    let _ = tx.send(run);
-                });
-            };
-            // Collects one answer: the first definitive one wins and (in
-            // racing mode) cancels everyone still searching.
-            let mut absorb = |(run, engine_harvest): (EngineRun, EngineHarvest),
-                              timeline: &mut Vec<RaceEvent>| {
-                let at = start.elapsed();
-                let definitive = run.verdict.is_definitive();
-                if let Some(progress) = progress {
-                    progress.record_final(&run);
+            let at = start.elapsed();
+            let definitive = run.verdict.is_definitive();
+            if let Some(progress) = progress {
+                progress.record_final(&run);
+            }
+            timeline.push(RaceEvent {
+                at,
+                engine: Some(run.engine),
+                kind: RaceEventKind::Answered { definitive },
+            });
+            recorder.record(
+                RecorderLayer::Portfolio,
+                RecorderKind::Answer,
+                engine_code(run.engine),
+                u64::from(definitive),
+            );
+            match first_definitive_at {
+                None if definitive => first_definitive_at = Some(at),
+                Some(won_at) if win_margin.is_none() => {
+                    win_margin = Some(at.saturating_sub(won_at));
                 }
-                timeline.push(RaceEvent {
-                    at,
-                    engine: Some(run.engine),
-                    kind: RaceEventKind::Answered { definitive },
-                });
-                recorder.record(
-                    RecorderLayer::Portfolio,
-                    RecorderKind::Answer,
-                    engine_code(run.engine),
-                    u64::from(definitive),
-                );
-                match first_definitive_at {
-                    None if definitive => first_definitive_at = Some(at),
-                    Some(won_at) if win_margin.is_none() => {
-                        win_margin = Some(at.saturating_sub(won_at));
-                    }
-                    _ => {}
-                }
-                if winner.is_none() && definitive {
-                    winner = Some(runs.len());
-                    if cancel_losers {
-                        // Cancelling also keeps held engines from starting;
-                        // the cancel event marks a race with losers running.
-                        token.cancel();
-                        let started = timeline
-                            .iter()
-                            .filter(|e| e.kind == RaceEventKind::Spawned)
-                            .count();
-                        if started > runs.len() + 1 {
-                            timeline.push(RaceEvent {
-                                at: start.elapsed(),
-                                engine: None,
-                                kind: RaceEventKind::CancelIssued,
-                            });
-                            recorder.record(
-                                RecorderLayer::Portfolio,
-                                RecorderKind::Cancel,
-                                engine_code(run.engine),
-                                0,
-                            );
-                        }
+                _ => {}
+            }
+            if winner.is_none() && definitive {
+                winner = Some(runs.len());
+                if cancel_losers {
+                    // Cancelling also keeps held engines from starting;
+                    // the cancel event marks a race with losers running.
+                    token.cancel();
+                    let started = timeline
+                        .iter()
+                        .filter(|e| e.kind == RaceEventKind::Spawned)
+                        .count();
+                    if started > runs.len() + 1 {
+                        timeline.push(RaceEvent {
+                            at: start.elapsed(),
+                            engine: None,
+                            kind: RaceEventKind::CancelIssued,
+                        });
+                        recorder.record(
+                            RecorderLayer::Portfolio,
+                            RecorderKind::Cancel,
+                            engine_code(run.engine),
+                            0,
+                        );
                     }
                 }
-                harvest.clauses.extend(engine_harvest.clauses);
-                if engine_harvest.knowledge.is_some() {
-                    harvest.knowledge = engine_harvest.knowledge;
-                }
-                harvest.ran.push(run.engine);
-                runs.push(run);
-            };
-            // Racing mode hedges: the lead engine starts alone and the others
-            // join only if it has not decided within HEAD_START (or answers
-            // undecided sooner). Cross-validation mode starts everyone.
-            let (lead, held) = if cancel_losers {
-                engines.split_at(engines.len().min(1))
+            }
+            harvest.clauses.extend(engine_harvest.clauses);
+            if engine_harvest.knowledge.is_some() {
+                harvest.knowledge = engine_harvest.knowledge;
+            }
+            harvest.ran.push(run.engine);
+            runs.push(run);
+        };
+        // Racing mode hedges: the lead engine runs on this thread for at most
+        // HEAD_START, and the others join only if it has not decided by then
+        // (or answers undecided sooner). Cross-validation mode starts every
+        // engine on its own thread.
+        let (lead, mut joining) = match engines.split_first() {
+            Some((&lead, held)) if cancel_losers => (Some(lead), held),
+            _ => (None, engines),
+        };
+        // A lead pass the head start stopped. The lead restarts beside the
+        // joining engines, and the pass's time and effort fold into its run.
+        let mut stopped: Option<EngineRun> = None;
+        if let Some(lead) = lead {
+            // A lone lead runs on the race token; otherwise the head start
+            // stops it, and never later than the job budget.
+            let head = if joining.is_empty() {
+                token.clone()
             } else {
-                (engines, &[][..])
+                let head_end = start + HEAD_START;
+                CancelToken::with_deadline(token.deadline().map_or(head_end, |d| d.min(head_end)))
             };
-            for &engine in lead {
-                launch(engine, &tx, &mut timeline);
+            spawned(lead, &mut timeline);
+            let (pass, pass_harvest) = run(lead, &head);
+            // Cancelled, but not by the race token: the head start ran out.
+            if pass.cancelled && !token.is_cancelled() {
+                stopped = Some(pass);
+            } else {
+                absorb((pass, pass_harvest), &mut timeline);
             }
-            if !held.is_empty() {
-                if let Ok(answer) = rx.recv_timeout(HEAD_START) {
-                    absorb(answer, &mut timeline);
+            // A decided race has cancelled the token, and an expired budget
+            // has too: either way nobody new starts.
+            if token.is_cancelled() {
+                joining = &[];
+            }
+        }
+        if stopped.is_some() || !joining.is_empty() {
+            thread::scope(|scope| {
+                let (tx, rx) = mpsc::channel::<(EngineRun, EngineHarvest)>();
+                let launch = |engine: Engine| {
+                    let tx = tx.clone();
+                    let token = token.clone();
+                    scope.spawn(move || {
+                        // The supervisor receives until every sender is
+                        // gone; a send only fails if it panicked, in which
+                        // case the scope propagates that panic anyway.
+                        let _ = tx.send(run(engine, &token));
+                    });
+                };
+                for &engine in joining {
+                    spawned(engine, &mut timeline);
+                    launch(engine);
                 }
-                // A decided race has cancelled the token, and an expired
-                // budget has too: either way nobody new starts.
-                if !token.is_cancelled() {
-                    for &engine in held {
-                        launch(engine, &tx, &mut timeline);
+                // The restarted lead starts last, so a free core goes to an
+                // engine that has not run yet. Started first, it takes that
+                // core and a joining engine shares one: on the paper suite's
+                // p5 a lone ATPG then ties a halved SAT-BMC, and which of
+                // `proved` and `holds(bound)` wins changes from run to run.
+                // It keeps the `Spawned` event of its first pass.
+                if let Some(pass) = &stopped {
+                    launch(pass.engine);
+                }
+                drop(tx);
+                while let Ok((mut answer, engine_harvest)) = rx.recv() {
+                    if let Some(pass) = stopped.as_ref().filter(|p| p.engine == answer.engine) {
+                        fold_pass(&mut answer, pass);
                     }
+                    absorb((answer, engine_harvest), &mut timeline);
                 }
-            }
-            drop(tx);
-            while let Ok(answer) = rx.recv() {
-                absorb(answer, &mut timeline);
-            }
-        });
+            });
+        }
         let disagreements = cross_validate(&runs);
         if !cancel_losers {
             // Cross-validation mode: every engine ran to completion, so pick
@@ -533,6 +571,16 @@ impl Portfolio {
             report.wall_clock.as_nanos() as u64,
         );
         (report, harvest)
+    }
+}
+
+/// Folds a lead pass the head start stopped into the lead's run after its
+/// restart, so the race reports one run per engine: the run's time covers
+/// both passes, and so do ATPG's search counters.
+fn fold_pass(run: &mut EngineRun, pass: &EngineRun) {
+    run.elapsed += pass.elapsed;
+    if let (EngineStats::Atpg(stats), EngineStats::Atpg(pass)) = (&mut run.stats, &pass.stats) {
+        stats.absorb(pass);
     }
 }
 
@@ -789,6 +837,47 @@ mod tests {
             "{:?}",
             report.timeline
         );
+    }
+
+    #[test]
+    fn a_lead_stopped_by_the_head_start_restarts_beside_the_others() {
+        use wlac_atpg::{FaultPlan, FaultSite};
+        // The lead hangs in its first pass only. Random simulation cannot
+        // prove the counter, so only the restarted lead can decide the race
+        // before its budget.
+        let mut config = PortfolioConfig::default()
+            .with_engines(vec![Engine::Atpg, Engine::RandomSim])
+            .with_job_budget(Duration::from_secs(3));
+        config.checker.faults = FaultPlan::new().fire_nth(FaultSite::EngineHang, 1);
+        let report = Portfolio::new(config).race(&counter(12, 5, "restart"));
+        assert!(report.verdict.is_pass(), "{:?}", report.verdict);
+        assert_eq!(report.winner, Some(Engine::Atpg));
+        assert_eq!(report.runs.len(), 2, "{:?}", report.timeline);
+        let spawns = spawns(&report);
+        assert_eq!(
+            spawns.iter().map(|e| e.engine).collect::<Vec<_>>(),
+            [Some(Engine::Atpg), Some(Engine::RandomSim)],
+            "{:?}",
+            report.timeline
+        );
+        // The stopped pass is part of the lead's one run.
+        let lead = report.run_of(Engine::Atpg).expect("the lead ran");
+        assert!(lead.elapsed >= HEAD_START, "{:?}", lead.elapsed);
+    }
+
+    #[test]
+    fn a_budget_spent_inside_the_head_start_ends_the_race_with_the_lead() {
+        let mut config = hung_lead();
+        config.job_budget = Some(Duration::from_millis(2));
+        let report = Portfolio::new(config).race(&counter(12, 5, "short"));
+        assert!(
+            matches!(report.verdict, Verdict::Timeout { .. }),
+            "{:?}",
+            report.verdict
+        );
+        assert_eq!(report.runs.len(), 1, "{:?}", report.timeline);
+        assert_eq!(report.runs[0].engine, Engine::Atpg);
+        assert_eq!(spawns(&report).len(), 1, "{:?}", report.timeline);
     }
 
     #[test]

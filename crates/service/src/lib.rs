@@ -608,6 +608,43 @@ mod tests {
     }
 
     #[test]
+    fn a_watcher_wakes_on_each_completion_and_a_drain_on_the_last() {
+        use wlac_atpg::{FaultPlan, FaultSite};
+        // The first ATPG search to start hangs until the job budget; the
+        // other job of the batch completes at once.
+        let budget = Duration::from_secs(2);
+        let mut config = quick_config();
+        config.predict = false;
+        config.portfolio = PortfolioConfig::default()
+            .with_engines(vec![wlac_portfolio::Engine::Atpg])
+            .with_job_budget(budget);
+        config.portfolio.checker.faults = FaultPlan::new().fire_nth(FaultSite::EngineHang, 1);
+        let service = VerificationService::new(config);
+        let started = std::time::Instant::now();
+        let batch = service.submit_batch(vec![counter(12, 5, "p0"), counter(5, 12, "p1")]);
+        // The watcher returns on the first completion, while the batch is
+        // still incomplete, long before its own timeout.
+        assert_eq!(
+            service.wait_batch_change(batch, 0, Duration::from_secs(30)),
+            Some(1)
+        );
+        assert!(started.elapsed() < budget, "{:?}", started.elapsed());
+        // The drain returns as soon as the hung job's timeout lands.
+        assert!(service.drain_timeout(Duration::from_secs(30)));
+        let drained = started.elapsed();
+        assert!(
+            drained >= budget && drained < budget + Duration::from_secs(1),
+            "{drained:?}"
+        );
+        let results = service.wait(batch);
+        let timeouts = results
+            .iter()
+            .filter(|r| matches!(r.verdict, Verdict::Timeout { .. }))
+            .count();
+        assert_eq!(timeouts, 1, "{results:?}");
+    }
+
+    #[test]
     fn cache_hits_synthesize_a_final_probe_from_the_verdict() {
         let service = VerificationService::new(quick_config());
         let cold = service.submit_batch(vec![counter(12, 5, "p")]);

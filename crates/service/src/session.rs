@@ -430,6 +430,10 @@ struct BatchState {
     /// Threads currently blocked in [`VerificationService::wait`] on this
     /// batch; retirement never evicts a batch someone is waiting on.
     waiters: usize,
+    /// Of those, the [`VerificationService::wait_batch_change`] callers,
+    /// which wake on every completion; a completion wakes the others only
+    /// when it completes the batch.
+    watchers: usize,
 }
 
 /// Batch bookkeeping: the live states plus a retirement queue bounding how
@@ -687,6 +691,7 @@ impl VerificationService {
                     completed: 0,
                     retrieved: false,
                     waiters: 0,
+                    watchers: 0,
                 },
             );
         }
@@ -799,7 +804,9 @@ impl VerificationService {
     ) -> Option<usize> {
         let deadline = Instant::now() + timeout;
         let mut batches = self.shared.batches.lock_recover();
-        batches.states.get_mut(&batch.0)?.waiters += 1;
+        let state = batches.states.get_mut(&batch.0)?;
+        state.waiters += 1;
+        state.watchers += 1;
         let result = loop {
             // The state cannot be evicted while `waiters > 0`.
             let Some(state) = batches.states.get(&batch.0) else {
@@ -819,6 +826,7 @@ impl VerificationService {
         };
         if let Some(state) = batches.states.get_mut(&batch.0) {
             state.waiters -= 1;
+            state.watchers -= 1;
         }
         result
     }
@@ -1354,11 +1362,12 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
         .insert(job.job_id, Arc::clone(&running));
 
     // 3. Race, absorb, cache. The race is fenced with `catch_unwind`: an
-    // engine panic (propagated through the portfolio's scoped threads) must
-    // complete the job as `Unknown` instead of killing this worker — a dead
-    // worker would shrink the pool for the rest of the session and leave
-    // the batch incomplete, hanging every `wait` on it. No service lock is
-    // held across the race, so unwinding cannot poison shared state.
+    // engine panic (the lead's unwinds on this thread, and the portfolio's
+    // scoped threads propagate the others') must complete the job as
+    // `Unknown` instead of killing this worker — a dead worker would shrink
+    // the pool for the rest of the session and leave the batch incomplete,
+    // hanging every `wait` on it. No service lock is held across the race,
+    // so unwinding cannot poison shared state.
     let raced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         // The per-job handle stamps this job's id into every portfolio- and
         // core-layer event of the race.
@@ -1502,10 +1511,12 @@ fn job_progress(running: &RunningJob) -> JobProgress {
 }
 
 /// Records a job's result and final progress probe, deregisters it from the
-/// running set and wakes waiters. Tolerant by design: a batch evicted under
-/// fault, or a slot an earlier (panicked-then-quarantined) attempt already
-/// filled, is left alone — completion must never panic, because it runs
-/// inside *and* outside the per-job fence.
+/// running set and wakes waiters when their wait can end: on the batch's
+/// last completion, or on any completion while someone watches the batch
+/// change. Tolerant by design: a batch evicted under fault, or a slot an
+/// earlier (panicked-then-quarantined) attempt already filled, is left
+/// alone — completion must never panic, because it runs inside *and*
+/// outside the per-job fence.
 fn complete_job(shared: &Shared, job: &QueuedJob, result: JobResult, mut probe: ProgressProbe) {
     shared.running.lock_recover().remove(&job.job_id);
     // A subscriber's closing progress event should carry the depth the
@@ -1519,13 +1530,17 @@ fn complete_job(shared: &Shared, job: &QueuedJob, result: JobResult, mut probe: 
         .counter("core_progress_probes_total")
         .add(probe.probes);
     let mut batches = shared.batches.lock_recover();
-    if let Some(state) = batches.states.get_mut(&job.batch) {
-        if state.results[job.index].is_none() {
+    let wake = match batches.states.get_mut(&job.batch) {
+        Some(state) if state.results[job.index].is_none() => {
             state.results[job.index] = Some(result);
             state.progress[job.index] = Some(probe);
             state.completed += 1;
+            state.completed == state.results.len() || state.watchers > 0
         }
-    }
+        _ => false,
+    };
     drop(batches);
-    shared.batch_cv.notify_all();
+    if wake {
+        shared.batch_cv.notify_all();
+    }
 }
