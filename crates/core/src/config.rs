@@ -210,31 +210,27 @@ pub struct CheckerOptions {
     /// transcription and solving code, which makes this the differential
     /// oracle for the incremental path.
     pub incremental_datapath: bool,
-    /// Cooperative cancellation token polled by the search loop. Ignored by
-    /// equality comparisons: two configurations with different tokens are
-    /// still "the same configuration".
+    /// Cooperative cancellation token polled by the search loop. Runtime
+    /// wiring, like the five fields after it: none of them can change what a
+    /// definitive answer says.
     pub cancel: CancelToken,
     /// Record phase-attributed wall-clock time ([`crate::PhaseNanos`]) and
     /// emit per-decision span events into [`CheckerOptions::trace_sink`].
     /// Pure observability: verdicts and decision sequences are byte-identical
-    /// with tracing on or off (enforced by a differential test), so — like
-    /// `cancel` — this is ignored by equality comparisons.
+    /// with tracing on or off (enforced by a differential test).
     pub trace: bool,
     /// Span-event destination used when [`CheckerOptions::trace`] is set.
-    /// Runtime wiring, ignored by equality comparisons.
     pub trace_sink: TraceSink,
     /// Deterministic fault-injection plan crossed by the search loop (the
-    /// `engine_hang` site). Disabled by default and — like `cancel` — pure
-    /// runtime wiring: a plan can only make an engine *fail to answer*,
-    /// never change what a definitive answer says, so equality ignores it.
+    /// `engine_hang` site). Disabled by default; a plan can only make an
+    /// engine *fail to answer*, never change what a definitive answer says.
     pub faults: FaultPlan,
     /// Always-on flight-recorder handle: the search emits coarse lifecycle
     /// events (search entry/exit, frame-bound advances) into it, stamped
     /// with the job id the handle carries. Unlike [`CheckerOptions::trace`]
     /// there is no opt-in flag — the disabled default costs one branch per
     /// emission site, and the sites are per-frame, not per-decision, so the
-    /// hot path stays untouched. Runtime wiring, ignored by equality
-    /// comparisons.
+    /// hot path stays untouched.
     pub recorder: RecorderHandle,
     /// Live-progress handle: the search periodically publishes its effort
     /// counters (bound, decisions, conflicts, backtracks, restarts,
@@ -243,47 +239,9 @@ pub struct CheckerOptions {
     /// and alloc-free (a seqlock of pre-allocated atomics), the disabled
     /// default costs one branch per throttled publication site, and a
     /// differential test proves probed and unprobed runs are byte-identical
-    /// in verdicts and every counter. Runtime wiring, ignored by equality
-    /// comparisons.
+    /// in verdicts and every counter.
     pub progress: ProgressHandle,
 }
-
-// `cancel`, `trace` and `trace_sink` are runtime/observability wiring, not
-// configuration: comparisons ignore them (tracing cannot change a verdict).
-// The exhaustive destructuring (no `..`) makes adding a field without
-// deciding its equality role a compile error.
-impl PartialEq for CheckerOptions {
-    fn eq(&self, other: &Self) -> bool {
-        let CheckerOptions {
-            max_frames,
-            backtrack_limit,
-            decision_limit,
-            time_limit,
-            use_induction,
-            use_bias_ordering,
-            use_estg,
-            use_arithmetic_solver,
-            incremental_datapath,
-            cancel: _,
-            trace: _,
-            trace_sink: _,
-            faults: _,
-            recorder: _,
-            progress: _,
-        } = self;
-        *max_frames == other.max_frames
-            && *backtrack_limit == other.backtrack_limit
-            && *decision_limit == other.decision_limit
-            && *time_limit == other.time_limit
-            && *use_induction == other.use_induction
-            && *use_bias_ordering == other.use_bias_ordering
-            && *use_estg == other.use_estg
-            && *use_arithmetic_solver == other.use_arithmetic_solver
-            && *incremental_datapath == other.incremental_datapath
-    }
-}
-
-impl Eq for CheckerOptions {}
 
 impl CheckerOptions {
     /// Creates the default configuration.
@@ -361,7 +319,6 @@ mod tests {
         assert!(opts.use_estg);
         assert!(opts.incremental_datapath);
         assert!(opts.max_frames >= 8);
-        assert_eq!(opts, CheckerOptions::new());
     }
 
     #[test]
@@ -380,7 +337,6 @@ mod tests {
         let traced = CheckerOptions::new().with_trace(TraceSink::to(Arc::new(Tracer::new(16))));
         assert!(traced.trace);
         assert!(traced.trace_sink.is_active());
-        assert_eq!(traced, CheckerOptions::new());
         assert!(!TraceSink::disabled().is_active());
         assert!(format!("{:?}", traced.trace_sink).contains("true"));
     }
@@ -424,7 +380,6 @@ mod tests {
         let faulted =
             CheckerOptions::new().with_faults(FaultPlan::new().fire_nth(FaultSite::EngineHang, 1));
         assert!(faulted.faults.is_armed());
-        assert_eq!(faulted, CheckerOptions::new());
         assert!(!CheckerOptions::new().faults.is_armed());
     }
 
@@ -435,7 +390,6 @@ mod tests {
         let cell = Arc::new(ProgressCell::new());
         let probed = CheckerOptions::new().with_progress(ProgressHandle::to(cell));
         assert!(probed.progress.is_enabled());
-        assert_eq!(probed, CheckerOptions::new());
         assert!(!CheckerOptions::new().progress.is_enabled());
     }
 
@@ -444,8 +398,7 @@ mod tests {
         let cancelled = CancelToken::new();
         cancelled.cancel();
         let a = CheckerOptions::new().with_cancel(cancelled);
-        let b = CheckerOptions::new();
-        assert_eq!(a, b);
         assert!(a.cancel.is_cancelled());
+        assert!(!CheckerOptions::new().cancel.is_cancelled());
     }
 }

@@ -149,6 +149,17 @@ impl DatapathFacts {
         }
     }
 
+    /// The facts this store holds that `seed`, the store it grew from, lacks.
+    pub(crate) fn learned_since(self, seed: &DatapathFacts) -> DatapathFacts {
+        DatapathFacts {
+            facts: self
+                .facts
+                .into_iter()
+                .filter(|fact| !seed.facts.contains(fact))
+                .collect(),
+        }
+    }
+
     /// Approximate number of bytes held by the store.
     pub fn memory_bytes(&self) -> usize {
         self.facts

@@ -91,6 +91,20 @@ impl Estg {
         }
         self.recorded = self.recorded.saturating_add(other.recorded);
     }
+
+    /// The conflicts this store holds above `seed`, the store it grew from:
+    /// per assignment, the count above the seed's count. Merging the result
+    /// back into `seed` gives this store again.
+    pub(crate) fn learned_since(self, seed: &Estg) -> Estg {
+        let mut learned = Estg::new();
+        for ((net, value), count) in self.conflicts {
+            let added = count.saturating_sub(seed.conflict_count(net, value));
+            if added > 0 {
+                learned.record_conflicts(net, value, added);
+            }
+        }
+        learned
+    }
 }
 
 #[cfg(test)]

@@ -43,6 +43,18 @@ impl SearchKnowledge {
         self.datapath_facts.merge(&other.datapath_facts);
     }
 
+    /// What this bundle learned over `seed`, the bundle it was cloned from:
+    /// the ESTG conflicts counted above the seed's counts, and the datapath
+    /// facts the seed lacks. A warm-started check reports this delta, so
+    /// every owner merges it with [`SearchKnowledge::merge`] and none
+    /// re-adds the seed.
+    pub fn learned_since(self, seed: &SearchKnowledge) -> SearchKnowledge {
+        SearchKnowledge {
+            estg: self.estg.learned_since(&seed.estg),
+            datapath_facts: self.datapath_facts.learned_since(&seed.datapath_facts),
+        }
+    }
+
     /// Approximate number of bytes held by the bundle.
     pub fn memory_bytes(&self) -> usize {
         self.estg.memory_bytes() + self.datapath_facts.memory_bytes()
@@ -66,5 +78,26 @@ mod tests {
         assert_eq!(a.estg.recorded(), 4);
         assert!(a.datapath_facts.is_empty());
         assert!(a.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn learned_since_keeps_only_what_grew_over_the_seed() {
+        let (seen, fresh) = (NetId::from_index(2), NetId::from_index(5));
+        let mut seed = SearchKnowledge::new();
+        seed.estg.record_conflicts(seen, true, 3);
+        seed.estg.record_conflict(seen, false);
+        let mut grown = seed.clone();
+        grown.estg.record_conflicts(seen, true, 2);
+        grown.estg.record_conflict(fresh, false);
+        let learned = grown.learned_since(&seed);
+        let mut entries: Vec<_> = learned.estg.entries().collect();
+        entries.sort();
+        assert_eq!(entries, [((seen, true), 2), ((fresh, false), 1)]);
+        assert_eq!(learned.estg.recorded(), 3);
+        // Seed plus delta is the grown bundle again.
+        seed.merge(&learned);
+        assert_eq!(seed.estg.conflict_count(seen, true), 5);
+        assert_eq!(seed.estg.recorded(), 7);
+        assert!(seed.clone().learned_since(&seed).estg.is_empty());
     }
 }

@@ -8,16 +8,11 @@
 //! counter-example.
 
 use crate::config::{PortfolioConfig, RANDOM_SEED};
-use crate::warm::WarmStart;
+use crate::warm::{Harvest, WarmStart};
 use std::fmt;
 use std::time::{Duration, Instant};
-use wlac_atpg::{
-    AssertionChecker, CancelToken, CheckStats, SearchKnowledge, Trace, Verdict, Verification,
-};
-use wlac_baselines::{
-    bounded_model_check_cancellable, bounded_model_check_learning, random_simulation_cancellable,
-    FrameClause,
-};
+use wlac_atpg::{AssertionChecker, CancelToken, CheckStats, Trace, Verdict, Verification};
+use wlac_baselines::{bounded_model_check_learning, random_simulation_cancellable};
 use wlac_telemetry::{ProgressHandle, RecorderHandle};
 
 /// One verification strategy of the portfolio.
@@ -103,56 +98,27 @@ pub struct EngineRun {
     pub stats: EngineStats,
 }
 
-/// Knowledge an engine learned during one run, for the owner's knowledge
-/// base. Empty for cold (unseeded) runs and for the random-simulation engine.
-#[derive(Debug, Clone, Default)]
-pub struct EngineHarvest {
-    /// New design-valid frame-relative clauses from the BMC engine's CDCL.
-    pub clauses: Vec<FrameClause>,
-    /// The ATPG engine's post-run search knowledge (seed plus new learning).
-    pub knowledge: Option<SearchKnowledge>,
-}
-
-/// Runs `engine` on `verification`, polling `cancel` cooperatively.
-pub fn run_engine(
-    engine: Engine,
-    verification: &Verification,
-    config: &PortfolioConfig,
-    cancel: &CancelToken,
-) -> EngineRun {
-    run_engine_probed(
-        engine,
-        verification,
-        config,
-        cancel,
-        None,
-        &RecorderHandle::disabled(),
-        &ProgressHandle::disabled(),
-    )
-    .0
-}
-
-/// Like [`run_engine`], but warm-started and observed. `warm` seeds the SAT
-/// BMC engine with replayed design-valid clauses and the ATPG engine with
-/// conflict cubes and datapath facts, and the run's own learning comes back
-/// in the [`EngineHarvest`] (`Some(&WarmStart::new())` runs cold but still
-/// harvests). `recorder` and `progress` are threaded into the ATPG engine's
-/// checker options, so core search events carry the owning job's id and
-/// the search publishes bound advances and effort counters into the race's
-/// progress cell while still running. The SAT and simulation engines run
-/// no core search; their lifecycle is visible through the race-level events
-/// the portfolio supervisor emits, and their final statistics reach the
+/// Runs `engine` on `verification`, warm-started and observed, polling
+/// `cancel` cooperatively. `warm` seeds the SAT BMC engine with replayed
+/// design-valid clauses and the ATPG engine with conflict cubes and datapath
+/// facts; the returned [`Harvest`] holds only what this run learned on top
+/// of that seed ([`WarmStart::new`] runs cold and harvests everything).
+/// `recorder` and `progress` are threaded into the ATPG engine's checker
+/// options, so core search events carry the owning job's id and the search
+/// publishes bound advances and effort counters into the race's progress
+/// cell while still running. The SAT and simulation engines run no core
+/// search; their lifecycle is visible through the race-level events the
+/// portfolio supervisor emits, and their final statistics reach the
 /// progress surface through it too (see `RaceProgress::record_final`).
-#[allow(clippy::too_many_arguments)]
-pub fn run_engine_probed(
+pub(crate) fn run_engine(
     engine: Engine,
     verification: &Verification,
     config: &PortfolioConfig,
     cancel: &CancelToken,
-    warm: Option<&WarmStart>,
+    warm: &WarmStart,
     recorder: &RecorderHandle,
     progress: &ProgressHandle,
-) -> (EngineRun, EngineHarvest) {
+) -> (EngineRun, Harvest) {
     let start = Instant::now();
     let (verdict, stats, harvest) = match engine {
         Engine::Atpg => run_atpg(verification, config, cancel, warm, recorder, progress),
@@ -176,25 +142,21 @@ fn run_atpg(
     verification: &Verification,
     config: &PortfolioConfig,
     cancel: &CancelToken,
-    warm: Option<&WarmStart>,
+    warm: &WarmStart,
     recorder: &RecorderHandle,
     progress: &ProgressHandle,
-) -> (Verdict, EngineStats, EngineHarvest) {
+) -> (Verdict, EngineStats, Harvest) {
     let options = config
         .checker
         .clone()
         .with_cancel(cancel.clone())
         .with_recorder(recorder.clone())
         .with_progress(progress.clone());
-    let mut harvest = EngineHarvest::default();
-    let report = match warm {
-        Some(warm) => {
-            let mut knowledge = warm.knowledge.clone();
-            let report = AssertionChecker::new(options).check_learned(verification, &mut knowledge);
-            harvest.knowledge = Some(knowledge);
-            report
-        }
-        None => AssertionChecker::new(options).check(verification),
+    let mut knowledge = warm.knowledge.clone();
+    let report = AssertionChecker::new(options).check_learned(verification, &mut knowledge);
+    let harvest = Harvest {
+        knowledge: Some(knowledge.learned_since(&warm.knowledge)),
+        ..Harvest::default()
     };
     (report.result, EngineStats::Atpg(report.stats), harvest)
 }
@@ -203,29 +165,15 @@ fn run_bmc(
     verification: &Verification,
     config: &PortfolioConfig,
     cancel: &CancelToken,
-    warm: Option<&WarmStart>,
-) -> (Verdict, EngineStats, EngineHarvest) {
-    let max_frames = config.checker.max_frames;
-    let mut harvest = EngineHarvest::default();
-    let report = match warm {
-        Some(warm) => {
-            let (report, clauses) = bounded_model_check_learning(
-                verification,
-                max_frames,
-                config.bmc_decision_budget,
-                cancel,
-                &warm.clauses,
-            );
-            harvest.clauses = clauses;
-            report
-        }
-        None => bounded_model_check_cancellable(
-            verification,
-            max_frames,
-            config.bmc_decision_budget,
-            cancel,
-        ),
-    };
+    warm: &WarmStart,
+) -> (Verdict, EngineStats, Harvest) {
+    let (report, clauses) = bounded_model_check_learning(
+        verification,
+        config.checker.max_frames,
+        config.bmc_decision_budget,
+        cancel,
+        &warm.clauses,
+    );
     (
         report.verdict,
         EngineStats::Bmc {
@@ -234,7 +182,10 @@ fn run_bmc(
             peak_memory_bytes: report.peak_memory_bytes,
             sat: report.sat,
         },
-        harvest,
+        Harvest {
+            clauses,
+            ..Harvest::default()
+        },
     )
 }
 
@@ -242,7 +193,7 @@ fn run_random(
     verification: &Verification,
     config: &PortfolioConfig,
     cancel: &CancelToken,
-) -> (Verdict, EngineStats, EngineHarvest) {
+) -> (Verdict, EngineStats, Harvest) {
     let report = random_simulation_cancellable(
         verification,
         config.random_runs,
@@ -256,7 +207,7 @@ fn run_random(
             runs: report.runs,
             cycles_per_run: report.cycles_per_run,
         },
-        EngineHarvest::default(),
+        Harvest::default(),
     )
 }
 
@@ -308,6 +259,27 @@ mod tests {
     use wlac_bv::Bv;
     use wlac_netlist::Netlist;
 
+    /// One engine run from an empty warm start, unobserved.
+    fn cold(
+        engine: Engine,
+        verification: &Verification,
+        config: &PortfolioConfig,
+        cancel: &CancelToken,
+    ) -> EngineRun {
+        let (recorder, progress) = (RecorderHandle::disabled(), ProgressHandle::disabled());
+        let warm = WarmStart::new();
+        run_engine(
+            engine,
+            verification,
+            config,
+            cancel,
+            &warm,
+            &recorder,
+            &progress,
+        )
+        .0
+    }
+
     /// A counter wrapping at `wrap`, asserted to stay below `limit`.
     fn counter(limit: u64, wrap: u64) -> Verification {
         let mut nl = Netlist::new("counter");
@@ -332,7 +304,7 @@ mod tests {
         let config = PortfolioConfig::default();
         let cancel = CancelToken::new();
         for engine in [Engine::Atpg, Engine::SatBmc] {
-            let run = run_engine(engine, &verification, &config, &cancel);
+            let run = cold(engine, &verification, &config, &cancel);
             match &run.verdict {
                 Verdict::Violated { trace } => {
                     assert!(trace.len() >= 5, "{engine}: needs 5 cycles to reach 5");
@@ -348,8 +320,8 @@ mod tests {
         let verification = counter(12, 5);
         let config = PortfolioConfig::default();
         let cancel = CancelToken::new();
-        let atpg = run_engine(Engine::Atpg, &verification, &config, &cancel);
-        let bmc = run_engine(Engine::SatBmc, &verification, &config, &cancel);
+        let atpg = cold(Engine::Atpg, &verification, &config, &cancel);
+        let bmc = cold(Engine::SatBmc, &verification, &config, &cancel);
         assert!(atpg.verdict.is_pass(), "{:?}", atpg.verdict);
         assert!(bmc.verdict.is_pass(), "{:?}", bmc.verdict);
         assert!(!atpg.verdict.conflicts_with(&bmc.verdict));
@@ -365,7 +337,7 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         for engine in [Engine::Atpg, Engine::SatBmc, Engine::RandomSim] {
-            let run = run_engine(engine, &verification, &config, &cancel);
+            let run = cold(engine, &verification, &config, &cancel);
             assert!(!run.verdict.is_definitive(), "{engine}: {:?}", run.verdict);
             assert!(run.cancelled, "{engine} should report cancellation");
         }
@@ -390,14 +362,14 @@ mod tests {
 
         let config = PortfolioConfig::default();
         let cancel = CancelToken::new();
-        let random = run_engine(Engine::RandomSim, &verification, &config, &cancel);
+        let random = cold(Engine::RandomSim, &verification, &config, &cancel);
         assert!(
             !matches!(random.verdict, Verdict::Violated { .. }),
             "env-violating trace must not count: {:?}",
             random.verdict
         );
         // The deterministic engines agree the assertion holds under the env.
-        let atpg = run_engine(Engine::Atpg, &verification, &config, &cancel);
+        let atpg = cold(Engine::Atpg, &verification, &config, &cancel);
         assert!(atpg.verdict.is_pass(), "{:?}", atpg.verdict);
         assert!(!atpg.verdict.conflicts_with(&random.verdict));
     }
@@ -408,7 +380,7 @@ mod tests {
         // to a real monitor violation — `run_engine` would demote it
         // otherwise.
         let verification = counter(3, 12);
-        let run = run_engine(
+        let run = cold(
             Engine::SatBmc,
             &verification,
             &PortfolioConfig::default(),

@@ -10,6 +10,13 @@
 //! engine gets a 5 ms head start, and the others join only if it has not
 //! decided by then (see [`Portfolio::race`]).
 //!
+//! Every race runs its engines one way: seeded from a [`WarmStart`] (an
+//! empty one for [`Portfolio::race`] and [`Portfolio::check_all`]) and
+//! harvesting what they learn. [`Portfolio::race_warm`] returns that
+//! learning as a [`Harvest`] holding only what the race added over its
+//! seed, so a knowledge base merges it exactly as it merges an import or a
+//! replayed journal record.
+//!
 //! Beyond single-property racing, [`Portfolio::check_batch`] shards a whole
 //! suite of properties across a worker-thread pool, and every trace-backed
 //! verdict is re-simulated against the design before it is trusted —
@@ -55,7 +62,7 @@ mod progress;
 mod warm;
 
 pub use config::{PortfolioConfig, RANDOM_SEED};
-pub use engines::{run_engine, run_engine_probed, Engine, EngineHarvest, EngineRun, EngineStats};
+pub use engines::{Engine, EngineRun, EngineStats};
 pub use predictor::{predict_engines, EngineHistory, NetlistFeatures};
 pub use progress::RaceProgress;
 pub use warm::{Harvest, WarmStart};
@@ -66,7 +73,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
-use wlac_atpg::{CancelToken, Verification};
+use wlac_atpg::{CancelToken, SearchKnowledge, Verification};
 use wlac_telemetry::{MetricsRegistry, RecorderHandle, RecorderKind, RecorderLayer};
 
 /// How long a race's lead engine runs alone before the other engines join.
@@ -237,23 +244,29 @@ impl Portfolio {
     /// expired, starts no further engine. The [`PortfolioReport::timeline`]
     /// shows when each engine started.
     pub fn race(&self, verification: &Verification) -> PortfolioReport {
-        self.run_portfolio(verification, true, None, &RecorderHandle::disabled(), None)
-            .0
+        self.race_warm(verification, &WarmStart::new()).0
     }
 
     /// Runs every configured engine to completion (no cancellation) and
     /// cross-validates all verdicts against each other.
     pub fn check_all(&self, verification: &Verification) -> PortfolioReport {
-        self.run_portfolio(verification, false, None, &RecorderHandle::disabled(), None)
-            .0
+        let warm = WarmStart::new();
+        self.run_portfolio(
+            verification,
+            false,
+            &warm,
+            &RecorderHandle::disabled(),
+            None,
+        )
+        .0
     }
 
     /// Like [`Portfolio::race`], but warm-started from a knowledge base:
     /// `warm` seeds the engines (replayed CDCL clauses into BMC, conflict
     /// cubes and datapath facts into ATPG) and may replace the engine list
     /// with the scheduling predictor's choice, whose first engine leads the
-    /// hedged race. The returned [`Harvest`] carries everything this race
-    /// learned, for merging back into the base.
+    /// hedged race. The returned [`Harvest`] carries only what this race
+    /// learned on top of `warm`, so the base merges it as it is.
     ///
     /// Seeds must come from runs on a structurally identical netlist — the
     /// knowledge-base owner enforces that by keying on a design hash.
@@ -262,13 +275,7 @@ impl Portfolio {
         verification: &Verification,
         warm: &WarmStart,
     ) -> (PortfolioReport, Harvest) {
-        self.run_portfolio(
-            verification,
-            true,
-            Some(warm),
-            &RecorderHandle::disabled(),
-            None,
-        )
+        self.run_portfolio(verification, true, warm, &RecorderHandle::disabled(), None)
     }
 
     /// Like [`Portfolio::race_warm`], but observed. Every flight-recorder
@@ -289,7 +296,7 @@ impl Portfolio {
         recorder: &RecorderHandle,
         progress: &RaceProgress,
     ) -> (PortfolioReport, Harvest) {
-        self.run_portfolio(verification, true, Some(warm), recorder, Some(progress))
+        self.run_portfolio(verification, true, warm, recorder, Some(progress))
     }
 
     /// Checks a batch of properties, sharding them across
@@ -333,7 +340,7 @@ impl Portfolio {
         &self,
         verification: &Verification,
         cancel_losers: bool,
-        warm: Option<&WarmStart>,
+        warm: &WarmStart,
         recorder: &RecorderHandle,
         progress: Option<&RaceProgress>,
     ) -> (PortfolioReport, Harvest) {
@@ -346,9 +353,7 @@ impl Portfolio {
             Some(budget) => CancelToken::with_deadline(start + budget),
             None => CancelToken::new(),
         };
-        let engines: &[Engine] = warm
-            .and_then(|w| w.engines.as_deref())
-            .unwrap_or(&self.config.engines);
+        let engines: &[Engine] = warm.engines.as_deref().unwrap_or(&self.config.engines);
         let mut runs: Vec<EngineRun> = Vec::with_capacity(engines.len());
         let mut harvest = Harvest::default();
         let mut winner: Option<usize> = None;
@@ -368,7 +373,7 @@ impl Portfolio {
             let progress_handle = progress
                 .map(|p| p.handle(engine))
                 .unwrap_or_else(wlac_telemetry::ProgressHandle::disabled);
-            engines::run_engine_probed(
+            engines::run_engine(
                 engine,
                 verification,
                 &self.config,
@@ -387,14 +392,13 @@ impl Portfolio {
             recorder.record(
                 RecorderLayer::Portfolio,
                 RecorderKind::Spawn,
-                engine_code(engine),
+                u64::from(engine.code()),
                 0,
             );
         };
         // Collects one answer: the first definitive one wins and (in racing
         // mode) cancels everyone still searching.
-        let mut absorb = |(run, engine_harvest): (EngineRun, EngineHarvest),
-                          timeline: &mut Vec<RaceEvent>| {
+        let mut absorb = |(run, learned): (EngineRun, Harvest), timeline: &mut Vec<RaceEvent>| {
             let at = start.elapsed();
             let definitive = run.verdict.is_definitive();
             if let Some(progress) = progress {
@@ -408,7 +412,7 @@ impl Portfolio {
             recorder.record(
                 RecorderLayer::Portfolio,
                 RecorderKind::Answer,
-                engine_code(run.engine),
+                u64::from(run.engine.code()),
                 u64::from(definitive),
             );
             match first_definitive_at {
@@ -437,15 +441,18 @@ impl Portfolio {
                         recorder.record(
                             RecorderLayer::Portfolio,
                             RecorderKind::Cancel,
-                            engine_code(run.engine),
+                            u64::from(run.engine.code()),
                             0,
                         );
                     }
                 }
             }
-            harvest.clauses.extend(engine_harvest.clauses);
-            if engine_harvest.knowledge.is_some() {
-                harvest.knowledge = engine_harvest.knowledge;
+            harvest.clauses.extend(learned.clauses);
+            if let Some(knowledge) = &learned.knowledge {
+                harvest
+                    .knowledge
+                    .get_or_insert_with(SearchKnowledge::new)
+                    .merge(knowledge);
             }
             harvest.ran.push(run.engine);
             runs.push(run);
@@ -471,12 +478,14 @@ impl Portfolio {
                 CancelToken::with_deadline(token.deadline().map_or(head_end, |d| d.min(head_end)))
             };
             spawned(lead, &mut timeline);
-            let (pass, pass_harvest) = run(lead, &head);
+            let (pass, learned) = run(lead, &head);
             // Cancelled, but not by the race token: the head start ran out.
+            // The pass's learning goes with it; the restart learns again
+            // from the same seed.
             if pass.cancelled && !token.is_cancelled() {
                 stopped = Some(pass);
             } else {
-                absorb((pass, pass_harvest), &mut timeline);
+                absorb((pass, learned), &mut timeline);
             }
             // A decided race has cancelled the token, and an expired budget
             // has too: either way nobody new starts.
@@ -486,7 +495,7 @@ impl Portfolio {
         }
         if stopped.is_some() || !joining.is_empty() {
             thread::scope(|scope| {
-                let (tx, rx) = mpsc::channel::<(EngineRun, EngineHarvest)>();
+                let (tx, rx) = mpsc::channel::<(EngineRun, Harvest)>();
                 let launch = |engine: Engine| {
                     let tx = tx.clone();
                     let token = token.clone();
@@ -511,11 +520,11 @@ impl Portfolio {
                     launch(pass.engine);
                 }
                 drop(tx);
-                while let Ok((mut answer, engine_harvest)) = rx.recv() {
+                while let Ok((mut answer, learned)) = rx.recv() {
                     if let Some(pass) = stopped.as_ref().filter(|p| p.engine == answer.engine) {
                         fold_pass(&mut answer, pass);
                     }
-                    absorb((answer, engine_harvest), &mut timeline);
+                    absorb((answer, learned), &mut timeline);
                 }
             });
         }
@@ -567,7 +576,7 @@ impl Portfolio {
         recorder.record(
             RecorderLayer::Portfolio,
             RecorderKind::End,
-            report.winner.map(engine_code).unwrap_or(u64::MAX),
+            report.winner.map_or(u64::MAX, |w| u64::from(w.code())),
             report.wall_clock.as_nanos() as u64,
         );
         (report, harvest)
@@ -581,16 +590,6 @@ fn fold_pass(run: &mut EngineRun, pass: &EngineRun) {
     run.elapsed += pass.elapsed;
     if let (EngineStats::Atpg(stats), EngineStats::Atpg(pass)) = (&mut run.stats, &pass.stats) {
         stats.absorb(pass);
-    }
-}
-
-/// Engine as a stable small integer for flight-recorder payload words
-/// (0 = atpg, 1 = sat_bmc, 2 = random_sim).
-fn engine_code(engine: Engine) -> u64 {
-    match engine {
-        Engine::Atpg => 0,
-        Engine::SatBmc => 1,
-        Engine::RandomSim => 2,
     }
 }
 
@@ -878,6 +877,27 @@ mod tests {
         assert_eq!(report.runs.len(), 1, "{:?}", report.timeline);
         assert_eq!(report.runs[0].engine, Engine::Atpg);
         assert_eq!(spawns(&report).len(), 1, "{:?}", report.timeline);
+    }
+
+    #[test]
+    fn a_warm_race_harvests_only_what_it_learned_over_its_seed() {
+        let verification = counter(12, 5, "seeded");
+        let portfolio = Portfolio::with_defaults();
+        // The property's own search records no conflict...
+        let (_, cold) = portfolio.race_warm(&verification, &WarmStart::new());
+        let learned = cold.knowledge.expect("the lead ran");
+        assert!(learned.estg.is_empty(), "{:?}", learned.estg);
+        // ...so a seed full of conflicts must not come back in the harvest.
+        let mut warm = WarmStart::new();
+        let monitor = verification.property.monitor;
+        warm.knowledge.estg.record_conflicts(monitor, true, 5);
+        warm.knowledge.estg.record_conflicts(monitor, false, 2);
+        let (report, harvest) = portfolio.race_warm(&verification, &warm);
+        assert!(report.verdict.is_pass(), "{:?}", report.verdict);
+        let learned = harvest.knowledge.expect("the lead ran");
+        assert!(learned.estg.is_empty(), "{:?}", learned.estg);
+        assert_eq!(learned.estg.recorded(), 0);
+        assert!(learned.datapath_facts.is_empty());
     }
 
     #[test]

@@ -112,14 +112,6 @@ pub struct EngineHistory {
     runs: [u64; 3],
 }
 
-fn engine_index(engine: Engine) -> usize {
-    match engine {
-        Engine::Atpg => 0,
-        Engine::SatBmc => 1,
-        Engine::RandomSim => 2,
-    }
-}
-
 const ENGINES: [Engine; 3] = Engine::ALL;
 
 impl EngineHistory {
@@ -132,10 +124,10 @@ impl EngineHistory {
     /// any) won it.
     pub fn record(&mut self, ran: &[Engine], winner: Option<Engine>) {
         for engine in ran {
-            self.runs[engine_index(*engine)] += 1;
+            self.runs[engine.code() as usize] += 1;
         }
         if let Some(winner) = winner {
-            self.wins[engine_index(winner)] += 1;
+            self.wins[winner.code() as usize] += 1;
         }
     }
 
@@ -168,12 +160,12 @@ impl EngineHistory {
 
     /// Wins attributed to `engine`.
     pub fn wins(&self, engine: Engine) -> u64 {
-        self.wins[engine_index(engine)]
+        self.wins[engine.code() as usize]
     }
 
     /// Runs recorded for `engine`.
     pub fn runs(&self, engine: Engine) -> u64 {
-        self.runs[engine_index(engine)]
+        self.runs[engine.code() as usize]
     }
 }
 

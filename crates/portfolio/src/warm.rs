@@ -4,7 +4,8 @@
 //! into one race: frame-relative CDCL clauses for the SAT BMC engine, the
 //! ATPG search knowledge (ESTG conflict cubes + datapath infeasibility
 //! facts), and an optional engine-selection override from the scheduling
-//! predictor. A [`Harvest`] carries everything the race learned back out.
+//! predictor. A [`Harvest`] carries back out only what the race learned on
+//! top of that seed: a delta, which every store merges.
 //!
 //! Seeds are performance hints with a hard soundness contract: they must have
 //! been gathered on a **structurally identical** netlist. The owner of the
@@ -28,23 +29,25 @@ pub struct WarmStart {
 }
 
 impl WarmStart {
-    /// An empty warm start: no seeds, full configured portfolio — behaves
-    /// like a cold run except that the engines still *harvest* learning.
+    /// An empty warm start: no seeds, the full configured portfolio. A race
+    /// from it is a cold race whose harvest is everything it learned.
     pub fn new() -> Self {
         WarmStart::default()
     }
 }
 
-/// Knowledge harvested from one portfolio run.
+/// Knowledge one engine run, or one whole race, learned over its
+/// [`WarmStart`].
 #[derive(Debug, Clone, Default)]
 pub struct Harvest {
     /// New design-valid clauses lifted out of the BMC engine's CDCL runs.
     pub clauses: Vec<FrameClause>,
-    /// The ATPG engine's post-run knowledge (seed plus everything new), when
-    /// the ATPG engine ran.
+    /// What the ATPG engine learned this run, over its seed: ESTG conflicts
+    /// above the seed's counts and datapath facts the seed lacks. `None`
+    /// when the ATPG engine did not run.
     pub knowledge: Option<SearchKnowledge>,
     /// The engine that produced the winning verdict, for the scheduling
-    /// history.
+    /// history. Set by the race, like `ran`.
     pub winner: Option<Engine>,
     /// The engines that actually ran.
     pub ran: Vec<Engine>,

@@ -8,14 +8,14 @@
 //! `wlac-persist`) implements the sink; the disabled default costs one
 //! `Option` check per job.
 //!
-//! Deltas, not absolutes: [`KnowledgeBase::absorb`] *replaces* the ESTG with
-//! the harvest (which already contains the warm seed), while a boot-time
-//! replay *merges* into whatever a newer snapshot restored. Journaling the
-//! absolute ESTG would double-count every seed conflict on replay, so the
-//! record carries only what this race added over its warm start. Replay is
-//! therefore harmless-idempotent: verdicts and clauses deduplicate exactly,
-//! and an ESTG/history over-count after an unlucky crash merely reorders
-//! decision heuristics — never verdicts.
+//! A record is the race's learned delta, and every store merges it: the
+//! race's harvest holds only what it added over its warm start, the live
+//! [`KnowledgeBase::absorb`] merges that harvest, and a boot-time replay
+//! merges the same record into whatever a newer snapshot restored. So the
+//! knowledge a restart rebuilds equals the live knowledge. Replay is also
+//! harmless-idempotent: verdicts and clauses deduplicate exactly, and an
+//! ESTG/history over-count after an unlucky crash merely reorders decision
+//! heuristics — never verdicts.
 //!
 //! [`KnowledgeBase::absorb`]: crate::KnowledgeBase::absorb
 
@@ -44,8 +44,9 @@ pub struct DurabilityRecord<'a> {
     pub verdict: Option<VerdictRecord>,
     /// Design-valid frame clauses harvested from the race.
     pub clauses: &'a [FrameClause],
-    /// ESTG conflicts this race added *over its warm seed*:
-    /// `(net, value, additional_count)` with `additional_count > 0`.
+    /// ESTG conflicts this race added *over its warm seed* (the harvest's
+    /// learned ESTG): `(net, value, additional_count)` with
+    /// `additional_count > 0`.
     pub estg_delta: Vec<(NetId, bool, u64)>,
     /// Engines the race actually spawned (the engine-history delta, replayed
     /// via `EngineHistory::record`).

@@ -251,9 +251,11 @@ impl KnowledgeBase {
         self.design
     }
 
-    /// Absorbs one race's harvest. Harvested clauses are re-validated against
-    /// the design structure before banking — an engine bug can at worst drop
-    /// a clause, never poison the bank.
+    /// Absorbs one race's harvest, the delta the race learned over its warm
+    /// start, by merging it, as [`KnowledgeBase::import`] and a journal
+    /// replay do. Harvested clauses are re-validated against the design
+    /// structure before banking — an engine bug can at worst drop a clause,
+    /// never poison the bank.
     pub fn absorb(&mut self, harvest: &Harvest, netlist: &Netlist) {
         self.stats.races_absorbed += 1;
         for clause in &harvest.clauses {
@@ -267,15 +269,7 @@ impl KnowledgeBase {
             }
         }
         if let Some(knowledge) = &harvest.knowledge {
-            // The harvest bundle is the seed the race started from *plus*
-            // this run's delta, so the ESTG is replaced, not merged —
-            // merging would re-add the seed counts on every race and grow
-            // them geometrically. (Concurrent races on one design may each
-            // replace with their own seed+delta; losing a rival's delta is
-            // fine for an ordering heuristic and keeps counts bounded by
-            // real conflict work.) The facts set is a union: idempotent.
-            self.search.estg = knowledge.estg.clone();
-            self.search.datapath_facts.merge(&knowledge.datapath_facts);
+            self.search.merge(knowledge);
         }
         self.history.record(&harvest.ran, harvest.winner);
     }
@@ -446,22 +440,21 @@ mod tests {
     }
 
     #[test]
-    fn absorbing_a_seeded_harvest_replaces_rather_than_doubles_the_estg() {
+    fn absorbing_one_conflict_deltas_grows_the_estg_linearly() {
         use wlac_atpg::SearchKnowledge;
         use wlac_netlist::NetId;
 
         let nl = tiny_netlist();
         let mut kb = KnowledgeBase::new(crate::hash::design_hash(&nl));
         let net = NetId::from_index(0);
-        // Simulate many races: each harvest is "seed + delta", i.e. the
-        // knowledge base's current ESTG plus one new conflict.
+        // Simulate many races: each harvest is the one conflict its race
+        // learned over its warm start.
         for round in 1..=50u64 {
-            let mut bundle = SearchKnowledge::new();
-            bundle.estg = kb.search.estg.clone();
-            bundle.estg.record_conflict(net, true);
+            let mut learned = SearchKnowledge::new();
+            learned.estg.record_conflict(net, true);
             let harvest = Harvest {
                 clauses: Vec::new(),
-                knowledge: Some(bundle),
+                knowledge: Some(learned),
                 winner: None,
                 ran: Vec::new(),
             };
@@ -472,6 +465,7 @@ mod tests {
                 round,
                 "round {round}"
             );
+            assert_eq!(kb.search.estg.recorded(), round);
         }
     }
 

@@ -701,4 +701,154 @@ mod tests {
         }
         panic!("the lead never ran alone: engines_spawned {spawned:?}");
     }
+
+    /// One design of `inputs` one-bit inputs with an `always` property per
+    /// input triple: its three pairwise XORs are never all set. Parity makes
+    /// each hold, and proving it takes ATPG decisions that conflict, so
+    /// every property's race records ESTG conflicts of its own.
+    fn parity(inputs: usize) -> Vec<Verification> {
+        let mut nl = Netlist::new("parity");
+        let x: Vec<_> = (0..inputs).map(|i| nl.input(format!("x{i}"), 1)).collect();
+        let mut monitors = Vec::new();
+        for i in 0..inputs {
+            for j in i + 1..inputs {
+                for k in j + 1..inputs {
+                    let ij = nl.xor2(x[i], x[j]);
+                    let jk = nl.xor2(x[j], x[k]);
+                    let ik = nl.xor2(x[i], x[k]);
+                    let two = nl.and2(ij, jk);
+                    let all = nl.and2(two, ik);
+                    let ok = nl.not(all);
+                    nl.mark_output(format!("ok{i}{j}{k}"), ok);
+                    monitors.push(ok);
+                }
+            }
+        }
+        monitors
+            .iter()
+            .enumerate()
+            .map(|(n, &ok)| {
+                Verification::new(nl.clone(), Property::always(&nl, format!("p{n}"), ok))
+            })
+            .collect()
+    }
+
+    /// An ESTG's conflicts, entry for entry, in a fixed order.
+    fn entries(estg: &wlac_atpg::Estg) -> Vec<((wlac_netlist::NetId, bool), u64)> {
+        let mut entries: Vec<_> = estg.entries().collect();
+        entries.sort();
+        entries
+    }
+
+    #[test]
+    fn deltas_raced_from_one_seed_absorb_to_the_seed_plus_both_in_either_order() {
+        use wlac_atpg::{AssertionChecker, Estg};
+        use wlac_portfolio::{Engine, Portfolio, WarmStart};
+
+        // ATPG alone: its lead runs on the race token, so nothing cancels it
+        // and it learns what the checker below learns.
+        let portfolio = Portfolio::new(PortfolioConfig::default().with_engines(vec![Engine::Atpg]));
+        let jobs = parity(4);
+        let netlist = &jobs[0].netlist;
+        let mut kb = KnowledgeBase::new(design_hash(netlist));
+        kb.absorb(&portfolio.race_warm(&jobs[0], &WarmStart::new()).1, netlist);
+        let seed = WarmStart {
+            knowledge: kb.search.clone(),
+            ..WarmStart::new()
+        };
+        assert!(!seed.knowledge.estg.is_empty());
+
+        // What each property's search holds after a run from the seed.
+        let checker = AssertionChecker::new(portfolio.config().checker.clone());
+        let after = |job: &Verification| {
+            let mut knowledge = seed.knowledge.clone();
+            checker.check_learned(job, &mut knowledge);
+            knowledge.estg
+        };
+        let (after1, after2) = (after(&jobs[1]), after(&jobs[2]));
+        let harvest1 = portfolio.race_warm(&jobs[1], &seed).1;
+        let harvest2 = portfolio.race_warm(&jobs[2], &seed).1;
+        for (harvest, after) in [(&harvest1, &after1), (&harvest2, &after2)] {
+            // The harvest is the run's delta: the seed is not in it.
+            let delta = &harvest.knowledge.as_ref().expect("ATPG ran").estg;
+            assert!(!delta.is_empty());
+            let mut rebuilt = seed.knowledge.estg.clone();
+            rebuilt.merge(delta);
+            assert_eq!(entries(&rebuilt), entries(after));
+            assert_eq!(rebuilt.recorded(), after.recorded());
+        }
+
+        // Seed plus both deltas: each count is after1 + after2 - seed.
+        let mut expected = Estg::new();
+        for estg in [&after1, &after2] {
+            for ((net, value), count) in estg.entries() {
+                let added = count - seed.knowledge.estg.conflict_count(net, value);
+                expected.record_conflicts(net, value, added);
+            }
+        }
+        expected.merge(&seed.knowledge.estg);
+        for order in [[&harvest1, &harvest2], [&harvest2, &harvest1]] {
+            let mut base = kb.clone();
+            for harvest in order {
+                base.absorb(harvest, netlist);
+            }
+            assert_eq!(entries(&base.search.estg), entries(&expected));
+            assert_eq!(base.search.estg.recorded(), expected.recorded());
+        }
+    }
+
+    #[test]
+    fn the_journaled_deltas_rebuild_the_live_estg() {
+        use std::sync::{Arc, Barrier, Mutex};
+        use wlac_atpg::Estg;
+
+        /// Replays every record's ESTG delta as a boot replay does, and
+        /// keeps the design each record names. Each of the two workers then
+        /// waits for the other's record, so they start their next races
+        /// together: every race overlaps another on the same design.
+        struct Replay {
+            pair: Barrier,
+            replayed: Mutex<(Vec<DesignHash>, Estg)>,
+        }
+        impl DurabilitySink for Replay {
+            fn record(&self, record: &DurabilityRecord<'_>) {
+                {
+                    let mut replay = self.replayed.lock().unwrap();
+                    replay.0.push(record.design);
+                    for &(net, value, count) in &record.estg_delta {
+                        replay.1.record_conflicts(net, value, count);
+                    }
+                }
+                self.pair.wait();
+            }
+        }
+
+        let sink = Arc::new(Replay {
+            pair: Barrier::new(2),
+            replayed: Mutex::default(),
+        });
+        let mut config = quick_config();
+        assert_eq!(config.workers, 2);
+        config.durability = DurabilityHook::new(sink.clone());
+        let service = VerificationService::new(config);
+        // An even number of distinct properties, so every worker's record
+        // finds a partner.
+        let jobs = parity(6);
+        let design = design_hash(&jobs[0].netlist);
+        let results = service.wait(service.submit_batch(jobs));
+        assert_eq!(results.len(), 20);
+        assert!(results.iter().all(|r| r.verdict.is_pass()), "{results:?}");
+
+        let replay = sink.replayed.lock().unwrap();
+        let (designs, replayed) = &*replay;
+        assert_eq!(designs, &vec![design; 20]);
+        let live = service
+            .export_knowledge(design)
+            .expect("registered")
+            .search
+            .estg;
+        assert!(!live.is_empty());
+        assert_eq!(entries(replayed), entries(&live));
+        assert_eq!(replayed.recorded(), live.recorded());
+    }
 }

@@ -1430,26 +1430,15 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
     // result is published anywhere — the verdict cache included, since the
     // moment the insert lands a concurrent identical query can be answered
     // (and acknowledged) from it. So anything a client ever saw acknowledged
-    // is on disk. Deltas only (see `durability` module docs): the ESTG
-    // harvest contains its warm seed, but boot-time replay merges —
-    // journaling the difference keeps replay idempotent over any snapshot
-    // generation.
+    // is on disk. The record carries the harvest itself: what the race
+    // learned over its warm start, which replay merges as `absorb` did.
     if shared.config.durability.is_armed() {
         let estg_delta: Vec<_> = harvest
             .knowledge
-            .as_ref()
-            .map(|knowledge| {
-                knowledge
-                    .estg
-                    .entries()
-                    .filter_map(|((net, value), count)| {
-                        let added =
-                            count.saturating_sub(warm.knowledge.estg.conflict_count(net, value));
-                        (added > 0).then_some((net, value, added))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
+            .iter()
+            .flat_map(|knowledge| knowledge.estg.entries())
+            .map(|((net, value), count)| (net, value, count))
+            .collect();
         let verdict = report.verdict.is_definitive().then(|| VerdictRecord {
             property: job.key.property,
             config: job.key.config,
