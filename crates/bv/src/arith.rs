@@ -1,11 +1,16 @@
 //! Three-valued word-level arithmetic.
 //!
 //! These functions implement the "3-valued forward and backward simulation"
-//! that the paper performs on arithmetic units (Section 3.1): addition and
-//! subtraction propagate per-bit knowledge through a three-valued ripple
-//! carry/borrow chain, multiplication propagates what can be deduced from the
-//! known low-order bits, and the comparison helpers evaluate relational
-//! operators over cube ranges.
+//! that the paper performs on arithmetic units (Section 3.1): addition, and
+//! subtraction as `a + !b + 1`, propagate per-bit knowledge through one
+//! three-valued ripple carry chain, multiplication propagates what can be
+//! deduced from the known low-order bits, and the comparison helpers
+//! evaluate relational operators over cube ranges.
+//!
+//! Every operation here except [`mul3`], and [`shift3_var`] on an amount with
+//! more than 16 members, is exact: its result is the cube hull of the results
+//! on every member of its operands. `crates/bv/tests/differential.rs`
+//! checks each against that hull.
 //!
 //! Everything is mask arithmetic on the cubes' known/value planes, one `u64`
 //! word at a time. A three-valued ripple chain splits into two Boolean
@@ -129,6 +134,12 @@ pub fn add3_with_carry(a: &Bv3, b: &Bv3, carry_in: Tv) -> (Bv3, Tv) {
 ///
 /// Panics if the widths of `a`, `b` and `out` differ.
 pub fn add3_into(a: &Bv3, b: &Bv3, carry_in: Tv, out: &mut Bv3) -> Tv {
+    add3_planes(a, b, false, carry_in, out)
+}
+
+/// The one three-valued carry chain: `a + b + carry_in`, or `a + !b +
+/// carry_in` when `complement_b`, written into `out`; returns the carry-out.
+fn add3_planes(a: &Bv3, b: &Bv3, complement_b: bool, carry_in: Tv, out: &mut Bv3) -> Tv {
     assert_eq!(a.width(), b.width(), "width mismatch");
     assert_eq!(a.width(), out.width(), "width mismatch");
     // A full adder's carry is known 1 when two inputs are known 1: the carry
@@ -144,6 +155,8 @@ pub fn add3_into(a: &Bv3, b: &Bv3, carry_in: Tv, out: &mut Bv3) -> Tv {
         |i, one_in, maybe_in| {
             let (ak, av) = a.word(i);
             let (bk, bv) = b.word(i);
+            // Complementing `b` flips its known values; its x bits stay x.
+            let bv = if complement_b { bk & !bv } else { bv };
             let mask = word_mask(width, words, i);
             let one = carries(av, bv, one_in);
             let maybe = carries(av | (!ak & mask), bv | (!bk & mask), maybe_in);
@@ -159,6 +172,9 @@ pub fn add3_into(a: &Bv3, b: &Bv3, carry_in: Tv, out: &mut Bv3) -> Tv {
 /// This is the operation behind the paper's adder *backward* implication
 /// (Fig. 3): knowing an adder's output and one input, the other input is
 /// `output - input`, and the final borrow equals the adder's carry-out.
+/// It runs [`add3`]'s carry chain on `a + !b + 1`, so, like the sum, the
+/// difference and the borrow are exact: a bit is known exactly when every
+/// pair of members gives it the same value.
 ///
 /// # Panics
 ///
@@ -189,26 +205,9 @@ pub fn sub3(a: &Bv3, b: &Bv3) -> (Bv3, Tv) {
 ///
 /// Panics if the widths of `a`, `b` and `out` differ.
 pub fn sub3_into(a: &Bv3, b: &Bv3, out: &mut Bv3) -> Tv {
-    assert_eq!(a.width(), b.width(), "width mismatch");
-    assert_eq!(a.width(), out.width(), "width mismatch");
-    // The ripple borrow is `(!a & b) | (!(a ^ b) & borrow_in)` in Kleene
-    // logic. It is known 0 exactly when two of {a = 1, b = 0, borrow = 0}
-    // hold: a majority chain, i.e. the carries of `a1 + b0 + 1`. It is known
-    // 1 when a = 0 and b = 1 (generate), or when a and b are known equal and
-    // the borrow in is known 1 (propagate) — weaker than the exact borrow,
-    // and reproduced as the carries of `(g | p) + g`.
-    let (width, words) = (a.width(), a.word_count());
-    ripple(width, words, false, false, |i, one_in, maybe_in| {
-        let (ak, av) = a.word(i);
-        let (bk, bv) = b.word(i);
-        let generate = ak & !av & bv;
-        let propagate = ak & bk & !(av ^ bv);
-        let one = carries(generate | propagate, generate, one_in);
-        let zero = carries(av, bk & !bv, !maybe_in);
-        let known = ak & bk & (one.0 | zero.0);
-        out.set_word(i, known, av ^ bv ^ one.0);
-        (one, (!zero.0, !zero.1))
-    })
+    // a - b = a + !b + 1, and the sum carries out exactly when a - b does
+    // not borrow.
+    !add3_planes(a, b, true, Tv::One, out)
 }
 
 /// Three-valued negation (two's complement).
@@ -318,39 +317,45 @@ pub fn shr3(a: &Bv3, amount: usize) -> Bv3 {
     Bv3::from_u64(amount, 0).concat(&a.slice(amount, width - amount))
 }
 
-/// Maximum number of candidate shift amounts enumerated when the amount is a
-/// partially-known cube.
-const MAX_SHIFT_ENUM: u64 = 16;
+/// Maximum number of `x` bits of a shift amount whose members
+/// [`shift3_var`] enumerates.
+const MAX_SHIFT_X_BITS: usize = 4;
 
 /// Three-valued shift by a (possibly unknown) cube amount.
 ///
-/// If the amount is fully known the exact shift is returned; if only a few
-/// amounts are possible their shifted results are cube-unioned; otherwise the
-/// result is fully unknown.
+/// If the amount is fully known the exact shift is returned; if it has at
+/// most 16 members, the shifts by every member are cube-unioned; otherwise
+/// the result is fully unknown.
 pub fn shift3_var(a: &Bv3, amount: &Bv3, left: bool) -> Bv3 {
-    if let Some(amt) = amount.to_bv() {
-        let amt = amt.to_u64().unwrap_or(u64::MAX).min(a.width() as u64) as usize;
-        return if left { shl3(a, amt) } else { shr3(a, amt) };
+    if amount.count_x() > MAX_SHIFT_X_BITS {
+        return Bv3::all_x(a.width());
     }
-    if amount.cardinality() <= MAX_SHIFT_ENUM {
-        let mut acc: Option<Bv3> = None;
-        let lo = amount.min_value().to_u64().unwrap_or(0);
-        let hi = amount.max_value().to_u64().unwrap_or(u64::MAX);
-        for v in lo..=hi.min(lo + MAX_SHIFT_ENUM) {
-            let candidate = Bv::from_u64(amount.width(), v);
-            if !amount.matches(&candidate) {
-                continue;
-            }
-            let amt = (v as usize).min(a.width());
-            let shifted = if left { shl3(a, amt) } else { shr3(a, amt) };
-            acc = Some(match acc {
-                None => shifted,
-                Some(prev) => prev.union(&shifted),
-            });
+    let (mut xs, mut count) = ([0usize; MAX_SHIFT_X_BITS], 0);
+    for i in 0..amount.width() {
+        if amount.bit(i) == Tv::X {
+            xs[count] = i;
+            count += 1;
         }
-        return acc.unwrap_or_else(|| Bv3::all_x(a.width()));
     }
-    Bv3::all_x(a.width())
+    let base = amount.min_value();
+    let mut acc: Option<Bv3> = None;
+    for pick in 0..1u32 << count {
+        let member = xs[..count]
+            .iter()
+            .enumerate()
+            .fold(base.clone(), |m, (j, bit)| {
+                m.with_bit(*bit, (pick >> j) & 1 == 1)
+            });
+        let amt = member
+            .to_u64()
+            .map_or(a.width(), |v| v.min(a.width() as u64) as usize);
+        let shifted = if left { shl3(a, amt) } else { shr3(a, amt) };
+        acc = Some(match acc {
+            None => shifted,
+            Some(prev) => prev.union(&shifted),
+        });
+    }
+    acc.expect("a cube has at least one member")
 }
 
 /// Three-valued equality comparison.

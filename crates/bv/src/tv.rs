@@ -145,43 +145,6 @@ impl From<bool> for Tv {
     }
 }
 
-/// Full-adder over three-valued bits: returns `(sum, carry_out)`.
-///
-/// The sum is known only when all three inputs are known. The carry is known
-/// as soon as two inputs are known-one (carry = 1) or two are known-zero
-/// (carry = 0). The per-bit specification that [`crate::arith`]'s
-/// word-parallel carry chains implement.
-#[cfg(test)]
-fn full_add(a: Tv, b: Tv, cin: Tv) -> (Tv, Tv) {
-    let bits = [a, b, cin];
-    let ones = bits.iter().filter(|t| **t == Tv::One).count();
-    let zeros = bits.iter().filter(|t| **t == Tv::Zero).count();
-    let sum = if ones + zeros == 3 {
-        Tv::from_bool(ones % 2 == 1)
-    } else {
-        Tv::X
-    };
-    let carry = if ones >= 2 {
-        Tv::One
-    } else if zeros >= 2 {
-        Tv::Zero
-    } else {
-        Tv::X
-    };
-    (sum, carry)
-}
-
-/// Full-subtractor over three-valued bits for `a - b`: returns
-/// `(difference, borrow_out)`. The per-bit specification of
-/// [`crate::arith::sub3`]'s borrow chain.
-#[cfg(test)]
-fn full_sub(a: Tv, b: Tv, bin: Tv) -> (Tv, Tv) {
-    let diff = a ^ b ^ bin;
-    // borrow_out = (!a & b) | (!(a ^ b) & bin)
-    let borrow = (!a & b) | (!(a ^ b) & bin);
-    (diff, borrow)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,45 +202,6 @@ mod tests {
         assert_eq!(Tv::One.union(Tv::One), Tv::One);
         assert_eq!(Tv::One.union(Tv::Zero), Tv::X);
         assert_eq!(Tv::One.union(Tv::X), Tv::X);
-    }
-
-    #[test]
-    fn full_adder_truth_table_known() {
-        for a in [false, true] {
-            for b in [false, true] {
-                for c in [false, true] {
-                    let (s, co) = full_add(a.into(), b.into(), c.into());
-                    let total = a as u8 + b as u8 + c as u8;
-                    assert_eq!(s, Tv::from_bool(total % 2 == 1));
-                    assert_eq!(co, Tv::from_bool(total >= 2));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn full_adder_partial_knowledge() {
-        // Two known ones force the carry even with an unknown input.
-        let (s, co) = full_add(Tv::One, Tv::One, Tv::X);
-        assert_eq!(s, Tv::X);
-        assert_eq!(co, Tv::One);
-        // Two known zeros force carry = 0.
-        let (_, co) = full_add(Tv::Zero, Tv::X, Tv::Zero);
-        assert_eq!(co, Tv::Zero);
-    }
-
-    #[test]
-    fn full_sub_matches_two_valued() {
-        for a in [false, true] {
-            for b in [false, true] {
-                for bin in [false, true] {
-                    let (d, bo) = full_sub(a.into(), b.into(), bin.into());
-                    let lhs = a as i8 - b as i8 - bin as i8;
-                    assert_eq!(d, Tv::from_bool(lhs.rem_euclid(2) == 1));
-                    assert_eq!(bo, Tv::from_bool(lhs < 0));
-                }
-            }
-        }
     }
 
     #[test]

@@ -6,196 +6,16 @@
 //! to the heap. Every operation must produce identical logical results on
 //! both sides of that boundary.
 //!
-//! The arithmetic, range and structural operations are also compared against
-//! [`bitserial`], the bit-at-a-time implementations they replaced: every cube
-//! combination at widths 1–4, and seeded random cubes at 63, 64, 65, 128 and
-//! 129 bits.
+//! The arithmetic, range and structural operations are checked against
+//! ground truth, the cube hull of their results on every member of their
+//! operands: exactly for every cube combination at widths 1–4, where every
+//! operation but `mul3` must equal that hull, and by containment of the
+//! results on seeded random members at 63, 64, 65, 128 and 129 bits.
 
-use wlac_bv::arith::{add3_with_carry, eq3, le3, lt3, mul3, shl3, shr3, sub3};
-use wlac_bv::range::refine_to_range_in_place;
+use wlac_bv::arith::{add3_with_carry, eq3, le3, lt3, mul3, shift3_var, shl3, shr3, sub3};
+use wlac_bv::range::refine_to_range;
 use wlac_bv::{Bv, Bv3, Tv};
 use wlac_rng::Rng64 as Rng;
-
-/// The bit-serial operations, kept verbatim as the oracle for the
-/// word-parallel ones. Each is written against `Bv3`'s per-bit API only.
-mod bitserial {
-    use wlac_bv::{Bv, Bv3, Tv};
-
-    /// Full adder: `(sum, carry)`; the carry is the Kleene majority.
-    fn full_add(a: Tv, b: Tv, cin: Tv) -> (Tv, Tv) {
-        (a ^ b ^ cin, (a & b) | (a & cin) | (b & cin))
-    }
-
-    /// Full subtractor for `a - b`: `(difference, borrow)`.
-    fn full_sub(a: Tv, b: Tv, bin: Tv) -> (Tv, Tv) {
-        (a ^ b ^ bin, (!a & b) | (!(a ^ b) & bin))
-    }
-
-    pub fn add3(a: &Bv3, b: &Bv3, carry_in: Tv) -> (Bv3, Tv) {
-        let mut out = Bv3::all_x(a.width());
-        let mut carry = carry_in;
-        for i in 0..a.width() {
-            let (s, c) = full_add(a.bit(i), b.bit(i), carry);
-            out.set_bit(i, s);
-            carry = c;
-        }
-        (out, carry)
-    }
-
-    pub fn sub3(a: &Bv3, b: &Bv3) -> (Bv3, Tv) {
-        let mut out = Bv3::all_x(a.width());
-        let mut borrow = Tv::Zero;
-        for i in 0..a.width() {
-            let (d, bo) = full_sub(a.bit(i), b.bit(i), borrow);
-            out.set_bit(i, d);
-            borrow = bo;
-        }
-        (out, borrow)
-    }
-
-    pub fn eq3(a: &Bv3, b: &Bv3) -> Tv {
-        if a.intersect(b).is_none() {
-            return Tv::Zero;
-        }
-        match (a.to_bv(), b.to_bv()) {
-            (Some(x), Some(y)) if x == y => Tv::One,
-            _ => Tv::X,
-        }
-    }
-
-    pub fn lt3(a: &Bv3, b: &Bv3) -> Tv {
-        if a.max_value() < b.min_value() {
-            Tv::One
-        } else if a.min_value() >= b.max_value() {
-            Tv::Zero
-        } else {
-            Tv::X
-        }
-    }
-
-    pub fn le3(a: &Bv3, b: &Bv3) -> Tv {
-        if a.max_value() <= b.min_value() {
-            Tv::One
-        } else if a.min_value() > b.max_value() {
-            Tv::Zero
-        } else {
-            Tv::X
-        }
-    }
-
-    fn overlap(a_lo: &Bv, a_hi: &Bv, b_lo: &Bv, b_hi: &Bv) -> bool {
-        a_lo <= b_hi && b_lo <= a_hi
-    }
-
-    /// MSB-first range tightening; on an empty range the cube keeps the
-    /// partial state the in-place procedure left behind.
-    pub fn refine_to_range(cube: &mut Bv3, lo: &Bv, hi: &Bv) -> Result<(), ()> {
-        if lo > hi || !overlap(&cube.min_value(), &cube.max_value(), lo, hi) {
-            return Err(());
-        }
-        for i in (0..cube.width()).rev() {
-            if cube.bit(i) != Tv::X {
-                continue;
-            }
-            cube.set_bit(i, Tv::Zero);
-            let zero_ok = overlap(&cube.min_value(), &cube.max_value(), lo, hi);
-            cube.set_bit(i, Tv::One);
-            let one_ok = overlap(&cube.min_value(), &cube.max_value(), lo, hi);
-            match (zero_ok, one_ok) {
-                (true, true) => {
-                    cube.set_bit(i, Tv::X);
-                    break;
-                }
-                (true, false) => cube.set_bit(i, Tv::Zero),
-                (false, true) => {}
-                (false, false) => return Err(()),
-            }
-        }
-        Ok(())
-    }
-
-    pub fn resize(c: &Bv3, width: usize) -> Bv3 {
-        let mut out = Bv3::all_x(width);
-        for i in 0..width {
-            out.set_bit(i, if i < c.width() { c.bit(i) } else { Tv::Zero });
-        }
-        out
-    }
-
-    pub fn slice(c: &Bv3, lo: usize, width: usize) -> Bv3 {
-        let mut out = Bv3::all_x(width);
-        for i in 0..width {
-            out.set_bit(i, c.bit(lo + i));
-        }
-        out
-    }
-
-    pub fn concat(high: &Bv3, low: &Bv3) -> Bv3 {
-        let mut out = Bv3::all_x(high.width() + low.width());
-        for i in 0..low.width() {
-            out.set_bit(i, low.bit(i));
-        }
-        for i in 0..high.width() {
-            out.set_bit(low.width() + i, high.bit(i));
-        }
-        out
-    }
-
-    pub fn shl3(a: &Bv3, amount: usize) -> Bv3 {
-        let mut out = Bv3::all_x(a.width());
-        for i in 0..a.width() {
-            out.set_bit(
-                i,
-                if i < amount {
-                    Tv::Zero
-                } else {
-                    a.bit(i - amount)
-                },
-            );
-        }
-        out
-    }
-
-    pub fn shr3(a: &Bv3, amount: usize) -> Bv3 {
-        let mut out = Bv3::all_x(a.width());
-        for i in 0..a.width() {
-            let t = if i + amount < a.width() {
-                a.bit(i + amount)
-            } else {
-                Tv::Zero
-            };
-            out.set_bit(i, t);
-        }
-        out
-    }
-
-    pub fn mul3(a: &Bv3, b: &Bv3) -> Bv3 {
-        let width = a.width();
-        if let (Some(av), Some(bv)) = (a.to_bv(), b.to_bv()) {
-            return Bv3::from_bv(&av.mul(&bv));
-        }
-        let zero = Bv::zero(width);
-        if a.to_bv().map(|v| v.is_zero()).unwrap_or(false)
-            || b.to_bv().map(|v| v.is_zero()).unwrap_or(false)
-        {
-            return Bv3::from_bv(&zero);
-        }
-        let known_prefix = |c: &Bv3| (0..width).take_while(|i| c.bit(*i).is_known()).count();
-        let zeros = |c: &Bv3| (0..width).take_while(|i| c.bit(*i) == Tv::Zero).count();
-        let mut out = Bv3::all_x(width);
-        let low = known_prefix(a).min(known_prefix(b));
-        if low > 0 {
-            let prod = a.min_value().mul(&b.min_value());
-            for i in 0..low {
-                out.set_bit(i, Tv::from_bool(prod.bit(i)));
-            }
-        }
-        for i in 0..(zeros(a) + zeros(b)).min(width) {
-            out.set_bit(i, Tv::Zero);
-        }
-        out
-    }
-}
 
 /// The widths straddling every storage boundary: one word, two words
 /// (inline), and three words (spilled).
@@ -407,6 +227,200 @@ fn all_cubes(width: usize) -> Vec<Bv3> {
         .collect()
 }
 
+/// Every member of a cube of at most 64 bits.
+fn members(cube: &Bv3) -> Vec<u64> {
+    let (known, value) = cube.word(0);
+    (0..1u64 << cube.width())
+        .filter(|v| v & known == value)
+        .collect()
+}
+
+/// The cube hull of some `width`-bit values: the bits on which they all
+/// agree, or `None` for no values.
+fn hull(width: usize, values: impl IntoIterator<Item = u64>) -> Option<Bv3> {
+    values.into_iter().fold(None, |acc: Option<Bv3>, v| {
+        let cube = Bv3::from_u64(width, v);
+        Some(acc.map_or(cube.clone(), |h| h.union(&cube)))
+    })
+}
+
+/// The three-valued hull of some truth values.
+fn tv_hull(values: impl IntoIterator<Item = bool>) -> Tv {
+    hull(1, values.into_iter().map(u64::from))
+        .expect("at least one value")
+        .to_tv()
+}
+
+/// The members of a carry-in.
+fn carry_members(carry: Tv) -> Vec<u64> {
+    match carry.to_bool() {
+        Some(c) => vec![u64::from(c)],
+        None => vec![0, 1],
+    }
+}
+
+/// Every pair of members of two cubes of at most 64 bits.
+fn member_pairs(a: &Bv3, b: &Bv3) -> Vec<(u64, u64)> {
+    let ys = members(b);
+    members(a)
+        .into_iter()
+        .flat_map(|x| ys.iter().map(move |y| (x, *y)))
+        .collect()
+}
+
+/// Checks the two-operand operations but `mul3` on one pair of cubes of at
+/// most 4 bits against their exact hulls.
+fn check_pair_exactly(a: &Bv3, b: &Bv3) {
+    let w = a.width();
+    let full = (1u64 << w) - 1;
+    let pairs = member_pairs(a, b);
+    for carry in [Tv::Zero, Tv::One, Tv::X] {
+        let sums = || {
+            pairs
+                .iter()
+                .flat_map(|(x, y)| carry_members(carry).into_iter().map(move |c| x + y + c))
+        };
+        let exact = (
+            hull(w, sums().map(|s| s & full)).unwrap(),
+            tv_hull(sums().map(|s| s > full)),
+        );
+        assert_eq!(
+            add3_with_carry(a, b, carry),
+            exact,
+            "add3 {a} + {b} + {carry}"
+        );
+    }
+    let exact = (
+        hull(w, pairs.iter().map(|(x, y)| x.wrapping_sub(*y) & full)).unwrap(),
+        tv_hull(pairs.iter().map(|(x, y)| x < y)),
+    );
+    assert_eq!(sub3(a, b), exact, "sub3 {a} - {b}");
+    assert_eq!(
+        eq3(a, b),
+        tv_hull(pairs.iter().map(|(x, y)| x == y)),
+        "eq3 {a} {b}"
+    );
+    assert_eq!(
+        lt3(a, b),
+        tv_hull(pairs.iter().map(|(x, y)| x < y)),
+        "lt3 {a} {b}"
+    );
+    assert_eq!(
+        le3(a, b),
+        tv_hull(pairs.iter().map(|(x, y)| x <= y)),
+        "le3 {a} {b}"
+    );
+}
+
+/// Checks the one-operand and structural operations on a cube of at most
+/// 4 bits against their exact hulls.
+fn check_unary_exactly(a: &Bv3) {
+    let w = a.width();
+    let of = |f: &dyn Fn(u64) -> u64, width: usize| hull(width, members(a).into_iter().map(f));
+    for width in 1..=w + 2 {
+        let exact = of(&|x| x & ((1u64 << width) - 1), width).unwrap();
+        assert_eq!(a.resize(width), exact, "resize {a} to {width}");
+    }
+    for lo in 0..w {
+        for width in 1..=w - lo {
+            let exact = of(&|x| (x >> lo) & ((1u64 << width) - 1), width).unwrap();
+            assert_eq!(a.slice(lo, width), exact, "slice {a} [{lo} +: {width}]");
+        }
+    }
+    let full = (1u64 << w) - 1;
+    for amount in 0..=w + 1 {
+        let left = of(&|x| x.checked_shl(amount as u32).unwrap_or(0) & full, w).unwrap();
+        let right = of(&|x| x.checked_shr(amount as u32).unwrap_or(0), w).unwrap();
+        assert_eq!(shl3(a, amount), left, "shl3 {a} by {amount}");
+        assert_eq!(shr3(a, amount), right, "shr3 {a} by {amount}");
+    }
+    for low in (1..=4).flat_map(all_cubes) {
+        let low_w = low.width();
+        let low_members = members(&low);
+        let exact = hull(
+            w + low_w,
+            members(a)
+                .into_iter()
+                .flat_map(|x| low_members.iter().map(move |y| (x << low_w) | y)),
+        )
+        .unwrap();
+        assert_eq!(a.concat(&low), exact, "concat {a} {low}");
+    }
+    for amount in (1..=3).flat_map(all_cubes) {
+        let shift = |left: bool| {
+            hull(
+                w,
+                members(a).into_iter().flat_map(|x| {
+                    members(&amount).into_iter().map(move |s| {
+                        let s = s.min(w as u64) as u32;
+                        if left {
+                            x.checked_shl(s).unwrap_or(0) & full
+                        } else {
+                            x.checked_shr(s).unwrap_or(0)
+                        }
+                    })
+                }),
+            )
+            .unwrap()
+        };
+        for left in [true, false] {
+            assert_eq!(
+                shift3_var(a, &amount, left),
+                shift(left),
+                "shift3_var {a} by {amount}"
+            );
+        }
+    }
+    for lo in 0..1u64 << w {
+        for hi in 0..1u64 << w {
+            let inside = hull(w, members(a).into_iter().filter(|x| (lo..=hi).contains(x)));
+            let refined = refine_to_range(a, &Bv::from_u64(w, lo), &Bv::from_u64(w, hi)).ok();
+            assert_eq!(refined, inside, "refine {a} to [{lo}, {hi}]");
+        }
+    }
+}
+
+#[test]
+fn cube_operations_equal_their_exact_hulls_up_to_four_bits() {
+    for w in 1..=4 {
+        let cubes = all_cubes(w);
+        for a in &cubes {
+            for b in &cubes {
+                check_pair_exactly(a, b);
+            }
+            check_unary_exactly(a);
+        }
+    }
+}
+
+/// `mul3` propagates only the known low-order bits and trailing zeros; the
+/// modular solver handles products at the leaves. It must cover the exact
+/// hull, and the pairs it leaves wider are pinned.
+#[test]
+fn mul3_is_sound_and_its_gap_is_pinned() {
+    for (w, pinned) in [(1, 0), (2, 7), (3, 156), (4, 1_960)] {
+        let cubes = all_cubes(w);
+        let full = (1u64 << w) - 1;
+        let mut weaker = 0;
+        for a in &cubes {
+            for b in &cubes {
+                let pairs = member_pairs(a, b);
+                let exact = hull(w, pairs.iter().map(|(x, y)| (x * y) & full)).unwrap();
+                let product = mul3(a, b);
+                assert!(
+                    product.covers(&exact),
+                    "mul3 {a} * {b} = {product} drops a member of {exact}"
+                );
+                weaker += usize::from(product != exact);
+            }
+        }
+        assert_eq!(
+            weaker, pinned,
+            "mul3 pairs wider than their hull at {w} bits"
+        );
+    }
+}
+
 /// Random cubes biased three ways: mostly known, mostly `x`, and uniform.
 fn random_biased_cube(rng: &mut Rng, width: usize) -> Bv3 {
     let x_per_mille = [50, 500, 950][(rng.next_u64() % 3) as usize];
@@ -419,131 +433,108 @@ fn random_biased_cube(rng: &mut Rng, width: usize) -> Bv3 {
     out
 }
 
-/// A random member of `cube`, nudged by a small amount half of the time so
-/// interval ends also fall just outside the cube.
-fn near_member(rng: &mut Rng, cube: &Bv3) -> Bv {
+/// A random member of `cube`.
+fn member(rng: &mut Rng, cube: &Bv3) -> Bv {
     let mut v = cube.min_value();
     for i in 0..cube.width() {
         if cube.bit(i) == Tv::X && rng.next_u64() & 1 == 1 {
             v = v.with_bit(i, true);
         }
     }
+    v
+}
+
+/// `v` nudged by a small amount half of the time, so interval ends also
+/// fall just outside a cube.
+fn nudge(rng: &mut Rng, v: Bv) -> Bv {
+    let w = v.width();
     match rng.next_u64() % 4 {
-        0 => v.add(&Bv::from_u64(cube.width(), 1 + rng.next_u64() % 3)),
-        1 => v.sub(&Bv::from_u64(cube.width(), 1 + rng.next_u64() % 3)),
+        0 => v.add(&Bv::from_u64(w, 1 + rng.next_u64() % 3)),
+        1 => v.sub(&Bv::from_u64(w, 1 + rng.next_u64() % 3)),
         _ => v,
     }
 }
 
-fn check_arith_pair(a: &Bv3, b: &Bv3) {
+/// Every operation's result on `a` and `b` contains its result on the
+/// members `x` and `y`.
+fn check_members(rng: &mut Rng, a: &Bv3, b: &Bv3, x: &Bv, y: &Bv) {
+    let w = a.width();
+    let wide = |v: &Bv| v.resize(w + 1);
     for carry in [Tv::Zero, Tv::One, Tv::X] {
-        assert_eq!(
-            add3_with_carry(a, b, carry),
-            bitserial::add3(a, b, carry),
-            "add3 {a} + {b} + {carry}"
+        let c = match carry.to_bool() {
+            Some(c) => c,
+            None => rng.next_u64() & 1 == 1,
+        };
+        let total = wide(x)
+            .add(&wide(y))
+            .add(&Bv::from_u64(w + 1, u64::from(c)));
+        let (sum, carry_out) = add3_with_carry(a, b, carry);
+        assert!(sum.matches(&total.resize(w)), "add3 {a} + {b} + {carry}");
+        assert!(
+            carry_out.covers(Tv::from_bool(total.bit(w))),
+            "carry of {a} + {b} + {carry}"
         );
     }
-    assert_eq!(sub3(a, b), bitserial::sub3(a, b), "sub3 {a} - {b}");
-    assert_eq!(eq3(a, b), bitserial::eq3(a, b), "eq3 {a} {b}");
-    assert_eq!(lt3(a, b), bitserial::lt3(a, b), "lt3 {a} {b}");
-    assert_eq!(le3(a, b), bitserial::le3(a, b), "le3 {a} {b}");
-    assert_eq!(mul3(a, b), bitserial::mul3(a, b), "mul3 {a} * {b}");
-    assert_eq!(a.concat(b), bitserial::concat(a, b), "concat {a} {b}");
-}
-
-fn check_range(cube: &Bv3, lo: &Bv, hi: &Bv) {
-    let mut fast = cube.clone();
-    let fast_ok = refine_to_range_in_place(&mut fast, lo, hi).is_ok();
-    let mut slow = cube.clone();
-    let slow_ok = bitserial::refine_to_range(&mut slow, lo, hi).is_ok();
-    assert_eq!(fast_ok, slow_ok, "refine {cube} to [{lo}, {hi}]");
-    assert_eq!(fast, slow, "refine {cube} to [{lo}, {hi}]");
-}
-
-fn check_unary(c: &Bv3) {
-    let w = c.width();
-    for width in [1, w.saturating_sub(1).max(1), w, w + 1, w + 64] {
-        assert_eq!(
-            c.resize(width),
-            bitserial::resize(c, width),
-            "resize {c} to {width}"
+    let (diff, borrow) = sub3(a, b);
+    assert!(diff.matches(&x.sub(y)), "sub3 {a} - {b}");
+    assert!(borrow.covers(Tv::from_bool(x < y)), "borrow of {a} - {b}");
+    assert!(eq3(a, b).covers(Tv::from_bool(x == y)), "eq3 {a} {b}");
+    assert!(lt3(a, b).covers(Tv::from_bool(x < y)), "lt3 {a} {b}");
+    assert!(le3(a, b).covers(Tv::from_bool(x <= y)), "le3 {a} {b}");
+    assert!(mul3(a, b).matches(&x.mul(y)), "mul3 {a} * {b}");
+    assert!(a.concat(b).matches(&x.concat(y)), "concat {a} {b}");
+    for width in [1, w - 1, w, w + 1, w + 64] {
+        assert!(
+            a.resize(width).matches(&x.resize(width)),
+            "resize {a} to {width}"
         );
     }
-    for amount in [0, 1, w / 2, w.saturating_sub(1), w, w + 1] {
-        assert_eq!(
-            shl3(c, amount),
-            bitserial::shl3(c, amount),
-            "shl3 {c} by {amount}"
+    let lo = (rng.next_u64() as usize) % w;
+    let width = 1 + (rng.next_u64() as usize) % (w - lo);
+    assert!(a.slice(lo, width).matches(&x.slice(lo, width)), "slice {a}");
+    for amount in [0, 1, w / 2, w - 1, w, w + 1] {
+        assert!(
+            shl3(a, amount).matches(&x.shl(amount)),
+            "shl3 {a} by {amount}"
         );
-        assert_eq!(
-            shr3(c, amount),
-            bitserial::shr3(c, amount),
-            "shr3 {c} by {amount}"
+        assert!(
+            shr3(a, amount).matches(&x.shr(amount)),
+            "shr3 {a} by {amount}"
         );
     }
-}
-
-#[test]
-fn arithmetic_matches_bit_serial_exhaustively_up_to_four_bits() {
-    for w in 1..=4 {
-        let cubes = all_cubes(w);
-        for a in &cubes {
-            for b in &cubes {
-                check_arith_pair(a, b);
-            }
-            check_unary(a);
-            for lo in 0..w {
-                for width in 1..=w - lo {
-                    assert_eq!(
-                        a.slice(lo, width),
-                        bitserial::slice(a, lo, width),
-                        "slice {a}"
-                    );
-                }
-            }
-            for lo in 0..1u64 << w {
-                for hi in 0..1u64 << w {
-                    check_range(a, &Bv::from_u64(w, lo), &Bv::from_u64(w, hi));
-                }
-            }
-        }
-        // Concatenation across unequal widths.
-        for low_w in 1..=4 {
-            for a in &cubes {
-                for b in &all_cubes(low_w) {
-                    assert_eq!(a.concat(b), bitserial::concat(a, b), "concat {a} {b}");
-                }
-            }
-        }
+    let amount = random_biased_cube(rng, 8);
+    let s = member(rng, &amount).to_u64().unwrap() as usize;
+    assert!(
+        shift3_var(a, &amount, true).matches(&x.shl(s)),
+        "shift3_var {a} << {amount}"
+    );
+    assert!(
+        shift3_var(a, &amount, false).matches(&x.shr(s)),
+        "shift3_var {a} >> {amount}"
+    );
+    let (lo, hi) = (nudge(rng, x.clone()), nudge(rng, y.clone()));
+    if lo <= *x && *x <= hi {
+        let refined = refine_to_range(a, &lo, &hi);
+        assert!(
+            refined.is_ok_and(|r| r.matches(x)),
+            "refine {a} to [{lo}, {hi}] drops {x}"
+        );
     }
 }
 
 #[test]
-fn arithmetic_matches_bit_serial_on_random_wide_cubes() {
+fn cube_operations_contain_their_results_on_members_at_wide_widths() {
     let mut rng = Rng::seed_from_u64(0xD1FF_0007);
     for w in [63, 64, 65, 128, 129] {
         for _ in 0..300 {
             let a = random_biased_cube(&mut rng, w);
             let b = random_biased_cube(&mut rng, w);
-            check_arith_pair(&a, &b);
-            // Equal and disjoint-by-one-bit operands hit the eq3 edge cases.
-            check_arith_pair(&a, &a);
-            check_unary(&a);
-            let lo = (rng.next_u64() as usize) % w;
-            let width = 1 + (rng.next_u64() as usize) % (w - lo);
-            assert_eq!(
-                a.slice(lo, width),
-                bitserial::slice(&a, lo, width),
-                "slice w={w}"
-            );
-            let low_w = 1 + (rng.next_u64() as usize) % 70;
-            let low = random_biased_cube(&mut rng, low_w);
-            assert_eq!(a.concat(&low), bitserial::concat(&a, &low), "concat w={w}");
-            let (x, y) = (near_member(&mut rng, &a), near_member(&mut rng, &a));
-            check_range(&a, &x, &y);
-            check_range(&a, &y, &x);
-            check_range(&a, &x, &near_member(&mut rng, &b));
-            check_range(&a, &a.min_value(), &a.max_value());
+            let (x, y) = (member(&mut rng, &a), member(&mut rng, &b));
+            check_members(&mut rng, &a, &b, &x, &y);
+            // Equal operands and members hit the eq3 edge cases.
+            let z = member(&mut rng, &a);
+            check_members(&mut rng, &a, &a, &x, &x);
+            check_members(&mut rng, &a, &a, &x, &z);
         }
     }
 }

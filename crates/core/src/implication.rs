@@ -10,21 +10,26 @@
 //!   other input is 1 (OR is the dual). "Exactly one undecided input" comes
 //!   from a ones/twos accumulator over the inputs' undecided masks; XOR uses
 //!   the same accumulator over the unknown masks plus a parity word,
-//! * **arithmetic units** use 3-valued ripple addition/subtraction, two
-//!   carry chains of machine additions per word (the Fig. 3 adder rule: the
-//!   missing operand is `output − operand`),
+//! * **arithmetic units** use 3-valued ripple addition, two carry chains of
+//!   machine additions per word, and subtraction as `a + !b + 1` on the same
+//!   chains (the Fig. 3 adder rule: the missing operand is
+//!   `output − operand`),
 //! * **comparators** translate cubes to `[min, max]` ranges, tighten the
 //!   ranges from the output value, and map back to cubes MSB-first
 //!   (the Fig. 4 rule); nets of 64 bits or fewer keep the ranges in `u64`s,
 //! * **multiplexors** and equality use cube union (plane agreement) and
-//!   intersection (plane meet) with null-intersection reasoning,
+//!   intersection (plane meet) with null-intersection reasoning; a required
+//!   disequality whose operands agree wherever both are known, with a single
+//!   bit position left open, gives that bit the opposite value on the side
+//!   that does not know it,
 //! * **slices, concatenations and zero-extensions** shift planes,
 //! * frame-connection buffers (the unrolled form of registers) propagate in
 //!   both directions.
 //!
 //! The rules read the assignment's cubes in place and build only the cubes
-//! they propose. The bit-at-a-time rules they replaced live on as the test
-//! oracle in `implication/bitserial.rs`.
+//! they propose. Their oracle is ground truth: `tests/implication_ground_truth.rs`
+//! checks every rule's fixed point against the exact projection found by
+//! concrete evaluation, and pins each rule's precision gap.
 //!
 //! The [`Propagator`] runs these rules to a fixed point over a levelized
 //! event queue (gates bucketed by topological depth, so forward implications
@@ -42,9 +47,6 @@ use wlac_bv::range::{
 };
 use wlac_bv::{Bv, Bv3, Tv};
 use wlac_netlist::{Gate, GateId, GateKind, NetId, Netlist};
-
-#[cfg(test)]
-mod bitserial;
 
 /// Counters describing the implication effort (reported in [`crate::CheckStats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -246,16 +248,24 @@ fn backward(netlist: &Netlist, gate: &Gate, asg: &Assignment, out: &mut Proposal
                 (true, Tv::Zero) | (false, Tv::One) => Some(false),
                 _ => None,
             };
-            if equal_required == Some(true) {
-                let mut meet = input(0).clone();
-                if meet.intersect_assign(input(1)) {
-                    out.push((gate.inputs[0], meet.clone()));
-                    out.push((gate.inputs[1], meet));
-                } else {
-                    // Equality required but impossible: force a conflict by
-                    // proposing the (empty) intersection through both sides.
-                    out.push((gate.inputs[0], input(1).clone()));
+            match equal_required {
+                Some(true) => {
+                    let mut meet = input(0).clone();
+                    if meet.intersect_assign(input(1)) {
+                        out.push((gate.inputs[0], meet.clone()));
+                        out.push((gate.inputs[1], meet));
+                    } else {
+                        // Equality required but impossible: force a conflict by
+                        // proposing the (empty) intersection through both sides.
+                        out.push((gate.inputs[0], input(1).clone()));
+                    }
                 }
+                Some(false) => {
+                    if let Some((idx, cube)) = differ_at_open_bit(input(0), input(1)) {
+                        out.push((gate.inputs[idx], cube));
+                    }
+                }
+                None => {}
             }
         }
         GateKind::Lt | GateKind::Le | GateKind::Gt | GateKind::Ge => {
@@ -404,6 +414,37 @@ fn backward_xor(gate: &Gate, y: &Bv3, asg: &Assignment, out: &mut Proposals) {
             cube.set_word(w, k | forced, v | (forced & parity));
         }
     }
+}
+
+/// Disequality backward implication: when `a` and `b` agree on every bit
+/// both know and exactly one bit position is still open, and one side
+/// knows that bit, the other side must take the opposite value there.
+/// Returns the index of the input to refine and its refined cube.
+fn differ_at_open_bit(a: &Bv3, b: &Bv3) -> Option<(usize, Bv3)> {
+    let (mut both_known, mut lone_word) = (0, None);
+    for w in 0..a.word_count() {
+        let ((ak, av), (bk, bv)) = (a.word(w), b.word(w));
+        if (av ^ bv) & ak & bk != 0 {
+            return None; // already unequal
+        }
+        both_known += (ak & bk).count_ones() as usize;
+        if ak != bk {
+            lone_word = Some(w);
+        }
+    }
+    // With one open position, `ak ^ bk` has at most that one bit set.
+    let w = lone_word.filter(|_| both_known + 1 == a.width())?;
+    let ((ak, av), (bk, bv)) = (a.word(w), b.word(w));
+    let bit = ak ^ bk;
+    let (idx, known_value, other) = if ak & bit != 0 {
+        (1, av, b)
+    } else {
+        (0, bv, a)
+    };
+    let mut refined = other.clone();
+    let (k, v) = refined.word(w);
+    refined.set_word(w, k | bit, v | (bit & !known_value));
+    Some((idx, refined))
 }
 
 /// The refined `a` and `b` of a comparator backward implication, or the

@@ -72,11 +72,14 @@ fn min_alloc_delta(attempts: usize, mut work: impl FnMut()) -> u64 {
     best
 }
 
+/// The bit of the `spare` seed left open; `d` is implied to be 0 there.
+const SPARE_OPEN_BIT: usize = 5;
+
 /// A mixed control/datapath circuit using only ≤128-bit nets: adders,
-/// subtractor, mux, comparators, equality, wide Boolean gates, a 3-input
-/// AND, inverter and buffer, slices, concat, zext and reductions — every
-/// implication rule the hot loop exercises, with the 32-bit block on the
-/// single-word path.
+/// subtractor, mux, comparators, equality and disequality, wide Boolean
+/// gates, a 3-input AND, inverter and buffer, slices, concat, zext and
+/// reductions — every implication rule the hot loop exercises, with the
+/// 32-bit block on the single-word path.
 fn build_circuit() -> (Netlist, Vec<(NetId, Bv3)>) {
     let mut nl = Netlist::new("hot_path");
     let a = nl.input("a", 64);
@@ -111,7 +114,12 @@ fn build_circuit() -> (Netlist, Vec<(NetId, Bv3)>) {
     let inverted = nl.not(cat);
     let buffered = nl.buf(inverted);
     let differ = nl.ne(buffered, c);
-    let guard = nl.and_many(&[differ, flag, any]);
+    // `spare` must differ from `d`, and its seed matches the value `d` is
+    // implied to take everywhere but one open bit, which the disequality
+    // rule then fixes.
+    let spare = nl.input("spare", 32);
+    let apart = nl.ne(spare, d);
+    let guard = nl.and_many(&[differ, flag, any, apart]);
     let ok = nl.and_many(&[below, guard, same]);
     nl.mark_output("ok", ok);
 
@@ -131,12 +139,18 @@ fn build_circuit() -> (Netlist, Vec<(NetId, Bv3)>) {
     for i in 0..16 {
         c_seed.set_bit(i, Tv::from_bool(i % 3 == 1));
     }
+    let mut spare_seed = Bv3::from_u64(32, 0);
+    for i in 0..16 {
+        spare_seed.set_bit(i, Tv::from_bool(i % 3 == 1));
+    }
+    spare_seed.set_bit(SPARE_OPEN_BIT, Tv::X);
     let seeds = vec![
         (ok, Bv3::from_tv(Tv::One)),
         (sel, Bv3::from_tv(Tv::One)),
         (a, a_seed),
         (wa, wa_seed),
         (c, c_seed),
+        (spare, spare_seed),
     ];
     (nl, seeds)
 }
@@ -192,6 +206,18 @@ fn cycle(engine: &mut ImplicationEngine, netlist: &Netlist, seeds: &[(NetId, Bv3
 fn propagation_phase() {
     let (netlist, seeds) = build_circuit();
     let mut engine = ImplicationEngine::new(&netlist);
+
+    // The disequality rule fires: `spare` takes the opposite of `d`'s bit.
+    let spare = netlist.find_net("spare").expect("the spare input");
+    let mark = engine.mark();
+    for (net, cube) in &seeds {
+        engine
+            .assume(&netlist, *net, cube)
+            .expect("seeds are conflict-free");
+    }
+    engine.propagate(&netlist).expect("propagation succeeds");
+    assert_eq!(engine.value(spare).bit(SPARE_OPEN_BIT), Tv::One);
+    engine.backtrack_to(mark);
 
     // Warm-up: grows the trail, the propagator buckets and the proposal
     // scratch to their steady-state capacities.

@@ -9,6 +9,7 @@
 
 use crate::ast::*;
 use crate::error::FrontendError;
+use crate::MAX_WIDTH;
 use std::collections::{BTreeMap, HashMap};
 use wlac_bv::Bv;
 use wlac_netlist::{GateId, GateKind, NetId, Netlist};
@@ -26,7 +27,10 @@ struct Signal {
 ///
 /// Returns a [`FrontendError`] for syntax errors, references to undeclared
 /// signals, width-zero declarations, registers assigned outside
-/// always-blocks, and similar elaboration problems.
+/// always-blocks, and similar elaboration problems, and for source past the
+/// front end's bounds: expressions nested deeper than
+/// [`MAX_EXPR_DEPTH`](crate::MAX_EXPR_DEPTH) levels, and ranges, sized
+/// literals or concatenations wider than [`MAX_WIDTH`] bits.
 ///
 /// # Examples
 ///
@@ -271,8 +275,16 @@ impl<'a> Elaborator<'a> {
             }
             Expr::Concat(parts) => {
                 let mut nets = Vec::with_capacity(parts.len());
+                let mut width = 0;
                 for part in parts {
-                    nets.push(self.expr(part)?);
+                    let net = self.expr(part)?;
+                    width += self.netlist.net_width(net);
+                    if width > MAX_WIDTH {
+                        return Err(self.error(format!(
+                            "concatenation wider than the limit of {MAX_WIDTH} bits"
+                        )));
+                    }
+                    nets.push(net);
                 }
                 let mut iter = nets.into_iter();
                 let mut acc = iter

@@ -34,3 +34,15 @@ mod parser;
 pub use elaborate::{compile, elaborate};
 pub use error::FrontendError;
 pub use parser::parse_module;
+
+/// Deepest expression the front end accepts. Every level that parsing or
+/// elaboration recurses through counts: a parenthesis, a concatenation, a
+/// unary operator, a conditional, each operator of a binary chain, and each
+/// enclosing `if`. Deeper source is hostile, not a design: it is rejected
+/// before it can exhaust a thread's stack.
+pub const MAX_EXPR_DEPTH: usize = 256;
+
+/// Widest signal or sized literal the front end accepts, in bits. Every
+/// value a check builds grows with the widths it declares, so a wider one
+/// is rejected before any width arithmetic or allocation.
+pub const MAX_WIDTH: usize = 1 << 16;

@@ -2,6 +2,7 @@
 
 use crate::ast::*;
 use crate::error::FrontendError;
+use crate::{MAX_EXPR_DEPTH, MAX_WIDTH};
 
 /// Tokens of the subset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,6 +135,11 @@ impl<'a> Lexer<'a> {
                         .unwrap_or(rest2.len());
                     let digits2: String = rest2[..end2].chars().filter(|c| *c != '_').collect();
                     self.pos += end2;
+                    if value > MAX_WIDTH as u64 {
+                        return Err(self.error(format!(
+                            "literal width {value} exceeds the limit of {MAX_WIDTH} bits"
+                        )));
+                    }
                     let radix = match base {
                         'b' => 2,
                         'h' => 16,
@@ -172,13 +178,23 @@ impl<'a> Lexer<'a> {
 /// Returns a [`FrontendError`] describing the first syntax error.
 pub fn parse_module(source: &str) -> Result<Module, FrontendError> {
     let tokens = Lexer::new(source).tokenize()?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     parser.module()
 }
+
+/// An expression and its height: the levels it nests, itself included.
+type Parsed = (Expr, usize);
 
 struct Parser {
     tokens: Vec<(Token, usize)>,
     pos: usize,
+    /// Levels enclosing the current parse position: parentheses,
+    /// concatenations, unary operators, conditional branches and `if`s.
+    depth: usize,
 }
 
 impl Parser {
@@ -296,17 +312,61 @@ impl Parser {
     fn range(&mut self) -> Result<usize, FrontendError> {
         // Optional `[hi:lo]`; returns the width (assumes lo == 0).
         if self.eat_symbol("[") {
-            let high = self.expect_number()? as usize;
+            let high = self.expect_number()?;
             self.expect_symbol(":")?;
-            let low = self.expect_number()? as usize;
+            let low = self.expect_number()?;
             self.expect_symbol("]")?;
-            if low != 0 || high < low {
+            if low != 0 {
                 return Err(self.error("only [N:0] ranges are supported"));
             }
-            Ok(high - low + 1)
+            if high >= MAX_WIDTH as u64 {
+                return Err(self.error(format!(
+                    "range [{high}:0] exceeds the limit of {MAX_WIDTH} bits"
+                )));
+            }
+            Ok(high as usize + 1)
         } else {
             Ok(1)
         }
+    }
+
+    /// Runs `parse` one level deeper, rejecting nesting past
+    /// [`MAX_EXPR_DEPTH`] before it recurses.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, FrontendError>,
+    ) -> Result<T, FrontendError> {
+        if self.depth >= MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    /// [`Parser::nested`] for an expression: one more level of height.
+    fn nested_expr(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Parsed, FrontendError>,
+    ) -> Result<Parsed, FrontendError> {
+        self.nested(parse).map(|(expr, height)| (expr, height + 1))
+    }
+
+    /// Rejects an expression whose height, with the levels enclosing it,
+    /// passes [`MAX_EXPR_DEPTH`].
+    fn check_height(&self, parsed: Parsed) -> Result<Parsed, FrontendError> {
+        if self.depth + parsed.1 > MAX_EXPR_DEPTH {
+            Err(self.too_deep())
+        } else {
+            Ok(parsed)
+        }
+    }
+
+    fn too_deep(&self) -> FrontendError {
+        self.error(format!(
+            "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+        ))
     }
 
     fn port(&mut self) -> Result<Port, FrontendError> {
@@ -386,19 +446,21 @@ impl Parser {
 
     fn statement(&mut self) -> Result<Statement, FrontendError> {
         if self.eat_keyword("if") {
-            self.expect_symbol("(")?;
-            let condition = self.expression()?;
-            self.expect_symbol(")")?;
-            let then_body = self.statement_block()?;
-            let else_body = if self.eat_keyword("else") {
-                self.statement_block()?
-            } else {
-                Vec::new()
-            };
-            return Ok(Statement::If {
-                condition,
-                then_body,
-                else_body,
+            return self.nested(|this| {
+                this.expect_symbol("(")?;
+                let condition = this.expression()?;
+                this.expect_symbol(")")?;
+                let then_body = this.statement_block()?;
+                let else_body = if this.eat_keyword("else") {
+                    this.statement_block()?
+                } else {
+                    Vec::new()
+                };
+                Ok(Statement::If {
+                    condition,
+                    then_body,
+                    else_body,
+                })
             });
         }
         let target = self.expect_ident()?;
@@ -409,77 +471,83 @@ impl Parser {
     }
 
     fn expression(&mut self) -> Result<Expr, FrontendError> {
-        self.conditional()
+        Ok(self.conditional()?.0)
     }
 
-    fn conditional(&mut self) -> Result<Expr, FrontendError> {
-        let condition = self.logical_or()?;
+    fn conditional(&mut self) -> Result<Parsed, FrontendError> {
+        let (condition, height) = self.logical_or()?;
         if self.eat_symbol("?") {
-            let then_value = self.expression()?;
+            let (then_value, then_height) = self.nested_expr(Self::conditional)?;
             self.expect_symbol(":")?;
-            let else_value = self.conditional()?;
-            Ok(Expr::Conditional {
+            let (else_value, else_height) = self.nested_expr(Self::conditional)?;
+            let expr = Expr::Conditional {
                 condition: Box::new(condition),
                 then_value: Box::new(then_value),
                 else_value: Box::new(else_value),
-            })
+            };
+            self.check_height((expr, (height + 1).max(then_height).max(else_height)))
         } else {
-            Ok(condition)
+            Ok((condition, height))
         }
     }
 
+    /// A left-associative chain of `ops` over `next`. The chain does not
+    /// recurse here, but it grows one level per operator, and elaboration
+    /// recurses down it, so each operator counts against the depth limit.
     fn binary_level(
         &mut self,
         ops: &[(&str, BinaryOp)],
-        next: fn(&mut Self) -> Result<Expr, FrontendError>,
-    ) -> Result<Expr, FrontendError> {
-        let mut left = next(self)?;
+        next: fn(&mut Self) -> Result<Parsed, FrontendError>,
+    ) -> Result<Parsed, FrontendError> {
+        let (mut left, mut height) = next(self)?;
         'outer: loop {
             for (sym, op) in ops {
                 if matches!(self.peek(), Some(Token::Symbol(s)) if s == sym) {
                     self.pos += 1;
-                    let right = next(self)?;
+                    let (right, right_height) = next(self)?;
+                    height = height.max(right_height) + 1;
                     left = Expr::Binary {
                         op: *op,
                         left: Box::new(left),
                         right: Box::new(right),
                     };
+                    (left, height) = self.check_height((left, height))?;
                     continue 'outer;
                 }
             }
             break;
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn logical_or(&mut self) -> Result<Expr, FrontendError> {
+    fn logical_or(&mut self) -> Result<Parsed, FrontendError> {
         self.binary_level(&[("||", BinaryOp::LogicalOr)], Self::logical_and)
     }
 
-    fn logical_and(&mut self) -> Result<Expr, FrontendError> {
+    fn logical_and(&mut self) -> Result<Parsed, FrontendError> {
         self.binary_level(&[("&&", BinaryOp::LogicalAnd)], Self::bit_or)
     }
 
-    fn bit_or(&mut self) -> Result<Expr, FrontendError> {
+    fn bit_or(&mut self) -> Result<Parsed, FrontendError> {
         self.binary_level(&[("|", BinaryOp::Or)], Self::bit_xor)
     }
 
-    fn bit_xor(&mut self) -> Result<Expr, FrontendError> {
+    fn bit_xor(&mut self) -> Result<Parsed, FrontendError> {
         self.binary_level(&[("^", BinaryOp::Xor)], Self::bit_and)
     }
 
-    fn bit_and(&mut self) -> Result<Expr, FrontendError> {
+    fn bit_and(&mut self) -> Result<Parsed, FrontendError> {
         self.binary_level(&[("&", BinaryOp::And)], Self::equality)
     }
 
-    fn equality(&mut self) -> Result<Expr, FrontendError> {
+    fn equality(&mut self) -> Result<Parsed, FrontendError> {
         self.binary_level(
             &[("==", BinaryOp::Eq), ("!=", BinaryOp::Ne)],
             Self::relational,
         )
     }
 
-    fn relational(&mut self) -> Result<Expr, FrontendError> {
+    fn relational(&mut self) -> Result<Parsed, FrontendError> {
         self.binary_level(
             &[
                 ("<=", BinaryOp::Le),
@@ -491,25 +559,25 @@ impl Parser {
         )
     }
 
-    fn shift(&mut self) -> Result<Expr, FrontendError> {
+    fn shift(&mut self) -> Result<Parsed, FrontendError> {
         self.binary_level(
             &[("<<", BinaryOp::Shl), (">>", BinaryOp::Shr)],
             Self::additive,
         )
     }
 
-    fn additive(&mut self) -> Result<Expr, FrontendError> {
+    fn additive(&mut self) -> Result<Parsed, FrontendError> {
         self.binary_level(
             &[("+", BinaryOp::Add), ("-", BinaryOp::Sub)],
             Self::multiplicative,
         )
     }
 
-    fn multiplicative(&mut self) -> Result<Expr, FrontendError> {
+    fn multiplicative(&mut self) -> Result<Parsed, FrontendError> {
         self.binary_level(&[("*", BinaryOp::Mul)], Self::unary)
     }
 
-    fn unary(&mut self) -> Result<Expr, FrontendError> {
+    fn unary(&mut self) -> Result<Parsed, FrontendError> {
         let op = match self.peek() {
             Some(Token::Symbol("~")) => Some(UnaryOp::Not),
             Some(Token::Symbol("!")) => Some(UnaryOp::LogicalNot),
@@ -520,23 +588,24 @@ impl Parser {
         };
         if let Some(op) = op {
             self.pos += 1;
-            let operand = self.unary()?;
-            return Ok(Expr::Unary {
+            let (operand, height) = self.nested_expr(Self::unary)?;
+            let expr = Expr::Unary {
                 op,
                 operand: Box::new(operand),
-            });
+            };
+            return Ok((expr, height));
         }
         self.primary()
     }
 
-    fn primary(&mut self) -> Result<Expr, FrontendError> {
+    fn primary(&mut self) -> Result<Parsed, FrontendError> {
         match self.next() {
-            Some(Token::SizedLiteral { width, value }) => Ok(Expr::Literal { width, value }),
+            Some(Token::SizedLiteral { width, value }) => Ok((Expr::Literal { width, value }, 1)),
             Some(Token::Number(value)) => {
                 // Unsized decimal: use the minimal width (at least 1 bit), as
                 // a pragmatic approximation of Verilog's 32-bit default.
                 let width = (64 - value.leading_zeros() as usize).max(1);
-                Ok(Expr::Literal { width, value })
+                Ok((Expr::Literal { width, value }, 1))
             }
             Some(Token::Ident(name)) => {
                 if self.eat_symbol("[") {
@@ -547,23 +616,26 @@ impl Parser {
                         high
                     };
                     self.expect_symbol("]")?;
-                    Ok(Expr::Select { name, high, low })
+                    Ok((Expr::Select { name, high, low }, 1))
                 } else {
-                    Ok(Expr::Identifier(name))
+                    Ok((Expr::Identifier(name), 1))
                 }
             }
             Some(Token::Symbol("(")) => {
-                let inner = self.expression()?;
+                let inner = self.nested_expr(Self::conditional)?;
                 self.expect_symbol(")")?;
                 Ok(inner)
             }
             Some(Token::Symbol("{")) => {
-                let mut parts = vec![self.expression()?];
+                let (first, mut height) = self.nested_expr(Self::conditional)?;
+                let mut parts = vec![first];
                 while self.eat_symbol(",") {
-                    parts.push(self.expression()?);
+                    let (part, part_height) = self.nested_expr(Self::conditional)?;
+                    height = height.max(part_height);
+                    parts.push(part);
                 }
                 self.expect_symbol("}")?;
-                Ok(Expr::Concat(parts))
+                Ok((Expr::Concat(parts), height))
             }
             other => Err(self.error(format!("unexpected token {other:?} in expression"))),
         }

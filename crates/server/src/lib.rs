@@ -79,4 +79,4 @@ mod server;
 pub use json::{Json, JsonError};
 pub use postmortem::PostmortemWriter;
 pub use proto::ErrorCode;
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, MAX_REQUEST_LINE};

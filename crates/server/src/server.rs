@@ -10,7 +10,7 @@ use crate::proto::{
 };
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -880,20 +880,36 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
     stream.set_write_timeout(state.write_timeout).ok();
     state.metrics.counter("server_connections_total").inc();
     let conn = state.next_conn.fetch_add(1, Ordering::Relaxed);
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => break, // client went away or idled past the timeout
+    // One buffer serves every line of the connection.
+    let mut buf = Vec::new();
+    loop {
+        let line = match read_request_line(&mut reader, &mut buf) {
+            Ok(RequestLine::Line) => match std::str::from_utf8(&buf) {
+                Ok(line) => line,
+                Err(_) => break, // not text: the same as a failed read
+            },
+            Ok(RequestLine::TooLong) => {
+                let reply = error_reply(
+                    ErrorCode::BadRequest,
+                    format!("request line longer than {MAX_REQUEST_LINE} bytes"),
+                );
+                record_request(state, conn, "invalid", &reply, Duration::ZERO);
+                writer.write_all(format!("{reply}\n").as_bytes()).ok();
+                writer.flush().ok();
+                break;
+            }
+            // The client went away or idled past the timeout.
+            Ok(RequestLine::Closed) | Err(_) => break,
         };
         if line.trim().is_empty() {
             continue;
         }
         let started = Instant::now();
-        let frame = Json::parse(&line);
+        let frame = Json::parse(line);
         // `subscribe` escapes the request/reply shape: it pushes a stream of
         // frames until the batch completes or the subscriber is shed, so it
         // is handled here, outside `dispatch`, with the socket in hand. The
@@ -935,6 +951,47 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
             break;
         }
     }
+}
+
+/// Longest request line a connection reads, newline excluded. The largest
+/// legitimate request, a paper-scale `import_knowledge`, is about 400 KB.
+pub const MAX_REQUEST_LINE: usize = 16 << 20;
+
+/// What [`read_request_line`] read.
+enum RequestLine {
+    /// A line, without its line ending, is in the buffer.
+    Line,
+    /// [`MAX_REQUEST_LINE`] bytes passed without a newline.
+    TooLong,
+    /// The peer closed the connection.
+    Closed,
+}
+
+/// Capacity a connection's line buffer keeps between requests; a longer
+/// line's buffer is freed rather than held for the connection's lifetime.
+const KEPT_LINE_CAPACITY: usize = 64 << 10;
+
+/// Reads one request line into `buf` (cleared first), buffering at most
+/// [`MAX_REQUEST_LINE`] bytes of it. A last line without a newline still
+/// counts as a line.
+fn read_request_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<RequestLine> {
+    if buf.capacity() > KEPT_LINE_CAPACITY {
+        *buf = Vec::new();
+    }
+    buf.clear();
+    let limit = MAX_REQUEST_LINE as u64 + 1;
+    if reader.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(RequestLine::Closed);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_REQUEST_LINE {
+        return Ok(RequestLine::TooLong);
+    }
+    Ok(RequestLine::Line)
 }
 
 /// How a `subscribe` request ended, for the connection loop. Either way the

@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-use wlac_server::{Json, Server, ServerConfig};
+use wlac_server::{Json, Server, ServerConfig, MAX_REQUEST_LINE};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -1148,6 +1148,66 @@ fn trace_check_profiles_one_property() {
         "unknown_design"
     );
 
+    client.shutdown();
+    handle.join().expect("server thread");
+}
+
+/// A `register_design` request for a module whose output is `expr`.
+fn register_expr(expr: &str) -> String {
+    let source = format!("module m(input [7:0] a, output [7:0] y); assign y = {expr}; endmodule");
+    Json::obj(vec![
+        ("op", Json::str("register_design")),
+        ("source", Json::str(&source)),
+    ])
+    .to_string()
+}
+
+#[test]
+fn hostile_input_cannot_stop_the_server() {
+    let (addr, handle, _) = start(quick_config());
+    let mut client = Client::connect(addr);
+    let ping = Json::obj(vec![("op", Json::str("ping"))]);
+
+    // Nesting, a long operator chain and huge widths are compile errors,
+    // and the connection serves the next request.
+    let hostile = [
+        register_expr(&format!("{}a{}", "(".repeat(1_000), ")".repeat(1_000))),
+        register_expr(&vec!["a"; 100_000].join(" ^ ")),
+        register_expr("1099511627776'd0"),
+        Json::obj(vec![
+            ("op", Json::str("register_design")),
+            (
+                "source",
+                Json::str("module m(input [1073741823:0] a, output y); assign y = a[0]; endmodule"),
+            ),
+        ])
+        .to_string(),
+    ];
+    for request in &hostile {
+        assert_eq!(client.call_err(request), "compile_error");
+        client.call(ping.clone());
+    }
+
+    // A request line past the cap is refused and its connection closed.
+    let mut long = Client::connect(addr);
+    long.writer
+        .write_all(&vec![b'x'; MAX_REQUEST_LINE + 1])
+        .expect("send");
+    long.writer.flush().expect("flush");
+    let mut reply = String::new();
+    long.reader.read_line(&mut reply).expect("receive");
+    let reply = Json::parse(reply.trim_end()).expect("reply is valid JSON");
+    let code = reply
+        .get("error")
+        .and_then(|e| e.get("code"))
+        .and_then(Json::as_str);
+    assert_eq!(code, Some("bad_request"), "{reply}");
+    let mut rest = String::new();
+    assert_eq!(long.reader.read_line(&mut rest).expect("read"), 0, "closed");
+
+    // The same server still answers, on a new connection and an old one.
+    Client::connect(addr).call(ping.clone());
+    client.call(ping);
     client.shutdown();
     handle.join().expect("server thread");
 }
