@@ -6,13 +6,20 @@
 //! encoding), so the formula size — and the solver's memory — grows with the
 //! bit width, whereas the word-level ATPG engine keeps buses as single
 //! entities.
+//!
+//! The checker is only a solve step: [`bounded_model_check_learning`] runs
+//! the bound loop of [`wlac_atpg::check_bounds`], and for each query blasts
+//! the unrolled circuit, injects seed clauses, constrains the query's
+//! requirements, solves, lifts the learned clauses and decodes a model
+//! through the shared trace extractor. So it asks what the ATPG checker
+//! asks, including the one-step induction that proves a property outright.
 
 use crate::sat::{Cnf, Lit};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::time::{Duration, Instant};
-use wlac_atpg::{CancelToken, PropertyKind, Trace, Verdict, Verification};
+use wlac_atpg::{check_bounds, CancelToken, QueryAnswer, Verdict, Verification};
 use wlac_bv::Bv;
 use wlac_netlist::{GateKind, NetId, Netlist, Unrolling};
 
@@ -390,72 +397,23 @@ impl BitBlaster {
 /// [`wlac_atpg::CheckStats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BmcReport {
-    /// The conclusion: a replayable trace over the original sequential
-    /// design (the SAT model's initial state and per-frame primary inputs)
-    /// at the first depth with a model, an exhausted bound, or `Unknown`
-    /// (`cancelled`, or a SAT budget exhausted or a gate unsupported).
+    /// The conclusion: a full proof when the induction step closes, a
+    /// validated trace over the original sequential design (the SAT model's
+    /// initial state and per-frame primary inputs) at the first depth with a
+    /// model, an exhausted bound, or `Unknown` (`cancelled`, `SAT budget
+    /// exhausted` or `unsupported gate`).
     pub verdict: Verdict,
     /// Wall-clock time.
     pub elapsed: Duration,
     /// Peak CNF memory in bytes.
     pub peak_memory_bytes: usize,
-    /// Total CNF variables allocated across all bounds.
+    /// Total CNF variables allocated across all queries (every bound and
+    /// the induction step).
     pub variables: usize,
-    /// Total CNF clauses across all bounds.
+    /// Total CNF clauses across all queries.
     pub clauses: usize,
-    /// CDCL effort counters accumulated across all unrolling depths.
+    /// CDCL effort counters accumulated across all queries.
     pub sat: crate::sat::SatStats,
-}
-
-/// Runs SAT-based bounded model checking on a verification problem.
-///
-/// For `Always` properties it searches for a violation of the monitor, for
-/// `Eventually` it searches for a witness — the same problems the ATPG
-/// checker solves, making the reports directly comparable.
-pub fn bounded_model_check(
-    verification: &Verification,
-    max_frames: usize,
-    decision_budget: u64,
-) -> BmcReport {
-    bounded_model_check_cancellable(
-        verification,
-        max_frames,
-        decision_budget,
-        &CancelToken::new(),
-    )
-}
-
-/// Converts a SAT model of an unrolled circuit into a [`Trace`] over the
-/// original sequential design (initial flip-flop state plus per-frame primary
-/// inputs), mirroring the ATPG checker's trace extraction.
-fn model_to_trace(
-    verification: &Verification,
-    unrolling: &Unrolling,
-    blaster: &BitBlaster,
-    model: &[bool],
-) -> Trace {
-    let netlist = &verification.netlist;
-    let initial_state = unrolling
-        .initial_states()
-        .iter()
-        .map(|init| {
-            let q = netlist.gate(init.flip_flop).output;
-            (q, blaster.decode_net(model, init.net))
-        })
-        .collect();
-    let inputs = (0..unrolling.frames())
-        .map(|frame| {
-            netlist
-                .inputs()
-                .iter()
-                .map(|pi| (*pi, blaster.decode_net(model, unrolling.net(frame, *pi))))
-                .collect()
-        })
-        .collect();
-    Trace {
-        initial_state,
-        inputs,
-    }
 }
 
 /// One literal of a frame-relative learned clause: bit `bit` of the copy of
@@ -513,11 +471,23 @@ impl FrameClause {
 /// and every extra literal must survive the net-bit lifting anyway.
 const MAX_LIFT_LEN: usize = 8;
 
-/// Like [`bounded_model_check_cancellable`], but warm-started and learning:
-/// `seeds` are design-valid [`FrameClause`]s from earlier runs on the *same*
-/// design, injected (at every sound shift) into each unrolling before
-/// solving; the second return value is the new design-valid clauses learned
-/// by this run, lifted back to frame-relative form.
+/// Runs SAT-based bounded model checking on a verification problem: the
+/// shared bound loop of [`wlac_atpg::check_bounds`] (with its induction
+/// step) over a bit-blasted encoding of each query. The queries are the ones
+/// the ATPG checker solves, making the reports directly comparable.
+///
+/// Warm-started and learning: `seeds` are design-valid [`FrameClause`]s from
+/// earlier runs on the *same* design, injected (at every sound shift) into
+/// each query's formula before solving; the second return value is the new
+/// design-valid clauses learned by this run, lifted back to frame-relative
+/// form. Pass `&[]` to run cold. The step query is seeded and lifted like
+/// any bound: seeds and exported clauses derive from structural clauses
+/// only, and those hold for every frame-0 state.
+///
+/// `cancel` is polled before each bound, between encoding and solving, and
+/// inside the SAT search, so a portfolio supervisor can stop a losing run
+/// promptly; a cancelled run reports [`Verdict::Unknown`] with reason
+/// `cancelled`.
 ///
 /// Malformed seed clauses are skipped, never trusted — use
 /// [`FrameClause::is_well_formed`] plus a design-identity check upstream to
@@ -529,13 +499,57 @@ pub fn bounded_model_check_learning(
     cancel: &CancelToken,
     seeds: &[FrameClause],
 ) -> (BmcReport, Vec<FrameClause>) {
-    bmc_impl(
-        verification,
-        max_frames,
-        decision_budget,
-        cancel,
-        seeds,
-        true,
+    let start = Instant::now();
+    let mut peak = 0usize;
+    let mut variables = 0usize;
+    let mut clauses = 0usize;
+    let mut sat = crate::sat::SatStats::default();
+    let mut harvest: Vec<FrameClause> = Vec::new();
+    let verdict = check_bounds(verification, max_frames, true, cancel, |query| {
+        let (unrolling, frames) = (query.unrolling, query.frames);
+        let Ok(mut blaster) = BitBlaster::encode(unrolling.circuit()) else {
+            return QueryAnswer::Inconclusive("unsupported gate");
+        };
+        inject_seeds(
+            &mut blaster,
+            unrolling,
+            &verification.netlist,
+            frames,
+            seeds,
+        );
+        for (net, value) in query.requirements() {
+            blaster.constrain_value(net, value);
+        }
+        peak = peak.max(blaster.cnf.memory_bytes());
+        variables += blaster.cnf.num_vars();
+        clauses += blaster.cnf.num_clauses();
+        // Encoding a deep bound takes long enough that a cancelled run polls
+        // here too, not only once per bound.
+        if cancel.is_cancelled() {
+            return QueryAnswer::Inconclusive("cancelled");
+        }
+        let outcome = blaster
+            .cnf
+            .solve_learning(decision_budget, cancel, MAX_LIFT_LEN);
+        sat.absorb(&outcome.stats);
+        lift_learned(&blaster, unrolling, frames, &outcome.learned, &mut harvest);
+        match outcome.model {
+            Some(model) => QueryAnswer::Trace(query.trace(|net| blaster.decode_net(&model, net))),
+            None if outcome.complete => QueryAnswer::Unsat,
+            None if cancel.is_cancelled() => QueryAnswer::Inconclusive("cancelled"),
+            None => QueryAnswer::Inconclusive("SAT budget exhausted"),
+        }
+    });
+    (
+        BmcReport {
+            verdict,
+            elapsed: start.elapsed(),
+            peak_memory_bytes: peak,
+            variables,
+            clauses,
+            sat,
+        },
+        harvest,
     )
 }
 
@@ -605,147 +619,77 @@ fn lift_learned(
     }
 }
 
-/// Like [`bounded_model_check`], but polls `cancel` between the steps of each
-/// unrolling depth (unroll, encode, solve) and inside the SAT search, so a
-/// portfolio supervisor can stop a losing BMC run promptly. A cancelled run
-/// reports [`Verdict::Unknown`] with reason `cancelled`.
-pub fn bounded_model_check_cancellable(
-    verification: &Verification,
-    max_frames: usize,
-    decision_budget: u64,
-    cancel: &CancelToken,
-) -> BmcReport {
-    bmc_impl(
-        verification,
-        max_frames,
-        decision_budget,
-        cancel,
-        &[],
-        false,
-    )
-    .0
-}
-
-fn bmc_impl(
-    verification: &Verification,
-    max_frames: usize,
-    decision_budget: u64,
-    cancel: &CancelToken,
-    seeds: &[FrameClause],
-    learn: bool,
-) -> (BmcReport, Vec<FrameClause>) {
-    let start = Instant::now();
-    let mut peak = 0usize;
-    let mut variables = 0usize;
-    let mut clauses = 0usize;
-    let mut sat = crate::sat::SatStats::default();
-    let mut harvest: Vec<FrameClause> = Vec::new();
-    let kind = verification.property.kind;
-    let unknown = || Verdict::Unknown {
-        reason: if cancel.is_cancelled() {
-            "cancelled".into()
-        } else {
-            "SAT budget exhausted or unsupported gate".into()
-        },
-    };
-    let verdict = 'bounds: {
-        for frames in 1..=max_frames {
-            if cancel.is_cancelled() {
-                break 'bounds unknown();
-            }
-            let unrolling = Unrolling::new(&verification.netlist, frames);
-            // Unrolling, encoding and solving a deep bound each take long
-            // enough that a cancelled run polls between them, not only once
-            // per bound.
-            if cancel.is_cancelled() {
-                break 'bounds unknown();
-            }
-            let Ok(mut blaster) = BitBlaster::encode(unrolling.circuit()) else {
-                break 'bounds unknown();
-            };
-            inject_seeds(
-                &mut blaster,
-                &unrolling,
-                &verification.netlist,
-                frames,
-                seeds,
-            );
-            for init in unrolling.initial_states() {
-                if let Some(value) = &init.init {
-                    blaster.constrain_value(init.net, value);
-                }
-            }
-            for env in &verification.environment {
-                for frame in 0..frames {
-                    let net = unrolling.net(frame, *env);
-                    blaster.constrain_value(net, &Bv::from_u64(1, 1));
-                }
-            }
-            let target = match kind {
-                PropertyKind::Always => 0u64,
-                PropertyKind::Eventually => 1u64,
-            };
-            let monitor = unrolling.net(frames - 1, verification.property.monitor);
-            blaster.constrain_value(monitor, &Bv::from_u64(1, target));
-            peak = peak.max(blaster.cnf.memory_bytes());
-            variables += blaster.cnf.num_vars();
-            clauses += blaster.cnf.num_clauses();
-            if cancel.is_cancelled() {
-                break 'bounds unknown();
-            }
-            let max_export = if learn { MAX_LIFT_LEN } else { 0 };
-            let outcome = blaster
-                .cnf
-                .solve_learning(decision_budget, cancel, max_export);
-            sat.absorb(&outcome.stats);
-            if learn {
-                lift_learned(&blaster, &unrolling, frames, &outcome.learned, &mut harvest);
-            }
-            if let Some(model) = outcome.model {
-                let trace = model_to_trace(verification, &unrolling, &blaster, &model);
-                break 'bounds Verdict::with_trace(kind, trace);
-            }
-            if !outcome.complete {
-                break 'bounds unknown();
-            }
-        }
-        Verdict::exhausted(kind, max_frames)
-    };
-    (
-        BmcReport {
-            verdict,
-            elapsed: start.elapsed(),
-            peak_memory_bytes: peak,
-            variables,
-            clauses,
-            sat,
-        },
-        harvest,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use wlac_atpg::Property;
 
+    /// Runs the BMC cold: never cancelled, no seed clauses.
+    fn bmc(verification: &Verification, max_frames: usize, budget: u64) -> BmcReport {
+        bounded_model_check_learning(verification, max_frames, budget, &CancelToken::new(), &[]).0
+    }
+
     #[test]
     fn combinational_tautology_is_unsat_for_violation() {
-        // y = a | !a is always 1: BMC finds no violation.
+        // y = a | !a is always 1: BMC finds no violation, and the induction
+        // step closes the proof after the first frame.
         let mut nl = Netlist::new("taut");
         let a = nl.input("a", 1);
         let na = nl.not(a);
         let y = nl.or2(a, na);
         let property = Property::always(&nl, "taut", y);
-        let report = bounded_model_check(&Verification::new(nl, property), 3, 100_000);
+        let report = bmc(&Verification::new(nl, property), 3, 100_000);
+        assert_eq!(
+            report.verdict,
+            Verdict::Holds {
+                proved: true,
+                frames: 1
+            }
+        );
+        assert!(report.clauses > 0);
+    }
+
+    #[test]
+    fn a_non_inductive_invariant_keeps_its_bounded_answer() {
+        // A 3-bit counter from 0 that wraps at 4 never reaches 6, but
+        // q != 6 is not inductive (the unreachable q = 5 steps to 6), so the
+        // step fails and the loop keeps searching to the bound.
+        let mut nl = Netlist::new("wrap");
+        let (q, ff) = nl.dff_deferred(3, Some(Bv::zero(3)));
+        let one = nl.constant(&Bv::from_u64(3, 1));
+        let plus = nl.add(q, one);
+        let four = nl.constant(&Bv::from_u64(3, 4));
+        let at_four = nl.eq(q, four);
+        let zero = nl.constant(&Bv::zero(3));
+        let next = nl.mux(at_four, zero, plus);
+        nl.connect_dff_data(ff, next);
+        let six = nl.constant(&Bv::from_u64(3, 6));
+        let ok = nl.ne(q, six);
+        let property = Property::always(&nl, "never6", ok);
+        let verification = Verification::new(nl, property);
+        let report = bmc(&verification, 5, 1_000_000);
         assert_eq!(
             report.verdict,
             Verdict::Holds {
                 proved: false,
-                frames: 3
+                frames: 5
             }
         );
-        assert!(report.clauses > 0);
+        // The step is a query of its own: six formulas for five bounds.
+        let bound_only: usize = (1..=5)
+            .map(|frames| {
+                let unrolling = Unrolling::new(&verification.netlist, frames);
+                BitBlaster::encode(unrolling.circuit())
+                    .unwrap()
+                    .cnf
+                    .num_vars()
+            })
+            .sum();
+        let step = BitBlaster::encode(Unrolling::new(&verification.netlist, 2).circuit())
+            .unwrap()
+            .cnf
+            .num_vars();
+        assert_eq!(report.variables, bound_only + step);
     }
 
     #[test]
@@ -760,7 +704,7 @@ mod tests {
         let two = nl.constant(&Bv::from_u64(3, 2));
         let ok = nl.ne(q, two);
         let property = Property::always(&nl, "never2", ok);
-        let report = bounded_model_check(&Verification::new(nl, property), 6, 1_000_000);
+        let report = bmc(&Verification::new(nl, property), 6, 1_000_000);
         let Verdict::Violated { trace } = &report.verdict else {
             panic!("expected a violation, got {:?}", report.verdict);
         };
@@ -816,13 +760,11 @@ mod tests {
         let verification = Verification::new(nl, property);
 
         let cancel = CancelToken::new();
-        let cold = bounded_model_check_cancellable(&verification, 8, 1_000_000, &cancel);
-        let (warm_report, harvest) =
+        let (cold, harvest) =
             bounded_model_check_learning(&verification, 8, 1_000_000, &cancel, &[]);
         // Traces may differ (SAT models are not unique); label and depth may
         // not.
         let shape = |v: &Verdict| (v.label(), v.bound());
-        assert_eq!(shape(&cold.verdict), shape(&warm_report.verdict));
         // Everything harvested is structurally well-formed for this design.
         for clause in &harvest {
             assert!(clause.is_well_formed(&verification.netlist), "{clause:?}");
@@ -834,19 +776,21 @@ mod tests {
             bounded_model_check_learning(&verification, 8, 1_000_000, &cancel, &harvest);
         assert_eq!(
             shape(&seeded.verdict),
-            shape(&warm_report.verdict),
+            shape(&cold.verdict),
             "violation depth must match"
         );
     }
 
     #[test]
     fn malformed_seed_clauses_are_skipped_not_trusted() {
-        // A tautological design (y = a | !a): holds at every bound.
-        let mut nl = Netlist::new("taut");
+        // A contradiction (y = a & !a) is violated in the first frame; a
+        // trusted poisoned clause would make every query unsatisfiable and
+        // prove it instead.
+        let mut nl = Netlist::new("contradiction");
         let a = nl.input("a", 1);
         let na = nl.not(a);
-        let y = nl.or2(a, na);
-        let property = Property::always(&nl, "taut", y);
+        let y = nl.and2(a, na);
+        let property = Property::always(&nl, "contradiction", y);
         let verification = Verification::new(nl, property);
         let poison = vec![
             // Net id far out of range.
@@ -877,14 +821,13 @@ mod tests {
         ];
         let (report, _) =
             bounded_model_check_learning(&verification, 3, 100_000, &CancelToken::new(), &poison);
-        assert_eq!(
-            report.verdict,
-            Verdict::Holds {
-                proved: false,
-                frames: 3
-            },
-            "poisoned seeds must be skipped, not trusted"
-        );
+        let Verdict::Violated { trace } = &report.verdict else {
+            panic!(
+                "poisoned seeds must be skipped, not trusted: {:?}",
+                report.verdict
+            );
+        };
+        assert_eq!(trace.len(), 1);
     }
 
     /// A 3-bit counter from 0 and the objective "q reaches 2": the witness
@@ -911,7 +854,7 @@ mod tests {
 
     #[test]
     fn reachable_objective_gives_a_witness_at_its_depth() {
-        let report = bounded_model_check(&reaches_two(false), 6, 1_000_000);
+        let report = bmc(&reaches_two(false), 6, 1_000_000);
         let Verdict::WitnessFound { trace } = &report.verdict else {
             panic!("expected a witness, got {:?}", report.verdict);
         };
@@ -920,7 +863,7 @@ mod tests {
 
     #[test]
     fn unreachable_objective_has_no_witness_within_the_bound() {
-        let report = bounded_model_check(&reaches_two(true), 5, 1_000_000);
+        let report = bmc(&reaches_two(true), 5, 1_000_000);
         assert_eq!(report.verdict, Verdict::WitnessAbsent { frames: 5 });
     }
 
@@ -928,7 +871,8 @@ mod tests {
     fn a_run_cancelled_before_it_starts_is_unknown() {
         let cancel = CancelToken::new();
         cancel.cancel();
-        let report = bounded_model_check_cancellable(&reaches_two(false), 6, 1_000_000, &cancel);
+        let (report, _) =
+            bounded_model_check_learning(&reaches_two(false), 6, 1_000_000, &cancel, &[]);
         assert_eq!(
             report.verdict,
             Verdict::Unknown {

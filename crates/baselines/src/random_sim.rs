@@ -7,7 +7,7 @@
 //! (for `Always` properties) or satisfied (for `Eventually` witnesses).
 
 use std::time::{Duration, Instant};
-use wlac_atpg::{CancelToken, PropertyKind, Trace, Verdict, Verification};
+use wlac_atpg::{validated_verdict, CancelToken, PropertyKind, Trace, Verdict, Verification};
 use wlac_bv::Bv;
 use wlac_netlist::NetId;
 use wlac_rng::Rng64;
@@ -17,10 +17,9 @@ use wlac_sim::Simulator;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RandomSimReport {
     /// The hitting input sequence, truncated at the hit cycle, as a
-    /// counter-example or witness (replayable with
-    /// [`Trace::replay_monitor`]). Without a hit the verdict is `Unknown`:
-    /// `cancelled`, or a reason naming the runs and cycles simulated —
-    /// simulation never proves.
+    /// counter-example or witness once [`validated_verdict`] has replayed
+    /// it. Without a hit the verdict is `Unknown`: `cancelled`, or a reason
+    /// naming the runs and cycles simulated — simulation never proves.
     pub verdict: Verdict,
     /// Number of runs simulated.
     pub runs: usize,
@@ -124,7 +123,7 @@ pub fn random_simulation_cancellable(
         }
     }
     let verdict = match trace {
-        Some(trace) => Verdict::with_trace(verification.property.kind, trace),
+        Some(trace) => validated_verdict(verification, trace),
         None => Verdict::Unknown {
             reason: if cancel.is_cancelled() {
                 "cancelled".into()

@@ -1,6 +1,10 @@
 //! Portfolio throughput comparison: sequential ATPG vs per-property racing
 //! vs batch checking across a worker pool, on the paper suite.
 //!
+//! A race is never weaker than ATPG alone: the binary exits 1 when a racing
+//! row's verdict ranks below its sequential ATPG-only row's
+//! ([`wlac_atpg::Verdict::rank`]).
+//!
 //! Usage: `cargo run -p wlac-bench --release --bin portfolio`
 
 use std::time::Instant;
@@ -52,7 +56,10 @@ fn main() {
         "{:<13} {:>4} | {:<13} {:>9} | {:<13} {:>9} {:>10} | agree",
         "ckt_name", "prop", "sequential", "cpu(s)", "racing", "cpu(s)", "winner"
     );
+    let mut weaker = 0usize;
     for ((case, seq), race) in suite.iter().zip(&sequential_reports).zip(&racing_reports) {
+        let weaker_row = race.verdict.rank() < seq.verdict.rank();
+        weaker += usize::from(weaker_row);
         println!(
             "{:<13} {:>4} | {:<13} {:>8.2}s | {:<13} {:>8.2}s {:>10} | {}",
             case.circuit,
@@ -64,6 +71,9 @@ fn main() {
             race.winner.map(|w| w.to_string()).unwrap_or_default(),
             if race.agreed() { "yes" } else { "NO" },
         );
+        if weaker_row {
+            println!("  racing answer is weaker than ATPG alone");
+        }
     }
     let disagreements: usize = batch_reports.iter().map(|r| r.disagreements.len()).sum();
     println!();
@@ -81,4 +91,8 @@ fn main() {
         batch_time.as_secs_f64(),
         disagreements,
     );
+    println!("{weaker} racing row(s) weaker than ATPG alone");
+    if weaker > 0 {
+        std::process::exit(1);
+    }
 }

@@ -112,6 +112,12 @@ impl Assignment {
         }
     }
 
+    /// Makes the current values the ground state: the trail is emptied, so
+    /// no later [`Assignment::backtrack_to`] restores anything older.
+    pub fn clear_trail(&mut self) {
+        self.trail.clear();
+    }
+
     /// Current length of the trail; use with [`Assignment::backtrack_to`].
     pub fn mark(&self) -> usize {
         self.trail.len()

@@ -1,13 +1,15 @@
 //! The assertion checking framework (Fig. 1 of the paper).
 //!
-//! [`AssertionChecker::check`] drives the whole flow: the sequential design
-//! is expanded over time-frames, the assertion is inverted into a
-//! counter-example-generation problem whose value requirements seed the
-//! word-level ATPG engine, and the combined ATPG + modular-arithmetic search
-//! of [`crate::search`] either produces a counter-example/witness trace or
-//! proves that none exists within the bound. A one-step induction check (an
-//! extension over the paper) can upgrade a bounded result into a full proof.
+//! [`AssertionChecker::check`] runs the bounded problem of
+//! [`crate::bounded`]: the sequential design is expanded over time-frames,
+//! the assertion is inverted into a counter-example-generation problem, and
+//! the checker's solve step seeds each query's value requirements into the
+//! combined ATPG + modular-arithmetic search of [`crate::search`], which
+//! either produces a counter-example/witness trace or proves that none exists
+//! within the bound. The loop's one-step induction check (an extension over
+//! the paper) can upgrade a bounded result into a full proof.
 
+use crate::bounded::{check_bounds, Query, QueryAnswer};
 use crate::config::CheckerOptions;
 use crate::datapath::DatapathFacts;
 use crate::estg::Estg;
@@ -15,11 +17,10 @@ use crate::knowledge::SearchKnowledge;
 use crate::property::{PropertyKind, Verification};
 use crate::search::{SearchContext, SearchGoal, SearchOutcome};
 use crate::stats::CheckStats;
-use crate::trace::Trace;
 use crate::verdict::Verdict;
 use std::time::Instant;
-use wlac_bv::{Bv, Bv3, Tv};
-use wlac_netlist::{NetId, Unrolling};
+use wlac_bv::Bv3;
+use wlac_netlist::NetId;
 
 /// Result plus effort statistics for one property check.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,7 +97,7 @@ impl AssertionChecker {
         &self,
         verification: &Verification,
         estg: &mut Estg,
-        facts: Option<&mut DatapathFacts>,
+        mut facts: Option<&mut DatapathFacts>,
     ) -> CheckReport {
         let start = Instant::now();
         let deadline = start + self.options.time_limit;
@@ -110,9 +111,16 @@ impl AssertionChecker {
             0,
             self.options.max_frames as u64,
         );
-        let result = self.check_bounds(verification, estg, facts, deadline, &mut stats);
+        let options = &self.options;
+        let result = check_bounds(
+            verification,
+            options.max_frames,
+            options.use_induction,
+            &options.cancel,
+            |query| self.solve(query, estg, facts.as_deref_mut(), deadline, &mut stats),
+        );
         stats.elapsed = start.elapsed();
-        if self.options.trace {
+        if options.trace {
             // The search loop attributed its own time; everything else this
             // check did (unrolling, requirement seeding, trace extraction and
             // replay validation) is the remainder, charged to `other` so the
@@ -127,213 +135,63 @@ impl AssertionChecker {
         }
     }
 
-    /// Deepens the bound one frame at a time until a validated trace, a
-    /// search that gives up, or `max_frames`. An `Always` assertion is
-    /// inverted into counter-example generation and, once its first frame
-    /// holds, tries to close the proof with a one-step induction; an
-    /// `Eventually` objective asks for a witness.
-    fn check_bounds(
+    /// ATPG's solve step for one query of the shared bound loop: seeds the
+    /// query's requirements as word-level cubes and runs the justification
+    /// search over the expanded circuit. A base query also reports its bound
+    /// (trace event, recorder event, progress) before searching.
+    fn solve(
         &self,
-        verification: &Verification,
-        estg: &mut Estg,
-        mut facts: Option<&mut DatapathFacts>,
-        deadline: Instant,
-        stats: &mut CheckStats,
-    ) -> Verdict {
-        let kind = verification.property.kind;
-        let (goal, violation, found) = match kind {
-            PropertyKind::Always => (SearchGoal::Prove, true, "counter-example"),
-            PropertyKind::Eventually => (SearchGoal::Witness, false, "witness"),
-        };
-        // One unrolling grows monotonically across bounds: deepening by one
-        // frame appends to the expanded circuit instead of rebuilding it.
-        let mut unrolling = Unrolling::new(&verification.netlist, 1);
-        for frames in 1..=self.options.max_frames {
-            if self.options.cancel.is_cancelled() {
-                return Verdict::Unknown {
-                    reason: "cancelled".into(),
-                };
-            }
-            stats.frames_explored = frames;
-            unrolling.extend_to(&verification.netlist, frames);
-            if self.options.trace {
-                self.options
-                    .trace_sink
-                    .event("bound", wlac_telemetry::SpanId::ROOT, frames as u64);
-            }
-            self.options.recorder.record(
-                wlac_telemetry::RecorderLayer::Core,
-                wlac_telemetry::RecorderKind::Bound,
-                frames as u64,
-                self.options.max_frames as u64,
-            );
-            self.options.progress.advance_bound(frames as u64);
-            let outcome = self.solve_bound(
-                verification,
-                &unrolling,
-                frames,
-                violation,
-                false,
-                goal,
-                estg,
-                facts.as_deref_mut(),
-                deadline,
-                stats,
-            );
-            match outcome {
-                SearchOutcome::Sat(values) => {
-                    let trace = self.extract_trace(verification, &unrolling, &values);
-                    return match trace
-                        .replay_monitor(&verification.netlist, verification.property.monitor)
-                    {
-                        Ok(monitor) if monitor.last() == Some(&!violation) => {
-                            Verdict::with_trace(kind, trace)
-                        }
-                        Ok(_) => Verdict::Unknown {
-                            reason: format!("{found} failed replay validation"),
-                        },
-                        Err(e) => Verdict::Unknown {
-                            reason: format!("{found} replay error: {e}"),
-                        },
-                    };
-                }
-                SearchOutcome::Unsat => {}
-                SearchOutcome::Inconclusive(reason) => {
-                    return Verdict::Unknown {
-                        reason: reason.into(),
-                    };
-                }
-            }
-            // After establishing the base case, try to close the proof with a
-            // one-step induction: no state satisfying the monitor may have a
-            // successor violating it.
-            if violation && frames == 1 && self.options.use_induction {
-                unrolling.extend_to(&verification.netlist, 2);
-                let outcome = self.solve_bound(
-                    verification,
-                    &unrolling,
-                    2,
-                    true,
-                    true,
-                    SearchGoal::Prove,
-                    estg,
-                    facts.as_deref_mut(),
-                    deadline,
-                    stats,
-                );
-                if outcome == SearchOutcome::Unsat {
-                    return Verdict::Holds {
-                        proved: true,
-                        frames,
-                    };
-                }
-            }
-        }
-        Verdict::exhausted(kind, self.options.max_frames)
-    }
-
-    /// Seeds the requirements over `frames` time-frames of the (already
-    /// extended) unrolling and runs the justification search.
-    ///
-    /// `violation` selects the monitor value required at the last frame
-    /// (`true` ⇒ require 0 for a counter-example, `false` ⇒ require 1 for a
-    /// witness). `induction` drops the initial-state constraints and instead
-    /// requires the monitor to hold at every frame but the last.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_bound(
-        &self,
-        verification: &Verification,
-        unrolling: &Unrolling,
-        frames: usize,
-        violation: bool,
-        induction: bool,
-        goal: SearchGoal,
+        query: &Query<'_>,
         estg: &mut Estg,
         facts: Option<&mut DatapathFacts>,
         deadline: Instant,
         stats: &mut CheckStats,
-    ) -> SearchOutcome {
-        debug_assert_eq!(unrolling.frames(), frames, "bound/unrolling mismatch");
-        let expanded = unrolling.circuit();
-        let mut requirements: Vec<(NetId, Bv3)> = Vec::new();
-        let one = Bv3::from_tv(Tv::One);
-        let zero = Bv3::from_tv(Tv::Zero);
-
-        if induction {
-            // Assume the monitor in every frame but the last.
-            for frame in 0..frames - 1 {
-                requirements.push((
-                    unrolling.net(frame, verification.property.monitor),
-                    one.clone(),
-                ));
+    ) -> QueryAnswer {
+        let options = &self.options;
+        if !query.step {
+            stats.frames_explored = query.frames;
+            let frames = query.frames as u64;
+            if options.trace {
+                options
+                    .trace_sink
+                    .event("bound", wlac_telemetry::SpanId::ROOT, frames);
             }
+            options.recorder.record(
+                wlac_telemetry::RecorderLayer::Core,
+                wlac_telemetry::RecorderKind::Bound,
+                frames,
+                options.max_frames as u64,
+            );
+            options.progress.advance_bound(frames);
+        }
+        let requirements: Vec<(NetId, Bv3)> = query
+            .requirements()
+            .map(|(net, value)| (net, Bv3::from_bv(value)))
+            .collect();
+        // Proving an assertion (or its induction step) expects no
+        // counter-example; a witness is expected to exist.
+        let goal = if query.step || query.verification.property.kind == PropertyKind::Always {
+            SearchGoal::Prove
         } else {
-            // Constrain the initial state to the declared reset values.
-            for init in unrolling.initial_states() {
-                if let Some(value) = &init.init {
-                    requirements.push((init.net, Bv3::from_bv(value)));
-                }
-            }
-        }
-        // Environment constraints hold in every frame.
-        for env in &verification.environment {
-            for frame in 0..frames {
-                requirements.push((unrolling.net(frame, *env), one.clone()));
-            }
-        }
-        // The inverted assertion: require a violation (or the witness value)
-        // in the last frame.
-        let target = if violation { zero } else { one };
-        requirements.push((
-            unrolling.net(frames - 1, verification.property.monitor),
-            target,
-        ));
-
-        let mut context = SearchContext::new(expanded);
-        context.search_with_facts(
+            SearchGoal::Witness
+        };
+        let expanded = query.unrolling.circuit();
+        let outcome = SearchContext::new(expanded).search_with_facts(
             expanded,
-            &self.options,
+            options,
             goal,
             &requirements,
             estg,
             facts,
             deadline,
             stats,
-        )
-    }
-
-    /// Converts a satisfying assignment of the expanded circuit into a trace
-    /// over the original design.
-    fn extract_trace(
-        &self,
-        verification: &Verification,
-        unrolling: &Unrolling,
-        values: &[Bv],
-    ) -> Trace {
-        let netlist = &verification.netlist;
-        let initial_state = unrolling
-            .initial_states()
-            .iter()
-            .map(|init| {
-                let q = netlist.gate(init.flip_flop).output;
-                (q, values[init.net.index()].clone())
-            })
-            .collect();
-        let inputs = (0..unrolling.frames())
-            .map(|frame| {
-                netlist
-                    .inputs()
-                    .iter()
-                    .map(|pi| {
-                        let expanded = unrolling.net(frame, *pi);
-                        (*pi, values[expanded.index()].clone())
-                    })
-                    .collect()
-            })
-            .collect();
-        Trace {
-            initial_state,
-            inputs,
+        );
+        match outcome {
+            SearchOutcome::Sat(values) => {
+                QueryAnswer::Trace(query.trace(|net| values[net.index()].clone()))
+            }
+            SearchOutcome::Unsat => QueryAnswer::Unsat,
+            SearchOutcome::Inconclusive(reason) => QueryAnswer::Inconclusive(reason),
         }
     }
 }
@@ -342,6 +200,7 @@ impl AssertionChecker {
 mod tests {
     use super::*;
     use crate::property::{monitor, Property};
+    use wlac_bv::Bv;
     use wlac_netlist::Netlist;
 
     /// A 4-bit counter that wraps at `limit` (q < limit is an invariant when

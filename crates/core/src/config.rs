@@ -234,7 +234,8 @@ pub struct CheckerOptions {
     pub recorder: RecorderHandle,
     /// Live-progress handle: the search periodically publishes its effort
     /// counters (bound, decisions, conflicts, backtracks, restarts,
-    /// implications, phase nanos) into the attached [`ProgressCell`] so
+    /// implications, phase nanos) into the attached
+    /// [`ProgressCell`](wlac_telemetry::ProgressCell) so
     /// observers can watch a long check in flight. Publication is lock-free
     /// and alloc-free (a seqlock of pre-allocated atomics), the disabled
     /// default costs one branch per throttled publication site, and a

@@ -118,7 +118,8 @@ struct IslandFact {
 /// the same design the search keeps re-proving the same island
 /// infeasibilities (the expanded circuit and the value patterns reaching the
 /// datapath repeat). This store memoises those proofs keyed by the full solve
-/// input ([`IslandFact`]), so a warm-started check skips straight to the
+/// input (the island within the expanded circuit and the known low bits of
+/// every island net), so a warm-started check skips straight to the
 /// backtrack. Feasible solves are *not* memoised — their model would have to
 /// be revalidated anyway, and infeasibility is where the pruning value is.
 #[derive(Debug, Clone, Default)]

@@ -747,8 +747,8 @@ impl Propagator {
     }
 }
 
-/// A standalone word-level implication engine: an [`Assignment`] plus a
-/// levelized [`Propagator`] behind a small public API.
+/// A standalone word-level implication engine: a three-valued assignment
+/// with an undo trail plus a levelized propagator, behind a small public API.
 ///
 /// This exposes the checker's innermost loop — refine a net, propagate to a
 /// fixed point, backtrack — for diagnostics, benchmarking and embedding. At
@@ -781,13 +781,24 @@ pub struct ImplicationEngine {
 }
 
 impl ImplicationEngine {
-    /// Creates an engine with every net unknown.
+    /// Creates an engine holding what the netlist alone implies: the initial
+    /// implication pass the search makes (every gate scheduled, then run to a
+    /// fixed point) settles constant drivers, a zero-extension's high bits
+    /// and everything they imply. Backtracking never undoes it: trail marks
+    /// start after it. A netlist with no consistent assignment at all (a
+    /// combinational loop) starts all unknown instead.
     pub fn new(netlist: &Netlist) -> Self {
-        ImplicationEngine {
+        let mut engine = ImplicationEngine {
             asg: Assignment::new(netlist),
             propagator: Propagator::new(netlist),
             stats: ImplicationStats::default(),
+        };
+        engine.propagator.enqueue_all(netlist);
+        if engine.propagate(netlist).is_err() {
+            engine.asg.backtrack_to(0);
         }
+        engine.asg.clear_trail();
+        engine
     }
 
     /// Refines `net` with `cube` and schedules the affected gates.
@@ -1034,5 +1045,26 @@ mod tests {
         let y2 = nl2.reduce_and(a2);
         let asg2 = settle(&nl2, &[(y2, cube("1'b1"))]).unwrap();
         assert_eq!(asg2.value(a2), &cube("3'b111"));
+    }
+
+    #[test]
+    fn a_new_engine_holds_what_the_netlist_alone_implies() {
+        // A constant driver and a zero-extension's high bits are known before
+        // any net is assumed, and backtracking to the first mark keeps them.
+        let mut nl = Netlist::new("implied");
+        let k = nl.constant(&Bv::from_u64(4, 9));
+        let a = nl.input("a", 2);
+        let wide = nl.zext(a, 5);
+        let mut engine = ImplicationEngine::new(&nl);
+        assert_eq!(engine.value(k), &cube("4'b1001"));
+        assert_eq!(engine.value(wide), &cube("5'b000xx"));
+        assert_eq!(engine.mark(), 0);
+        engine.assume(&nl, a, &cube("2'b10")).unwrap();
+        engine.propagate(&nl).unwrap();
+        assert_eq!(engine.value(wide), &cube("5'b00010"));
+        engine.backtrack_to(0);
+        assert_eq!(engine.value(a), &cube("2'bxx"));
+        assert_eq!(engine.value(wide), &cube("5'b000xx"));
+        assert_eq!(engine.value(k), &cube("4'b1001"));
     }
 }

@@ -20,6 +20,13 @@
 //!    validated by simulation; exhaustion of the search space proves the
 //!    assertion (up to the bound, or outright via 1-step induction).
 //!
+//! Steps 1, 2 and 5 are the bounded problem every engine shares:
+//! [`check_bounds`] is the bound loop, a [`Query`] holds one query's
+//! requirements and trace extractor, and [`validated_verdict`] is the trace
+//! validator. The checker supplies the search of steps 3 and 4 as its solve
+//! step; the SAT BMC baseline supplies bit-blasting and CDCL, so both close
+//! the same induction step.
+//!
 //! The answer is a [`Verdict`], the vocabulary every engine of the workspace
 //! reports in (the SAT BMC and random-simulation baselines and the portfolio
 //! that races them build the same type).
@@ -53,6 +60,7 @@
 #![warn(missing_docs)]
 
 mod assignment;
+mod bounded;
 mod checker;
 mod config;
 mod datapath;
@@ -68,6 +76,7 @@ mod verdict;
 pub mod property;
 
 pub use assignment::Conflict;
+pub use bounded::{check_bounds, validated_verdict, Query, QueryAnswer};
 pub use checker::{AssertionChecker, CheckReport};
 pub use config::{CancelToken, CheckerOptions, TraceSink};
 pub use datapath::DatapathFacts;

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::fmt;
 use wlac_bv::Bv;
 use wlac_netlist::{NetId, Netlist};
-use wlac_sim::simulate;
+use wlac_sim::{simulate, SimRun, SimulateError};
 
 /// A finite execution of the original (sequential) design: an initial state
 /// plus primary-input values for every cycle.
@@ -48,16 +48,27 @@ impl Trace {
         &self,
         netlist: &Netlist,
         monitor: NetId,
-    ) -> Result<Vec<bool>, wlac_sim::SimulateError> {
+    ) -> Result<Vec<bool>, SimulateError> {
+        let run = self.simulate(netlist)?;
+        Ok((0..self.len())
+            .map(|cycle| !run.value(cycle, monitor).is_zero())
+            .collect())
+    }
+
+    /// Simulates the trace on `netlist`: one cycle per input frame, from the
+    /// trace's initial state (reset values for the flip-flops it leaves
+    /// out). `SimRun::value` reads any net in any cycle.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation errors (width mismatches, combinational cycles).
+    pub(crate) fn simulate(&self, netlist: &Netlist) -> Result<SimRun, SimulateError> {
         let cycles: Vec<HashMap<NetId, Bv>> = self
             .inputs
             .iter()
             .map(|frame| frame.iter().cloned().collect())
             .collect();
-        let run = simulate(netlist, &self.initial_state, &cycles)?;
-        Ok((0..self.len())
-            .map(|cycle| !run.value(cycle, monitor).is_zero())
-            .collect())
+        simulate(netlist, &self.initial_state, &cycles)
     }
 }
 

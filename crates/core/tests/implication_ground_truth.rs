@@ -13,8 +13,8 @@
 //!   is pinned, so any change in a rule's strength changes a number.
 //!
 //! Forward implication is checked the same way with only the inputs
-//! assumed. A tuple of all-`x` cubes is left out: assuming it changes no
-//! net, so the gate is never visited.
+//! assumed. The all-`x` tuple is checked too: a new engine already holds
+//! what the gate alone implies (a constant, a zero-extension's high bits).
 //!
 //! At 63, 64, 65, 128 and 129 bits, where enumeration is out of reach,
 //! seeded concrete assignments with bits forgotten at random must never
@@ -104,9 +104,7 @@ impl OneGate {
     fn settle(&self, engine: &mut ImplicationEngine, tuple: &[Planes]) -> Option<Vec<Planes>> {
         engine.backtrack_to(0);
         for ((pin, planes), w) in self.pins.iter().zip(tuple).zip(&self.widths) {
-            engine
-                .assume(&self.nl, *pin, &planes.cube(*w))
-                .expect("pins start unknown");
+            engine.assume(&self.nl, *pin, &planes.cube(*w)).ok()?;
         }
         engine.propagate(&self.nl).ok()?;
         Some(
@@ -192,8 +190,7 @@ impl Hull {
     }
 }
 
-/// Calls `visit` with every tuple of cubes of the given widths, except the
-/// one whose cubes are all `x`.
+/// Calls `visit` with every tuple of cubes of the given widths.
 fn for_each_tuple(widths: &[usize], mut visit: impl FnMut(&[Planes])) {
     let bits: usize = widths.iter().sum();
     let mut tuple = vec![Planes::X; widths.len()];
@@ -209,9 +206,7 @@ fn for_each_tuple(widths: &[usize], mut visit: impl FnMut(&[Planes])) {
                 n /= 3;
             }
         }
-        if tuple.iter().any(|p| p.known != 0) {
-            visit(&tuple);
-        }
+        visit(&tuple);
     }
 }
 
@@ -446,7 +441,7 @@ fn sampled(one: &OneGate, rng: &mut Rng, samples: usize) {
         for (pin, cube) in one.pins.iter().zip(&cubes) {
             engine
                 .assume(&one.nl, *pin, cube)
-                .expect("pins start unknown");
+                .expect("a satisfying assignment is consistent with what the gate implies");
         }
         let show = || {
             let cubes: Vec<String> = cubes.iter().map(|c| c.to_string()).collect();

@@ -4,7 +4,7 @@
 //!
 //! * **[`FaultPlan`]** — a deterministic, seed-driven description of *which*
 //!   infrastructure faults to inject *where*. Production code carries a plan
-//!   the same way it carries a [`CancelToken`]-style token: the disabled
+//!   the same way it carries a `CancelToken`-style token: the disabled
 //!   plan (the default) is a single `Option` check, allocates nothing and
 //!   fires nothing, so the hot path pays nothing when chaos testing is off.
 //!   An armed plan triggers engine hangs, worker panics, I/O errors and

@@ -16,7 +16,7 @@ pub struct PortfolioConfig {
     /// ATPG checker options; `max_frames` also bounds the BMC unrolling so
     /// bounded verdicts from both engines talk about the same depth.
     pub checker: CheckerOptions,
-    /// DPLL decision budget per BMC bound.
+    /// SAT decision budget per BMC query (each bound and the induction step).
     pub bmc_decision_budget: u64,
     /// Random-simulation runs per property.
     pub random_runs: usize,

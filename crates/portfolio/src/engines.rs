@@ -2,16 +2,18 @@
 //! in the shared [`Verdict`] vocabulary itself; an adapter wires in the
 //! race's cancellation, warm start and observers.
 //!
-//! Every trace-producing verdict is re-simulated with [`wlac_sim`] (via
-//! [`wlac_atpg::Trace::replay_monitor`]) before it is trusted: an engine bug
-//! can at worst demote a result to `Unknown`, never smuggle in a bogus
+//! Every engine's trace has been re-simulated once, by
+//! [`wlac_atpg::validated_verdict`], before the engine returns it: ATPG and
+//! SAT BMC run it at the end of the shared bound loop
+//! ([`wlac_atpg::check_bounds`]) and random simulation on its hit. An engine
+//! bug can at worst demote a result to `Unknown`, never smuggle in a bogus
 //! counter-example.
 
 use crate::config::{PortfolioConfig, RANDOM_SEED};
 use crate::warm::{Harvest, WarmStart};
 use std::fmt;
 use std::time::{Duration, Instant};
-use wlac_atpg::{AssertionChecker, CancelToken, CheckStats, Trace, Verdict, Verification};
+use wlac_atpg::{AssertionChecker, CancelToken, CheckStats, Verdict, Verification};
 use wlac_baselines::{bounded_model_check_learning, random_simulation_cancellable};
 use wlac_telemetry::{ProgressHandle, RecorderHandle};
 
@@ -20,7 +22,8 @@ use wlac_telemetry::{ProgressHandle, RecorderHandle};
 pub enum Engine {
     /// Word-level ATPG + modular arithmetic (the paper's engine).
     Atpg,
-    /// Bit-level SAT bounded model checking (Tseitin + DPLL).
+    /// Bit-level SAT bounded model checking (Tseitin + CDCL) with the
+    /// induction step ATPG closes.
     SatBmc,
     /// Random-input simulation (only ever finds traces, never proves).
     RandomSim,
@@ -125,7 +128,6 @@ pub(crate) fn run_engine(
         Engine::SatBmc => run_bmc(verification, config, cancel, warm),
         Engine::RandomSim => run_random(verification, config, cancel),
     };
-    let verdict = validate_trace(verdict, verification);
     (
         EngineRun {
             engine,
@@ -209,46 +211,6 @@ fn run_random(
         },
         Harvest::default(),
     )
-}
-
-/// Re-simulates any trace-backed verdict on the original design; a trace that
-/// does not reproduce the claimed behaviour — or that violates an environment
-/// constraint in any cycle — demotes the verdict to `Unknown`.
-fn validate_trace(verdict: Verdict, verification: &Verification) -> Verdict {
-    let expected_last = match &verdict {
-        Verdict::Violated { .. } => false,
-        Verdict::WitnessFound { .. } => true,
-        _ => return verdict,
-    };
-    let trace = verdict.trace().expect("trace-backed verdict");
-    match replay(trace, verification) {
-        Ok((last, env_ok)) if last == expected_last && env_ok => verdict,
-        Ok((_, false)) => Verdict::Unknown {
-            reason: "trace violates an environment constraint".into(),
-        },
-        Ok(_) => Verdict::Unknown {
-            reason: "trace failed re-simulation cross-check".into(),
-        },
-        Err(e) => Verdict::Unknown {
-            reason: format!("trace replay error: {e}"),
-        },
-    }
-}
-
-/// Replays the trace; returns the final monitor value and whether every
-/// environment constraint held in every cycle.
-fn replay(
-    trace: &Trace,
-    verification: &Verification,
-) -> Result<(bool, bool), wlac_sim::SimulateError> {
-    let values = trace.replay_monitor(&verification.netlist, verification.property.monitor)?;
-    let last = *values.last().unwrap_or(&true);
-    let mut env_ok = true;
-    for env in &verification.environment {
-        let held = trace.replay_monitor(&verification.netlist, *env)?;
-        env_ok &= held.iter().all(|v| *v);
-    }
-    Ok((last, env_ok))
 }
 
 #[cfg(test)]

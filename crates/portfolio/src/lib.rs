@@ -4,7 +4,7 @@
 //! and bit-blasted SAT shine on *different* workload shapes. This crate turns
 //! that observation into an engine: a [`Portfolio`] races the ATPG checker
 //! ([`wlac_atpg::AssertionChecker`]), SAT bounded model checking
-//! ([`wlac_baselines::bounded_model_check`]) and random simulation on each
+//! ([`wlac_baselines::bounded_model_check_learning`]) and random simulation on each
 //! property, takes the first definitive answer, and cooperatively cancels the
 //! losers through [`wlac_atpg::CancelToken`]. The race is hedged: the lead
 //! engine gets a 5 ms head start, and the others join only if it has not
@@ -18,8 +18,9 @@
 //! replayed journal record.
 //!
 //! Beyond single-property racing, [`Portfolio::check_batch`] shards a whole
-//! suite of properties across a worker-thread pool, and every trace-backed
-//! verdict is re-simulated against the design before it is trusted —
+//! suite of properties across a worker-thread pool. Every trace-backed
+//! verdict has been re-simulated against the design by
+//! [`wlac_atpg::validated_verdict`] before an engine reports it, and
 //! disagreements between engines are detected and flagged rather than
 //! silently resolved.
 //!

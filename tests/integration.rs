@@ -3,8 +3,8 @@
 //! and the Verilog front-end path.
 
 use std::time::Duration;
-use wlac::atpg::{AssertionChecker, CheckerOptions, Property, Verdict, Verification};
-use wlac::baselines::bounded_model_check;
+use wlac::atpg::{AssertionChecker, CancelToken, CheckerOptions, Property, Verdict, Verification};
+use wlac::baselines::bounded_model_check_learning;
 use wlac::bv::Bv;
 use wlac::circuits::{paper_suite, Expectation, Scale};
 use wlac::frontend::compile;
@@ -66,18 +66,31 @@ fn paper_suite_outcomes_match_expectations() {
 
 /// The ATPG checker and the SAT BMC baseline never contradict each other on
 /// designs the bit-blaster supports, with bounded semantics respected: a
-/// trace only contradicts a bounded answer that covers its length.
+/// trace only contradicts a bounded answer that covers its length. Both run
+/// the same bounded problem at the same bound and close the same induction
+/// step, so every ATPG proof is a BMC proof too.
 #[test]
 fn atpg_and_sat_bmc_agree() {
-    let checker = AssertionChecker::new(quick_options());
+    let options = quick_options();
+    let checker = AssertionChecker::new(options.clone());
     for case in paper_suite(Scale::Small) {
         let atpg = checker.check(&case.verification).result;
-        let bmc = bounded_model_check(&case.verification, 4, 500_000).verdict;
+        let (bmc, _) = bounded_model_check_learning(
+            &case.verification,
+            options.max_frames,
+            500_000,
+            &CancelToken::new(),
+            &[],
+        );
+        let bmc = bmc.verdict;
         assert!(
             !atpg.conflicts_with(&bmc),
             "{}: ATPG {atpg:?} contradicts BMC {bmc:?}",
             case.property
         );
+        if matches!(atpg, Verdict::Holds { proved: true, .. }) {
+            assert_eq!(bmc.label(), "proved", "{}: {bmc:?}", case.property);
+        }
     }
 }
 

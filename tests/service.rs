@@ -9,9 +9,7 @@
 use std::time::Duration;
 use wlac::atpg::CancelToken;
 use wlac::atpg::{AssertionChecker, CheckerOptions, SearchKnowledge, Verdict};
-use wlac::baselines::{
-    bounded_model_check_cancellable, bounded_model_check_learning, FrameClause, FrameLit,
-};
+use wlac::baselines::{bounded_model_check_learning, FrameClause, FrameLit};
 use wlac::circuits::{paper_suite, Scale};
 use wlac::netlist::NetId;
 use wlac::service::{
@@ -79,8 +77,7 @@ fn warm_atpg_verdicts_match_cold_across_the_suite() {
 fn warm_bmc_outcomes_match_cold_across_the_suite() {
     let cancel = CancelToken::new();
     for case in paper_suite(Scale::Small) {
-        let cold = bounded_model_check_cancellable(&case.verification, 6, 2_000_000, &cancel);
-        let (_, harvest) =
+        let (cold, harvest) =
             bounded_model_check_learning(&case.verification, 6, 2_000_000, &cancel, &[]);
         for clause in &harvest {
             assert!(
