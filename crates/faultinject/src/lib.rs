@@ -54,10 +54,12 @@ pub enum FaultSite {
     EngineHang,
     /// A service worker panics inside job processing
     /// ([`FaultPlan::panic_point`]); the job must be quarantined and the
-    /// pool must survive.
+    /// pool must survive. Only jobs a worker dequeues cross it: a cache hit
+    /// answered at submission never reaches a worker.
     WorkerPanic,
     /// A service worker panics *outside* the per-job panic fence, killing
-    /// the worker thread; the supervisor must respawn it.
+    /// the worker thread; the supervisor must respawn it. Like
+    /// [`FaultSite::WorkerPanic`], crossed only after a dequeued job.
     WorkerLoss,
     /// A snapshot write fails outright (disk full, unwritable directory):
     /// [`FaultPlan::io_error`] yields the error to return.

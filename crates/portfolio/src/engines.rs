@@ -47,15 +47,20 @@ impl Engine {
     pub fn from_code(code: u8) -> Option<Engine> {
         Engine::ALL.get(code as usize).copied()
     }
+
+    /// The engine's name, as it displays and travels on the wire.
+    pub fn name(self) -> &'static str {
+        match self {
+            Engine::Atpg => "atpg",
+            Engine::SatBmc => "sat-bmc",
+            Engine::RandomSim => "random-sim",
+        }
+    }
 }
 
 impl fmt::Display for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Engine::Atpg => "atpg",
-            Engine::SatBmc => "sat-bmc",
-            Engine::RandomSim => "random-sim",
-        })
+        f.write_str(self.name())
     }
 }
 

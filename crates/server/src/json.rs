@@ -5,7 +5,11 @@
 //! numbers, booleans and null. The parser is a bounds- and depth-checked
 //! recursive descent; the encoder escapes control characters and always
 //! emits one line (no pretty printing), which is exactly what the
-//! line-delimited framing wants.
+//! line-delimited framing wants. It writes each run of a string that needs
+//! no escape in one call, and splices [`Json::Raw`] text verbatim: the
+//! server writes hot payloads (job results, verdicts) straight to text and
+//! hands the encoded list to a reply that way, instead of building a tree
+//! per result.
 //!
 //! 64-bit identities (design hashes, property hashes) are transported as
 //! strings, never as numbers — JSON numbers are doubles and silently lose
@@ -28,6 +32,9 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object; insertion order is preserved.
     Obj(Vec<(String, Json)>),
+    /// JSON text already encoded, written verbatim by the encoder. The
+    /// parser never produces it, and the accessors see nothing in it.
+    Raw(String),
 }
 
 /// Why a frame failed to parse.
@@ -145,15 +152,7 @@ impl fmt::Display for Json {
             Json::Null => f.write_str("null"),
             Json::Bool(true) => f.write_str("true"),
             Json::Bool(false) => f.write_str("false"),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    write!(f, "{}", *n as i64)
-                } else if n.is_finite() {
-                    write!(f, "{n}")
-                } else {
-                    f.write_str("null") // JSON has no NaN/inf
-                }
-            }
+            Json::Num(n) => write_number(f, *n),
             Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
@@ -161,7 +160,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{item}")?;
+                    item.fmt(f)?;
                 }
                 f.write_str("]")
             }
@@ -173,28 +172,51 @@ impl fmt::Display for Json {
                     }
                     write_escaped(f, key)?;
                     f.write_str(":")?;
-                    write!(f, "{value}")?;
+                    value.fmt(f)?;
                 }
                 f.write_str("}")
             }
+            Json::Raw(text) => f.write_str(text),
         }
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
+/// Writes a number as [`Json::Num`] encodes it: an integral value below
+/// 9e15 without a fraction, any other finite value in Rust's shortest
+/// round-trip form, and `null` for NaN and the infinities.
+pub(crate) fn write_number<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
+    if n.fract() == 0.0 && n.abs() < 9e15 {
+        write!(out, "{}", n as i64)
+    } else if n.is_finite() {
+        write!(out, "{n}")
+    } else {
+        out.write_str("null") // JSON has no NaN/inf
     }
-    f.write_str("\"")
+}
+
+/// Writes `s` as a JSON string. Each run of bytes that needs no escape goes
+/// out in one `write_str`; the escaped bytes are all ASCII, so every run
+/// ends on a char boundary.
+pub(crate) fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_str("\"")?;
+    let mut run = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
+        }
+        out.write_str(&s[run..at])?;
+        match byte {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{byte:04x}")?,
+        }
+        run = at + 1;
+    }
+    out.write_str(&s[run..])?;
+    out.write_str("\"")
 }
 
 struct Parser<'a> {
@@ -464,6 +486,28 @@ mod tests {
         // A raw control byte right after a multi-byte character is still
         // rejected.
         assert!(Json::parse("\"é\u{1}\"").is_err());
+    }
+
+    #[test]
+    fn every_control_byte_is_escaped() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let escaped = Json::str(controls.clone()).to_string();
+        assert_eq!(
+            escaped,
+            concat!(
+                r#""\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007"#,
+                r#"\u0008\t\n\u000b\u000c\r\u000e\u000f"#,
+                r#"\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017"#,
+                r#"\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f""#,
+            )
+        );
+        // Runs around the escapes are copied whole, multi-byte characters
+        // included.
+        let inner = &escaped[1..escaped.len() - 1];
+        assert_eq!(
+            Json::str(format!("é{controls}π")).to_string(),
+            format!("\"é{inner}π\"")
+        );
     }
 
     #[test]

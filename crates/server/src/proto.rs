@@ -7,11 +7,17 @@
 //! malformed frame is answered with a structured error on the same
 //! connection, never a dropped socket: batch tooling on the other end wants
 //! a diagnosis, not a reconnect loop.
+//!
+//! Job results and verdicts, the bulk of a busy server's replies, are
+//! written straight to text by one encoder each and spliced into their
+//! reply as [`Json::Raw`]: no per-result tree is built. Every other payload
+//! is a [`Json`] tree.
 
-use crate::json::Json;
+use crate::json::{write_escaped, write_number, Json};
+use std::fmt::{self, Write as _};
 use std::time::Duration;
 use wlac_atpg::Verdict;
-use wlac_service::{DesignHash, JobProgress, JobResult, ServiceStats};
+use wlac_service::{BatchId, DesignHash, JobProgress, JobResult, ServiceStats};
 use wlac_telemetry::{MetricsRegistry, ProgressProbe};
 
 /// Machine-readable error codes of the protocol.
@@ -166,49 +172,95 @@ fn duration_ms(d: Duration) -> Json {
     Json::Num(d.as_secs_f64() * 1e3)
 }
 
-/// Encodes a verdict for the wire: its label plus the fields of its variant
-/// (`proved` and `frames` of a hold, `frames` of an absent witness,
-/// `trace_cycles` of a trace, `reason` of an unknown, `budget_ms` of a
-/// timeout).
-pub fn verdict_to_wire(verdict: &Verdict) -> Json {
-    let mut v = vec![("label", Json::str(verdict.label()))];
-    match verdict {
-        Verdict::Holds { proved, frames } => {
-            v.push(("proved", Json::Bool(*proved)));
-            v.push(("frames", Json::num(*frames as u64)));
-        }
-        Verdict::WitnessAbsent { frames } => {
-            v.push(("frames", Json::num(*frames as u64)));
-        }
-        Verdict::Violated { trace } | Verdict::WitnessFound { trace } => {
-            v.push(("trace_cycles", Json::num(trace.len() as u64)));
-        }
-        Verdict::Unknown { reason } => {
-            v.push(("reason", Json::str(reason.clone())));
-        }
-        Verdict::Timeout { budget } => {
-            v.push(("budget_ms", Json::num(budget.as_millis() as u64)));
-        }
-    }
-    Json::obj(v)
+/// Runs a text encoder into a fresh string and wraps the text for splicing
+/// into a reply verbatim.
+fn encoded(encode: impl FnOnce(&mut String) -> fmt::Result) -> Json {
+    let mut text = String::new();
+    // Writing into a `String` cannot fail.
+    let _ = encode(&mut text);
+    Json::Raw(text)
 }
 
-/// Encodes one job result for the wire.
-pub fn job_result_to_wire(result: &JobResult) -> Json {
-    Json::obj(vec![
-        ("property", Json::str(result.property.clone())),
-        ("design", Json::str(design_to_wire(result.design))),
-        ("verdict", verdict_to_wire(&result.verdict)),
-        (
-            "winner",
-            result
-                .winner
-                .map(|w| Json::str(w.to_string()))
-                .unwrap_or(Json::Null),
-        ),
-        ("from_cache", Json::Bool(result.from_cache)),
-        ("engines_spawned", Json::num(result.engines_spawned as u64)),
-        ("wall_ms", duration_ms(result.wall)),
+/// Writes a verdict for the wire: its label plus the fields of its variant
+/// (`proved` and `frames` of a hold, `frames` of an absent witness,
+/// `trace_cycles` of a trace, `reason` of an unknown, `budget_ms` of a
+/// timeout). The one verdict encoder: `results`/`wait` replies, `subscribe`
+/// verdict frames and `trace_check` all write through it.
+fn write_verdict(out: &mut String, verdict: &Verdict) -> fmt::Result {
+    out.push_str("{\"label\":");
+    write_escaped(out, verdict.label())?;
+    match verdict {
+        Verdict::Holds { proved, frames } => {
+            write!(out, ",\"proved\":{proved},\"frames\":{frames}")?;
+        }
+        Verdict::WitnessAbsent { frames } => write!(out, ",\"frames\":{frames}")?,
+        Verdict::Violated { trace } | Verdict::WitnessFound { trace } => {
+            write!(out, ",\"trace_cycles\":{}", trace.len())?;
+        }
+        Verdict::Unknown { reason } => {
+            out.push_str(",\"reason\":");
+            write_escaped(out, reason)?;
+        }
+        Verdict::Timeout { budget } => write!(out, ",\"budget_ms\":{}", budget.as_millis())?,
+    }
+    out.push('}');
+    Ok(())
+}
+
+/// Writes one job result for the wire: property, design, verdict, winner
+/// (`null` when none), `from_cache`, `engines_spawned` and `wall_ms`, in
+/// that order. The one result encoder.
+fn write_job_result(out: &mut String, result: &JobResult) -> fmt::Result {
+    out.push_str("{\"property\":");
+    write_escaped(out, &result.property)?;
+    write!(out, ",\"design\":\"{}\",\"verdict\":", result.design)?;
+    write_verdict(out, &result.verdict)?;
+    out.push_str(",\"winner\":");
+    match result.winner {
+        Some(engine) => write_escaped(out, engine.name())?,
+        None => out.push_str("null"),
+    }
+    write!(
+        out,
+        ",\"from_cache\":{},\"engines_spawned\":{},\"wall_ms\":",
+        result.from_cache, result.engines_spawned
+    )?;
+    write_number(out, result.wall.as_secs_f64() * 1e3)?;
+    out.push('}');
+    Ok(())
+}
+
+/// Encodes a verdict for the wire, as every job result carries it: the
+/// `verdict` member of a `trace_check` reply.
+pub fn verdict_to_wire(verdict: &Verdict) -> Json {
+    encoded(|out| write_verdict(out, verdict))
+}
+
+/// The `results` and `wait` reply: `{"ok":true,"results":[…]}`, the list
+/// written straight to text, one result after another.
+pub fn results_reply(results: &[JobResult]) -> Json {
+    let list = encoded(|out| {
+        out.push('[');
+        for (i, result) in results.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_job_result(out, result)?;
+        }
+        out.push(']');
+        Ok(())
+    });
+    ok_reply(vec![("results", list)])
+}
+
+/// A `subscribe` stream's `verdict` frame: slot `index` of `batch` and its
+/// result.
+pub fn verdict_frame(batch: BatchId, index: usize, result: &JobResult) -> Json {
+    ok_reply(vec![
+        ("event", Json::str("verdict")),
+        ("batch", Json::num(batch.raw())),
+        ("index", Json::num(index as u64)),
+        ("result", encoded(|out| write_job_result(out, result))),
     ])
 }
 
@@ -288,6 +340,138 @@ pub fn stats_to_wire(stats: &ServiceStats, durability: &str, metrics: &MetricsRe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wlac_atpg::Trace;
+    use wlac_portfolio::Engine;
+
+    /// One result per verdict variant, with and without a winner, and an
+    /// `unknown` reason that needs every kind of escape.
+    fn every_verdict() -> Vec<JobResult> {
+        let trace = |cycles| Trace {
+            initial_state: Vec::new(),
+            inputs: vec![Vec::new(); cycles],
+        };
+        let result =
+            |property: &str, verdict, winner, from_cache, engines_spawned, wall| JobResult {
+                property: property.to_string(),
+                design: DesignHash(0x0123_4567_89ab_cdef),
+                verdict,
+                winner,
+                from_cache,
+                engines_spawned,
+                wall,
+            };
+        vec![
+            result(
+                "p2",
+                Verdict::Holds {
+                    proved: true,
+                    frames: 8,
+                },
+                Some(Engine::Atpg),
+                false,
+                1,
+                Duration::from_micros(1500),
+            ),
+            result(
+                "p3",
+                Verdict::Holds {
+                    proved: false,
+                    frames: 6,
+                },
+                Some(Engine::SatBmc),
+                true,
+                0,
+                Duration::from_nanos(123_456_789),
+            ),
+            result(
+                "p1",
+                Verdict::Violated { trace: trace(3) },
+                Some(Engine::RandomSim),
+                false,
+                3,
+                Duration::from_millis(2),
+            ),
+            result(
+                "p4",
+                Verdict::WitnessFound { trace: trace(64) },
+                None,
+                true,
+                0,
+                Duration::ZERO,
+            ),
+            result(
+                "p6",
+                Verdict::WitnessAbsent { frames: 8 },
+                Some(Engine::Atpg),
+                false,
+                2,
+                Duration::from_nanos(7),
+            ),
+            result(
+                "odd \"name\"",
+                Verdict::Unknown {
+                    reason: "say \"hi\" \\ then\nagain \u{1} é".into(),
+                },
+                None,
+                false,
+                3,
+                Duration::from_secs(1),
+            ),
+            result(
+                "p10",
+                Verdict::Timeout {
+                    budget: Duration::from_secs(30),
+                },
+                None,
+                false,
+                2,
+                Duration::from_millis(30_001),
+            ),
+        ]
+    }
+
+    #[test]
+    fn results_and_verdicts_go_to_the_wire_byte_for_byte() {
+        let results = every_verdict();
+        assert_eq!(
+            results_reply(&results).to_string(),
+            concat!(
+                r#"{"ok":true,"results":["#,
+                r#"{"property":"p2","design":"d0123456789abcdef","verdict":{"label":"proved","proved":true,"frames":8},"winner":"atpg","from_cache":false,"engines_spawned":1,"wall_ms":1.5},"#,
+                r#"{"property":"p3","design":"d0123456789abcdef","verdict":{"label":"holds(bound)","proved":false,"frames":6},"winner":"sat-bmc","from_cache":true,"engines_spawned":0,"wall_ms":123.456789},"#,
+                r#"{"property":"p1","design":"d0123456789abcdef","verdict":{"label":"violated","trace_cycles":3},"winner":"random-sim","from_cache":false,"engines_spawned":3,"wall_ms":2},"#,
+                r#"{"property":"p4","design":"d0123456789abcdef","verdict":{"label":"witness","trace_cycles":64},"winner":null,"from_cache":true,"engines_spawned":0,"wall_ms":0},"#,
+                r#"{"property":"p6","design":"d0123456789abcdef","verdict":{"label":"no witness","frames":8},"winner":"atpg","from_cache":false,"engines_spawned":2,"wall_ms":0.000007},"#,
+                r#"{"property":"odd \"name\"","design":"d0123456789abcdef","verdict":{"label":"unknown","reason":"say \"hi\" \\ then\nagain \u0001 é"},"winner":null,"from_cache":false,"engines_spawned":3,"wall_ms":1000},"#,
+                r#"{"property":"p10","design":"d0123456789abcdef","verdict":{"label":"timeout","budget_ms":30000},"winner":null,"from_cache":false,"engines_spawned":2,"wall_ms":30001}"#,
+                r#"]}"#,
+            )
+        );
+        assert_eq!(
+            verdict_frame(BatchId::from_raw(7), 3, &results[2]).to_string(),
+            concat!(
+                r#"{"ok":true,"event":"verdict","batch":7,"index":3,"result":"#,
+                r#"{"property":"p1","design":"d0123456789abcdef","verdict":{"label":"violated","trace_cycles":3},"winner":"random-sim","from_cache":false,"engines_spawned":3,"wall_ms":2}}"#,
+            )
+        );
+        // `trace_check`'s verdict member.
+        assert_eq!(
+            verdict_to_wire(&results[5].verdict).to_string(),
+            r#"{"label":"unknown","reason":"say \"hi\" \\ then\nagain \u0001 é"}"#
+        );
+        // A reply is still one line, and parses back.
+        let text = results_reply(&results).to_string();
+        assert!(!text.contains('\n'));
+        let parsed = Json::parse(&text).expect("reparse");
+        let reasons: Vec<_> = parsed
+            .get("results")
+            .and_then(Json::as_arr)
+            .expect("results")
+            .iter()
+            .filter_map(|r| r.get("verdict")?.get("reason")?.as_str())
+            .collect();
+        assert_eq!(reasons, ["say \"hi\" \\ then\nagain \u{1} é"]);
+    }
 
     #[test]
     fn design_wire_round_trip() {

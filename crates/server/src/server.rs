@@ -5,11 +5,12 @@ use crate::json::Json;
 use crate::postmortem::{event_to_json, PostmortemWriter, DEFAULT_MAX_BYTES, DEFAULT_MAX_DUMPS};
 use crate::proto::{
     design_from_wire, design_to_wire, error_reply, error_reply_with_retry, hex_decode, hex_encode,
-    job_progress_to_wire, job_result_to_wire, ok_reply, probe_to_wire, stats_to_wire,
+    job_progress_to_wire, ok_reply, probe_to_wire, results_reply, stats_to_wire, verdict_frame,
     verdict_to_wire, ErrorCode,
 };
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -871,8 +872,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
             format!("connection cap ({}) reached", state.max_connections),
             RETRY_AFTER,
         );
-        writer.write_all(format!("{reply}\n").as_bytes()).ok();
-        writer.flush().ok();
+        send_reply(&mut writer, &mut String::new(), &reply).ok();
         return;
     }
     // A silent or stalled peer must not hold a connection thread forever.
@@ -884,8 +884,9 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
         Ok(s) => BufReader::new(s),
         Err(_) => return,
     };
-    // One buffer serves every line of the connection.
+    // One buffer serves every line of the connection, and one every reply.
     let mut buf = Vec::new();
+    let mut out = String::new();
     loop {
         let line = match read_request_line(&mut reader, &mut buf) {
             Ok(RequestLine::Line) => match std::str::from_utf8(&buf) {
@@ -898,8 +899,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
                     format!("request line longer than {MAX_REQUEST_LINE} bytes"),
                 );
                 record_request(state, conn, "invalid", &reply, Duration::ZERO);
-                writer.write_all(format!("{reply}\n").as_bytes()).ok();
-                writer.flush().ok();
+                send_reply(&mut writer, &mut out, &reply).ok();
                 break;
             }
             // The client went away or idled past the timeout.
@@ -922,12 +922,9 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
             .filter(|frame| frame.get("op").and_then(Json::as_str) == Some("subscribe"));
         if let Some(frame) = subscribe {
             let request = SubscribeRequest { conn, started };
-            match subscribe_connection(state, frame, &stream, request) {
+            match subscribe_connection(state, frame, &stream, &mut out, request) {
                 SubscribeOutcome::Reject(reply) => {
-                    let sent = writer
-                        .write_all(format!("{reply}\n").as_bytes())
-                        .and_then(|()| writer.flush());
-                    if sent.is_err() {
+                    if send_reply(&mut writer, &mut out, &reply).is_err() {
                         break;
                     }
                 }
@@ -943,9 +940,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
         };
         let elapsed = started.elapsed();
         record_request(state, conn, op, &reply, elapsed);
-        let sent = writer
-            .write_all(format!("{reply}\n").as_bytes())
-            .and_then(|()| writer.flush());
+        let sent = send_reply(&mut writer, &mut out, &reply);
         state.active.exit();
         if sent.is_err() {
             break;
@@ -967,9 +962,34 @@ enum RequestLine {
     Closed,
 }
 
-/// Capacity a connection's line buffer keeps between requests; a longer
-/// line's buffer is freed rather than held for the connection's lifetime.
+/// Capacity a connection's request-line and reply buffers keep between
+/// requests; a buffer that a longer line grew is freed rather than held for
+/// the connection's lifetime.
 const KEPT_LINE_CAPACITY: usize = 64 << 10;
+
+/// Empties a connection's reply buffer, freeing it first when a long reply
+/// grew it past [`KEPT_LINE_CAPACITY`].
+fn reuse_reply_buffer(out: &mut String) {
+    if out.capacity() > KEPT_LINE_CAPACITY {
+        *out = String::new();
+    }
+    out.clear();
+}
+
+/// Appends `frame` to `out` as one line.
+fn push_line(out: &mut String, frame: &Json) {
+    // Writing into a `String` cannot fail.
+    let _ = writeln!(out, "{frame}");
+}
+
+/// Writes `reply` as one line, encoded into the connection's reply buffer
+/// `out` and sent with one write.
+fn send_reply(writer: &mut impl Write, out: &mut String, reply: &Json) -> std::io::Result<()> {
+    reuse_reply_buffer(out);
+    push_line(out, reply);
+    writer.write_all(out.as_bytes())?;
+    writer.flush()
+}
 
 /// Reads one request line into `buf` (cleared first), buffering at most
 /// [`MAX_REQUEST_LINE`] bytes of it. A last line without a newline still
@@ -1030,11 +1050,13 @@ const SUBSCRIBE_MIN_INTERVAL: Duration = Duration::from_millis(1);
 const SUBSCRIBE_MAX_INTERVAL: Duration = Duration::from_secs(60);
 
 /// Validates a `subscribe` request and, when it names a live batch, streams
-/// it (see [`stream_subscription`]).
+/// it (see [`stream_subscription`]) through the connection's reply buffer
+/// `out`.
 fn subscribe_connection(
     state: &ServerState,
     frame: &Json,
     stream: &TcpStream,
+    out: &mut String,
     request: SubscribeRequest,
 ) -> SubscribeOutcome {
     let reject = |reply: Json| {
@@ -1057,7 +1079,7 @@ fn subscribe_connection(
         .map(Duration::from_millis)
         .unwrap_or(state.subscribe_interval)
         .clamp(SUBSCRIBE_MIN_INTERVAL, SUBSCRIBE_MAX_INTERVAL);
-    stream_subscription(state, batch, interval, stream, request)
+    stream_subscription(state, batch, interval, stream, out, request)
 }
 
 /// Why a subscription stopped writing.
@@ -1069,12 +1091,14 @@ enum StreamClosed {
     Stalled,
 }
 
-/// One `subscribe` stream's writer: frames go straight to the socket on the
-/// connection thread. Everything a frame carries is pulled from the
-/// service's lock-free progress cells and the batch table, and no lock is
-/// held while a frame is written, so a slow reader never blocks a worker.
-/// A reader that stopped reading stalls a write until it times out; the
-/// stream then sheds it (see [`stream_subscription`]).
+/// One `subscribe` stream's writer, on the connection thread. Frames are
+/// encoded into the connection's reply buffer as the stream builds them,
+/// and each loop iteration's frames go to the socket in one write before
+/// the stream sleeps or returns. Everything a frame carries is pulled from
+/// the service's lock-free progress cells and the batch table, and no lock
+/// is held while frames are written, so a slow reader never blocks a
+/// worker. A reader that stopped reading stalls a write until it times
+/// out; the stream then sheds it (see [`stream_subscription`]).
 struct SubscribePush<'a> {
     state: &'a ServerState,
     socket: &'a TcpStream,
@@ -1082,17 +1106,37 @@ struct SubscribePush<'a> {
     booked: bool,
     /// Set once a write failed; nothing more is written after that.
     closed: Option<StreamClosed>,
+    /// The connection's reply buffer: the frames not yet written.
+    out: &'a mut String,
+    /// How many frames `out` holds.
+    pending: u64,
 }
 
 impl SubscribePush<'_> {
-    /// Writes one frame; `false` once the stream is over (the peer went away
-    /// or stopped reading).
-    fn push(&mut self, frame: &Json) -> bool {
+    /// Queues one frame for the next [`SubscribePush::flush`]; a no-op once
+    /// the stream is over.
+    fn push(&mut self, frame: &Json) {
+        if self.closed.is_none() {
+            push_line(self.out, frame);
+            self.pending += 1;
+        }
+    }
+
+    /// Writes every queued frame; `false` once the stream is over (the peer
+    /// went away or stopped reading). The frames are counted before the
+    /// write, so a client that has read a frame already sees it counted.
+    fn flush(&mut self) -> bool {
         if self.closed.is_some() {
             return false;
         }
-        let line = format!("{frame}\n");
-        let mut rest = line.as_bytes();
+        if self.pending > 0 {
+            self.state
+                .metrics
+                .counter("server_subscribe_pushes_total")
+                .add(self.pending);
+            self.pending = 0;
+        }
+        let mut rest = self.out.as_bytes();
         let mut socket = self.socket;
         while !rest.is_empty() {
             // A send blocks only while the peer's buffers are full, so one
@@ -1123,10 +1167,7 @@ impl SubscribePush<'_> {
             self.closed = Some(closed);
             return false;
         }
-        self.state
-            .metrics
-            .counter("server_subscribe_pushes_total")
-            .inc();
+        reuse_reply_buffer(self.out);
         true
     }
 
@@ -1160,16 +1201,21 @@ fn stream_subscription(
     batch: BatchId,
     interval: Duration,
     stream: &TcpStream,
+    out: &mut String,
     request: SubscribeRequest,
 ) -> SubscribeOutcome {
+    reuse_reply_buffer(out);
     let mut push = SubscribePush {
         state,
         socket: stream,
         request,
         booked: false,
         closed: None,
+        out,
+        pending: 0,
     };
     let shutdown = stream_events(state, batch, interval, &mut push);
+    push.flush();
     if push.closed == Some(StreamClosed::Stalled) {
         state
             .metrics
@@ -1189,7 +1235,8 @@ fn stream_subscription(
 }
 
 /// The event loop of one subscription; `true` when it ended because the
-/// server is draining.
+/// server is draining. Frames queued when it returns are the caller's to
+/// flush.
 fn stream_events(
     state: &ServerState,
     batch: BatchId,
@@ -1205,9 +1252,7 @@ fn stream_events(
         ("batch", Json::num(batch.raw())),
         ("total", Json::num(total as u64)),
     ]);
-    if !push.push(&acknowledgement) {
-        return false;
-    }
+    push.push(&acknowledgement);
     let mut announced = vec![false; total];
     let mut delivered = vec![false; total];
     loop {
@@ -1240,15 +1285,8 @@ fn stream_events(
                 ),
                 ("probe", probe_to_wire(probe)),
             ]);
-            let verdict = ok_reply(vec![
-                ("event", Json::str("verdict")),
-                ("batch", Json::num(batch.raw())),
-                ("index", Json::num(index as u64)),
-                ("result", job_result_to_wire(result)),
-            ]);
-            if !push.push(&final_progress) || !push.push(&verdict) {
-                return false;
-            }
+            push.push(&final_progress);
+            push.push(&verdict_frame(batch, index, result));
             delivered[index] = true;
         }
         let completed = delivered.iter().filter(|d| **d).count();
@@ -1286,9 +1324,7 @@ fn stream_events(
                         ("property", Json::str(job.property.clone())),
                         ("design", Json::str(design_to_wire(job.design))),
                     ]);
-                    if !push.push(&started) {
-                        return false;
-                    }
+                    push.push(&started);
                 }
                 let frame = ok_reply(vec![
                     ("event", Json::str("progress")),
@@ -1304,10 +1340,11 @@ fn stream_events(
                     ),
                     ("probe", probe_to_wire(&job.probe)),
                 ]);
-                if !push.push(&frame) {
-                    return false;
-                }
+                push.push(&frame);
             }
+        }
+        if !push.flush() {
+            return false;
         }
         // Sleep until a job completes or the next tick is due.
         if state
@@ -1802,12 +1839,11 @@ fn batch_from(frame: &Json) -> Result<BatchId, Json> {
         .ok_or_else(|| error_reply(ErrorCode::BadRequest, "missing integer member `batch`"))
 }
 
-fn results_reply(state: &ServerState, results: Vec<JobResult>) -> Json {
+/// The reply of a finished `results` or `wait`, after the post-batch
+/// compaction check.
+fn deliver_results(state: &ServerState, results: Vec<JobResult>) -> Json {
     compact_due_designs(state, &results);
-    ok_reply(vec![(
-        "results",
-        Json::Arr(results.iter().map(job_result_to_wire).collect()),
-    )])
+    results_reply(&results)
 }
 
 fn op_results(state: &ServerState, frame: &Json) -> Json {
@@ -1816,7 +1852,7 @@ fn op_results(state: &ServerState, frame: &Json) -> Json {
         Err(reply) => return reply,
     };
     match state.service.results(batch) {
-        Some(results) => results_reply(state, results),
+        Some(results) => deliver_results(state, results),
         None => match state.service.batch_progress(batch) {
             Some(_) => error_reply(ErrorCode::NotDone, "batch is still running; wait"),
             None => error_reply(ErrorCode::UnknownBatch, format!("no batch {}", batch.raw())),
@@ -1841,7 +1877,7 @@ fn op_wait(state: &ServerState, frame: &Json) -> Json {
         .map(Duration::from_millis)
         .map_or(state.wait_timeout, |t| t.min(state.wait_timeout));
     match state.service.wait_timeout(batch, timeout) {
-        Some(results) => results_reply(state, results),
+        Some(results) => deliver_results(state, results),
         None => error_reply(
             ErrorCode::Timeout,
             format!(

@@ -22,7 +22,8 @@
 //!   [`VerificationService::submit_batch`] (jobs that carry their netlist),
 //!   [`VerificationService::batch_progress`],
 //!   [`VerificationService::results`] — with a worker pool sharding jobs
-//!   across CPUs. A queued job holds no
+//!   across CPUs. `submit` answers cache hits itself, before it returns,
+//!   so only misses reach the pool. A queued job holds no
 //!   netlist: a cache hit never reads one, and a raced job copies its
 //!   design out of the registry once, on the worker.
 //!
@@ -508,6 +509,58 @@ mod tests {
                 count("service_jobs_completed_total"),
             ),
             (1, 1, 1, 3)
+        );
+    }
+
+    #[test]
+    fn a_cache_hit_never_waits_for_a_worker() {
+        use wlac_faultinject::{FaultPlan, FaultSite};
+        use wlac_portfolio::Engine;
+        // One worker, held by a miss whose ATPG search hangs until the 2 s
+        // job budget ends it. The predictor is off: it would race every
+        // engine, not the configured one.
+        let mut config = quick_config();
+        config.workers = 1;
+        config.predict = false;
+        config.portfolio = PortfolioConfig::default()
+            .with_engines(vec![Engine::Atpg])
+            .with_job_budget(Duration::from_secs(2));
+        config.faults = FaultPlan::new().fire_from(FaultSite::EngineHang, 1);
+        let service = VerificationService::new(config.clone());
+        let cached = counter(12, 5, "cached");
+        let design = service.register_design(&cached.netlist);
+        let record = VerdictRecord {
+            property: property_hash(&cached.property, &cached.environment),
+            config: config_fingerprint(&config.portfolio),
+            verdict: Verdict::Holds {
+                proved: true,
+                frames: 1,
+            },
+            winner: Some(Engine::Atpg),
+        };
+        assert_eq!(service.import_verdicts(design, &[record]), Ok(1));
+        let held = service.submit_batch(vec![counter(5, 12, "held")]);
+        let deadline = std::time::Instant::now() + Duration::from_secs(1);
+        while service.running_jobs().is_empty() {
+            assert!(std::time::Instant::now() < deadline, "the miss never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let started = std::time::Instant::now();
+        let batch = service.submit_batch(vec![cached]);
+        let hit = service
+            .wait_timeout(batch, Duration::from_millis(500))
+            .expect("the hit came back while the worker was held");
+        assert!(started.elapsed() < Duration::from_millis(500));
+        assert!(hit[0].from_cache, "{:?}", hit[0]);
+        assert_eq!(hit[0].engines_spawned, 0);
+        assert!(hit[0].verdict.is_definitive());
+
+        let held = service.wait(held);
+        assert!(
+            matches!(held[0].verdict, Verdict::Timeout { .. }),
+            "{:?}",
+            held[0]
         );
     }
 

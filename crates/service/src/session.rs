@@ -5,12 +5,17 @@
 //! [`VerificationService::submit`] jobs that name a registered design by
 //! hash (or hand whole netlists to [`VerificationService::submit_batch`]),
 //! follow them with [`VerificationService::batch_progress`] and fetch
-//! [`VerificationService::results`]; a pool of worker threads drains the
-//! queue. A queued job holds no netlist. Per job the worker
+//! [`VerificationService::results`].
 //!
-//! 1. answers from the **verdict cache** when the exact (design hash,
-//!    property hash, config) triple was decided before — no engine spawns
-//!    and no netlist is touched;
+//! `submit` answers from the **verdict cache** every job whose exact
+//! (design hash, property hash, config) triple was decided before, under
+//! one cache lock and before it returns: no engine spawns, no netlist is
+//! touched and no worker is woken, so a hit costs a lookup. Only the misses
+//! are queued, and a pool of worker threads drains the queue. A queued job
+//! holds no netlist. Per job the worker
+//!
+//! 1. answers from the cache after all when the job became a hit while it
+//!    queued (an identical job raced ahead of it);
 //! 2. otherwise copies the registered netlist into the race's
 //!    [`Verification`], builds a [`WarmStart`] from the design's
 //!    [`KnowledgeBase`] (replayed CDCL clauses, ESTG conflict cubes,
@@ -140,7 +145,8 @@ pub struct JobResult {
     /// hedged race's lead decided within its head start, and at most the
     /// predictor's list otherwise.
     pub engines_spawned: usize,
-    /// Wall-clock time from dequeue to result.
+    /// Wall-clock time from dequeue to result; for a hit answered at
+    /// submission, from its cache lookup to its result.
     pub wall: Duration,
 }
 
@@ -328,15 +334,22 @@ fn check_verdicts(records: &[VerdictRecord], netlist: &Netlist) -> Result<(), Kn
     }
 }
 
-/// Bounded verdict cache with least-recently-used eviction.
+/// Slack of the verdict cache's recency queue over its live entries: the
+/// queue is compacted once it holds more than twice the entries plus this.
+const RECENCY_SLACK: usize = 64;
+
+/// Bounded verdict cache with exact least-recently-used eviction.
 ///
-/// Lookups and inserts stamp the entry with a logical clock; when an insert
-/// would exceed the capacity, the entry with the oldest stamp is evicted.
-/// The eviction scan is linear, which is fine at cache-bound sizes: one scan
-/// per insert-at-capacity is noise next to the race the insert just
-/// absorbed.
+/// Lookups and inserts stamp the entry with a logical clock and append
+/// `(stamp, key)` to a recency queue, so the queue runs oldest first and
+/// each entry's current stamp sits in it exactly once. Eviction pops the
+/// queue until it reaches a stamp that is still an entry's current one: the
+/// least recently used entry. Stale pairs are skipped there, and the queue
+/// is compacted in place once it outgrows twice the entries, so a lookup or
+/// an insert costs amortized O(1) under the lock every lookup takes.
 struct VerdictCache {
     entries: HashMap<CacheKey, (CachedVerdict, u64)>,
+    recency: VecDeque<(u64, CacheKey)>,
     capacity: usize,
     clock: u64,
     /// `service_cache_evictions_total`.
@@ -347,6 +360,7 @@ impl VerdictCache {
     fn new(capacity: usize, evictions: Arc<Counter>) -> Self {
         VerdictCache {
             entries: HashMap::new(),
+            recency: VecDeque::new(),
             capacity,
             clock: 0,
             evictions,
@@ -356,10 +370,11 @@ impl VerdictCache {
     fn get(&mut self, key: &CacheKey) -> Option<CachedVerdict> {
         self.clock += 1;
         let clock = self.clock;
-        self.entries.get_mut(key).map(|(cached, stamp)| {
-            *stamp = clock;
-            cached.clone()
-        })
+        let (cached, stamp) = self.entries.get_mut(key)?;
+        *stamp = clock;
+        let cached = cached.clone();
+        self.touch(clock, *key);
+        Some(cached)
     }
 
     fn insert(&mut self, key: CacheKey, cached: CachedVerdict) {
@@ -368,17 +383,27 @@ impl VerdictCache {
         }
         self.clock += 1;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            if let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| *k)
-            {
-                self.entries.remove(&oldest);
-                self.evictions.inc();
+            while let Some((stamp, oldest)) = self.recency.pop_front() {
+                if is_current(&self.entries, stamp, &oldest) {
+                    self.entries.remove(&oldest);
+                    self.evictions.inc();
+                    break;
+                }
             }
         }
         self.entries.insert(key, (cached, self.clock));
+        self.touch(self.clock, key);
+    }
+
+    /// Queues `key`'s new stamp, dropping the stale pairs once they
+    /// outnumber the entries.
+    fn touch(&mut self, stamp: u64, key: CacheKey) {
+        self.recency.push_back((stamp, key));
+        if self.recency.len() > 2 * self.entries.len() + RECENCY_SLACK {
+            let entries = &self.entries;
+            self.recency
+                .retain(|(stamp, key)| is_current(entries, *stamp, key));
+        }
     }
 
     fn len(&self) -> usize {
@@ -401,6 +426,18 @@ impl VerdictCache {
         records.sort_by_key(|r| (r.property.0, r.config));
         records
     }
+}
+
+/// Whether `stamp` is `key`'s current stamp in the cache, rather than a
+/// stale pair of its recency queue.
+fn is_current(
+    entries: &HashMap<CacheKey, (CachedVerdict, u64)>,
+    stamp: u64,
+    key: &CacheKey,
+) -> bool {
+    entries
+        .get(key)
+        .is_some_and(|(_, current)| *current == stamp)
 }
 
 struct QueuedJob {
@@ -434,6 +471,31 @@ struct BatchState {
     /// which wake on every completion; a completion wakes the others only
     /// when it completes the batch.
     watchers: usize,
+}
+
+impl BatchState {
+    fn new(jobs: usize) -> Self {
+        BatchState {
+            results: (0..jobs).map(|_| None).collect(),
+            progress: (0..jobs).map(|_| None).collect(),
+            completed: 0,
+            retrieved: false,
+            waiters: 0,
+            watchers: 0,
+        }
+    }
+
+    /// Completes slot `index`; `false` (and nothing changes) when an earlier
+    /// attempt already filled it.
+    fn fill(&mut self, index: usize, result: JobResult, probe: ProgressProbe) -> bool {
+        if self.results[index].is_some() {
+            return false;
+        }
+        self.results[index] = Some(result);
+        self.progress[index] = Some(probe);
+        self.completed += 1;
+        true
+    }
 }
 
 /// Batch bookkeeping: the live states plus a retirement queue bounding how
@@ -673,61 +735,88 @@ impl VerificationService {
         self.submit(jobs)
     }
 
-    /// Submits a batch of jobs against registered designs; returns
-    /// immediately with a handle for [`VerificationService::batch_progress`]
-    /// / [`VerificationService::results`] / [`VerificationService::wait`].
-    /// A cache hit never reads the design; a raced job copies its netlist
-    /// once, on the worker.
+    /// Submits a batch of jobs against registered designs; returns with a
+    /// handle for [`VerificationService::batch_progress`] /
+    /// [`VerificationService::results`] / [`VerificationService::wait`].
+    ///
+    /// Every verdict-cache hit of the batch is answered here, under one
+    /// cache lock, before `submit` returns: its slot is complete, it never
+    /// queues and no worker sees it. Only the misses are queued, so a batch
+    /// of hits is already done when its handle comes back. A hit never
+    /// reads the design; a raced job copies its netlist once, on the worker.
     pub fn submit(&self, jobs: Vec<Job>) -> BatchId {
-        let batch = self.shared.next_batch.fetch_add(1, Ordering::Relaxed);
-        let config_hash = config_fingerprint(&self.shared.config.portfolio);
-        {
-            let mut batches = self.shared.batches.lock_recover();
-            batches.states.insert(
-                batch,
-                BatchState {
-                    results: (0..jobs.len()).map(|_| None).collect(),
-                    progress: (0..jobs.len()).map(|_| None).collect(),
-                    completed: 0,
-                    retrieved: false,
-                    waiters: 0,
-                    watchers: 0,
-                },
-            );
-        }
-        if jobs.is_empty() {
-            self.shared.batch_cv.notify_all();
-            return BatchId(batch);
-        }
-        let mut queued = Vec::with_capacity(jobs.len());
-        for (index, job) in jobs.into_iter().enumerate() {
-            let key = CacheKey {
-                design: job.design,
-                property: property_hash(&job.property, &job.environment),
-                config: config_hash,
-            };
-            queued.push(QueuedJob {
-                job_id: self.shared.next_job.fetch_add(1, Ordering::Relaxed),
+        let shared = &self.shared;
+        let batch = shared.next_batch.fetch_add(1, Ordering::Relaxed);
+        let config = config_fingerprint(&shared.config.portfolio);
+        let total = jobs.len();
+        let first_job = shared.next_job.fetch_add(total as u64, Ordering::Relaxed);
+        let jobs: Vec<QueuedJob> = jobs
+            .into_iter()
+            .enumerate()
+            .map(|(index, job)| QueuedJob {
+                job_id: first_job + index as u64,
                 batch,
                 index,
+                key: CacheKey {
+                    design: job.design,
+                    property: property_hash(&job.property, &job.environment),
+                    config,
+                },
                 design: job.design,
                 property: job.property,
                 environment: job.environment,
-                key,
-            });
+            })
+            .collect();
+        let mut hits = Vec::new();
+        let mut misses = Vec::new();
+        {
+            let mut cache = shared.cache.lock_recover();
+            for job in jobs {
+                let start = Instant::now();
+                match cache.get(&job.key) {
+                    Some(hit) => {
+                        let (result, probe) = hit_result(&job, hit, start);
+                        hits.push((job, result, probe));
+                    }
+                    None => misses.push(job),
+                }
+            }
         }
-        let metrics = &self.shared.metrics;
+        let metrics = &shared.metrics;
         metrics
             .counter("service_jobs_submitted_total")
-            .add(queued.len() as u64);
-        metrics
-            .gauge("service_queue_depth")
-            .add(queued.len() as f64);
-        {
-            let mut queue = self.shared.queue.lock_recover();
-            queue.extend(queued);
+            .add(total as u64);
+        let mut state = BatchState::new(total);
+        if !hits.is_empty() {
+            metrics
+                .counter("service_cache_hits_total")
+                .add(hits.len() as u64);
+            record_completions(shared, hits.iter().map(|(_, result, _)| result));
+            metrics
+                .counter("core_progress_probes_total")
+                .add(hits.iter().map(|(_, _, probe)| probe.probes).sum());
+            for (job, result, probe) in hits {
+                shared.config.recorder.with_job(job.job_id).record(
+                    RecorderLayer::Service,
+                    RecorderKind::CacheHit,
+                    batch,
+                    0,
+                );
+                state.fill(job.index, result, probe);
+            }
         }
-        self.shared.queue_cv.notify_all();
+        let done = state.completed == total;
+        shared.batches.lock_recover().states.insert(batch, state);
+        if done {
+            shared.batch_cv.notify_all();
+        }
+        if !misses.is_empty() {
+            metrics
+                .gauge("service_queue_depth")
+                .add(misses.len() as f64);
+            shared.queue.lock_recover().extend(misses);
+            shared.queue_cv.notify_all();
+        }
         BatchId(batch)
     }
 
@@ -1220,15 +1309,25 @@ fn quarantine_job(shared: &Shared, job: &QueuedJob, wall: Duration, payload: &dy
     complete_job(shared, job, result, ProgressProbe::default());
 }
 
-/// Publishes one finished job into the registry: the completion counter,
-/// the job's wall clock, and — for raced jobs — the core search counters
-/// aggregated from every ATPG run of the portfolio.
-fn record_job_metrics(shared: &Shared, result: &JobResult, report: Option<&PortfolioReport>) {
+/// Publishes finished jobs into the registry: the completion counter and
+/// each job's wall clock.
+fn record_completions<'a>(shared: &Shared, results: impl ExactSizeIterator<Item = &'a JobResult>) {
     let metrics = &shared.metrics;
-    metrics.counter("service_jobs_completed_total").inc();
     metrics
-        .histogram("service_job_wall_ns")
-        .record(result.wall.as_nanos() as u64);
+        .counter("service_jobs_completed_total")
+        .add(results.len() as u64);
+    let walls = metrics.histogram("service_job_wall_ns");
+    for result in results {
+        walls.record(result.wall.as_nanos() as u64);
+    }
+}
+
+/// Publishes one finished job into the registry: its completion, and — for
+/// raced jobs — the core search counters aggregated from every ATPG run of
+/// the portfolio.
+fn record_job_metrics(shared: &Shared, result: &JobResult, report: Option<&PortfolioReport>) {
+    record_completions(shared, std::iter::once(result));
+    let metrics = &shared.metrics;
     let Some(report) = report else {
         return;
     };
@@ -1257,13 +1356,36 @@ fn record_job_metrics(shared: &Shared, result: &JobResult, report: Option<&Portf
     }
 }
 
+/// A verdict-cache hit's result and closing probe, for `submit` and the
+/// worker alike: no engine ran, so the probe is synthesized from the cached
+/// verdict's frame depth (subscribers still see depth before verdict), and
+/// the wall clock runs from `start`, just before the lookup.
+fn hit_result(job: &QueuedJob, hit: CachedVerdict, start: Instant) -> (JobResult, ProgressProbe) {
+    let result = JobResult {
+        property: job.property.name.clone(),
+        design: job.design,
+        verdict: hit.verdict,
+        winner: hit.winner,
+        from_cache: true,
+        engines_spawned: 0,
+        wall: start.elapsed(),
+    };
+    let probe = ProgressProbe {
+        bound: result.verdict.bound(),
+        probes: 1,
+        ..ProgressProbe::default()
+    };
+    (result, probe)
+}
+
 fn process_job(shared: &Shared, job: &QueuedJob) {
     let start = Instant::now();
     // Injected worker panic: unwinds into the per-job fence before any
     // bookkeeping, exercising the quarantine path.
     shared.config.faults.panic_point(FaultSite::WorkerPanic);
 
-    // 1. Verdict cache: a repeat query spawns no engine at all.
+    // 1. Verdict cache: `submit` answered every hit it saw, but a job can
+    // become one while it queues (an identical job raced ahead of it).
     let cached = {
         let mut cache = shared.cache.lock_recover();
         cache.get(&job.key)
@@ -1276,22 +1398,7 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
             job.batch,
             0,
         );
-        let result = JobResult {
-            property: job.property.name.clone(),
-            design: job.design,
-            verdict: hit.verdict,
-            winner: hit.winner,
-            from_cache: true,
-            engines_spawned: 0,
-            wall: start.elapsed(),
-        };
-        // No engine ran; synthesize the closing probe from the cached
-        // verdict's frame depth so subscribers still see depth-before-verdict.
-        let probe = ProgressProbe {
-            bound: result.verdict.bound(),
-            probes: 1,
-            ..ProgressProbe::default()
-        };
+        let (result, probe) = hit_result(job, hit, start);
         record_job_metrics(shared, &result, None);
         complete_job(shared, job, result, probe);
         return;
@@ -1519,17 +1626,105 @@ fn complete_job(shared: &Shared, job: &QueuedJob, result: JobResult, mut probe: 
         .counter("core_progress_probes_total")
         .add(probe.probes);
     let mut batches = shared.batches.lock_recover();
-    let wake = match batches.states.get_mut(&job.batch) {
-        Some(state) if state.results[job.index].is_none() => {
-            state.results[job.index] = Some(result);
-            state.progress[job.index] = Some(probe);
-            state.completed += 1;
-            state.completed == state.results.len() || state.watchers > 0
-        }
-        _ => false,
-    };
+    let wake = batches.states.get_mut(&job.batch).is_some_and(|state| {
+        state.fill(job.index, result, probe)
+            && (state.completed == state.results.len() || state.watchers > 0)
+    });
     drop(batches);
     if wake {
         shared.batch_cv.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn key(n: u64) -> CacheKey {
+        CacheKey {
+            design: DesignHash(n),
+            property: PropertyHash(n),
+            config: 0,
+        }
+    }
+
+    fn verdict() -> CachedVerdict {
+        CachedVerdict {
+            verdict: Verdict::Holds {
+                proved: true,
+                frames: 1,
+            },
+            winner: None,
+        }
+    }
+
+    fn cache(capacity: usize) -> (VerdictCache, Arc<Counter>) {
+        let evictions = Arc::new(Counter::new());
+        (
+            VerdictCache::new(capacity, Arc::clone(&evictions)),
+            evictions,
+        )
+    }
+
+    #[test]
+    fn a_lookup_refreshes_an_entry() {
+        let (mut cache, evictions) = cache(2);
+        cache.insert(key(1), verdict());
+        cache.insert(key(2), verdict());
+        assert!(cache.get(&key(1)).is_some());
+        cache.insert(key(3), verdict());
+        assert_eq!(evictions.get(), 1);
+        assert!(cache.get(&key(2)).is_none(), "the older entry was evicted");
+        assert!(cache.get(&key(1)).is_some());
+        assert!(cache.get(&key(3)).is_some());
+    }
+
+    #[test]
+    fn eviction_is_exact_lru_against_a_reference() {
+        const CAPACITY: usize = 64;
+        let (mut cache, evictions) = cache(CAPACITY);
+        // The reference: keys in recency order, least recent first.
+        let mut reference: Vec<u64> = Vec::new();
+        let mut reference_evictions = 0;
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..10_000 {
+            let r = next();
+            let n = r % 160;
+            let position = reference.iter().position(|k| *k == n);
+            if r >> 63 == 0 {
+                let hit = cache.get(&key(n)).is_some();
+                assert_eq!(hit, position.is_some(), "lookup of {n}");
+                if let Some(at) = position {
+                    reference.remove(at);
+                    reference.push(n);
+                }
+            } else {
+                cache.insert(key(n), verdict());
+                match position {
+                    Some(at) => {
+                        reference.remove(at);
+                    }
+                    None if reference.len() >= CAPACITY => {
+                        reference.remove(0);
+                        reference_evictions += 1;
+                    }
+                    None => {}
+                }
+                reference.push(n);
+            }
+            assert!(cache.recency.len() <= 2 * cache.len() + RECENCY_SLACK);
+        }
+        assert_eq!(evictions.get(), reference_evictions);
+        assert!(reference_evictions > 1_000, "{reference_evictions}");
+        let mut keys: Vec<u64> = cache.entries.keys().map(|k| k.design.0).collect();
+        keys.sort_unstable();
+        reference.sort_unstable();
+        assert_eq!(keys, reference);
     }
 }
