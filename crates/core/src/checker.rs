@@ -8,12 +8,14 @@
 //! either produces a counter-example/witness trace or proves that none exists
 //! within the bound. The loop's one-step induction check (an extension over
 //! the paper) can upgrade a bounded result into a full proof.
+//!
+//! `check` is the one ATPG entry point of the workspace: the Table 2
+//! harness, the proof audit, the portfolio's ATPG engine and the server all
+//! run it.
 
 use crate::bounded::{check_bounds, Query, QueryAnswer};
 use crate::config::CheckerOptions;
-use crate::datapath::DatapathFacts;
 use crate::estg::Estg;
-use crate::knowledge::SearchKnowledge;
 use crate::property::{PropertyKind, Verification};
 use crate::search::{SearchContext, SearchGoal, SearchOutcome};
 use crate::stats::CheckStats;
@@ -58,50 +60,15 @@ impl AssertionChecker {
 
     /// Checks one property of a design.
     ///
-    /// Runs cold: no cross-property knowledge is consulted or recorded (use
-    /// [`AssertionChecker::check_learned`] for warm-started checks). Keeping
-    /// the cold path free of the fact-memo bookkeeping preserves its exact
-    /// allocation profile and makes it the oracle the learning-soundness
-    /// differential tests compare against.
+    /// The check owns its ESTG: the conflict history its searches record
+    /// orders the decisions of its later bounds and of its induction step,
+    /// and nothing of it outlives the check. So a property's search does not
+    /// depend on which properties were checked before it.
     pub fn check(&self, verification: &Verification) -> CheckReport {
-        let mut estg = Estg::new();
-        self.check_inner(verification, &mut estg, None)
-    }
-
-    /// Checks one property, seeded with (and feeding back into) a
-    /// cross-property [`SearchKnowledge`] bundle for the same design.
-    ///
-    /// The ESTG conflict cubes bias decision ordering towards historically
-    /// conflict-free assignments and the datapath facts short-circuit
-    /// already-refuted island solves; neither can change a verdict, only the
-    /// effort to reach it (the learning-soundness differential tests in
-    /// `tests/service.rs` enforce this). On return the bundle additionally
-    /// holds everything this run learned.
-    ///
-    /// The caller is responsible for only ever passing knowledge gathered on
-    /// a **structurally identical** netlist — bind bundles to a design hash
-    /// and reject mismatches.
-    pub fn check_learned(
-        &self,
-        verification: &Verification,
-        knowledge: &mut SearchKnowledge,
-    ) -> CheckReport {
-        let SearchKnowledge {
-            estg,
-            datapath_facts,
-        } = knowledge;
-        self.check_inner(verification, estg, Some(datapath_facts))
-    }
-
-    fn check_inner(
-        &self,
-        verification: &Verification,
-        estg: &mut Estg,
-        mut facts: Option<&mut DatapathFacts>,
-    ) -> CheckReport {
         let start = Instant::now();
         let deadline = start + self.options.time_limit;
         let mut stats = CheckStats::default();
+        let mut estg = Estg::new();
         // Check entry, recorded before any cancel check: bound 0 of
         // `max_frames`, nothing unrolled yet. So even a check cancelled
         // before its first bound leaves a core event for its job.
@@ -117,7 +84,7 @@ impl AssertionChecker {
             options.max_frames,
             options.use_induction,
             &options.cancel,
-            |query| self.solve(query, estg, facts.as_deref_mut(), deadline, &mut stats),
+            |query| self.solve(query, &mut estg, deadline, &mut stats),
         );
         stats.elapsed = start.elapsed();
         if options.trace {
@@ -143,7 +110,6 @@ impl AssertionChecker {
         &self,
         query: &Query<'_>,
         estg: &mut Estg,
-        facts: Option<&mut DatapathFacts>,
         deadline: Instant,
         stats: &mut CheckStats,
     ) -> QueryAnswer {
@@ -176,13 +142,12 @@ impl AssertionChecker {
             SearchGoal::Witness
         };
         let expanded = query.unrolling.circuit();
-        let outcome = SearchContext::new(expanded).search_with_facts(
+        let outcome = SearchContext::new(expanded).search(
             expanded,
             options,
             goal,
             &requirements,
             estg,
-            facts,
             deadline,
             stats,
         );

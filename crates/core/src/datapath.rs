@@ -30,6 +30,12 @@
 //! * the **concretization pass** reuses a cached combinational order and a
 //!   persistent value buffer instead of rebuilding both per attempt.
 //!
+//! Island solve *results* are not memoised: every call re-solves its active
+//! islands. A memo keyed by the full solve input (island and known low bits
+//! of every island net) cut the datapath bench's solver calls 16-fold but
+//! made each resolution slower, because building and hashing the key for
+//! every solve cost more than the solves it skipped.
+//!
 //! Setting [`crate::CheckerOptions::incremental_datapath`] to `false` rebuilds
 //! all cached state on every call through the *same* code path — the
 //! from-scratch oracle used by the differential tests.
@@ -39,7 +45,7 @@ use crate::config::CheckerOptions;
 use crate::implication::Propagator;
 use crate::justify::bump_generation;
 use crate::stats::CheckStats;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::time::Instant;
 use wlac_bv::{Bv, Bv3, Tv};
 use wlac_modsolve::{
@@ -93,106 +99,6 @@ enum IslandOutcome {
     Assignment(Vec<u64>),
     Infeasible,
     Unknown,
-}
-
-/// One proven-infeasible island configuration (see [`DatapathFacts`]).
-///
-/// The key captures *everything* the island solve depends on: the identity of
-/// the island within the expanded circuit (`net_count` pins down the
-/// expansion depth of the deterministic frame-major unrolling, `island` the
-/// flood-fill component within it) and the exact value rows pushed for the
-/// solve — per island net, how many low bits are known and what they are
-/// (`known_low == width` ⇔ fully fixed). The nonlinear enumeration budget is
-/// a constant. Two solves with equal keys are the same pure computation, so
-/// replaying the verdict is sound.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct IslandFact {
-    net_count: u32,
-    island: u32,
-    values: Box<[(u8, u64)]>,
-}
-
-/// Cross-run memo of modular-solver infeasibility proofs.
-///
-/// The datapath leaf is the inner loop of the search; across properties of
-/// the same design the search keeps re-proving the same island
-/// infeasibilities (the expanded circuit and the value patterns reaching the
-/// datapath repeat). This store memoises those proofs keyed by the full solve
-/// input (the island within the expanded circuit and the known low bits of
-/// every island net), so a warm-started check skips straight to the
-/// backtrack. Feasible solves are *not* memoised — their model would have to
-/// be revalidated anyway, and infeasibility is where the pruning value is.
-#[derive(Debug, Clone, Default)]
-pub struct DatapathFacts {
-    facts: HashSet<IslandFact>,
-}
-
-impl DatapathFacts {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        DatapathFacts::default()
-    }
-
-    /// Number of recorded infeasibility facts.
-    pub fn len(&self) -> usize {
-        self.facts.len()
-    }
-
-    /// `true` when no facts have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.facts.is_empty()
-    }
-
-    /// Merges another store's facts into this one.
-    pub fn merge(&mut self, other: &DatapathFacts) {
-        for fact in &other.facts {
-            self.facts.insert(fact.clone());
-        }
-    }
-
-    /// The facts this store holds that `seed`, the store it grew from, lacks.
-    pub(crate) fn learned_since(self, seed: &DatapathFacts) -> DatapathFacts {
-        DatapathFacts {
-            facts: self
-                .facts
-                .into_iter()
-                .filter(|fact| !seed.facts.contains(fact))
-                .collect(),
-        }
-    }
-
-    /// Approximate number of bytes held by the store.
-    pub fn memory_bytes(&self) -> usize {
-        self.facts
-            .iter()
-            .map(|f| f.values.len() * 16 + 48)
-            .sum::<usize>()
-            + 48
-    }
-}
-
-/// The value-row key of one island under the current assignment: per net (in
-/// island net order), the number of known low bits and their value. This is
-/// exactly the information [`solve_island`] pushes under its checkpoint.
-fn island_value_key(island: &CachedIsland, net_var: &[u32], asg: &Assignment) -> Box<[(u8, u64)]> {
-    island
-        .nets
-        .iter()
-        .map(|net| {
-            debug_assert!(net_var[net.index()] != NONE);
-            let cube = asg.value(*net);
-            let known_low = (0..cube.width())
-                .take_while(|i| cube.bit(*i).is_known())
-                .count();
-            let mut low_value = 0u64;
-            for i in 0..known_low {
-                if cube.bit(i) == Tv::One {
-                    low_value |= 1 << i;
-                }
-            }
-            (known_low as u8, low_value)
-        })
-        .collect()
 }
 
 /// Per-search datapath state: cached island topology, pre-reduced solver
@@ -290,7 +196,6 @@ impl DatapathContext {
         unjustified: &[GateId],
         requirements: &[(NetId, Bv3)],
         options: &CheckerOptions,
-        facts: Option<&mut DatapathFacts>,
         stats: &mut CheckStats,
     ) -> DatapathOutcome {
         let start = Instant::now();
@@ -304,7 +209,6 @@ impl DatapathContext {
             unjustified,
             requirements,
             options,
-            facts,
             stats,
         );
         stats.datapath_nanos += start.elapsed().as_nanos() as u64;
@@ -320,7 +224,6 @@ impl DatapathContext {
         unjustified: &[GateId],
         requirements: &[(NetId, Bv3)],
         options: &CheckerOptions,
-        mut facts: Option<&mut DatapathFacts>,
         stats: &mut CheckStats,
     ) -> DatapathOutcome {
         // With nothing unjustified every requirement is already implied by
@@ -341,28 +244,8 @@ impl DatapathContext {
         let mark = asg.mark();
         for idx in 0..self.active.len() {
             let island_id = self.active[idx];
-            // A memoised infeasibility proof for this exact solve input lets
-            // the search backtrack without invoking the solver at all.
-            let fact_key = facts.as_deref().map(|_| IslandFact {
-                net_count: netlist.net_count() as u32,
-                island: island_id as u32,
-                values: island_value_key(&self.islands[island_id], &self.net_var, asg),
-            });
-            if let (Some(store), Some(key)) = (facts.as_deref(), fact_key.as_ref()) {
-                if store.facts.contains(key) {
-                    stats.datapath_fact_hits += 1;
-                    asg.backtrack_to(mark);
-                    return DatapathOutcome::Infeasible;
-                }
-            }
             stats.arithmetic_calls += 1;
-            let outcome = solve_island(&mut self.islands[island_id], &self.net_var, asg, options);
-            if matches!(outcome, IslandOutcome::Infeasible) {
-                if let (Some(store), Some(key)) = (facts.as_deref_mut(), fact_key) {
-                    store.facts.insert(key);
-                }
-            }
-            match outcome {
+            match solve_island(&mut self.islands[island_id], &self.net_var, asg, options) {
                 IslandOutcome::Assignment(values) => {
                     // Merge the island solution into the assignment and re-run
                     // implication so the rest of the circuit sees it.
@@ -751,7 +634,6 @@ mod tests {
             &unjustified,
             requirements,
             options,
-            None,
             stats,
         )
     }
@@ -963,7 +845,6 @@ mod tests {
                 &unjustified,
                 reqs,
                 &options,
-                None,
                 &mut stats,
             );
             let mut scratch_ctx = DatapathContext::new(&nl);
@@ -976,7 +857,6 @@ mod tests {
                 &unjustified,
                 reqs,
                 &options,
-                None,
                 &mut scratch_stats,
             );
             assert_eq!(incremental, scratch, "level {level}");

@@ -8,6 +8,10 @@
 //! abstract transitions are tried later and with their historically less
 //! conflicting value first. The structure only influences decision *ordering*
 //! — it never prunes branches — so completeness of the search is unaffected.
+//!
+//! One store lives for one property check: the checker shares it across the
+//! searches of its bounds and its induction step, and drops it with the
+//! check.
 
 use std::collections::HashMap;
 use wlac_netlist::NetId;
@@ -16,7 +20,6 @@ use wlac_netlist::NetId;
 #[derive(Debug, Clone, Default)]
 pub struct Estg {
     conflicts: HashMap<(NetId, bool), u64>,
-    recorded: u64,
 }
 
 impl Estg {
@@ -29,27 +32,11 @@ impl Estg {
     /// (illegal) abstract transition.
     pub fn record_conflict(&mut self, net: NetId, value: bool) {
         *self.conflicts.entry((net, value)).or_insert(0) += 1;
-        self.recorded += 1;
-    }
-
-    /// Accumulates `count` conflicts against one assignment in one step
-    /// (saturating). Used to rebuild a store from its [`Estg::entries`]
-    /// serialization; counts only shape decision ordering, so a wrong count
-    /// can never make the search unsound.
-    pub fn record_conflicts(&mut self, net: NetId, value: bool, count: u64) {
-        let entry = self.conflicts.entry((net, value)).or_insert(0);
-        *entry = entry.saturating_add(count);
-        self.recorded = self.recorded.saturating_add(count);
     }
 
     /// Number of conflicts recorded against assigning `value` to `net`.
     pub fn conflict_count(&self, net: NetId, value: bool) -> u64 {
         self.conflicts.get(&(net, value)).copied().unwrap_or(0)
-    }
-
-    /// Total number of recorded conflicting transitions.
-    pub fn recorded(&self) -> u64 {
-        self.recorded
     }
 
     /// Ordering penalty for a candidate decision: decisions whose historically
@@ -61,49 +48,6 @@ impl Estg {
     /// Approximate number of bytes held by the store.
     pub fn memory_bytes(&self) -> usize {
         self.conflicts.len() * 32 + 32
-    }
-
-    /// Number of distinct `(net, value)` assignments with recorded conflicts.
-    pub fn len(&self) -> usize {
-        self.conflicts.len()
-    }
-
-    /// `true` when no conflicts have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.conflicts.is_empty()
-    }
-
-    /// Iterates over the recorded conflict cubes as `((net, value), count)`.
-    pub fn entries(&self) -> impl Iterator<Item = ((NetId, bool), u64)> + '_ {
-        self.conflicts.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Merges another store's conflict history into this one (used by the
-    /// cross-property knowledge base to accumulate ATPG conflict cubes across
-    /// runs on the same design). The store only ever influences decision
-    /// *ordering*, so merging histories from different properties of the same
-    /// design is always sound. Counts saturate instead of overflowing — at
-    /// that magnitude they are pure ordering pressure anyway.
-    pub fn merge(&mut self, other: &Estg) {
-        for (key, count) in other.entries() {
-            let entry = self.conflicts.entry(key).or_insert(0);
-            *entry = entry.saturating_add(count);
-        }
-        self.recorded = self.recorded.saturating_add(other.recorded);
-    }
-
-    /// The conflicts this store holds above `seed`, the store it grew from:
-    /// per assignment, the count above the seed's count. Merging the result
-    /// back into `seed` gives this store again.
-    pub(crate) fn learned_since(self, seed: &Estg) -> Estg {
-        let mut learned = Estg::new();
-        for ((net, value), count) in self.conflicts {
-            let added = count.saturating_sub(seed.conflict_count(net, value));
-            if added > 0 {
-                learned.record_conflicts(net, value, added);
-            }
-        }
-        learned
     }
 }
 
@@ -121,7 +65,6 @@ mod tests {
         estg.record_conflict(net, false);
         assert_eq!(estg.conflict_count(net, true), 2);
         assert_eq!(estg.conflict_count(net, false), 1);
-        assert_eq!(estg.recorded(), 3);
         assert!(estg.penalty(net, true) > estg.penalty(net, false));
         assert!(estg.memory_bytes() > 0);
     }

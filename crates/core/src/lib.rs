@@ -67,7 +67,6 @@ mod datapath;
 mod estg;
 mod implication;
 mod justify;
-mod knowledge;
 mod search;
 mod stats;
 mod trace;
@@ -79,10 +78,8 @@ pub use assignment::Conflict;
 pub use bounded::{check_bounds, validated_verdict, Query, QueryAnswer};
 pub use checker::{AssertionChecker, CheckReport};
 pub use config::{CancelToken, CheckerOptions, TraceSink};
-pub use datapath::DatapathFacts;
 pub use estg::Estg;
 pub use implication::{ImplicationEngine, ImplicationStats};
-pub use knowledge::SearchKnowledge;
 pub use property::{Property, PropertyKind, Verification};
 pub use search::{SearchContext, SearchGoal, SearchOutcome};
 pub use stats::{CheckStats, PhaseNanos};

@@ -17,7 +17,9 @@
 //!
 //! All search state lives in a reusable [`SearchContext`]: the assignment and
 //! its delta trail, the levelized propagator, the dense justification
-//! buffers, the cached datapath islands and the decision stack. At steady
+//! buffers, the cached datapath islands and the decision stack. The
+//! conflict history ([`crate::Estg`]) is the caller's: the checker passes
+//! one per check to every search of that check. At steady
 //! state (after the first search on a netlist has warmed the buffers) a whole
 //! decision/backtrack cycle — including an unsatisfiable search from seeding
 //! to exhaustion — performs **zero heap allocations** on control-only
@@ -26,7 +28,7 @@
 
 use crate::assignment::Assignment;
 use crate::config::CheckerOptions;
-use crate::datapath::{DatapathContext, DatapathFacts, DatapathOutcome};
+use crate::datapath::{DatapathContext, DatapathOutcome};
 use crate::estg::Estg;
 use crate::implication::Propagator;
 use crate::justify::{assignment_bias, JustifyBuffers};
@@ -193,35 +195,6 @@ impl SearchContext {
         deadline: Instant,
         stats: &mut CheckStats,
     ) -> SearchOutcome {
-        self.search_with_facts(
-            netlist,
-            options,
-            goal,
-            requirements,
-            estg,
-            None,
-            deadline,
-            stats,
-        )
-    }
-
-    /// Like [`SearchContext::search`], but consulting (and extending) a
-    /// cross-run [`DatapathFacts`] store: island configurations already
-    /// proven infeasible by an earlier search on the same expanded netlist
-    /// are refuted without re-invoking the modular solver, and new
-    /// infeasibility proofs are recorded for later runs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_with_facts(
-        &mut self,
-        netlist: &Netlist,
-        options: &CheckerOptions,
-        goal: SearchGoal,
-        requirements: &[(NetId, Bv3)],
-        estg: &mut Estg,
-        facts: Option<&mut DatapathFacts>,
-        deadline: Instant,
-        stats: &mut CheckStats,
-    ) -> SearchOutcome {
         // The span wraps the whole run; per-decision events nest under it.
         // Both are inert unless tracing is on, keeping the default path
         // byte-identical in behaviour and allocation profile.
@@ -242,7 +215,6 @@ impl SearchContext {
             goal,
             requirements,
             estg,
-            facts,
             deadline,
             stats,
             span,
@@ -278,7 +250,6 @@ impl SearchContext {
         goal: SearchGoal,
         requirements: &[(NetId, Bv3)],
         estg: &mut Estg,
-        mut facts: Option<&mut DatapathFacts>,
         deadline: Instant,
         stats: &mut CheckStats,
         span: SpanId,
@@ -400,7 +371,6 @@ impl SearchContext {
                     &self.justify.unjustified,
                     requirements,
                     options,
-                    facts.as_deref_mut(),
                     stats,
                 );
                 // A consistent resolution is the satisfiable leaf (model

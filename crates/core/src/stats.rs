@@ -102,9 +102,6 @@ pub struct CheckStats {
     pub island_cache_hits: u64,
     /// Datapath resolutions that had to build the island topology first.
     pub island_cache_misses: u64,
-    /// Island solves skipped because a warm-started knowledge base already
-    /// held an infeasibility proof for the exact solve input.
-    pub datapath_fact_hits: u64,
     /// Gates re-examined by unjustified-gate maintenance. With the dirty
     /// worklist this is proportional to the changed region per decision;
     /// a full rescan per decision would put it near `decisions × gates`.
@@ -157,7 +154,6 @@ impl CheckStats {
         self.datapath_nanos += other.datapath_nanos;
         self.island_cache_hits += other.island_cache_hits;
         self.island_cache_misses += other.island_cache_misses;
-        self.datapath_fact_hits += other.datapath_fact_hits;
         self.justify_gates_rechecked += other.justify_gates_rechecked;
         self.frames_explored = self.frames_explored.max(other.frames_explored);
         self.phases.absorb(&other.phases);
@@ -170,7 +166,7 @@ impl fmt::Display for CheckStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "cpu {:.2}s, mem {:.2}MB, {} decisions ({} datapath splits), {} conflicts, {} backtracks, {} implications, {} arith calls, {} fact hits, {} justify rechecks, {} frames",
+            "cpu {:.2}s, mem {:.2}MB, {} decisions ({} datapath splits), {} conflicts, {} backtracks, {} implications, {} arith calls, {} justify rechecks, {} frames",
             self.cpu_seconds(),
             self.peak_memory_mb(),
             self.decisions,
@@ -179,7 +175,6 @@ impl fmt::Display for CheckStats {
             self.backtracks,
             self.implication.gate_evaluations,
             self.arithmetic_calls,
-            self.datapath_fact_hits,
             self.justify_gates_rechecked,
             self.frames_explored
         )
@@ -227,12 +222,10 @@ mod tests {
     #[test]
     fn display_includes_fact_hits_and_justify_rechecks() {
         let stats = CheckStats {
-            datapath_fact_hits: 11,
             justify_gates_rechecked: 22,
             ..CheckStats::default()
         };
         let text = stats.to_string();
-        assert!(text.contains("11 fact hits"), "{text}");
         assert!(text.contains("22 justify rechecks"), "{text}");
     }
 

@@ -115,6 +115,60 @@ impl GateKind {
         matches!(self, GateKind::Dff { .. })
     }
 
+    /// Tag of [`GateKind::Const`] (see [`GateKind::tag`]).
+    pub const CONST_TAG: u8 = 0;
+    /// Tag of [`GateKind::Slice`] (see [`GateKind::tag`]).
+    pub const SLICE_TAG: u8 = 22;
+    /// Tag of [`GateKind::Dff`] (see [`GateKind::tag`]).
+    pub const DFF_TAG: u8 = 24;
+
+    /// Stable one-byte tag of the kind, without its payload. This is the one
+    /// numbering of gate kinds: the service's design hash and the on-disk
+    /// snapshot and journal formats all use it, so a change here changes
+    /// every design hash and every file.
+    pub fn tag(&self) -> u8 {
+        match self {
+            GateKind::Const(_) => Self::CONST_TAG,
+            GateKind::Not => 1,
+            GateKind::And => 2,
+            GateKind::Or => 3,
+            GateKind::Xor => 4,
+            GateKind::Buf => 5,
+            GateKind::ReduceAnd => 6,
+            GateKind::ReduceOr => 7,
+            GateKind::ReduceXor => 8,
+            GateKind::Add => 9,
+            GateKind::Sub => 10,
+            GateKind::Mul => 11,
+            GateKind::Shl => 12,
+            GateKind::Shr => 13,
+            GateKind::Eq => 14,
+            GateKind::Ne => 15,
+            GateKind::Lt => 16,
+            GateKind::Le => 17,
+            GateKind::Gt => 18,
+            GateKind::Ge => 19,
+            GateKind::Mux => 20,
+            GateKind::Concat => 21,
+            GateKind::Slice { .. } => Self::SLICE_TAG,
+            GateKind::ZeroExt => 23,
+            GateKind::Dff { .. } => Self::DFF_TAG,
+        }
+    }
+
+    /// The kind [`GateKind::tag`] maps to `tag`, when that kind carries no
+    /// payload. `None` for an unknown tag and for the tags of `Const`,
+    /// `Slice` and `Dff`, whose payloads a decoder reads itself.
+    pub fn payload_free_from_tag(tag: u8) -> Option<GateKind> {
+        use GateKind::*;
+        [
+            Not, And, Or, Xor, Buf, ReduceAnd, ReduceOr, ReduceXor, Add, Sub, Mul, Shl, Shr, Eq,
+            Ne, Lt, Le, Gt, Ge, Mux, Concat, ZeroExt,
+        ]
+        .into_iter()
+        .find(|kind| kind.tag() == tag)
+    }
+
     /// Short lowercase mnemonic used in debug dumps and the netlist text format.
     pub fn mnemonic(&self) -> &'static str {
         match self {
@@ -179,6 +233,60 @@ mod tests {
         assert!(GateKind::And.is_boolean());
         assert!(GateKind::Dff { init: None }.is_flip_flop());
         assert!(!GateKind::Mux.is_boolean());
+    }
+
+    #[test]
+    fn every_kind_keeps_its_tag() {
+        // The numbering is on disk and in every design hash: pin it.
+        let kinds = [
+            GateKind::Const(Bv::from_u64(4, 3)),
+            GateKind::Not,
+            GateKind::And,
+            GateKind::Or,
+            GateKind::Xor,
+            GateKind::Buf,
+            GateKind::ReduceAnd,
+            GateKind::ReduceOr,
+            GateKind::ReduceXor,
+            GateKind::Add,
+            GateKind::Sub,
+            GateKind::Mul,
+            GateKind::Shl,
+            GateKind::Shr,
+            GateKind::Eq,
+            GateKind::Ne,
+            GateKind::Lt,
+            GateKind::Le,
+            GateKind::Gt,
+            GateKind::Ge,
+            GateKind::Mux,
+            GateKind::Concat,
+            GateKind::Slice { lo: 3 },
+            GateKind::ZeroExt,
+            GateKind::Dff { init: None },
+        ];
+        for (tag, kind) in kinds.iter().enumerate() {
+            assert_eq!(usize::from(kind.tag()), tag, "{kind}");
+            let payload = matches!(
+                kind,
+                GateKind::Const(_) | GateKind::Slice { .. } | GateKind::Dff { .. }
+            );
+            assert_eq!(
+                GateKind::payload_free_from_tag(tag as u8),
+                (!payload).then(|| kind.clone()),
+                "{kind}"
+            );
+        }
+        assert_eq!(GateKind::Const(Bv::zero(9)).tag(), GateKind::CONST_TAG);
+        assert_eq!(
+            GateKind::Dff {
+                init: Some(Bv::zero(2))
+            }
+            .tag(),
+            GateKind::DFF_TAG
+        );
+        assert_eq!(GateKind::payload_free_from_tag(25), None);
+        assert_eq!(GateKind::payload_free_from_tag(u8::MAX), None);
     }
 
     #[test]

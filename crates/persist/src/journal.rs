@@ -5,9 +5,11 @@
 //! since the last autosave died with the process. The journal closes that
 //! gap: as each raced job completes, the service's durability hook appends
 //! one self-checksummed record — the definitive verdict (if any), the
-//! harvested frame clauses, the ESTG conflict *delta* over the job's warm
-//! seed and the engine-history delta — to `d<hash>.wlacjournal`, *before*
-//! the result is acknowledged to any client.
+//! harvested frame clauses and the engine-history delta — to
+//! `d<hash>.wlacjournal`, *before* the result is acknowledged to any client.
+//! A record also has an ESTG-delta section, which the sink writes empty:
+//! servers before this one journaled ATPG conflict counts there, and their
+//! journals still decode (boot replay ignores the section).
 //!
 //! # On-disk layout
 //!
@@ -32,9 +34,9 @@
 //! [`JournalSink::reset`]). Boot is therefore always *snapshot (primary →
 //! `.bak`) + journal suffix*. Replay is harmless-idempotent by
 //! construction: verdicts and clauses deduplicate exactly in the service's
-//! validated import paths, and ESTG/history deltas at worst over-count
-//! after an unlucky crash between compaction and truncation — ordering
-//! heuristics, never verdicts.
+//! validated import paths, and history deltas at worst over-count after an
+//! unlucky crash between compaction and truncation — scheduling pressure,
+//! never verdicts.
 //!
 //! # Group commit
 //!
@@ -80,7 +82,9 @@ pub struct JournalRecord {
     pub verdict: Option<VerdictRecord>,
     /// Design-valid frame clauses harvested from the race.
     pub clauses: Vec<FrameClause>,
-    /// ESTG conflicts added over the job's warm seed: `(net, value, count)`.
+    /// ESTG conflicts `(net, value, count)`: what servers before this one
+    /// journaled of a job's ATPG search. [`JournalSink`] writes it empty,
+    /// and boot replay ignores it.
     pub estg_delta: Vec<(NetId, bool, u64)>,
     /// Engines the race spawned (the engine-history delta).
     pub ran: Vec<Engine>,
@@ -745,7 +749,7 @@ impl DurabilitySink for JournalSink {
         let journal_record = JournalRecord {
             verdict: record.verdict.clone(),
             clauses: record.clauses.to_vec(),
-            estg_delta: record.estg_delta.clone(),
+            estg_delta: Vec::new(),
             ran: record.ran.to_vec(),
             winner: record.winner,
         };

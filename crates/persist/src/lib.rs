@@ -1,11 +1,12 @@
 //! # wlac-persist — versioned, checksummed on-disk knowledge snapshots
 //!
-//! PR 4's [`wlac_service::VerificationService`] accumulates a per-design
-//! [`wlac_service::KnowledgeBase`] and a verdict cache — and loses both on
-//! every process exit. This crate is the durability layer: a [`Snapshot`]
-//! bundles one design's canonical netlist, its learning store and its cached
-//! verdicts into a self-contained binary file that a restarted server reads
-//! back to answer repeat queries warm.
+//! [`wlac_service::VerificationService`] accumulates a per-design
+//! [`wlac_service::KnowledgeBase`] and a verdict cache — and would lose both
+//! on every process exit. This crate is the durability layer: a [`Snapshot`]
+//! bundles one design's canonical netlist, its learning store (SAT BMC
+//! clauses and engine history) and its cached verdicts into a self-contained
+//! binary file that a restarted server reads back to answer repeat queries
+//! warm, and the write-ahead journal keeps what completed since.
 //!
 //! The format is deliberately paranoid, because a snapshot crosses a trust
 //! boundary (the file system) between sessions:
@@ -22,9 +23,13 @@
 //!   shape checks) and must reproduce the design hash recorded in the file;
 //!   clauses and verdicts are then re-validated again by the service's
 //!   [`wlac_service::KnowledgeError`] import path before anything is
-//!   trusted. Datapath infeasibility facts are excluded from snapshots
-//!   entirely, mirroring the import policy of PR 4 (they replay
-//!   verdict-affecting conclusions and cannot be structurally re-validated).
+//!   trusted.
+//!
+//! Snapshots and journal records keep an ESTG section that current writers
+//! leave empty: ATPG conflict history lives for one check, not across a
+//! design's properties. Files written by earlier servers carry entries
+//! there; they decode as before and the entries are dropped, so no format
+//! version changed.
 //!
 //! Writes are atomic: the snapshot is written to a temporary file in the
 //! destination directory, flushed, and renamed over the target, so a crash

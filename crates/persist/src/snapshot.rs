@@ -20,10 +20,8 @@ pub struct Snapshot {
     /// The canonical netlist; its [`design_hash`] must match the knowledge
     /// base's binding (checked on load).
     pub netlist: Netlist,
-    /// The design's learning store. Datapath infeasibility facts are never
-    /// written (matching the service's import trust policy); everything else
-    /// — frame-relative clauses, ESTG conflict cubes, engine history —
-    /// round-trips.
+    /// The design's learning store: frame-relative clauses and engine
+    /// history round-trip.
     pub knowledge: KnowledgeBase,
     /// Cached (always definitive) verdicts of this design.
     pub verdicts: Vec<VerdictRecord>,
@@ -67,40 +65,10 @@ fn read_bv(r: &mut Reader<'_>) -> Result<Bv, PersistError> {
     Ok(Bv::from_words(width, &buf))
 }
 
-/// Stable tag per gate kind (shared vocabulary with the service's design
-/// hash, which uses the same numbering).
-fn gate_kind_tag(kind: &GateKind) -> u8 {
-    match kind {
-        GateKind::Const(_) => 0,
-        GateKind::Not => 1,
-        GateKind::And => 2,
-        GateKind::Or => 3,
-        GateKind::Xor => 4,
-        GateKind::Buf => 5,
-        GateKind::ReduceAnd => 6,
-        GateKind::ReduceOr => 7,
-        GateKind::ReduceXor => 8,
-        GateKind::Add => 9,
-        GateKind::Sub => 10,
-        GateKind::Mul => 11,
-        GateKind::Shl => 12,
-        GateKind::Shr => 13,
-        GateKind::Eq => 14,
-        GateKind::Ne => 15,
-        GateKind::Lt => 16,
-        GateKind::Le => 17,
-        GateKind::Gt => 18,
-        GateKind::Ge => 19,
-        GateKind::Mux => 20,
-        GateKind::Concat => 21,
-        GateKind::Slice { .. } => 22,
-        GateKind::ZeroExt => 23,
-        GateKind::Dff { .. } => 24,
-    }
-}
-
+/// A gate kind as its [`GateKind::tag`] (the numbering the design hash
+/// uses too), followed by its payload, if it has one.
 fn write_gate_kind(w: &mut Writer, kind: &GateKind) {
-    w.u8(gate_kind_tag(kind));
+    w.u8(kind.tag());
     match kind {
         GateKind::Const(v) => write_bv(w, v),
         GateKind::Slice { lo } => w.usize(*lo),
@@ -117,34 +85,13 @@ fn write_gate_kind(w: &mut Writer, kind: &GateKind) {
 
 fn read_gate_kind(r: &mut Reader<'_>) -> Result<GateKind, PersistError> {
     Ok(match r.u8()? {
-        0 => GateKind::Const(read_bv(r)?),
-        1 => GateKind::Not,
-        2 => GateKind::And,
-        3 => GateKind::Or,
-        4 => GateKind::Xor,
-        5 => GateKind::Buf,
-        6 => GateKind::ReduceAnd,
-        7 => GateKind::ReduceOr,
-        8 => GateKind::ReduceXor,
-        9 => GateKind::Add,
-        10 => GateKind::Sub,
-        11 => GateKind::Mul,
-        12 => GateKind::Shl,
-        13 => GateKind::Shr,
-        14 => GateKind::Eq,
-        15 => GateKind::Ne,
-        16 => GateKind::Lt,
-        17 => GateKind::Le,
-        18 => GateKind::Gt,
-        19 => GateKind::Ge,
-        20 => GateKind::Mux,
-        21 => GateKind::Concat,
-        22 => GateKind::Slice { lo: r.scalar()? },
-        23 => GateKind::ZeroExt,
-        24 => GateKind::Dff {
+        GateKind::CONST_TAG => GateKind::Const(read_bv(r)?),
+        GateKind::SLICE_TAG => GateKind::Slice { lo: r.scalar()? },
+        GateKind::DFF_TAG => GateKind::Dff {
             init: if r.bool()? { Some(read_bv(r)?) } else { None },
         },
-        _ => return Err(PersistError::Malformed("unknown gate kind")),
+        tag => GateKind::payload_free_from_tag(tag)
+            .ok_or(PersistError::Malformed("unknown gate kind"))?,
     })
 }
 
@@ -270,7 +217,8 @@ pub(crate) fn read_clauses(r: &mut Reader<'_>) -> Result<Vec<FrameClause>, Persi
 }
 
 /// ESTG conflict counts `(net, value, count)` in the layout snapshots and
-/// journal records share.
+/// journal records share. Current writers leave the section empty; files
+/// from earlier servers carry entries, which decoders read and drop.
 pub(crate) fn write_estg(w: &mut Writer, entries: &[(NetId, bool, u64)]) {
     w.usize(entries.len());
     for &(net, value, count) in entries {
@@ -291,16 +239,13 @@ pub(crate) fn read_estg(r: &mut Reader<'_>) -> Result<Vec<(NetId, bool, u64)>, P
     Ok(entries)
 }
 
+/// A knowledge base: its clauses, an ESTG section and its engine history.
+/// The service keeps no ESTG across checks any more, so the section is
+/// always written empty; it stays in the layout so that files of every
+/// version decode alike.
 fn write_knowledge(w: &mut Writer, knowledge: &KnowledgeBase) {
     write_clauses(w, &knowledge.clauses.to_seeds());
-    let mut entries: Vec<(NetId, bool, u64)> = knowledge
-        .search
-        .estg
-        .entries()
-        .map(|((net, value), count)| (net, value, count))
-        .collect();
-    entries.sort_unstable(); // deterministic bytes for identical stores
-    write_estg(w, &entries);
+    write_estg(w, &[]);
     let (wins, runs) = knowledge.history.counts();
     for v in wins.iter().chain(runs.iter()) {
         w.u64(*v);
@@ -312,9 +257,9 @@ fn read_knowledge(r: &mut Reader<'_>, design: DesignHash) -> Result<KnowledgeBas
     for clause in read_clauses(r)? {
         knowledge.clauses.insert(&clause);
     }
-    for (net, value, count) in read_estg(r)? {
-        knowledge.search.estg.record_conflicts(net, value, count);
-    }
+    // Servers before this layout's ESTG section went empty wrote conflict
+    // counts here; they read as well as ever and are dropped.
+    read_estg(r)?;
     let mut wins = [0u64; 3];
     let mut runs = [0u64; 3];
     for v in wins.iter_mut().chain(runs.iter_mut()) {
@@ -703,5 +648,41 @@ pub fn load_snapshot_with_fallback(path: &Path) -> Result<(Snapshot, bool), Pers
     match load_snapshot(&backup) {
         Ok(snapshot) => Ok((snapshot, true)),
         Err(_) => Err(primary),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_snapshot_is_written_with_an_empty_estg_section() {
+        let mut netlist = Netlist::new("t");
+        let a = netlist.input("a", 4);
+        netlist.mark_output("a", a);
+        let design = design_hash(&netlist);
+        let mut knowledge = KnowledgeBase::new(design);
+        knowledge.clauses.insert(&FrameClause {
+            depth: 1,
+            lits: vec![FrameLit {
+                frame: 0,
+                net: a,
+                bit: 2,
+                negated: false,
+            }],
+        });
+        knowledge.history = EngineHistory::from_counts([1, 0, 0], [1, 1, 1]);
+        let frame = encode_snapshot(&Snapshot {
+            netlist,
+            knowledge,
+            verdicts: Vec::new(),
+        })
+        .unwrap();
+        // Walk the payload to the section: design, netlist, clauses.
+        let mut r = Reader::new(unseal(&frame).unwrap());
+        assert_eq!(r.u64().unwrap(), design.0);
+        read_netlist(&mut r).unwrap();
+        assert_eq!(read_clauses(&mut r).unwrap().len(), 1);
+        assert!(read_estg(&mut r).unwrap().is_empty());
     }
 }

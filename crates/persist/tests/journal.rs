@@ -435,7 +435,6 @@ fn emit_via_sink(sink: &JournalSink, netlist: &Netlist, seq: u64) {
         netlist,
         verdict: sample.verdict.clone(),
         clauses: &sample.clauses,
-        estg_delta: sample.estg_delta.clone(),
         ran: &sample.ran,
         winner: sample.winner,
     });

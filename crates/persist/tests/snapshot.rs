@@ -8,7 +8,10 @@ use wlac_atpg::Trace;
 use wlac_baselines::{FrameClause, FrameLit};
 use wlac_bv::Bv;
 use wlac_netlist::{NetId, Netlist};
-use wlac_persist::{load_snapshot, save_snapshot, snapshot_file_name, PersistError, Snapshot};
+use wlac_persist::{
+    decode_snapshot, encode_snapshot, load_snapshot, save_snapshot, snapshot_file_name,
+    PersistError, Snapshot,
+};
 use wlac_portfolio::{Engine, EngineHistory, Verdict};
 use wlac_service::{design_hash, KnowledgeBase, PropertyHash, VerdictRecord};
 
@@ -91,14 +94,6 @@ fn sample_snapshot() -> Snapshot {
             },
         ],
     });
-    knowledge
-        .search
-        .estg
-        .record_conflicts(NetId::from_index(4), true, 17);
-    knowledge
-        .search
-        .estg
-        .record_conflicts(NetId::from_index(4), false, 3);
     knowledge.history = EngineHistory::from_counts([5, 2, 0], [7, 7, 6]);
     let verdicts = vec![
         VerdictRecord {
@@ -157,13 +152,7 @@ fn round_trip_preserves_everything() {
         restored.knowledge.clauses.to_seeds(),
         snapshot.knowledge.clauses.to_seeds()
     );
-    let estg = &restored.knowledge.search.estg;
-    assert_eq!(estg.conflict_count(NetId::from_index(4), true), 17);
-    assert_eq!(estg.conflict_count(NetId::from_index(4), false), 3);
-    assert_eq!(estg.recorded(), 20);
     assert_eq!(restored.knowledge.history, snapshot.knowledge.history);
-    // Datapath facts are excluded by construction.
-    assert_eq!(restored.knowledge.search.datapath_facts.len(), 0);
 
     // Verdicts, winners and the embedded trace round-trip.
     assert_eq!(restored.verdicts.len(), 2);
@@ -184,6 +173,35 @@ fn round_trip_preserves_everything() {
         trace.initial_state,
         vec![(NetId::from_index(0), Bv::from_u64(8, 3))]
     );
+}
+
+/// `sample_snapshot` as a server wrote it while knowledge bases still kept
+/// ATPG conflict counts: its ESTG section holds 17 conflicts on net 4 = 1
+/// and 3 on net 4 = 0.
+const ESTG_ERA_SNAPSHOT: &[u8] = include_bytes!("fixtures/estg_entries.wlacsnap");
+
+#[test]
+fn a_snapshot_with_estg_entries_still_decodes() {
+    let restored = decode_snapshot(ESTG_ERA_SNAPSHOT).expect("an earlier server's file decodes");
+    let sample = sample_snapshot();
+    assert_eq!(restored.knowledge.design(), sample.knowledge.design());
+    assert_eq!(
+        restored.knowledge.clauses.to_seeds(),
+        sample.knowledge.clauses.to_seeds()
+    );
+    assert_eq!(restored.knowledge.history, sample.knowledge.history);
+    assert_eq!(restored.verdicts.len(), 2);
+    for (got, want) in restored.verdicts.iter().zip(&sample.verdicts) {
+        assert_eq!(
+            (got.property, got.config, got.winner, &got.verdict),
+            (want.property, want.config, want.winner, &want.verdict)
+        );
+    }
+    // Written again, it is today's file: the same state, an empty ESTG
+    // section, and the two dropped entries' 34 bytes shorter.
+    let rewritten = encode_snapshot(&restored).expect("encodes");
+    assert_eq!(rewritten, encode_snapshot(&sample).expect("encodes"));
+    assert_eq!(rewritten.len() + 2 * 17, ESTG_ERA_SNAPSHOT.len());
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Engine adapters: run one strategy on one property. Each engine reports
 //! in the shared [`Verdict`] vocabulary itself; an adapter wires in the
-//! race's cancellation, warm start and observers.
+//! race's cancellation, warm start (SAT BMC's replayed clauses) and
+//! observers.
 //!
 //! Every engine's trace has been re-simulated once, by
 //! [`wlac_atpg::validated_verdict`], before the engine returns it: ATPG and
@@ -108,9 +109,10 @@ pub struct EngineRun {
 
 /// Runs `engine` on `verification`, warm-started and observed, polling
 /// `cancel` cooperatively. `warm` seeds the SAT BMC engine with replayed
-/// design-valid clauses and the ATPG engine with conflict cubes and datapath
-/// facts; the returned [`Harvest`] holds only what this run learned on top
-/// of that seed ([`WarmStart::new`] runs cold and harvests everything).
+/// design-valid clauses; the returned [`Harvest`] holds only what this run
+/// learned on top of that seed ([`WarmStart::new`] runs cold and harvests
+/// everything). The ATPG engine is [`AssertionChecker::check`], the check
+/// Table 2 runs: it takes no seed and harvests nothing.
 /// `recorder` and `progress` are threaded into the ATPG engine's checker
 /// options, so core search events carry the owning job's id and the search
 /// publishes bound advances and effort counters into the race's progress
@@ -129,7 +131,7 @@ pub(crate) fn run_engine(
 ) -> (EngineRun, Harvest) {
     let start = Instant::now();
     let (verdict, stats, harvest) = match engine {
-        Engine::Atpg => run_atpg(verification, config, cancel, warm, recorder, progress),
+        Engine::Atpg => run_atpg(verification, config, cancel, recorder, progress),
         Engine::SatBmc => run_bmc(verification, config, cancel, warm),
         Engine::RandomSim => run_random(verification, config, cancel),
     };
@@ -149,7 +151,6 @@ fn run_atpg(
     verification: &Verification,
     config: &PortfolioConfig,
     cancel: &CancelToken,
-    warm: &WarmStart,
     recorder: &RecorderHandle,
     progress: &ProgressHandle,
 ) -> (Verdict, EngineStats, Harvest) {
@@ -159,13 +160,12 @@ fn run_atpg(
         .with_cancel(cancel.clone())
         .with_recorder(recorder.clone())
         .with_progress(progress.clone());
-    let mut knowledge = warm.knowledge.clone();
-    let report = AssertionChecker::new(options).check_learned(verification, &mut knowledge);
-    let harvest = Harvest {
-        knowledge: Some(knowledge.learned_since(&warm.knowledge)),
-        ..Harvest::default()
-    };
-    (report.result, EngineStats::Atpg(report.stats), harvest)
+    let report = AssertionChecker::new(options).check(verification);
+    (
+        report.result,
+        EngineStats::Atpg(report.stats),
+        Harvest::default(),
+    )
 }
 
 fn run_bmc(

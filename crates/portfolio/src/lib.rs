@@ -15,7 +15,9 @@
 //! harvesting what they learn. [`Portfolio::race_warm`] returns that
 //! learning as a [`Harvest`] holding only what the race added over its
 //! seed, so a knowledge base merges it exactly as it merges an import or a
-//! replayed journal record.
+//! replayed journal record. Only SAT BMC takes a seed (replayed CDCL
+//! clauses) and harvests one; ATPG runs [`wlac_atpg::AssertionChecker::check`]
+//! with its own ESTG, the same check Table 2 runs.
 //!
 //! Beyond single-property racing, [`Portfolio::check_batch`] shards a whole
 //! suite of properties across a worker-thread pool. Every trace-backed
@@ -74,7 +76,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
-use wlac_atpg::{CancelToken, SearchKnowledge, Verification};
+use wlac_atpg::{CancelToken, Verification};
 use wlac_telemetry::{MetricsRegistry, RecorderHandle, RecorderKind, RecorderLayer};
 
 /// How long a race's lead engine runs alone before the other engines join.
@@ -263,11 +265,12 @@ impl Portfolio {
     }
 
     /// Like [`Portfolio::race`], but warm-started from a knowledge base:
-    /// `warm` seeds the engines (replayed CDCL clauses into BMC, conflict
-    /// cubes and datapath facts into ATPG) and may replace the engine list
-    /// with the scheduling predictor's choice, whose first engine leads the
-    /// hedged race. The returned [`Harvest`] carries only what this race
-    /// learned on top of `warm`, so the base merges it as it is.
+    /// `warm` seeds SAT BMC with replayed CDCL clauses and may replace the
+    /// engine list with the scheduling predictor's choice, whose first
+    /// engine leads the hedged race. ATPG runs the plain
+    /// [`wlac_atpg::AssertionChecker::check`] either way. The returned
+    /// [`Harvest`] carries only what this race learned on top of `warm`, so
+    /// the base merges it as it is.
     ///
     /// Seeds must come from runs on a structurally identical netlist — the
     /// knowledge-base owner enforces that by keying on a design hash.
@@ -449,12 +452,6 @@ impl Portfolio {
                 }
             }
             harvest.clauses.extend(learned.clauses);
-            if let Some(knowledge) = &learned.knowledge {
-                harvest
-                    .knowledge
-                    .get_or_insert_with(SearchKnowledge::new)
-                    .merge(knowledge);
-            }
             harvest.ran.push(run.engine);
             runs.push(run);
         };
@@ -878,27 +875,6 @@ mod tests {
         assert_eq!(report.runs.len(), 1, "{:?}", report.timeline);
         assert_eq!(report.runs[0].engine, Engine::Atpg);
         assert_eq!(spawns(&report).len(), 1, "{:?}", report.timeline);
-    }
-
-    #[test]
-    fn a_warm_race_harvests_only_what_it_learned_over_its_seed() {
-        let verification = counter(12, 5, "seeded");
-        let portfolio = Portfolio::with_defaults();
-        // The property's own search records no conflict...
-        let (_, cold) = portfolio.race_warm(&verification, &WarmStart::new());
-        let learned = cold.knowledge.expect("the lead ran");
-        assert!(learned.estg.is_empty(), "{:?}", learned.estg);
-        // ...so a seed full of conflicts must not come back in the harvest.
-        let mut warm = WarmStart::new();
-        let monitor = verification.property.monitor;
-        warm.knowledge.estg.record_conflicts(monitor, true, 5);
-        warm.knowledge.estg.record_conflicts(monitor, false, 2);
-        let (report, harvest) = portfolio.race_warm(&verification, &warm);
-        assert!(report.verdict.is_pass(), "{:?}", report.verdict);
-        let learned = harvest.knowledge.expect("the lead ran");
-        assert!(learned.estg.is_empty(), "{:?}", learned.estg);
-        assert_eq!(learned.estg.recorded(), 0);
-        assert!(learned.datapath_facts.is_empty());
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //! containing at least one complete engine yields sound verdicts, so the
 //! predictor can never change an answer, only how many threads chase it.
 //!
-//! With **no history** the predictor always returns the full engine list in
-//! the default order, ATPG leading (racing is the exploration that builds
-//! the history in the first place). The history records the engines a race
-//! actually started, so a race the lead decided alone counts a run for the
-//! lead only.
+//! The predictor only ever picks from the configured engines
+//! ([`crate::PortfolioConfig::engines`]), so a portfolio configured with one
+//! engine races that engine alone. With **no history** it returns the
+//! configured list in its configured order, whose first engine leads
+//! (racing is the exploration that builds the history in the first place).
+//! The history records the engines a race actually started, so a race the
+//! lead decided alone counts a run for the lead only.
 
 use crate::engines::Engine;
 use wlac_netlist::{GateKind, Netlist};
@@ -112,8 +114,6 @@ pub struct EngineHistory {
     runs: [u64; 3],
 }
 
-const ENGINES: [Engine; 3] = Engine::ALL;
-
 impl EngineHistory {
     /// Creates an empty history.
     pub fn new() -> Self {
@@ -181,24 +181,30 @@ const MIN_HISTORY: u64 = 4;
 const EXPLORE_EVERY: u64 = 16;
 
 /// Picks the engines to spawn for one job on a design with the given
-/// features and (optional) racing history.
+/// features and (optional) racing history, from the `configured` engines.
+/// The result only ever holds configured engines.
 ///
-/// * **No (or thin) history** → the full portfolio, in the default order:
-///   exploration is what builds the history.
-/// * **Established history** → every engine with a meaningful win share,
-///   ranked by feature-adjusted score, so the top-scored engine leads the
-///   hedged race; at least one *complete* engine (ATPG or SAT BMC) is always
-///   kept so bounded holds stay provable, and the list is never empty.
-pub fn predict_engines(features: &NetlistFeatures, history: Option<&EngineHistory>) -> Vec<Engine> {
+/// * **No (or thin) history**, and every scheduled exploration race →
+///   `configured`, in its order: exploration is what builds the history.
+/// * **Established history** → every configured engine with a meaningful
+///   win share, ranked by feature-adjusted score, so the top-scored engine
+///   leads the hedged race. When a *complete* engine (ATPG or SAT BMC) is
+///   configured, at least one is always kept so bounded holds stay
+///   provable.
+pub fn predict_engines(
+    features: &NetlistFeatures,
+    history: Option<&EngineHistory>,
+    configured: &[Engine],
+) -> Vec<Engine> {
     let Some(history) = history.filter(|h| h.total_wins() >= MIN_HISTORY) else {
-        return ENGINES.to_vec();
+        return configured.to_vec();
     };
     if history.total_wins() % EXPLORE_EVERY == 0 {
         // Scheduled exploration: give trimmed engines a chance to win back.
-        return ENGINES.to_vec();
+        return configured.to_vec();
     }
     let total = history.total_wins() as f64;
-    let mut scored: Vec<(f64, Engine)> = ENGINES
+    let mut scored: Vec<(f64, Engine)> = configured
         .iter()
         .map(|&engine| {
             let win_share = history.wins(engine) as f64 / total;
@@ -233,24 +239,22 @@ pub fn predict_engines(features: &NetlistFeatures, history: Option<&EngineHistor
             (win_share + prior, engine)
         })
         .collect();
-    scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite scores"));
-    let best = scored[0].0;
+    scored.sort_by(|a, b| b.0.total_cmp(&a.0));
+    let Some(&(best, _)) = scored.first() else {
+        return Vec::new();
+    };
+    let complete = |engine: &Engine| matches!(engine, Engine::Atpg | Engine::SatBmc);
     let mut chosen: Vec<Engine> = scored
         .iter()
         .filter(|(score, _)| *score >= best * 0.5)
         .map(|(_, engine)| *engine)
         .collect();
-    if !chosen
-        .iter()
-        .any(|e| matches!(e, Engine::Atpg | Engine::SatBmc))
-    {
-        // Keep a complete engine so pass verdicts stay reachable.
-        let complete = scored
-            .iter()
-            .map(|(_, e)| *e)
-            .find(|e| matches!(e, Engine::Atpg | Engine::SatBmc))
-            .expect("ATPG and SAT BMC are always scored");
-        chosen.push(complete);
+    if !chosen.iter().any(complete) {
+        // Keep a complete engine, when one is configured, so pass verdicts
+        // stay reachable.
+        if let Some(&(_, engine)) = scored.iter().find(|(_, engine)| complete(engine)) {
+            chosen.push(engine);
+        }
     }
     chosen
 }
@@ -259,6 +263,8 @@ pub fn predict_engines(features: &NetlistFeatures, history: Option<&EngineHistor
 mod tests {
     use super::*;
     use wlac_bv::Bv;
+
+    const ENGINES: [Engine; 3] = Engine::ALL;
 
     fn datapath_heavy() -> Netlist {
         let mut nl = Netlist::new("dp");
@@ -287,11 +293,14 @@ mod tests {
     #[test]
     fn no_history_races_everything() {
         let f = NetlistFeatures::of(&datapath_heavy());
-        assert_eq!(predict_engines(&f, None), ENGINES.to_vec());
+        assert_eq!(predict_engines(&f, None, &ENGINES), ENGINES.to_vec());
         // Thin history is not trusted either.
         let mut history = EngineHistory::new();
         history.record(&ENGINES, Some(Engine::Atpg));
-        assert_eq!(predict_engines(&f, Some(&history)), ENGINES.to_vec());
+        assert_eq!(
+            predict_engines(&f, Some(&history), &ENGINES),
+            ENGINES.to_vec()
+        );
     }
 
     #[test]
@@ -301,7 +310,7 @@ mod tests {
         for _ in 0..10 {
             history.record(&ENGINES, Some(Engine::Atpg));
         }
-        let chosen = predict_engines(&f, Some(&history));
+        let chosen = predict_engines(&f, Some(&history), &ENGINES);
         assert!(chosen.contains(&Engine::Atpg));
         assert!(chosen.len() < 3, "dominant ATPG should trim: {chosen:?}");
     }
@@ -313,7 +322,7 @@ mod tests {
         for _ in 0..10 {
             history.record(&ENGINES, Some(Engine::RandomSim));
         }
-        let chosen = predict_engines(&f, Some(&history));
+        let chosen = predict_engines(&f, Some(&history), &ENGINES);
         assert!(chosen.contains(&Engine::RandomSim));
         assert!(
             chosen
@@ -321,6 +330,37 @@ mod tests {
                 .any(|e| matches!(e, Engine::Atpg | Engine::SatBmc)),
             "{chosen:?}"
         );
+    }
+
+    #[test]
+    fn established_history_picks_only_configured_engines() {
+        let f = NetlistFeatures::of(&datapath_heavy());
+        let mut history = EngineHistory::new();
+        for winner in [Engine::Atpg, Engine::SatBmc, Engine::RandomSim] {
+            for _ in 0..3 {
+                history.record(&ENGINES, Some(winner));
+            }
+        }
+        assert!(history.total_wins() >= MIN_HISTORY);
+        assert_ne!(history.total_wins() % EXPLORE_EVERY, 0);
+        for configured in [
+            &[][..],
+            &[Engine::RandomSim][..],
+            &[Engine::Atpg, Engine::RandomSim][..],
+        ] {
+            let chosen = predict_engines(&f, Some(&history), configured);
+            assert!(
+                chosen.iter().all(|engine| configured.contains(engine)),
+                "{configured:?} -> {chosen:?}"
+            );
+            assert_eq!(chosen.is_empty(), configured.is_empty(), "{chosen:?}");
+        }
+        // With a complete engine configured, one is always kept.
+        let chosen = predict_engines(&f, Some(&history), &[Engine::Atpg, Engine::RandomSim]);
+        assert!(chosen.contains(&Engine::Atpg), "{chosen:?}");
+        // Thin history and exploration races keep the configured order.
+        let configured = [Engine::RandomSim, Engine::Atpg];
+        assert_eq!(predict_engines(&f, None, &configured), configured.to_vec());
     }
 
     #[test]
@@ -332,9 +372,12 @@ mod tests {
         }
         // total_wins is a multiple of EXPLORE_EVERY: everyone races again,
         // so a once-trimmed engine can win its way back into the schedule.
-        assert_eq!(predict_engines(&f, Some(&history)), ENGINES.to_vec());
+        assert_eq!(
+            predict_engines(&f, Some(&history), &ENGINES),
+            ENGINES.to_vec()
+        );
         history.record(&[Engine::Atpg], Some(Engine::Atpg));
-        assert!(predict_engines(&f, Some(&history)).len() < 3);
+        assert!(predict_engines(&f, Some(&history), &ENGINES).len() < 3);
     }
 
     #[test]

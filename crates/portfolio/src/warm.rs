@@ -1,11 +1,11 @@
 //! Warm-start seeds and learning harvests for portfolio runs.
 //!
-//! A [`WarmStart`] carries everything a knowledge base knows about a design
-//! into one race: frame-relative CDCL clauses for the SAT BMC engine, the
-//! ATPG search knowledge (ESTG conflict cubes + datapath infeasibility
-//! facts), and an optional engine-selection override from the scheduling
-//! predictor. A [`Harvest`] carries back out only what the race learned on
-//! top of that seed: a delta, which every store merges.
+//! A [`WarmStart`] carries what a knowledge base knows about a design into
+//! one race: frame-relative CDCL clauses for the SAT BMC engine, and an
+//! optional engine-selection override from the scheduling predictor. A
+//! [`Harvest`] carries back out only what the race learned on top of that
+//! seed: a delta, which every store merges. The ATPG engine takes no seed
+//! and harvests nothing: each of its checks owns its ESTG.
 //!
 //! Seeds are performance hints with a hard soundness contract: they must have
 //! been gathered on a **structurally identical** netlist. The owner of the
@@ -13,7 +13,6 @@
 //! engines additionally skip malformed clauses rather than trust them.
 
 use crate::engines::Engine;
-use wlac_atpg::SearchKnowledge;
 use wlac_baselines::FrameClause;
 
 /// Knowledge seeded into one portfolio run.
@@ -21,8 +20,6 @@ use wlac_baselines::FrameClause;
 pub struct WarmStart {
     /// Design-valid frame-relative clauses replayed into every BMC unrolling.
     pub clauses: Vec<FrameClause>,
-    /// ATPG search knowledge (conflict cubes, datapath infeasibility facts).
-    pub knowledge: SearchKnowledge,
     /// Engines to spawn instead of the configured list (predictor output);
     /// `None` keeps the configured portfolio.
     pub engines: Option<Vec<Engine>>,
@@ -42,10 +39,6 @@ impl WarmStart {
 pub struct Harvest {
     /// New design-valid clauses lifted out of the BMC engine's CDCL runs.
     pub clauses: Vec<FrameClause>,
-    /// What the ATPG engine learned this run, over its seed: ESTG conflicts
-    /// above the seed's counts and datapath facts the seed lacks. `None`
-    /// when the ATPG engine did not run.
-    pub knowledge: Option<SearchKnowledge>,
     /// The engine that produced the winning verdict, for the scheduling
     /// history. Set by the race, like `ran`.
     pub winner: Option<Engine>,

@@ -312,8 +312,6 @@ pub fn stats_to_wire(stats: &ServiceStats, durability: &str, metrics: &MetricsRe
         ("cached_verdicts", Json::num(stats.cached_verdicts as u64)),
         ("predicted_races", Json::num(stats.predicted_races)),
         ("clauses_banked", Json::num(stats.clauses_banked)),
-        ("datapath_facts", Json::num(stats.datapath_facts)),
-        ("estg_conflicts", Json::num(stats.estg_conflicts)),
         ("quarantined_jobs", Json::num(stats.quarantined_jobs)),
         ("timed_out_jobs", Json::num(stats.timed_out_jobs)),
         ("workers_respawned", Json::num(stats.workers_respawned)),

@@ -674,15 +674,14 @@ fn replay_journals(state: &ServerState) {
         // The journal header carries the canonical netlist — and is only
         // accepted when the netlist reproduces the recorded hash — so a
         // design that never reached its first snapshot still comes back
-        // warm, under the same identity it was acknowledged as.
+        // warm, under the same identity it was acknowledged as. A record's
+        // ESTG delta (journals of earlier servers carry one) is not state
+        // any more: ATPG conflict history lives for one check.
         let mut knowledge = KnowledgeBase::new(replay.design);
         let mut verdicts = Vec::with_capacity(replay.records.len());
         for record in &replay.records {
             for clause in &record.clauses {
                 knowledge.clauses.insert(clause);
-            }
-            for &(net, value, count) in &record.estg_delta {
-                knowledge.search.estg.record_conflicts(net, value, count);
             }
             knowledge.history.record(&record.ran, record.winner);
             if let Some(verdict) = &record.verdict {
@@ -2063,7 +2062,6 @@ fn op_trace_check(state: &ServerState, frame: &Json) -> Json {
             Json::num(stats.implication.gate_evaluations),
         ),
         ("arithmetic_calls", Json::num(stats.arithmetic_calls)),
-        ("datapath_fact_hits", Json::num(stats.datapath_fact_hits)),
         (
             "justify_gates_rechecked",
             Json::num(stats.justify_gates_rechecked),

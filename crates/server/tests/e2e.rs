@@ -393,6 +393,86 @@ fn restart_warm_serves_persisted_verdicts() {
 }
 
 #[test]
+fn a_journal_with_estg_deltas_still_boots_warm() {
+    use wlac_atpg::{Property, Verdict};
+    use wlac_faultinject::FaultPlan;
+    use wlac_netlist::NetId;
+    use wlac_persist::{journal_file_name, JournalRecord, JournalWriter};
+    use wlac_portfolio::Engine;
+    use wlac_service::{config_fingerprint, design_hash, property_hash, VerdictRecord};
+
+    // A data dir as earlier servers left it: a journal whose record carries
+    // the ATPG conflict counts they journaled beside the verdict.
+    let dir = TempDir::new();
+    let config = {
+        let mut config = quick_config();
+        config.data_dir = Some(dir.0.clone());
+        config
+    };
+    let netlist = wlac_frontend::compile(COUNTER_V).expect("compiles");
+    let design = design_hash(&netlist);
+    let ok = netlist
+        .outputs()
+        .iter()
+        .find(|(name, _)| name == "ok")
+        .map(|&(_, net)| net)
+        .expect("the ok output");
+    let verdict = Verdict::Holds {
+        proved: true,
+        frames: 1,
+    };
+    let path = dir.0.join(journal_file_name(design));
+    let (mut writer, _) = JournalWriter::open(&path, design, &netlist, 1, FaultPlan::disabled())
+        .expect("open a fresh journal");
+    writer
+        .append(&JournalRecord {
+            verdict: Some(VerdictRecord {
+                property: property_hash(&Property::always(&netlist, "ok", ok), &[]),
+                config: config_fingerprint(&config.service.portfolio),
+                verdict: verdict.clone(),
+                winner: Some(Engine::Atpg),
+            }),
+            clauses: Vec::new(),
+            estg_delta: vec![(NetId::from_index(0), true, 5), (ok, false, 2)],
+            ran: vec![Engine::Atpg],
+            winner: Some(Engine::Atpg),
+        })
+        .expect("append");
+    drop(writer);
+
+    // The boot replays it, and the journaled verdict answers from the cache.
+    let (addr, handle, _) = start(config);
+    let mut client = Client::connect(addr);
+    let design = client.register_counter();
+    let reply = client.call(Json::obj(vec![
+        ("op", Json::str("submit_batch")),
+        (
+            "jobs",
+            Json::Arr(vec![Json::obj(vec![
+                ("design", Json::str(&design)),
+                (
+                    "property",
+                    Json::obj(vec![
+                        ("kind", Json::str("always")),
+                        ("monitor", Json::str("ok")),
+                    ]),
+                ),
+            ])]),
+        ),
+    ]));
+    let batch = reply.get("batch").and_then(Json::as_u64).expect("batch id");
+    let results = client.wait(batch);
+    assert!(cached(&results[0]), "{results:?}");
+    assert_eq!(
+        results[0].get("engines_spawned").and_then(Json::as_u64),
+        Some(0)
+    );
+    assert_eq!(label_of(&results[0]), verdict.label());
+    client.shutdown();
+    handle.join().expect("server thread");
+}
+
+#[test]
 fn knowledge_export_import_over_the_wire() {
     let (addr, handle, _) = start(quick_config());
     let mut client = Client::connect(addr);

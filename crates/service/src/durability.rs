@@ -2,20 +2,19 @@
 //!
 //! The service itself knows nothing about files or formats. When a raced job
 //! finishes, it offers everything the race produced — the definitive verdict
-//! (if any), the harvested frame clauses, the ESTG conflict *delta* and the
-//! engine-history delta — to an optional [`DurabilitySink`] *before* the
-//! result is published to waiters. A write-ahead journal (see
-//! `wlac-persist`) implements the sink; the disabled default costs one
-//! `Option` check per job.
+//! (if any), the harvested frame clauses and the engine-history delta — to
+//! an optional [`DurabilitySink`] *before* the result is published to
+//! waiters. A write-ahead journal (see `wlac-persist`) implements the sink;
+//! the disabled default costs one `Option` check per job.
 //!
 //! A record is the race's learned delta, and every store merges it: the
 //! race's harvest holds only what it added over its warm start, the live
 //! [`KnowledgeBase::absorb`] merges that harvest, and a boot-time replay
 //! merges the same record into whatever a newer snapshot restored. So the
 //! knowledge a restart rebuilds equals the live knowledge. Replay is also
-//! harmless-idempotent: verdicts and clauses deduplicate exactly, and an
-//! ESTG/history over-count after an unlucky crash merely reorders decision
-//! heuristics — never verdicts.
+//! harmless-idempotent: verdicts and clauses deduplicate exactly, and a
+//! history over-count after an unlucky crash merely reorders engines —
+//! never verdicts.
 //!
 //! [`KnowledgeBase::absorb`]: crate::KnowledgeBase::absorb
 
@@ -24,7 +23,7 @@ use crate::session::VerdictRecord;
 use std::fmt;
 use std::sync::Arc;
 use wlac_baselines::FrameClause;
-use wlac_netlist::{NetId, Netlist};
+use wlac_netlist::Netlist;
 use wlac_portfolio::Engine;
 
 /// Everything one completed raced job contributes to durable state.
@@ -44,10 +43,6 @@ pub struct DurabilityRecord<'a> {
     pub verdict: Option<VerdictRecord>,
     /// Design-valid frame clauses harvested from the race.
     pub clauses: &'a [FrameClause],
-    /// ESTG conflicts this race added *over its warm seed* (the harvest's
-    /// learned ESTG): `(net, value, additional_count)` with
-    /// `additional_count > 0`.
-    pub estg_delta: Vec<(NetId, bool, u64)>,
     /// Engines the race actually spawned (the engine-history delta, replayed
     /// via `EngineHistory::record`).
     pub ran: &'a [Engine],
@@ -61,7 +56,6 @@ impl fmt::Debug for DurabilityRecord<'_> {
             .field("design", &self.design)
             .field("verdict", &self.verdict.is_some())
             .field("clauses", &self.clauses.len())
-            .field("estg_delta", &self.estg_delta.len())
             .field("ran", &self.ran.len())
             .finish()
     }

@@ -1,12 +1,13 @@
 //! Structural identity of designs, properties and configurations.
 //!
 //! Everything the learning store knows is only valid for a *structurally
-//! identical* netlist: the ESTG and datapath facts key on nets of the
-//! deterministic time-frame expansion, and frame-relative clauses name
-//! original net ids. [`design_hash`] fingerprints exactly the structure those
-//! stores depend on — net widths, gate kinds/pins/outputs, primary inputs and
-//! outputs — so a knowledge base bound to a hash can be safely rejected when
-//! presented with any other design.
+//! identical* netlist: frame-relative clauses name original net ids, and
+//! cached verdicts name the design's monitors and trace nets.
+//! [`design_hash`] fingerprints exactly the structure those stores depend
+//! on — net widths, gate kinds/pins/outputs, primary inputs and outputs — so
+//! a knowledge base bound to a hash can be safely rejected when presented
+//! with any other design. Gate kinds hash as [`GateKind::tag`], the
+//! numbering the on-disk formats use too.
 
 use std::fmt;
 use wlac_atpg::Property;
@@ -68,35 +69,8 @@ impl fmt::Display for PropertyHash {
 }
 
 fn hash_gate_kind(h: &mut Fnv, kind: &GateKind) {
-    // A stable tag per kind plus every semantic payload bit.
-    let tag: u8 = match kind {
-        GateKind::Const(_) => 0,
-        GateKind::Not => 1,
-        GateKind::And => 2,
-        GateKind::Or => 3,
-        GateKind::Xor => 4,
-        GateKind::Buf => 5,
-        GateKind::ReduceAnd => 6,
-        GateKind::ReduceOr => 7,
-        GateKind::ReduceXor => 8,
-        GateKind::Add => 9,
-        GateKind::Sub => 10,
-        GateKind::Mul => 11,
-        GateKind::Shl => 12,
-        GateKind::Shr => 13,
-        GateKind::Eq => 14,
-        GateKind::Ne => 15,
-        GateKind::Lt => 16,
-        GateKind::Le => 17,
-        GateKind::Gt => 18,
-        GateKind::Ge => 19,
-        GateKind::Mux => 20,
-        GateKind::Concat => 21,
-        GateKind::Slice { .. } => 22,
-        GateKind::ZeroExt => 23,
-        GateKind::Dff { .. } => 24,
-    };
-    h.byte(tag);
+    // The kind's stable tag plus every semantic payload bit.
+    h.byte(kind.tag());
     match kind {
         GateKind::Const(v) => {
             h.usize(v.width());
@@ -210,6 +184,36 @@ mod tests {
         nl.connect_dff_data(ff, next);
         nl.mark_output("q", q);
         nl
+    }
+
+    /// A netlist with every payload kind (`Const`, `Slice`, `Dff` with and
+    /// without an initial value) and payload-free kinds around them.
+    fn payload_kinds() -> Netlist {
+        let mut nl = Netlist::new("payloads");
+        let a = nl.input("a", 8);
+        let (q, ff) = nl.dff_deferred(8, Some(Bv::from_u64(8, 0xa5)));
+        let free = nl.dff(a, None);
+        let five = nl.constant(&Bv::from_u64(8, 5));
+        let sum = nl.add(q, five);
+        let high = nl.slice(sum, 4, 4);
+        let low = nl.slice(free, 0, 4);
+        let next = nl.concat(high, low);
+        nl.connect_dff_data(ff, next);
+        let wide = nl.zext(high, 8);
+        let ok = nl.lt(wide, q);
+        nl.mark_output("ok", ok);
+        nl
+    }
+
+    #[test]
+    fn design_hash_is_pinned() {
+        // Design hashes name snapshot and journal files and key every cache
+        // entry: a netlist with all three payload kinds must keep the hash
+        // it had when the design hash held its own gate-kind numbering.
+        assert_eq!(
+            design_hash(&payload_kinds()),
+            DesignHash(0x146d_7cf2_edc6_e12f)
+        );
     }
 
     #[test]

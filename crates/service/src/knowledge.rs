@@ -5,9 +5,10 @@
 //!
 //! * a [`ClauseBank`] of design-valid, frame-relative CDCL clauses lifted out
 //!   of SAT BMC runs (deduplicated, depth-minimised, capacity-capped),
-//! * the ATPG [`SearchKnowledge`] — ESTG conflict cubes and modular-solver
-//!   infeasibility facts,
 //! * the [`EngineHistory`] feeding the scheduling predictor.
+//!
+//! It holds nothing of the ATPG search: every ATPG run is
+//! [`wlac_atpg::AssertionChecker::check`], whose ESTG lives for one check.
 //!
 //! Every knowledge base is **bound to a design hash**. Imports are validated
 //! against both the hash and the netlist structure; anything malformed — a
@@ -19,7 +20,6 @@ use crate::hash::DesignHash;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use wlac_atpg::SearchKnowledge;
 use wlac_baselines::{FrameClause, FrameLit};
 use wlac_netlist::Netlist;
 use wlac_portfolio::{EngineHistory, Harvest};
@@ -223,8 +223,6 @@ pub struct KnowledgeBase {
     design: DesignHash,
     /// Design-valid frame-relative CDCL clauses for BMC warm starts.
     pub clauses: ClauseBank,
-    /// ATPG search knowledge (ESTG conflict cubes, datapath facts).
-    pub search: SearchKnowledge,
     /// Engine win/loss history for the scheduling predictor.
     pub history: EngineHistory,
     /// Effectiveness counters.
@@ -240,7 +238,6 @@ impl KnowledgeBase {
         KnowledgeBase {
             design,
             clauses: ClauseBank::new(DEFAULT_CLAUSE_CAP),
-            search: SearchKnowledge::new(),
             history: EngineHistory::new(),
             stats: KnowledgeStats::default(),
         }
@@ -268,9 +265,6 @@ impl KnowledgeBase {
                 self.stats.clauses_banked += 1;
             }
         }
-        if let Some(knowledge) = &harvest.knowledge {
-            self.search.merge(knowledge);
-        }
         self.history.record(&harvest.ran, harvest.winner);
     }
 
@@ -278,12 +272,7 @@ impl KnowledgeBase {
     /// after full validation: the design binding must match and every clause
     /// must be structurally well-formed for `netlist`.
     ///
-    /// Only the clause bank and the ESTG history cross the trust boundary.
-    /// Datapath infeasibility facts are **not** imported: they replay
-    /// verdict-affecting conclusions without re-solving and cannot be
-    /// re-validated structurally here, so an external store — whose design
-    /// binding is ultimately self-asserted — is never trusted with them.
-    /// They are cheap to re-derive on the first warm race.
+    /// The clause bank and the engine history cross the trust boundary.
     ///
     /// # Errors
     ///
@@ -312,15 +301,6 @@ impl KnowledgeBase {
             }
             self.stats.clauses_offered += 1;
         }
-        // ESTG conflict counts only reorder decisions, so a foreign history
-        // is at worst useless — merge it. Datapath facts are deliberately
-        // NOT imported: a fact replays an infeasibility verdict without
-        // re-solving, the design binding of an external store is
-        // self-asserted, and facts (unlike clauses) cannot be structurally
-        // re-validated here — trusting them would let a forged store flip
-        // verdicts. They are cheap to re-derive, so the session re-learns
-        // them on the first warm race instead.
-        self.search.estg.merge(&other.search.estg);
         // Engine win/loss history is scheduling pressure only (the predictor
         // always keeps a complete engine), so a persisted history merges —
         // this is what lets a restarted server skip the exploration races.
@@ -429,7 +409,6 @@ mod tests {
                 clause(1, vec![lit(0, 0, 9, false)]),  // bit beyond width
                 clause(1, vec![lit(5, 0, 0, false)]),  // frame beyond depth
             ],
-            knowledge: None,
             winner: None,
             ran: Vec::new(),
         };
@@ -437,36 +416,6 @@ mod tests {
         assert_eq!(kb.clauses.len(), 1);
         assert_eq!(kb.stats.clauses_rejected, 3);
         assert_eq!(kb.stats.clauses_banked, 1);
-    }
-
-    #[test]
-    fn absorbing_one_conflict_deltas_grows_the_estg_linearly() {
-        use wlac_atpg::SearchKnowledge;
-        use wlac_netlist::NetId;
-
-        let nl = tiny_netlist();
-        let mut kb = KnowledgeBase::new(crate::hash::design_hash(&nl));
-        let net = NetId::from_index(0);
-        // Simulate many races: each harvest is the one conflict its race
-        // learned over its warm start.
-        for round in 1..=50u64 {
-            let mut learned = SearchKnowledge::new();
-            learned.estg.record_conflict(net, true);
-            let harvest = Harvest {
-                clauses: Vec::new(),
-                knowledge: Some(learned),
-                winner: None,
-                ran: Vec::new(),
-            };
-            kb.absorb(&harvest, &nl);
-            // Linear growth (one new conflict per race), never geometric.
-            assert_eq!(
-                kb.search.estg.conflict_count(net, true),
-                round,
-                "round {round}"
-            );
-            assert_eq!(kb.search.estg.recorded(), round);
-        }
     }
 
     #[test]

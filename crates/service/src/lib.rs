@@ -1,19 +1,16 @@
-//! # wlac-service — persistent verification sessions with cross-property
-//! learning
+//! # wlac-service — persistent verification sessions
 //!
 //! The paper's checker decides one assertion at a time; real deployments
-//! check hundreds of properties against the same design, and every cold
-//! `check_batch` re-derives the same structural facts per property. This
-//! crate is the layer that amortises that work: a long-lived
-//! [`VerificationService`] owns
+//! check hundreds of properties against the same design, and ask the same
+//! questions again. This crate is the long-lived layer around the checker:
+//! a [`VerificationService`] owns
 //!
 //! * a **design registry** keyed by structural hash ([`design_hash`]) — a
 //!   netlist registered twice is the same design and shares everything
 //!   below;
 //! * a per-design [`KnowledgeBase`]: design-valid CDCL clauses lifted to
-//!   frame-relative form (replayable at any unrolling bound), ESTG conflict
-//!   cubes and modular-solver infeasibility facts from the ATPG search, and
-//!   the per-design engine win/loss history driving the scheduling
+//!   frame-relative form (replayable at any unrolling bound) for SAT BMC,
+//!   and the per-design engine win/loss history driving the scheduling
 //!   predictor;
 //! * a **verdict cache** keyed by (design hash, property hash, config) that
 //!   answers repeat queries without spawning a single engine;
@@ -27,14 +24,16 @@
 //!   netlist: a cache hit never reads one, and a raced job copies its
 //!   design out of the registry once, on the worker.
 //!
-//! Learning is strictly effort-shaping, never verdict-shaping: clauses are
-//! only exported when their derivation stayed inside the design's transition
-//! structure (taint-tracked in the CDCL solver), datapath facts replay only
-//! exact-keyed infeasibility proofs, and the ESTG merely reorders decisions.
-//! `tests/service.rs` (workspace root) proves warm and cold runs agree on
-//! every verdict across the circuits suite. A knowledge base offered from
-//! outside is validated against the design hash and structure and rejected
-//! — [`KnowledgeError`] — rather than trusted.
+//! Every ATPG run of the service is [`wlac_atpg::AssertionChecker::check`],
+//! the check Table 2 runs, with an ESTG of its own: a property's search does
+//! not depend on which properties of its design ran before it
+//! (`tests/service.rs` at the workspace root pins this). Clause learning is
+//! strictly effort-shaping, never verdict-shaping: clauses are only exported
+//! when their derivation stayed inside the design's transition structure
+//! (taint-tracked in the CDCL solver), and `tests/service.rs` proves warm
+//! and cold SAT BMC agree on every outcome across the circuits suite. A
+//! knowledge base offered from outside is validated against the design hash
+//! and structure and rejected — [`KnowledgeError`] — rather than trusted.
 //!
 //! # Examples
 //!
@@ -44,7 +43,7 @@
 //! use wlac_bv::Bv;
 //! use wlac_netlist::Netlist;
 //!
-//! // One design, two properties sharing its knowledge base.
+//! // One design, two properties.
 //! let mut nl = Netlist::new("sat_counter");
 //! let (q, ff) = nl.dff_deferred(8, Some(Bv::zero(8)));
 //! let one = nl.constant(&Bv::from_u64(8, 1));
@@ -209,7 +208,7 @@ mod tests {
         let _ = service.wait(batch);
         let kb = service.export_knowledge(design).expect("registered design");
         assert_eq!(kb.design(), design);
-        // The ATPG engine ran and contributed search knowledge.
+        // The race was absorbed into the design's knowledge base.
         let stats = service.knowledge_stats(design).expect("stats");
         assert_eq!(stats.races_absorbed, 1);
         assert_eq!(stats.clauses_rejected, 0);
@@ -517,11 +516,9 @@ mod tests {
         use wlac_faultinject::{FaultPlan, FaultSite};
         use wlac_portfolio::Engine;
         // One worker, held by a miss whose ATPG search hangs until the 2 s
-        // job budget ends it. The predictor is off: it would race every
-        // engine, not the configured one.
+        // job budget ends it.
         let mut config = quick_config();
         config.workers = 1;
-        config.predict = false;
         config.portfolio = PortfolioConfig::default()
             .with_engines(vec![Engine::Atpg])
             .with_job_budget(Duration::from_secs(2));
@@ -564,18 +561,47 @@ mod tests {
         );
     }
 
+    #[test]
+    fn the_predictor_races_only_the_configured_engines() {
+        use wlac_faultinject::{FaultPlan, FaultSite};
+        use wlac_portfolio::Engine;
+        // ATPG alone, hung until a short job budget ends it. The predictor
+        // is on, as by default, and must not add the engines the portfolio
+        // leaves out: random simulation would answer this violation.
+        let mut config = quick_config();
+        assert!(config.predict);
+        config.portfolio = PortfolioConfig::default()
+            .with_engines(vec![Engine::Atpg])
+            .with_job_budget(Duration::from_millis(300));
+        config.faults = FaultPlan::new().fire_from(FaultSite::EngineHang, 1);
+        let service = VerificationService::new(config);
+        let batch = service.submit_batch(vec![counter(5, 12, "hung")]);
+        let result = service.wait(batch).remove(0);
+        assert!(
+            matches!(result.verdict, Verdict::Timeout { .. }),
+            "{result:?}"
+        );
+        assert_eq!(result.engines_spawned, 1);
+        assert_eq!(result.winner, None);
+    }
+
     /// The persisted store of one race on `verification`'s design: its
-    /// knowledge, with three more ESTG conflicts so that an import shows in
+    /// knowledge, with one more banked clause so that an import shows in
     /// `stats`, and its verdicts.
     fn exported_store(verification: &Verification) -> (KnowledgeBase, Vec<VerdictRecord>) {
         let design = design_hash(&verification.netlist);
         let service = VerificationService::new(quick_config());
         let _ = service.wait(service.submit_batch(vec![verification.clone()]));
         let mut knowledge = service.export_knowledge(design).expect("registered");
-        knowledge
-            .search
-            .estg
-            .record_conflicts(wlac_netlist::NetId::from_index(0), true, 3);
+        knowledge.clauses.insert(&wlac_baselines::FrameClause {
+            depth: 1,
+            lits: vec![wlac_baselines::FrameLit {
+                frame: 0,
+                net: wlac_netlist::NetId::from_index(0),
+                bit: 0,
+                negated: true,
+            }],
+        });
         let verdicts = service.export_verdicts(design).expect("registered");
         (knowledge, verdicts)
     }
@@ -590,7 +616,7 @@ mod tests {
             restarted.restore(&verification.netlist, &knowledge, &verdicts),
             Ok((design, 1))
         );
-        assert!(restarted.stats().estg_conflicts >= 3);
+        assert!(restarted.stats().clauses_banked >= 1);
         let warm = restarted.wait(restarted.submit_batch(vec![verification]));
         assert!(warm[0].from_cache);
     }
@@ -618,7 +644,7 @@ mod tests {
             service.restore(&verification.netlist, &knowledge, &malformed),
             Err(KnowledgeError::MalformedVerdict { index: 0 })
         );
-        assert_eq!(service.stats().estg_conflicts, 0);
+        assert_eq!(service.stats().clauses_banked, 0);
         assert_eq!(service.export_verdicts(design).map(|v| v.len()), Some(0));
     }
 
@@ -753,155 +779,5 @@ mod tests {
             spawned.push(result.engines_spawned);
         }
         panic!("the lead never ran alone: engines_spawned {spawned:?}");
-    }
-
-    /// One design of `inputs` one-bit inputs with an `always` property per
-    /// input triple: its three pairwise XORs are never all set. Parity makes
-    /// each hold, and proving it takes ATPG decisions that conflict, so
-    /// every property's race records ESTG conflicts of its own.
-    fn parity(inputs: usize) -> Vec<Verification> {
-        let mut nl = Netlist::new("parity");
-        let x: Vec<_> = (0..inputs).map(|i| nl.input(format!("x{i}"), 1)).collect();
-        let mut monitors = Vec::new();
-        for i in 0..inputs {
-            for j in i + 1..inputs {
-                for k in j + 1..inputs {
-                    let ij = nl.xor2(x[i], x[j]);
-                    let jk = nl.xor2(x[j], x[k]);
-                    let ik = nl.xor2(x[i], x[k]);
-                    let two = nl.and2(ij, jk);
-                    let all = nl.and2(two, ik);
-                    let ok = nl.not(all);
-                    nl.mark_output(format!("ok{i}{j}{k}"), ok);
-                    monitors.push(ok);
-                }
-            }
-        }
-        monitors
-            .iter()
-            .enumerate()
-            .map(|(n, &ok)| {
-                Verification::new(nl.clone(), Property::always(&nl, format!("p{n}"), ok))
-            })
-            .collect()
-    }
-
-    /// An ESTG's conflicts, entry for entry, in a fixed order.
-    fn entries(estg: &wlac_atpg::Estg) -> Vec<((wlac_netlist::NetId, bool), u64)> {
-        let mut entries: Vec<_> = estg.entries().collect();
-        entries.sort();
-        entries
-    }
-
-    #[test]
-    fn deltas_raced_from_one_seed_absorb_to_the_seed_plus_both_in_either_order() {
-        use wlac_atpg::{AssertionChecker, Estg};
-        use wlac_portfolio::{Engine, Portfolio, WarmStart};
-
-        // ATPG alone: its lead runs on the race token, so nothing cancels it
-        // and it learns what the checker below learns.
-        let portfolio = Portfolio::new(PortfolioConfig::default().with_engines(vec![Engine::Atpg]));
-        let jobs = parity(4);
-        let netlist = &jobs[0].netlist;
-        let mut kb = KnowledgeBase::new(design_hash(netlist));
-        kb.absorb(&portfolio.race_warm(&jobs[0], &WarmStart::new()).1, netlist);
-        let seed = WarmStart {
-            knowledge: kb.search.clone(),
-            ..WarmStart::new()
-        };
-        assert!(!seed.knowledge.estg.is_empty());
-
-        // What each property's search holds after a run from the seed.
-        let checker = AssertionChecker::new(portfolio.config().checker.clone());
-        let after = |job: &Verification| {
-            let mut knowledge = seed.knowledge.clone();
-            checker.check_learned(job, &mut knowledge);
-            knowledge.estg
-        };
-        let (after1, after2) = (after(&jobs[1]), after(&jobs[2]));
-        let harvest1 = portfolio.race_warm(&jobs[1], &seed).1;
-        let harvest2 = portfolio.race_warm(&jobs[2], &seed).1;
-        for (harvest, after) in [(&harvest1, &after1), (&harvest2, &after2)] {
-            // The harvest is the run's delta: the seed is not in it.
-            let delta = &harvest.knowledge.as_ref().expect("ATPG ran").estg;
-            assert!(!delta.is_empty());
-            let mut rebuilt = seed.knowledge.estg.clone();
-            rebuilt.merge(delta);
-            assert_eq!(entries(&rebuilt), entries(after));
-            assert_eq!(rebuilt.recorded(), after.recorded());
-        }
-
-        // Seed plus both deltas: each count is after1 + after2 - seed.
-        let mut expected = Estg::new();
-        for estg in [&after1, &after2] {
-            for ((net, value), count) in estg.entries() {
-                let added = count - seed.knowledge.estg.conflict_count(net, value);
-                expected.record_conflicts(net, value, added);
-            }
-        }
-        expected.merge(&seed.knowledge.estg);
-        for order in [[&harvest1, &harvest2], [&harvest2, &harvest1]] {
-            let mut base = kb.clone();
-            for harvest in order {
-                base.absorb(harvest, netlist);
-            }
-            assert_eq!(entries(&base.search.estg), entries(&expected));
-            assert_eq!(base.search.estg.recorded(), expected.recorded());
-        }
-    }
-
-    #[test]
-    fn the_journaled_deltas_rebuild_the_live_estg() {
-        use std::sync::{Arc, Barrier, Mutex};
-        use wlac_atpg::Estg;
-
-        /// Replays every record's ESTG delta as a boot replay does, and
-        /// keeps the design each record names. Each of the two workers then
-        /// waits for the other's record, so they start their next races
-        /// together: every race overlaps another on the same design.
-        struct Replay {
-            pair: Barrier,
-            replayed: Mutex<(Vec<DesignHash>, Estg)>,
-        }
-        impl DurabilitySink for Replay {
-            fn record(&self, record: &DurabilityRecord<'_>) {
-                {
-                    let mut replay = self.replayed.lock().unwrap();
-                    replay.0.push(record.design);
-                    for &(net, value, count) in &record.estg_delta {
-                        replay.1.record_conflicts(net, value, count);
-                    }
-                }
-                self.pair.wait();
-            }
-        }
-
-        let sink = Arc::new(Replay {
-            pair: Barrier::new(2),
-            replayed: Mutex::default(),
-        });
-        let mut config = quick_config();
-        assert_eq!(config.workers, 2);
-        config.durability = DurabilityHook::new(sink.clone());
-        let service = VerificationService::new(config);
-        // An even number of distinct properties, so every worker's record
-        // finds a partner.
-        let jobs = parity(6);
-        let design = design_hash(&jobs[0].netlist);
-        let results = service.wait(service.submit_batch(jobs));
-        assert_eq!(results.len(), 20);
-        assert!(results.iter().all(|r| r.verdict.is_pass()), "{results:?}");
-
-        let replay = sink.replayed.lock().unwrap();
-        let (designs, replayed) = &*replay;
-        assert_eq!(designs, &vec![design; 20]);
-        let live = service
-            .export_knowledge(design)
-            .expect("registered")
-            .search
-            .estg;
-        assert!(!live.is_empty());
-        assert_eq!(entries(replayed), entries(&live));
-        assert_eq!(replayed.recorded(), live.recorded());
     }
 }

@@ -18,12 +18,15 @@
 //!    queued (an identical job raced ahead of it);
 //! 2. otherwise copies the registered netlist into the race's
 //!    [`Verification`], builds a [`WarmStart`] from the design's
-//!    [`KnowledgeBase`] (replayed CDCL clauses, ESTG conflict cubes,
-//!    datapath infeasibility facts) and asks the scheduling predictor which
-//!    engines to spawn (falling back to full racing while the design has no
-//!    history);
+//!    [`KnowledgeBase`] (replayed CDCL clauses for SAT BMC) and asks the
+//!    scheduling predictor which of the configured engines to spawn (all
+//!    of them, in the configured order, while the design has no history);
 //! 3. races the portfolio, absorbs the harvest back into the knowledge base
 //!    and caches the verdict.
+//!
+//! The race's ATPG engine is [`wlac_atpg::AssertionChecker::check`], the
+//! check Table 2 runs, with its own ESTG: a property's search does not
+//! depend on which properties of its design ran first.
 
 use crate::durability::{DurabilityHook, DurabilityRecord};
 use crate::faultreport::{FaultReport, FaultReportHook};
@@ -239,10 +242,6 @@ pub struct ServiceStats {
     pub cached_verdicts: usize,
     /// Clauses currently banked across all designs.
     pub clauses_banked: u64,
-    /// Datapath infeasibility facts recorded across all designs.
-    pub datapath_facts: u64,
-    /// ESTG conflicts recorded across all designs.
-    pub estg_conflicts: u64,
     /// Jobs whose processing panicked and were quarantined (completed with
     /// an error verdict; the worker survived).
     pub quarantined_jobs: u64,
@@ -1030,10 +1029,7 @@ impl VerificationService {
             ..ServiceStats::default()
         };
         for entry in registry.values() {
-            let kb = entry.knowledge.lock_recover();
-            stats.clauses_banked += kb.clauses.len() as u64;
-            stats.datapath_facts += kb.search.datapath_facts.len() as u64;
-            stats.estg_conflicts += kb.search.estg.recorded();
+            stats.clauses_banked += entry.knowledge.lock_recover().clauses.len() as u64;
         }
         stats
     }
@@ -1347,9 +1343,6 @@ fn record_job_metrics(shared: &Shared, result: &JobResult, report: Option<&Portf
                 .counter("core_arithmetic_calls_total")
                 .add(stats.arithmetic_calls);
             metrics
-                .counter("core_datapath_fact_hits_total")
-                .add(stats.datapath_fact_hits);
-            metrics
                 .counter("core_justify_gates_rechecked_total")
                 .add(stats.justify_gates_rechecked);
         }
@@ -1428,17 +1421,16 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
     };
 
     // 2. Warm start from the knowledge base + predictor scheduling.
-    let full_portfolio = shared.config.portfolio.engines.len();
+    let configured = &shared.config.portfolio.engines;
+    let full_portfolio = configured.len();
     let warm = {
         let kb = entry.knowledge.lock_recover();
-        let engines = if shared.config.predict {
-            Some(predict_engines(&entry.features, Some(&kb.history)))
-        } else {
-            None
-        };
+        let engines = shared
+            .config
+            .predict
+            .then(|| predict_engines(&entry.features, Some(&kb.history), configured));
         WarmStart {
             clauses: kb.clauses.to_seeds(),
-            knowledge: kb.search.clone(),
             engines,
         }
     };
@@ -1540,12 +1532,6 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
     // is on disk. The record carries the harvest itself: what the race
     // learned over its warm start, which replay merges as `absorb` did.
     if shared.config.durability.is_armed() {
-        let estg_delta: Vec<_> = harvest
-            .knowledge
-            .iter()
-            .flat_map(|knowledge| knowledge.estg.entries())
-            .map(|((net, value), count)| (net, value, count))
-            .collect();
         let verdict = report.verdict.is_definitive().then(|| VerdictRecord {
             property: job.key.property,
             config: job.key.config,
@@ -1557,7 +1543,6 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
             netlist: &entry.netlist,
             verdict,
             clauses: &harvest.clauses,
-            estg_delta,
             ran: &harvest.ran,
             winner: harvest.winner,
         });

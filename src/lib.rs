@@ -20,10 +20,10 @@
 //! * [`portfolio`] — concurrent multi-strategy racing and batch checking
 //!   across the ATPG, SAT BMC and random-simulation engines,
 //! * [`service`] — persistent verification sessions: a design registry, a
-//!   per-design cross-property learning store (replayed CDCL clauses, ESTG
-//!   conflict cubes, datapath infeasibility facts, engine win/loss history)
-//!   and a `submit_batch`/`batch_progress`/`results` work-queue front door
-//!   with a bounded (LRU) verdict cache,
+//!   per-design learning store (replayed SAT BMC clauses and the engine
+//!   win/loss history; each ATPG check keeps its ESTG to itself) and a
+//!   `submit_batch`/`batch_progress`/`results` work-queue front door with a
+//!   bounded (LRU) verdict cache,
 //! * [`persist`] — versioned, checksummed on-disk snapshots of a design's
 //!   knowledge base and verdict cache, written atomically, and the
 //!   per-design write-ahead journal they compact,

@@ -1,28 +1,21 @@
 //! Learning-soundness and service integration tests.
 //!
-//! The cross-property learning store must shape *effort*, never *verdicts*:
-//! warm-started runs (clause-seeded BMC, cube/fact-seeded ATPG) have to agree
-//! with cold runs on every verdict and produce equally valid traces across
-//! the whole circuits suite, and a poisoned knowledge base must be rejected
-//! rather than trusted.
+//! The learning store must shape *effort*, never *verdicts*: clause-seeded
+//! BMC has to agree with cold BMC on every outcome across the whole circuits
+//! suite, and a poisoned knowledge base must be rejected rather than
+//! trusted. The service's ATPG runs are the plain check, so a property's
+//! search does not depend on which properties of its design ran first.
 
 use std::time::Duration;
 use wlac::atpg::CancelToken;
-use wlac::atpg::{AssertionChecker, CheckerOptions, SearchKnowledge, Verdict};
+use wlac::atpg::{AssertionChecker, Property, Verdict, Verification};
 use wlac::baselines::{bounded_model_check_learning, FrameClause, FrameLit};
 use wlac::circuits::{paper_suite, Scale};
 use wlac::netlist::NetId;
+use wlac::portfolio::{Engine, PortfolioConfig};
 use wlac::service::{
     design_hash, KnowledgeBase, KnowledgeError, ServiceConfig, VerificationService,
 };
-
-fn suite_options() -> CheckerOptions {
-    CheckerOptions {
-        max_frames: 6,
-        time_limit: Duration::from_secs(60),
-        ..CheckerOptions::default()
-    }
-}
 
 /// Two verdicts "agree" when they have the same label at the same depth.
 /// Traces may differ bit-for-bit between runs (seeding legally reorders
@@ -37,35 +30,119 @@ fn assert_agrees(property: &str, cold: &Verdict, warm: &Verdict) {
     );
 }
 
-/// ATPG differential: for every suite property, a knowledge-seeded re-check
-/// (ESTG conflict cubes + datapath infeasibility facts from a priming run)
-/// reaches the same verdict, depth and trace validity as the cold check.
+/// A six-state start/stop sequencer with six properties, as the benchmark's
+/// design generator writes them: `go` leaves state 0, then one state per
+/// cycle up to 5 unless `stop` resets it.
+const SEQUENCER: &str = "module fsm(input clk, input go, input stop,
+    output p0, output p1, output p2, output p3, output p4, output p5);
+  reg [2:0] s;
+  always @(posedge clk) begin
+    if (s == 0) begin
+      if (go)
+        s <= 1;
+    end else if (s == 5) begin
+      s <= 0;
+    end else begin
+      if (stop)
+        s <= 0;
+      else
+        s <= s + 1;
+    end
+  end
+  assign p0 = s < 6;
+  assign p1 = s != 2;
+  assign p2 = s == 3;
+  assign p3 = s == 6;
+  assign p4 = s != 6;
+  assign p5 = (s == 4) & stop;
+endmodule
+";
+
+/// A six-bit counter with an enable that wraps after 40, with six
+/// properties, as the benchmark's design generator writes them.
+const COUNTER: &str = "module cnt(input clk, input en,
+    output p0, output p1, output p2, output p3, output p4, output p5);
+  reg [5:0] q;
+  always @(posedge clk) begin
+    if (en) begin
+      if (q == 40)
+        q <= 0;
+      else
+        q <= q + 1;
+    end
+  end
+  assign p0 = q < 41;
+  assign p1 = q != 3;
+  assign p2 = q == 2;
+  assign p3 = q == 41;
+  assign p4 = q != 41;
+  assign p5 = q < 4;
+endmodule
+";
+
+/// The properties `p0`..`p5` of a compiled design: `true` marks an
+/// `always` property, `false` an `eventually` one.
+fn six_properties(source: &str, always: [bool; 6]) -> Vec<Verification> {
+    let netlist = wlac::frontend::compile(source).expect("the design compiles");
+    always
+        .iter()
+        .enumerate()
+        .map(|(i, &always)| {
+            let name = format!("p{i}");
+            let monitor = netlist
+                .outputs()
+                .iter()
+                .find(|(output, _)| *output == name)
+                .map(|&(_, net)| net)
+                .expect("a monitor per property");
+            let property = if always {
+                Property::always(&netlist, name, monitor)
+            } else {
+                Property::eventually(&netlist, name, monitor)
+            };
+            Verification::new(netlist.clone(), property)
+        })
+        .collect()
+}
+
+/// Every ATPG run of the service is the plain check: a property's search,
+/// submitted after the other properties of its design in either order,
+/// makes exactly the decisions `AssertionChecker::check` makes for it alone.
 #[test]
-fn warm_atpg_verdicts_match_cold_across_the_suite() {
-    let checker = AssertionChecker::new(suite_options());
-    for case in paper_suite(Scale::Small) {
-        let cold = checker.check(&case.verification);
-        // Prime a knowledge base on the same design, then re-check warm.
-        let mut knowledge = SearchKnowledge::new();
-        let primed = checker.check_learned(&case.verification, &mut knowledge);
-        assert_agrees(&case.property, &cold.result, &primed.result);
-        let warm = checker.check_learned(&case.verification, &mut knowledge);
-        assert_agrees(&case.property, &cold.result, &warm.result);
-        // Any warm trace must replay to the claimed behaviour on its own.
-        if let Some(trace) = warm.result.trace() {
-            let replay = trace
-                .replay_monitor(
-                    &case.verification.netlist,
-                    case.verification.property.monitor,
-                )
-                .expect("warm trace must replay");
-            let expected = matches!(warm.result, Verdict::WitnessFound { .. });
-            assert_eq!(
-                replay.last(),
-                Some(&expected),
-                "{}: warm trace fails replay",
-                case.property
-            );
+fn a_property_search_does_not_depend_on_the_properties_before_it() {
+    let config = ServiceConfig {
+        workers: 1,
+        portfolio: PortfolioConfig::default().with_engines(vec![Engine::Atpg]),
+        ..ServiceConfig::default()
+    };
+    let checker = AssertionChecker::new(config.portfolio.checker.clone());
+    for jobs in [
+        six_properties(SEQUENCER, [true, true, false, false, true, false]),
+        six_properties(COUNTER, [true, true, false, false, true, true]),
+    ] {
+        let alone: Vec<u64> = jobs
+            .iter()
+            .map(|job| checker.check(job).stats.decisions)
+            .collect();
+        let forward: Vec<usize> = (0..jobs.len()).collect();
+        let backward: Vec<usize> = forward.iter().rev().copied().collect();
+        for order in [forward, backward] {
+            let service = VerificationService::new(config.clone());
+            let batch = service.submit_batch(order.iter().map(|&i| jobs[i].clone()).collect());
+            service.wait(batch);
+            let slots = service.batch_slots(batch).expect("a retained batch");
+            for (slot, &i) in slots.iter().zip(&order) {
+                let (result, probe) = slot.as_ref().expect("a completed job");
+                assert!(!result.from_cache, "{result:?}");
+                assert_eq!(result.winner, Some(Engine::Atpg), "{result:?}");
+                assert_eq!(
+                    probe.decisions,
+                    alone[i],
+                    "{} of {}, order {order:?}",
+                    result.property,
+                    jobs[i].netlist.name()
+                );
+            }
         }
     }
 }
