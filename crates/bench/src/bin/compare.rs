@@ -16,18 +16,14 @@
 
 use wlac_atpg::{CancelToken, Verdict};
 use wlac_baselines::{bounded_model_check_learning, random_simulation};
-use wlac_bench::{harness_options, run_case};
-use wlac_circuits::{paper_suite, Scale};
+use wlac_bench::{harness_options, run_case, scale_arg};
+use wlac_circuits::paper_suite;
 
 /// SAT decisions allowed per query.
 const BMC_DECISION_BUDGET: u64 = 2_000_000;
 
 fn main() {
-    let scale = if std::env::args().any(|a| a == "paper") {
-        Scale::Paper
-    } else {
-        Scale::Small
-    };
+    let scale = scale_arg();
     let max_frames = harness_options().max_frames;
     println!(
         "== ATPG + modular arithmetic vs bit-level SAT BMC vs random simulation \

@@ -5,11 +5,13 @@
 //! row's verdict ranks below its sequential ATPG-only row's
 //! ([`wlac_atpg::Verdict::rank`]).
 //!
-//! Usage: `cargo run -p wlac-bench --release --bin portfolio`
+//! Usage: `cargo run -p wlac-bench --release --bin portfolio [-- small|paper]`
+//! (defaults to the small scale; `paper` selects the Table 1-sized designs,
+//! as `table2 paper` does).
 
 use std::time::Instant;
-use wlac_bench::harness_options;
-use wlac_circuits::{paper_suite, Scale};
+use wlac_bench::{harness_options, scale_arg};
+use wlac_circuits::paper_suite;
 use wlac_portfolio::{Engine, Portfolio, PortfolioConfig};
 
 fn config() -> PortfolioConfig {
@@ -20,7 +22,8 @@ fn config() -> PortfolioConfig {
 }
 
 fn main() {
-    let suite = paper_suite(Scale::Small);
+    let scale = scale_arg();
+    let suite = paper_suite(scale);
     let jobs: Vec<_> = suite.iter().map(|case| case.verification.clone()).collect();
 
     // 1. Sequential baseline: the ATPG engine alone, one property at a time
@@ -51,7 +54,10 @@ fn main() {
     let batch_reports = batch.check_batch(&jobs);
     let batch_time = start.elapsed();
 
-    println!("== portfolio throughput on paper_suite(Scale::Small), 14 properties ==\n");
+    println!(
+        "== portfolio throughput on paper_suite(Scale::{scale:?}), {} properties ==\n",
+        suite.len()
+    );
     println!(
         "{:<13} {:>4} | {:<13} {:>9} | {:<13} {:>9} {:>10} | agree",
         "ckt_name", "prop", "sequential", "cpu(s)", "racing", "cpu(s)", "winner"

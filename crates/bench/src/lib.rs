@@ -6,6 +6,7 @@
 //! * `table2` — CPU time / memory for properties p1–p14 (the paper's
 //!   Table 2), side by side with the paper's reported numbers,
 //! * `compare` — word-level ATPG vs bit-level SAT BMC vs random simulation,
+//! * `portfolio` — ATPG alone vs the hedged race vs batch checking,
 //! * `ablation` — effect of the bias ordering, the modular arithmetic solver
 //!   and the ESTG heuristic, plus the modular-vs-integral false-negative
 //!   demonstration.
@@ -18,7 +19,17 @@
 
 use std::time::Duration;
 use wlac_atpg::{AssertionChecker, CheckReport, CheckerOptions};
-use wlac_circuits::BenchmarkCase;
+use wlac_circuits::{BenchmarkCase, Scale};
+
+/// The suite scale a harness binary was asked for: a `paper` argument
+/// selects the Table 1-sized designs, and anything else the small ones.
+pub fn scale_arg() -> Scale {
+    if std::env::args().any(|a| a == "paper") {
+        Scale::Paper
+    } else {
+        Scale::Small
+    }
+}
 
 /// Options used by the harness when reproducing Table 2: a bounded number of
 /// frames and a per-property time limit keep full-suite runs predictable.

@@ -4,12 +4,13 @@
 //! are too heavy to rewrite per job; before this module, everything earned
 //! since the last autosave died with the process. The journal closes that
 //! gap: as each raced job completes, the service's durability hook appends
-//! one self-checksummed record — the definitive verdict (if any), the
-//! harvested frame clauses and the engine-history delta — to
-//! `d<hash>.wlacjournal`, *before* the result is acknowledged to any client.
-//! A record also has an ESTG-delta section, which the sink writes empty:
-//! servers before this one journaled ATPG conflict counts there, and their
-//! journals still decode (boot replay ignores the section).
+//! one self-checksummed record — the definitive verdict (if any) and the
+//! harvested frame clauses — to `d<hash>.wlacjournal`, *before* the result
+//! is acknowledged to any client. A record also has an ESTG-delta section
+//! and an engine-history delta (`ran`, `winner`), which the sink writes
+//! empty: earlier servers journaled ATPG conflict counts and the engines a
+//! race ran there, and their journals still decode (boot replay ignores
+//! both).
 //!
 //! # On-disk layout
 //!
@@ -34,9 +35,7 @@
 //! [`JournalSink::reset`]). Boot is therefore always *snapshot (primary →
 //! `.bak`) + journal suffix*. Replay is harmless-idempotent by
 //! construction: verdicts and clauses deduplicate exactly in the service's
-//! validated import paths, and history deltas at worst over-count after an
-//! unlucky crash between compaction and truncation — scheduling pressure,
-//! never verdicts.
+//! validated import paths.
 //!
 //! # Group commit
 //!
@@ -86,9 +85,13 @@ pub struct JournalRecord {
     /// journaled of a job's ATPG search. [`JournalSink`] writes it empty,
     /// and boot replay ignores it.
     pub estg_delta: Vec<(NetId, bool, u64)>,
-    /// Engines the race spawned (the engine-history delta).
+    /// Engines the race spawned: what servers before this one journaled for
+    /// their engine history. [`JournalSink`] writes it empty, and boot
+    /// replay ignores it; it stays while the benchmark package
+    /// (`perfbench/`) builds records with it.
     pub ran: Vec<Engine>,
-    /// The engine that won, when any did.
+    /// The engine that won the race, kept with `ran`: [`JournalSink`]
+    /// writes `None`, and boot replay ignores it.
     pub winner: Option<Engine>,
 }
 
@@ -746,12 +749,11 @@ impl JournalSink {
 
 impl DurabilitySink for JournalSink {
     fn record(&self, record: &DurabilityRecord<'_>) {
+        // The ESTG and engine-history sections stay empty.
         let journal_record = JournalRecord {
             verdict: record.verdict.clone(),
             clauses: record.clauses.to_vec(),
-            estg_delta: Vec::new(),
-            ran: record.ran.to_vec(),
-            winner: record.winner,
+            ..JournalRecord::default()
         };
         let mut writers = self.writers.lock_recover();
         let entry = writers.entry(record.design).or_insert_with(|| {

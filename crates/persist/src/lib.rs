@@ -4,7 +4,7 @@
 //! [`wlac_service::KnowledgeBase`] and a verdict cache — and would lose both
 //! on every process exit. This crate is the durability layer: a [`Snapshot`]
 //! bundles one design's canonical netlist, its learning store (SAT BMC
-//! clauses and engine history) and its cached verdicts into a self-contained
+//! clauses) and its cached verdicts into a self-contained
 //! binary file that a restarted server reads back to answer repeat queries
 //! warm, and the write-ahead journal keeps what completed since.
 //!
@@ -27,9 +27,11 @@
 //!
 //! Snapshots and journal records keep an ESTG section that current writers
 //! leave empty: ATPG conflict history lives for one check, not across a
-//! design's properties. Files written by earlier servers carry entries
-//! there; they decode as before and the entries are dropped, so no format
-//! version changed.
+//! design's properties. They also keep the engine-history fields of a
+//! scheduler that no longer exists (a snapshot's six win/run counts, a
+//! record's `ran` and `winner`), which current writers write as zeros or
+//! empty. Files written by earlier servers carry values in both; they decode
+//! as before and the values are dropped, so no format version changed.
 //!
 //! Writes are atomic: the snapshot is written to a temporary file in the
 //! destination directory, flushed, and renamed over the target, so a crash

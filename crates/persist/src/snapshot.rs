@@ -9,7 +9,7 @@ use wlac_baselines::{FrameClause, FrameLit};
 use wlac_bv::Bv;
 use wlac_faultinject::{FaultPlan, FaultSite};
 use wlac_netlist::{GateKind, NetId, Netlist};
-use wlac_portfolio::{Engine, EngineHistory, Verdict};
+use wlac_portfolio::{Engine, Verdict};
 use wlac_service::{design_hash, DesignHash, KnowledgeBase, PropertyHash, VerdictRecord};
 
 /// One design's durable state: the canonical netlist (so a restarted server
@@ -20,8 +20,7 @@ pub struct Snapshot {
     /// The canonical netlist; its [`design_hash`] must match the knowledge
     /// base's binding (checked on load).
     pub netlist: Netlist,
-    /// The design's learning store: frame-relative clauses and engine
-    /// history round-trip.
+    /// The design's learning store: its frame-relative clauses round-trip.
     pub knowledge: KnowledgeBase,
     /// Cached (always definitive) verdicts of this design.
     pub verdicts: Vec<VerdictRecord>,
@@ -239,16 +238,20 @@ pub(crate) fn read_estg(r: &mut Reader<'_>) -> Result<Vec<(NetId, bool, u64)>, P
     Ok(entries)
 }
 
-/// A knowledge base: its clauses, an ESTG section and its engine history.
-/// The service keeps no ESTG across checks any more, so the section is
-/// always written empty; it stays in the layout so that files of every
-/// version decode alike.
+/// Engine-history counts (three wins, three runs) that follow a knowledge
+/// base's ESTG section.
+const HISTORY_COUNTS: usize = 6;
+
+/// A knowledge base: its clauses, an ESTG section and six engine-history
+/// counts. The service keeps neither an ESTG across checks nor an engine
+/// history any more, so the section is written empty and the counts as
+/// zeros; both stay in the layout so that files of every version decode
+/// alike.
 fn write_knowledge(w: &mut Writer, knowledge: &KnowledgeBase) {
     write_clauses(w, &knowledge.clauses.to_seeds());
     write_estg(w, &[]);
-    let (wins, runs) = knowledge.history.counts();
-    for v in wins.iter().chain(runs.iter()) {
-        w.u64(*v);
+    for _ in 0..HISTORY_COUNTS {
+        w.u64(0);
     }
 }
 
@@ -257,15 +260,12 @@ fn read_knowledge(r: &mut Reader<'_>, design: DesignHash) -> Result<KnowledgeBas
     for clause in read_clauses(r)? {
         knowledge.clauses.insert(&clause);
     }
-    // Servers before this layout's ESTG section went empty wrote conflict
-    // counts here; they read as well as ever and are dropped.
+    // Earlier servers wrote ATPG conflict counts and engine-history counts
+    // here; they read as well as ever and are dropped.
     read_estg(r)?;
-    let mut wins = [0u64; 3];
-    let mut runs = [0u64; 3];
-    for v in wins.iter_mut().chain(runs.iter_mut()) {
-        *v = r.u64()?;
+    for _ in 0..HISTORY_COUNTS {
+        r.u64()?;
     }
-    knowledge.history = EngineHistory::from_counts(wins, runs);
     Ok(knowledge)
 }
 
@@ -671,7 +671,6 @@ mod tests {
                 negated: false,
             }],
         });
-        knowledge.history = EngineHistory::from_counts([1, 0, 0], [1, 1, 1]);
         let frame = encode_snapshot(&Snapshot {
             netlist,
             knowledge,

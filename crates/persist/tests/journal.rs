@@ -435,8 +435,6 @@ fn emit_via_sink(sink: &JournalSink, netlist: &Netlist, seq: u64) {
         netlist,
         verdict: sample.verdict.clone(),
         clauses: &sample.clauses,
-        ran: &sample.ran,
-        winner: sample.winner,
     });
 }
 

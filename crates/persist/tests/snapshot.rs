@@ -12,7 +12,7 @@ use wlac_persist::{
     decode_snapshot, encode_snapshot, load_snapshot, save_snapshot, snapshot_file_name,
     PersistError, Snapshot,
 };
-use wlac_portfolio::{Engine, EngineHistory, Verdict};
+use wlac_portfolio::{Engine, Verdict};
 use wlac_service::{design_hash, KnowledgeBase, PropertyHash, VerdictRecord};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -94,7 +94,6 @@ fn sample_snapshot() -> Snapshot {
             },
         ],
     });
-    knowledge.history = EngineHistory::from_counts([5, 2, 0], [7, 7, 6]);
     let verdicts = vec![
         VerdictRecord {
             property: PropertyHash(0xABCD),
@@ -152,7 +151,6 @@ fn round_trip_preserves_everything() {
         restored.knowledge.clauses.to_seeds(),
         snapshot.knowledge.clauses.to_seeds()
     );
-    assert_eq!(restored.knowledge.history, snapshot.knowledge.history);
 
     // Verdicts, winners and the embedded trace round-trip.
     assert_eq!(restored.verdicts.len(), 2);
@@ -176,8 +174,9 @@ fn round_trip_preserves_everything() {
 }
 
 /// `sample_snapshot` as a server wrote it while knowledge bases still kept
-/// ATPG conflict counts: its ESTG section holds 17 conflicts on net 4 = 1
-/// and 3 on net 4 = 0.
+/// ATPG conflict counts and an engine history: its ESTG section holds 17
+/// conflicts on net 4 = 1 and 3 on net 4 = 0, and its history counts read
+/// 5/2/0 wins and 7/7/6 runs.
 const ESTG_ERA_SNAPSHOT: &[u8] = include_bytes!("fixtures/estg_entries.wlacsnap");
 
 #[test]
@@ -189,7 +188,6 @@ fn a_snapshot_with_estg_entries_still_decodes() {
         restored.knowledge.clauses.to_seeds(),
         sample.knowledge.clauses.to_seeds()
     );
-    assert_eq!(restored.knowledge.history, sample.knowledge.history);
     assert_eq!(restored.verdicts.len(), 2);
     for (got, want) in restored.verdicts.iter().zip(&sample.verdicts) {
         assert_eq!(
@@ -198,7 +196,8 @@ fn a_snapshot_with_estg_entries_still_decodes() {
         );
     }
     // Written again, it is today's file: the same state, an empty ESTG
-    // section, and the two dropped entries' 34 bytes shorter.
+    // section, zero history counts, and the two dropped entries' 34 bytes
+    // shorter.
     let rewritten = encode_snapshot(&restored).expect("encodes");
     assert_eq!(rewritten, encode_snapshot(&sample).expect("encodes"));
     assert_eq!(rewritten.len() + 2 * 17, ESTG_ERA_SNAPSHOT.len());

@@ -31,7 +31,8 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Every engine, in the canonical (spawn and serialization) order.
+    /// Every engine, in the canonical order: the default configuration's
+    /// spawn order, and the order of [`Engine::code`].
     pub const ALL: [Engine; 3] = [Engine::Atpg, Engine::SatBmc, Engine::RandomSim];
 
     /// Stable wire/disk code of this engine (the index in [`Engine::ALL`]).

@@ -60,13 +60,11 @@
 
 mod config;
 mod engines;
-mod predictor;
 mod progress;
 mod warm;
 
 pub use config::{PortfolioConfig, RANDOM_SEED};
 pub use engines::{Engine, EngineRun, EngineStats};
-pub use predictor::{predict_engines, EngineHistory, NetlistFeatures};
 pub use progress::RaceProgress;
 pub use warm::{Harvest, WarmStart};
 pub use wlac_atpg::Verdict;
@@ -81,14 +79,15 @@ use wlac_telemetry::{MetricsRegistry, RecorderHandle, RecorderKind, RecorderLaye
 
 /// How long a race's lead engine runs alone before the other engines join.
 ///
-/// The lead (ATPG, or the predictor's top pick) decides most small designs
-/// in well under a millisecond, and on a machine with few cores two more
-/// engines started at once take the CPU it needs: in a design stream the
-/// first answer came three times later than ATPG alone takes, and most
-/// engine time was thrown away. A sweep of 1–10 ms on such a stream gave a
-/// flat throughput optimum from 3 to 10 ms; 5 ms sits in its middle. The
-/// cost is bounded: a race the other engines would have won ends at most
-/// this much later, and SAT-BMC's fastest paper-suite win takes about 60 ms.
+/// The lead (the first configured engine, ATPG by default) decides most
+/// small designs in well under a millisecond, and on a machine with few
+/// cores two more engines started at once take the CPU it needs: in a
+/// design stream the first answer came three times later than ATPG alone
+/// takes, and most engine time was thrown away. A sweep of 1–10 ms on such
+/// a stream gave a flat throughput optimum from 3 to 10 ms; 5 ms sits in its
+/// middle. The cost is bounded: a race the other engines would have won ends
+/// at most this much later, and SAT-BMC's fastest paper-suite win takes
+/// about 60 ms.
 /// The lead spends its head start on the calling thread; a lead still
 /// searching at its end restarts on its own thread beside the others, so
 /// an escalating race repeats at most this much lead work.
@@ -265,10 +264,9 @@ impl Portfolio {
     }
 
     /// Like [`Portfolio::race`], but warm-started from a knowledge base:
-    /// `warm` seeds SAT BMC with replayed CDCL clauses and may replace the
-    /// engine list with the scheduling predictor's choice, whose first
-    /// engine leads the hedged race. ATPG runs the plain
-    /// [`wlac_atpg::AssertionChecker::check`] either way. The returned
+    /// `warm` seeds SAT BMC with replayed CDCL clauses. The race starts the
+    /// configured engines, as [`Portfolio::race`] does, and ATPG runs the
+    /// plain [`wlac_atpg::AssertionChecker::check`]. The returned
     /// [`Harvest`] carries only what this race learned on top of `warm`, so
     /// the base merges it as it is.
     ///
@@ -357,7 +355,7 @@ impl Portfolio {
             Some(budget) => CancelToken::with_deadline(start + budget),
             None => CancelToken::new(),
         };
-        let engines: &[Engine] = warm.engines.as_deref().unwrap_or(&self.config.engines);
+        let engines: &[Engine] = &self.config.engines;
         let mut runs: Vec<EngineRun> = Vec::with_capacity(engines.len());
         let mut harvest = Harvest::default();
         let mut winner: Option<usize> = None;

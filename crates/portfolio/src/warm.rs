@@ -1,8 +1,7 @@
 //! Warm-start seeds and learning harvests for portfolio runs.
 //!
 //! A [`WarmStart`] carries what a knowledge base knows about a design into
-//! one race: frame-relative CDCL clauses for the SAT BMC engine, and an
-//! optional engine-selection override from the scheduling predictor. A
+//! one race: frame-relative CDCL clauses for the SAT BMC engine. A
 //! [`Harvest`] carries back out only what the race learned on top of that
 //! seed: a delta, which every store merges. The ATPG engine takes no seed
 //! and harvests nothing: each of its checks owns its ESTG.
@@ -20,14 +19,11 @@ use wlac_baselines::FrameClause;
 pub struct WarmStart {
     /// Design-valid frame-relative clauses replayed into every BMC unrolling.
     pub clauses: Vec<FrameClause>,
-    /// Engines to spawn instead of the configured list (predictor output);
-    /// `None` keeps the configured portfolio.
-    pub engines: Option<Vec<Engine>>,
 }
 
 impl WarmStart {
-    /// An empty warm start: no seeds, the full configured portfolio. A race
-    /// from it is a cold race whose harvest is everything it learned.
+    /// An empty warm start: no seeds. A race from it is a cold race whose
+    /// harvest is everything it learned.
     pub fn new() -> Self {
         WarmStart::default()
     }
@@ -39,9 +35,10 @@ impl WarmStart {
 pub struct Harvest {
     /// New design-valid clauses lifted out of the BMC engine's CDCL runs.
     pub clauses: Vec<FrameClause>,
-    /// The engine that produced the winning verdict, for the scheduling
-    /// history. Set by the race, like `ran`.
+    /// The engine that produced the winning verdict, as in
+    /// [`crate::PortfolioReport::winner`]. Set by the race, like `ran`.
+    /// Only the benchmark package (`perfbench/`) reads either.
     pub winner: Option<Engine>,
-    /// The engines that actually ran.
+    /// The engines that actually ran, in answer order.
     pub ran: Vec<Engine>,
 }

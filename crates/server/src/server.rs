@@ -675,15 +675,16 @@ fn replay_journals(state: &ServerState) {
         // accepted when the netlist reproduces the recorded hash — so a
         // design that never reached its first snapshot still comes back
         // warm, under the same identity it was acknowledged as. A record's
-        // ESTG delta (journals of earlier servers carry one) is not state
-        // any more: ATPG conflict history lives for one check.
+        // ESTG delta and engine-history delta (`ran`, `winner`; journals of
+        // earlier servers carry them) are not state any more: ATPG conflict
+        // history lives for one check, and every race starts the
+        // configured engines.
         let mut knowledge = KnowledgeBase::new(replay.design);
         let mut verdicts = Vec::with_capacity(replay.records.len());
         for record in &replay.records {
             for clause in &record.clauses {
                 knowledge.clauses.insert(clause);
             }
-            knowledge.history.record(&record.ran, record.winner);
             if let Some(verdict) = &record.verdict {
                 verdicts.push(verdict.clone());
             }

@@ -179,9 +179,6 @@ fn deterministic_config() -> ServerConfig {
         ..ServerConfig::default()
     };
     config.service.workers = 1;
-    // The predictor may widen the engine set; determinism wants exactly the
-    // configured engines.
-    config.service.predict = false;
     config.service.portfolio = config
         .service
         .portfolio

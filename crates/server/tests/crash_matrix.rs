@@ -173,7 +173,6 @@ fn journal_config(data_dir: &TempDir) -> ServerConfig {
     };
     config.data_dir = Some(data_dir.0.clone());
     config.service.workers = 1;
-    config.service.predict = false;
     config.service.portfolio = config
         .service
         .portfolio

@@ -2,19 +2,17 @@
 //!
 //! The service itself knows nothing about files or formats. When a raced job
 //! finishes, it offers everything the race produced — the definitive verdict
-//! (if any), the harvested frame clauses and the engine-history delta — to
-//! an optional [`DurabilitySink`] *before* the result is published to
-//! waiters. A write-ahead journal (see `wlac-persist`) implements the sink;
-//! the disabled default costs one `Option` check per job.
+//! (if any) and the harvested frame clauses — to an optional
+//! [`DurabilitySink`] *before* the result is published to waiters. A
+//! write-ahead journal (see `wlac-persist`) implements the sink; the
+//! disabled default costs one `Option` check per job.
 //!
 //! A record is the race's learned delta, and every store merges it: the
 //! race's harvest holds only what it added over its warm start, the live
 //! [`KnowledgeBase::absorb`] merges that harvest, and a boot-time replay
 //! merges the same record into whatever a newer snapshot restored. So the
 //! knowledge a restart rebuilds equals the live knowledge. Replay is also
-//! harmless-idempotent: verdicts and clauses deduplicate exactly, and a
-//! history over-count after an unlucky crash merely reorders engines —
-//! never verdicts.
+//! idempotent: verdicts and clauses deduplicate exactly.
 //!
 //! [`KnowledgeBase::absorb`]: crate::KnowledgeBase::absorb
 
@@ -24,7 +22,6 @@ use std::fmt;
 use std::sync::Arc;
 use wlac_baselines::FrameClause;
 use wlac_netlist::Netlist;
-use wlac_portfolio::Engine;
 
 /// Everything one completed raced job contributes to durable state.
 ///
@@ -43,11 +40,6 @@ pub struct DurabilityRecord<'a> {
     pub verdict: Option<VerdictRecord>,
     /// Design-valid frame clauses harvested from the race.
     pub clauses: &'a [FrameClause],
-    /// Engines the race actually spawned (the engine-history delta, replayed
-    /// via `EngineHistory::record`).
-    pub ran: &'a [Engine],
-    /// The engine that won, when any did.
-    pub winner: Option<Engine>,
 }
 
 impl fmt::Debug for DurabilityRecord<'_> {
@@ -56,7 +48,6 @@ impl fmt::Debug for DurabilityRecord<'_> {
             .field("design", &self.design)
             .field("verdict", &self.verdict.is_some())
             .field("clauses", &self.clauses.len())
-            .field("ran", &self.ran.len())
             .finish()
     }
 }

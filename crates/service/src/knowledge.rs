@@ -1,14 +1,14 @@
 //! The per-design cross-property knowledge base.
 //!
-//! One [`KnowledgeBase`] accumulates everything every engine learns about one
-//! design, across all properties and batches of a session:
+//! One [`KnowledgeBase`] accumulates what the engines learn about one design,
+//! across all properties and batches of a session: a [`ClauseBank`] of
+//! design-valid, frame-relative CDCL clauses lifted out of SAT BMC runs
+//! (deduplicated, depth-minimised, capacity-capped).
 //!
-//! * a [`ClauseBank`] of design-valid, frame-relative CDCL clauses lifted out
-//!   of SAT BMC runs (deduplicated, depth-minimised, capacity-capped),
-//! * the [`EngineHistory`] feeding the scheduling predictor.
-//!
-//! It holds nothing of the ATPG search: every ATPG run is
-//! [`wlac_atpg::AssertionChecker::check`], whose ESTG lives for one check.
+//! It holds nothing of the ATPG search, since every ATPG run is
+//! [`wlac_atpg::AssertionChecker::check`], whose ESTG lives for one check,
+//! and nothing of which engines ran or won: every race starts the
+//! configured engines.
 //!
 //! Every knowledge base is **bound to a design hash**. Imports are validated
 //! against both the hash and the netlist structure; anything malformed — a
@@ -22,7 +22,7 @@ use std::error::Error;
 use std::fmt;
 use wlac_baselines::{FrameClause, FrameLit};
 use wlac_netlist::Netlist;
-use wlac_portfolio::{EngineHistory, Harvest};
+use wlac_portfolio::Harvest;
 
 /// Why a knowledge import was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -223,8 +223,6 @@ pub struct KnowledgeBase {
     design: DesignHash,
     /// Design-valid frame-relative CDCL clauses for BMC warm starts.
     pub clauses: ClauseBank,
-    /// Engine win/loss history for the scheduling predictor.
-    pub history: EngineHistory,
     /// Effectiveness counters.
     pub stats: KnowledgeStats,
 }
@@ -238,7 +236,6 @@ impl KnowledgeBase {
         KnowledgeBase {
             design,
             clauses: ClauseBank::new(DEFAULT_CLAUSE_CAP),
-            history: EngineHistory::new(),
             stats: KnowledgeStats::default(),
         }
     }
@@ -265,14 +262,13 @@ impl KnowledgeBase {
                 self.stats.clauses_banked += 1;
             }
         }
-        self.history.record(&harvest.ran, harvest.winner);
     }
 
     /// Imports a knowledge base (e.g. persisted from an earlier session)
     /// after full validation: the design binding must match and every clause
     /// must be structurally well-formed for `netlist`.
     ///
-    /// The clause bank and the engine history cross the trust boundary.
+    /// Only the clause bank crosses the trust boundary.
     ///
     /// # Errors
     ///
@@ -301,10 +297,6 @@ impl KnowledgeBase {
             }
             self.stats.clauses_offered += 1;
         }
-        // Engine win/loss history is scheduling pressure only (the predictor
-        // always keeps a complete engine), so a persisted history merges —
-        // this is what lets a restarted server skip the exploration races.
-        self.history.merge(&other.history);
         Ok(())
     }
 }

@@ -9,9 +9,7 @@
 //!   netlist registered twice is the same design and shares everything
 //!   below;
 //! * a per-design [`KnowledgeBase`]: design-valid CDCL clauses lifted to
-//!   frame-relative form (replayable at any unrolling bound) for SAT BMC,
-//!   and the per-design engine win/loss history driving the scheduling
-//!   predictor;
+//!   frame-relative form (replayable at any unrolling bound) for SAT BMC;
 //! * a **verdict cache** keyed by (design hash, property hash, config) that
 //!   answers repeat queries without spawning a single engine;
 //! * a **work-queue front door** — [`VerificationService::submit`] (jobs
@@ -24,16 +22,20 @@
 //!   netlist: a cache hit never reads one, and a raced job copies its
 //!   design out of the registry once, on the worker.
 //!
-//! Every ATPG run of the service is [`wlac_atpg::AssertionChecker::check`],
-//! the check Table 2 runs, with an ESTG of its own: a property's search does
-//! not depend on which properties of its design ran before it
-//! (`tests/service.rs` at the workspace root pins this). Clause learning is
-//! strictly effort-shaping, never verdict-shaping: clauses are only exported
-//! when their derivation stayed inside the design's transition structure
-//! (taint-tracked in the CDCL solver), and `tests/service.rs` proves warm
-//! and cold SAT BMC agree on every outcome across the circuits suite. A
-//! knowledge base offered from outside is validated against the design hash
-//! and structure and rejected — [`KnowledgeError`] — rather than trusted.
+//! Every raced job starts the configured engines
+//! ([`wlac_portfolio::PortfolioConfig::engines`]), hedged, whatever ran on
+//! its design before. Every ATPG run of the service is
+//! [`wlac_atpg::AssertionChecker::check`], the check Table 2 runs, with an
+//! ESTG of its own. So neither a property's ATPG search nor the engines its
+//! race may start depend on which properties of its design ran before it
+//! (`tests/service.rs` at the workspace root pins both). Clause learning
+//! is strictly effort-shaping, never verdict-shaping: clauses are only
+//! exported when their derivation stayed inside the design's transition
+//! structure (taint-tracked in the CDCL solver), and `tests/service.rs`
+//! proves warm and cold SAT BMC agree on every outcome across the circuits
+//! suite. A knowledge base offered from outside is validated against the
+//! design hash and structure and rejected — [`KnowledgeError`] — rather
+//! than trusted.
 //!
 //! # Examples
 //!
@@ -472,11 +474,6 @@ mod tests {
                 "service_cache_misses_total",
             ),
             (
-                "predicted_races",
-                stats.predicted_races,
-                "service_predicted_races_total",
-            ),
-            (
                 "cache_evictions",
                 stats.cache_evictions,
                 "service_cache_evictions_total",
@@ -562,14 +559,13 @@ mod tests {
     }
 
     #[test]
-    fn the_predictor_races_only_the_configured_engines() {
+    fn an_atpg_only_service_races_atpg_alone() {
         use wlac_faultinject::{FaultPlan, FaultSite};
         use wlac_portfolio::Engine;
-        // ATPG alone, hung until a short job budget ends it. The predictor
-        // is on, as by default, and must not add the engines the portfolio
-        // leaves out: random simulation would answer this violation.
+        // ATPG alone, hung until a short job budget ends it. The race must
+        // not add the engines the portfolio leaves out: random simulation
+        // would answer this violation.
         let mut config = quick_config();
-        assert!(config.predict);
         config.portfolio = PortfolioConfig::default()
             .with_engines(vec![Engine::Atpg])
             .with_job_budget(Duration::from_millis(300));
@@ -693,7 +689,6 @@ mod tests {
         // other job of the batch completes at once.
         let budget = Duration::from_secs(2);
         let mut config = quick_config();
-        config.predict = false;
         config.portfolio = PortfolioConfig::default()
             .with_engines(vec![wlac_portfolio::Engine::Atpg])
             .with_job_budget(budget);
@@ -740,11 +735,9 @@ mod tests {
     }
 
     #[test]
-    fn prediction_can_be_disabled() {
-        // A hung lead escalates the race: without the predictor the whole
-        // portfolio joins.
+    fn a_hung_lead_escalates_to_every_configured_engine() {
+        // A hung lead escalates the race: the whole portfolio joins.
         let mut config = quick_config();
-        config.predict = false;
         config.portfolio = PortfolioConfig::default();
         config.portfolio.checker.faults =
             wlac_atpg::FaultPlan::new().fire_from(wlac_atpg::FaultSite::EngineHang, 1);
@@ -754,7 +747,7 @@ mod tests {
         assert!(results[0].verdict.is_pass(), "{:?}", results[0].verdict);
         assert_eq!(
             results[0].engines_spawned, 3,
-            "full portfolio without predictor"
+            "every configured engine joins"
         );
     }
 
@@ -764,7 +757,6 @@ mod tests {
         // starts it alone. A loaded host can hold the lead past the head
         // start, which escalates the race, so a fresh service retries.
         let mut config = quick_config();
-        config.predict = false;
         config.portfolio = PortfolioConfig::default();
         let mut spawned = Vec::new();
         for _ in 0..20 {

@@ -17,12 +17,15 @@
 //! 1. answers from the cache after all when the job became a hit while it
 //!    queued (an identical job raced ahead of it);
 //! 2. otherwise copies the registered netlist into the race's
-//!    [`Verification`], builds a [`WarmStart`] from the design's
-//!    [`KnowledgeBase`] (replayed CDCL clauses for SAT BMC) and asks the
-//!    scheduling predictor which of the configured engines to spawn (all
-//!    of them, in the configured order, while the design has no history);
-//! 3. races the portfolio, absorbs the harvest back into the knowledge base
-//!    and caches the verdict.
+//!    [`Verification`] and builds a [`WarmStart`] from the design's
+//!    [`KnowledgeBase`] (replayed CDCL clauses for SAT BMC);
+//! 3. races the configured engines, hedged as [`Portfolio::race`] describes,
+//!    absorbs the harvest back into the knowledge base and caches the
+//!    verdict.
+//!
+//! Every race may start the same engines, whatever ran on the design
+//! before: the engines a verdict can come from do not depend on the
+//! properties raced before it.
 //!
 //! The race's ATPG engine is [`wlac_atpg::AssertionChecker::check`], the
 //! check Table 2 runs, with its own ESTG: a property's search does not
@@ -41,8 +44,8 @@ use wlac_atpg::{Property, Verification};
 use wlac_faultinject::{CondvarExt, FaultPlan, FaultSite, LockExt};
 use wlac_netlist::{NetId, Netlist};
 use wlac_portfolio::{
-    predict_engines, Engine, EngineStats, NetlistFeatures, Portfolio, PortfolioConfig,
-    PortfolioReport, RaceProgress, Verdict, WarmStart,
+    Engine, EngineStats, Portfolio, PortfolioConfig, PortfolioReport, RaceProgress, Verdict,
+    WarmStart,
 };
 use wlac_telemetry::{
     Counter, MetricsRegistry, ProgressProbe, RecorderHandle, RecorderKind, RecorderLayer,
@@ -146,7 +149,7 @@ pub struct JobResult {
     pub from_cache: bool,
     /// Engines the race actually started: 0 for cache hits, 1 when the
     /// hedged race's lead decided within its head start, and at most the
-    /// predictor's list otherwise.
+    /// configured engines otherwise.
     pub engines_spawned: usize,
     /// Wall-clock time from dequeue to result; for a hit answered at
     /// submission, from its cache lookup to its result.
@@ -168,8 +171,9 @@ pub struct ServiceConfig {
     pub portfolio: PortfolioConfig,
     /// Worker threads draining the job queue.
     pub workers: usize,
-    /// Consult the scheduling predictor (`false` always races the full
-    /// configured portfolio).
+    /// Has no effect: every race starts the configured engines. Kept only
+    /// because the benchmark package (`perfbench/`) still sets it; it goes
+    /// when ROADMAP item 3 un-pins that package.
     pub predict: bool,
     /// Verdict-cache bound; the least-recently-used entry is evicted when a
     /// new verdict would exceed it. Zero disables caching entirely.
@@ -198,8 +202,8 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Defaults: the default portfolio, one worker per available CPU,
-    /// prediction on, a [`DEFAULT_CACHE_CAPACITY`]-entry verdict cache.
+    /// Defaults: the default portfolio, one worker per available CPU and a
+    /// [`DEFAULT_CACHE_CAPACITY`]-entry verdict cache.
     pub fn new() -> Self {
         ServiceConfig {
             portfolio: PortfolioConfig::default(),
@@ -234,8 +238,6 @@ pub struct ServiceStats {
     pub cache_hits: u64,
     /// Jobs that had to race engines.
     pub cache_misses: u64,
-    /// Races that ran a predictor-trimmed portfolio.
-    pub predicted_races: u64,
     /// Verdicts evicted from the cache by the LRU bound.
     pub cache_evictions: u64,
     /// Verdicts currently cached (≤ the configured capacity).
@@ -272,13 +274,11 @@ impl ServiceStats {
     }
 }
 
-/// One registered design: the canonical netlist, its predictor features and
-/// its learning store. The netlist is shared with every reader that looks
-/// the design up ([`VerificationService::design`]), so the registry holds
-/// the only copy.
+/// One registered design: the canonical netlist and its learning store.
+/// The netlist is shared with every reader that looks the design up
+/// ([`VerificationService::design`]), so the registry holds the only copy.
 struct DesignEntry {
     netlist: Arc<Netlist>,
-    features: NetlistFeatures,
     knowledge: Mutex<KnowledgeBase>,
 }
 
@@ -689,7 +689,6 @@ impl VerificationService {
         registry.entry(hash).or_insert_with(|| {
             Arc::new(DesignEntry {
                 netlist: Arc::new(netlist.clone()),
-                features: NetlistFeatures::of(netlist),
                 knowledge: Mutex::new(KnowledgeBase::new(hash)),
             })
         });
@@ -1017,7 +1016,6 @@ impl VerificationService {
             designs: registry.len(),
             cache_hits: count("service_cache_hits_total"),
             cache_misses: count("service_cache_misses_total"),
-            predicted_races: count("service_predicted_races_total"),
             cache_evictions: count("service_cache_evictions_total"),
             cached_verdicts,
             quarantined_jobs: count("service_jobs_quarantined_total"),
@@ -1420,28 +1418,10 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
         return;
     };
 
-    // 2. Warm start from the knowledge base + predictor scheduling.
-    let configured = &shared.config.portfolio.engines;
-    let full_portfolio = configured.len();
-    let warm = {
-        let kb = entry.knowledge.lock_recover();
-        let engines = shared
-            .config
-            .predict
-            .then(|| predict_engines(&entry.features, Some(&kb.history), configured));
-        WarmStart {
-            clauses: kb.clauses.to_seeds(),
-            engines,
-        }
+    // 2. Warm start from the knowledge base.
+    let warm = WarmStart {
+        clauses: entry.knowledge.lock_recover().clauses.to_seeds(),
     };
-    // The engines the race may start; its report lists those it did start.
-    let planned = warm.engines.as_ref().map_or(full_portfolio, Vec::len);
-    if planned < full_portfolio {
-        shared
-            .metrics
-            .counter("service_predicted_races_total")
-            .inc();
-    }
 
     // Register the race's live-progress cells before any engine spawns:
     // from here until completion, `progress` observers see this job as
@@ -1494,7 +1474,7 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
                 winner: None,
                 from_cache: false,
                 // A panicked race leaves no report of what it started.
-                engines_spawned: planned,
+                engines_spawned: shared.config.portfolio.engines.len(),
                 wall: start.elapsed(),
             };
             record_job_metrics(shared, &result, None);
@@ -1543,8 +1523,6 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
             netlist: &entry.netlist,
             verdict,
             clauses: &harvest.clauses,
-            ran: &harvest.ran,
-            winner: harvest.winner,
         });
     }
     // Only definitive verdicts are worth replaying; an `Unknown` (budget,

@@ -8,8 +8,8 @@
 //! verdict cache (zero engines spawned), which is where batch-serving
 //! throughput comes from; the knowledge-base counters show what the first
 //! run banked for any *non*-identical future queries against the same
-//! designs (replayable CDCL clauses for SAT BMC and the engine win/loss
-//! history). Each property's ATPG check runs on its own, as in Table 2.
+//! designs (replayable CDCL clauses for SAT BMC). Each property's ATPG
+//! check runs on its own, as in Table 2.
 
 use std::time::{Duration, Instant};
 use wlac::circuits::{paper_suite, Scale};
@@ -34,7 +34,7 @@ fn main() {
     }
     let jobs: Vec<_> = suite.iter().map(|c| c.verification.clone()).collect();
 
-    // Cold run: every job races the (predictor-scheduled) portfolio.
+    // Cold run: every job races the configured portfolio.
     let start = Instant::now();
     let batch = service.submit_batch(jobs.clone());
     while !service.batch_progress(batch).expect("known batch").done() {

@@ -20,8 +20,8 @@
 //! * [`portfolio`] — concurrent multi-strategy racing and batch checking
 //!   across the ATPG, SAT BMC and random-simulation engines,
 //! * [`service`] — persistent verification sessions: a design registry, a
-//!   per-design learning store (replayed SAT BMC clauses and the engine
-//!   win/loss history; each ATPG check keeps its ESTG to itself) and a
+//!   per-design learning store (replayed SAT BMC clauses; each ATPG check
+//!   keeps its ESTG to itself) and a
 //!   `submit_batch`/`batch_progress`/`results` work-queue front door with a
 //!   bounded (LRU) verdict cache,
 //! * [`persist`] — versioned, checksummed on-disk snapshots of a design's

@@ -147,6 +147,44 @@ fn a_property_search_does_not_depend_on_the_properties_before_it() {
     }
 }
 
+/// Every race starts the configured engines, whatever ran on its design
+/// before. ATPG decides four `x | !x` properties of paper-scale p11's design
+/// first; p11, whose induction step ATPG gives up on, is then still proved
+/// by SAT-BMC.
+#[test]
+fn a_verdict_does_not_depend_on_the_properties_raced_before_it() {
+    let case = paper_suite(Scale::Paper)
+        .into_iter()
+        .find(|case| case.property == "p11")
+        .expect("p11 is in the suite");
+    let mut netlist = case.verification.netlist.clone();
+    let input = netlist.inputs()[0];
+    let width = netlist.net_width(input);
+    let monitors: Vec<NetId> = (0..4)
+        .map(|i| {
+            let x = netlist.bit(input, i % width);
+            let not_x = netlist.not(x);
+            netlist.or2(x, not_x)
+        })
+        .collect();
+    let service = VerificationService::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    for (i, &monitor) in monitors.iter().enumerate() {
+        let property = Property::always(&netlist, format!("x{i}"), monitor);
+        let job = Verification::new(netlist.clone(), property);
+        service.wait(service.submit_batch(vec![job]));
+    }
+    let p11 = Verification {
+        netlist,
+        property: case.verification.property.clone(),
+        environment: case.verification.environment.clone(),
+    };
+    let result = service.wait(service.submit_batch(vec![p11])).remove(0);
+    assert_eq!(result.verdict.label(), "proved", "{result:?}");
+}
+
 /// BMC differential: replaying harvested design-valid clauses never changes
 /// a bounded-model-checking outcome anywhere in the suite, and violations
 /// are found at the same depth.
