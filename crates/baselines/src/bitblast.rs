@@ -7,12 +7,13 @@
 //! bit width, whereas the word-level ATPG engine keeps buses as single
 //! entities.
 //!
-//! The checker is only a solve step: [`bounded_model_check_learning`] runs
-//! the bound loop of [`wlac_atpg::check_bounds`], and for each query blasts
-//! the unrolled circuit, injects seed clauses, constrains the query's
-//! requirements, solves, lifts the learned clauses and decodes a model
-//! through the shared trace extractor. So it asks what the ATPG checker
-//! asks, including the one-step induction that proves a property outright.
+//! The checker is only a solve step: [`bounded_model_check`] runs the bound
+//! loop of [`wlac_atpg::check_bounds`], and for each query blasts the
+//! unrolled circuit, constrains the query's requirements, solves and decodes
+//! a model through the shared trace extractor. So it asks what the ATPG
+//! checker asks, including the one-step induction that proves a property
+//! outright. Like the ATPG checker it runs cold: nothing it learns outlives
+//! the run.
 
 use crate::sat::{Cnf, Lit};
 use std::collections::HashMap;
@@ -21,7 +22,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 use wlac_atpg::{check_bounds, CancelToken, QueryAnswer, Verdict, Verification};
 use wlac_bv::Bv;
-use wlac_netlist::{GateKind, NetId, Netlist, Unrolling};
+use wlac_netlist::{GateKind, NetId, Netlist};
 
 /// Error produced when a netlist contains a primitive the bit-blaster does
 /// not support (multipliers and data-dependent shifts).
@@ -45,10 +46,6 @@ pub struct BitBlaster {
     /// The CNF formula.
     pub cnf: Cnf,
     bits: HashMap<NetId, Vec<Lit>>,
-    /// `var_origin[var] = (net, bit)` for the net-bit variables (a contiguous
-    /// prefix of the variable space — Tseitin auxiliaries come later and have
-    /// no entry). Used to lift learned clauses back to net level.
-    var_origin: Vec<(NetId, u32)>,
 }
 
 impl BitBlaster {
@@ -61,16 +58,10 @@ impl BitBlaster {
         let mut this = BitBlaster {
             cnf: Cnf::new(),
             bits: HashMap::new(),
-            var_origin: Vec::new(),
         };
         for net in netlist.nets() {
             let lits = (0..netlist.net_width(net))
-                .map(|bit| {
-                    let var = this.cnf.fresh_var();
-                    debug_assert_eq!(var, this.var_origin.len());
-                    this.var_origin.push((net, bit as u32));
-                    Lit::positive(var)
-                })
+                .map(|_| Lit::positive(this.cnf.fresh_var()))
                 .collect();
             this.bits.insert(net, lits);
         }
@@ -83,12 +74,6 @@ impl BitBlaster {
     /// The literal of bit `bit` of `net`.
     pub fn bit(&self, net: NetId, bit: usize) -> Lit {
         self.bits[&net][bit]
-    }
-
-    /// Maps a CNF variable back to its `(net, bit)` origin; `None` for
-    /// Tseitin auxiliary variables.
-    pub fn net_bit_of_var(&self, var: usize) -> Option<(NetId, u32)> {
-        self.var_origin.get(var).copied()
     }
 
     /// Reads the value of `net` out of a SAT model (one truth value per CNF
@@ -117,39 +102,39 @@ impl BitBlaster {
     }
 
     fn equal(&mut self, a: Lit, b: Lit) {
-        self.cnf.add_structural_clause(vec![a.negated(), b]);
-        self.cnf.add_structural_clause(vec![a, b.negated()]);
+        self.cnf.add_clause(vec![a.negated(), b]);
+        self.cnf.add_clause(vec![a, b.negated()]);
     }
 
     fn constant(&mut self, lit: Lit, value: bool) {
         self.cnf
-            .add_structural_clause(vec![if value { lit } else { lit.negated() }]);
+            .add_clause(vec![if value { lit } else { lit.negated() }]);
     }
 
     fn and_gate(&mut self, out: Lit, inputs: &[Lit]) {
         let mut clause = vec![out];
         for i in inputs {
-            self.cnf.add_structural_clause(vec![out.negated(), *i]);
+            self.cnf.add_clause(vec![out.negated(), *i]);
             clause.push(i.negated());
         }
-        self.cnf.add_structural_clause(clause);
+        self.cnf.add_clause(clause);
     }
 
     fn or_gate(&mut self, out: Lit, inputs: &[Lit]) {
         let mut clause = vec![out.negated()];
         for i in inputs {
-            self.cnf.add_structural_clause(vec![out, i.negated()]);
+            self.cnf.add_clause(vec![out, i.negated()]);
             clause.push(*i);
         }
-        self.cnf.add_structural_clause(clause);
+        self.cnf.add_clause(clause);
     }
 
     fn xor_gate(&mut self, out: Lit, a: Lit, b: Lit) {
-        self.cnf.add_structural_clause(vec![out.negated(), a, b]);
+        self.cnf.add_clause(vec![out.negated(), a, b]);
         self.cnf
-            .add_structural_clause(vec![out.negated(), a.negated(), b.negated()]);
-        self.cnf.add_structural_clause(vec![out, a.negated(), b]);
-        self.cnf.add_structural_clause(vec![out, a, b.negated()]);
+            .add_clause(vec![out.negated(), a.negated(), b.negated()]);
+        self.cnf.add_clause(vec![out, a.negated(), b]);
+        self.cnf.add_clause(vec![out, a, b.negated()]);
     }
 
     fn fresh(&mut self) -> Lit {
@@ -190,9 +175,8 @@ impl BitBlaster {
             // Majority carry-out.
             let cout = self.fresh();
             for (x, y) in [(a[i], b[i]), (a[i], carry), (b[i], carry)] {
-                self.cnf
-                    .add_structural_clause(vec![cout, x.negated(), y.negated()]);
-                self.cnf.add_structural_clause(vec![cout.negated(), x, y]);
+                self.cnf.add_clause(vec![cout, x.negated(), y.negated()]);
+                self.cnf.add_clause(vec![cout.negated(), x, y]);
             }
             out.push(sum);
             carry = cout;
@@ -328,12 +312,10 @@ impl BitBlaster {
                 for (bit, o) in out_bits.iter().enumerate() {
                     let a = in_bits[1][bit];
                     let b = in_bits[2][bit];
-                    self.cnf
-                        .add_structural_clause(vec![sel.negated(), a.negated(), *o]);
-                    self.cnf
-                        .add_structural_clause(vec![sel.negated(), a, o.negated()]);
-                    self.cnf.add_structural_clause(vec![sel, b.negated(), *o]);
-                    self.cnf.add_structural_clause(vec![sel, b, o.negated()]);
+                    self.cnf.add_clause(vec![sel.negated(), a.negated(), *o]);
+                    self.cnf.add_clause(vec![sel.negated(), a, o.negated()]);
+                    self.cnf.add_clause(vec![sel, b.negated(), *o]);
+                    self.cnf.add_clause(vec![sel, b, o.negated()]);
                 }
             }
             GateKind::Concat => {
@@ -416,8 +398,14 @@ pub struct BmcReport {
     pub sat: crate::sat::SatStats,
 }
 
-/// One literal of a frame-relative learned clause: bit `bit` of the copy of
-/// `net` (a net of the **original** sequential design) at time-frame `frame`.
+/// One literal of a frame-relative clause: bit `bit` of the copy of `net`
+/// (a net of the **original** sequential design) at time-frame `frame`.
+///
+/// Nothing builds these any more. Earlier servers lifted SAT-BMC's learned
+/// clauses into this form to seed later runs on the same design, and their
+/// snapshots and journals still carry them: the decoders read such clauses
+/// and drop them. The benchmark package (`perfbench/`) also names the type,
+/// through [`FrameClause`], until ROADMAP item 3 un-pins it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FrameLit {
     /// Time-frame the literal lives in (0-based, `< FrameClause::depth`).
@@ -430,18 +418,9 @@ pub struct FrameLit {
     pub negated: bool,
 }
 
-/// A design-valid learned clause lifted out of a bounded-model-checking run,
-/// expressed over frame-relative net bits of the original design so it can be
-/// replayed into any later unrolling of the same design.
-///
-/// `depth` records the unrolling depth the clause was learned at. The clause
-/// is implied by the transition structure of frames `0..depth`; because the
-/// structure of frames `s..s+depth` in any deeper unrolling is a superset of
-/// that (frame 0 state variables are unconstrained pseudo-inputs, later
-/// frames only add the connecting buffers), the clause shifted **up** by any
-/// `s ≥ 0` remains valid in every unrolling of at least `depth + s` frames.
-/// Shifting *down* would be unsound — the derivation may have relied on a
-/// frame's state being driven by its predecessor.
+/// A frame-relative clause of [`FrameLit`]s, as earlier servers persisted
+/// them: `depth` was the unrolling depth it was learned at. Inert; see
+/// [`FrameLit`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FrameClause {
     /// Unrolling depth (number of frames) at learn time.
@@ -450,73 +429,31 @@ pub struct FrameClause {
     pub lits: Vec<FrameLit>,
 }
 
-impl FrameClause {
-    /// Structural well-formedness against the design the clause claims to
-    /// describe: every literal must name an existing net, a bit within its
-    /// width and a frame below the recorded depth. Malformed clauses (e.g. a
-    /// corrupted or poisoned knowledge base) must be rejected by callers
-    /// before replay.
-    pub fn is_well_formed(&self, netlist: &Netlist) -> bool {
-        self.depth >= 1
-            && !self.lits.is_empty()
-            && self.lits.iter().all(|lit| {
-                lit.frame < self.depth
-                    && lit.net.index() < netlist.net_count()
-                    && (lit.bit as usize) < netlist.net_width(lit.net)
-            })
-    }
-}
-
-/// Maximum length of a lifted clause: short clauses prune the most per byte,
-/// and every extra literal must survive the net-bit lifting anyway.
-const MAX_LIFT_LEN: usize = 8;
-
 /// Runs SAT-based bounded model checking on a verification problem: the
 /// shared bound loop of [`wlac_atpg::check_bounds`] (with its induction
 /// step) over a bit-blasted encoding of each query. The queries are the ones
-/// the ATPG checker solves, making the reports directly comparable.
-///
-/// Warm-started and learning: `seeds` are design-valid [`FrameClause`]s from
-/// earlier runs on the *same* design, injected (at every sound shift) into
-/// each query's formula before solving; the second return value is the new
-/// design-valid clauses learned by this run, lifted back to frame-relative
-/// form. Pass `&[]` to run cold. The step query is seeded and lifted like
-/// any bound: seeds and exported clauses derive from structural clauses
-/// only, and those hold for every frame-0 state.
+/// the ATPG checker solves, making the reports directly comparable. Every
+/// query is solved from scratch.
 ///
 /// `cancel` is polled before each bound, between encoding and solving, and
 /// inside the SAT search, so a portfolio supervisor can stop a losing run
 /// promptly; a cancelled run reports [`Verdict::Unknown`] with reason
 /// `cancelled`.
-///
-/// Malformed seed clauses are skipped, never trusted — use
-/// [`FrameClause::is_well_formed`] plus a design-identity check upstream to
-/// reject a poisoned store outright.
-pub fn bounded_model_check_learning(
+pub fn bounded_model_check(
     verification: &Verification,
     max_frames: usize,
     decision_budget: u64,
     cancel: &CancelToken,
-    seeds: &[FrameClause],
-) -> (BmcReport, Vec<FrameClause>) {
+) -> BmcReport {
     let start = Instant::now();
     let mut peak = 0usize;
     let mut variables = 0usize;
     let mut clauses = 0usize;
     let mut sat = crate::sat::SatStats::default();
-    let mut harvest: Vec<FrameClause> = Vec::new();
     let verdict = check_bounds(verification, max_frames, true, cancel, |query| {
-        let (unrolling, frames) = (query.unrolling, query.frames);
-        let Ok(mut blaster) = BitBlaster::encode(unrolling.circuit()) else {
+        let Ok(mut blaster) = BitBlaster::encode(query.unrolling.circuit()) else {
             return QueryAnswer::Inconclusive("unsupported gate");
         };
-        inject_seeds(
-            &mut blaster,
-            unrolling,
-            &verification.netlist,
-            frames,
-            seeds,
-        );
         for (net, value) in query.requirements() {
             blaster.constrain_value(net, value);
         }
@@ -528,105 +465,51 @@ pub fn bounded_model_check_learning(
         if cancel.is_cancelled() {
             return QueryAnswer::Inconclusive("cancelled");
         }
-        let outcome = blaster
-            .cnf
-            .solve_learning(decision_budget, cancel, MAX_LIFT_LEN);
-        sat.absorb(&outcome.stats);
-        lift_learned(&blaster, unrolling, frames, &outcome.learned, &mut harvest);
-        match outcome.model {
+        let (model, complete, stats) = blaster.cnf.solve_with_stats(decision_budget, cancel);
+        sat.absorb(&stats);
+        match model {
             Some(model) => QueryAnswer::Trace(query.trace(|net| blaster.decode_net(&model, net))),
-            None if outcome.complete => QueryAnswer::Unsat,
+            None if complete => QueryAnswer::Unsat,
             None if cancel.is_cancelled() => QueryAnswer::Inconclusive("cancelled"),
             None => QueryAnswer::Inconclusive("SAT budget exhausted"),
         }
     });
+    BmcReport {
+        verdict,
+        elapsed: start.elapsed(),
+        peak_memory_bytes: peak,
+        variables,
+        clauses,
+        sat,
+    }
+}
+
+/// [`bounded_model_check`] under the signature of the clause-seeding checker
+/// it replaced: `seeds` are ignored and the second value is always empty.
+/// Inert; kept only because the benchmark package (`perfbench/`) still calls
+/// it, and it goes when ROADMAP item 3 un-pins that package.
+pub fn bounded_model_check_learning(
+    verification: &Verification,
+    max_frames: usize,
+    decision_budget: u64,
+    cancel: &CancelToken,
+    _seeds: &[FrameClause],
+) -> (BmcReport, Vec<FrameClause>) {
     (
-        BmcReport {
-            verdict,
-            elapsed: start.elapsed(),
-            peak_memory_bytes: peak,
-            variables,
-            clauses,
-            sat,
-        },
-        harvest,
+        bounded_model_check(verification, max_frames, decision_budget, cancel),
+        Vec::new(),
     )
-}
-
-/// Injects every sound shift of each seed clause into the blasted formula.
-fn inject_seeds(
-    blaster: &mut BitBlaster,
-    unrolling: &Unrolling,
-    source: &Netlist,
-    frames: usize,
-    seeds: &[FrameClause],
-) {
-    for seed in seeds {
-        if !seed.is_well_formed(source) || seed.depth as usize > frames {
-            continue;
-        }
-        for shift in 0..=(frames as u32 - seed.depth) {
-            let clause = seed
-                .lits
-                .iter()
-                .map(|lit| {
-                    let expanded = unrolling.net((lit.frame + shift) as usize, lit.net);
-                    let sat_lit = blaster.bit(expanded, lit.bit as usize);
-                    if lit.negated {
-                        sat_lit.negated()
-                    } else {
-                        sat_lit
-                    }
-                })
-                .collect();
-            // Seeds are design-valid, so they are structural clauses: new
-            // clauses learned from them stay exportable.
-            blaster.cnf.add_structural_clause(clause);
-        }
-    }
-}
-
-/// Lifts the solver's exported clauses to frame-relative form. A clause
-/// survives only when every literal maps to a net bit of the expanded circuit
-/// (no Tseitin auxiliaries) whose net traces back to the original design.
-fn lift_learned(
-    blaster: &BitBlaster,
-    unrolling: &Unrolling,
-    frames: usize,
-    exported: &[Vec<Lit>],
-    out: &mut Vec<FrameClause>,
-) {
-    'clauses: for clause in exported {
-        let mut lits = Vec::with_capacity(clause.len());
-        for lit in clause {
-            let Some((expanded, bit)) = blaster.net_bit_of_var(lit.var()) else {
-                continue 'clauses;
-            };
-            let Some((frame, net)) = unrolling.origin(expanded) else {
-                continue 'clauses;
-            };
-            lits.push(FrameLit {
-                frame: frame as u32,
-                net,
-                bit,
-                negated: lit.is_negative(),
-            });
-        }
-        out.push(FrameClause {
-            depth: frames as u32,
-            lits,
-        });
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use wlac_atpg::Property;
+    use wlac_netlist::Unrolling;
 
-    /// Runs the BMC cold: never cancelled, no seed clauses.
+    /// Runs the BMC, never cancelled.
     fn bmc(verification: &Verification, max_frames: usize, budget: u64) -> BmcReport {
-        bounded_model_check_learning(verification, max_frames, budget, &CancelToken::new(), &[]).0
+        bounded_model_check(verification, max_frames, budget, &CancelToken::new())
     }
 
     #[test]
@@ -744,92 +627,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn learning_bmc_harvests_and_replays_clauses_without_changing_verdicts() {
-        // A counter with a structural impossibility (q + q is always even,
-        // so bit 0 of the doubled value is 0): plenty of design-valid
-        // learning material.
-        let mut nl = Netlist::new("cnt");
-        let (q, ff) = nl.dff_deferred(4, Some(Bv::zero(4)));
-        let one = nl.constant(&Bv::from_u64(4, 1));
-        let next = nl.add(q, one);
-        nl.connect_dff_data(ff, next);
-        let five = nl.constant(&Bv::from_u64(4, 5));
-        let ok = nl.ne(q, five);
-        let property = Property::always(&nl, "never5", ok);
-        let verification = Verification::new(nl, property);
-
-        let cancel = CancelToken::new();
-        let (cold, harvest) =
-            bounded_model_check_learning(&verification, 8, 1_000_000, &cancel, &[]);
-        // Traces may differ (SAT models are not unique); label and depth may
-        // not.
-        let shape = |v: &Verdict| (v.label(), v.bound());
-        // Everything harvested is structurally well-formed for this design.
-        for clause in &harvest {
-            assert!(clause.is_well_formed(&verification.netlist), "{clause:?}");
-        }
-
-        // Replaying the harvest must reproduce the identical outcome (the
-        // clauses are implied, so the per-depth SAT answers cannot move).
-        let (seeded, _) =
-            bounded_model_check_learning(&verification, 8, 1_000_000, &cancel, &harvest);
-        assert_eq!(
-            shape(&seeded.verdict),
-            shape(&cold.verdict),
-            "violation depth must match"
-        );
-    }
-
-    #[test]
-    fn malformed_seed_clauses_are_skipped_not_trusted() {
-        // A contradiction (y = a & !a) is violated in the first frame; a
-        // trusted poisoned clause would make every query unsatisfiable and
-        // prove it instead.
-        let mut nl = Netlist::new("contradiction");
-        let a = nl.input("a", 1);
-        let na = nl.not(a);
-        let y = nl.and2(a, na);
-        let property = Property::always(&nl, "contradiction", y);
-        let verification = Verification::new(nl, property);
-        let poison = vec![
-            // Net id far out of range.
-            FrameClause {
-                depth: 1,
-                lits: vec![FrameLit {
-                    frame: 0,
-                    net: NetId::from_index(999),
-                    bit: 0,
-                    negated: true,
-                }],
-            },
-            // Frame beyond the recorded depth.
-            FrameClause {
-                depth: 1,
-                lits: vec![FrameLit {
-                    frame: 3,
-                    net: verification.netlist.inputs()[0],
-                    bit: 0,
-                    negated: false,
-                }],
-            },
-            // Empty clause (would be instant UNSAT if trusted).
-            FrameClause {
-                depth: 1,
-                lits: Vec::new(),
-            },
-        ];
-        let (report, _) =
-            bounded_model_check_learning(&verification, 3, 100_000, &CancelToken::new(), &poison);
-        let Verdict::Violated { trace } = &report.verdict else {
-            panic!(
-                "poisoned seeds must be skipped, not trusted: {:?}",
-                report.verdict
-            );
-        };
-        assert_eq!(trace.len(), 1);
-    }
-
     /// A 3-bit counter from 0 and the objective "q reaches 2": the witness
     /// needs three cycles (values 0, 1, 2).
     fn reaches_two(wrap_at_one: bool) -> Verification {
@@ -871,8 +668,7 @@ mod tests {
     fn a_run_cancelled_before_it_starts_is_unknown() {
         let cancel = CancelToken::new();
         cancel.cancel();
-        let (report, _) =
-            bounded_model_check_learning(&reaches_two(false), 6, 1_000_000, &cancel, &[]);
+        let report = bounded_model_check(&reaches_two(false), 6, 1_000_000, &cancel);
         assert_eq!(
             report.verdict,
             Verdict::Unknown {

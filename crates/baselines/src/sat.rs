@@ -46,20 +46,10 @@ impl Lit {
 }
 
 /// A CNF formula.
-///
-/// Clauses carry a *provenance tag*: **structural** clauses encode the design
-/// itself (gate semantics, frame connections) and are valid for every query
-/// against the same design, while **constraint** clauses encode one specific
-/// query (initial state, environment, property target). The solver threads
-/// this tag through conflict analysis, so a learned clause whose derivation
-/// only ever touched structural clauses is itself design-valid and can be
-/// exported for reuse by later queries (see [`Cnf::solve_learning`]).
 #[derive(Debug, Clone, Default)]
 pub struct Cnf {
     num_vars: usize,
     clauses: Vec<Vec<Lit>>,
-    /// `true` for query-specific (constraint) clauses, parallel to `clauses`.
-    constraint: Vec<bool>,
 }
 
 impl Cnf {
@@ -85,21 +75,8 @@ impl Cnf {
     }
 
     /// Adds a clause (a disjunction of literals).
-    ///
-    /// Conservatively tagged as query-specific: clauses learned from it are
-    /// never exported as design-valid. Use [`Cnf::add_structural_clause`] for
-    /// clauses that hold for every query against the same design.
     pub fn add_clause(&mut self, clause: Vec<Lit>) {
         self.clauses.push(clause);
-        self.constraint.push(true);
-    }
-
-    /// Adds a *structural* clause: one implied by the design alone, valid for
-    /// every query. Learned clauses derived exclusively from structural
-    /// clauses are exported by [`Cnf::solve_learning`].
-    pub fn add_structural_clause(&mut self, clause: Vec<Lit>) {
-        self.clauses.push(clause);
-        self.constraint.push(false);
     }
 
     /// Approximate memory held by the formula, in bytes.
@@ -136,60 +113,17 @@ impl Cnf {
         budget: u64,
         cancel: &CancelToken,
     ) -> (Option<Vec<bool>>, bool, SatStats) {
-        let outcome = self.solve_learning(budget, cancel, 0);
-        (outcome.model, outcome.complete, outcome.stats)
-    }
-
-    /// Like [`Cnf::solve_with_stats`], but additionally exports learned
-    /// clauses of up to `max_export_len` literals whose derivation used only
-    /// structural clauses (see [`Cnf::add_structural_clause`]) — these are
-    /// implied by the design alone and may be replayed into any later formula
-    /// over the same variables. `max_export_len == 0` disables the export.
-    pub fn solve_learning(
-        &self,
-        budget: u64,
-        cancel: &CancelToken,
-        max_export_len: usize,
-    ) -> SatOutcome {
-        let mut solver = Solver::new(self, budget, cancel.clone(), max_export_len);
+        let mut solver = Solver::new(self, budget, cancel.clone());
         let outcome = solver.search();
-        let stats = solver.stats;
-        let learned = std::mem::take(&mut solver.exported);
-        let (model, complete) = match outcome {
-            Some(true) => (
-                Some(
-                    solver
-                        .assignment
-                        .iter()
-                        .map(|v| v.unwrap_or(false))
-                        .collect(),
-                ),
-                true,
-            ),
-            Some(false) => (None, true),
-            None => (None, false),
-        };
-        SatOutcome {
-            model,
-            complete,
-            stats,
-            learned,
-        }
+        let model = (outcome == Some(true)).then(|| {
+            solver
+                .assignment
+                .iter()
+                .map(|v| v.unwrap_or(false))
+                .collect()
+        });
+        (model, outcome.is_some(), solver.stats)
     }
-}
-
-/// Full result of one CDCL run, including the design-valid learned clauses.
-#[derive(Debug, Clone)]
-pub struct SatOutcome {
-    /// `Some(model)` when satisfiable (one truth value per variable).
-    pub model: Option<Vec<bool>>,
-    /// `false` when the budget was exhausted or the run was cancelled.
-    pub complete: bool,
-    /// Effort counters.
-    pub stats: SatStats,
-    /// Learned clauses derived exclusively from structural clauses, i.e.
-    /// valid for every query against the same design encoding.
-    pub learned: Vec<Vec<Lit>>,
 }
 
 /// Aggregate effort counters for one CDCL run.
@@ -232,9 +166,6 @@ struct Clause {
     lbd: u32,
     /// `true` when the clause was learned (eligible for deletion).
     learned: bool,
-    /// `true` when the clause is (or derives from) a query-specific
-    /// constraint clause; untainted learned clauses are design-valid.
-    tainted: bool,
 }
 
 /// Binary max-heap over variables ordered by VSIDS activity, with a position
@@ -389,29 +320,15 @@ struct Solver {
     /// clearing — and allocating — a buffer per learned clause).
     lbd_seen: Vec<u64>,
     lbd_stamp: u64,
-    /// Taint of each root-level (level 0) assignment: `true` when its
-    /// derivation involved a constraint clause. Conflict analysis silently
-    /// drops level-0 literals from learned clauses, so the learned clause
-    /// inherits the taint of every dropped literal.
-    var_taint: Vec<bool>,
-    /// Design-valid learned clauses collected for export (eagerly, so
-    /// database reduction cannot delete them before the run ends).
-    exported: Vec<Vec<Lit>>,
-    /// Maximum exported clause length (0 disables the export).
-    max_export_len: usize,
     stats: SatStats,
     budget: u64,
     cancel: CancelToken,
 }
 
-/// Cap on the number of clauses exported per run, a memory backstop for
-/// pathological formulas (the knowledge bank re-caps on import anyway).
-const MAX_EXPORTED_CLAUSES: usize = 4096;
-
 const NO_REASON: usize = usize::MAX;
 
 impl Solver {
-    fn new(cnf: &Cnf, budget: u64, cancel: CancelToken, max_export_len: usize) -> Self {
+    fn new(cnf: &Cnf, budget: u64, cancel: CancelToken) -> Self {
         let mut this = Solver {
             clauses: Vec::with_capacity(cnf.clauses.len()),
             watches: vec![Vec::new(); cnf.num_vars * 2],
@@ -434,21 +351,17 @@ impl Solver {
             bumped: Vec::new(),
             lbd_seen: vec![0; cnf.num_vars + 1],
             lbd_stamp: 0,
-            var_taint: vec![false; cnf.num_vars],
-            exported: Vec::new(),
-            max_export_len,
             stats: SatStats::default(),
             budget,
             cancel,
         };
-        for (clause, constraint) in cnf.clauses.iter().zip(&cnf.constraint) {
+        for clause in &cnf.clauses {
             match clause.as_slice() {
                 [] => this.root_conflict = true,
                 [unit] => {
                     if !this.enqueue(*unit, NO_REASON) {
                         this.root_conflict = true;
                     }
-                    this.var_taint[unit.var()] |= *constraint;
                 }
                 [a, b, ..] => {
                     let index = this.clauses.len();
@@ -459,7 +372,6 @@ impl Solver {
                         activity: 0.0,
                         lbd: 0,
                         learned: false,
-                        tainted: *constraint,
                     });
                 }
             }
@@ -557,23 +469,8 @@ impl Solver {
                 kept.push(ci);
                 // No replacement: the clause is unit (or conflicting) on
                 // `other`.
-                let fresh = self.assignment[other.var()].is_none();
                 if !self.enqueue(other, ci) {
                     conflict = Some(ci);
-                } else if fresh && self.trail_lim.is_empty() {
-                    // Root-level implication: its taint is the implying
-                    // clause's taint joined with that of every falsified
-                    // sibling literal (all at level 0 here). Conflict
-                    // analysis silently drops level-0 literals from learned
-                    // clauses, so design-validity must be tracked through
-                    // these assignments.
-                    let clause = &self.clauses[ci];
-                    let taint = clause.tainted
-                        || clause
-                            .lits
-                            .iter()
-                            .any(|l| l.var() != other.var() && self.var_taint[l.var()]);
-                    self.var_taint[other.var()] = taint;
                 }
             }
             self.watches[falsified.code as usize] = kept;
@@ -600,32 +497,25 @@ impl Solver {
     }
 
     /// First-UIP conflict analysis: returns the learned clause (asserting
-    /// literal first), the level to backjump to, and whether the derivation
-    /// touched any query-specific constraint (directly or through a dropped
-    /// level-0 literal) — tainted clauses must not be exported as
-    /// design-valid.
-    fn analyze(&mut self, conflict: usize) -> (Vec<Lit>, u32, bool) {
+    /// literal first) and the level to backjump to.
+    fn analyze(&mut self, conflict: usize) -> (Vec<Lit>, u32) {
         let current = self.decision_level();
         let mut learned: Vec<Lit> = Vec::new();
         let mut counter = 0usize;
         let mut clause_index = conflict;
         let mut trail_index = self.trail.len();
         let mut resolved_on: Option<Lit> = None;
-        let mut taint = false;
         let asserting = loop {
             self.bump_clause(clause_index);
-            taint |= self.clauses[clause_index].tainted;
             let clause = &self.clauses[clause_index].lits;
             // Skip the asserted literal (position 0) of reason clauses; the
             // initial conflict clause contributes every literal.
             let skip = usize::from(resolved_on.is_some());
             for &lit in &clause[skip..] {
                 let var = lit.var();
-                if self.level[var] == 0 {
-                    // Dropped from the learned clause: it rides on the root
-                    // assignment, so the clause inherits that taint.
-                    taint |= self.var_taint[var];
-                } else if !self.seen[var] {
+                // Root-level literals are false for good: they are dropped
+                // from the learned clause.
+                if self.level[var] > 0 && !self.seen[var] {
                     self.seen[var] = true;
                     // Inlined `bump`: `clause` keeps `self.clauses` borrowed.
                     self.activity[var] += self.activity_inc;
@@ -675,7 +565,7 @@ impl Solver {
             .max()
             .unwrap_or(0);
         learned.insert(0, asserting);
-        (learned, backjump_level, taint)
+        (learned, backjump_level)
     }
 
     /// Literal block distance: number of distinct decision levels in the
@@ -695,22 +585,12 @@ impl Solver {
     }
 
     /// Installs a learned clause after the backjump and asserts its first
-    /// literal. `tainted` marks clauses whose derivation touched a
-    /// query-specific constraint; untainted ones are exported eagerly (so
-    /// database reduction cannot delete them before the run ends).
-    fn learn(&mut self, mut learned: Vec<Lit>, tainted: bool) {
+    /// literal.
+    fn learn(&mut self, mut learned: Vec<Lit>) {
         self.stats.learned_clauses += 1;
-        if !tainted
-            && self.max_export_len > 0
-            && learned.len() <= self.max_export_len
-            && self.exported.len() < MAX_EXPORTED_CLAUSES
-        {
-            self.exported.push(learned.clone());
-        }
         if learned.len() == 1 {
             let ok = self.enqueue(learned[0], NO_REASON);
             debug_assert!(ok, "asserting literal is unassigned after backjump");
-            self.var_taint[learned[0].var()] = tainted;
             return;
         }
         // Watch the asserting literal and a deepest-level other literal, so
@@ -732,7 +612,6 @@ impl Solver {
             activity: self.clause_activity_inc,
             lbd,
             learned: true,
-            tainted,
         });
         self.learned_count += 1;
         let ok = self.enqueue(asserting, index);
@@ -838,9 +717,9 @@ impl Solver {
                 }
                 self.stats.conflicts += 1;
                 self.conflicts_since_restart += 1;
-                let (learned, backjump_level, tainted) = self.analyze(conflict);
+                let (learned, backjump_level) = self.analyze(conflict);
                 self.backjump(backjump_level);
-                self.learn(learned, tainted);
+                self.learn(learned);
                 self.activity_inc /= 0.95;
                 self.clause_activity_inc /= 0.999;
                 continue;
@@ -1046,6 +925,19 @@ mod tests {
         );
         assert!(stats.propagations > stats.conflicts);
         assert!(stats.decisions > 0);
+        // The search is deterministic, so its counters pin it: a change to
+        // decisions, propagation, analysis, restarts or reduction moves them.
+        assert_eq!(
+            stats,
+            SatStats {
+                decisions: 6_345,
+                conflicts: 4_985,
+                propagations: 68_975,
+                restarts: 30,
+                learned_clauses: 4_985,
+                deleted_clauses: 3_650,
+            }
+        );
     }
 
     #[test]
@@ -1065,159 +957,6 @@ mod tests {
         for w in vars.windows(3) {
             let ones = w.iter().filter(|v| model[**v]).count();
             assert!((1..=2).contains(&ones));
-        }
-    }
-
-    #[test]
-    fn constraint_derived_refutations_are_not_exported() {
-        // Structure: x ↔ (a ∧ b) plus the structural facts ¬a ∨ ¬b (the gate
-        // can never see both inputs high) — everything derived stays
-        // design-valid. The solver must produce some untainted learned
-        // clauses while refuting x under a few decisions.
-        let mut cnf = Cnf::new();
-        let a = cnf.fresh_var();
-        let b = cnf.fresh_var();
-        let x = cnf.fresh_var();
-        // Tseitin for x = a & b.
-        cnf.add_structural_clause(vec![lit(x, false), lit(a, true)]);
-        cnf.add_structural_clause(vec![lit(x, false), lit(b, true)]);
-        cnf.add_structural_clause(vec![lit(x, true), lit(a, false), lit(b, false)]);
-        // Structural mutual exclusion.
-        cnf.add_structural_clause(vec![lit(a, false), lit(b, false)]);
-        // Query: x must hold (a constraint clause) — UNSAT.
-        cnf.add_clause(vec![lit(x, true)]);
-        let outcome = cnf.solve_learning(10_000, &CancelToken::new(), 8);
-        assert!(outcome.complete);
-        assert!(outcome.model.is_none());
-        // Everything learnable here resolves through the constraint unit x,
-        // so no clause may be exported as design-valid.
-        assert!(
-            outcome.learned.is_empty(),
-            "clauses derived through the x constraint are tainted: {:?}",
-            outcome.learned
-        );
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn exported_clauses_are_implied_by_the_structural_clauses_alone() {
-        // A structurally-UNSAT pigeonhole (all clauses structural): every
-        // learned clause derives from structure only and must be exported.
-        let mut cnf = Cnf::new();
-        let p: Vec<Vec<usize>> = (0..4)
-            .map(|_| (0..3).map(|_| cnf.fresh_var()).collect())
-            .collect();
-        for row in &p {
-            cnf.add_structural_clause(row.iter().map(|v| Lit::positive(*v)).collect());
-        }
-        for j in 0..3 {
-            for i1 in 0..4 {
-                for i2 in i1 + 1..4 {
-                    cnf.add_structural_clause(vec![
-                        Lit::negative(p[i1][j]),
-                        Lit::negative(p[i2][j]),
-                    ]);
-                }
-            }
-        }
-        let outcome = cnf.solve_learning(100_000, &CancelToken::new(), 8);
-        assert!(outcome.complete && outcome.model.is_none());
-        assert!(
-            !outcome.learned.is_empty(),
-            "structural-only learning must export"
-        );
-        // Soundness spot-check: adding each exported clause to the structural
-        // formula must not change satisfiability of any completion — verify
-        // by checking each clause is implied: structure ∧ ¬clause is UNSAT.
-        for clause in &outcome.learned {
-            let mut check = Cnf::new();
-            let vars: usize = 12;
-            for _ in 0..vars {
-                check.fresh_var();
-            }
-            for row in &p {
-                check.add_structural_clause(row.iter().map(|v| Lit::positive(*v)).collect());
-            }
-            for j in 0..3 {
-                for i1 in 0..4 {
-                    for i2 in i1 + 1..4 {
-                        check.add_structural_clause(vec![
-                            Lit::negative(p[i1][j]),
-                            Lit::negative(p[i2][j]),
-                        ]);
-                    }
-                }
-            }
-            for l in clause {
-                check.add_clause(vec![l.negated()]);
-            }
-            let (model, complete) = check.solve(100_000);
-            assert!(complete, "implication check must be decided");
-            assert!(
-                model.is_none(),
-                "exported clause {clause:?} is not implied by the structure"
-            );
-        }
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn mixed_derivations_split_by_taint() {
-        // Same pigeonhole structure, but one hole is additionally *forbidden*
-        // by constraint units. Clauses may still be learned purely from
-        // structure; any exported clause must again be implied by structure
-        // alone (checked via the previous test's implication pattern on a
-        // sample).
-        let mut cnf = Cnf::new();
-        let p: Vec<Vec<usize>> = (0..3)
-            .map(|_| (0..3).map(|_| cnf.fresh_var()).collect())
-            .collect();
-        for row in &p {
-            cnf.add_structural_clause(row.iter().map(|v| Lit::positive(*v)).collect());
-        }
-        for j in 0..3 {
-            for i1 in 0..3 {
-                for i2 in i1 + 1..3 {
-                    cnf.add_structural_clause(vec![
-                        Lit::negative(p[i1][j]),
-                        Lit::negative(p[i2][j]),
-                    ]);
-                }
-            }
-        }
-        // Constraint: nobody may use hole 2 — makes it PHP(3,2), UNSAT.
-        for i in 0..3 {
-            cnf.add_clause(vec![Lit::negative(p[i][2])]);
-        }
-        let outcome = cnf.solve_learning(100_000, &CancelToken::new(), 8);
-        assert!(outcome.complete && outcome.model.is_none());
-        for clause in &outcome.learned {
-            let mut check = Cnf::new();
-            for _ in 0..9 {
-                check.fresh_var();
-            }
-            for row in &p {
-                check.add_structural_clause(row.iter().map(|v| Lit::positive(*v)).collect());
-            }
-            for j in 0..3 {
-                for i1 in 0..3 {
-                    for i2 in i1 + 1..3 {
-                        check.add_structural_clause(vec![
-                            Lit::negative(p[i1][j]),
-                            Lit::negative(p[i2][j]),
-                        ]);
-                    }
-                }
-            }
-            for l in clause {
-                check.add_clause(vec![l.negated()]);
-            }
-            let (model, complete) = check.solve(100_000);
-            assert!(complete);
-            assert!(
-                model.is_none(),
-                "exported clause {clause:?} leaks the hole-2 constraint"
-            );
         }
     }
 

@@ -15,7 +15,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use wlac_atpg::{AssertionChecker, CancelToken, CheckerOptions};
-use wlac_baselines::bounded_model_check_learning;
+use wlac_baselines::bounded_model_check;
 use wlac_bench::{harness_options, run_case};
 use wlac_bv::arith::{gt3, sub3};
 use wlac_bv::Bv3;
@@ -91,7 +91,7 @@ fn bench_scaling(budget: Duration) {
             AssertionChecker::new(options.clone()).check(&verification)
         });
         bench(&format!("scaling/sat_bmc_p2/{addr_bits}"), budget, || {
-            bounded_model_check_learning(&verification, 2, 500_000, &CancelToken::new(), &[])
+            bounded_model_check(&verification, 2, 500_000, &CancelToken::new())
         });
     }
 }

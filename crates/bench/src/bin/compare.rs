@@ -15,7 +15,7 @@
 //! as `table2 paper` does).
 
 use wlac_atpg::{CancelToken, Verdict};
-use wlac_baselines::{bounded_model_check_learning, random_simulation};
+use wlac_baselines::{bounded_model_check, random_simulation};
 use wlac_bench::{harness_options, run_case, scale_arg};
 use wlac_circuits::paper_suite;
 
@@ -44,12 +44,11 @@ fn main() {
     let mut failures = 0usize;
     for case in paper_suite(scale) {
         let report = run_case(&case);
-        let (bmc, _) = bounded_model_check_learning(
+        let bmc = bounded_model_check(
             &case.verification,
             max_frames,
             BMC_DECISION_BUDGET,
             &CancelToken::new(),
-            &[],
         );
         let random = random_simulation(&case.verification, 16, 16, 1);
         let finding = audit(&report.result, &bmc.verdict, &random.verdict);

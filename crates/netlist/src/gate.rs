@@ -87,29 +87,6 @@ impl GateKind {
         )
     }
 
-    /// `true` for arithmetic units (adders, subtractors, multipliers, shifters).
-    pub fn is_arithmetic(&self) -> bool {
-        matches!(
-            self,
-            GateKind::Add | GateKind::Sub | GateKind::Mul | GateKind::Shl | GateKind::Shr
-        )
-    }
-
-    /// `true` for bitwise Boolean gates.
-    pub fn is_boolean(&self) -> bool {
-        matches!(
-            self,
-            GateKind::Not
-                | GateKind::And
-                | GateKind::Or
-                | GateKind::Xor
-                | GateKind::Buf
-                | GateKind::ReduceAnd
-                | GateKind::ReduceOr
-                | GateKind::ReduceXor
-        )
-    }
-
     /// `true` for memory elements.
     pub fn is_flip_flop(&self) -> bool {
         matches!(self, GateKind::Dff { .. })
@@ -228,11 +205,7 @@ mod tests {
     fn classification() {
         assert!(GateKind::Gt.is_comparator());
         assert!(!GateKind::Add.is_comparator());
-        assert!(GateKind::Add.is_arithmetic());
-        assert!(GateKind::Shl.is_arithmetic());
-        assert!(GateKind::And.is_boolean());
         assert!(GateKind::Dff { init: None }.is_flip_flop());
-        assert!(!GateKind::Mux.is_boolean());
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! are too heavy to rewrite per job; before this module, everything earned
 //! since the last autosave died with the process. The journal closes that
 //! gap: as each raced job completes, the service's durability hook appends
-//! one self-checksummed record — the definitive verdict (if any) and the
-//! harvested frame clauses — to `d<hash>.wlacjournal`, *before* the result
-//! is acknowledged to any client. A record also has an ESTG-delta section
-//! and an engine-history delta (`ran`, `winner`), which the sink writes
-//! empty: earlier servers journaled ATPG conflict counts and the engines a
-//! race ran there, and their journals still decode (boot replay ignores
-//! both).
+//! one self-checksummed record — the definitive verdict, if any — to
+//! `d<hash>.wlacjournal`, *before* the result is acknowledged to any client.
+//! A record also has a clause section, an ESTG-delta section and an
+//! engine-history delta (`ran`, `winner`), which the sink writes empty:
+//! earlier servers journaled SAT-BMC clauses, ATPG conflict counts and the
+//! engines a race ran there, and their journals still decode (boot replay
+//! ignores all three).
 //!
 //! # On-disk layout
 //!
@@ -34,8 +34,8 @@
 //! resets it to header-only ([`JournalWriter::reset`] /
 //! [`JournalSink::reset`]). Boot is therefore always *snapshot (primary →
 //! `.bak`) + journal suffix*. Replay is harmless-idempotent by
-//! construction: verdicts and clauses deduplicate exactly in the service's
-//! validated import paths.
+//! construction: verdicts deduplicate exactly in the service's validated
+//! import path.
 //!
 //! # Group commit
 //!
@@ -79,7 +79,10 @@ pub fn journal_file_name(design: DesignHash) -> String {
 pub struct JournalRecord {
     /// The cache entry the job created, when its verdict was definitive.
     pub verdict: Option<VerdictRecord>,
-    /// Design-valid frame clauses harvested from the race.
+    /// SAT-BMC clauses: what servers before this one journaled of a race's
+    /// clause learning. [`JournalSink`] writes it empty, and boot replay
+    /// ignores it; it stays while the benchmark package (`perfbench/`)
+    /// builds records with it.
     pub clauses: Vec<FrameClause>,
     /// ESTG conflicts `(net, value, count)`: what servers before this one
     /// journaled of a job's ATPG search. [`JournalSink`] writes it empty,
@@ -749,10 +752,9 @@ impl JournalSink {
 
 impl DurabilitySink for JournalSink {
     fn record(&self, record: &DurabilityRecord<'_>) {
-        // The ESTG and engine-history sections stay empty.
+        // The clause, ESTG and engine-history sections stay empty.
         let journal_record = JournalRecord {
             verdict: record.verdict.clone(),
-            clauses: record.clauses.to_vec(),
             ..JournalRecord::default()
         };
         let mut writers = self.writers.lock_recover();

@@ -1,12 +1,12 @@
 //! # wlac-persist — versioned, checksummed on-disk knowledge snapshots
 //!
-//! [`wlac_service::VerificationService`] accumulates a per-design
-//! [`wlac_service::KnowledgeBase`] and a verdict cache — and would lose both
-//! on every process exit. This crate is the durability layer: a [`Snapshot`]
-//! bundles one design's canonical netlist, its learning store (SAT BMC
-//! clauses) and its cached verdicts into a self-contained
-//! binary file that a restarted server reads back to answer repeat queries
-//! warm, and the write-ahead journal keeps what completed since.
+//! [`wlac_service::VerificationService`] keeps a registry of designs and a
+//! verdict cache — and would lose both on every process exit. This crate is
+//! the durability layer: a [`Snapshot`] bundles one design's canonical
+//! netlist, its design binding ([`wlac_service::KnowledgeBase`]) and its
+//! cached verdicts into a self-contained binary file that a restarted server
+//! reads back to answer repeat queries warm, and the write-ahead journal
+//! keeps what completed since.
 //!
 //! The format is deliberately paranoid, because a snapshot crosses a trust
 //! boundary (the file system) between sessions:
@@ -21,17 +21,18 @@
 //! * **structural re-validation** — the netlist is *rebuilt* through the
 //!   ordinary [`wlac_netlist::Netlist`] constructors (which re-run all gate
 //!   shape checks) and must reproduce the design hash recorded in the file;
-//!   clauses and verdicts are then re-validated again by the service's
+//!   verdicts are then re-validated by the service's
 //!   [`wlac_service::KnowledgeError`] import path before anything is
 //!   trusted.
 //!
-//! Snapshots and journal records keep an ESTG section that current writers
-//! leave empty: ATPG conflict history lives for one check, not across a
-//! design's properties. They also keep the engine-history fields of a
-//! scheduler that no longer exists (a snapshot's six win/run counts, a
-//! record's `ran` and `winner`), which current writers write as zeros or
-//! empty. Files written by earlier servers carry values in both; they decode
-//! as before and the values are dropped, so no format version changed.
+//! Snapshots and journal records keep a clause section and an ESTG section
+//! that current writers leave empty: SAT-BMC runs cold, and ATPG conflict
+//! history lives for one check, not across a design's properties. They also
+//! keep the engine-history fields of a scheduler that no longer exists (a
+//! snapshot's six win/run counts, a record's `ran` and `winner`), which
+//! current writers write as zeros or empty. Files written by earlier
+//! servers carry values in all of them; they decode as before and the
+//! values are dropped unvalidated, so no format version changed.
 //!
 //! Writes are atomic: the snapshot is written to a temporary file in the
 //! destination directory, flushed, and renamed over the target, so a crash

@@ -13,14 +13,14 @@ use wlac_portfolio::{Engine, Verdict};
 use wlac_service::{design_hash, DesignHash, KnowledgeBase, PropertyHash, VerdictRecord};
 
 /// One design's durable state: the canonical netlist (so a restarted server
-/// can re-register the design without any client round-trip), the learning
-/// store, and the cached verdicts.
+/// can re-register the design without any client round-trip), its design
+/// binding, and the cached verdicts.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// The canonical netlist; its [`design_hash`] must match the knowledge
     /// base's binding (checked on load).
     pub netlist: Netlist,
-    /// The design's learning store: its frame-relative clauses round-trip.
+    /// The design binding, written as the snapshot's design hash.
     pub knowledge: KnowledgeBase,
     /// Cached (always definitive) verdicts of this design.
     pub verdicts: Vec<VerdictRecord>,
@@ -180,7 +180,9 @@ pub(crate) fn read_netlist(r: &mut Reader<'_>) -> Result<Netlist, PersistError> 
     Ok(netlist)
 }
 
-/// Frame clauses in the layout snapshots and journal records share.
+/// Frame clauses in the layout snapshots and journal records share. The
+/// server writes the section empty; files from earlier servers carry SAT-BMC
+/// clauses, which the server reads and drops.
 pub(crate) fn write_clauses(w: &mut Writer, clauses: &[FrameClause]) {
     w.usize(clauses.len());
     for clause in clauses {
@@ -242,31 +244,29 @@ pub(crate) fn read_estg(r: &mut Reader<'_>) -> Result<Vec<(NetId, bool, u64)>, P
 /// base's ESTG section.
 const HISTORY_COUNTS: usize = 6;
 
-/// A knowledge base: its clauses, an ESTG section and six engine-history
-/// counts. The service keeps neither an ESTG across checks nor an engine
-/// history any more, so the section is written empty and the counts as
-/// zeros; both stay in the layout so that files of every version decode
-/// alike.
-fn write_knowledge(w: &mut Writer, knowledge: &KnowledgeBase) {
-    write_clauses(w, &knowledge.clauses.to_seeds());
+/// The knowledge sections: a clause section, an ESTG section and six
+/// engine-history counts. The service keeps no SAT clauses, no ESTG across
+/// checks and no engine history any more, so both sections are written
+/// empty and the counts as zeros; they stay in the layout so that files of
+/// every version decode alike.
+fn write_knowledge(w: &mut Writer) {
+    write_clauses(w, &[]);
     write_estg(w, &[]);
     for _ in 0..HISTORY_COUNTS {
         w.u64(0);
     }
 }
 
-fn read_knowledge(r: &mut Reader<'_>, design: DesignHash) -> Result<KnowledgeBase, PersistError> {
-    let mut knowledge = KnowledgeBase::new(design);
-    for clause in read_clauses(r)? {
-        knowledge.clauses.insert(&clause);
-    }
-    // Earlier servers wrote ATPG conflict counts and engine-history counts
-    // here; they read as well as ever and are dropped.
+/// Reads the knowledge sections and drops them: earlier servers wrote SAT
+/// clauses, ATPG conflict counts and engine-history counts here, which
+/// read as well as ever and are not validated, since nothing uses them.
+fn read_knowledge(r: &mut Reader<'_>) -> Result<(), PersistError> {
+    read_clauses(r)?;
     read_estg(r)?;
     for _ in 0..HISTORY_COUNTS {
         r.u64()?;
     }
-    Ok(knowledge)
+    Ok(())
 }
 
 fn write_trace(w: &mut Writer, trace: &Trace) {
@@ -391,7 +391,7 @@ fn encode(snapshot: &Snapshot) -> Result<Vec<u8>, PersistError> {
     let mut w = Writer::new();
     w.u64(snapshot.knowledge.design().0);
     write_netlist(&mut w, &snapshot.netlist);
-    write_knowledge(&mut w, &snapshot.knowledge);
+    write_knowledge(&mut w);
     w.usize(snapshot.verdicts.len());
     for record in &snapshot.verdicts {
         write_verdict_record(&mut w, record)?;
@@ -408,7 +408,7 @@ fn decode(payload: &[u8]) -> Result<Snapshot, PersistError> {
             "netlist does not reproduce the recorded design hash",
         ));
     }
-    let knowledge = read_knowledge(&mut r, design)?;
+    read_knowledge(&mut r)?;
     let verdict_count = r.len(17)?;
     let mut verdicts = Vec::with_capacity(verdict_count);
     for _ in 0..verdict_count {
@@ -419,7 +419,7 @@ fn decode(payload: &[u8]) -> Result<Snapshot, PersistError> {
     }
     Ok(Snapshot {
         netlist,
-        knowledge,
+        knowledge: KnowledgeBase::new(design),
         verdicts,
     })
 }
@@ -656,32 +656,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_snapshot_is_written_with_an_empty_estg_section() {
+    fn a_snapshot_is_written_with_empty_knowledge_sections() {
         let mut netlist = Netlist::new("t");
         let a = netlist.input("a", 4);
         netlist.mark_output("a", a);
         let design = design_hash(&netlist);
-        let mut knowledge = KnowledgeBase::new(design);
-        knowledge.clauses.insert(&FrameClause {
-            depth: 1,
-            lits: vec![FrameLit {
-                frame: 0,
-                net: a,
-                bit: 2,
-                negated: false,
-            }],
-        });
+        let knowledge = KnowledgeBase::new(design);
         let frame = encode_snapshot(&Snapshot {
             netlist,
             knowledge,
             verdicts: Vec::new(),
         })
         .unwrap();
-        // Walk the payload to the section: design, netlist, clauses.
+        // Walk the payload to the sections: design, netlist, clauses, ESTG.
         let mut r = Reader::new(unseal(&frame).unwrap());
         assert_eq!(r.u64().unwrap(), design.0);
         read_netlist(&mut r).unwrap();
-        assert_eq!(read_clauses(&mut r).unwrap().len(), 1);
+        assert!(read_clauses(&mut r).unwrap().is_empty());
         assert!(read_estg(&mut r).unwrap().is_empty());
     }
 }

@@ -434,7 +434,6 @@ fn emit_via_sink(sink: &JournalSink, netlist: &Netlist, seq: u64) {
         design: design_hash(netlist),
         netlist,
         verdict: sample.verdict.clone(),
-        clauses: &sample.clauses,
     });
 }
 

@@ -5,7 +5,6 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use wlac_atpg::Trace;
-use wlac_baselines::{FrameClause, FrameLit};
 use wlac_bv::Bv;
 use wlac_netlist::{NetId, Netlist};
 use wlac_persist::{
@@ -76,24 +75,7 @@ fn sample_netlist() -> Netlist {
 fn sample_snapshot() -> Snapshot {
     let netlist = sample_netlist();
     let design = design_hash(&netlist);
-    let mut knowledge = KnowledgeBase::new(design);
-    knowledge.clauses.insert(&FrameClause {
-        depth: 2,
-        lits: vec![
-            FrameLit {
-                frame: 0,
-                net: NetId::from_index(0),
-                bit: 1,
-                negated: false,
-            },
-            FrameLit {
-                frame: 1,
-                net: NetId::from_index(2),
-                bit: 0,
-                negated: true,
-            },
-        ],
-    });
+    let knowledge = KnowledgeBase::new(design);
     let verdicts = vec![
         VerdictRecord {
             property: PropertyHash(0xABCD),
@@ -145,12 +127,8 @@ fn round_trip_preserves_everything() {
     );
     assert_eq!(restored.netlist.outputs(), snapshot.netlist.outputs());
 
-    // Knowledge round-trips field by field.
+    // The design binding round-trips.
     assert_eq!(restored.knowledge.design(), design);
-    assert_eq!(
-        restored.knowledge.clauses.to_seeds(),
-        snapshot.knowledge.clauses.to_seeds()
-    );
 
     // Verdicts, winners and the embedded trace round-trip.
     assert_eq!(restored.verdicts.len(), 2);
@@ -174,8 +152,9 @@ fn round_trip_preserves_everything() {
 }
 
 /// `sample_snapshot` as a server wrote it while knowledge bases still kept
-/// ATPG conflict counts and an engine history: its ESTG section holds 17
-/// conflicts on net 4 = 1 and 3 on net 4 = 0, and its history counts read
+/// SAT-BMC clauses, ATPG conflict counts and an engine history: its clause
+/// section holds one two-literal clause of depth 2, its ESTG section holds
+/// 17 conflicts on net 4 = 1 and 3 on net 4 = 0, and its history counts read
 /// 5/2/0 wins and 7/7/6 runs.
 const ESTG_ERA_SNAPSHOT: &[u8] = include_bytes!("fixtures/estg_entries.wlacsnap");
 
@@ -184,10 +163,6 @@ fn a_snapshot_with_estg_entries_still_decodes() {
     let restored = decode_snapshot(ESTG_ERA_SNAPSHOT).expect("an earlier server's file decodes");
     let sample = sample_snapshot();
     assert_eq!(restored.knowledge.design(), sample.knowledge.design());
-    assert_eq!(
-        restored.knowledge.clauses.to_seeds(),
-        sample.knowledge.clauses.to_seeds()
-    );
     assert_eq!(restored.verdicts.len(), 2);
     for (got, want) in restored.verdicts.iter().zip(&sample.verdicts) {
         assert_eq!(
@@ -195,12 +170,12 @@ fn a_snapshot_with_estg_entries_still_decodes() {
             (want.property, want.config, want.winner, &want.verdict)
         );
     }
-    // Written again, it is today's file: the same state, an empty ESTG
-    // section, zero history counts, and the two dropped entries' 34 bytes
-    // shorter.
+    // Written again, it is today's file: the same state, empty clause and
+    // ESTG sections, zero history counts, and the dropped clause's 46 bytes
+    // and the two dropped ESTG entries' 34 bytes shorter.
     let rewritten = encode_snapshot(&restored).expect("encodes");
     assert_eq!(rewritten, encode_snapshot(&sample).expect("encodes"));
-    assert_eq!(rewritten.len() + 2 * 17, ESTG_ERA_SNAPSHOT.len());
+    assert_eq!(rewritten.len() + 46 + 2 * 17, ESTG_ERA_SNAPSHOT.len());
 }
 
 #[test]
@@ -258,9 +233,8 @@ fn foreign_design_snapshots_are_rejected_by_the_service_import() {
     let extra = other.input("extra", 4);
     other.mark_output("extra", extra);
     let service = wlac_service::VerificationService::new(wlac_service::ServiceConfig::default());
-    let other_hash = service.register_design(&other);
     assert!(matches!(
-        service.import_knowledge(other_hash, &restored.knowledge),
+        service.restore(&other, &restored.knowledge, &restored.verdicts),
         Err(wlac_service::KnowledgeError::DesignMismatch { .. })
     ));
 

@@ -1,7 +1,6 @@
 //! Engine adapters: run one strategy on one property. Each engine reports
 //! in the shared [`Verdict`] vocabulary itself; an adapter wires in the
-//! race's cancellation, warm start (SAT BMC's replayed clauses) and
-//! observers.
+//! race's cancellation and observers. Every engine runs cold.
 //!
 //! Every engine's trace has been re-simulated once, by
 //! [`wlac_atpg::validated_verdict`], before the engine returns it: ATPG and
@@ -11,11 +10,10 @@
 //! counter-example.
 
 use crate::config::{PortfolioConfig, RANDOM_SEED};
-use crate::warm::{Harvest, WarmStart};
 use std::fmt;
 use std::time::{Duration, Instant};
 use wlac_atpg::{AssertionChecker, CancelToken, CheckStats, Verdict, Verification};
-use wlac_baselines::{bounded_model_check_learning, random_simulation_cancellable};
+use wlac_baselines::{bounded_model_check, random_simulation_cancellable};
 use wlac_telemetry::{ProgressHandle, RecorderHandle};
 
 /// One verification strategy of the portfolio.
@@ -108,16 +106,14 @@ pub struct EngineRun {
     pub stats: EngineStats,
 }
 
-/// Runs `engine` on `verification`, warm-started and observed, polling
-/// `cancel` cooperatively. `warm` seeds the SAT BMC engine with replayed
-/// design-valid clauses; the returned [`Harvest`] holds only what this run
-/// learned on top of that seed ([`WarmStart::new`] runs cold and harvests
-/// everything). The ATPG engine is [`AssertionChecker::check`], the check
-/// Table 2 runs: it takes no seed and harvests nothing.
-/// `recorder` and `progress` are threaded into the ATPG engine's checker
-/// options, so core search events carry the owning job's id and the search
-/// publishes bound advances and effort counters into the race's progress
-/// cell while still running. The SAT and simulation engines run no core
+/// Runs `engine` on `verification`, observed, polling `cancel`
+/// cooperatively. The ATPG engine is [`AssertionChecker::check`], the check
+/// Table 2 runs, and SAT BMC is [`bounded_model_check`]: each run starts
+/// from nothing and keeps nothing. `recorder` and `progress` are threaded
+/// into the ATPG engine's checker options, so core search events carry the
+/// owning job's id and the search publishes bound advances and effort
+/// counters into the race's progress cell while still running. The SAT and
+/// simulation engines run no core
 /// search; their lifecycle is visible through the race-level events the
 /// portfolio supervisor emits, and their final statistics reach the
 /// progress surface through it too (see `RaceProgress::record_final`).
@@ -126,26 +122,22 @@ pub(crate) fn run_engine(
     verification: &Verification,
     config: &PortfolioConfig,
     cancel: &CancelToken,
-    warm: &WarmStart,
     recorder: &RecorderHandle,
     progress: &ProgressHandle,
-) -> (EngineRun, Harvest) {
+) -> EngineRun {
     let start = Instant::now();
-    let (verdict, stats, harvest) = match engine {
+    let (verdict, stats) = match engine {
         Engine::Atpg => run_atpg(verification, config, cancel, recorder, progress),
-        Engine::SatBmc => run_bmc(verification, config, cancel, warm),
+        Engine::SatBmc => run_bmc(verification, config, cancel),
         Engine::RandomSim => run_random(verification, config, cancel),
     };
-    (
-        EngineRun {
-            engine,
-            cancelled: cancel.is_cancelled() && !verdict.is_definitive(),
-            verdict,
-            elapsed: start.elapsed(),
-            stats,
-        },
-        harvest,
-    )
+    EngineRun {
+        engine,
+        cancelled: cancel.is_cancelled() && !verdict.is_definitive(),
+        verdict,
+        elapsed: start.elapsed(),
+        stats,
+    }
 }
 
 fn run_atpg(
@@ -154,7 +146,7 @@ fn run_atpg(
     cancel: &CancelToken,
     recorder: &RecorderHandle,
     progress: &ProgressHandle,
-) -> (Verdict, EngineStats, Harvest) {
+) -> (Verdict, EngineStats) {
     let options = config
         .checker
         .clone()
@@ -162,25 +154,19 @@ fn run_atpg(
         .with_recorder(recorder.clone())
         .with_progress(progress.clone());
     let report = AssertionChecker::new(options).check(verification);
-    (
-        report.result,
-        EngineStats::Atpg(report.stats),
-        Harvest::default(),
-    )
+    (report.result, EngineStats::Atpg(report.stats))
 }
 
 fn run_bmc(
     verification: &Verification,
     config: &PortfolioConfig,
     cancel: &CancelToken,
-    warm: &WarmStart,
-) -> (Verdict, EngineStats, Harvest) {
-    let (report, clauses) = bounded_model_check_learning(
+) -> (Verdict, EngineStats) {
+    let report = bounded_model_check(
         verification,
         config.checker.max_frames,
         config.bmc_decision_budget,
         cancel,
-        &warm.clauses,
     );
     (
         report.verdict,
@@ -190,10 +176,6 @@ fn run_bmc(
             peak_memory_bytes: report.peak_memory_bytes,
             sat: report.sat,
         },
-        Harvest {
-            clauses,
-            ..Harvest::default()
-        },
     )
 }
 
@@ -201,7 +183,7 @@ fn run_random(
     verification: &Verification,
     config: &PortfolioConfig,
     cancel: &CancelToken,
-) -> (Verdict, EngineStats, Harvest) {
+) -> (Verdict, EngineStats) {
     let report = random_simulation_cancellable(
         verification,
         config.random_runs,
@@ -215,7 +197,6 @@ fn run_random(
             runs: report.runs,
             cycles_per_run: report.cycles_per_run,
         },
-        Harvest::default(),
     )
 }
 
@@ -227,7 +208,7 @@ mod tests {
     use wlac_bv::Bv;
     use wlac_netlist::Netlist;
 
-    /// One engine run from an empty warm start, unobserved.
+    /// One engine run, unobserved.
     fn cold(
         engine: Engine,
         verification: &Verification,
@@ -235,17 +216,7 @@ mod tests {
         cancel: &CancelToken,
     ) -> EngineRun {
         let (recorder, progress) = (RecorderHandle::disabled(), ProgressHandle::disabled());
-        let warm = WarmStart::new();
-        run_engine(
-            engine,
-            verification,
-            config,
-            cancel,
-            &warm,
-            &recorder,
-            &progress,
-        )
-        .0
+        run_engine(engine, verification, config, cancel, &recorder, &progress)
     }
 
     /// A counter wrapping at `wrap`, asserted to stay below `limit`.

@@ -4,20 +4,16 @@
 //! and bit-blasted SAT shine on *different* workload shapes. This crate turns
 //! that observation into an engine: a [`Portfolio`] races the ATPG checker
 //! ([`wlac_atpg::AssertionChecker`]), SAT bounded model checking
-//! ([`wlac_baselines::bounded_model_check_learning`]) and random simulation on each
+//! ([`wlac_baselines::bounded_model_check`]) and random simulation on each
 //! property, takes the first definitive answer, and cooperatively cancels the
 //! losers through [`wlac_atpg::CancelToken`]. The race is hedged: the lead
 //! engine gets a 5 ms head start, and the others join only if it has not
 //! decided by then (see [`Portfolio::race`]).
 //!
-//! Every race runs its engines one way: seeded from a [`WarmStart`] (an
-//! empty one for [`Portfolio::race`] and [`Portfolio::check_all`]) and
-//! harvesting what they learn. [`Portfolio::race_warm`] returns that
-//! learning as a [`Harvest`] holding only what the race added over its
-//! seed, so a knowledge base merges it exactly as it merges an import or a
-//! replayed journal record. Only SAT BMC takes a seed (replayed CDCL
-//! clauses) and harvests one; ATPG runs [`wlac_atpg::AssertionChecker::check`]
-//! with its own ESTG, the same check Table 2 runs.
+//! Every engine runs cold: ATPG runs [`wlac_atpg::AssertionChecker::check`]
+//! with its own ESTG, the same check Table 2 runs, and SAT BMC solves every
+//! query from scratch. Nothing a race learns outlives it, so a verdict does
+//! not depend on what was raced before.
 //!
 //! Beyond single-property racing, [`Portfolio::check_batch`] shards a whole
 //! suite of properties across a worker-thread pool. Every trace-backed
@@ -241,46 +237,38 @@ impl Portfolio {
     /// run, starts no thread and issues no cancel. The others start when the
     /// lead has not decided within its head start, or as soon as it answers
     /// without deciding. A lead the head start stopped restarts on its own
-    /// thread beside them, from the same warm start; its one run covers
-    /// both passes. A race that is decided, or whose job budget has
-    /// expired, starts no further engine. The [`PortfolioReport::timeline`]
-    /// shows when each engine started.
+    /// thread beside them; its one run covers both passes. A race that is
+    /// decided, or whose job budget has expired, starts no further engine.
+    /// The [`PortfolioReport::timeline`] shows when each engine started.
     pub fn race(&self, verification: &Verification) -> PortfolioReport {
-        self.race_warm(verification, &WarmStart::new()).0
+        self.run_portfolio(verification, true, &RecorderHandle::disabled(), None)
     }
 
     /// Runs every configured engine to completion (no cancellation) and
     /// cross-validates all verdicts against each other.
     pub fn check_all(&self, verification: &Verification) -> PortfolioReport {
-        let warm = WarmStart::new();
-        self.run_portfolio(
-            verification,
-            false,
-            &warm,
-            &RecorderHandle::disabled(),
-            None,
-        )
-        .0
+        self.run_portfolio(verification, false, &RecorderHandle::disabled(), None)
     }
 
-    /// Like [`Portfolio::race`], but warm-started from a knowledge base:
-    /// `warm` seeds SAT BMC with replayed CDCL clauses. The race starts the
-    /// configured engines, as [`Portfolio::race`] does, and ATPG runs the
-    /// plain [`wlac_atpg::AssertionChecker::check`]. The returned
-    /// [`Harvest`] carries only what this race learned on top of `warm`, so
-    /// the base merges it as it is.
-    ///
-    /// Seeds must come from runs on a structurally identical netlist — the
-    /// knowledge-base owner enforces that by keying on a design hash.
+    /// [`Portfolio::race`], with the race's winner and engines copied into
+    /// a [`Harvest`] whose clauses are empty; the [`WarmStart`] is ignored.
+    /// Inert; kept only because the benchmark package (`perfbench/`) still
+    /// calls it, and it goes when ROADMAP item 3 un-pins that package.
     pub fn race_warm(
         &self,
         verification: &Verification,
-        warm: &WarmStart,
+        _warm: &WarmStart,
     ) -> (PortfolioReport, Harvest) {
-        self.run_portfolio(verification, true, warm, &RecorderHandle::disabled(), None)
+        let report = self.race(verification);
+        let harvest = Harvest {
+            clauses: Vec::new(),
+            ran: report.runs.iter().map(|run| run.engine).collect(),
+            winner: report.winner,
+        };
+        (report, harvest)
     }
 
-    /// Like [`Portfolio::race_warm`], but observed. Every flight-recorder
+    /// Like [`Portfolio::race`], but observed. Every flight-recorder
     /// event this race (and the core searches under it) emits is stamped
     /// through `recorder` — the per-job handle the verification service
     /// derives, so a remote `events` tail can be filtered down to one job.
@@ -291,14 +279,13 @@ impl Portfolio {
     /// service's progress accessors feed the server's `progress`/`subscribe`
     /// ops from it); publication is lock-free, alloc-free and never
     /// influences scheduling or verdicts.
-    pub fn race_warm_probed(
+    pub fn race_probed(
         &self,
         verification: &Verification,
-        warm: &WarmStart,
         recorder: &RecorderHandle,
         progress: &RaceProgress,
-    ) -> (PortfolioReport, Harvest) {
-        self.run_portfolio(verification, true, warm, recorder, Some(progress))
+    ) -> PortfolioReport {
+        self.run_portfolio(verification, true, recorder, Some(progress))
     }
 
     /// Checks a batch of properties, sharding them across
@@ -342,10 +329,9 @@ impl Portfolio {
         &self,
         verification: &Verification,
         cancel_losers: bool,
-        warm: &WarmStart,
         recorder: &RecorderHandle,
         progress: Option<&RaceProgress>,
-    ) -> (PortfolioReport, Harvest) {
+    ) -> PortfolioReport {
         let start = Instant::now();
         // A job budget turns the race token into a deadline token: every
         // engine polls it cooperatively, so even one stuck in a pathological
@@ -357,7 +343,6 @@ impl Portfolio {
         };
         let engines: &[Engine] = &self.config.engines;
         let mut runs: Vec<EngineRun> = Vec::with_capacity(engines.len());
-        let mut harvest = Harvest::default();
         let mut winner: Option<usize> = None;
         let mut timeline: Vec<RaceEvent> = Vec::with_capacity(2 * engines.len() + 1);
         let mut first_definitive_at: Option<Duration> = None;
@@ -380,7 +365,6 @@ impl Portfolio {
                 verification,
                 &self.config,
                 token,
-                warm,
                 recorder,
                 &progress_handle,
             )
@@ -400,7 +384,7 @@ impl Portfolio {
         };
         // Collects one answer: the first definitive one wins and (in racing
         // mode) cancels everyone still searching.
-        let mut absorb = |(run, learned): (EngineRun, Harvest), timeline: &mut Vec<RaceEvent>| {
+        let mut absorb = |run: EngineRun, timeline: &mut Vec<RaceEvent>| {
             let at = start.elapsed();
             let definitive = run.verdict.is_definitive();
             if let Some(progress) = progress {
@@ -449,8 +433,6 @@ impl Portfolio {
                     }
                 }
             }
-            harvest.clauses.extend(learned.clauses);
-            harvest.ran.push(run.engine);
             runs.push(run);
         };
         // Racing mode hedges: the lead engine runs on this thread for at most
@@ -474,14 +456,12 @@ impl Portfolio {
                 CancelToken::with_deadline(token.deadline().map_or(head_end, |d| d.min(head_end)))
             };
             spawned(lead, &mut timeline);
-            let (pass, learned) = run(lead, &head);
+            let pass = run(lead, &head);
             // Cancelled, but not by the race token: the head start ran out.
-            // The pass's learning goes with it; the restart learns again
-            // from the same seed.
             if pass.cancelled && !token.is_cancelled() {
                 stopped = Some(pass);
             } else {
-                absorb((pass, learned), &mut timeline);
+                absorb(pass, &mut timeline);
             }
             // A decided race has cancelled the token, and an expired budget
             // has too: either way nobody new starts.
@@ -491,7 +471,7 @@ impl Portfolio {
         }
         if stopped.is_some() || !joining.is_empty() {
             thread::scope(|scope| {
-                let (tx, rx) = mpsc::channel::<(EngineRun, Harvest)>();
+                let (tx, rx) = mpsc::channel::<EngineRun>();
                 let launch = |engine: Engine| {
                     let tx = tx.clone();
                     let token = token.clone();
@@ -516,11 +496,11 @@ impl Portfolio {
                     launch(pass.engine);
                 }
                 drop(tx);
-                while let Ok((mut answer, learned)) = rx.recv() {
+                while let Ok(mut answer) = rx.recv() {
                     if let Some(pass) = stopped.as_ref().filter(|p| p.engine == answer.engine) {
                         fold_pass(&mut answer, pass);
                     }
-                    absorb((answer, learned), &mut timeline);
+                    absorb(answer, &mut timeline);
                 }
             });
         }
@@ -558,11 +538,10 @@ impl Portfolio {
                 },
             },
         };
-        harvest.winner = winner.map(|index| runs[index].engine);
         let report = PortfolioReport {
             property: verification.property.name.clone(),
             verdict,
-            winner: harvest.winner,
+            winner: winner.map(|index| runs[index].engine),
             wall_clock: start.elapsed(),
             runs,
             disagreements,
@@ -575,7 +554,7 @@ impl Portfolio {
             report.winner.map_or(u64::MAX, |w| u64::from(w.code())),
             report.wall_clock.as_nanos() as u64,
         );
-        (report, harvest)
+        report
     }
 }
 

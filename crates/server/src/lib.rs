@@ -1,8 +1,8 @@
 //! # wlac-server — the network front end of the verification service
 //!
-//! PR 4's [`wlac_service::VerificationService`] made checking a long-lived,
-//! learning session — but only for callers inside the same process. This
-//! crate puts it on the network and on disk:
+//! [`wlac_service::VerificationService`] makes checking a long-lived
+//! session with a verdict cache — but only for callers inside the same
+//! process. This crate puts it on the network and on disk:
 //!
 //! * **Wire protocol** — a thread-per-connection TCP listener speaking
 //!   line-delimited JSON (hand-rolled [`Json`]; the workspace builds offline,

@@ -310,7 +310,6 @@ pub fn stats_to_wire(stats: &ServiceStats, durability: &str, metrics: &MetricsRe
         ("cache_misses", Json::num(stats.cache_misses)),
         ("cache_evictions", Json::num(stats.cache_evictions)),
         ("cached_verdicts", Json::num(stats.cached_verdicts as u64)),
-        ("clauses_banked", Json::num(stats.clauses_banked)),
         ("quarantined_jobs", Json::num(stats.quarantined_jobs)),
         ("timed_out_jobs", Json::num(stats.timed_out_jobs)),
         ("workers_respawned", Json::num(stats.workers_respawned)),

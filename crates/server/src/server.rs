@@ -674,29 +674,24 @@ fn replay_journals(state: &ServerState) {
         // The journal header carries the canonical netlist — and is only
         // accepted when the netlist reproduces the recorded hash — so a
         // design that never reached its first snapshot still comes back
-        // warm, under the same identity it was acknowledged as. A record's
-        // ESTG delta and engine-history delta (`ran`, `winner`; journals of
-        // earlier servers carry them) are not state any more: ATPG conflict
-        // history lives for one check, and every race starts the
-        // configured engines.
-        let mut knowledge = KnowledgeBase::new(replay.design);
-        let mut verdicts = Vec::with_capacity(replay.records.len());
-        for record in &replay.records {
-            for clause in &record.clauses {
-                knowledge.clauses.insert(clause);
-            }
-            if let Some(verdict) = &record.verdict {
-                verdicts.push(verdict.clone());
-            }
-        }
-        // The restore path re-validates every clause and verdict exactly as
-        // it does for snapshots and merges on top of the restored state;
-        // journaled deltas over an already-compacted snapshot are additive,
-        // so replaying both never double-counts a verdict or clause.
-        if let Err(e) = state
-            .service
-            .restore(&replay.netlist, &knowledge, &verdicts)
-        {
+        // warm, under the same identity it was acknowledged as. Only a
+        // record's verdict is state. Its clauses, ESTG delta and
+        // engine-history delta (`ran`, `winner`; journals of earlier servers
+        // carry them) are not: SAT-BMC runs cold, ATPG conflict history
+        // lives for one check, and every race starts the configured engines.
+        let verdicts: Vec<_> = replay
+            .records
+            .iter()
+            .filter_map(|record| record.verdict.clone())
+            .collect();
+        // The restore path re-validates every verdict exactly as it does for
+        // snapshots and adds them to the restored cache; a verdict both
+        // snapshotted and journaled is one cache entry.
+        if let Err(e) = state.service.restore(
+            &replay.netlist,
+            &KnowledgeBase::new(replay.design),
+            &verdicts,
+        ) {
             eprintln!(
                 "wlac-server: journal {} failed validation: {e}",
                 path.display()
@@ -724,7 +719,7 @@ fn assemble_snapshot(state: &ServerState, design: DesignHash) -> Option<Snapshot
     let netlist = state.service.design(design)?;
     Some(Snapshot {
         netlist: Netlist::clone(&netlist),
-        knowledge: state.service.export_knowledge(design)?,
+        knowledge: KnowledgeBase::new(design),
         verdicts: state.service.export_verdicts(design)?,
     })
 }
@@ -804,7 +799,7 @@ fn compact_design(state: &ServerState, design: DesignHash) {
 /// on: a design whose journal has grown past the threshold is compacted.
 /// Every raced result is already on disk (the service appended it before
 /// publishing), so a batch needs no snapshot of its own; a design whose
-/// jobs were all answered from the verdict cache learned nothing and is
+/// jobs were all answered from the verdict cache has nothing new and is
 /// skipped, which keeps the warm path free of redundant writes.
 fn compact_due_designs(state: &ServerState, results: &[JobResult]) {
     let Some(sink) = &state.journal else {
@@ -2023,8 +2018,7 @@ fn trace_event_to_wire(event: &wlac_telemetry::TraceEvent) -> Json {
 /// On-demand traced check: runs the job once through the paper's ATPG
 /// checker with tracing enabled and returns the phase-attributed time
 /// breakdown plus the span events, instead of just a verdict. The run is
-/// deliberately outside the service (no cache, no warm start, single
-/// engine): the point is a reproducible profile of *this* check, not the
+/// deliberately outside the service (no cache, single engine): the point is a reproducible profile of *this* check, not the
 /// fastest answer.
 fn op_trace_check(state: &ServerState, frame: &Json) -> Json {
     let verification = match parse_job(state, &mut DesignLookups::new(), frame, 0) {

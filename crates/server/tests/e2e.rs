@@ -393,8 +393,9 @@ fn restart_warm_serves_persisted_verdicts() {
 }
 
 #[test]
-fn a_journal_with_estg_deltas_still_boots_warm() {
+fn a_journal_of_an_earlier_server_still_boots_warm() {
     use wlac_atpg::{Property, Verdict};
+    use wlac_baselines::{FrameClause, FrameLit};
     use wlac_faultinject::FaultPlan;
     use wlac_netlist::NetId;
     use wlac_persist::{journal_file_name, JournalRecord, JournalWriter};
@@ -402,7 +403,9 @@ fn a_journal_with_estg_deltas_still_boots_warm() {
     use wlac_service::{config_fingerprint, design_hash, property_hash, VerdictRecord};
 
     // A data dir as earlier servers left it: a journal whose record carries
-    // the ATPG conflict counts they journaled beside the verdict.
+    // the SAT-BMC clauses and ATPG conflict counts they journaled beside the
+    // verdict. The clause names a net the design does not have: clauses are
+    // not state, so it must not decide whether the verdict survives.
     let dir = TempDir::new();
     let config = {
         let mut config = quick_config();
@@ -432,7 +435,15 @@ fn a_journal_with_estg_deltas_still_boots_warm() {
                 verdict: verdict.clone(),
                 winner: Some(Engine::Atpg),
             }),
-            clauses: Vec::new(),
+            clauses: vec![FrameClause {
+                depth: 1,
+                lits: vec![FrameLit {
+                    frame: 0,
+                    net: NetId::from_index(1_000_000),
+                    bit: 0,
+                    negated: false,
+                }],
+            }],
             estg_delta: vec![(NetId::from_index(0), true, 5), (ok, false, 2)],
             ran: vec![Engine::Atpg],
             winner: Some(Engine::Atpg),

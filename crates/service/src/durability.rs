@@ -1,32 +1,28 @@
 //! The durability hook: how completed work leaves the service for disk.
 //!
 //! The service itself knows nothing about files or formats. When a raced job
-//! finishes, it offers everything the race produced — the definitive verdict
-//! (if any) and the harvested frame clauses — to an optional
-//! [`DurabilitySink`] *before* the result is published to waiters. A
-//! write-ahead journal (see `wlac-persist`) implements the sink; the
-//! disabled default costs one `Option` check per job.
+//! finishes, it offers what the race produced that outlives it — the
+//! definitive verdict, if any — to an optional [`DurabilitySink`] *before*
+//! the result is published to waiters. A write-ahead journal (see
+//! `wlac-persist`) implements the sink; the disabled default costs one
+//! `Option` check per job.
 //!
-//! A record is the race's learned delta, and every store merges it: the
-//! race's harvest holds only what it added over its warm start, the live
-//! [`KnowledgeBase::absorb`] merges that harvest, and a boot-time replay
-//! merges the same record into whatever a newer snapshot restored. So the
-//! knowledge a restart rebuilds equals the live knowledge. Replay is also
-//! idempotent: verdicts and clauses deduplicate exactly.
-//!
-//! [`KnowledgeBase::absorb`]: crate::KnowledgeBase::absorb
+//! A boot-time replay inserts each record's verdict into the verdict cache
+//! on top of whatever a newer snapshot restored, so the cache a restart
+//! rebuilds equals the live one. Replay is idempotent: the cache is keyed
+//! by query, so a verdict replayed twice is one entry.
 
 use crate::hash::DesignHash;
 use crate::session::VerdictRecord;
 use std::fmt;
 use std::sync::Arc;
-use wlac_baselines::FrameClause;
 use wlac_netlist::Netlist;
 
 /// Everything one completed raced job contributes to durable state.
 ///
 /// Borrowed from the worker's stack at emission time; a sink that needs the
 /// data beyond the call must serialize or clone it.
+#[derive(Debug)]
 pub struct DurabilityRecord<'a> {
     /// The design the job ran against.
     pub design: DesignHash,
@@ -38,28 +34,16 @@ pub struct DurabilityRecord<'a> {
     /// was definitive (and therefore cached and acknowledgeable as
     /// replayable).
     pub verdict: Option<VerdictRecord>,
-    /// Design-valid frame clauses harvested from the race.
-    pub clauses: &'a [FrameClause],
-}
-
-impl fmt::Debug for DurabilityRecord<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DurabilityRecord")
-            .field("design", &self.design)
-            .field("verdict", &self.verdict.is_some())
-            .field("clauses", &self.clauses.len())
-            .finish()
-    }
 }
 
 /// A destination for [`DurabilityRecord`]s — implemented by the write-ahead
 /// journal in `wlac-persist`.
 ///
-/// Called on the worker thread after the job's knowledge is absorbed,
-/// *before* the result is published anywhere — the verdict cache included,
-/// since a concurrent identical query can be acknowledged from the cache the
-/// moment an insert lands: a sink that writes ahead guarantees every
-/// acknowledged result is on disk. Sinks must never panic for I/O reasons —
+/// Called on the worker thread after the race, *before* the result is
+/// published anywhere — the verdict cache included, since a concurrent
+/// identical query can be acknowledged from the cache the moment an insert
+/// lands: a sink that writes ahead guarantees every acknowledged result is
+/// on disk. Sinks must never panic for I/O reasons —
 /// durability degrades, serving continues — and should do their own error
 /// accounting.
 pub trait DurabilitySink: Send + Sync {

@@ -1,12 +1,10 @@
 //! Structural identity of designs, properties and configurations.
 //!
-//! Everything the learning store knows is only valid for a *structurally
-//! identical* netlist: frame-relative clauses name original net ids, and
-//! cached verdicts name the design's monitors and trace nets.
-//! [`design_hash`] fingerprints exactly the structure those stores depend
-//! on — net widths, gate kinds/pins/outputs, primary inputs and outputs — so
-//! a knowledge base bound to a hash can be safely rejected when presented
-//! with any other design. Gate kinds hash as [`GateKind::tag`], the
+//! A cached verdict is only valid for a *structurally identical* netlist: it
+//! names the design's monitors and trace nets. [`design_hash`] fingerprints
+//! exactly the structure the cache depends on — net widths, gate
+//! kinds/pins/outputs, primary inputs and outputs — so a store bound to a
+//! hash can be safely rejected when presented with any other design. Gate kinds hash as [`GateKind::tag`], the
 //! numbering the on-disk formats use too.
 
 use std::fmt;
@@ -47,7 +45,7 @@ impl Fnv {
 }
 
 /// Structural fingerprint of a design. Two netlists with the same hash are
-/// treated as the same design by the registry and may share a knowledge base.
+/// treated as the same design by the registry and share cached verdicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DesignHash(pub u64);
 

@@ -8,8 +8,6 @@
 //! * a **design registry** keyed by structural hash ([`design_hash`]) — a
 //!   netlist registered twice is the same design and shares everything
 //!   below;
-//! * a per-design [`KnowledgeBase`]: design-valid CDCL clauses lifted to
-//!   frame-relative form (replayable at any unrolling bound) for SAT BMC;
 //! * a **verdict cache** keyed by (design hash, property hash, config) that
 //!   answers repeat queries without spawning a single engine;
 //! * a **work-queue front door** — [`VerificationService::submit`] (jobs
@@ -24,18 +22,15 @@
 //!
 //! Every raced job starts the configured engines
 //! ([`wlac_portfolio::PortfolioConfig::engines`]), hedged, whatever ran on
-//! its design before. Every ATPG run of the service is
+//! its design before, and every engine runs cold: ATPG is
 //! [`wlac_atpg::AssertionChecker::check`], the check Table 2 runs, with an
-//! ESTG of its own. So neither a property's ATPG search nor the engines its
-//! race may start depend on which properties of its design ran before it
-//! (`tests/service.rs` at the workspace root pins both). Clause learning
-//! is strictly effort-shaping, never verdict-shaping: clauses are only
-//! exported when their derivation stayed inside the design's transition
-//! structure (taint-tracked in the CDCL solver), and `tests/service.rs`
-//! proves warm and cold SAT BMC agree on every outcome across the circuits
-//! suite. A knowledge base offered from outside is validated against the
-//! design hash and structure and rejected — [`KnowledgeError`] — rather
-//! than trusted.
+//! ESTG of its own, and SAT BMC solves every query from scratch. So neither
+//! a property's search nor the engines its race may start depend on which
+//! properties of its design ran before it (`tests/service.rs` at the
+//! workspace root pins both), and the verdict cache is the service's only
+//! memory of a design. Persisted state offered from outside — a store bound
+//! to another design, a verdict whose trace names foreign nets — is
+//! rejected with [`KnowledgeError`] rather than trusted.
 //!
 //! # Examples
 //!
@@ -91,9 +86,7 @@ mod session;
 pub use durability::{DurabilityHook, DurabilityRecord, DurabilitySink};
 pub use faultreport::{FaultReport, FaultReportHook, FaultSink};
 pub use hash::{config_fingerprint, design_hash, property_hash, DesignHash, PropertyHash};
-pub use knowledge::{
-    ClauseBank, KnowledgeBase, KnowledgeError, KnowledgeStats, DEFAULT_CLAUSE_CAP,
-};
+pub use knowledge::{KnowledgeBase, KnowledgeError};
 pub use session::{
     BatchId, BatchProgress, Job, JobProgress, JobResult, ServiceConfig, ServiceStats,
     VerdictRecord, VerificationService, DEFAULT_CACHE_CAPACITY, DEFAULT_RETAINED_BATCHES,
@@ -201,21 +194,6 @@ mod tests {
         assert!(service.design(other).is_none());
     }
 
-    #[test]
-    fn racing_accumulates_knowledge_for_the_design() {
-        let service = VerificationService::new(quick_config());
-        let verification = counter(5, 12, "v");
-        let design = design_hash(&verification.netlist);
-        let batch = service.submit_batch(vec![verification]);
-        let _ = service.wait(batch);
-        let kb = service.export_knowledge(design).expect("registered design");
-        assert_eq!(kb.design(), design);
-        // The race was absorbed into the design's knowledge base.
-        let stats = service.knowledge_stats(design).expect("stats");
-        assert_eq!(stats.races_absorbed, 1);
-        assert_eq!(stats.clauses_rejected, 0);
-    }
-
     /// The by-reference job for a self-contained verification.
     fn by_reference(service: &VerificationService, verification: &Verification) -> Job {
         Job {
@@ -287,25 +265,6 @@ mod tests {
         assert!(service.results(batch).expect("empty batch done").is_empty());
         let bogus = service.batch_progress(BatchId::from_raw(9999));
         assert!(bogus.is_none());
-    }
-
-    #[test]
-    fn import_of_a_poisoned_store_is_rejected() {
-        let service = VerificationService::new(quick_config());
-        let verification = counter(12, 5, "v");
-        let design = service.register_design(&verification.netlist);
-
-        // A store bound to a different design is rejected outright.
-        let other = counter(12, 6, "w");
-        let foreign = KnowledgeBase::new(design_hash(&other.netlist));
-        assert!(matches!(
-            service.import_knowledge(design, &foreign),
-            Err(KnowledgeError::DesignMismatch { .. })
-        ));
-
-        // A clean round-trip works.
-        let exported = service.export_knowledge(design).expect("registered");
-        assert!(service.import_knowledge(design, &exported).is_ok());
     }
 
     #[test]
@@ -582,22 +541,12 @@ mod tests {
     }
 
     /// The persisted store of one race on `verification`'s design: its
-    /// knowledge, with one more banked clause so that an import shows in
-    /// `stats`, and its verdicts.
+    /// design binding and its verdicts.
     fn exported_store(verification: &Verification) -> (KnowledgeBase, Vec<VerdictRecord>) {
         let design = design_hash(&verification.netlist);
         let service = VerificationService::new(quick_config());
         let _ = service.wait(service.submit_batch(vec![verification.clone()]));
-        let mut knowledge = service.export_knowledge(design).expect("registered");
-        knowledge.clauses.insert(&wlac_baselines::FrameClause {
-            depth: 1,
-            lits: vec![wlac_baselines::FrameLit {
-                frame: 0,
-                net: wlac_netlist::NetId::from_index(0),
-                bit: 0,
-                negated: true,
-            }],
-        });
+        let knowledge = KnowledgeBase::new(design);
         let verdicts = service.export_verdicts(design).expect("registered");
         (knowledge, verdicts)
     }
@@ -612,7 +561,6 @@ mod tests {
             restarted.restore(&verification.netlist, &knowledge, &verdicts),
             Ok((design, 1))
         );
-        assert!(restarted.stats().clauses_banked >= 1);
         let warm = restarted.wait(restarted.submit_batch(vec![verification]));
         assert!(warm[0].from_cache);
     }
@@ -640,7 +588,6 @@ mod tests {
             service.restore(&verification.netlist, &knowledge, &malformed),
             Err(KnowledgeError::MalformedVerdict { index: 0 })
         );
-        assert_eq!(service.stats().clauses_banked, 0);
         assert_eq!(service.export_verdicts(design).map(|v| v.len()), Some(0));
     }
 

@@ -17,24 +17,24 @@
 //! 1. answers from the cache after all when the job became a hit while it
 //!    queued (an identical job raced ahead of it);
 //! 2. otherwise copies the registered netlist into the race's
-//!    [`Verification`] and builds a [`WarmStart`] from the design's
-//!    [`KnowledgeBase`] (replayed CDCL clauses for SAT BMC);
+//!    [`Verification`];
 //! 3. races the configured engines, hedged as [`Portfolio::race`] describes,
-//!    absorbs the harvest back into the knowledge base and caches the
-//!    verdict.
+//!    and caches the verdict.
 //!
 //! Every race may start the same engines, whatever ran on the design
 //! before: the engines a verdict can come from do not depend on the
 //! properties raced before it.
 //!
-//! The race's ATPG engine is [`wlac_atpg::AssertionChecker::check`], the
-//! check Table 2 runs, with its own ESTG: a property's search does not
-//! depend on which properties of its design ran first.
+//! Every engine of the race runs cold: ATPG is
+//! [`wlac_atpg::AssertionChecker::check`], the check Table 2 runs, with its
+//! own ESTG, and SAT BMC solves every query from scratch. So a property's
+//! search does not depend on which properties of its design ran first, and
+//! a design keeps only its netlist and its cached verdicts.
 
 use crate::durability::{DurabilityHook, DurabilityRecord};
 use crate::faultreport::{FaultReport, FaultReportHook};
 use crate::hash::{config_fingerprint, design_hash, property_hash, DesignHash, PropertyHash};
-use crate::knowledge::{KnowledgeBase, KnowledgeError, KnowledgeStats};
+use crate::knowledge::{KnowledgeBase, KnowledgeError};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -45,7 +45,6 @@ use wlac_faultinject::{CondvarExt, FaultPlan, FaultSite, LockExt};
 use wlac_netlist::{NetId, Netlist};
 use wlac_portfolio::{
     Engine, EngineStats, Portfolio, PortfolioConfig, PortfolioReport, RaceProgress, Verdict,
-    WarmStart,
 };
 use wlac_telemetry::{
     Counter, MetricsRegistry, ProgressProbe, RecorderHandle, RecorderKind, RecorderLayer,
@@ -242,8 +241,6 @@ pub struct ServiceStats {
     pub cache_evictions: u64,
     /// Verdicts currently cached (≤ the configured capacity).
     pub cached_verdicts: usize,
-    /// Clauses currently banked across all designs.
-    pub clauses_banked: u64,
     /// Jobs whose processing panicked and were quarantined (completed with
     /// an error verdict; the worker survived).
     pub quarantined_jobs: u64,
@@ -272,14 +269,6 @@ impl ServiceStats {
             self.cache_hits as f64 / total as f64
         }
     }
-}
-
-/// One registered design: the canonical netlist and its learning store.
-/// The netlist is shared with every reader that looks the design up
-/// ([`VerificationService::design`]), so the registry holds the only copy.
-struct DesignEntry {
-    netlist: Arc<Netlist>,
-    knowledge: Mutex<KnowledgeBase>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -556,7 +545,10 @@ struct Shared {
     config: ServiceConfig,
     /// The portfolio every race runs, recording into `metrics`.
     portfolio: Portfolio,
-    registry: Mutex<HashMap<DesignHash, Arc<DesignEntry>>>,
+    /// Each registered design's canonical netlist, shared with every reader
+    /// that looks the design up ([`VerificationService::design`]), so the
+    /// registry holds the only copy.
+    registry: Mutex<HashMap<DesignHash, Arc<Netlist>>>,
     cache: Mutex<VerdictCache>,
     queue: Mutex<VecDeque<QueuedJob>>,
     queue_cv: Condvar,
@@ -686,12 +678,9 @@ impl VerificationService {
     pub fn register_design(&self, netlist: &Netlist) -> DesignHash {
         let hash = design_hash(netlist);
         let mut registry = self.shared.registry.lock_recover();
-        registry.entry(hash).or_insert_with(|| {
-            Arc::new(DesignEntry {
-                netlist: Arc::new(netlist.clone()),
-                knowledge: Mutex::new(KnowledgeBase::new(hash)),
-            })
-        });
+        registry
+            .entry(hash)
+            .or_insert_with(|| Arc::new(netlist.clone()));
         hash
     }
 
@@ -700,9 +689,7 @@ impl VerificationService {
     /// copy.
     pub fn design(&self, design: DesignHash) -> Option<Arc<Netlist>> {
         let registry = self.shared.registry.lock_recover();
-        registry
-            .get(&design)
-            .map(|entry| Arc::clone(&entry.netlist))
+        registry.get(&design).cloned()
     }
 
     /// Every registered design, in hash order.
@@ -1011,9 +998,8 @@ impl VerificationService {
         };
         let queue_depth = self.shared.queue.lock_recover().len();
         let running_jobs = self.shared.running.lock_recover().len();
-        let registry = self.shared.registry.lock_recover();
-        let mut stats = ServiceStats {
-            designs: registry.len(),
+        ServiceStats {
+            designs: self.shared.registry.lock_recover().len(),
             cache_hits: count("service_cache_hits_total"),
             cache_misses: count("service_cache_misses_total"),
             cache_evictions: count("service_cache_evictions_total"),
@@ -1024,63 +1010,11 @@ impl VerificationService {
             workers_alive,
             queue_depth,
             running_jobs,
-            ..ServiceStats::default()
-        };
-        for entry in registry.values() {
-            stats.clauses_banked += entry.knowledge.lock_recover().clauses.len() as u64;
         }
-        stats
-    }
-
-    /// The per-design knowledge statistics (clauses offered/banked/rejected,
-    /// races absorbed) for a registered design.
-    pub fn knowledge_stats(&self, design: DesignHash) -> Option<KnowledgeStats> {
-        let registry = self.shared.registry.lock_recover();
-        registry
-            .get(&design)
-            .map(|e| e.knowledge.lock_recover().stats)
-    }
-
-    /// Exports a clone of a design's knowledge base (e.g. to persist across
-    /// sessions).
-    pub fn export_knowledge(&self, design: DesignHash) -> Option<KnowledgeBase> {
-        let registry = self.shared.registry.lock_recover();
-        registry
-            .get(&design)
-            .map(|e| e.knowledge.lock_recover().clone())
-    }
-
-    /// Imports an externally persisted knowledge base for a registered
-    /// design, after full validation (design-hash binding plus structural
-    /// well-formedness of every clause).
-    ///
-    /// # Errors
-    ///
-    /// [`KnowledgeError`] when the store is bound to another design, fails
-    /// validation, or the design is not registered (reported as a mismatch
-    /// against the offered binding).
-    pub fn import_knowledge(
-        &self,
-        design: DesignHash,
-        knowledge: &KnowledgeBase,
-    ) -> Result<(), KnowledgeError> {
-        let entry = {
-            let registry = self.shared.registry.lock_recover();
-            registry
-                .get(&design)
-                .cloned()
-                .ok_or(KnowledgeError::DesignMismatch {
-                    found: knowledge.design(),
-                    expected: design,
-                })?
-        };
-        let mut kb = entry.knowledge.lock_recover();
-        kb.import(knowledge, &entry.netlist)
     }
 
     /// Exports the cached verdicts of one design (deterministic order), e.g.
-    /// to persist alongside its knowledge base. `None` for an unregistered
-    /// design.
+    /// to persist them with its netlist. `None` for an unregistered design.
     pub fn export_verdicts(&self, design: DesignHash) -> Option<Vec<VerdictRecord>> {
         {
             let registry = self.shared.registry.lock_recover();
@@ -1118,18 +1052,17 @@ impl VerificationService {
     }
 
     /// Restores one design's persisted state (a snapshot, or the records
-    /// replayed from a journal): registers `netlist`, then imports
-    /// `knowledge` and `verdicts` with the validation of
-    /// [`VerificationService::import_knowledge`] and
-    /// [`VerificationService::import_verdicts`]. Returns the design and the
-    /// number of verdicts now cached.
+    /// replayed from a journal): registers `netlist`, checks that
+    /// `knowledge` is bound to it, then imports `verdicts` with the
+    /// validation of [`VerificationService::import_verdicts`]. Returns the
+    /// design and the number of verdicts now cached.
     ///
     /// # Errors
     ///
-    /// [`KnowledgeError::DesignMismatch`] when `knowledge` is bound to
-    /// another design, or the first validation failure. The verdicts are
-    /// checked before anything is imported, so a rejected store imports
-    /// nothing (the design stays registered).
+    /// [`KnowledgeError::MalformedVerdict`] for the first verdict that fails
+    /// validation, else [`KnowledgeError::DesignMismatch`] when `knowledge`
+    /// is bound to another design. A rejected store imports nothing (the
+    /// design stays registered).
     pub fn restore(
         &self,
         netlist: &Netlist,
@@ -1138,7 +1071,12 @@ impl VerificationService {
     ) -> Result<(DesignHash, usize), KnowledgeError> {
         let design = self.register_design(netlist);
         check_verdicts(verdicts, netlist)?;
-        self.import_knowledge(design, knowledge)?;
+        if knowledge.design() != design {
+            return Err(KnowledgeError::DesignMismatch {
+                found: knowledge.design(),
+                expected: design,
+            });
+        }
         self.cache_verdicts(design, verdicts);
         Ok((design, verdicts.len()))
     }
@@ -1163,8 +1101,8 @@ impl VerificationService {
 
     /// Blocks until the job queue is empty and every dequeued job has
     /// completed, or until `timeout` passes — the graceful-shutdown drain:
-    /// no submission is abandoned half-raced, and everything learned has
-    /// been absorbed. New submissions during the drain extend it. Returns
+    /// no submission is abandoned half-raced, and every verdict has been
+    /// cached. New submissions during the drain extend it. Returns
     /// `true` when the service fully drained, `false` when work was still
     /// outstanding at the deadline, so a hung job cannot hold the process
     /// hostage forever.
@@ -1398,7 +1336,7 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
 
     // A job naming a design that was never registered cannot race;
     // complete it with an error verdict rather than panicking the worker.
-    let Some(entry) = ({
+    let Some(netlist) = ({
         let registry = shared.registry.lock_recover();
         registry.get(&job.design).cloned()
     }) else {
@@ -1418,11 +1356,6 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
         return;
     };
 
-    // 2. Warm start from the knowledge base.
-    let warm = WarmStart {
-        clauses: entry.knowledge.lock_recover().clauses.to_seeds(),
-    };
-
     // Register the race's live-progress cells before any engine spawns:
     // from here until completion, `progress` observers see this job as
     // running and can snapshot its probes lock-free.
@@ -1440,13 +1373,13 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
         .lock_recover()
         .insert(job.job_id, Arc::clone(&running));
 
-    // 3. Race, absorb, cache. The race is fenced with `catch_unwind`: an
-    // engine panic (the lead's unwinds on this thread, and the portfolio's
-    // scoped threads propagate the others') must complete the job as
-    // `Unknown` instead of killing this worker — a dead worker would shrink
-    // the pool for the rest of the session and leave the batch incomplete,
-    // hanging every `wait` on it. No service lock is held across the race,
-    // so unwinding cannot poison shared state.
+    // 2. and 3. Copy the design, race, cache. The race is fenced with
+    // `catch_unwind`: an engine panic (the lead's unwinds on this thread, and
+    // the portfolio's scoped threads propagate the others') must complete the
+    // job as `Unknown` instead of killing this worker — a dead worker would
+    // shrink the pool for the rest of the session and leave the batch
+    // incomplete, hanging every `wait` on it. No service lock is held across
+    // the race, so unwinding cannot poison shared state.
     let raced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         // The per-job handle stamps this job's id into every portfolio- and
         // core-layer event of the race.
@@ -1454,15 +1387,15 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
         // The race's own copy of the design: the one netlist copy a raced
         // job makes, dropped when the race ends.
         let verification = Verification {
-            netlist: Netlist::clone(&entry.netlist),
+            netlist: Netlist::clone(&netlist),
             property: job.property.clone(),
             environment: job.environment.clone(),
         };
         shared
             .portfolio
-            .race_warm_probed(&verification, &warm, &recorder, &running.progress)
+            .race_probed(&verification, &recorder, &running.progress)
     }));
-    let (report, harvest) = match raced {
+    let report = match raced {
         Ok(outcome) => outcome,
         Err(_) => {
             let result = JobResult {
@@ -1501,16 +1434,11 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
             wall: start.elapsed(),
         });
     }
-    {
-        let mut kb = entry.knowledge.lock_recover();
-        kb.absorb(&harvest, &entry.netlist);
-    }
     // Write-ahead durability: the journal record is emitted *before* the
     // result is published anywhere — the verdict cache included, since the
     // moment the insert lands a concurrent identical query can be answered
     // (and acknowledged) from it. So anything a client ever saw acknowledged
-    // is on disk. The record carries the harvest itself: what the race
-    // learned over its warm start, which replay merges as `absorb` did.
+    // is on disk.
     if shared.config.durability.is_armed() {
         let verdict = report.verdict.is_definitive().then(|| VerdictRecord {
             property: job.key.property,
@@ -1520,9 +1448,8 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
         });
         shared.config.durability.emit(&DurabilityRecord {
             design: job.design,
-            netlist: &entry.netlist,
+            netlist: &netlist,
             verdict,
-            clauses: &harvest.clauses,
         });
     }
     // Only definitive verdicts are worth replaying; an `Unknown` (budget,

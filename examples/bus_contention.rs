@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example bus_contention`.
 
 use wlac::atpg::{AssertionChecker, CancelToken, CheckerOptions};
-use wlac::baselines::bounded_model_check_learning;
+use wlac::baselines::bounded_model_check;
 use wlac::circuits::{industry_02, industry_03, industry_04};
 
 fn main() {
@@ -34,8 +34,7 @@ fn main() {
         println!("{name}");
         println!("  word-level ATPG: {:?}", report.result);
         println!("  effort: {}", report.stats);
-        let (bmc, _) =
-            bounded_model_check_learning(&verification, 3, 1_000_000, &CancelToken::new(), &[]);
+        let bmc = bounded_model_check(&verification, 3, 1_000_000, &CancelToken::new());
         println!(
             "  bit-level SAT BMC: {}, {:.2}s, CNF {:.2} MB ({} vars, {} clauses)",
             bmc.verdict.label(),

@@ -1,19 +1,18 @@
 //! A persistent verification session end-to-end: register the industry
 //! designs, batch-check their properties twice, and print the warm-run
-//! speedup plus the knowledge-base statistics behind it.
+//! speedup plus the cache statistics behind it.
 //!
 //! Run with `cargo run --release --example verification_service`.
 //!
 //! The second submission of an identical batch is answered entirely from the
 //! verdict cache (zero engines spawned), which is where batch-serving
-//! throughput comes from; the knowledge-base counters show what the first
-//! run banked for any *non*-identical future queries against the same
-//! designs (replayable CDCL clauses for SAT BMC). Each property's ATPG
-//! check runs on its own, as in Table 2.
+//! throughput comes from. The cache is all the session keeps: every engine
+//! runs cold, and each property's ATPG check runs on its own, as in
+//! Table 2.
 
 use std::time::{Duration, Instant};
 use wlac::circuits::{paper_suite, Scale};
-use wlac::service::{design_hash, ServiceConfig, VerificationService};
+use wlac::service::{ServiceConfig, VerificationService};
 
 fn main() {
     let mut config = ServiceConfig::default();
@@ -81,18 +80,9 @@ fn main() {
         stats.cache_hit_rate() * 100.0
     );
     println!(
-        "knowledge across {} designs: {} clauses banked",
-        stats.designs, stats.clauses_banked
+        "{} verdicts cached across {} designs",
+        stats.cached_verdicts, stats.designs
     );
-    for case in &suite {
-        let design = design_hash(&case.verification.netlist);
-        if let Some(kb) = service.knowledge_stats(design) {
-            println!(
-                "  {:<13} {:>2} race(s) absorbed, {} clauses banked, {} rejected",
-                case.circuit, kb.races_absorbed, kb.clauses_banked, kb.clauses_rejected
-            );
-        }
-    }
 
     assert!(
         stats.cache_hits >= warm.len() as u64,

@@ -19,14 +19,13 @@
 //! * [`baselines`] — SAT BMC, integral solving and random simulation,
 //! * [`portfolio`] — concurrent multi-strategy racing and batch checking
 //!   across the ATPG, SAT BMC and random-simulation engines,
-//! * [`service`] — persistent verification sessions: a design registry, a
-//!   per-design learning store (replayed SAT BMC clauses; each ATPG check
-//!   keeps its ESTG to itself) and a
-//!   `submit_batch`/`batch_progress`/`results` work-queue front door with a
-//!   bounded (LRU) verdict cache,
+//! * [`service`] — persistent verification sessions: a design registry and
+//!   a `submit_batch`/`batch_progress`/`results` work-queue front door with
+//!   a bounded (LRU) verdict cache, the service's only memory (every engine
+//!   runs cold),
 //! * [`persist`] — versioned, checksummed on-disk snapshots of a design's
-//!   knowledge base and verdict cache, written atomically, and the
-//!   per-design write-ahead journal they compact,
+//!   netlist and cached verdicts, written atomically, and the per-design
+//!   write-ahead journal they compact,
 //! * [`server`] — the TCP front end: line-delimited JSON protocol, a
 //!   journal per design with snapshot compaction and restart-warm boot,
 //!   plus the `wlac-server` and `wlac-client` binaries.

@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 use wlac::atpg::{AssertionChecker, CancelToken, CheckerOptions, Property, Verdict, Verification};
-use wlac::baselines::bounded_model_check_learning;
+use wlac::baselines::bounded_model_check;
 use wlac::bv::Bv;
 use wlac::circuits::{paper_suite, Expectation, Scale};
 use wlac::frontend::compile;
@@ -75,12 +75,11 @@ fn atpg_and_sat_bmc_agree() {
     let checker = AssertionChecker::new(options.clone());
     for case in paper_suite(Scale::Small) {
         let atpg = checker.check(&case.verification).result;
-        let (bmc, _) = bounded_model_check_learning(
+        let bmc = bounded_model_check(
             &case.verification,
             options.max_frames,
             500_000,
             &CancelToken::new(),
-            &[],
         );
         let bmc = bmc.verdict;
         assert!(

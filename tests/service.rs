@@ -1,34 +1,16 @@
-//! Learning-soundness and service integration tests.
+//! Service integration tests.
 //!
-//! The learning store must shape *effort*, never *verdicts*: clause-seeded
-//! BMC has to agree with cold BMC on every outcome across the whole circuits
-//! suite, and a poisoned knowledge base must be rejected rather than
-//! trusted. The service's ATPG runs are the plain check, so a property's
-//! search does not depend on which properties of its design ran first.
+//! Every engine of a race runs cold and the service keeps nothing of a race
+//! but its verdict, so a property's search does not depend on which
+//! properties of its design ran first, and the verdict cache answers the
+//! repeats.
 
 use std::time::Duration;
-use wlac::atpg::CancelToken;
-use wlac::atpg::{AssertionChecker, Property, Verdict, Verification};
-use wlac::baselines::{bounded_model_check_learning, FrameClause, FrameLit};
+use wlac::atpg::{AssertionChecker, Property, Verification};
 use wlac::circuits::{paper_suite, Scale};
 use wlac::netlist::NetId;
 use wlac::portfolio::{Engine, PortfolioConfig};
-use wlac::service::{
-    design_hash, KnowledgeBase, KnowledgeError, ServiceConfig, VerificationService,
-};
-
-/// Two verdicts "agree" when they have the same label at the same depth.
-/// Traces may differ bit-for-bit between runs (seeding legally reorders
-/// decisions), but a counter-example/witness must exist at the same first
-/// bound — so trace *lengths* must match — and each trace is validated by
-/// replay separately.
-fn assert_agrees(property: &str, cold: &Verdict, warm: &Verdict) {
-    assert_eq!(
-        (cold.label(), cold.bound()),
-        (warm.label(), warm.bound()),
-        "{property}: cold {cold:?} vs warm {warm:?}"
-    );
-}
+use wlac::service::{ServiceConfig, VerificationService};
 
 /// A six-state start/stop sequencer with six properties, as the benchmark's
 /// design generator writes them: `go` leaves state 0, then one state per
@@ -185,28 +167,6 @@ fn a_verdict_does_not_depend_on_the_properties_raced_before_it() {
     assert_eq!(result.verdict.label(), "proved", "{result:?}");
 }
 
-/// BMC differential: replaying harvested design-valid clauses never changes
-/// a bounded-model-checking outcome anywhere in the suite, and violations
-/// are found at the same depth.
-#[test]
-fn warm_bmc_outcomes_match_cold_across_the_suite() {
-    let cancel = CancelToken::new();
-    for case in paper_suite(Scale::Small) {
-        let (cold, harvest) =
-            bounded_model_check_learning(&case.verification, 6, 2_000_000, &cancel, &[]);
-        for clause in &harvest {
-            assert!(
-                clause.is_well_formed(&case.verification.netlist),
-                "{}: malformed harvest {clause:?}",
-                case.property
-            );
-        }
-        let (warm, _) =
-            bounded_model_check_learning(&case.verification, 6, 2_000_000, &cancel, &harvest);
-        assert_agrees(&case.property, &cold.verdict, &warm.verdict);
-    }
-}
-
 /// Service end-to-end: the industry suite submitted twice. The second run
 /// must be answered entirely from the verdict cache (no engines spawned)
 /// with verdicts agreeing with the first run's.
@@ -255,42 +215,4 @@ fn repeated_batch_is_served_from_cache_with_identical_verdicts() {
     assert_eq!(stats.cache_hits, 14);
     assert_eq!(stats.cache_misses, 14);
     assert!((stats.cache_hit_rate() - 0.5).abs() < 1e-9);
-}
-
-/// A corrupted or foreign knowledge base is rejected with a diagnostic, and
-/// nothing of it reaches the design's store.
-#[test]
-fn poisoned_knowledge_is_rejected_not_trusted() {
-    let service = VerificationService::new(ServiceConfig::default());
-    let case = &paper_suite(Scale::Small)[4]; // arbiter p5
-    let design = service.register_design(&case.verification.netlist);
-
-    // Corrupt store: right design binding, garbage clause inside.
-    let mut poisoned = KnowledgeBase::new(design);
-    poisoned.clauses.insert(&FrameClause {
-        depth: 1,
-        lits: vec![FrameLit {
-            frame: 0,
-            net: NetId::from_index(1_000_000),
-            bit: 7,
-            negated: false,
-        }],
-    });
-    match service.import_knowledge(design, &poisoned) {
-        Err(KnowledgeError::MalformedClause { index }) => assert_eq!(index, 0),
-        other => panic!("poisoned store must be rejected, got {other:?}"),
-    }
-
-    // Foreign store: bound to a different design hash.
-    let other = &paper_suite(Scale::Small)[6]; // alarm_clock p7
-    let foreign = KnowledgeBase::new(design_hash(&other.verification.netlist));
-    assert!(matches!(
-        service.import_knowledge(design, &foreign),
-        Err(KnowledgeError::DesignMismatch { .. })
-    ));
-
-    // The design's own store is untouched and still importable.
-    let clean = service.export_knowledge(design).expect("registered");
-    assert!(clean.clauses.is_empty());
-    assert!(service.import_knowledge(design, &clean).is_ok());
 }
