@@ -250,11 +250,6 @@ impl Netlist {
         &self.fanouts[net.index()]
     }
 
-    /// `true` when the net is a primary input.
-    pub fn is_input(&self, net: NetId) -> bool {
-        self.driver(net).is_none() && self.inputs.contains(&net)
-    }
-
     /// `true` when the net is single-bit, which is the paper's notion of a
     /// *control* signal (decision candidates are restricted to these).
     pub fn is_control_net(&self, net: NetId) -> bool {
@@ -314,37 +309,39 @@ impl Netlist {
     ) -> Result<(), GateShapeError> {
         let w = |n: NetId| self.net_width(n);
         let out_w = w(output);
-        let expect = |cond: bool, msg: String| -> Result<(), GateShapeError> {
+        // The message is formatted only when the check fails: this runs on
+        // every gate built, decoded or unrolled.
+        fn expect(cond: bool, msg: fmt::Arguments<'_>) -> Result<(), GateShapeError> {
             if cond {
                 Ok(())
             } else {
-                Err(GateShapeError::new(msg))
+                Err(GateShapeError::new(msg.to_string()))
             }
-        };
+        }
         match kind {
             GateKind::Const(v) => expect(
                 inputs.is_empty() && v.width() == out_w,
-                format!("const expects 0 inputs and width {out_w}"),
+                format_args!("const expects 0 inputs and width {out_w}"),
             ),
             GateKind::Not | GateKind::Buf => expect(
                 inputs.len() == 1 && w(inputs[0]) == out_w,
-                "unary gate expects one input of the output width".into(),
+                format_args!("unary gate expects one input of the output width"),
             ),
             GateKind::And | GateKind::Or | GateKind::Xor => expect(
                 inputs.len() >= 2 && inputs.iter().all(|i| w(*i) == out_w),
-                "n-ary bitwise gate expects >=2 inputs of the output width".into(),
+                format_args!("n-ary bitwise gate expects >=2 inputs of the output width"),
             ),
             GateKind::ReduceAnd | GateKind::ReduceOr | GateKind::ReduceXor => expect(
                 inputs.len() == 1 && out_w == 1,
-                "reduction gate expects one input and a 1-bit output".into(),
+                format_args!("reduction gate expects one input and a 1-bit output"),
             ),
             GateKind::Add | GateKind::Sub | GateKind::Mul => expect(
                 inputs.len() == 2 && w(inputs[0]) == out_w && w(inputs[1]) == out_w,
-                "arithmetic gate expects two inputs of the output width".into(),
+                format_args!("arithmetic gate expects two inputs of the output width"),
             ),
             GateKind::Shl | GateKind::Shr => expect(
                 inputs.len() == 2 && w(inputs[0]) == out_w,
-                "shift gate expects [value, amount] with value of the output width".into(),
+                format_args!("shift gate expects [value, amount] with value of the output width"),
             ),
             GateKind::Eq
             | GateKind::Ne
@@ -353,32 +350,32 @@ impl Netlist {
             | GateKind::Gt
             | GateKind::Ge => expect(
                 inputs.len() == 2 && w(inputs[0]) == w(inputs[1]) && out_w == 1,
-                "comparator expects two equal-width inputs and a 1-bit output".into(),
+                format_args!("comparator expects two equal-width inputs and a 1-bit output"),
             ),
             GateKind::Mux => expect(
                 inputs.len() == 3
                     && w(inputs[0]) == 1
                     && w(inputs[1]) == out_w
                     && w(inputs[2]) == out_w,
-                "mux expects [sel(1), then, else] with data of the output width".into(),
+                format_args!("mux expects [sel(1), then, else] with data of the output width"),
             ),
             GateKind::Concat => expect(
                 inputs.len() == 2 && w(inputs[0]) + w(inputs[1]) == out_w,
-                "concat expects two inputs whose widths sum to the output width".into(),
+                format_args!("concat expects two inputs whose widths sum to the output width"),
             ),
             GateKind::Slice { lo } => expect(
                 inputs.len() == 1 && lo + out_w <= w(inputs[0]),
-                "slice range exceeds the input width".into(),
+                format_args!("slice range exceeds the input width"),
             ),
             GateKind::ZeroExt => expect(
                 inputs.len() == 1 && w(inputs[0]) <= out_w,
-                "zero extension expects a narrower input".into(),
+                format_args!("zero extension expects a narrower input"),
             ),
             GateKind::Dff { init } => expect(
                 inputs.len() == 1
                     && w(inputs[0]) == out_w
                     && init.as_ref().map(|v| v.width() == out_w).unwrap_or(true),
-                "dff expects one data input of the output width".into(),
+                format_args!("dff expects one data input of the output width"),
             ),
         }
     }

@@ -31,9 +31,11 @@
 //! # Compaction
 //!
 //! A successful snapshot autosave makes the journal redundant: the server
-//! resets it to header-only ([`JournalWriter::reset`] /
-//! [`JournalSink::reset`]). Boot is therefore always *snapshot (primary →
-//! `.bak`) + journal suffix*. Replay is harmless-idempotent by
+//! closes the design's writer and removes the file ([`JournalSink::reset`]),
+//! and the design's next record starts a fresh journal, header first. A
+//! compacted design therefore lives in its snapshot (primary → `.bak`)
+//! alone, and boot reads each netlist once; a journal present at boot holds
+//! the records since the last snapshot. Replay is harmless-idempotent by
 //! construction: verdicts deduplicate exactly in the service's validated
 //! import path.
 //!
@@ -364,7 +366,8 @@ pub struct JournalWriter {
     faults: FaultPlan,
     /// A torn append leaves unreconcilable bytes at the tail; the writer
     /// refuses further appends (durability degrades, serving continues)
-    /// until a [`JournalWriter::reset`] truncates past the damage.
+    /// until it is dropped. [`JournalSink::reset`] drops it with the file,
+    /// and the design's next record starts a fresh journal.
     wedged: bool,
 }
 
@@ -375,9 +378,8 @@ impl JournalWriter {
     ///
     /// A fresh header is written but not fsynced: no record exists yet, so
     /// nothing depends on it until the writer's first sync (the batch
-    /// boundary in [`JournalWriter::append`], [`JournalWriter::flush`] or
-    /// [`JournalWriter::reset`]), which fsyncs the file and then its
-    /// directory.
+    /// boundary in [`JournalWriter::append`] or [`JournalWriter::flush`]),
+    /// which fsyncs the file and then its directory.
     ///
     /// A file that exists but has an unusable header (not a journal, torn
     /// before the first append completed) is quarantined wholesale and
@@ -536,22 +538,6 @@ impl JournalWriter {
         Ok(())
     }
 
-    /// Compaction: a snapshot now holds everything, so truncate back to the
-    /// header. Also clears a wedge — the damage is truncated away with the
-    /// records.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] when the truncation cannot be made durable.
-    pub fn reset(&mut self) -> Result<(), PersistError> {
-        self.file.set_len(self.header_len)?;
-        self.file.seek(SeekFrom::Start(self.header_len))?;
-        self.sync()?;
-        self.len = self.header_len;
-        self.wedged = false;
-        Ok(())
-    }
-
     /// Current on-disk length of the valid journal (header + records).
     pub fn len(&self) -> u64 {
         self.len
@@ -576,10 +562,9 @@ fn header_span(bytes: &[u8]) -> u64 {
         .unwrap_or(0)
 }
 
-/// Removes a design's journal once a successful snapshot made it redundant:
-/// the no-open-writer arm of [`JournalSink::reset`] (a journal only replayed
-/// at boot would otherwise be replayed at every boot, never shrinking).
-/// Returns `false` when an existing file could not be durably removed.
+/// Removes a design's journal once a successful snapshot made it redundant
+/// ([`JournalSink::reset`]). Returns `false` when an existing file could not
+/// be durably removed.
 fn remove_stale_journal(dir: &Path, design: DesignHash) -> bool {
     let path = dir.join(journal_file_name(design));
     match fs::remove_file(&path) {
@@ -602,9 +587,13 @@ fn quarantine_tail(path: &Path, tail: &[u8]) {
 // --- the sink ----------------------------------------------------------------
 
 enum SinkSlot {
+    /// No writer: compaction closed it. The design's next record opens the
+    /// journal again, as its first record did.
+    Closed,
     Open(JournalWriter),
     /// The journal could not be opened (or re-opened); durability for this
-    /// design is degraded until a compaction or restart. Serving continues.
+    /// design is degraded until a compaction closes the slot (the next
+    /// record then retries the open) or a restart. Serving continues.
     Broken,
 }
 
@@ -614,14 +603,15 @@ struct SinkEntry {
     /// Count of append *attempts* for this design in this process (attempts,
     /// not successes: even a failed append may have torn bytes onto disk).
     /// Starts at 1 on the first record, so a token of 0 unambiguously means
-    /// "no append was ever attempted".
+    /// "no append was ever attempted". A compaction keeps it: restarting it
+    /// would let a token captured before the compaction match again.
     seq: u64,
     slot: SinkSlot,
 }
 
 /// The [`DurabilitySink`] implementation: one [`JournalWriter`] per design,
-/// opened lazily on the design's first completed race, with shared fault
-/// injection and telemetry.
+/// opened lazily on the design's first completed race after boot or after
+/// its last compaction, with shared fault injection and telemetry.
 ///
 /// Failures never propagate into job processing: an append that fails is
 /// counted (`persist_journal_append_failures_total`) and logged, and the
@@ -710,36 +700,74 @@ impl JournalSink {
             .map_or(0, |entry| entry.seq)
     }
 
-    /// Compaction hand-off: after a successful snapshot of `design`,
-    /// truncates its journal back to header-only (or deletes the file when
-    /// no writer is open — the snapshot supersedes it either way) **iff** no
-    /// append was attempted since `token` was captured. Returns `false` when
-    /// appends raced the snapshot or the truncation failed; the journal then
+    /// Compaction hand-off: after a successful snapshot of `design`, closes
+    /// its writer (a wedged or broken one too) and removes its journal
+    /// **iff** no append was attempted since `token` was captured; the
+    /// snapshot supersedes the file, and the design's next record starts a
+    /// fresh one. Returns `true` once the file is durably gone, `false` when
+    /// appends raced the snapshot or the removal failed; the journal then
     /// simply stays — replay is idempotent over the new snapshot, and the
     /// next threshold crossing retries the compaction.
     pub fn reset(&self, design: DesignHash, token: u64) -> bool {
         let mut writers = self.writers.lock_recover();
-        // The lock serializes this check-and-truncate against `record`, so a
+        // The lock serializes this check-and-remove against `record`, so a
         // record observed here as "not yet appended" cannot land before the
-        // truncation below.
+        // removal below.
         if writers.get(&design).map_or(0, |entry| entry.seq) != token {
             return false;
         }
-        match writers.get_mut(&design).map(|entry| &mut entry.slot) {
-            Some(SinkSlot::Open(writer)) => {
-                let discarded = writer.len();
-                let ok = writer.reset().is_ok();
-                if ok {
+        let closed = writers
+            .get_mut(&design)
+            .map(|entry| std::mem::replace(&mut entry.slot, SinkSlot::Closed));
+        let discarded = match closed {
+            Some(SinkSlot::Open(writer)) => writer.len(),
+            _ => 0,
+        };
+        let removed = remove_stale_journal(&self.dir, design);
+        if removed && discarded > 0 {
+            self.recorder
+                .record(RecorderLayer::Persist, RecorderKind::Compact, discarded, 0);
+        }
+        removed
+    }
+
+    /// Opens the journal of `record`'s design (creating it, header first,
+    /// when compaction or nothing yet has left one): the design's first
+    /// record after boot or after its last compaction.
+    fn open_slot(&self, record: &DurabilityRecord<'_>) -> SinkSlot {
+        let path = self.dir.join(journal_file_name(record.design));
+        match JournalWriter::open(
+            &path,
+            record.design,
+            record.netlist,
+            self.fsync_batch,
+            self.faults.clone(),
+        ) {
+            Ok((writer, quarantined)) => {
+                if quarantined > 0 {
+                    self.metrics
+                        .counter("persist_journal_quarantined_bytes_total")
+                        .add(quarantined);
                     self.recorder.record(
                         RecorderLayer::Persist,
-                        RecorderKind::Compact,
-                        discarded,
+                        RecorderKind::Fault,
+                        quarantined,
                         0,
                     );
+                    eprintln!(
+                        "wlac-persist: quarantined {quarantined} torn byte(s) reopening {}",
+                        path.display()
+                    );
                 }
-                ok
+                SinkSlot::Open(writer)
             }
-            _ => remove_stale_journal(&self.dir, design),
+            Err(error) => {
+                eprintln!(
+                    "wlac-persist: cannot open journal {}: {error} (durability degraded)",
+                    path.display()
+                );
+                SinkSlot::Broken
+            }
         }
     }
 
@@ -758,46 +786,16 @@ impl DurabilitySink for JournalSink {
             ..JournalRecord::default()
         };
         let mut writers = self.writers.lock_recover();
-        let entry = writers.entry(record.design).or_insert_with(|| {
-            let path = self.dir.join(journal_file_name(record.design));
-            let slot = match JournalWriter::open(
-                &path,
-                record.design,
-                record.netlist,
-                self.fsync_batch,
-                self.faults.clone(),
-            ) {
-                Ok((writer, quarantined)) => {
-                    if quarantined > 0 {
-                        self.metrics
-                            .counter("persist_journal_quarantined_bytes_total")
-                            .add(quarantined);
-                        self.recorder.record(
-                            RecorderLayer::Persist,
-                            RecorderKind::Fault,
-                            quarantined,
-                            0,
-                        );
-                        eprintln!(
-                            "wlac-persist: quarantined {quarantined} torn byte(s) reopening {}",
-                            path.display()
-                        );
-                    }
-                    SinkSlot::Open(writer)
-                }
-                Err(error) => {
-                    eprintln!(
-                        "wlac-persist: cannot open journal {}: {error} (durability degraded)",
-                        path.display()
-                    );
-                    SinkSlot::Broken
-                }
-            };
-            SinkEntry { seq: 0, slot }
+        let entry = writers.entry(record.design).or_insert(SinkEntry {
+            seq: 0,
+            slot: SinkSlot::Closed,
         });
         entry.seq += 1;
+        if let SinkSlot::Closed = entry.slot {
+            entry.slot = self.open_slot(record);
+        }
         match &mut entry.slot {
-            SinkSlot::Broken => self.count_failure(),
+            SinkSlot::Closed | SinkSlot::Broken => self.count_failure(),
             SinkSlot::Open(writer) => match writer.append(&journal_record) {
                 Ok(receipt) => {
                     let metrics = &self.metrics;

@@ -8,7 +8,7 @@ use wlac_atpg::Trace;
 use wlac_baselines::{FrameClause, FrameLit};
 use wlac_bv::Bv;
 use wlac_faultinject::{FaultPlan, FaultSite};
-use wlac_netlist::{GateKind, NetId, Netlist};
+use wlac_netlist::{GateInputs, GateKind, NetId, Netlist};
 use wlac_portfolio::{Engine, Verdict};
 use wlac_service::{design_hash, DesignHash, KnowledgeBase, PropertyHash, VerdictRecord};
 
@@ -151,20 +151,22 @@ pub(crate) fn read_netlist(r: &mut Reader<'_>) -> Result<Netlist, PersistError> 
         netlist.add_named_net(width, name);
     }
     let input_count = r.len(8)?;
+    let mut is_input = vec![false; net_count];
     for _ in 0..input_count {
         let net = read_net_id(r, net_count)?;
         netlist.mark_input(net);
+        is_input[net.index()] = true;
     }
     let gate_count = r.len(2)?;
     for _ in 0..gate_count {
         let kind = read_gate_kind(r)?;
         let pin_count = r.len(8)?;
-        let mut inputs = Vec::with_capacity(pin_count);
+        let mut inputs = GateInputs::new();
         for _ in 0..pin_count {
             inputs.push(read_net_id(r, net_count)?);
         }
         let output = read_net_id(r, net_count)?;
-        if netlist.driver(output).is_some() || netlist.is_input(output) {
+        if netlist.driver(output).is_some() || is_input[output.index()] {
             return Err(PersistError::Malformed("net driven twice"));
         }
         netlist
@@ -674,5 +676,63 @@ mod tests {
         read_netlist(&mut r).unwrap();
         assert!(read_clauses(&mut r).unwrap().is_empty());
         assert!(read_estg(&mut r).unwrap().is_empty());
+    }
+
+    /// A sealed snapshot of a netlist the builder refuses to make: nets of
+    /// `widths` with net 0 the only primary input, and `gates` as
+    /// `(kind, pins, output)` in order.
+    fn forged_frame(widths: &[usize], gates: &[(GateKind, &[usize], usize)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u64(0); // the design hash: the netlist fails to decode first
+        w.str("forged");
+        w.usize(widths.len());
+        for &width in widths {
+            w.usize(width);
+            w.bool(false);
+        }
+        w.usize(1);
+        w.usize(0);
+        w.usize(gates.len());
+        for (kind, pins, output) in gates {
+            write_gate_kind(&mut w, kind);
+            w.usize(pins.len());
+            for &pin in *pins {
+                w.usize(pin);
+            }
+            w.usize(*output);
+        }
+        w.usize(0); // no primary outputs
+        write_knowledge(&mut w);
+        w.usize(0); // no verdicts
+        seal(w.into_bytes())
+    }
+
+    fn malformed(frame: &[u8]) -> &'static str {
+        match decode_snapshot(frame) {
+            Err(PersistError::Malformed(why)) => why,
+            other => panic!("expected a malformed snapshot, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_gate_driving_a_primary_input_is_rejected() {
+        let frame = forged_frame(&[4, 4], &[(GateKind::Not, &[1], 0)]);
+        assert_eq!(malformed(&frame), "net driven twice");
+    }
+
+    #[test]
+    fn two_gates_driving_one_net_are_rejected() {
+        let frame = forged_frame(
+            &[4, 4],
+            &[(GateKind::Not, &[0], 1), (GateKind::Buf, &[0], 1)],
+        );
+        assert_eq!(malformed(&frame), "net driven twice");
+    }
+
+    #[test]
+    fn an_ill_shaped_gate_is_rejected() {
+        // A unary gate whose output is wider than its input.
+        let frame = forged_frame(&[4, 8], &[(GateKind::Not, &[0], 1)]);
+        assert_eq!(malformed(&frame), "ill-shaped gate");
     }
 }

@@ -1,12 +1,13 @@
 //! Write-ahead-journal contract tests: append/recover round-trips, torn-tail
-//! quarantine (longest valid prefix wins, never a failure), compaction
-//! resets, fault-injected append failures, and a seeded fuzz sweep over
-//! truncated / bit-flipped journals asserting valid-prefix recovery with no
-//! panics.
+//! quarantine (longest valid prefix wins, never a failure), compaction's
+//! removal of the journal, fault-injected append failures, and a seeded
+//! fuzz sweep over truncated / bit-flipped journals asserting valid-prefix
+//! recovery with no panics.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use wlac_baselines::{FrameClause, FrameLit};
 use wlac_bv::Bv;
 use wlac_faultinject::{FaultPlan, FaultSite};
@@ -20,6 +21,7 @@ use wlac_rng::Rng64;
 use wlac_service::{
     design_hash, DesignHash, DurabilityRecord, DurabilitySink, PropertyHash, VerdictRecord,
 };
+use wlac_telemetry::MetricsRegistry;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -271,33 +273,7 @@ fn a_bit_flip_quarantines_from_its_record_onward() {
 }
 
 #[test]
-fn reset_compacts_back_to_the_header() {
-    let dir = TempDir::new();
-    let netlist = sample_netlist();
-    let design = design_hash(&netlist);
-    let path = dir.path(&journal_file_name(design));
-    let (mut writer, _) =
-        JournalWriter::open(&path, design, &netlist, 1, FaultPlan::disabled()).expect("open");
-    for seq in 0..3 {
-        writer.append(&sample_record(seq)).expect("append");
-    }
-    assert!(!writer.is_empty());
-    writer.reset().expect("reset");
-    assert!(writer.is_empty());
-    let replay = read_journal(&path).expect("recover");
-    assert_eq!(replay.records.len(), 0, "compaction removed the records");
-    assert_eq!(replay.design, design, "the header survives compaction");
-    // And the journal keeps working after compaction.
-    writer
-        .append(&sample_record(9))
-        .expect("append after reset");
-    let replay = read_journal(&path).expect("recover");
-    assert_eq!(replay.records.len(), 1);
-    assert_same_record(&replay.records[0], &sample_record(9), "post-reset record");
-}
-
-#[test]
-fn torn_append_wedges_the_writer_until_reset() {
+fn torn_append_wedges_the_journal_until_compaction() {
     let dir = TempDir::new();
     let netlist = sample_netlist();
     let design = design_hash(&netlist);
@@ -323,14 +299,39 @@ fn torn_append_wedges_the_writer_until_reset() {
         replay.quarantined_bytes > 0,
         "the torn half-frame is quarantined"
     );
-    // Compaction truncates the damage away and un-wedges the writer.
-    writer.reset().expect("reset");
-    writer
-        .append(&sample_record(3))
-        .expect("append after reset");
+    drop(writer);
+
+    // Through the sink: the tear wedges the design's journal, compaction
+    // removes it with the damage, and the next record starts a fresh one.
+    let dir = TempDir::new();
+    let path = dir.path(&journal_file_name(design));
+    let metrics = Arc::new(MetricsRegistry::new());
+    let faults = FaultPlan::new().fire_nth(FaultSite::JournalTorn, 2);
+    let sink = JournalSink::new(&dir.0, 1, faults).with_metrics(Arc::clone(&metrics));
+    for seq in 0..3 {
+        emit_via_sink(&sink, &netlist, seq);
+    }
+    assert_eq!(
+        metrics
+            .counter("persist_journal_append_failures_total")
+            .get(),
+        2,
+        "the torn append and the one refused after it"
+    );
+    let replay = read_journal(&path).expect("recover");
+    assert_eq!(replay.records.len(), 1);
+    assert!(replay.quarantined_bytes > 0);
+    assert!(sink.reset(design, sink.append_token(design)));
+    assert!(!path.exists(), "compaction removes the torn journal");
+    emit_via_sink(&sink, &netlist, 4);
     let replay = read_journal(&path).expect("recover");
     assert_eq!(replay.records.len(), 1);
     assert_eq!(replay.quarantined_bytes, 0);
+    assert_eq!(
+        replay.records[0].verdict.as_ref().map(|v| v.property),
+        sample_record(4).verdict.map(|v| v.property),
+        "the fresh journal holds exactly the record after the compaction"
+    );
 }
 
 #[test]
@@ -461,13 +462,22 @@ fn sink_reset_refuses_when_an_append_raced_the_snapshot() {
         "the raced record is still on disk"
     );
 
-    // The retry, with nothing racing, truncates.
+    // The retry, with nothing racing, removes the journal.
     assert!(sink.reset(design, sink.append_token(design)));
-    assert_eq!(read_journal(&path).expect("recover").records.len(), 0);
+    assert!(!path.exists(), "compaction removes the journal");
+
+    // The append sequence survives the compaction: a token captured before
+    // it never matches again, so a stale compaction cannot remove the fresh
+    // journal of a record appended after it.
+    emit_via_sink(&sink, &netlist, 2);
+    assert!(
+        !sink.reset(design, token),
+        "a token from before the compaction is stale"
+    );
     assert_eq!(
-        read_journal(&path).expect("recover").design,
-        design,
-        "the header survives compaction"
+        read_journal(&path).expect("recover").records.len(),
+        1,
+        "the record appended after the compaction stays"
     );
 }
 

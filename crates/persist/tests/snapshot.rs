@@ -234,7 +234,7 @@ fn foreign_design_snapshots_are_rejected_by_the_service_import() {
     other.mark_output("extra", extra);
     let service = wlac_service::VerificationService::new(wlac_service::ServiceConfig::default());
     assert!(matches!(
-        service.restore(&other, &restored.knowledge, &restored.verdicts),
+        service.restore(other.clone(), &restored.knowledge, &restored.verdicts),
         Err(wlac_service::KnowledgeError::DesignMismatch { .. })
     ));
 

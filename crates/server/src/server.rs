@@ -127,8 +127,8 @@ pub struct ServerConfig {
     /// acknowledged result survive a power loss, at one fsync per job.
     pub journal_fsync_batch: u64,
     /// Compaction threshold: once a design's journal grows past this many
-    /// bytes, the next completed batch snapshots the design and truncates
-    /// the journal back to its header.
+    /// bytes, the next completed batch snapshots the design and removes the
+    /// journal; the design's next record starts a fresh one.
     pub journal_compact_bytes: u64,
     /// Where post-mortem bundles go. `None` (the default) puts them under
     /// `<data_dir>/postmortem`; with no data directory either, dumps are
@@ -285,10 +285,15 @@ struct ServerState {
     shutting_down: AtomicBool,
     /// The write-ahead journal sink, present exactly when a data directory
     /// is configured. The service holds the same sink behind its
-    /// [`DurabilityHook`]; the server side drives compaction and shutdown
-    /// truncation.
+    /// [`DurabilityHook`]; the server side drives compaction, during
+    /// batches and in the shutdown sweep.
     journal: Option<Arc<JournalSink>>,
     journal_compact_bytes: u64,
+    /// Held by a compaction from its append token through the journal's
+    /// removal, so two connections compacting one design cannot publish
+    /// their snapshots out of order (the last rename wins) after the
+    /// journal that held the newer one's records is gone.
+    compaction: Mutex<()>,
     /// The bound address, kept so `shutdown` can wake the blocking accept
     /// loop with a loopback connection.
     addr: SocketAddr,
@@ -407,6 +412,7 @@ impl Server {
             shutting_down: AtomicBool::new(false),
             journal,
             journal_compact_bytes: config.journal_compact_bytes,
+            compaction: Mutex::new(()),
             addr,
             connections: AtomicUsize::new(0),
             active: Gate::new(),
@@ -564,7 +570,7 @@ fn load_all_snapshots(state: &ServerState) {
         };
         match state
             .service
-            .restore(&snapshot.netlist, &snapshot.knowledge, &snapshot.verdicts)
+            .restore(snapshot.netlist, &snapshot.knowledge, &snapshot.verdicts)
         {
             Ok(_) => state.metrics.counter("server_snapshots_loaded_total").inc(),
             Err(e) => {
@@ -671,24 +677,27 @@ fn replay_journals(state: &ServerState) {
                 );
             }
         }
-        // The journal header carries the canonical netlist — and is only
-        // accepted when the netlist reproduces the recorded hash — so a
-        // design that never reached its first snapshot still comes back
-        // warm, under the same identity it was acknowledged as. Only a
-        // record's verdict is state. Its clauses, ESTG delta and
+        // Compaction removes a design's journal, so one is here only for a
+        // design with records since its last snapshot (or a header-only
+        // file an earlier server's compaction left). Its header carries the
+        // canonical netlist — accepted only when it reproduces the recorded
+        // hash — so a design that never reached its first snapshot still
+        // comes back warm, under the same identity it was acknowledged as.
+        // Only a record's verdict is state. Its clauses, ESTG delta and
         // engine-history delta (`ran`, `winner`; journals of earlier servers
         // carry them) are not: SAT-BMC runs cold, ATPG conflict history
         // lives for one check, and every race starts the configured engines.
+        let records = replay.records.len() as u64;
         let verdicts: Vec<_> = replay
             .records
-            .iter()
-            .filter_map(|record| record.verdict.clone())
+            .into_iter()
+            .filter_map(|record| record.verdict)
             .collect();
         // The restore path re-validates every verdict exactly as it does for
         // snapshots and adds them to the restored cache; a verdict both
         // snapshotted and journaled is one cache entry.
         if let Err(e) = state.service.restore(
-            &replay.netlist,
+            replay.netlist,
             &KnowledgeBase::new(replay.design),
             &verdicts,
         ) {
@@ -701,7 +710,7 @@ fn replay_journals(state: &ServerState) {
         state
             .metrics
             .counter("server_boot_replayed_records_total")
-            .add(replay.records.len() as u64);
+            .add(records);
     }
 }
 
@@ -765,19 +774,22 @@ fn save_design(state: &ServerState, design: DesignHash) -> bool {
     }
 }
 
-/// Compacts one design: snapshot it, then truncate its journal back to the
-/// header. The truncation happens **only after** the snapshot landed — a
-/// crash (or injected fault) anywhere during the save leaves the journal
-/// intact — and **only if** no append raced the save: a record landing
-/// while the snapshot's state was being exported or written may not be in
-/// that snapshot, and truncating would orphan it. The append token is
-/// captured before the export inside `save_design`, so any such record
-/// makes `reset` refuse; the journal stays (replay over the new snapshot is
-/// idempotent) and the next threshold crossing retries.
+/// Compacts one design: snapshot it, then remove its journal. The removal
+/// happens **only after** the snapshot landed — a crash (or injected fault)
+/// anywhere during the save leaves the journal intact — and **only if** no
+/// append raced the save: a record landing while the snapshot's state was
+/// being exported or written may not be in that snapshot, and removing the
+/// journal would orphan it. The append token is captured before the export
+/// inside `save_design`, so any such record makes `reset` refuse; the
+/// journal stays (replay over the new snapshot is idempotent) and the next
+/// threshold crossing retries. Compactions run one at a time: an older
+/// snapshot published after a newer one's journal removal would lose the
+/// records only the newer one holds.
 fn compact_design(state: &ServerState, design: DesignHash) {
     let Some(sink) = &state.journal else {
         return;
     };
+    let _serial = state.compaction.lock_recover();
     let token = sink.append_token(design);
     if !save_design(state, design) {
         return;
@@ -820,7 +832,7 @@ fn compact_due_designs(state: &ServerState, results: &[JobResult]) {
 }
 
 /// The shutdown sweep: a full compaction, so every design ends the session
-/// as a snapshot plus an empty journal, then an fsync of whatever records a
+/// as a snapshot and no journal, then an fsync of whatever records a
 /// failed or deferred compaction left in a journal. Returns the number of
 /// registered designs.
 fn save_all_designs(state: &ServerState) -> usize {
@@ -1992,7 +2004,7 @@ fn op_import_knowledge(state: &ServerState, frame: &Json) -> Json {
     let (design, verdicts) =
         match state
             .service
-            .restore(&snapshot.netlist, &snapshot.knowledge, &snapshot.verdicts)
+            .restore(snapshot.netlist, &snapshot.knowledge, &snapshot.verdicts)
         {
             Ok(restored) => restored,
             Err(e) => return error_reply(ErrorCode::BadSnapshot, e.to_string()),

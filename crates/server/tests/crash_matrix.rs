@@ -127,8 +127,8 @@ impl Client {
             .to_string()
     }
 
-    /// Submits one single-job batch and waits for its (sole) result.
-    fn check_one(&mut self, design: &str, kind: &str, monitor: &str) -> Json {
+    /// Submits one single-job batch and returns its id.
+    fn submit_one(&mut self, design: &str, kind: &str, monitor: &str) -> u64 {
         let job = Json::obj(vec![
             ("design", Json::str(design)),
             (
@@ -143,7 +143,12 @@ impl Client {
             ("op", Json::str("submit_batch")),
             ("jobs", Json::Arr(vec![job])),
         ]));
-        let batch = reply.get("batch").and_then(Json::as_u64).expect("batch id");
+        reply.get("batch").and_then(Json::as_u64).expect("batch id")
+    }
+
+    /// Submits one single-job batch and waits for its (sole) result.
+    fn check_one(&mut self, design: &str, kind: &str, monitor: &str) -> Json {
+        let batch = self.submit_one(design, kind, monitor);
         let reply = self.call(Json::obj(vec![
             ("op", Json::str("wait")),
             ("batch", Json::num(batch)),
@@ -578,6 +583,67 @@ fn crash_matrix_kill_during_compaction_keeps_the_journal() {
         assert!(cached(&result), "acknowledged job {index}: {result}");
         assert_eq!(engines_spawned(&result), 0);
         assert_eq!(verdict_bytes(&result), reference[index]);
+    }
+    client.shutdown();
+    handle.join().expect("server thread");
+}
+
+/// Compaction removes the journal, and the next raced job starts a fresh
+/// one, header first: a crash after that loses neither verdict. The first
+/// comes back from the snapshot, the second from the re-created journal.
+#[test]
+fn a_journal_removed_by_compaction_is_recreated_by_the_next_raced_job() {
+    let recording = record_reference_run();
+    let dir = TempDir::new();
+    let journal_path = dir.0.join(&recording.file_name);
+    let mut config = journal_config(&dir);
+    config.journal_compact_bytes = 1; // every fetched raced batch compacts
+    let server = Server::bind(config).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    std::thread::spawn(move || server.run()); // leaked: abandoned, not drained
+    let mut client = Client::connect(addr);
+    let design = client.register_counter();
+    let first = client.check_one(&design, JOBS[0].0, JOBS[0].1);
+    assert!(!cached(&first));
+    assert!(
+        !journal_path.exists(),
+        "the compaction after the first batch removed the journal"
+    );
+    // The second job races and is journaled, but its batch is only polled
+    // until done, never fetched, so no compaction follows it.
+    let batch = client.submit_one(&design, JOBS[1].0, JOBS[1].1);
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while client
+        .call(Json::obj(vec![
+            ("op", Json::str("progress")),
+            ("batch", Json::num(batch)),
+        ]))
+        .get("done")
+        .and_then(Json::as_bool)
+        != Some(true)
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the second job never finished"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let replay = wlac_persist::read_journal(&journal_path).expect("the job re-created the journal");
+    assert_eq!(replay.records.len(), 1);
+
+    // The crash: a second server boots on the abandoned one's directory.
+    let server = Server::bind(journal_config(&dir)).expect("bind");
+    assert_eq!(server.loaded_snapshots(), 1);
+    assert_eq!(server.boot_replayed_records(), 1);
+    let addr = server.local_addr().expect("addr");
+    let handle = std::thread::spawn(move || server.run());
+    let mut client = Client::connect(addr);
+    let design = client.register_counter();
+    for (index, (kind, monitor)) in JOBS[..2].iter().enumerate() {
+        let result = client.check_one(&design, kind, monitor);
+        assert!(cached(&result), "acknowledged job {index}: {result}");
+        assert_eq!(engines_spawned(&result), 0);
+        assert_eq!(verdict_bytes(&result), recording.reference[index]);
     }
     client.shutdown();
     handle.join().expect("server thread");

@@ -99,9 +99,13 @@ impl Client {
     }
 
     fn register_counter(&mut self) -> String {
+        self.register(COUNTER_V)
+    }
+
+    fn register(&mut self, source: &str) -> String {
         let reply = self.call(Json::obj(vec![
             ("op", Json::str("register_design")),
-            ("source", Json::str(COUNTER_V)),
+            ("source", Json::str(source)),
         ]));
         reply
             .get("design")
@@ -111,6 +115,11 @@ impl Client {
     }
 
     fn submit_both(&mut self, design: &str) -> u64 {
+        self.submit_always(design, &["ok", "bad"])
+    }
+
+    /// Submits one batch checking `always` on each of `monitors`.
+    fn submit_always(&mut self, design: &str, monitors: &[&str]) -> u64 {
         let job = |monitor: &str| {
             Json::obj(vec![
                 ("design", Json::str(design)),
@@ -125,7 +134,7 @@ impl Client {
         };
         let reply = self.call(Json::obj(vec![
             ("op", Json::str("submit_batch")),
-            ("jobs", Json::Arr(vec![job("ok"), job("bad")])),
+            ("jobs", Json::Arr(monitors.iter().map(|m| job(m)).collect())),
         ]));
         reply.get("batch").and_then(Json::as_u64).expect("batch id")
     }
@@ -307,15 +316,25 @@ fn restart_warm_serves_persisted_verdicts() {
     handle.join().expect("server thread");
     // Each autosave beyond the first also keeps the previous generation as
     // `<file>.bak`; only the primary counts as "the snapshot".
-    let snapshots: Vec<_> = fs::read_dir(&dir.0)
+    let files: Vec<String> = fs::read_dir(&dir.0)
         .expect("data dir")
         .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    let snapshots: Vec<_> = files
+        .iter()
         .filter(|name| name.ends_with(".wlacsnap"))
+        .cloned()
         .collect();
     assert_eq!(
         snapshots.len(),
         1,
         "one design, one snapshot: {snapshots:?}"
+    );
+    // The shutdown compaction removed the journal: the snapshot holds every
+    // verdict, and the next boot reads the netlist once.
+    assert!(
+        !files.iter().any(|name| name.ends_with(".wlacjournal")),
+        "a graceful shutdown leaves no journal: {files:?}"
     );
 
     // Session 2: a fresh process-equivalent (new Server, same data dir)
@@ -325,6 +344,16 @@ fn restart_warm_serves_persisted_verdicts() {
     let (addr, handle, loaded) = start(config);
     assert_eq!(loaded, 1, "snapshot reloaded at boot");
     let mut client = Client::connect(addr);
+    let stats = client
+        .call(Json::obj(vec![("op", Json::str("stats"))]))
+        .get("stats")
+        .cloned()
+        .expect("stats object");
+    assert_eq!(
+        stats.get("boot_replayed_records").and_then(Json::as_u64),
+        Some(0),
+        "nothing left to replay: {stats}"
+    );
     // Note: re-registration is idempotent (the boot reload already brought
     // the design in) — clients do not need to know the server restarted.
     let design2 = client.register_counter();
@@ -388,6 +417,82 @@ fn restart_warm_serves_persisted_verdicts() {
         stats.get("loaded_snapshots").and_then(Json::as_u64),
         Some(0)
     );
+    client.shutdown();
+    handle.join().expect("server thread");
+}
+
+/// Two connections finishing batches on one design compact it at once. A
+/// compaction that published an older snapshot over a newer one after the
+/// newer one had removed the journal would lose the records only the newer
+/// snapshot held, so compactions run one at a time. Every acknowledged
+/// verdict must survive the crash of the server (abandoned, never shut
+/// down).
+#[test]
+fn concurrent_compactions_of_one_design_lose_no_acknowledged_verdict() {
+    const OUTPUTS: usize = 24;
+    let mut source = String::from("module fan(input clk");
+    for k in 0..OUTPUTS {
+        source += &format!(", output o{k}");
+    }
+    source += ");\n  reg [7:0] q;\n  always @(posedge clk) begin\n    q <= q + 1;\n  end\n";
+    for k in 0..OUTPUTS {
+        source += &format!("  assign o{k} = q != {k};\n");
+    }
+    source += "endmodule\n";
+
+    let dir = TempDir::new();
+    let mut config = quick_config();
+    config.data_dir = Some(dir.0.clone());
+    config.journal_compact_bytes = 1; // every raced batch compacts
+    let (addr, _abandoned, _) = start(config);
+    let design = Client::connect(addr).register(&source);
+    let connections: Vec<_> = (0..2)
+        .map(|first| {
+            let design = design.clone();
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr);
+                (first..OUTPUTS)
+                    .step_by(2)
+                    .map(|k| {
+                        let monitor = format!("o{k}");
+                        let batch = client.submit_always(&design, &[&monitor]);
+                        let result = client.wait(batch).remove(0);
+                        assert!(!cached(&result), "{monitor} must race: {result}");
+                        (monitor, result.get("verdict").expect("verdict").to_string())
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let acknowledged: Vec<(String, String)> = connections
+        .into_iter()
+        .flat_map(|connection| connection.join().expect("connection thread"))
+        .collect();
+    assert_eq!(acknowledged.len(), OUTPUTS);
+
+    // The crash: a second server boots on the abandoned one's directory.
+    let mut config = quick_config();
+    config.data_dir = Some(dir.0.clone());
+    let (addr, handle, _) = start(config);
+    let mut client = Client::connect(addr);
+    assert_eq!(client.register(&source), design);
+    for (monitor, verdict) in &acknowledged {
+        let batch = client.submit_always(&design, &[monitor]);
+        let result = client.wait(batch).remove(0);
+        assert!(
+            cached(&result),
+            "{monitor}: acknowledged verdict lost: {result}"
+        );
+        assert_eq!(
+            result.get("engines_spawned").and_then(Json::as_u64),
+            Some(0)
+        );
+        assert_eq!(
+            &result.get("verdict").expect("verdict").to_string(),
+            verdict,
+            "{monitor}"
+        );
+    }
     client.shutdown();
     handle.join().expect("server thread");
 }

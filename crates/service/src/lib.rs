@@ -558,7 +558,7 @@ mod tests {
         let (knowledge, verdicts) = exported_store(&verification);
         let restarted = VerificationService::new(quick_config());
         assert_eq!(
-            restarted.restore(&verification.netlist, &knowledge, &verdicts),
+            restarted.restore(verification.netlist.clone(), &knowledge, &verdicts),
             Ok((design, 1))
         );
         let warm = restarted.wait(restarted.submit_batch(vec![verification]));
@@ -575,7 +575,7 @@ mod tests {
         // A store bound to another design.
         let foreign = KnowledgeBase::new(design_hash(&counter(12, 6, "q").netlist));
         assert!(matches!(
-            service.restore(&verification.netlist, &foreign, &verdicts),
+            service.restore(verification.netlist.clone(), &foreign, &verdicts),
             Err(KnowledgeError::DesignMismatch { .. })
         ));
 
@@ -585,7 +585,7 @@ mod tests {
             reason: "never cacheable".into(),
         };
         assert_eq!(
-            service.restore(&verification.netlist, &knowledge, &malformed),
+            service.restore(verification.netlist, &knowledge, &malformed),
             Err(KnowledgeError::MalformedVerdict { index: 0 })
         );
         assert_eq!(service.export_verdicts(design).map(|v| v.len()), Some(0));

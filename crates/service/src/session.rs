@@ -1052,10 +1052,11 @@ impl VerificationService {
     }
 
     /// Restores one design's persisted state (a snapshot, or the records
-    /// replayed from a journal): registers `netlist`, checks that
-    /// `knowledge` is bound to it, then imports `verdicts` with the
-    /// validation of [`VerificationService::import_verdicts`]. Returns the
-    /// design and the number of verdicts now cached.
+    /// replayed from a journal): registers `netlist`, moving it into the
+    /// registry (no copy when the design is new), checks that `knowledge`
+    /// is bound to it, then imports `verdicts` with the validation of
+    /// [`VerificationService::import_verdicts`]. Returns the design and the
+    /// number of verdicts now cached.
     ///
     /// # Errors
     ///
@@ -1065,12 +1066,18 @@ impl VerificationService {
     /// design stays registered).
     pub fn restore(
         &self,
-        netlist: &Netlist,
+        netlist: Netlist,
         knowledge: &KnowledgeBase,
         verdicts: &[VerdictRecord],
     ) -> Result<(DesignHash, usize), KnowledgeError> {
-        let design = self.register_design(netlist);
-        check_verdicts(verdicts, netlist)?;
+        let design = design_hash(&netlist);
+        let checked = check_verdicts(verdicts, &netlist);
+        self.shared
+            .registry
+            .lock_recover()
+            .entry(design)
+            .or_insert_with(|| Arc::new(netlist));
+        checked?;
         if knowledge.design() != design {
             return Err(KnowledgeError::DesignMismatch {
                 found: knowledge.design(),
