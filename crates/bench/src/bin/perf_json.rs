@@ -11,7 +11,7 @@
 //!
 //! Without arguments the reporter runs the paper Small suite through the
 //! word-level ATPG checker, a datapath-heavy island workload, a pigeonhole
-//! CDCL workload, a portfolio batch, the repeated-batch service workload
+//! CDCL workload, a raced batch, the repeated-batch service workload
 //! and a cold-vs-restart-warm workload through the network server (which
 //! *asserts* that a server rebooted from its snapshots answers the repeat
 //! batch from the persisted verdict cache with identical verdicts), and
@@ -337,13 +337,19 @@ fn measure_cdcl() -> Vec<Metric> {
     }]
 }
 
+/// The Small suite raced once, sharded across a fresh verification
+/// service's workers (default portfolio and worker count).
 fn measure_portfolio() -> Vec<Metric> {
-    let suite = paper_suite(Scale::Small);
-    let jobs: Vec<_> = suite.iter().map(|c| c.verification.clone()).collect();
+    let jobs: Vec<_> = paper_suite(Scale::Small)
+        .into_iter()
+        .map(|case| case.verification)
+        .collect();
+    let count = jobs.len();
+    let service = VerificationService::with_defaults();
     let start = Instant::now();
-    let reports = Portfolio::with_defaults().check_batch(&jobs);
+    let results = service.wait(service.submit_batch(jobs));
     let wall = start.elapsed().as_secs_f64();
-    assert_eq!(reports.len(), jobs.len());
+    assert_eq!(results.len(), count);
     vec![Metric {
         name: "portfolio_small_wall_s",
         value: wall,

@@ -1,5 +1,6 @@
 //! Portfolio throughput comparison: sequential ATPG vs per-property racing
-//! vs batch checking across a worker pool, on the paper suite.
+//! vs batch checking across the verification service's worker pool, on the
+//! paper suite.
 //!
 //! A race is never weaker than ATPG alone: the binary exits 1 when a racing
 //! row's verdict ranks below its sequential ATPG-only row's
@@ -13,6 +14,7 @@ use std::time::Instant;
 use wlac_bench::{harness_options, scale_arg};
 use wlac_circuits::paper_suite;
 use wlac_portfolio::{Engine, Portfolio, PortfolioConfig};
+use wlac_service::{ServiceConfig, VerificationService};
 
 fn config() -> PortfolioConfig {
     PortfolioConfig {
@@ -28,31 +30,30 @@ fn main() {
 
     // 1. Sequential baseline: the ATPG engine alone, one property at a time
     //    (what the repo could do before the portfolio existed).
-    let sequential_config = config().with_engines(vec![Engine::Atpg]);
-    let sequential = Portfolio::new(PortfolioConfig {
-        workers: 1,
-        ..sequential_config
-    });
+    let sequential = Portfolio::new(config().with_engines(vec![Engine::Atpg]));
     let start = Instant::now();
-    let sequential_reports = sequential.check_batch(&jobs);
+    let sequential_reports: Vec<_> = jobs.iter().map(|job| sequential.race(job)).collect();
     let sequential_time = start.elapsed();
 
     // 2. Racing: the hedged race per property (ATPG leads, the other two
     //    engines join after its head start), first definitive answer wins,
     //    losers cancelled — still one property at a time.
-    let racing = Portfolio::new(PortfolioConfig {
-        workers: 1,
-        ..config()
-    });
+    let racing = Portfolio::new(config());
     let start = Instant::now();
-    let racing_reports = racing.check_batch(&jobs);
+    let racing_reports: Vec<_> = jobs.iter().map(|job| racing.race(job)).collect();
     let racing_time = start.elapsed();
 
-    // 3. Batch: racing plus sharding across the worker pool.
-    let batch = Portfolio::new(config());
+    // 3. Batch: the same race per job, sharded across the service's workers.
+    let service_config = ServiceConfig {
+        portfolio: config(),
+        ..ServiceConfig::default()
+    };
+    let workers = service_config.workers;
+    let service = VerificationService::new(service_config);
     let start = Instant::now();
-    let batch_reports = batch.check_batch(&jobs);
+    let batch_results = service.wait(service.submit_batch(jobs));
     let batch_time = start.elapsed();
+    assert_eq!(batch_results.len(), suite.len());
 
     println!(
         "== portfolio throughput on paper_suite(Scale::{scale:?}), {} properties ==\n",
@@ -81,21 +82,21 @@ fn main() {
             println!("  racing answer is weaker than ATPG alone");
         }
     }
-    let disagreements: usize = batch_reports.iter().map(|r| r.disagreements.len()).sum();
+    let disagreements: usize = racing_reports.iter().map(|r| r.disagreements.len()).sum();
     println!();
     println!(
         "sequential (atpg only, 1 worker): {:>8.2}s",
         sequential_time.as_secs_f64()
     );
     println!(
-        "racing     (3 engines, 1 worker): {:>8.2}s",
-        racing_time.as_secs_f64()
+        "racing     (3 engines, 1 worker): {:>8.2}s   ({} disagreement(s))",
+        racing_time.as_secs_f64(),
+        disagreements,
     );
     println!(
-        "batch      (3 engines, {:>2} workers): {:>6.2}s   ({} disagreement(s))",
-        batch.config().workers,
+        "batch      (3 engines, {:>2} workers): {:>6.2}s",
+        workers,
         batch_time.as_secs_f64(),
-        disagreements,
     );
     println!("{weaker} racing row(s) weaker than ATPG alone");
     if weaker > 0 {

@@ -124,10 +124,11 @@ impl Verdict {
         }
     }
 
-    /// Informativeness rank used to combine verdicts in cross-validation
-    /// mode: a validated concrete trace beats a full proof (it can reach
-    /// beyond the bounded engines' horizon, as a deep random-simulation hit
-    /// does), a proof beats a bounded hold, anything beats `Unknown`.
+    /// Informativeness rank: a validated concrete trace beats a full proof
+    /// (it can reach beyond the bounded engines' horizon, as a deep
+    /// random-simulation hit does), a proof beats a bounded hold, anything
+    /// beats `Unknown`. The `portfolio` harness (`crates/bench`) fails a
+    /// racing row whose verdict ranks below ATPG alone's.
     pub fn rank(&self) -> u8 {
         match self {
             Verdict::Violated { .. } | Verdict::WitnessFound { .. } => 3,

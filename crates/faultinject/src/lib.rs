@@ -2,11 +2,12 @@
 //!
 //! Two halves, both in service of a stack that survives its own failures:
 //!
-//! * **[`FaultPlan`]** — a deterministic, seed-driven description of *which*
-//!   infrastructure faults to inject *where*. Production code carries a plan
-//!   the same way it carries a `CancelToken`-style token: the disabled
-//!   plan (the default) is a single `Option` check, allocates nothing and
-//!   fires nothing, so the hot path pays nothing when chaos testing is off.
+//! * **[`FaultPlan`]** — a deterministic, count-driven description of
+//!   *which* infrastructure faults to inject *where*. Production code
+//!   carries a plan the same way it carries a `CancelToken`-style token: the
+//!   disabled plan (the default) is a single `Option` check, allocates
+//!   nothing and fires nothing, so the hot path pays nothing when chaos
+//!   testing is off.
 //!   An armed plan triggers engine hangs, worker panics, I/O errors and
 //!   torn snapshot writes at chosen arrival counts, letting a chaos suite
 //!   drive the full server stack through each fault class reproducibly.
@@ -143,13 +144,10 @@ enum Trigger {
     Nth(u64),
     /// Every arrival from the `n`-th on.
     From(u64),
-    /// Pseudo-randomly with probability `per_mille`/1000, derived from the
-    /// plan seed and the arrival count — deterministic for a fixed seed.
-    Chance { per_mille: u32 },
 }
 
+#[derive(Default)]
 struct PlanInner {
-    seed: u64,
     rules: Vec<(FaultSite, Trigger)>,
     arrivals: [AtomicU64; 8],
     fired: [AtomicU64; 8],
@@ -170,42 +168,21 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// An armed (but still empty) plan with the default seed. Add rules with
-    /// [`FaultPlan::fire_nth`] / [`FaultPlan::fire_from`] /
-    /// [`FaultPlan::fire_chance`].
+    /// An armed (but still empty) plan. Add rules with
+    /// [`FaultPlan::fire_nth`] / [`FaultPlan::fire_from`].
     pub fn new() -> Self {
-        FaultPlan::seeded(0xDAC2000)
-    }
-
-    /// An armed plan whose [`FaultPlan::fire_chance`] rules derive from
-    /// `seed` — same seed, same faults, run after run.
-    pub fn seeded(seed: u64) -> Self {
         FaultPlan {
-            inner: Some(Arc::new(PlanInner {
-                seed,
-                rules: Vec::new(),
-                arrivals: Default::default(),
-                fired: Default::default(),
-            })),
+            inner: Some(Arc::default()),
         }
     }
 
     fn with_rule(self, site: FaultSite, trigger: Trigger) -> Self {
-        let inner = self.inner.unwrap_or_else(|| {
-            Arc::new(PlanInner {
-                seed: 0xDAC2000,
-                rules: Vec::new(),
-                arrivals: Default::default(),
-                fired: Default::default(),
-            })
-        });
+        let inner = self.inner.unwrap_or_default();
         // Plans are built before they are shared; a builder call after
         // cloning would silently fork the counters, so insist on uniqueness.
         let mut inner = Arc::try_unwrap(inner).unwrap_or_else(|arc| PlanInner {
-            seed: arc.seed,
             rules: arc.rules.clone(),
-            arrivals: Default::default(),
-            fired: Default::default(),
+            ..PlanInner::default()
         });
         inner.rules.push((site, trigger));
         FaultPlan {
@@ -221,17 +198,6 @@ impl FaultPlan {
     /// Fires on every crossing of `site` from the `n`-th on (1-based).
     pub fn fire_from(self, site: FaultSite, n: u64) -> Self {
         self.with_rule(site, Trigger::From(n.max(1)))
-    }
-
-    /// Fires pseudo-randomly on ~`per_mille`/1000 of crossings,
-    /// deterministically derived from the plan seed and the arrival count.
-    pub fn fire_chance(self, site: FaultSite, per_mille: u32) -> Self {
-        self.with_rule(
-            site,
-            Trigger::Chance {
-                per_mille: per_mille.min(1000),
-            },
-        )
     }
 
     /// `true` when any rule is loaded — the cheap guard production code may
@@ -252,10 +218,6 @@ impl FaultPlan {
                 && match *trigger {
                     Trigger::Nth(n) => arrival == n,
                     Trigger::From(n) => arrival >= n,
-                    Trigger::Chance { per_mille } => {
-                        splitmix64(inner.seed ^ (site.index() as u64) << 32 ^ arrival) % 1000
-                            < per_mille as u64
-                    }
                 }
         });
         if fire {
@@ -332,21 +294,10 @@ impl fmt::Debug for FaultPlan {
             None => s.field("armed", &false).finish(),
             Some(inner) => s
                 .field("armed", &true)
-                .field("seed", &inner.seed)
                 .field("rules", &inner.rules.len())
                 .finish(),
         }
     }
-}
-
-/// SplitMix64 step — the workspace-standard seeding permutation, reproduced
-/// here so the crate stays dependency-free (it sits below `wlac-rng`'s
-/// users in the graph).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 // --- poison recovery ---------------------------------------------------------
@@ -482,21 +433,6 @@ mod tests {
         assert!(!clone.should_fire(FaultSite::WorkerPanic));
         assert!(plan.should_fire(FaultSite::WorkerPanic), "arrival 2 fires");
         assert_eq!(clone.fired(FaultSite::WorkerPanic), 1);
-    }
-
-    #[test]
-    fn chance_is_deterministic_per_seed() {
-        let a = FaultPlan::seeded(7).fire_chance(FaultSite::EngineHang, 500);
-        let b = FaultPlan::seeded(7).fire_chance(FaultSite::EngineHang, 500);
-        let run = |plan: &FaultPlan| -> Vec<bool> {
-            (0..64)
-                .map(|_| plan.should_fire(FaultSite::EngineHang))
-                .collect()
-        };
-        let fires = run(&a);
-        assert_eq!(fires, run(&b), "same seed, same faults");
-        let hits = fires.iter().filter(|f| **f).count();
-        assert!(hits > 8 && hits < 56, "~50% chance, got {hits}/64");
     }
 
     #[test]

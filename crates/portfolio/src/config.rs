@@ -1,7 +1,6 @@
 //! Portfolio configuration.
 
 use crate::engines::Engine;
-use std::num::NonZeroUsize;
 use std::time::Duration;
 use wlac_atpg::CheckerOptions;
 
@@ -22,11 +21,6 @@ pub struct PortfolioConfig {
     pub random_runs: usize,
     /// Cycles per random-simulation run.
     pub random_cycles: usize,
-    /// Worker threads used by [`crate::Portfolio::check_batch`].
-    pub workers: usize,
-    /// When `true`, batch checks run every engine to completion and
-    /// cross-validate all verdicts instead of racing to the first one.
-    pub cross_validate: bool,
     /// Hard wall-clock budget per job. When set, the race token carries a
     /// deadline: every engine reads as cancelled once it passes, and a race
     /// no engine decided in time reports [`crate::Verdict::Timeout`] instead
@@ -36,8 +30,8 @@ pub struct PortfolioConfig {
 }
 
 impl PortfolioConfig {
-    /// Defaults: all three engines, 8 frames, 30 s per property per engine,
-    /// and one batch worker per available CPU.
+    /// Defaults: all three engines, 8 frames and 30 s per property per
+    /// engine.
     pub fn new() -> Self {
         let checker = CheckerOptions {
             max_frames: 8,
@@ -50,10 +44,6 @@ impl PortfolioConfig {
             bmc_decision_budget: 500_000,
             random_runs: 16,
             random_cycles: 64,
-            workers: std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(4),
-            cross_validate: false,
             job_budget: None,
         }
     }
@@ -61,12 +51,6 @@ impl PortfolioConfig {
     /// Replaces the engine list.
     pub fn with_engines(mut self, engines: Vec<Engine>) -> Self {
         self.engines = engines;
-        self
-    }
-
-    /// Enables cross-validation mode (run everything, compare all verdicts).
-    pub fn with_cross_validation(mut self) -> Self {
-        self.cross_validate = true;
         self
     }
 
@@ -91,8 +75,6 @@ mod tests {
     fn defaults_run_all_engines() {
         let config = PortfolioConfig::default();
         assert_eq!(config.engines.len(), 3);
-        assert!(config.workers >= 1);
-        assert!(!config.cross_validate);
-        assert!(config.with_cross_validation().cross_validate);
+        assert_eq!(config.job_budget, None);
     }
 }

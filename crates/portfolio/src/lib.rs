@@ -15,12 +15,14 @@
 //! query from scratch. Nothing a race learns outlives it, so a verdict does
 //! not depend on what was raced before.
 //!
-//! Beyond single-property racing, [`Portfolio::check_batch`] shards a whole
-//! suite of properties across a worker-thread pool. Every trace-backed
-//! verdict has been re-simulated against the design by
-//! [`wlac_atpg::validated_verdict`] before an engine reports it, and
-//! disagreements between engines are detected and flagged rather than
-//! silently resolved.
+//! The race is the crate's one mode, and it checks one property on the
+//! calling thread. A suite of properties runs through `wlac-service`'s
+//! `VerificationService`, whose worker pool races each job; comparing the
+//! engines property by property is the `compare` harness's proof audit
+//! (`crates/bench`). Every trace-backed verdict has been re-simulated
+//! against the design by [`wlac_atpg::validated_verdict`] before an engine
+//! reports it, and a contradiction between the engines that answered a
+//! race is flagged in its report rather than silently resolved.
 //!
 //! Every engine reports a [`Verdict`], the vocabulary `wlac-atpg` defines and
 //! this crate re-exports.
@@ -66,8 +68,7 @@ pub use warm::{Harvest, WarmStart};
 pub use wlac_atpg::Verdict;
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 use wlac_atpg::{CancelToken, Verification};
@@ -125,8 +126,8 @@ pub struct RaceEvent {
 pub struct PortfolioReport {
     /// Property name (e.g. `p7`).
     pub property: String,
-    /// The combined verdict: the winner's in racing mode, the first
-    /// definitive one in cross-validation mode.
+    /// The winner's verdict. Without a winner: a structured timeout when
+    /// the job budget ran out, else an `unknown` naming each engine's reason.
     pub verdict: Verdict,
     /// The engine that produced [`PortfolioReport::verdict`], when any
     /// engine was definitive.
@@ -188,10 +189,7 @@ impl fmt::Display for PortfolioReport {
 /// A concurrent multi-strategy verification engine.
 ///
 /// See the crate-level docs for an example; [`Portfolio::race`] checks one
-/// property with first-definitive-answer-wins semantics,
-/// [`Portfolio::check_all`] runs every engine to completion for maximum
-/// cross-validation, and [`Portfolio::check_batch`] shards many properties
-/// over a worker pool.
+/// property with first-definitive-answer-wins semantics.
 #[derive(Debug, Clone, Default)]
 pub struct Portfolio {
     config: PortfolioConfig,
@@ -223,11 +221,6 @@ impl Portfolio {
         Portfolio::new(PortfolioConfig::default())
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &PortfolioConfig {
-        &self.config
-    }
-
     /// Races the configured engines on one property; the first definitive
     /// verdict wins and the losing engines are cancelled cooperatively.
     ///
@@ -241,13 +234,7 @@ impl Portfolio {
     /// decided, or whose job budget has expired, starts no further engine.
     /// The [`PortfolioReport::timeline`] shows when each engine started.
     pub fn race(&self, verification: &Verification) -> PortfolioReport {
-        self.run_portfolio(verification, true, &RecorderHandle::disabled(), None)
-    }
-
-    /// Runs every configured engine to completion (no cancellation) and
-    /// cross-validates all verdicts against each other.
-    pub fn check_all(&self, verification: &Verification) -> PortfolioReport {
-        self.run_portfolio(verification, false, &RecorderHandle::disabled(), None)
+        self.run_portfolio(verification, &RecorderHandle::disabled(), None)
     }
 
     /// [`Portfolio::race`], with the race's winner and engines copied into
@@ -285,50 +272,12 @@ impl Portfolio {
         recorder: &RecorderHandle,
         progress: &RaceProgress,
     ) -> PortfolioReport {
-        self.run_portfolio(verification, true, recorder, Some(progress))
-    }
-
-    /// Checks a batch of properties, sharding them across
-    /// [`PortfolioConfig::workers`] worker threads. Each job is checked with
-    /// [`Portfolio::race`] (or [`Portfolio::check_all`] when
-    /// [`PortfolioConfig::cross_validate`] is set); results come back in job
-    /// order.
-    pub fn check_batch(&self, jobs: &[Verification]) -> Vec<PortfolioReport> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<PortfolioReport>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-        let workers = self.config.workers.clamp(1, jobs.len());
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(index) else { break };
-                    let report = if self.config.cross_validate {
-                        self.check_all(job)
-                    } else {
-                        self.race(job)
-                    };
-                    *slots[index].lock().expect("result slot") = Some(report);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot")
-                    .expect("every job produced a report")
-            })
-            .collect()
+        self.run_portfolio(verification, recorder, Some(progress))
     }
 
     fn run_portfolio(
         &self,
         verification: &Verification,
-        cancel_losers: bool,
         recorder: &RecorderHandle,
         progress: Option<&RaceProgress>,
     ) -> PortfolioReport {
@@ -382,8 +331,8 @@ impl Portfolio {
                 0,
             );
         };
-        // Collects one answer: the first definitive one wins and (in racing
-        // mode) cancels everyone still searching.
+        // Collects one answer: the first definitive one wins and cancels
+        // everyone still searching.
         let mut absorb = |run: EngineRun, timeline: &mut Vec<RaceEvent>| {
             let at = start.elapsed();
             let definitive = run.verdict.is_definitive();
@@ -410,38 +359,35 @@ impl Portfolio {
             }
             if winner.is_none() && definitive {
                 winner = Some(runs.len());
-                if cancel_losers {
-                    // Cancelling also keeps held engines from starting;
-                    // the cancel event marks a race with losers running.
-                    token.cancel();
-                    let started = timeline
-                        .iter()
-                        .filter(|e| e.kind == RaceEventKind::Spawned)
-                        .count();
-                    if started > runs.len() + 1 {
-                        timeline.push(RaceEvent {
-                            at: start.elapsed(),
-                            engine: None,
-                            kind: RaceEventKind::CancelIssued,
-                        });
-                        recorder.record(
-                            RecorderLayer::Portfolio,
-                            RecorderKind::Cancel,
-                            u64::from(run.engine.code()),
-                            0,
-                        );
-                    }
+                // Cancelling also keeps held engines from starting; the
+                // cancel event marks a race with losers running.
+                token.cancel();
+                let started = timeline
+                    .iter()
+                    .filter(|e| e.kind == RaceEventKind::Spawned)
+                    .count();
+                if started > runs.len() + 1 {
+                    timeline.push(RaceEvent {
+                        at: start.elapsed(),
+                        engine: None,
+                        kind: RaceEventKind::CancelIssued,
+                    });
+                    recorder.record(
+                        RecorderLayer::Portfolio,
+                        RecorderKind::Cancel,
+                        u64::from(run.engine.code()),
+                        0,
+                    );
                 }
             }
             runs.push(run);
         };
-        // Racing mode hedges: the lead engine runs on this thread for at most
+        // The race hedges: the lead engine runs on this thread for at most
         // HEAD_START, and the others join only if it has not decided by then
-        // (or answers undecided sooner). Cross-validation mode starts every
-        // engine on its own thread.
+        // (or answers undecided sooner).
         let (lead, mut joining) = match engines.split_first() {
-            Some((&lead, held)) if cancel_losers => (Some(lead), held),
-            _ => (None, engines),
+            Some((&lead, held)) => (Some(lead), held),
+            None => (None, engines),
         };
         // A lead pass the head start stopped. The lead restarts beside the
         // joining engines, and the pass's time and effort fold into its run.
@@ -504,19 +450,7 @@ impl Portfolio {
                 }
             });
         }
-        let disagreements = cross_validate(&runs);
-        if !cancel_losers {
-            // Cross-validation mode: every engine ran to completion, so pick
-            // the most informative verdict instead of the earliest one — a
-            // validated trace from a deep engine (e.g. a random-simulation
-            // hit beyond the unrolling bound) beats a bounded hold.
-            winner = runs
-                .iter()
-                .enumerate()
-                .filter(|(_, run)| run.verdict.is_definitive())
-                .max_by_key(|(index, run)| (run.verdict.rank(), usize::MAX - index))
-                .map(|(index, _)| index);
-        }
+        let disagreements = disagreements(&runs);
         let verdict = match winner {
             Some(index) => runs[index].verdict.clone(),
             None => match self.config.job_budget {
@@ -625,7 +559,7 @@ fn record_race_metrics(
 }
 
 /// Pairwise consistency check over all definitive verdicts.
-fn cross_validate(runs: &[EngineRun]) -> Vec<String> {
+fn disagreements(runs: &[EngineRun]) -> Vec<String> {
     let mut disagreements = Vec::new();
     for (i, a) in runs.iter().enumerate() {
         for b in &runs[i + 1..] {
@@ -862,79 +796,6 @@ mod tests {
             other => panic!("expected violation, got {other:?}"),
         }
         assert!(report.agreed(), "{:?}", report.disagreements);
-    }
-
-    #[test]
-    fn check_all_runs_every_engine_to_completion() {
-        let portfolio = Portfolio::new(PortfolioConfig::default().with_cross_validation());
-        let report = portfolio.check_all(&counter(12, 5, "holds"));
-        // Racing hedges and cancels losers; check_all starts every engine at
-        // dispatch, before collecting any answer, and cancels none.
-        assert_eq!(report.runs.len(), 3);
-        assert!(
-            report.timeline[..3]
-                .iter()
-                .all(|e| e.kind == RaceEventKind::Spawned),
-            "{:?}",
-            report.timeline
-        );
-        assert!(report.runs.iter().all(|r| !r.cancelled));
-        // ATPG and BMC both reach a definitive pass verdict.
-        for engine in [Engine::Atpg, Engine::SatBmc] {
-            let run = report.run_of(engine).expect("engine ran");
-            assert!(run.verdict.is_pass(), "{engine}: {:?}", run.verdict);
-        }
-        assert!(report.agreed());
-    }
-
-    #[test]
-    fn batch_returns_reports_in_job_order() {
-        let jobs = vec![
-            counter(12, 5, "j0"),
-            counter(5, 12, "j1"),
-            counter(3, 12, "j2"),
-            counter(9, 4, "j3"),
-        ];
-        let reports = Portfolio::with_defaults().check_batch(&jobs);
-        assert_eq!(reports.len(), 4);
-        for (i, report) in reports.iter().enumerate() {
-            assert_eq!(report.property, format!("j{i}"));
-            assert!(
-                report.agreed(),
-                "{}: {:?}",
-                report.property,
-                report.disagreements
-            );
-        }
-        assert!(reports[0].verdict.is_pass());
-        assert!(matches!(reports[1].verdict, Verdict::Violated { .. }));
-        assert!(matches!(reports[2].verdict, Verdict::Violated { .. }));
-        assert!(reports[3].verdict.is_pass());
-    }
-
-    #[test]
-    fn deep_violation_beyond_the_bound_wins_cross_validation() {
-        // The counter wraps at 9, so q = 8 violates "q < 8" — but only at
-        // cycle 8, beyond an 8-frame unrolling (the violation needs 9
-        // frames). The bounded engines correctly report holds-up-to-bound;
-        // the 64-cycle random simulation finds the real violation, which is
-        // not a disagreement (the trace is longer than the bound) and must
-        // win the combined verdict.
-        let portfolio = Portfolio::new(PortfolioConfig::default().with_cross_validation());
-        let report = portfolio.check_all(&counter(8, 9, "deep"));
-        assert!(report.agreed(), "{:?}", report.disagreements);
-        assert_eq!(report.winner, Some(Engine::RandomSim));
-        match &report.verdict {
-            Verdict::Violated { trace } => assert!(trace.len() > 8),
-            other => panic!("expected the deep violation, got {other:?}"),
-        }
-        let bounded = report.run_of(Engine::Atpg).expect("atpg ran");
-        assert!(bounded.verdict.is_pass(), "{:?}", bounded.verdict);
-    }
-
-    #[test]
-    fn empty_batch_is_fine() {
-        assert!(Portfolio::with_defaults().check_batch(&[]).is_empty());
     }
 
     #[test]

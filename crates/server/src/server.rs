@@ -2009,6 +2009,10 @@ fn op_import_knowledge(state: &ServerState, frame: &Json) -> Json {
             Ok(restored) => restored,
             Err(e) => return error_reply(ErrorCode::BadSnapshot, e.to_string()),
         };
+    // An acknowledged import must survive a process death, and the import
+    // appended no journal record: snapshot the design before replying. A
+    // failed save degrades as an autosave failure does.
+    compact_design(state, design);
     ok_reply(vec![
         ("design", Json::str(design_to_wire(design))),
         ("verdicts", Json::num(verdicts as u64)),

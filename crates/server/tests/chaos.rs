@@ -235,7 +235,7 @@ fn deadline_turns_a_hung_engine_into_a_timeout_and_frees_the_worker() {
     config.service.portfolio.job_budget = Some(budget);
     // Every engine run hangs until its cancel token releases it — only the
     // job-budget deadline can produce an answer.
-    config.service.faults = FaultPlan::seeded(7).fire_from(FaultSite::EngineHang, 1);
+    config.service.faults = FaultPlan::new().fire_from(FaultSite::EngineHang, 1);
     let (addr, handle, _) = start(config);
     let mut client = Client::connect(addr);
     let design = client.register_counter();
@@ -283,7 +283,7 @@ fn worker_panic_quarantines_only_the_faulted_job() {
 
     let mut config = deterministic_config();
     // The second job the (single) worker picks up panics mid-processing.
-    config.service.faults = FaultPlan::seeded(7).fire_nth(FaultSite::WorkerPanic, 2);
+    config.service.faults = FaultPlan::new().fire_nth(FaultSite::WorkerPanic, 2);
     let (addr, handle, _) = start(config);
     let mut client = Client::connect(addr);
     let design = client.register_counter();
@@ -328,7 +328,7 @@ fn a_lost_worker_is_respawned_and_the_pool_keeps_serving() {
     // A panic that escapes the per-job fence (fires after the job completed,
     // outside the fence) kills the worker thread itself — the supervision
     // sentinel must replace it.
-    config.service.faults = FaultPlan::seeded(7).fire_nth(FaultSite::WorkerLoss, 1);
+    config.service.faults = FaultPlan::new().fire_nth(FaultSite::WorkerLoss, 1);
     let (addr, handle, _) = start(config);
     let mut client = Client::connect(addr);
     let design = client.register_counter();
@@ -367,7 +367,7 @@ fn portfolio_masks_a_hung_engine() {
         Engine::SatBmc,
         Engine::RandomSim,
     ]);
-    config.service.faults = FaultPlan::seeded(7).fire_from(FaultSite::EngineHang, 1);
+    config.service.faults = FaultPlan::new().fire_from(FaultSite::EngineHang, 1);
     let (addr, handle, _) = start(config);
     let mut client = Client::connect(addr);
     let design = client.register_counter();
@@ -395,7 +395,7 @@ fn autosave_write_failure_degrades_durability_not_service() {
     // batch ends in a snapshot save: the autosave path this test faults.
     config.journal_compact_bytes = 1;
     // Every snapshot write fails before touching the file system.
-    config.service.faults = FaultPlan::seeded(7).fire_from(FaultSite::SnapshotWrite, 1);
+    config.service.faults = FaultPlan::new().fire_from(FaultSite::SnapshotWrite, 1);
     let (addr, handle, _) = start(config);
     let mut client = Client::connect(addr);
     let design = client.register_counter();
@@ -451,7 +451,7 @@ fn kill_during_autosave_leaves_a_recoverable_store() {
     // only temp-file debris added.
     let mut config = deterministic_config();
     config.data_dir = Some(dir.0.clone());
-    config.service.faults = FaultPlan::seeded(7).fire_from(FaultSite::SnapshotTorn, 1);
+    config.service.faults = FaultPlan::new().fire_from(FaultSite::SnapshotTorn, 1);
     let (addr, handle, loaded) = start(config);
     assert_eq!(loaded, 1, "session 2 boots warm from session 1");
     let mut client = Client::connect(addr);
@@ -556,7 +556,7 @@ fn server_side_wait_is_bounded() {
     config.drain_timeout = Duration::from_millis(300);
     // No job budget: the hung engine stays hung, only the wait bound saves
     // the connection.
-    config.service.faults = FaultPlan::seeded(7).fire_from(FaultSite::EngineHang, 1);
+    config.service.faults = FaultPlan::new().fire_from(FaultSite::EngineHang, 1);
     let (addr, handle, _) = start(config);
     let mut client = Client::connect(addr);
     let design = client.register_counter();
@@ -648,7 +648,7 @@ fn a_quarantined_job_writes_a_parseable_postmortem_bundle() {
     let dir = TempDir::new();
     let mut config = deterministic_config();
     config.data_dir = Some(dir.0.clone());
-    config.service.faults = FaultPlan::seeded(7).fire_nth(FaultSite::WorkerPanic, 1);
+    config.service.faults = FaultPlan::new().fire_nth(FaultSite::WorkerPanic, 1);
     let (addr, handle, _) = start(config);
     let mut client = Client::connect(addr);
     let design = client.register_counter();
@@ -717,7 +717,7 @@ fn a_timed_out_job_writes_a_postmortem_naming_the_budget() {
     let mut config = deterministic_config();
     config.data_dir = Some(dir.0.clone());
     config.service.portfolio.job_budget = Some(budget);
-    config.service.faults = FaultPlan::seeded(7).fire_from(FaultSite::EngineHang, 1);
+    config.service.faults = FaultPlan::new().fire_from(FaultSite::EngineHang, 1);
     let (addr, handle, _) = start(config);
     let mut client = Client::connect(addr);
     let design = client.register_counter();
@@ -756,7 +756,7 @@ fn autosave_failure_and_rejected_snapshot_write_postmortems() {
     let mut config = deterministic_config();
     config.data_dir = Some(dir.0.clone());
     config.journal_compact_bytes = 1;
-    config.service.faults = FaultPlan::seeded(7).fire_from(FaultSite::SnapshotWrite, 1);
+    config.service.faults = FaultPlan::new().fire_from(FaultSite::SnapshotWrite, 1);
     let (addr, handle, _) = start(config);
     let mut client = Client::connect(addr);
     let design = client.register_counter();
@@ -866,7 +866,7 @@ fn postmortem_bundles_are_evicted_oldest_first_under_the_count_cap() {
     config.data_dir = Some(dir.0.clone());
     config.postmortem_max_dumps = 3;
     // Every job panics: each one dumps a bundle.
-    config.service.faults = FaultPlan::seeded(7).fire_from(FaultSite::WorkerPanic, 1);
+    config.service.faults = FaultPlan::new().fire_from(FaultSite::WorkerPanic, 1);
     let (addr, handle, _) = start(config);
     let mut client = Client::connect(addr);
     let design = client.register_counter();
@@ -891,7 +891,7 @@ fn postmortem_bundles_are_evicted_oldest_first_under_the_count_cap() {
 fn health_reports_not_ready_when_the_queue_backs_up_behind_a_wedged_worker() {
     let mut config = deterministic_config();
     // The sole worker wedges forever on its first job; no budget frees it.
-    config.service.faults = FaultPlan::seeded(7).fire_from(FaultSite::EngineHang, 1);
+    config.service.faults = FaultPlan::new().fire_from(FaultSite::EngineHang, 1);
     config.max_queue_depth = 0;
     config.wait_timeout = Duration::from_millis(200);
     config.drain_timeout = Duration::from_millis(200);
@@ -941,7 +941,7 @@ fn health_reports_not_ready_when_the_queue_backs_up_behind_a_wedged_worker() {
 #[test]
 fn health_returns_to_ready_after_a_lost_worker_is_respawned() {
     let mut config = deterministic_config();
-    config.service.faults = FaultPlan::seeded(7).fire_nth(FaultSite::WorkerLoss, 1);
+    config.service.faults = FaultPlan::new().fire_nth(FaultSite::WorkerLoss, 1);
     let (addr, handle, _) = start(config);
     let mut client = Client::connect(addr);
     let design = client.register_counter();
@@ -980,7 +980,7 @@ fn a_non_reading_subscriber_is_shed_without_stalling_the_server() {
     // Two workers and one hung engine run: one job wedges forever (keeping
     // its subscription streaming), the other completes normally.
     config.service.workers = 2;
-    config.service.faults = FaultPlan::seeded(7).fire_nth(FaultSite::EngineHang, 1);
+    config.service.faults = FaultPlan::new().fire_nth(FaultSite::EngineHang, 1);
     config.subscribe_interval = Duration::from_millis(1);
     // A subscriber is shed once a write to it stalls for the write timeout,
     // after the socket buffers have filled (~20 s of 1 ms ticks on Linux

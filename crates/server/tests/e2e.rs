@@ -588,13 +588,16 @@ fn a_journal_of_an_earlier_server_still_boots_warm() {
     handle.join().expect("server thread");
 }
 
+/// A design exported from one server warm-starts another, and the import
+/// is durable before it is acknowledged: the importing server's death loses
+/// neither the design nor its verdicts.
 #[test]
 fn knowledge_export_import_over_the_wire() {
     let (addr, handle, _) = start(quick_config());
     let mut client = Client::connect(addr);
     let design = client.register_counter();
     let batch = client.submit_both(&design);
-    let _ = client.wait(batch);
+    let cold = client.wait(batch);
 
     let reply = client.call(Json::obj(vec![
         ("op", Json::str("export_knowledge")),
@@ -610,7 +613,10 @@ fn knowledge_export_import_over_the_wire() {
 
     // A second, completely unrelated server warm-starts from the exported
     // blob alone: import registers the design and fills its caches.
-    let (addr, handle, _) = start(quick_config());
+    let dir = TempDir::new();
+    let mut config = quick_config();
+    config.data_dir = Some(dir.0.clone());
+    let (addr, _abandoned, _) = start(config);
     let mut client = Client::connect(addr);
     let reply = client.call(Json::obj(vec![
         ("op", Json::str("import_knowledge")),
@@ -635,6 +641,24 @@ fn knowledge_export_import_over_the_wire() {
     );
     assert_eq!(client.call_err(&line), "bad_snapshot");
 
+    // The crash: the importing server is abandoned, never shut down, and a
+    // third server boots on its directory. It knows the design without a
+    // `register_design` and answers both jobs from the cache, byte for byte.
+    let mut config = quick_config();
+    config.data_dir = Some(dir.0.clone());
+    let (addr, handle, loaded) = start(config);
+    assert_eq!(loaded, 1, "the acknowledged import was not persisted");
+    let mut client = Client::connect(addr);
+    let batch = client.submit_both(&design);
+    let rebooted = client.wait(batch);
+    for (cold, warm) in cold.iter().zip(&rebooted) {
+        assert!(cached(warm), "{warm}");
+        assert_eq!(warm.get("engines_spawned").and_then(Json::as_u64), Some(0));
+        assert_eq!(
+            warm.get("verdict").map(Json::to_string),
+            cold.get("verdict").map(Json::to_string)
+        );
+    }
     client.shutdown();
     handle.join().expect("server thread");
 }

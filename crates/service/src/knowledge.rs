@@ -12,7 +12,7 @@ use crate::hash::DesignHash;
 use std::error::Error;
 use std::fmt;
 
-/// Why a restore or a verdict import was rejected.
+/// Why a restore was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KnowledgeError {
     /// The store is bound to a different design than the target.
@@ -22,11 +22,11 @@ pub enum KnowledgeError {
         /// Hash of the design it was offered to.
         expected: DesignHash,
     },
-    /// An imported cached verdict fails structural validation against the
+    /// A restored cached verdict fails structural validation against the
     /// design (a trace naming a non-existent net, a value of the wrong
     /// width, or a non-definitive verdict).
     MalformedVerdict {
-        /// Index of the offending record in the imported batch.
+        /// Index of the offending record in the restored batch.
         index: usize,
     },
 }

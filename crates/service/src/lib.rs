@@ -335,11 +335,13 @@ mod tests {
         // A fresh session warm-started from the exported records answers the
         // same queries from the cache, with identical verdicts.
         let restarted = VerificationService::new(quick_config());
-        restarted.register_design(&pass.netlist);
-        restarted.register_design(&fail.netlist);
-        assert_eq!(restarted.import_verdicts(design_pass, &pass_records), Ok(1));
-        assert_eq!(restarted.import_verdicts(design_fail, &fail_records), Ok(1));
-        let warm = restarted.wait(restarted.submit_batch(vec![pass, fail]));
+        let restore = |v: &Verification, records: &[VerdictRecord]| {
+            let design = design_hash(&v.netlist);
+            restarted.restore(v.netlist.clone(), &KnowledgeBase::new(design), records)
+        };
+        assert_eq!(restore(&pass, &pass_records), Ok((design_pass, 1)));
+        assert_eq!(restore(&fail, &fail_records), Ok((design_fail, 1)));
+        let warm = restarted.wait(restarted.submit_batch(vec![pass, fail.clone()]));
         assert!(warm.iter().all(|r| r.from_cache));
         for (c, w) in cold.iter().zip(&warm) {
             assert_eq!(
@@ -356,14 +358,9 @@ mod tests {
                 .push((wlac_netlist::NetId::from_index(9999), Bv::zero(4)));
         }
         assert!(matches!(
-            restarted.import_verdicts(design_fail, &poisoned),
+            restore(&fail, &poisoned),
             Err(KnowledgeError::MalformedVerdict { index: 0 })
         ));
-
-        // Unregistered designs cannot receive verdicts.
-        assert!(restarted
-            .import_verdicts(DesignHash(42), &pass_records)
-            .is_err());
     }
 
     #[test]
@@ -481,7 +478,7 @@ mod tests {
         config.faults = FaultPlan::new().fire_from(FaultSite::EngineHang, 1);
         let service = VerificationService::new(config.clone());
         let cached = counter(12, 5, "cached");
-        let design = service.register_design(&cached.netlist);
+        let design = design_hash(&cached.netlist);
         let record = VerdictRecord {
             property: property_hash(&cached.property, &cached.environment),
             config: config_fingerprint(&config.portfolio),
@@ -491,7 +488,14 @@ mod tests {
             },
             winner: Some(Engine::Atpg),
         };
-        assert_eq!(service.import_verdicts(design, &[record]), Ok(1));
+        assert_eq!(
+            service.restore(
+                cached.netlist.clone(),
+                &KnowledgeBase::new(design),
+                &[record]
+            ),
+            Ok((design, 1))
+        );
         let held = service.submit_batch(vec![counter(5, 12, "held")]);
         let deadline = std::time::Instant::now() + Duration::from_secs(1);
         while service.running_jobs().is_empty() {

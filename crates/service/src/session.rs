@@ -165,8 +165,8 @@ pub const DEFAULT_RETAINED_BATCHES: usize = 1024;
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Portfolio configuration used for every race (its `workers` field is
-    /// ignored — sharding happens at the service level).
+    /// Portfolio configuration used for every race; each worker races one
+    /// job at a time.
     pub portfolio: PortfolioConfig,
     /// Worker threads draining the job queue.
     pub workers: usize,
@@ -1024,39 +1024,16 @@ impl VerificationService {
         Some(cache.export_design(design))
     }
 
-    /// Imports externally persisted verdicts for a registered design after
-    /// structural validation (traces must name existing nets at their exact
-    /// widths; only definitive verdicts are accepted). Returns the number of
-    /// verdicts now cached.
-    ///
-    /// Imported entries populate the same LRU cache as live verdicts, so the
-    /// capacity bound applies to them too.
-    ///
-    /// # Errors
-    ///
-    /// [`KnowledgeError::DesignMismatch`] when the design is not registered,
-    /// [`KnowledgeError::MalformedVerdict`] (nothing imported) when any
-    /// record fails validation.
-    pub fn import_verdicts(
-        &self,
-        design: DesignHash,
-        records: &[VerdictRecord],
-    ) -> Result<usize, KnowledgeError> {
-        let netlist = self.design(design).ok_or(KnowledgeError::DesignMismatch {
-            found: design,
-            expected: design,
-        })?;
-        check_verdicts(records, &netlist)?;
-        self.cache_verdicts(design, records);
-        Ok(records.len())
-    }
-
     /// Restores one design's persisted state (a snapshot, or the records
     /// replayed from a journal): registers `netlist`, moving it into the
     /// registry (no copy when the design is new), checks that `knowledge`
-    /// is bound to it, then imports `verdicts` with the validation of
-    /// [`VerificationService::import_verdicts`]. Returns the design and the
-    /// number of verdicts now cached.
+    /// is bound to it, then validates `verdicts` (traces must name existing
+    /// nets at their exact widths; only definitive verdicts are accepted)
+    /// and caches them. Returns the design and the number of verdicts now
+    /// cached.
+    ///
+    /// Restored entries populate the same LRU cache as live verdicts, so the
+    /// capacity bound applies to them too.
     ///
     /// # Errors
     ///
@@ -1084,14 +1061,8 @@ impl VerificationService {
                 expected: design,
             });
         }
-        self.cache_verdicts(design, verdicts);
-        Ok((design, verdicts.len()))
-    }
-
-    /// Inserts already-validated verdicts into the LRU cache.
-    fn cache_verdicts(&self, design: DesignHash, records: &[VerdictRecord]) {
         let mut cache = self.shared.cache.lock_recover();
-        for record in records {
+        for record in verdicts {
             cache.insert(
                 CacheKey {
                     design,
@@ -1104,6 +1075,7 @@ impl VerificationService {
                 },
             );
         }
+        Ok((design, verdicts.len()))
     }
 
     /// Blocks until the job queue is empty and every dequeued job has

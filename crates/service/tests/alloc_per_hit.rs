@@ -13,7 +13,8 @@ use wlac_atpg::Verification;
 use wlac_circuits::{paper_suite, Scale};
 use wlac_portfolio::Verdict;
 use wlac_service::{
-    config_fingerprint, property_hash, Job, ServiceConfig, VerdictRecord, VerificationService,
+    config_fingerprint, design_hash, property_hash, Job, KnowledgeBase, ServiceConfig,
+    VerdictRecord, VerificationService,
 };
 
 struct CountingAlloc;
@@ -43,10 +44,10 @@ fn allocs() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
 }
 
-/// Registers the design and caches a verdict for the property, so the next
+/// Restores the design with a cached verdict for the property, so the next
 /// submission is a hit without racing any engine. Returns the job.
 fn cached_job(service: &VerificationService, config: &ServiceConfig, v: &Verification) -> Job {
-    let design = service.register_design(&v.netlist);
+    let design = design_hash(&v.netlist);
     let record = VerdictRecord {
         property: property_hash(&v.property, &v.environment),
         config: config_fingerprint(&config.portfolio),
@@ -56,7 +57,10 @@ fn cached_job(service: &VerificationService, config: &ServiceConfig, v: &Verific
         },
         winner: None,
     };
-    assert_eq!(service.import_verdicts(design, &[record]), Ok(1));
+    assert_eq!(
+        service.restore(v.netlist.clone(), &KnowledgeBase::new(design), &[record]),
+        Ok((design, 1))
+    );
     Job {
         design,
         property: v.property.clone(),

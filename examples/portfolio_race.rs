@@ -1,12 +1,14 @@
 //! Portfolio racing: check one property with three engines concurrently,
-//! then verify a whole batch of properties across a worker pool.
+//! then race a list of properties one after another. To shard a batch
+//! across a worker pool, submit it to a `VerificationService` (see
+//! `examples/verification_service.rs`).
 //!
 //! Run with `cargo run --example portfolio_race`.
 
 use wlac::atpg::{Property, Verification};
 use wlac::bv::Bv;
 use wlac::netlist::Netlist;
-use wlac::portfolio::{Portfolio, PortfolioConfig};
+use wlac::portfolio::Portfolio;
 
 /// Builds a modulo-`wrap` counter asserted to stay below `limit`.
 fn counter_with_limit(wrap: u64, limit: u64) -> Verification {
@@ -44,12 +46,11 @@ fn main() {
         println!("counter-example:\n{trace}");
     }
 
-    // Batch mode: shard a list of properties across worker threads, with
-    // full cross-validation (every engine runs to completion).
-    println!("-- batch with cross-validation --");
-    let jobs: Vec<Verification> = (3..9).map(|limit| counter_with_limit(9, limit)).collect();
-    let batch = Portfolio::new(PortfolioConfig::default().with_cross_validation());
-    for report in batch.check_batch(&jobs) {
-        println!("{report}");
+    // A list of properties, one race each. `counter_below_8` fails only at
+    // cycle 8, beyond the 8-frame unrolling, so the race's first definitive
+    // answer is ATPG's `holds(bound)`.
+    println!("-- racing a list of properties --");
+    for limit in 3..9 {
+        println!("{}", portfolio.race(&counter_with_limit(9, limit)));
     }
 }

@@ -68,7 +68,8 @@ fn paper_suite_outcomes_match_expectations() {
 /// designs the bit-blaster supports, with bounded semantics respected: a
 /// trace only contradicts a bounded answer that covers its length. Both run
 /// the same bounded problem at the same bound and close the same induction
-/// step, so every ATPG proof is a BMC proof too.
+/// step, so every ATPG proof is a BMC proof too. BMC decides every
+/// Small-scale property, with ATPG's pass/fail polarity.
 #[test]
 fn atpg_and_sat_bmc_agree() {
     let options = quick_options();
@@ -83,9 +84,22 @@ fn atpg_and_sat_bmc_agree() {
         );
         let bmc = bmc.verdict;
         assert!(
+            bmc.is_definitive(),
+            "{}: BMC inconclusive: {bmc:?}",
+            case.property
+        );
+        assert!(
             !atpg.conflicts_with(&bmc),
             "{}: ATPG {atpg:?} contradicts BMC {bmc:?}",
             case.property
+        );
+        assert_eq!(
+            atpg.is_pass(),
+            bmc.is_pass(),
+            "{}: ATPG {} vs BMC {}",
+            case.property,
+            atpg.label(),
+            bmc.label()
         );
         if matches!(atpg, Verdict::Holds { proved: true, .. }) {
             assert_eq!(bmc.label(), "proved", "{}: {bmc:?}", case.property);

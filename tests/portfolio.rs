@@ -1,12 +1,16 @@
-//! Portfolio integration tests: cross-engine agreement on the paper suite,
-//! hedged first-definitive-answer racing and prompt cooperative cancellation.
+//! Portfolio integration tests: the hedged race on the paper suite, alone
+//! and batched through the verification service, with no engine
+//! disagreement, its attribution and prompt cooperative cancellation.
 
+use std::sync::Arc;
 use std::time::Duration;
 use wlac::atpg::{CheckerOptions, FaultPlan, FaultSite, Property, Verification};
 use wlac::bv::Bv;
 use wlac::circuits::{paper_suite, Expectation, Scale};
 use wlac::netlist::Netlist;
 use wlac::portfolio::{Engine, Portfolio, PortfolioConfig, Verdict};
+use wlac::service::{ServiceConfig, VerificationService};
+use wlac::telemetry::MetricsRegistry;
 
 /// Bounded configuration keeping full-suite runs predictable, mirroring the
 /// bench harness: 6 frames, generous SAT budget.
@@ -23,85 +27,64 @@ fn suite_config() -> PortfolioConfig {
     }
 }
 
-/// `Portfolio::check_batch` verifies all fourteen paper-suite properties at
-/// `Scale::Small` with zero engine disagreements, and ATPG and SAT BMC reach
-/// the same verdict on every case both can decide.
+/// A batch of all fourteen paper-suite properties at `Scale::Small`, raced
+/// across the verification service's worker pool, comes back in job order,
+/// meets every expectation and records zero engine disagreements.
 #[test]
 fn batch_checks_paper_suite_with_zero_disagreements() {
     let suite = paper_suite(Scale::Small);
     let jobs: Vec<Verification> = suite.iter().map(|c| c.verification.clone()).collect();
-    let portfolio = Portfolio::new(suite_config().with_cross_validation());
-    let reports = portfolio.check_batch(&jobs);
-    assert_eq!(reports.len(), 14);
+    let registry = Arc::new(MetricsRegistry::new());
+    let config = ServiceConfig {
+        portfolio: suite_config(),
+        workers: 2,
+        ..ServiceConfig::default()
+    };
+    let service = VerificationService::with_metrics(config, Arc::clone(&registry));
+    let results = service.wait(service.submit_batch(jobs));
+    assert_eq!(results.len(), 14);
 
-    for (case, report) in suite.iter().zip(&reports) {
-        assert_eq!(report.property, case.property);
+    for (case, result) in suite.iter().zip(&results) {
+        assert_eq!(result.property, case.property);
         assert!(
-            report.agreed(),
-            "{}: engines disagree: {:?}",
-            case.property,
-            report.disagreements
+            !result.from_cache,
+            "{}: nothing is cached yet",
+            case.property
         );
-        // The portfolio verdict is definitive and matches the paper's
-        // Table 2 expectation.
+        assert!(
+            result.winner.is_some(),
+            "{}: no definitive winner: {:?}",
+            case.property,
+            result.verdict
+        );
         match case.expectation {
             Expectation::Pass => assert!(
-                report.verdict.is_pass(),
+                result.verdict.is_pass(),
                 "{} expected to pass, got {:?}",
                 case.property,
-                report.verdict
+                result.verdict
             ),
             Expectation::Witness => assert!(
-                matches!(report.verdict, Verdict::WitnessFound { .. }),
+                matches!(result.verdict, Verdict::WitnessFound { .. }),
                 "{} expected a witness, got {:?}",
                 case.property,
-                report.verdict
+                result.verdict
             ),
         }
-        // ATPG and BMC both reach a verdict on every small-scale case, with
-        // the same pass/fail polarity and no bounded-semantics conflict.
-        let atpg = report.run_of(Engine::Atpg).expect("atpg ran");
-        let bmc = report.run_of(Engine::SatBmc).expect("bmc ran");
-        assert!(
-            atpg.verdict.is_definitive(),
-            "{}: ATPG inconclusive: {:?}",
-            case.property,
-            atpg.verdict
-        );
-        assert!(
-            bmc.verdict.is_definitive(),
-            "{}: BMC inconclusive: {:?}",
-            case.property,
-            bmc.verdict
-        );
-        assert!(
-            !atpg.verdict.conflicts_with(&bmc.verdict),
-            "{}: ATPG {:?} vs BMC {:?}",
-            case.property,
-            atpg.verdict,
-            bmc.verdict
-        );
-        assert_eq!(
-            atpg.verdict.is_pass(),
-            bmc.verdict.is_pass(),
-            "{}: ATPG {} vs BMC {}",
-            case.property,
-            atpg.verdict.label(),
-            bmc.verdict.label()
-        );
     }
+    assert_eq!(registry.counter("portfolio_races_total").get(), 14);
+    assert_eq!(registry.counter("portfolio_disagreements_total").get(), 0);
 }
 
-/// Racing (hedged, the default mode of `check_batch`) meets every paper-suite
-/// expectation at `Scale::Small` with zero engine disagreements — the racing
-/// twin of `batch_checks_paper_suite_with_zero_disagreements`.
+/// The hedged race meets every paper-suite expectation at `Scale::Small`
+/// with zero engine disagreements.
 #[test]
 fn race_checks_paper_suite_with_zero_disagreements() {
     let suite = paper_suite(Scale::Small);
-    let jobs: Vec<Verification> = suite.iter().map(|c| c.verification.clone()).collect();
-    let reports = Portfolio::new(suite_config()).check_batch(&jobs);
-    assert_eq!(reports.len(), 14);
-    for (case, report) in suite.iter().zip(&reports) {
+    assert_eq!(suite.len(), 14);
+    let portfolio = Portfolio::new(suite_config());
+    for case in &suite {
+        let report = portfolio.race(&case.verification);
         assert_eq!(report.property, case.property);
         assert!(
             report.agreed(),
