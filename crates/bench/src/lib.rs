@@ -6,7 +6,8 @@
 //! * `table2` — CPU time / memory for properties p1–p14 (the paper's
 //!   Table 2), side by side with the paper's reported numbers,
 //! * `compare` — word-level ATPG vs bit-level SAT BMC vs random simulation,
-//! * `portfolio` — ATPG alone vs the hedged race vs batch checking,
+//! * `portfolio` — ATPG alone vs the hedged race vs batch checking; exits 1
+//!   when a portfolio verdict conflicts with ATPG alone or a race is weaker,
 //! * `ablation` — effect of the bias ordering, the modular arithmetic solver
 //!   and the ESTG heuristic, plus the modular-vs-integral false-negative
 //!   demonstration.

@@ -10,7 +10,8 @@ pub const RANDOM_SEED: u64 = 0xDAC2000;
 /// Configuration of a [`crate::Portfolio`].
 #[derive(Debug, Clone)]
 pub struct PortfolioConfig {
-    /// The strategies to run, in spawn order. Defaults to all three.
+    /// The strategies to run, in the order they take their turns; the first
+    /// is the race's lead. Defaults to all three.
     pub engines: Vec<Engine>,
     /// ATPG checker options; `max_frames` also bounds the BMC unrolling so
     /// bounded verdicts from both engines talk about the same depth.

@@ -29,8 +29,9 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Every engine, in the canonical order: the default configuration's
-    /// spawn order, and the order of [`Engine::code`].
+    /// Every engine, in the canonical order: the order in which the default
+    /// configuration's race gives them their turns, and the order of
+    /// [`Engine::code`].
     pub const ALL: [Engine; 3] = [Engine::Atpg, Engine::SatBmc, Engine::RandomSim];
 
     /// Stable wire/disk code of this engine (the index in [`Engine::ALL`]).
@@ -99,8 +100,8 @@ pub struct EngineRun {
     pub verdict: Verdict,
     /// Wall-clock time the engine spent.
     pub elapsed: Duration,
-    /// `true` when the run was stopped by the race supervisor before it
-    /// reached a definitive verdict.
+    /// `true` when the run was stopped before it reached a definitive
+    /// verdict: by the lead's head start, or by the job budget.
     pub cancelled: bool,
     /// Effort statistics for attribution.
     pub stats: EngineStats,
@@ -115,8 +116,8 @@ pub struct EngineRun {
 /// counters into the race's progress cell while still running. The SAT and
 /// simulation engines run no core
 /// search; their lifecycle is visible through the race-level events the
-/// portfolio supervisor emits, and their final statistics reach the
-/// progress surface through it too (see `RaceProgress::record_final`).
+/// portfolio emits, and their final statistics reach the progress surface
+/// through it too (see `RaceProgress::record_final`).
 pub(crate) fn run_engine(
     engine: Engine,
     verification: &Verification,

@@ -1,13 +1,13 @@
-//! # wlac-portfolio — concurrent multi-strategy verification
+//! # wlac-portfolio — multi-strategy verification
 //!
 //! The paper's core observation is that word-level ATPG + modular arithmetic
 //! and bit-blasted SAT shine on *different* workload shapes. This crate turns
 //! that observation into an engine: a [`Portfolio`] races the ATPG checker
 //! ([`wlac_atpg::AssertionChecker`]), SAT bounded model checking
 //! ([`wlac_baselines::bounded_model_check`]) and random simulation on each
-//! property, takes the first definitive answer, and cooperatively cancels the
-//! losers through [`wlac_atpg::CancelToken`]. The race is hedged: the lead
-//! engine gets a 5 ms head start, and the others join only if it has not
+//! property and takes the first definitive answer. The race runs on the
+//! calling thread, one engine at a time. It is hedged: the lead engine gets a
+//! 5 ms head start, and the others take their turns only if it has not
 //! decided by then (see [`Portfolio::race`]).
 //!
 //! Every engine runs cold: ATPG runs [`wlac_atpg::AssertionChecker::check`]
@@ -21,8 +21,7 @@
 //! engines property by property is the `compare` harness's proof audit
 //! (`crates/bench`). Every trace-backed verdict has been re-simulated
 //! against the design by [`wlac_atpg::validated_verdict`] before an engine
-//! reports it, and a contradiction between the engines that answered a
-//! race is flagged in its report rather than silently resolved.
+//! reports it.
 //!
 //! Every engine reports a [`Verdict`], the vocabulary `wlac-atpg` defines and
 //! this crate re-exports.
@@ -68,26 +67,26 @@ pub use warm::{Harvest, WarmStart};
 pub use wlac_atpg::Verdict;
 
 use std::fmt;
-use std::sync::{mpsc, Arc};
-use std::thread;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wlac_atpg::{CancelToken, Verification};
 use wlac_telemetry::{MetricsRegistry, RecorderHandle, RecorderKind, RecorderLayer};
 
-/// How long a race's lead engine runs alone before the other engines join.
+/// How long a race's lead engine runs before the other engines get a turn.
 ///
 /// The lead (the first configured engine, ATPG by default) decides most
 /// small designs in well under a millisecond, and on a machine with few
-/// cores two more engines started at once take the CPU it needs: in a
+/// cores two more engines started at once took the CPU it needs: in a
 /// design stream the first answer came three times later than ATPG alone
 /// takes, and most engine time was thrown away. A sweep of 1–10 ms on such
 /// a stream gave a flat throughput optimum from 3 to 10 ms; 5 ms sits in its
-/// middle. The cost is bounded: a race the other engines would have won ends
+/// middle. That sweep ran the other engines side by side; since they take
+/// turns on the calling thread the value is kept, not re-tuned.
+/// The cost is bounded: a race the other engines would have won ends
 /// at most this much later, and SAT-BMC's fastest paper-suite win takes
 /// about 60 ms.
-/// The lead spends its head start on the calling thread; a lead still
-/// searching at its end restarts on its own thread beside the others, so
-/// an escalating race repeats at most this much lead work.
+/// A lead still searching at its end runs again after the others, only if
+/// none of them decided, so a race repeats at most this much lead work.
 /// One value serves every caller, so it is a constant and not a knob.
 pub(crate) const HEAD_START: Duration = Duration::from_millis(5);
 
@@ -95,16 +94,18 @@ pub(crate) const HEAD_START: Duration = Duration::from_millis(5);
 /// [`PortfolioReport::timeline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RaceEventKind {
-    /// An engine started: a racing lead on the calling thread, any other
-    /// engine on its own thread. A lead restarted after its head start
-    /// keeps the one `Spawned` of its first pass.
+    /// An engine started on the calling thread. A lead run again after its
+    /// head start keeps the one `Spawned` of its first pass.
     Spawned,
-    /// An engine delivered its verdict to the supervisor.
+    /// An engine's run was final: its verdict, or a lead pass the head start
+    /// stopped that did not run again.
     Answered {
         /// `true` when the verdict was definitive (could decide the race).
         definitive: bool,
     },
-    /// The supervisor told the remaining engines to stop.
+    /// Never recorded: a decided race has no engine left running to
+    /// cancel. Kept only because the benchmark package (`perfbench/`) still
+    /// matches on it; it goes when ROADMAP item 3 un-pins that package.
     CancelIssued,
 }
 
@@ -114,8 +115,9 @@ pub enum RaceEventKind {
 pub struct RaceEvent {
     /// Offset from race dispatch.
     pub at: Duration,
-    /// The engine concerned; `None` for supervisor-wide events
-    /// ([`RaceEventKind::CancelIssued`]).
+    /// The engine concerned. Every recorded event names one; the `Option`
+    /// stays because the benchmark package (`perfbench/`) still matches on
+    /// it.
     pub engine: Option<Engine>,
     /// What happened.
     pub kind: RaceEventKind,
@@ -134,23 +136,15 @@ pub struct PortfolioReport {
     pub winner: Option<Engine>,
     /// Wall-clock time from dispatch to the last engine finishing.
     pub wall_clock: Duration,
-    /// Every started engine's run, in finish order, with per-engine
-    /// attribution. A hedged race the lead decided alone has one.
+    /// Every started engine's run, in the order each became final, with
+    /// per-engine attribution. A race the lead decided alone has one.
     pub runs: Vec<EngineRun>,
-    /// Human-readable descriptions of cross-engine contradictions. Empty
-    /// when all definitive verdicts agree.
-    pub disagreements: Vec<String>,
-    /// The race as it unfolded: engine spawns, answers in arrival order and
-    /// the cancellation point, all timestamped relative to dispatch.
+    /// The race as it unfolded: engine starts and final answers, all
+    /// timestamped relative to dispatch.
     pub timeline: Vec<RaceEvent>,
 }
 
 impl PortfolioReport {
-    /// `true` when every pair of definitive verdicts is consistent.
-    pub fn agreed(&self) -> bool {
-        self.disagreements.is_empty()
-    }
-
     /// The run of a particular engine, if it participated.
     pub fn run_of(&self, engine: Engine) -> Option<&EngineRun> {
         self.runs.iter().find(|r| r.engine == engine)
@@ -179,14 +173,11 @@ impl fmt::Display for PortfolioReport {
                 if run.cancelled { " [cancelled]" } else { "" },
             )?;
         }
-        for d in &self.disagreements {
-            write!(f, "\n    DISAGREEMENT: {d}")?;
-        }
         Ok(())
     }
 }
 
-/// A concurrent multi-strategy verification engine.
+/// A multi-strategy verification engine.
 ///
 /// See the crate-level docs for an example; [`Portfolio::race`] checks one
 /// property with first-definitive-answer-wins semantics.
@@ -207,7 +198,7 @@ impl Portfolio {
     }
 
     /// Publishes race telemetry (win counters, per-engine wall-clock
-    /// histograms, win-margin distribution) into `registry`. Purely
+    /// histograms, cancelled runs) into `registry`. Purely
     /// observational: metrics never influence scheduling or verdicts, which
     /// is why the registry lives on the portfolio, not on
     /// [`PortfolioConfig`].
@@ -221,18 +212,19 @@ impl Portfolio {
         Portfolio::new(PortfolioConfig::default())
     }
 
-    /// Races the configured engines on one property; the first definitive
-    /// verdict wins and the losing engines are cancelled cooperatively.
+    /// Races the configured engines on one property, one at a time on the
+    /// calling thread; the first definitive verdict wins and no later
+    /// engine starts.
     ///
-    /// The race is hedged. Only the lead engine (the first of the list)
-    /// starts at dispatch, on the calling thread, for a 5 ms head start. A
-    /// lead that decides in that time is the whole race: it reports a single
-    /// run, starts no thread and issues no cancel. The others start when the
-    /// lead has not decided within its head start, or as soon as it answers
-    /// without deciding. A lead the head start stopped restarts on its own
-    /// thread beside them; its one run covers both passes. A race that is
-    /// decided, or whose job budget has expired, starts no further engine.
-    /// The [`PortfolioReport::timeline`] shows when each engine started.
+    /// The race is hedged. The lead engine (the first of the list) runs
+    /// first, for a 5 ms head start. A lead that decides in that time is the
+    /// whole race: it reports a single run. Otherwise each other engine runs
+    /// in its configured order, until one decides or the job budget ends. A
+    /// lead the head start stopped runs again last, only if no engine
+    /// decided; its one run covers both passes. When another engine decided,
+    /// the stopped pass is the lead's cancelled run. A race uses no thread
+    /// but the caller's, and the [`PortfolioReport::timeline`] shows when
+    /// each engine started.
     pub fn race(&self, verification: &Verification) -> PortfolioReport {
         self.run_portfolio(verification, &RecorderHandle::disabled(), None)
     }
@@ -261,11 +253,11 @@ impl Portfolio {
     /// derives, so a remote `events` tail can be filtered down to one job.
     /// The race also publishes live progress into `progress`: the ATPG
     /// engine streams bound advances and effort counters from inside its
-    /// search, and the supervisor stores every engine's final statistics the
-    /// moment it answers. Observers snapshot `progress` concurrently (the
-    /// service's progress accessors feed the server's `progress`/`subscribe`
-    /// ops from it); publication is lock-free, alloc-free and never
-    /// influences scheduling or verdicts.
+    /// search, and the race stores every engine's final statistics the
+    /// moment its run is final. Observers on other threads snapshot
+    /// `progress` while the race runs (the service's progress accessors feed
+    /// the server's `progress`/`subscribe` ops from it); publication is
+    /// lock-free, alloc-free and never influences scheduling or verdicts.
     pub fn race_probed(
         &self,
         verification: &Verification,
@@ -284,8 +276,8 @@ impl Portfolio {
         let start = Instant::now();
         // A job budget turns the race token into a deadline token: every
         // engine polls it cooperatively, so even one stuck in a pathological
-        // search (or an injected hang) releases its thread once the budget
-        // is gone — the supervisor then reports a structured timeout below.
+        // search (or an injected hang) returns once the budget is gone, and
+        // the race reports a structured timeout below.
         let token = match self.config.job_budget {
             Some(budget) => CancelToken::with_deadline(start + budget),
             None => CancelToken::new(),
@@ -293,9 +285,7 @@ impl Portfolio {
         let engines: &[Engine] = &self.config.engines;
         let mut runs: Vec<EngineRun> = Vec::with_capacity(engines.len());
         let mut winner: Option<usize> = None;
-        let mut timeline: Vec<RaceEvent> = Vec::with_capacity(2 * engines.len() + 1);
-        let mut first_definitive_at: Option<Duration> = None;
-        let mut win_margin: Option<Duration> = None;
+        let mut timeline: Vec<RaceEvent> = Vec::with_capacity(2 * engines.len());
         recorder.record(
             RecorderLayer::Portfolio,
             RecorderKind::Start,
@@ -331,16 +321,15 @@ impl Portfolio {
                 0,
             );
         };
-        // Collects one answer: the first definitive one wins and cancels
-        // everyone still searching.
+        // Collects one final run and returns whether it was definitive. The
+        // race ends at its first definitive run, so that one wins.
         let mut absorb = |run: EngineRun, timeline: &mut Vec<RaceEvent>| {
-            let at = start.elapsed();
             let definitive = run.verdict.is_definitive();
             if let Some(progress) = progress {
                 progress.record_final(&run);
             }
             timeline.push(RaceEvent {
-                at,
+                at: start.elapsed(),
                 engine: Some(run.engine),
                 kind: RaceEventKind::Answered { definitive },
             });
@@ -350,52 +339,16 @@ impl Portfolio {
                 u64::from(run.engine.code()),
                 u64::from(definitive),
             );
-            match first_definitive_at {
-                None if definitive => first_definitive_at = Some(at),
-                Some(won_at) if win_margin.is_none() => {
-                    win_margin = Some(at.saturating_sub(won_at));
-                }
-                _ => {}
-            }
-            if winner.is_none() && definitive {
+            if definitive {
                 winner = Some(runs.len());
-                // Cancelling also keeps held engines from starting; the
-                // cancel event marks a race with losers running.
-                token.cancel();
-                let started = timeline
-                    .iter()
-                    .filter(|e| e.kind == RaceEventKind::Spawned)
-                    .count();
-                if started > runs.len() + 1 {
-                    timeline.push(RaceEvent {
-                        at: start.elapsed(),
-                        engine: None,
-                        kind: RaceEventKind::CancelIssued,
-                    });
-                    recorder.record(
-                        RecorderLayer::Portfolio,
-                        RecorderKind::Cancel,
-                        u64::from(run.engine.code()),
-                        0,
-                    );
-                }
             }
             runs.push(run);
+            definitive
         };
-        // The race hedges: the lead engine runs on this thread for at most
-        // HEAD_START, and the others join only if it has not decided by then
-        // (or answers undecided sooner).
-        let (lead, mut joining) = match engines.split_first() {
-            Some((&lead, held)) => (Some(lead), held),
-            None => (None, engines),
-        };
-        // A lead pass the head start stopped. The lead restarts beside the
-        // joining engines, and the pass's time and effort fold into its run.
-        let mut stopped: Option<EngineRun> = None;
-        if let Some(lead) = lead {
+        if let Some((&lead, others)) = engines.split_first() {
             // A lone lead runs on the race token; otherwise the head start
             // stops it, and never later than the job budget.
-            let head = if joining.is_empty() {
+            let head = if others.is_empty() {
                 token.clone()
             } else {
                 let head_end = start + HEAD_START;
@@ -404,53 +357,36 @@ impl Portfolio {
             spawned(lead, &mut timeline);
             let pass = run(lead, &head);
             // Cancelled, but not by the race token: the head start ran out.
+            // The pass waits to see whether the lead runs again.
+            let (mut stopped, mut decided) = (None, false);
             if pass.cancelled && !token.is_cancelled() {
                 stopped = Some(pass);
             } else {
-                absorb(pass, &mut timeline);
+                decided = absorb(pass, &mut timeline);
             }
-            // A decided race has cancelled the token, and an expired budget
-            // has too: either way nobody new starts.
-            if token.is_cancelled() {
-                joining = &[];
+            // The others take turns on this thread until one decides or the
+            // budget ends.
+            for &engine in others {
+                if decided || token.is_cancelled() {
+                    break;
+                }
+                spawned(engine, &mut timeline);
+                let answer = run(engine, &token);
+                decided = absorb(answer, &mut timeline);
             }
-        }
-        if stopped.is_some() || !joining.is_empty() {
-            thread::scope(|scope| {
-                let (tx, rx) = mpsc::channel::<EngineRun>();
-                let launch = |engine: Engine| {
-                    let tx = tx.clone();
-                    let token = token.clone();
-                    scope.spawn(move || {
-                        // The supervisor receives until every sender is
-                        // gone; a send only fails if it panicked, in which
-                        // case the scope propagates that panic anyway.
-                        let _ = tx.send(run(engine, &token));
-                    });
+            // A stopped lead runs again last, only if nobody decided, and
+            // keeps the `Spawned` event of its first pass.
+            if let Some(pass) = stopped {
+                let lead_run = if !decided && !token.is_cancelled() {
+                    let mut again = run(lead, &token);
+                    fold_pass(&mut again, &pass);
+                    again
+                } else {
+                    pass
                 };
-                for &engine in joining {
-                    spawned(engine, &mut timeline);
-                    launch(engine);
-                }
-                // The restarted lead starts last, so a free core goes to an
-                // engine that has not run yet. Started first, it takes that
-                // core and a joining engine shares one: on the paper suite's
-                // p5 a lone ATPG then ties a halved SAT-BMC, and which of
-                // `proved` and `holds(bound)` wins changes from run to run.
-                // It keeps the `Spawned` event of its first pass.
-                if let Some(pass) = &stopped {
-                    launch(pass.engine);
-                }
-                drop(tx);
-                while let Ok(mut answer) = rx.recv() {
-                    if let Some(pass) = stopped.as_ref().filter(|p| p.engine == answer.engine) {
-                        fold_pass(&mut answer, pass);
-                    }
-                    absorb(answer, &mut timeline);
-                }
-            });
+                absorb(lead_run, &mut timeline);
+            }
         }
-        let disagreements = disagreements(&runs);
         let verdict = match winner {
             Some(index) => runs[index].verdict.clone(),
             None => match self.config.job_budget {
@@ -478,10 +414,9 @@ impl Portfolio {
             winner: winner.map(|index| runs[index].engine),
             wall_clock: start.elapsed(),
             runs,
-            disagreements,
             timeline,
         };
-        record_race_metrics(&self.metrics, &report, win_margin);
+        record_race_metrics(&self.metrics, &report);
         recorder.record(
             RecorderLayer::Portfolio,
             RecorderKind::End,
@@ -492,8 +427,8 @@ impl Portfolio {
     }
 }
 
-/// Folds a lead pass the head start stopped into the lead's run after its
-/// restart, so the race reports one run per engine: the run's time covers
+/// Folds a lead pass the head start stopped into the lead's run after it
+/// ran again, so the race reports one run per engine: the run's time covers
 /// both passes, and so do ATPG's search counters.
 fn fold_pass(run: &mut EngineRun, pass: &EngineRun) {
     run.elapsed += pass.elapsed;
@@ -513,14 +448,8 @@ fn metric_suffix(engine: Engine) -> &'static str {
 
 /// Publishes one race's attribution into the shared registry: race and
 /// per-engine win counters, per-engine wall-clock and race wall-clock
-/// histograms, cancelled-run and disagreement counters, and the win margin
-/// (first definitive answer to the next engine's answer — how much racing
-/// actually bought).
-fn record_race_metrics(
-    registry: &MetricsRegistry,
-    report: &PortfolioReport,
-    win_margin: Option<Duration>,
-) {
+/// histograms, and the cancelled-run counter.
+fn record_race_metrics(registry: &MetricsRegistry, report: &PortfolioReport) {
     registry.counter("portfolio_races_total").inc();
     registry
         .histogram("portfolio_race_wall_ns")
@@ -546,35 +475,6 @@ fn record_race_metrics(
             registry.counter("portfolio_cancelled_runs_total").inc();
         }
     }
-    if !report.disagreements.is_empty() {
-        registry
-            .counter("portfolio_disagreements_total")
-            .add(report.disagreements.len() as u64);
-    }
-    if let Some(margin) = win_margin {
-        registry
-            .histogram("portfolio_win_margin_ns")
-            .record(margin.as_nanos() as u64);
-    }
-}
-
-/// Pairwise consistency check over all definitive verdicts.
-fn disagreements(runs: &[EngineRun]) -> Vec<String> {
-    let mut disagreements = Vec::new();
-    for (i, a) in runs.iter().enumerate() {
-        for b in &runs[i + 1..] {
-            if a.verdict.conflicts_with(&b.verdict) {
-                disagreements.push(format!(
-                    "{} says {} but {} says {}",
-                    a.engine,
-                    a.verdict.label(),
-                    b.engine,
-                    b.verdict.label(),
-                ));
-            }
-        }
-    }
-    disagreements
 }
 
 #[cfg(test)]
@@ -601,8 +501,8 @@ mod tests {
         Verification::new(nl, property)
     }
 
-    /// A configuration whose lead engine (ATPG) hangs until the race is
-    /// cancelled, so every race escalates to the full portfolio.
+    /// A configuration whose lead engine (ATPG) hangs until its token is
+    /// cancelled, so every race goes past the lead's head start.
     fn hung_lead() -> PortfolioConfig {
         use wlac_atpg::{FaultPlan, FaultSite};
         let mut config = PortfolioConfig::default();
@@ -646,19 +546,19 @@ mod tests {
         });
         assert!(report.verdict.is_pass(), "{:?}", report.verdict);
         assert_eq!(report.winner, Some(Engine::Atpg));
-        assert!(report.agreed(), "{:?}", report.disagreements);
         assert_eq!(report.property, "holds");
         let text = report.to_string();
         assert!(text.contains("won by"), "{text}");
 
-        // An escalated race runs and attributes the whole portfolio.
+        // A race past the head start attributes the winner and the lead's
+        // stopped pass; random simulation never starts once SAT-BMC decides.
         let report = Portfolio::new(hung_lead()).race(&counter(12, 5, "holds"));
         assert!(report.verdict.is_pass(), "{:?}", report.verdict);
         assert_eq!(report.winner, Some(Engine::SatBmc));
-        assert!(report.agreed(), "{:?}", report.disagreements);
-        assert_eq!(report.runs.len(), 3);
+        assert_eq!(report.runs.len(), 2, "{:?}", report.timeline);
         let text = report.to_string();
         assert!(text.contains("won by sat-bmc"), "{text}");
+        assert!(text.contains("[cancelled]"), "{text}");
     }
 
     #[test]
@@ -687,22 +587,30 @@ mod tests {
 
     #[test]
     fn a_hung_lead_is_joined_after_the_head_start_and_cancelled() {
-        let report = Portfolio::new(hung_lead()).race(&counter(5, 12, "hung"));
+        // SAT-BMC decides this counter, and random simulation cannot.
+        let report = Portfolio::new(hung_lead()).race(&counter(12, 5, "hung"));
+        assert!(report.verdict.is_pass(), "{:?}", report.verdict);
+        assert_eq!(report.winner, Some(Engine::SatBmc));
+        // No two engines ran at once: their times fit in the race's.
+        let busy: Duration = report.runs.iter().map(|r| r.elapsed).sum();
         assert!(
-            matches!(report.verdict, Verdict::Violated { .. }),
-            "{:?}",
-            report.verdict
+            busy <= report.wall_clock,
+            "engines overlapped: {busy:?} of engine time in {:?}",
+            report.wall_clock
         );
-        let winner = report.winner.expect("a joining engine decides");
-        assert_ne!(winner, Engine::Atpg);
+        // The head start stopped the lead, and SAT-BMC decided, so the lead
+        // did not run again and random simulation never started.
         let lead = report.run_of(Engine::Atpg).expect("the lead ran");
         assert!(lead.cancelled, "{:?}", lead.verdict);
+        assert!(report.run_of(Engine::RandomSim).is_none(), "{report}");
         let spawns = spawns(&report);
-        assert_eq!(spawns.len(), 3, "{:?}", report.timeline);
-        assert_eq!(spawns[0].engine, Some(Engine::Atpg));
-        for joined in &spawns[1..] {
-            assert!(joined.at >= HEAD_START, "{:?}", report.timeline);
-        }
+        assert_eq!(
+            spawns.iter().map(|e| e.engine).collect::<Vec<_>>(),
+            [Some(Engine::Atpg), Some(Engine::SatBmc)],
+            "{:?}",
+            report.timeline
+        );
+        assert!(spawns[1].at >= HEAD_START, "{:?}", report.timeline);
     }
 
     #[test]
@@ -722,25 +630,24 @@ mod tests {
             &Verification::new(nl, property),
             |r| spawns(r)[1..].iter().all(|e| e.at < HEAD_START),
         );
-        assert_eq!(spawns(&report).len(), 3, "{:?}", report.timeline);
         assert!(
             matches!(report.verdict, Verdict::WitnessFound { .. }),
             "{:?}",
             report.verdict
         );
-        assert_ne!(report.winner, Some(Engine::Atpg));
+        assert_eq!(report.winner, Some(Engine::SatBmc));
         let lead = report.run_of(Engine::Atpg).expect("the lead ran");
         assert!(!lead.verdict.is_definitive(), "{:?}", lead.verdict);
-        // The lead's undecided answer, not the head start, brought the others
-        // in: they start right after it, before the head start is out.
-        let kinds: Vec<_> = report.timeline.iter().take(4).map(|e| e.kind).collect();
+        assert!(!lead.cancelled, "{:?}", lead.verdict);
+        // The lead's undecided answer, not the head start, handed the race
+        // to SAT-BMC, whose witness ended it before random simulation's turn.
         assert_eq!(
-            kinds,
+            report.timeline.iter().map(|e| e.kind).collect::<Vec<_>>(),
             [
                 RaceEventKind::Spawned,
                 RaceEventKind::Answered { definitive: false },
                 RaceEventKind::Spawned,
-                RaceEventKind::Spawned,
+                RaceEventKind::Answered { definitive: true },
             ],
             "{:?}",
             report.timeline
@@ -748,11 +655,11 @@ mod tests {
     }
 
     #[test]
-    fn a_lead_stopped_by_the_head_start_restarts_beside_the_others() {
+    fn a_lead_stopped_by_the_head_start_runs_again_after_the_others() {
         use wlac_atpg::{FaultPlan, FaultSite};
         // The lead hangs in its first pass only. Random simulation cannot
-        // prove the counter, so only the restarted lead can decide the race
-        // before its budget.
+        // prove the counter, so only the lead's second run can decide the
+        // race before its budget.
         let mut config = PortfolioConfig::default()
             .with_engines(vec![Engine::Atpg, Engine::RandomSim])
             .with_job_budget(Duration::from_secs(3));
@@ -765,6 +672,21 @@ mod tests {
         assert_eq!(
             spawns.iter().map(|e| e.engine).collect::<Vec<_>>(),
             [Some(Engine::Atpg), Some(Engine::RandomSim)],
+            "{:?}",
+            report.timeline
+        );
+        // Random simulation took its turn after the head start, and the
+        // lead answered once, after it.
+        assert!(spawns[1].at >= HEAD_START, "{:?}", report.timeline);
+        let answers: Vec<_> = report
+            .timeline
+            .iter()
+            .filter(|e| matches!(e.kind, RaceEventKind::Answered { .. }))
+            .map(|e| e.engine)
+            .collect();
+        assert_eq!(
+            answers,
+            [Some(Engine::RandomSim), Some(Engine::Atpg)],
             "{:?}",
             report.timeline
         );
@@ -795,40 +717,36 @@ mod tests {
             Verdict::Violated { trace } => assert!(trace.len() >= 5),
             other => panic!("expected violation, got {other:?}"),
         }
-        assert!(report.agreed(), "{:?}", report.disagreements);
     }
 
     #[test]
     fn race_timeline_orders_spawns_before_answers() {
-        // A hung lead escalates, so the timeline holds the full race.
+        // A hung lead goes past its head start, so the timeline holds the
+        // lead's pass and SAT-BMC's turn.
         let report = Portfolio::new(hung_lead()).race(&counter(12, 5, "timed"));
         let spawns = spawns(&report);
-        assert_eq!(spawns.len(), 3, "{:?}", report.timeline);
-        // The held engines carry their real spawn time.
+        assert_eq!(spawns.len(), 2, "{:?}", report.timeline);
+        // A later engine carries its real start time.
         assert_eq!(spawns[0].engine, Some(Engine::Atpg));
-        assert!(spawns[1..].iter().all(|e| e.at >= HEAD_START));
+        assert!(spawns[1].at >= HEAD_START, "{:?}", report.timeline);
         let answers = report
             .timeline
             .iter()
             .filter(|e| matches!(e.kind, RaceEventKind::Answered { .. }))
             .count();
-        assert_eq!(answers, 3, "{:?}", report.timeline);
-        // Racing mode cancels as soon as someone is definitive.
-        assert!(report
-            .timeline
-            .iter()
-            .any(|e| e.kind == RaceEventKind::CancelIssued));
-        // Timestamps are monotone within the supervisor's view.
+        assert_eq!(answers, 2, "{:?}", report.timeline);
+        // Timestamps are monotone, and every event names its engine.
         for pair in report.timeline.windows(2) {
             assert!(pair[0].at <= pair[1].at, "{:?}", report.timeline);
         }
-        // Every Answered names an engine; CancelIssued is supervisor-wide.
-        for event in &report.timeline {
-            match event.kind {
-                RaceEventKind::CancelIssued => assert!(event.engine.is_none()),
-                _ => assert!(event.engine.is_some()),
-            }
-        }
+        assert!(
+            report
+                .timeline
+                .iter()
+                .all(|e| e.engine.is_some() && e.kind != RaceEventKind::CancelIssued),
+            "{:?}",
+            report.timeline
+        );
     }
 
     fn engine_histogram_count(registry: &MetricsRegistry, engine: Engine) -> u64 {
@@ -860,7 +778,8 @@ mod tests {
             );
         }
 
-        // Escalated races run everyone.
+        // A race past the head start runs the lead and SAT-BMC, which
+        // decides both counters, so random simulation never starts.
         let registry = Arc::new(MetricsRegistry::new());
         let portfolio = Portfolio::new(hung_lead()).with_metrics(registry.clone());
         let won = portfolio.race(&counter(12, 5, "m0"));
@@ -872,15 +791,12 @@ mod tests {
             .get();
         assert!(wins >= 1, "winner {winner} should be counted");
         assert_eq!(registry.histogram("portfolio_race_wall_ns").count(), 2);
-        // Each escalated race runs all three engines; every run's wall clock
-        // lands in its per-engine histogram.
-        let per_engine: u64 = Engine::ALL
-            .iter()
-            .map(|&e| engine_histogram_count(&registry, e))
-            .sum();
-        assert_eq!(per_engine, 6);
-        // At least the hung lead is cancelled in each.
-        assert!(registry.counter("portfolio_cancelled_runs_total").get() >= 2);
+        // Every run's wall clock lands in its per-engine histogram.
+        assert_eq!(engine_histogram_count(&registry, Engine::Atpg), 2);
+        assert_eq!(engine_histogram_count(&registry, Engine::SatBmc), 2);
+        assert_eq!(engine_histogram_count(&registry, Engine::RandomSim), 0);
+        // The hung lead's stopped pass is the cancelled run of each.
+        assert_eq!(registry.counter("portfolio_cancelled_runs_total").get(), 2);
     }
 
     #[test]
@@ -888,7 +804,7 @@ mod tests {
         use wlac_atpg::{FaultPlan, FaultSite};
         // One engine, hung from its first search step: without a budget this
         // race would never return. With one, the deadline token releases the
-        // hang and the supervisor reports a structured timeout.
+        // hang and the race reports a structured timeout.
         let mut config = PortfolioConfig::default().with_engines(vec![Engine::Atpg]);
         config.job_budget = Some(Duration::from_millis(250));
         config.checker.faults = FaultPlan::new().fire_from(FaultSite::EngineHang, 1);

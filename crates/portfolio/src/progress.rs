@@ -3,7 +3,7 @@
 //! A [`RaceProgress`] holds one [`ProgressCell`] per engine. The ATPG
 //! engine's core search publishes into its cell continuously (bound
 //! advances, periodic effort probes); the SAT and simulation engines have no
-//! incremental counters to stream, so the race supervisor stores their final
+//! incremental counters to stream, so the race stores their final
 //! statistics into their cells the moment they answer. Observers — the
 //! verification service's progress accessors, and through them the server's
 //! `progress` and `subscribe` ops — snapshot any cell at any time without

@@ -118,14 +118,6 @@ fn main() {
                 let (site, n) = parse_fault_spec(&value()).unwrap_or_else(|| usage());
                 config.service.faults = config.service.faults.fire_from(site, n);
             }
-            // Undocumented crash-test hook: hard-abort the process in the
-            // middle of the Nth journal append, leaving a genuinely torn
-            // frame on disk. Used by the crash-matrix suite; useless (and
-            // harmless) in production.
-            "--crash-after-appends" => {
-                let n: u64 = value().parse().unwrap_or_else(|_| usage());
-                config.service.faults = config.service.faults.fire_nth(FaultSite::CrashPoint, n);
-            }
             _ => usage(),
         }
     }

@@ -12,8 +12,8 @@
 //!    surviving prefix must come back `from_cache` with **zero engine
 //!    spawns** and **byte-identical** verdicts; every query past it re-runs
 //!    and reaches the same verdict. No mutation may fail the boot.
-//! 2. **Real kill** — a real `wlac-server` subprocess armed with the hidden
-//!    `--crash-after-appends` flag hard-aborts in the middle of a journal
+//! 2. **Real kill** — a real `wlac-server` subprocess armed with
+//!    `--fault crash_point:N` hard-aborts in the middle of its Nth journal
 //!    append, leaving a genuinely torn frame. The restarted server quarantines
 //!    the tear and replays the acknowledged prefix.
 //! 3. **Kill during compaction** — every snapshot write is torn mid-frame
@@ -455,7 +455,7 @@ fn crash_matrix_real_kill_mid_append() {
         .stdout(Stdio::piped())
         .stderr(Stdio::null());
         if let Some(n) = crash {
-            cmd.args(["--crash-after-appends", &n.to_string()]);
+            cmd.args(["--fault", &format!("crash_point:{n}")]);
         }
         let mut child = cmd.spawn().expect("spawn wlac-server");
         let stdout = child.stdout.take().expect("child stdout");

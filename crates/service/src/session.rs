@@ -19,7 +19,10 @@
 //! 2. otherwise copies the registered netlist into the race's
 //!    [`Verification`];
 //! 3. races the configured engines, hedged as [`Portfolio::race`] describes,
-//!    and caches the verdict.
+//!    and caches the verdict. The race runs its engines one at a time on
+//!    the worker's own thread, so a worker runs at most one engine at a
+//!    time and [`ServiceConfig::workers`] bounds the service's engine
+//!    threads.
 //!
 //! Every race may start the same engines, whatever ran on the design
 //! before: the engines a verdict can come from do not depend on the
@@ -147,8 +150,9 @@ pub struct JobResult {
     /// `true` when the verdict came straight from the cache.
     pub from_cache: bool,
     /// Engines the race actually started: 0 for cache hits, 1 when the
-    /// hedged race's lead decided within its head start, and at most the
-    /// configured engines otherwise.
+    /// hedged race's lead decided within its head start, and otherwise the
+    /// lead and each engine that took its turn before one decided, at most
+    /// the configured engines.
     pub engines_spawned: usize,
     /// Wall-clock time from dequeue to result; for a hit answered at
     /// submission, from its cache lookup to its result.
@@ -168,7 +172,9 @@ pub struct ServiceConfig {
     /// Portfolio configuration used for every race; each worker races one
     /// job at a time.
     pub portfolio: PortfolioConfig,
-    /// Worker threads draining the job queue.
+    /// Worker threads draining the job queue. A worker runs its race's
+    /// engines on its own thread, one at a time, so this also bounds the
+    /// engines running at once.
     pub workers: usize,
     /// Has no effect: every race starts the configured engines. Kept only
     /// because the benchmark package (`perfbench/`) still sets it; it goes
@@ -1353,8 +1359,8 @@ fn process_job(shared: &Shared, job: &QueuedJob) {
         .insert(job.job_id, Arc::clone(&running));
 
     // 2. and 3. Copy the design, race, cache. The race is fenced with
-    // `catch_unwind`: an engine panic (the lead's unwinds on this thread, and
-    // the portfolio's scoped threads propagate the others') must complete the
+    // `catch_unwind`: an engine panic (every engine runs on this thread, so
+    // it unwinds here) must complete the
     // job as `Unknown` instead of killing this worker — a dead worker would
     // shrink the pool for the rest of the session and leave the batch
     // incomplete, hanging every `wait` on it. No service lock is held across

@@ -100,43 +100,40 @@ pub enum RecorderKind {
     End = 1,
     /// The search advanced its unrolling bound. Payload 0 is the new bound.
     Bound = 2,
-    /// An engine was spawned into a race. Payload 0 is the engine index.
+    /// An engine started its turn in a race. Payload 0 is the engine index.
     Spawn = 3,
     /// An engine answered. Payload 0 is the engine index, payload 1 is 1 for
     /// a definitive verdict.
     Answer = 4,
-    /// The race cancelled its losers.
-    Cancel = 5,
     /// A job was dequeued by a worker. Payload 0 is the queue depth left.
-    Dequeue = 6,
+    Dequeue = 5,
     /// A job was answered straight from the verdict cache.
-    CacheHit = 7,
+    CacheHit = 6,
     /// Something failed and was contained: quarantine, timeout, torn tail,
     /// rejected snapshot, failed autosave. Payload words are site-specific
     /// (e.g. quarantined byte counts).
-    Fault = 8,
+    Fault = 7,
     /// A lost worker was replaced. Payload 0 is the replacement count.
-    Respawn = 9,
+    Respawn = 8,
     /// A journal record was appended. Payload 0 is the journal length in
     /// bytes after the append.
-    Append = 10,
+    Append = 9,
     /// A journal was compacted into a snapshot (reset). Payload 0 is the
     /// bytes discarded.
-    Compact = 11,
+    Compact = 10,
     /// A durable artifact was written (snapshot, post-mortem dump). Payload
     /// 0 is the byte size.
-    Persisted = 12,
+    Persisted = 11,
 }
 
 impl RecorderKind {
     /// All kinds, for enumeration.
-    pub const ALL: [RecorderKind; 13] = [
+    pub const ALL: [RecorderKind; 12] = [
         RecorderKind::Start,
         RecorderKind::End,
         RecorderKind::Bound,
         RecorderKind::Spawn,
         RecorderKind::Answer,
-        RecorderKind::Cancel,
         RecorderKind::Dequeue,
         RecorderKind::CacheHit,
         RecorderKind::Fault,
@@ -154,7 +151,6 @@ impl RecorderKind {
             RecorderKind::Bound => "bound",
             RecorderKind::Spawn => "spawn",
             RecorderKind::Answer => "answer",
-            RecorderKind::Cancel => "cancel",
             RecorderKind::Dequeue => "dequeue",
             RecorderKind::CacheHit => "cache_hit",
             RecorderKind::Fault => "fault",

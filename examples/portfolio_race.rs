@@ -1,5 +1,6 @@
-//! Portfolio racing: check one property with three engines concurrently,
-//! then race a list of properties one after another. To shard a batch
+//! Portfolio racing: check one property with three engines, which take
+//! turns on this thread after ATPG's head start, then race a list of
+//! properties one after another. To shard a batch
 //! across a worker pool, submit it to a `VerificationService` (see
 //! `examples/verification_service.rs`).
 //!
@@ -31,8 +32,8 @@ fn counter_with_limit(wrap: u64, limit: u64) -> Verification {
 fn main() {
     let portfolio = Portfolio::with_defaults();
 
-    // Race all three engines on a single passing property: the first
-    // definitive verdict wins and the losers are cancelled.
+    // Race the engines on a single passing property: the first definitive
+    // verdict wins and no engine starts after it.
     println!("-- racing one property --");
     let report = portfolio.race(&counter_with_limit(9, 12));
     println!("{report}\n");

@@ -17,8 +17,8 @@
 //!   every engine answers with,
 //! * [`circuits`] — the paper's benchmark designs and properties p1–p14,
 //! * [`baselines`] — SAT BMC, integral solving and random simulation,
-//! * [`portfolio`] — concurrent multi-strategy racing and batch checking
-//!   across the ATPG, SAT BMC and random-simulation engines,
+//! * [`portfolio`] — the hedged multi-strategy race of the ATPG, SAT BMC
+//!   and random-simulation engines, which take turns on one thread,
 //! * [`service`] — persistent verification sessions: a design registry and
 //!   a `submit_batch`/`batch_progress`/`results` work-queue front door with
 //!   a bounded (LRU) verdict cache, the service's only memory (every engine
